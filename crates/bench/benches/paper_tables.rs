@@ -9,8 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
-use v_sim::SimDuration;
+use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope};
+use v_net::{EtherType, Frame, MacAddr, NetworkKind, Topology};
+use v_sim::{SimDuration, SimTime};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::load::{LoadClient, LoadServer};
 use v_workloads::measure::probe;
@@ -242,6 +243,63 @@ fn bench_section_8(c: &mut Criterion) {
     g.finish();
 }
 
+/// Asks every other kernel for a logical id nobody registered, then
+/// exits when the broadcasts have gone unanswered.
+struct Asker;
+
+impl Program for Asker {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        match outcome {
+            Outcome::Started => api.get_pid(0xDEAD, Scope::Remote),
+            _ => api.exit(),
+        }
+    }
+}
+
+/// The two layers a boot storm's broadcasts spend their wall-clock in
+/// (ROADMAP open item 1(d)): the transport's fan-out to every station,
+/// and the kernel's batch dispatch of one arrival to every receiver.
+fn bench_fanout(c: &mut Criterion) {
+    const STATIONS: usize = 1000;
+    let mut g = c.benchmark_group("fanout");
+    g.sample_size(20);
+    g.bench_function("transport_transmit_1000_stations", |b| {
+        let mut net = Topology::SingleSegment(NetworkKind::Experimental3Mb).build(1);
+        for i in 0..STATIONS {
+            net.attach(HostId(i).station_mac(), 0);
+        }
+        let src = HostId(0).station_mac();
+        let payload: std::rc::Rc<[u8]> = std::rc::Rc::from([0xAB; 64]);
+        let mut out = Vec::new();
+        let mut now = SimTime::ZERO;
+        b.iter(|| {
+            out.clear();
+            let frame = Frame::new(
+                MacAddr::BROADCAST,
+                src,
+                EtherType::INTERKERNEL,
+                payload.clone(),
+            );
+            now = net.transmit(now, frame, &mut out).tx_end;
+            assert_eq!(out.len(), STATIONS - 1);
+        })
+    });
+    g.bench_function("getpid_broadcast_dispatch_1000_hosts", |b| {
+        let cfg = ClusterConfig::three_mb().with_hosts(STATIONS, CpuSpeed::Mc68000At10MHz);
+        let mut cl = Cluster::new(cfg);
+        b.iter(|| {
+            // Every `GetPidReq` broadcast (the first and its retries) is
+            // one queued arrival decoded once and dispatched to 999
+            // kernels, none of which answers.
+            let before = cl.events_dispatched();
+            cl.spawn_with_space(HostId(0), "asker", Box::new(Asker), 1024);
+            cl.run();
+            assert!(cl.events_dispatched() - before >= (STATIONS - 1) as u64);
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_table_4_1,
@@ -251,6 +309,7 @@ criterion_group!(
     bench_table_6_3,
     bench_section_5_4,
     bench_section_7,
-    bench_section_8
+    bench_section_8,
+    bench_fanout
 );
 criterion_main!(benches);

@@ -14,11 +14,13 @@
 //! * the pool is **bounded**: if no descriptor is free the new message is
 //!   discarded and a reply-pending packet tells the sender to retry.
 
+use std::rc::Rc;
+
 use v_sim::SimTime;
 
 use crate::message::Message;
 use crate::pid::Pid;
-use v_wire::SendBody;
+use v_wire::{SendBody, WireBytes};
 
 /// Delivery state of an alien's message exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,8 +31,9 @@ pub enum AlienState {
     Delivered,
     /// Replied: the encoded reply packet is cached for retransmission.
     Replied {
-        /// Cached encoded reply packet.
-        packet: Vec<u8>,
+        /// The encoded reply packet: a handle on the buffer that went
+        /// out on the wire.
+        packet: WireBytes,
         /// When the reply was generated (for retention expiry).
         at: SimTime,
     },
@@ -64,7 +67,7 @@ pub struct Alien {
     /// Encoded Forward rebind notification, cached once the exchange has
     /// been forwarded so a duplicate Send (the client missed the note)
     /// can be answered by re-sending it.
-    pub forward_note: Option<Vec<u8>>,
+    pub forward_note: Option<WireBytes>,
 }
 
 /// Disposition of an arriving Send packet, as judged by the alien table.
@@ -74,7 +77,7 @@ pub enum SendVerdict {
     /// source replaced); deliver to the destination process.
     Deliver,
     /// Duplicate of an exchange whose reply is cached: retransmit it.
-    RetransmitReply(Vec<u8>),
+    RetransmitReply(WireBytes),
     /// Duplicate of an exchange still awaiting its reply — or the pool is
     /// exhausted: answer with a reply-pending packet.
     ReplyPending,
@@ -136,7 +139,7 @@ impl AlienTable {
             if alien.seq == seq {
                 return match &alien.state {
                     AlienState::Replied { packet, .. } => {
-                        SendVerdict::RetransmitReply(packet.clone())
+                        SendVerdict::RetransmitReply(Rc::clone(packet))
                     }
                     _ => SendVerdict::ReplyPending,
                 };
@@ -270,12 +273,12 @@ mod tests {
         let mut t = table(4);
         t.admit(pid(2, 1), 1, pid(1, 1), body());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
-            packet: vec![1, 2, 3],
+            packet: Rc::from([1, 2, 3]),
             at: SimTime::ZERO,
         };
         let v = t.admit(pid(2, 1), 1, pid(1, 1), body());
         match v {
-            SendVerdict::RetransmitReply(p) => assert_eq!(p, vec![1, 2, 3]),
+            SendVerdict::RetransmitReply(p) => assert_eq!(p[..], [1, 2, 3]),
             other => panic!("expected retransmit, got {other:?}"),
         }
     }
@@ -285,7 +288,7 @@ mod tests {
         let mut t = table(4);
         t.admit(pid(2, 1), 1, pid(1, 1), body());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
-            packet: vec![],
+            packet: Rc::from([]),
             at: SimTime::ZERO,
         };
         let v = t.admit(pid(2, 1), 2, pid(1, 1), body());
@@ -318,7 +321,7 @@ mod tests {
         t.admit(pid(2, 1), 1, pid(1, 1), body());
         t.admit(pid(2, 2), 1, pid(1, 1), body());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
-            packet: vec![],
+            packet: Rc::from([]),
             at: SimTime::ZERO,
         };
         let freed = t.sweep(

@@ -14,9 +14,10 @@ use crate::costs::CostModel;
 use crate::cpu::Cpu;
 use crate::ctx::Ctx;
 use crate::error::KernelError;
-use crate::event::{Event, HostId, TimerKind};
+use crate::event::{Event, FanOut, HostId, TimerKind};
 use crate::host::Host;
 use crate::hostmap::HostMap;
+use crate::ipc::dispatch::decode_frame;
 use crate::message::Message;
 use crate::naming::{NameTable, Scope};
 use crate::pcb::{Pcb, ProcState};
@@ -64,9 +65,9 @@ pub struct Cluster {
     pub(crate) net: Box<dyn Transport>,
     pub(crate) hosts: Vec<Host>,
     pub(crate) housekeeping_armed: Vec<bool>,
-    /// Logical events dispatched: one per resume/frame/timer/chunk. A
-    /// batched frame event counts once per frame it carries, so the
-    /// number is comparable across delivery-batching changes.
+    /// Logical events dispatched: one per resume/frame/timer/chunk. An
+    /// arrival event counts once per receiver it reaches, so the number
+    /// is comparable across delivery-batching changes.
     events_dispatched: u64,
     /// Reusable buffer for transport deliveries: every transmit drains
     /// into it and schedules from it, so the hot path never allocates a
@@ -226,11 +227,17 @@ impl Cluster {
     }
 
     /// Injects a frame as if it had just finished arriving at `host`'s
-    /// interface (testing aid: exercises the receive/dispatch path with
-    /// hand-built bytes that the in-simulation senders would never emit).
-    pub fn inject_frame(&mut self, host: HostId, frame: v_net::Frame) {
+    /// interface — addressed to that host, as every arriving frame is
+    /// (testing aid: exercises the receive/dispatch path with hand-built
+    /// bytes that the in-simulation senders would never emit).
+    pub fn inject_frame(&mut self, host: HostId, mut frame: v_net::Frame) {
         let at = self.now();
-        self.queue.schedule(at, Event::Frame { host, frame });
+        frame.dst = host.station_mac();
+        let unicast = Event::Arrival {
+            frame,
+            fan_out: None,
+        };
+        self.queue.schedule(at, unicast);
     }
 
     /// Registers a raw protocol handler on a host (see [`RawHandler`]).
@@ -413,20 +420,29 @@ impl Cluster {
         self.queue.stats()
     }
 
-    /// Logical events dispatched so far (a batched frame event counts
-    /// once per frame it carries).
+    /// Logical events dispatched so far (an arrival event counts once
+    /// per receiver it reaches).
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
     }
 
     fn dispatch(&mut self, t: SimTime, ev: Event) {
         match ev {
-            Event::Frame { host, frame } => self.dispatch_frame(t, host, frame),
-            Event::FrameBatch { items } => {
-                for (host, frame) in items {
-                    self.dispatch_frame(t, host, frame);
+            Event::Arrival { frame, fan_out } => match fan_out {
+                None => {
+                    let host = HostId::from_station_mac(frame.dst);
+                    if self.hears(host) {
+                        self.ctx(host).handle_frame(t, &frame, None);
+                    }
                 }
-            }
+                Some(fan_out) => {
+                    let FanOut { stations, split } = *fan_out;
+                    self.dispatch_fan_out(t, frame, &stations);
+                    for (frame, stations) in split {
+                        self.dispatch_fan_out(t, frame, &stations);
+                    }
+                }
+            },
             ev => {
                 self.events_dispatched += 1;
                 // A crashed host is deaf and inert: stale timers/resumes
@@ -453,22 +469,37 @@ impl Cluster {
                     }
                     Event::Timer { host, kind } => self.handle_timer(t, host, kind),
                     Event::ChunkReady { host, key } => self.ctx(host).handle_chunk_ready(t, key),
-                    Event::Frame { .. } | Event::FrameBatch { .. } => unreachable!("handled above"),
+                    Event::Arrival { .. } => unreachable!("handled above"),
                 }
             }
         }
     }
 
-    /// Dispatches one frame arrival: counts it as a logical event,
-    /// applies the crashed-host check, and hands it to the receiving
-    /// kernel.
-    fn dispatch_frame(&mut self, t: SimTime, host: HostId, frame: Frame) {
-        self.events_dispatched += 1;
-        if !self.hosts[host.0].up {
-            self.hosts[host.0].stats.frames_dropped_down += 1;
-            return;
+    /// Dispatches one frame of a fan-out to every station it reaches. An
+    /// interkernel payload is decoded once for all of them; each still
+    /// gets the frame addressed to itself.
+    fn dispatch_fan_out(&mut self, t: SimTime, mut frame: Frame, stations: &[MacAddr]) {
+        let decoded = (frame.ethertype == EtherType::INTERKERNEL)
+            .then(|| decode_frame(&self.cfg.protocol, &frame));
+        for &station in stations {
+            let host = HostId::from_station_mac(station);
+            if self.hears(host) {
+                frame.dst = station;
+                self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
+            }
         }
-        self.ctx(host).handle_frame(t, frame);
+    }
+
+    /// Counts one frame arrival at `host` as a logical event and applies
+    /// the crashed-host check: false if the bits died at a dead
+    /// interface.
+    fn hears(&mut self, host: HostId) -> bool {
+        self.events_dispatched += 1;
+        let h = &mut self.hosts[host.0];
+        if !h.up {
+            h.stats.frames_dropped_down += 1;
+        }
+        h.up
     }
 
     /// Builds the split-borrow context for one host.

@@ -12,15 +12,17 @@
 //! effect (process resume, frame transmission) at the end of the charges
 //! that produce it.
 
+use std::rc::Rc;
+
 use v_net::{Delivery, EtherType, Frame, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::config::ProtocolConfig;
-use crate::event::{Event, HostId, TimerKind};
+use crate::event::{Event, FanOut, HostId, TimerKind};
 use crate::host::Host;
 use crate::pid::{LogicalHost, Pid};
 use crate::program::Outcome;
-use v_wire::{encode, Packet, PacketBody};
+use v_wire::{encode, Packet, PacketBody, WireBytes};
 
 /// Result of handing a frame to the interface.
 #[derive(Debug, Clone, Copy)]
@@ -115,12 +117,13 @@ impl Ctx<'_> {
         self.emit_bytes(t, encode(pkt), to_host)
     }
 
-    /// Transmits pre-encoded packet bytes (used for cached
-    /// retransmissions).
+    /// Transmits an encoded packet by handle: the caller may keep its
+    /// own handle on the same buffer (the retransmission caches do), and
+    /// a cached retransmission sends that very buffer again.
     pub(crate) fn emit_bytes(
         &mut self,
         t: SimTime,
-        bytes: Vec<u8>,
+        bytes: WireBytes,
         to_host: LogicalHost,
     ) -> Emitted {
         let dst = match self.host.hostmap.resolve(to_host) {
@@ -138,12 +141,13 @@ impl Ctx<'_> {
         self.emit_to_mac(t, encode(pkt), v_net::MacAddr::BROADCAST)
     }
 
-    fn emit_to_mac(&mut self, t: SimTime, bytes: Vec<u8>, dst: v_net::MacAddr) -> Emitted {
+    fn emit_to_mac(&mut self, t: SimTime, bytes: WireBytes, dst: v_net::MacAddr) -> Emitted {
         let encap = self.proto.encapsulation;
         let payload = if encap.extra_bytes() > 0 {
-            let mut v = vec![0u8; encap.extra_bytes()];
-            v.extend_from_slice(&bytes);
-            v
+            std::iter::repeat(0u8)
+                .take(encap.extra_bytes())
+                .chain(bytes.iter().copied())
+                .collect()
         } else {
             bytes
         };
@@ -166,21 +170,23 @@ impl Ctx<'_> {
         ethertype: EtherType,
         payload: Vec<u8>,
     ) -> SimTime {
-        self.emit_frame(t, dst, ethertype, payload, SimDuration::ZERO)
+        self.emit_frame(t, dst, ethertype, payload.into(), SimDuration::ZERO)
             .cpu_done
     }
 
     /// The one transmit path every frame takes: charges the copy-in and
     /// `extra_cost`, hands the frame to the transport, and schedules its
     /// deliveries (direct and gateway-forwarded alike) out of the
-    /// cluster's reused scratch buffer — no per-transmit allocation and
-    /// no per-delivery frame clone beyond the transport's own fan-out.
+    /// cluster's reused scratch buffer. The payload is a handle, so
+    /// neither the transport's fan-out nor the queued arrivals copy the
+    /// bytes; what is allocated is a receiver list (and the box that
+    /// holds it) per fan-out run, and nothing for a unicast.
     fn emit_frame(
         &mut self,
         t: SimTime,
         dst: v_net::MacAddr,
         ethertype: EtherType,
-        payload: Vec<u8>,
+        payload: Rc<[u8]>,
         extra_cost: SimDuration,
     ) -> Emitted {
         let wire_len = payload.len();
@@ -204,33 +210,40 @@ impl Ctx<'_> {
         }
     }
 
-    /// Drains the delivery scratch into the event queue, coalescing each
-    /// run of same-instant arrivals into one [`Event::FrameBatch`] — a
-    /// broadcast's fan-out becomes a single heap entry instead of one
-    /// per receiver. Scheduling order (and therefore FIFO tie-break
-    /// order at dispatch) matches the unbatched path exactly.
+    /// Empties the delivery scratch into the event queue: one
+    /// [`Event::Arrival`] per run of consecutive same-instant deliveries
+    /// — a broadcast's fan-out becomes a single heap entry instead of
+    /// one per receiver. Scheduling order (and therefore FIFO tie-break
+    /// order at dispatch) is delivery order.
     fn schedule_scratch(&mut self) {
-        let mut drain = self.scratch.drain(..).peekable();
-        while let Some(d) = drain.next() {
-            let host = HostId::from_station_mac(d.dst);
-            if drain.peek().is_some_and(|n| n.at == d.at) {
-                let at = d.at;
-                let mut items = vec![(host, d.frame)];
-                while drain.peek().is_some_and(|n| n.at == at) {
-                    let n = drain.next().expect("peeked");
-                    items.push((HostId::from_station_mac(n.dst), n.frame));
-                }
-                self.queue.schedule(at, Event::FrameBatch { items });
-            } else {
-                self.queue.schedule(
-                    d.at,
-                    Event::Frame {
-                        host,
-                        frame: d.frame,
-                    },
-                );
-            }
+        // A unicast's one delivery is moved, not cloned.
+        if self.scratch.len() == 1 {
+            let d = self.scratch.pop().expect("length checked");
+            self.queue.schedule(d.at, unicast(d.frame, d.dst));
+            return;
         }
+        let mut pending = &self.scratch[..];
+        while let Some(head) = pending.first() {
+            let at = head.at;
+            let same_instant = pending.iter().take_while(|d| d.at == at).count();
+            let (mut run, later) = pending.split_at(same_instant);
+            pending = later;
+            let event = if let [only] = run {
+                unicast(only.frame.clone(), only.dst)
+            } else {
+                let (frame, stations) = take_group(&mut run);
+                let mut split = Vec::new();
+                while !run.is_empty() {
+                    split.push(take_group(&mut run));
+                }
+                Event::Arrival {
+                    frame,
+                    fan_out: Some(Box::new(FanOut { stations, split })),
+                }
+            };
+            self.queue.schedule(at, event);
+        }
+        self.scratch.clear();
     }
 
     /// Sends a negative acknowledgement for an exchange addressed to a
@@ -245,4 +258,32 @@ impl Ctx<'_> {
         self.host.stats.nacks_sent += 1;
         self.emit_packet(t, &pkt, to.host());
     }
+}
+
+/// The arrival of one delivery on its own. Every transport addresses a
+/// delivered frame to its receiver, which is how the dispatcher finds it.
+fn unicast(frame: Frame, dst: v_net::MacAddr) -> Event {
+    debug_assert_eq!(frame.dst, dst, "a delivery is addressed to its receiver");
+    Event::Arrival {
+        frame,
+        fan_out: None,
+    }
+}
+
+/// Splits the leading deliveries of `run` that carry one and the same
+/// frame — one sender's payload buffer, not yet diverged by corruption —
+/// off as that frame and the stations it reaches.
+fn take_group(run: &mut &[Delivery]) -> (Frame, Box<[v_net::MacAddr]>) {
+    let frame = &run[0].frame;
+    let shared = run
+        .iter()
+        .take_while(|d| {
+            Rc::ptr_eq(&d.frame.payload, &frame.payload)
+                && d.frame.src == frame.src
+                && d.frame.ethertype == frame.ethertype
+        })
+        .count();
+    let (group, rest) = run.split_at(shared);
+    *run = rest;
+    (frame.clone(), group.iter().map(|d| d.dst).collect())
 }

@@ -98,6 +98,23 @@ pub enum TimerKind {
     },
 }
 
+/// Everyone a run of same-instant deliveries reaches, when that is more
+/// than one station.
+///
+/// The receivers share the frame — and so its payload buffer — instead
+/// of holding a copy each: a station costs two bytes here.
+#[derive(Debug)]
+pub struct FanOut {
+    /// The stations the event's frame reaches, in delivery order. Each
+    /// is handed the frame addressed to itself.
+    pub stations: Box<[MacAddr]>,
+    /// The run's other frames with their stations, in delivery order: a
+    /// copy corrupted in flight has bytes of its own, so it (and the
+    /// clean copies after it) cannot share the event's frame. Empty —
+    /// and unallocated — when nothing was corrupted.
+    pub split: Vec<(Frame, Box<[MacAddr]>)>,
+}
+
 /// Events driving the cluster.
 #[derive(Debug)]
 pub enum Event {
@@ -110,21 +127,23 @@ pub enum Event {
         /// What completed.
         outcome: Outcome,
     },
-    /// A frame finished arriving at a host's interface.
-    Frame {
-        /// Receiving host.
-        host: HostId,
-        /// The frame (payload possibly corrupted in flight).
-        frame: Frame,
-    },
-    /// A batch of frame arrivals sharing one instant, possibly spanning
-    /// many hosts — a broadcast's fan-out coalesced into a single
+    /// Frames finished arriving at host interfaces, all at one instant:
+    /// a unicast, or a broadcast's fan-out coalesced into a single
     /// scheduling event so a 1000-receiver broadcast costs one heap
-    /// entry instead of a thousand. Items dispatch in order, each with
-    /// its own crashed-host check.
-    FrameBatch {
-        /// `(receiving host, frame)` pairs in delivery order.
-        items: Vec<(HostId, Frame)>,
+    /// entry instead of a thousand. Every receiver is dispatched in
+    /// delivery order, each with its own crashed-host check.
+    ///
+    /// Every queued event is as large as the largest variant, and the
+    /// bytes of the variant in use are what each schedule and dispatch
+    /// moves: a unicast stays at a frame and a pointer because eight
+    /// bytes more cost the unicast workloads 5 % of their wall-clock.
+    Arrival {
+        /// The frame (payload possibly corrupted in flight). A unicast
+        /// reaches the host `frame.dst` addresses.
+        frame: Frame,
+        /// Everyone a fan-out reaches; `None` — nothing allocated — for
+        /// a unicast.
+        fan_out: Option<Box<FanOut>>,
     },
     /// A kernel timer fired.
     Timer {

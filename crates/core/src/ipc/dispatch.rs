@@ -1,22 +1,34 @@
 //! The dispatch boundary: syscalls in, frames in.
 //!
 //! Inbound frames are decoded exactly once — raw payload bytes become a
-//! typed [`v_wire::PacketBody`] here, and every protocol handler beyond
-//! this point consumes a body struct. Undecodable frames are counted
-//! (corruption vs. unknown kind) and dropped; the protocols above never
-//! see them. Frames with a foreign ethertype fan out to the registered
-//! raw-protocol handlers.
+//! typed [`v_wire::PacketBody`] here ([`decode_frame`], once per frame
+//! however many receivers of a broadcast share it), and every protocol
+//! handler beyond this point consumes a body struct. Undecodable frames
+//! are counted (corruption vs. unknown kind) at each receiver and
+//! dropped; the protocols above never see them. Frames with a foreign
+//! ethertype fan out to the registered raw-protocol handlers.
 
 use v_net::{EtherType, Frame};
 use v_sim::{SimDuration, SimTime};
 
 use crate::cluster::Pending;
+use crate::config::ProtocolConfig;
 use crate::ctx::Ctx;
 use crate::event::TimerKind;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
 use v_wire::{decode, Packet, PacketBody, WireError};
+
+/// Decodes the interkernel packet a frame carries. A frame too short to
+/// hold the encapsulation header fails like any other the checksum
+/// rejects.
+pub(crate) fn decode_frame(proto: &ProtocolConfig, frame: &Frame) -> Result<Packet, WireError> {
+    let body = frame
+        .payload_after(proto.encapsulation.extra_bytes())
+        .ok_or(WireError::TooShort)?;
+    decode(body)
+}
 
 impl Ctx<'_> {
     // ------------------------------------------------------------------
@@ -60,24 +72,31 @@ impl Ctx<'_> {
     // Packet reception
     // ------------------------------------------------------------------
 
-    /// A frame finished arriving at this host's interface.
-    pub(crate) fn handle_frame(&mut self, t: SimTime, frame: Frame) {
+    /// A frame finished arriving at this host's interface. `decoded` is
+    /// what [`decode_frame`] made of it, when the frame reached several
+    /// receivers and was decoded once for them all; a frame of its own
+    /// is decoded here. Receive costs are charged before the verdict is
+    /// looked at, as the kernel pays them before it can know.
+    pub(crate) fn handle_frame(
+        &mut self,
+        t: SimTime,
+        frame: &Frame,
+        decoded: Option<&Result<Packet, WireError>>,
+    ) {
         self.host.nic.note_rx(frame.payload.len());
         if frame.ethertype != EtherType::INTERKERNEL {
             self.dispatch_raw(t, frame);
             return;
         }
-        let encap = self.proto.encapsulation;
         let cost = self.host.costs.rx_dispatch
             + self.host.costs.frame_rx_cost(frame.payload.len())
-            + encap.extra_rx_cost();
+            + self.proto.encapsulation.extra_rx_cost();
         let end = self.charge(t, cost);
-        let Some(body) = frame.payload_after(encap.extra_bytes()) else {
-            self.host.stats.checksum_drops += 1;
-            self.host.nic.note_rx_bad();
-            return;
+        let packet = match decoded {
+            Some(shared) => shared.clone(),
+            None => decode_frame(self.proto, frame),
         };
-        let pkt = match decode(body) {
+        let pkt = match packet {
             Ok(p) => p,
             Err(WireError::UnknownKind(_)) => {
                 // The checksum held, so the frame arrived intact — the
@@ -180,7 +199,7 @@ impl Ctx<'_> {
     // Raw protocol handlers
     // ------------------------------------------------------------------
 
-    fn dispatch_raw(&mut self, t: SimTime, frame: Frame) {
+    fn dispatch_raw(&mut self, t: SimTime, frame: &Frame) {
         let cost = self.host.costs.frame_rx_cost(frame.payload.len());
         let end = self.charge(t, cost);
         let ety = frame.ethertype.0;
@@ -189,7 +208,7 @@ impl Ctx<'_> {
         };
         {
             let mut raw = RawCtxImpl::new(self, end, EtherType(ety));
-            handler.on_frame(&mut raw, &frame);
+            handler.on_frame(&mut raw, frame);
         }
         self.host.raw.insert(ety, handler);
     }

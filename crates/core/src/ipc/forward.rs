@@ -32,6 +32,8 @@
 //! the client's cached retransmission packet is rewritten to address
 //! the forwardee, so a lost hand-off self-heals too.
 
+use std::rc::Rc;
+
 use v_sim::SimTime;
 
 use crate::aliens::AlienState;
@@ -152,7 +154,7 @@ impl Ctx<'_> {
                 a.dst = to;
                 a.msg = msg;
                 a.state = AlienState::Queued;
-                a.forward_note = Some(note.clone());
+                a.forward_note = Some(Rc::clone(&note));
             }
             let receiver = self.host.proc_mut(to).expect("checked");
             receiver.senders.push_back(from);
@@ -176,7 +178,7 @@ impl Ctx<'_> {
                 a.dst = to;
                 a.msg = msg;
                 a.state = AlienState::Forwarded { at: end };
-                a.forward_note = Some(note.clone());
+                a.forward_note = Some(Rc::clone(&note));
             }
             let emitted = self.emit_bytes(end, note, from.host());
             let mut done = emitted.cpu_done;

@@ -6,6 +6,8 @@
 //! senders — local processes and remote *aliens* alike — and the pump
 //! delivers the head of the queue whenever the receiver is receptive.
 
+use std::rc::Rc;
+
 use v_sim::{SimDuration, SimTime};
 
 use crate::aliens::{AlienState, SendVerdict};
@@ -104,7 +106,7 @@ impl Ctx<'_> {
                     to,
                     seq,
                     retries_left: max_retries,
-                    packet: bytes.clone(),
+                    packet: Rc::clone(&bytes),
                     grant,
                 };
             }
@@ -352,7 +354,7 @@ impl Ctx<'_> {
                 }),
             };
             let bytes = encode(&pkt);
-            let emitted = self.emit_bytes(end, bytes.clone(), to.host());
+            let emitted = self.emit_bytes(end, Rc::clone(&bytes), to.host());
             if self.proto.reply_caching {
                 if let Some(a) = self.host.aliens.get_mut(to) {
                     a.state = AlienState::Replied {
@@ -397,7 +399,7 @@ impl Ctx<'_> {
             if alien.seq == seq {
                 // A forwarded exchange's duplicate means the client may
                 // have missed the rebind notification: repair it first.
-                let note = alien.forward_note.clone();
+                let note = alien.forward_note.as_ref().map(Rc::clone);
                 let forwarded = matches!(alien.state, AlienState::Forwarded { .. });
                 if let Some(note) = note {
                     self.host.stats.forward_notes_resent += 1;
@@ -411,7 +413,7 @@ impl Ctx<'_> {
                 }
                 match &self.host.aliens.get(src).expect("still present").state {
                     AlienState::Replied { packet, .. } => {
-                        let packet = packet.clone();
+                        let packet = Rc::clone(packet);
                         self.host.stats.duplicates_filtered += 1;
                         self.host.stats.replies_retransmitted += 1;
                         self.emit_bytes(t, packet, src.host());

@@ -5,6 +5,8 @@
 //! number and, for streaming transfers, a progress marker that advances
 //! with every chunk).
 
+use std::rc::Rc;
+
 use v_sim::SimTime;
 
 use crate::ctx::Ctx;
@@ -26,7 +28,7 @@ impl Ctx<'_> {
                 retries_left,
                 packet,
                 ..
-            }) if *s == seq => (*to, *retries_left, packet.clone()),
+            }) if *s == seq => (*to, *retries_left, Rc::clone(packet)),
             _ => return, // exchange completed; stale timer
         };
         if retries == 0 {

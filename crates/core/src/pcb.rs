@@ -7,6 +7,7 @@ use crate::message::Message;
 use crate::pid::Pid;
 use crate::program::Program;
 use crate::segment::SegmentGrant;
+use v_wire::WireBytes;
 
 /// Scheduling/blocking state of a process.
 #[derive(Debug)]
@@ -36,8 +37,9 @@ pub enum ProcState {
         seq: u32,
         /// Retransmissions remaining before the send fails.
         retries_left: u32,
-        /// Encoded Send packet, cached for retransmission.
-        packet: Vec<u8>,
+        /// Encoded Send packet, kept for retransmission: a handle on the
+        /// very buffer that went out on the wire, not a copy of it.
+        packet: WireBytes,
         /// Write-capable grant extracted from the sent message; incoming
         /// `ReplyWithSegment` data and remote `MoveTo` chunks are
         /// validated against it on this (the granting) side too.

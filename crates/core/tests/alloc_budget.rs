@@ -1,0 +1,137 @@
+//! Heap allocations on the packet path, as exact counts.
+//!
+//! An encoded packet is one shared buffer from `v_wire::encode` to the
+//! last receiver (see "Hot-path engineering" in `docs/ARCHITECTURE.md`),
+//! so a remote exchange allocates once per packet and a broadcast
+//! fan-out twice per run, not once per cache and per receiver. Wall-clock
+//! and resident memory are too noisy to gate on in CI; these counts
+//! repeat exactly.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Message, Outcome, Pid, Program};
+use v_workloads::boot::{run_boot_storm, BootStormConfig};
+
+thread_local! {
+    /// Allocations made by this thread (the test harness runs tests on
+    /// parallel threads, so a process-wide count would mix them).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a thread-local
+// counter with a `const` initialiser and no destructor, which neither
+// allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+struct Echo;
+
+impl Program for Echo {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        if let Outcome::Receive { from, msg } = outcome {
+            api.reply(msg, from).expect("sender awaits the reply");
+        }
+        api.receive();
+    }
+}
+
+struct Client {
+    server: Pid,
+    left: u32,
+}
+
+impl Program for Client {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        if let Outcome::Send(result) = outcome {
+            result.expect("exchange completes");
+        }
+        if self.left == 0 {
+            api.exit();
+            return;
+        }
+        self.left -= 1;
+        api.send(Message::empty(), self.server);
+    }
+}
+
+/// Allocations of a whole two-host run of `exchanges` remote 32-byte
+/// Send-Receive-Reply exchanges.
+fn exchange_run_allocations(exchanges: u32) -> u64 {
+    let cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz);
+    let mut cl = Cluster::new(cfg);
+    let server = cl.spawn(HostId(0), "echo", Box::new(Echo));
+    cl.run();
+    cl.spawn(
+        HostId(1),
+        "client",
+        Box::new(Client {
+            server,
+            left: exchanges,
+        }),
+    );
+    let (n, ()) = allocations_during(|| cl.run());
+    assert_eq!(cl.kernel_stats(HostId(1)).sends_remote, exchanges as u64);
+    n
+}
+
+#[test]
+fn remote_exchange_allocates_at_most_three_times() {
+    // The difference of two run lengths cancels the one-off growth of
+    // the event queue and the kernel tables.
+    let extra = 1_000;
+    let n = exchange_run_allocations(100 + extra) - exchange_run_allocations(100);
+    let per_exchange = n as f64 / extra as f64;
+    println!("allocations per remote 32-byte exchange: {per_exchange}");
+    // One buffer per packet (Send, Reply); 6 when every cache and every
+    // staging step copied.
+    assert!(
+        per_exchange <= 3.0,
+        "{per_exchange} allocations per exchange"
+    );
+}
+
+#[test]
+fn boot_storm_allocates_about_a_quarter_per_event() {
+    let (n, report) = allocations_during(|| run_boot_storm(&BootStormConfig::new(256)));
+    assert_eq!(report.loaded, 256);
+    let per_event = n as f64 / report.events_dispatched as f64;
+    println!(
+        "{n} allocations over {} dispatched events: {per_event} per event",
+        report.events_dispatched
+    );
+    // The whole call, set-up included: 37,246 allocations over 139,534
+    // events (0.267), none of them per receiver — what is left is one
+    // buffer per packet, a receiver list and its header per fan-out run,
+    // and the typed bodies' own segment bytes. It was 166,957 (1.197)
+    // when each broadcast receiver got its own copy of the frame.
+    assert!(per_event <= 0.27, "{per_event} allocations per event");
+}

@@ -84,3 +84,187 @@ fn foreign_ethertype_without_handler_is_ignored() {
     assert_eq!(stats.checksum_drops, 0);
     assert_eq!(stats.unknown_kind_drops, 0);
 }
+
+// ----------------------------------------------------------------------
+// Broadcast runs: one queue entry, many receivers
+// ----------------------------------------------------------------------
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use v_kernel::raw::{RawCtx, RawHandler};
+use v_kernel::{Api, LogicalHost, Outcome, Pid, Program, Scope};
+use v_net::FaultPlan;
+use v_sim::{SimDuration, SimStats, SimTime};
+use v_wire::{GetPidReq, Packet, PacketBody};
+
+/// Broadcasts `frames[token]` under whatever ethertype it is registered
+/// for — registered for the interkernel ethertype it never hears a frame
+/// (the kernel claims those first) but forges them onto the wire.
+struct Broadcaster {
+    frames: Vec<Vec<u8>>,
+}
+
+impl RawHandler for Broadcaster {
+    fn on_frame(&mut self, _ctx: &mut dyn RawCtx, _frame: &Frame) {}
+
+    fn on_timer(&mut self, ctx: &mut dyn RawCtx, token: u64) {
+        ctx.send_frame(MacAddr::BROADCAST, self.frames[token as usize].clone());
+    }
+}
+
+/// `(own station, frame.dst, payload)` of a frame heard.
+type Heard = (MacAddr, MacAddr, Vec<u8>);
+
+/// Records every frame heard.
+struct Recorder {
+    heard: Rc<RefCell<Vec<Heard>>>,
+}
+
+impl RawHandler for Recorder {
+    fn on_frame(&mut self, ctx: &mut dyn RawCtx, frame: &Frame) {
+        self.heard
+            .borrow_mut()
+            .push((ctx.mac(), frame.dst, frame.payload.to_vec()));
+    }
+
+    fn on_timer(&mut self, _ctx: &mut dyn RawCtx, _token: u64) {}
+}
+
+/// Registers a remotely visible name and then waits forever.
+struct Named;
+
+impl Program for Named {
+    fn resume(&mut self, api: &mut Api<'_>, _outcome: Outcome) {
+        let me = api.self_pid();
+        api.set_pid(7, me, Scope::Both);
+        api.receive();
+    }
+}
+
+const RAW_PAYLOAD: [u8; 48] = [0x3C; 48];
+
+/// Six stations on one lossy segment, host 3 crashed, host 2 holding a
+/// name. Host 0 broadcasts, 4 ms apart: a `GetPidReq` for that name, a
+/// checksum-valid packet of unknown kind, the `GetPidReq` again, and a
+/// raw-ethertype datagram. Every same-instant fan-out is one queue
+/// entry whose copies reach a dead interface, get scrambled in flight
+/// (and duplicated), or arrive intact.
+fn broadcast_scenario() -> (Cluster, Vec<Heard>) {
+    let mut cfg = ClusterConfig::three_mb().with_hosts(6, CpuSpeed::Mc68000At8MHz);
+    cfg.faults = FaultPlan {
+        loss: 0.0,
+        duplicate: 0.2,
+        corrupt: 0.3,
+    };
+    let mut cl = Cluster::new(cfg);
+    cl.spawn(HostId(2), "named", Box::new(Named));
+    cl.run();
+    cl.crash_host(HostId(3));
+
+    let asker = Pid::new(LogicalHost::from_station(cl.mac(HostId(0)).0), 9);
+    let query = v_wire::encode(&Packet {
+        seq: 0,
+        src_pid: asker.raw(),
+        dst_pid: 0,
+        body: PacketBody::GetPidReq(GetPidReq { logical_id: 7 }),
+    })
+    .to_vec();
+    cl.register_raw_handler(
+        HostId(0),
+        EtherType::INTERKERNEL,
+        Box::new(Broadcaster {
+            frames: vec![query, forged_packet(42)],
+        }),
+    );
+    cl.register_raw_handler(
+        HostId(0),
+        EtherType::RAW_BENCH,
+        Box::new(Broadcaster {
+            frames: vec![RAW_PAYLOAD.to_vec()],
+        }),
+    );
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    for h in 1..6 {
+        if h != 3 {
+            let heard = Rc::clone(&heard);
+            cl.register_raw_handler(
+                HostId(h),
+                EtherType::RAW_BENCH,
+                Box::new(Recorder { heard }),
+            );
+        }
+    }
+    for (i, (ety, token)) in [
+        (EtherType::INTERKERNEL, 0),
+        (EtherType::INTERKERNEL, 1),
+        (EtherType::INTERKERNEL, 0),
+        (EtherType::RAW_BENCH, 0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        cl.poke_raw_handler(
+            HostId(0),
+            ety,
+            token,
+            SimDuration::from_millis(4 * i as u64 + 1),
+        );
+    }
+    cl.run();
+    let heard = heard.borrow().clone();
+    (cl, heard)
+}
+
+/// Pinned on the per-receiver dispatcher (one cloned frame and one
+/// decode per receiver) before same-instant runs became shared-frame
+/// groups decoded once: grouping must not move a single count, charge
+/// or instant.
+#[test]
+fn broadcast_run_counts_match_per_receiver_dispatch() {
+    let (cl, _) = broadcast_scenario();
+    let per_host = |f: fn(&v_kernel::KernelStats) -> u64| -> Vec<u64> {
+        (0..6).map(|h| f(&cl.kernel_stats(HostId(h)))).collect()
+    };
+    // Host 0's two drops are corrupted `GetPidReply` unicasts.
+    assert_eq!(per_host(|s| s.checksum_drops), [2, 2, 0, 0, 2, 2]);
+    assert_eq!(per_host(|s| s.unknown_kind_drops), [0, 1, 1, 0, 0, 2]);
+    assert_eq!(per_host(|s| s.frames_dropped_down), [0, 0, 0, 5, 0, 0]);
+    assert_eq!(per_host(|s| s.getpid_answers), [0, 0, 3, 0, 0, 0]);
+    // One logical event per receiver, one queue entry per run.
+    assert_eq!(cl.events_dispatched(), 35);
+    assert_eq!(
+        cl.sim_stats(),
+        SimStats {
+            scheduled: 24,
+            popped: 24,
+            pending: 0
+        }
+    );
+    assert_eq!(cl.now(), SimTime::from_nanos(14_029_652));
+    let busy: Vec<u64> = (0..6).map(|h| cl.cpu_busy(HostId(h)).as_nanos()).collect();
+    assert_eq!(
+        busy,
+        [2_384_560, 1_935_520, 3_334_560, 0, 1_666_480, 1_666_480]
+    );
+    let m = cl.medium_stats();
+    assert_eq!(
+        (m.frames_sent, m.deliveries, m.corrupted, m.duplicated),
+        (7, 30, 9, 7)
+    );
+}
+
+#[test]
+fn raw_broadcast_reaches_every_handler_with_its_own_dst() {
+    let (cl, heard) = broadcast_scenario();
+    // Every live station but the sender, in address order, then host 1's
+    // injected duplicate one redelivery gap later; the crashed host's
+    // handler died with its kernel.
+    let stations: Vec<MacAddr> = [1, 2, 4, 5, 1].map(|h| cl.mac(HostId(h))).to_vec();
+    assert_eq!(heard.len(), stations.len());
+    for ((own, dst, payload), station) in heard.iter().zip(&stations) {
+        assert_eq!(own, station);
+        assert_eq!(dst, own, "each receiver sees the frame addressed to itself");
+        assert_eq!(payload[..], RAW_PAYLOAD[..]);
+    }
+}

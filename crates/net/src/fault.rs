@@ -7,6 +7,8 @@
 //! that the retransmission / duplicate-suppression machinery preserves
 //! exactly-once message-exchange semantics.
 
+use std::rc::Rc;
+
 use v_sim::{SimDuration, SplitMix64};
 
 /// Interval between a frame and its injected duplicate, shared by every
@@ -14,15 +16,22 @@ use v_sim::{SimDuration, SplitMix64};
 pub(crate) const REDELIVERY_GAP: SimDuration = SimDuration::from_micros(200);
 
 /// Corrupts a handful of payload bytes so protocol checksums fail —
-/// the one corruption model every transport applies.
-pub(crate) fn scramble(rng: &mut SplitMix64, payload: &mut [u8]) {
+/// the one corruption model every transport applies. Copy-on-corrupt:
+/// a buffer anyone else still holds (the sender's retransmission cache,
+/// a sibling receiver of the same broadcast) is left untouched and this
+/// delivery gets bytes of its own.
+pub(crate) fn scramble(rng: &mut SplitMix64, payload: &mut Rc<[u8]>) {
     if payload.is_empty() {
         return;
     }
+    if Rc::get_mut(payload).is_none() {
+        *payload = Rc::from(&payload[..]);
+    }
+    let bytes = Rc::get_mut(payload).expect("sole owner: checked or just copied");
     let hits = 1 + rng.below(4) as usize;
     for _ in 0..hits {
-        let idx = rng.below(payload.len() as u64) as usize;
-        payload[idx] ^= (1 + rng.below(255)) as u8;
+        let idx = rng.below(bytes.len() as u64) as usize;
+        bytes[idx] ^= (1 + rng.below(255)) as u8;
     }
 }
 

@@ -1,6 +1,7 @@
 //! Frames and station addressing.
 
 use std::fmt;
+use std::rc::Rc;
 
 /// A station address on the local network.
 ///
@@ -64,6 +65,10 @@ impl EtherType {
 /// per-byte copy and wire costs — matching how the paper quotes packet
 /// sizes (a 32-byte message rides in a "64-byte" datagram: 32 bytes of
 /// message + 32 bytes of interkernel header).
+///
+/// The payload is a shared, immutable buffer: cloning a frame — once per
+/// receiver of a broadcast, once per gateway hop — copies a pointer, and
+/// only a delivery the medium corrupts is given bytes of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Destination station (possibly broadcast).
@@ -72,18 +77,24 @@ pub struct Frame {
     pub src: MacAddr,
     /// Protocol discriminator.
     pub ethertype: EtherType,
-    /// Encoded protocol packet.
-    pub payload: Vec<u8>,
+    /// Encoded protocol packet, shared by every copy of the frame.
+    pub payload: Rc<[u8]>,
 }
 
 impl Frame {
-    /// Creates a frame.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> Self {
+    /// Creates a frame. An already shared buffer (`Rc<[u8]>`) is taken
+    /// as is; a `Vec<u8>` or slice is copied into a new one.
+    pub fn new(
+        dst: MacAddr,
+        src: MacAddr,
+        ethertype: EtherType,
+        payload: impl Into<Rc<[u8]>>,
+    ) -> Self {
         Frame {
             dst,
             src,
             ethertype,
-            payload,
+            payload: payload.into(),
         }
     }
 

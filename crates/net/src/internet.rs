@@ -223,6 +223,10 @@ pub struct Internetwork {
     /// Scratch for gateway egress transmissions inside
     /// [`Internetwork::forward_unicast`] / [`Internetwork::flood`].
     fwd_scratch: Vec<Delivery>,
+    /// Scratch for one broadcast's flood: the segments already covered
+    /// and the `(gateway, segment, arrival)` copies still to forward.
+    flood_visited: Vec<bool>,
+    flood_ingress: VecDeque<(usize, usize, SimTime)>,
 }
 
 impl Internetwork {
@@ -303,6 +307,8 @@ impl Internetwork {
             pending: Vec::new(),
             tx_scratch: Vec::new(),
             fwd_scratch: Vec::new(),
+            flood_visited: Vec::new(),
+            flood_ingress: VecDeque::new(),
         }
     }
 
@@ -464,19 +470,17 @@ impl Internetwork {
         self.fwd_scratch = buf;
     }
 
-    /// Floods a broadcast through the mesh. `visited` marks segments
-    /// already covered (the origin segment to begin with); `ingress`
-    /// seeds the flood with the (gateway, segment, arrival) copies heard
-    /// on the origin segment. The per-flood seen-set makes the flood
-    /// loop-free on any topology: each segment is transmitted on at most
-    /// once, so every host sees the frame exactly once.
-    fn flood(
-        &mut self,
-        frame: &Frame,
-        visited: &mut [bool],
-        mut ingress: VecDeque<(usize, usize, SimTime)>,
-    ) {
+    /// Floods a broadcast through the mesh. `flood_visited` marks
+    /// segments already covered (the origin segment to begin with);
+    /// `flood_ingress` seeds the flood with the (gateway, segment,
+    /// arrival) copies heard on the origin segment. The per-flood
+    /// seen-set makes the flood loop-free on any topology: each segment
+    /// is transmitted on at most once, so every host sees the frame
+    /// exactly once.
+    fn flood(&mut self, frame: &Frame) {
         let mut buf = std::mem::take(&mut self.fwd_scratch);
+        let mut visited = std::mem::take(&mut self.flood_visited);
+        let mut ingress = std::mem::take(&mut self.flood_ingress);
         while let Some((g, seg, at)) = ingress.pop_front() {
             let any_target = self.gateways[g]
                 .attached
@@ -520,6 +524,8 @@ impl Internetwork {
             }
         }
         self.fwd_scratch = buf;
+        self.flood_visited = visited;
+        self.flood_ingress = ingress;
     }
 }
 
@@ -611,7 +617,7 @@ impl Transport for Internetwork {
 
         // Fast path: a unicast whose destination sits on the origin
         // segment never involves a gateway — transmit straight into
-        // `out` without cloning the frame.
+        // `out`.
         if !frame.dst.is_broadcast() && self.segment_of(frame.dst) == Some(from_seg) {
             return self.segments[from_seg].transmit_into(ready, frame, out);
         }
@@ -625,9 +631,10 @@ impl Transport for Internetwork {
         if frame.dst.is_broadcast() {
             // Host copies on the origin segment deliver directly; copies
             // addressed to gateways seed the mesh-wide flood.
-            let mut visited = vec![false; self.segments.len()];
-            visited[from_seg] = true;
-            let mut ingress = VecDeque::new();
+            self.flood_visited.clear();
+            self.flood_visited.resize(self.segments.len(), false);
+            self.flood_visited[from_seg] = true;
+            self.flood_ingress.clear();
             for d in buf.drain(..) {
                 match self.gateway_index(d.dst) {
                     // Dead gateways hear nothing: with them gone the
@@ -637,13 +644,13 @@ impl Transport for Internetwork {
                         if d.corrupted {
                             self.gateways[g].stats.corrupt_drops += 1;
                         } else {
-                            ingress.push_back((g, from_seg, d.at));
+                            self.flood_ingress.push_back((g, from_seg, d.at));
                         }
                     }
                     None => out.push(d),
                 }
             }
-            self.flood(&frame, &mut visited, ingress);
+            self.flood(&frame);
         } else {
             // Off-segment (or unattached) destination: the designated
             // gateway on this segment hears each copy and routes it.

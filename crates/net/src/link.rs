@@ -287,7 +287,7 @@ mod tests {
         let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert_eq!(r.deliveries.len(), 1);
         assert!(r.deliveries[0].corrupted);
-        assert_ne!(r.deliveries[0].frame.payload, vec![0x5A; 64]);
+        assert_ne!(r.deliveries[0].frame.payload[..], [0x5A; 64]);
         assert_eq!(l.stats().corrupted, 1);
     }
 

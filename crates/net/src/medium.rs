@@ -84,7 +84,8 @@ pub struct Delivery {
     pub at: SimTime,
     /// The receiving station.
     pub dst: MacAddr,
-    /// The frame (payload possibly corrupted).
+    /// The frame, addressed (`frame.dst`) to the receiving station; its
+    /// payload is the transmitted buffer itself unless corrupted.
     pub frame: Frame,
     /// True if fault injection or the collision bug corrupted the payload.
     /// Receivers must detect this via their protocol checksum; the flag
@@ -284,10 +285,12 @@ impl Ethernet {
 
     /// Transmits `frame`, whose copy into the sending interface completed
     /// at `ready`, appending the resulting deliveries to `out`. A unicast
-    /// delivery reuses the transmitted frame itself; a broadcast clones
-    /// once per receiver and nothing else — there is no per-transmit
-    /// bookkeeping allocation, which is what lets a 1000-station
-    /// boot-storm broadcast stay cheap.
+    /// delivery reuses the transmitted frame itself; every receiver of a
+    /// broadcast gets a handle on the same payload buffer (a pointer
+    /// copy), and only a delivery that is corrupted in flight is given
+    /// bytes of its own. Nothing is allocated per transmit or per
+    /// receiver, which is what lets a 1000-station boot-storm broadcast
+    /// stay cheap.
     ///
     /// # Panics
     ///
@@ -492,7 +495,7 @@ mod tests {
         let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert_eq!(r.deliveries.len(), 1);
         assert!(r.deliveries[0].corrupted);
-        assert_ne!(r.deliveries[0].frame.payload, vec![0xAB; 64]);
+        assert_ne!(r.deliveries[0].frame.payload[..], [0xAB; 64]);
     }
 
     #[test]

@@ -58,7 +58,8 @@ impl GatewayStats {
 /// A transmission returns its transmit window and **appends** the
 /// deliveries it directly produces into a caller-owned scratch vector —
 /// the hot path of the whole simulation, so a 1000-receiver broadcast
-/// costs no per-transmit allocation beyond the frames themselves.
+/// allocates nothing: every delivery's frame shares the transmitted
+/// frame's payload buffer (see [`Frame`]).
 /// Transports with a forwarding element (gateways) additionally
 /// accumulate *forwarded* deliveries, which callers drain with
 /// [`Transport::poll_deliveries`] after each transmit. Every delivery

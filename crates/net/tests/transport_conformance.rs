@@ -65,8 +65,8 @@ fn unicast_reaches_the_destination_with_positive_latency() {
         assert!(ds[0].at > SimTime::ZERO, "{name}: delivery takes time");
         assert!(!ds[0].corrupted, "{name}: clean medium");
         assert_eq!(
-            ds[0].frame.payload,
-            vec![0xA5; 100],
+            ds[0].frame.payload[..],
+            [0xA5; 100],
             "{name}: payload intact"
         );
     }
@@ -131,8 +131,8 @@ fn corruption_is_flagged_and_scrambles_or_is_dropped_in_transit() {
         for d in &ds {
             assert!(d.corrupted, "{name}: delivery must be flagged");
             assert_ne!(
-                d.frame.payload,
-                vec![0xA5; 64],
+                d.frame.payload[..],
+                [0xA5; 64],
                 "{name}: payload must be scrambled"
             );
         }
@@ -339,4 +339,129 @@ fn mesh_reports_per_gateway_stats() {
         .build(15)
         .per_gateway_stats()
         .is_empty());
+}
+
+// ---- shared payload buffer contract -----------------------------------
+
+use std::rc::Rc;
+
+use v_net::CollisionBug;
+
+const CACHED: [u8; 96] = [0x6B; 96];
+
+/// Transports with several receivers per broadcast (the link has its
+/// one peer): a shared segment, and a ring whose flood crosses gateways.
+fn fan_out_transports(seed: u64) -> Vec<(&'static str, Box<dyn Transport>)> {
+    let mut eth = Topology::SingleSegment(NetworkKind::Experimental3Mb).build(seed);
+    for m in 1..=6u16 {
+        eth.attach(MacAddr(m), 0);
+    }
+    let mut link = Topology::PointToPoint(LinkParams::T1).build(seed);
+    link.attach(A, 0);
+    link.attach(B, 0);
+    let mut ring = Topology::Mesh(MeshConfig::ring(4)).build(seed);
+    for s in 0..4u16 {
+        ring.attach(MacAddr(1 + s), s as usize);
+        ring.attach(MacAddr(11 + s), s as usize);
+    }
+    vec![("ethernet", eth), ("link", link), ("ring", ring)]
+}
+
+/// A broadcast from A whose payload the sender keeps a handle on, as
+/// the kernel's retransmission cache does.
+fn cached_broadcast(cached: &Rc<[u8]>) -> Frame {
+    Frame::new(
+        MacAddr::BROADCAST,
+        A,
+        EtherType::RAW_BENCH,
+        Rc::clone(cached),
+    )
+}
+
+#[test]
+fn a_broadcasts_deliveries_share_the_senders_buffer() {
+    for (name, mut t) in fan_out_transports(16) {
+        let cached: Rc<[u8]> = Rc::from(&CACHED[..]);
+        let ds = send(t.as_mut(), SimTime::ZERO, cached_broadcast(&cached));
+        assert!(!ds.is_empty(), "{name}");
+        for d in &ds {
+            assert!(
+                Rc::ptr_eq(&d.frame.payload, &cached),
+                "{name}: delivery to {} got a copy of the bytes",
+                d.dst
+            );
+            assert_eq!(d.frame.dst, d.dst, "{name}: addressed per receiver");
+        }
+    }
+}
+
+/// Every delivery is either the sender's own buffer, intact, or a
+/// scrambled buffer nobody else holds.
+fn assert_copy_on_corrupt(name: &str, ds: &[v_net::Delivery], cached: &Rc<[u8]>) {
+    for (i, d) in ds.iter().enumerate() {
+        if d.corrupted {
+            assert_ne!(d.frame.payload[..], CACHED, "{name}: must be scrambled");
+            for other in &ds[i + 1..] {
+                assert!(
+                    !Rc::ptr_eq(&d.frame.payload, &other.frame.payload),
+                    "{name}: a scrambled buffer reached a second receiver"
+                );
+            }
+        } else {
+            assert!(Rc::ptr_eq(&d.frame.payload, cached), "{name}");
+        }
+    }
+    assert_eq!(
+        cached[..],
+        CACHED,
+        "{name}: the sender's cache was scrambled"
+    );
+}
+
+#[test]
+fn corruption_and_duplication_never_touch_a_sibling_or_the_senders_cache() {
+    for (name, mut t) in fan_out_transports(17) {
+        t.set_faults(FaultPlan {
+            loss: 0.1,
+            duplicate: 0.3,
+            corrupt: 0.3,
+        });
+        let cached: Rc<[u8]> = Rc::from(&CACHED[..]);
+        let (mut corrupted, mut intact) = (0, 0);
+        for i in 0..100u64 {
+            let at = SimTime::from_millis(20 * i);
+            let ds = send(t.as_mut(), at, cached_broadcast(&cached));
+            assert_copy_on_corrupt(name, &ds, &cached);
+            corrupted += ds.iter().filter(|d| d.corrupted).count();
+            intact += ds.iter().filter(|d| !d.corrupted).count();
+        }
+        assert!(
+            corrupted > 0 && intact > 0,
+            "{name}: both fates must occur ({corrupted} corrupted, {intact} intact)"
+        );
+    }
+}
+
+#[test]
+fn collision_bug_scrambles_each_copy_on_its_own() {
+    let mut t = Topology::SingleSegment(NetworkKind::Experimental3Mb).build(18);
+    for m in 1..=6u16 {
+        t.attach(MacAddr(m), 0);
+    }
+    t.set_collision_bug(Some(CollisionBug { corrupt_prob: 1.0 }));
+    let cached: Rc<[u8]> = Rc::from(&CACHED[..]);
+    // The first broadcast finds the medium idle; the second defers into
+    // it and the undetected collision ruins every copy.
+    let first = send(t.as_mut(), SimTime::ZERO, cached_broadcast(&cached));
+    let second = send(
+        t.as_mut(),
+        SimTime::from_micros(5),
+        cached_broadcast(&cached),
+    );
+    assert_eq!(first.len(), 5);
+    assert!(first.iter().all(|d| !d.corrupted));
+    assert_eq!(second.len(), 5);
+    assert!(second.iter().all(|d| d.corrupted));
+    assert_copy_on_corrupt("first", &first, &cached);
+    assert_copy_on_corrupt("collided", &second, &cached);
 }

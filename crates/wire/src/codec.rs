@@ -23,6 +23,8 @@
 //! typed [`PacketBody`]: everything past this function works with body
 //! structs, never with loose header words.
 
+use std::rc::Rc;
+
 use crate::packet::{
     ForwardBody, GetPidReply, GetPidReq, MoveFromData, MoveFromReq, MoveToData, MsgBytes, Packet,
     PacketBody, PacketKind, ReplyBody, SendBody, TransferAck, TransferStatus, HEADER_LEN, MSG_LEN,
@@ -98,96 +100,72 @@ fn get_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
 }
 
-/// Encodes a packet to its on-wire byte representation.
-pub fn encode(p: &Packet) -> Vec<u8> {
-    let mut flags: u8 = 0;
-    let (word_a, word_b, word_c): (u32, u32, u32);
-    let mut payload: Vec<u8> = Vec::new();
+/// An encoded packet: one immutable, reference-counted buffer.
+///
+/// The V kernel keeps a single copy of a message and retransmits from
+/// it (§3). Here the retransmission caches, the frame on the wire and
+/// every receiver of a broadcast hold this same buffer; cloning the
+/// handle copies a pointer, never the bytes.
+pub type WireBytes = Rc<[u8]>;
 
-    match &p.body {
-        PacketBody::Send(b) => {
-            word_a = b.appended_from;
-            word_b = b.appended.len() as u32;
-            word_c = 0;
-            payload.extend_from_slice(&b.msg);
-            payload.extend_from_slice(&b.appended);
-        }
-        PacketBody::Reply(b) => {
-            word_a = b.seg_dest;
-            word_b = b.seg.len() as u32;
-            word_c = 0;
-            payload.extend_from_slice(&b.msg);
-            payload.extend_from_slice(&b.seg);
-        }
-        PacketBody::ReplyPending | PacketBody::Nack => {
-            word_a = 0;
-            word_b = 0;
-            word_c = 0;
-        }
+/// Encodes a packet to its on-wire byte representation, writing header,
+/// payload and checksum straight into the shared buffer.
+pub fn encode(p: &Packet) -> WireBytes {
+    let mut flags: u8 = 0;
+    // The kind-specific words and the (at most two) payload parts.
+    let (word_a, word_b, word_c, payload): (u32, u32, u32, [&[u8]; 2]) = match &p.body {
+        PacketBody::Send(b) => (
+            b.appended_from,
+            b.appended.len() as u32,
+            0,
+            [&b.msg, &b.appended],
+        ),
+        PacketBody::Reply(b) => (b.seg_dest, b.seg.len() as u32, 0, [&b.msg, &b.seg]),
+        PacketBody::ReplyPending | PacketBody::Nack => (0, 0, 0, [&[], &[]]),
         PacketBody::MoveToData(b) => {
             if b.last {
                 flags |= FLAG_LAST;
             }
-            word_a = b.dest;
-            word_b = b.offset;
-            word_c = b.total;
-            payload.extend_from_slice(&b.data);
+            (b.dest, b.offset, b.total, [&b.data, &[]])
         }
-        PacketBody::MoveFromReq(b) => {
-            word_a = b.src;
-            word_b = b.offset;
-            word_c = b.total;
-        }
+        PacketBody::MoveFromReq(b) => (b.src, b.offset, b.total, [&[], &[]]),
         PacketBody::MoveFromData(b) => {
             if b.last {
                 flags |= FLAG_LAST;
             }
-            word_a = 0;
-            word_b = b.offset;
-            word_c = b.total;
-            payload.extend_from_slice(&b.data);
+            (0, b.offset, b.total, [&b.data, &[]])
         }
-        PacketBody::TransferAck(b) => {
-            word_a = b.received;
-            word_b = b.status as u32;
-            word_c = 0;
-        }
-        PacketBody::GetPidReq(b) => {
-            word_a = b.logical_id;
-            word_b = 0;
-            word_c = 0;
-        }
-        PacketBody::GetPidReply(b) => {
-            word_a = b.logical_id;
-            word_b = b.pid;
-            word_c = 0;
-        }
-        PacketBody::Forward(b) => {
-            word_a = b.client;
-            word_b = b.new_server;
-            word_c = b.appended_from;
-            payload.extend_from_slice(&b.msg);
-            payload.extend_from_slice(&b.appended);
-        }
-    }
+        PacketBody::TransferAck(b) => (b.received, b.status as u32, 0, [&[], &[]]),
+        PacketBody::GetPidReq(b) => (b.logical_id, 0, 0, [&[], &[]]),
+        PacketBody::GetPidReply(b) => (b.logical_id, b.pid, 0, [&[], &[]]),
+        PacketBody::Forward(b) => (
+            b.client,
+            b.new_server,
+            b.appended_from,
+            [&b.msg, &b.appended],
+        ),
+    };
+    let payload_len = payload[0].len() + payload[1].len();
 
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = p.kind() as u8;
-    header[1] = flags;
-    put_u16(&mut header, 2, payload.len() as u16);
-    put_u32(&mut header, 4, p.seq);
-    put_u32(&mut header, 8, p.src_pid);
-    put_u32(&mut header, 12, p.dst_pid);
-    put_u32(&mut header, 16, word_a);
-    put_u32(&mut header, 20, word_b);
-    put_u32(&mut header, 24, word_c);
-    // Checksum computed with the checksum field zeroed.
-    let sum = fnv1a(&[&header, &payload]);
-    put_u32(&mut header, 28, sum);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&payload);
+    let mut out: WireBytes = std::iter::repeat(0u8)
+        .take(HEADER_LEN + payload_len)
+        .collect();
+    let buf = Rc::get_mut(&mut out).expect("a fresh buffer has one owner");
+    buf[0] = p.kind() as u8;
+    buf[1] = flags;
+    put_u16(buf, 2, payload_len as u16);
+    put_u32(buf, 4, p.seq);
+    put_u32(buf, 8, p.src_pid);
+    put_u32(buf, 12, p.dst_pid);
+    put_u32(buf, 16, word_a);
+    put_u32(buf, 20, word_b);
+    put_u32(buf, 24, word_c);
+    let (first, second) = buf[HEADER_LEN..].split_at_mut(payload[0].len());
+    first.copy_from_slice(payload[0]);
+    second.copy_from_slice(payload[1]);
+    // Checksum computed with the checksum field (still) zeroed.
+    let sum = fnv1a(&[&*buf]);
+    put_u32(buf, 28, sum);
     out
 }
 
@@ -485,7 +463,7 @@ mod tests {
         for p in sample_packets() {
             let bytes = encode(&p);
             for victim in [0usize, 5, bytes.len() - 1] {
-                let mut bad = bytes.clone();
+                let mut bad = bytes.to_vec();
                 bad[victim] ^= 0x40;
                 match decode(&bad) {
                     // Flipping the kind byte may surface as UnknownKind or

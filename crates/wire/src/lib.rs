@@ -15,6 +15,8 @@
 //!   transfer (`MoveToData`, `MoveFromReq`, `MoveFromData`, `TransferAck`)
 //!   and naming (`GetPidReq`, `GetPidReply`) — decoded exactly once, so
 //!   kernel handlers consume structs rather than loose header words;
+//! * one shared, immutable buffer per encoded packet ([`WireBytes`]):
+//!   retransmission caches and every receiver hold the same bytes;
 //! * a 32-bit checksum over the whole packet, which is how receivers
 //!   detect the corruption injected by the simulated medium (including the
 //!   §5.4 collision-bug corruptions).
@@ -22,7 +24,7 @@
 pub mod codec;
 pub mod packet;
 
-pub use codec::{decode, encode, WireError};
+pub use codec::{decode, encode, WireBytes, WireError};
 pub use packet::{
     ForwardBody, GetPidReply, GetPidReq, MoveFromData, MoveFromReq, MoveToData, MsgBytes, Packet,
     PacketBody, PacketKind, ReplyBody, SendBody, TransferAck, TransferStatus, HEADER_LEN, MSG_LEN,

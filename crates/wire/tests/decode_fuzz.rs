@@ -75,7 +75,7 @@ fn every_truncation_of_a_forward_packet_is_rejected() {
 fn corrupted_forward_bytes_never_decode_as_valid() {
     let bytes = encode(&sample_forward());
     for victim in 0..bytes.len() {
-        let mut bad = bytes.clone();
+        let mut bad = bytes.to_vec();
         bad[victim] ^= 0x5A;
         if let Ok(p) = decode(&bad) {
             panic!("corruption at byte {victim} not detected: {p:?}");
@@ -86,7 +86,7 @@ fn corrupted_forward_bytes_never_decode_as_valid() {
 #[test]
 fn unknown_kind_with_valid_checksum_is_err_not_panic() {
     for kind in [0u8, 12, 42, 0xFF] {
-        let mut bytes = encode(&sample_send());
+        let mut bytes = encode(&sample_send()).to_vec();
         bytes[0] = kind;
         fix_checksum(&mut bytes);
         assert_eq!(decode(&bytes), Err(WireError::UnknownKind(kind)));
@@ -123,7 +123,7 @@ fn message_bodies_shorter_than_a_message_are_malformed() {
 
 #[test]
 fn appended_length_word_disagreeing_with_payload_is_malformed() {
-    let mut bytes = encode(&sample_send());
+    let mut bytes = encode(&sample_send()).to_vec();
     // word_b claims a different appended-segment length than is present.
     bytes[20..24].copy_from_slice(&999u32.to_le_bytes());
     fix_checksum(&mut bytes);

@@ -116,7 +116,7 @@ proptest! {
     ) {
         let bytes = encode(&p);
         let victim = (victim_seed % bytes.len() as u64) as usize;
-        let mut bad = bytes.clone();
+        let mut bad = bytes.to_vec();
         bad[victim] ^= flip;
         match decode(&bad) {
             Err(_) => {}

@@ -94,7 +94,7 @@ pub struct PenaltyReflector;
 impl RawHandler for PenaltyReflector {
     fn on_frame(&mut self, ctx: &mut dyn RawCtx, frame: &Frame) {
         let back = frame.src;
-        ctx.send_frame(back, frame.payload.clone());
+        ctx.send_frame(back, frame.payload.to_vec());
     }
 
     fn on_timer(&mut self, _ctx: &mut dyn RawCtx, _token: u64) {}
