@@ -7,11 +7,12 @@
 //! table under `cargo bench` ensures the whole harness stays runnable
 //! and performance-tracked.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope};
 use v_net::{EtherType, Frame, MacAddr, NetworkKind, Topology};
-use v_sim::{SimDuration, SimTime};
+use v_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
+use v_wire::{decode, encode, MoveToData, Packet, PacketBody, ReplyBody, SendBody};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::load::{LoadClient, LoadServer};
 use v_workloads::measure::probe;
@@ -300,6 +301,94 @@ fn bench_fanout(c: &mut Criterion) {
     g.finish();
 }
 
+/// The codec (ROADMAP open item 1(d)): every packet is encoded once and
+/// decoded once, and both passes sum every byte. One sample is a batch:
+/// a single call is shorter than the clock's resolution.
+fn bench_codec(c: &mut Criterion) {
+    const BATCH: usize = 10_000;
+    let packet = |body| Packet {
+        seq: 7,
+        src_pid: 0x0001_0002,
+        dst_pid: 0x0002_0003,
+        body,
+    };
+    let packets = [
+        (
+            "send_64B",
+            packet(PacketBody::Send(SendBody {
+                msg: [0x5A; 32],
+                appended: Vec::new(),
+                appended_from: 0,
+            })),
+        ),
+        (
+            "reply_page_576B",
+            packet(PacketBody::Reply(ReplyBody {
+                msg: [0x5A; 32],
+                seg_dest: 0x2000,
+                seg: vec![0x7E; 512],
+            })),
+        ),
+        (
+            "move_to_data_544B",
+            packet(PacketBody::MoveToData(MoveToData {
+                dest: 0x2000,
+                offset: 0,
+                total: 4096,
+                last: false,
+                data: vec![0x7E; 512],
+            })),
+        ),
+    ];
+    let mut g = c.benchmark_group("codec");
+    g.sample_size(20);
+    for (name, p) in &packets {
+        g.bench_function(&format!("encode_{name}_x{BATCH}"), |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    black_box(encode(black_box(p)));
+                }
+            })
+        });
+        let bytes = encode(p);
+        g.bench_function(&format!("decode_{name}_x{BATCH}"), |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    black_box(decode(black_box(&bytes)).expect("well-formed"));
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The event queue (ROADMAP open item 1(d)) under the hold model: every
+/// popped event schedules one successor a random interval later, so the
+/// depth stays where it started — 1 for a two-host exchange, 64 k for a
+/// boot storm.
+fn bench_event_queue(c: &mut Criterion) {
+    const BATCH: usize = 100_000;
+    let mut g = c.benchmark_group("event_queue");
+    g.sample_size(20);
+    for depth in [1usize, 1_000, 64_000] {
+        let mut rng = SplitMix64::new(depth as u64);
+        let mut q = EventQueue::new();
+        for i in 0..depth {
+            q.schedule(SimTime::from_nanos(rng.below(1_000_000)), i as u64);
+        }
+        g.bench_function(&format!("pop_push_depth_{depth}_x{BATCH}"), |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    let (at, ev) = q.pop().expect("steady depth");
+                    q.schedule(at + SimDuration::from_nanos(1 + rng.below(1_000_000)), ev);
+                }
+                q.len()
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_table_4_1,
@@ -310,6 +399,8 @@ criterion_group!(
     bench_section_5_4,
     bench_section_7,
     bench_section_8,
-    bench_fanout
+    bench_fanout,
+    bench_codec,
+    bench_event_queue
 );
 criterion_main!(benches);

@@ -277,7 +277,8 @@ impl ClusterConfig {
         self.topology.as_ref().map_or(1, Topology::num_segments)
     }
 
-    /// Validates per-host segment placement against the topology.
+    /// Validates per-host segment placement against the topology, and the
+    /// protocol's per-packet byte limits against the wire's length field.
     /// [`crate::Cluster::new`] calls this and panics on the error, so a
     /// host placed on a nonexistent segment fails loudly at build time —
     /// with the offending host named — rather than misrouting frames.
@@ -289,6 +290,23 @@ impl ClusterConfig {
                     "host {i} is placed on segment {}, but the topology has only \
                      {segments} segment(s)",
                     h.segment
+                ));
+            }
+        }
+        // A segment rides behind a 32-byte message in a Send, Reply or
+        // Forward packet, and the wire's payload-length field is 16 bits:
+        // a larger limit would wrap it and every receiver would drop the
+        // packet as a length mismatch until the exchange timed out.
+        let ceiling = usize::from(u16::MAX) - v_wire::MSG_LEN;
+        for (field, limit) in [
+            ("max_data_per_packet", self.protocol.max_data_per_packet),
+            ("max_appended_segment", self.protocol.max_appended_segment),
+        ] {
+            if limit > ceiling {
+                return Err(format!(
+                    "protocol.{field} is {limit}, but a packet payload's 16-bit length field \
+                     holds at most {ceiling} bytes behind a {}-byte message",
+                    v_wire::MSG_LEN
                 ));
             }
         }
@@ -356,6 +374,25 @@ mod tests {
         let single = ClusterConfig::three_mb().with_host_on(CpuSpeed::Mc68000At8MHz, 1);
         assert!(single.validate().is_err());
         assert_eq!(ClusterConfig::three_mb().num_segments(), 1);
+    }
+
+    #[test]
+    fn packet_limits_beyond_the_wire_length_field_are_named() {
+        let ceiling = usize::from(u16::MAX) - v_wire::MSG_LEN;
+        let mut cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At8MHz);
+        cfg.protocol.max_data_per_packet = ceiling;
+        cfg.protocol.max_appended_segment = ceiling;
+        assert!(cfg.validate().is_ok());
+
+        cfg.protocol.max_data_per_packet = ceiling + 1;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("max_data_per_packet"), "{err}");
+        assert!(err.contains("65504"), "{err}");
+
+        cfg.protocol.max_data_per_packet = 512;
+        cfg.protocol.max_appended_segment = 1 << 20;
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("max_appended_segment"), "{err}");
     }
 
     #[test]

@@ -143,11 +143,12 @@ impl Ctx<'_> {
 
     fn emit_to_mac(&mut self, t: SimTime, bytes: WireBytes, dst: v_net::MacAddr) -> Emitted {
         let encap = self.proto.encapsulation;
-        let payload = if encap.extra_bytes() > 0 {
-            std::iter::repeat(0u8)
-                .take(encap.extra_bytes())
-                .chain(bytes.iter().copied())
-                .collect()
+        let extra = encap.extra_bytes();
+        let payload = if extra > 0 {
+            let mut framed: WireBytes = std::iter::repeat(0u8).take(extra + bytes.len()).collect();
+            let buf = Rc::get_mut(&mut framed).expect("a fresh buffer has one owner");
+            buf[extra..].copy_from_slice(&bytes);
+            framed
         } else {
             bytes
         };

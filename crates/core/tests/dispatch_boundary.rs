@@ -6,25 +6,13 @@
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_net::{EtherType, Frame, MacAddr};
 
-/// FNV-1a 32-bit, restated from the wire-format spec so the test can
-/// forge checksum-valid frames with contents `v_wire::encode` refuses to
-/// produce.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// Hand-builds an interkernel packet with an arbitrary kind byte, zero
-/// payload and a correct checksum.
+/// payload and a correct checksum: contents `v_wire::encode` refuses to
+/// produce.
 fn forged_packet(kind: u8) -> Vec<u8> {
-    let mut header = vec![0u8; 32];
+    let mut header = vec![0u8; v_wire::HEADER_LEN];
     header[0] = kind;
-    let sum = fnv1a(&header);
-    header[28..32].copy_from_slice(&sum.to_le_bytes());
+    v_wire::seal(&mut header);
     header
 }
 

@@ -17,14 +17,19 @@
 //!   kernel handlers consume structs rather than loose header words;
 //! * one shared, immutable buffer per encoded packet ([`WireBytes`]):
 //!   retransmission caches and every receiver hold the same bytes;
-//! * a 32-bit checksum over the whole packet, which is how receivers
-//!   detect the corruption injected by the simulated medium (including the
-//!   §5.4 collision-bug corruptions).
+//! * a 32-bit checksum over the whole packet — a four-lane, word-wide
+//!   multiplicative sum (see [`codec`]) that every decode verifies —
+//!   which is how receivers detect the corruption injected by the
+//!   simulated medium (including the §5.4 collision-bug corruptions): a
+//!   corruption inside one 64-bit word always changes the sum's 64-bit
+//!   state, reordered words and stripes and a changed length are caught,
+//!   and what is left is the 2⁻³² of keeping 32 bits. [`seal`] writes it
+//!   into a hand-built packet.
 
 pub mod codec;
 pub mod packet;
 
-pub use codec::{decode, encode, WireBytes, WireError};
+pub use codec::{decode, encode, seal, WireBytes, WireError};
 pub use packet::{
     ForwardBody, GetPidReply, GetPidReq, MoveFromData, MoveFromReq, MoveToData, MsgBytes, Packet,
     PacketBody, PacketKind, ReplyBody, SendBody, TransferAck, TransferStatus, HEADER_LEN, MSG_LEN,

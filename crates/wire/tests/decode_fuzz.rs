@@ -1,35 +1,14 @@
 //! Decode fuzzing: no byte sequence — random soup, truncations, or
-//! checksum-repaired structural corruption — may ever panic the decoder.
+//! checksum-repaired (`v_wire::seal`) structural corruption — may ever
+//! panic the decoder.
 //! Malformed input must surface as `Err`, because the kernel feeds every
 //! received frame straight into `decode` and counts failures instead of
 //! crashing.
 
 use proptest::prelude::*;
 use v_wire::{
-    decode, encode, ForwardBody, Packet, PacketBody, SendBody, WireError, HEADER_LEN, MSG_LEN,
+    decode, encode, seal, ForwardBody, Packet, PacketBody, SendBody, WireError, HEADER_LEN, MSG_LEN,
 };
-
-/// FNV-1a 32-bit, restated from the wire format spec so tests can forge
-/// "valid checksum, invalid body" packets that exercise body parsing.
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
-        }
-    }
-    h
-}
-
-/// Rewrites the checksum field so a hand-mutated packet passes the
-/// integrity check and reaches the kind/body parsing stages.
-fn fix_checksum(bytes: &mut [u8]) {
-    let (header, payload) = bytes.split_at_mut(HEADER_LEN);
-    header[28..32].fill(0);
-    let sum = fnv1a(&[header, payload]);
-    header[28..32].copy_from_slice(&sum.to_le_bytes());
-}
 
 fn sample_send() -> Packet {
     Packet {
@@ -88,7 +67,7 @@ fn unknown_kind_with_valid_checksum_is_err_not_panic() {
     for kind in [0u8, 12, 42, 0xFF] {
         let mut bytes = encode(&sample_send()).to_vec();
         bytes[0] = kind;
-        fix_checksum(&mut bytes);
+        seal(&mut bytes);
         assert_eq!(decode(&bytes), Err(WireError::UnknownKind(kind)));
     }
 }
@@ -101,7 +80,7 @@ fn bad_transfer_status_with_valid_checksum_is_malformed() {
     header[0] = 8; // TransferAck
     header[20] = 200; // word_b: invalid status
     let mut bytes = header.to_vec();
-    fix_checksum(&mut bytes);
+    seal(&mut bytes);
     assert_eq!(decode(&bytes), Err(WireError::Malformed));
 }
 
@@ -115,7 +94,7 @@ fn message_bodies_shorter_than_a_message_are_malformed() {
             header[2..4].copy_from_slice(&(short_len as u16).to_le_bytes());
             let mut bytes = header.to_vec();
             bytes.extend(std::iter::repeat(0x5A).take(short_len));
-            fix_checksum(&mut bytes);
+            seal(&mut bytes);
             assert_eq!(decode(&bytes), Err(WireError::Malformed));
         }
     }
@@ -126,7 +105,7 @@ fn appended_length_word_disagreeing_with_payload_is_malformed() {
     let mut bytes = encode(&sample_send()).to_vec();
     // word_b claims a different appended-segment length than is present.
     bytes[20..24].copy_from_slice(&999u32.to_le_bytes());
-    fix_checksum(&mut bytes);
+    seal(&mut bytes);
     assert_eq!(decode(&bytes), Err(WireError::Malformed));
 }
 
@@ -167,7 +146,7 @@ proptest! {
         bytes[20..24].copy_from_slice(&words.1.to_le_bytes());
         bytes[24..28].copy_from_slice(&words.2.to_le_bytes());
         bytes.extend_from_slice(&payload);
-        fix_checksum(&mut bytes);
+        seal(&mut bytes);
         if let Ok(p) = decode(&bytes) {
             // Whatever decoded must re-encode consistently.
             prop_assert_eq!(p.wire_len(), bytes.len());

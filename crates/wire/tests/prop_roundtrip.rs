@@ -120,8 +120,10 @@ proptest! {
         bad[victim] ^= flip;
         match decode(&bad) {
             Err(_) => {}
-            // FNV-32 is not cryptographic; a collision is astronomically
-            // unlikely under single-byte flips, but if one occurs the
+            // The lane sum keeps 32 of its 64 state bits: a single-byte
+            // flip always changes the 64 (see `codec`), so it passes with
+            // odds of 2^-32, and `tests/detection.rs` shows none does on
+            // the kernel's own packet sizes. If one ever does here, the
             // decoded packet must at least be identical (i.e. the flip
             // struck a redundant encoding) — anything else is a soundness
             // bug.

@@ -141,6 +141,13 @@ fn file_content_survives_the_storm() {
     assert!(r.done, "{:?}", *r);
     assert_eq!(r.errors, 0);
     assert_eq!(r.integrity_errors, 0);
+    // The medium's corruption draws do not depend on the checksum
+    // algorithm, so which frames a kernel refuses is a property of the
+    // seed alone: each corrupted frame is exactly one drop, at the host
+    // it was addressed to.
+    let drops = [HostId(0), HostId(1)].map(|h| cl.kernel_stats(h).checksum_drops);
+    assert_eq!(drops, [1, 1]);
+    assert_eq!(cl.medium_stats().corrupted, 2);
 }
 
 #[test]
