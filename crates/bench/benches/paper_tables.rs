@@ -362,10 +362,10 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
-/// The event queue (ROADMAP open item 1(d)) under the hold model: every
+/// The event queue (ROADMAP open item 1(d)): under the hold model — every
 /// popped event schedules one successor a random interval later, so the
-/// depth stays where it started — 1 for a two-host exchange, 64 k for a
-/// boot storm.
+/// depth stays where it started — and under traffic shaped like the
+/// two-host exchange's.
 fn bench_event_queue(c: &mut Criterion) {
     const BATCH: usize = 100_000;
     let mut g = c.benchmark_group("event_queue");
@@ -386,6 +386,38 @@ fn bench_event_queue(c: &mut Criterion) {
             })
         });
     }
+
+    // None of those depths is a workload we run. This is the traffic the
+    // `exchange` workload offers the queue: per operation, four events
+    // chained pop → schedule 0.5-0.78 ms ahead (2.55 ms an exchange) and
+    // one retransmit timer 200 ms ahead that nothing cancels — 78 of them
+    // stand parked, and each pops stale as a no-op.
+    const NEAR: u64 = 0;
+    const TIMER: u64 = 1;
+    let mut rng = SplitMix64::new(1983);
+    let mut q = EventQueue::new();
+    q.schedule(SimTime::ZERO, NEAR);
+    let mut chained = 0u64;
+    let mut run = |events: usize| {
+        for _ in 0..events {
+            let (at, ev) = q.pop().expect("the chain never ends");
+            if ev == TIMER {
+                continue;
+            }
+            if chained % 4 == 0 {
+                q.schedule(at + SimDuration::from_millis(200), TIMER);
+            }
+            chained += 1;
+            let ahead = 500_000 + rng.below(276_000);
+            q.schedule(at + SimDuration::from_nanos(ahead), NEAR);
+        }
+        q.len()
+    };
+    // Past the first 200 ms the parked crowd is at its steady size.
+    run(1_000);
+    g.bench_function(&format!("exchange_shaped_x{BATCH}"), |b| {
+        b.iter(|| run(BATCH))
+    });
     g.finish();
 }
 

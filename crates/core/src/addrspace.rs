@@ -58,6 +58,16 @@ impl AddressSpace {
         self.bytes[r].fill(value);
         Ok(())
     }
+
+    /// True if every byte of `[addr, addr+len)` equals `value`.
+    pub fn is_filled(&self, addr: u32, len: usize, value: u8) -> Result<bool, KernelError> {
+        // The differences of a whole chunk are folded into one byte and
+        // tested once: a loop that leaves at the first wrong byte has a
+        // branch per byte and does not vectorise.
+        let clean = |bytes: &[u8]| bytes.iter().fold(0, |diff, &b| diff | (b ^ value)) == 0;
+        let mut chunks = self.read(addr, len)?.chunks_exact(32);
+        Ok(chunks.by_ref().all(clean) && clean(chunks.remainder()))
+    }
 }
 
 #[cfg(test)]
@@ -98,5 +108,23 @@ mod tests {
         assert_eq!(a.read(8, 8).unwrap(), &[0xAA; 8]);
         assert_eq!(a.read(16, 1).unwrap(), &[0]);
         assert_eq!(a.fill(30, 4, 1).unwrap_err(), KernelError::BadAddress);
+    }
+
+    #[test]
+    fn is_filled_sees_one_wrong_byte_anywhere_in_the_range_and_none_outside() {
+        let (base, len) = (5u32, 32 * 3 + 7);
+        let mut a = AddressSpace::new(256);
+        a.fill(base, len, 0xC3).unwrap();
+        assert_eq!(a.is_filled(base, len, 0xC3), Ok(true));
+        assert_eq!(a.is_filled(base, 0, 0x11), Ok(true));
+        assert_eq!(a.is_filled(base - 1, len + 1, 0xC3), Ok(false));
+        assert_eq!(a.is_filled(base, len + 1, 0xC3), Ok(false));
+        for at in 0..len {
+            let addr = base + at as u32;
+            a.write(addr, &[0xC2]).unwrap();
+            assert_eq!(a.is_filled(base, len, 0xC3), Ok(false), "offset {at}");
+            a.write(addr, &[0xC3]).unwrap();
+        }
+        assert_eq!(a.is_filled(250, 7, 0).unwrap_err(), KernelError::BadAddress);
     }
 }

@@ -832,6 +832,15 @@ impl<'a> Api<'a> {
         pcb.space.fill(addr, len, value)
     }
 
+    /// True if every byte of a range of this process's memory equals
+    /// `value`: the check behind a test pattern, made in place.
+    pub fn mem_is_filled(&self, addr: u32, len: usize, value: u8) -> Result<bool, KernelError> {
+        let pcb = self.cl.hosts[self.host.0]
+            .proc(self.pid)
+            .expect("own process exists");
+        pcb.space.is_filled(addr, len, value)
+    }
+
     /// Size of this process's address space.
     pub fn mem_size(&self) -> usize {
         self.cl.hosts[self.host.0]

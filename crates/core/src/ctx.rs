@@ -213,7 +213,7 @@ impl Ctx<'_> {
 
     /// Empties the delivery scratch into the event queue: one
     /// [`Event::Arrival`] per run of consecutive same-instant deliveries
-    /// — a broadcast's fan-out becomes a single heap entry instead of
+    /// — a broadcast's fan-out becomes a single queue entry instead of
     /// one per receiver. Scheduling order (and therefore FIFO tie-break
     /// order at dispatch) is delivery order.
     fn schedule_scratch(&mut self) {

@@ -129,7 +129,7 @@ pub enum Event {
     },
     /// Frames finished arriving at host interfaces, all at one instant:
     /// a unicast, or a broadcast's fan-out coalesced into a single
-    /// scheduling event so a 1000-receiver broadcast costs one heap
+    /// scheduling event so a 1000-receiver broadcast costs one queue
     /// entry instead of a thousand. Every receiver is dispatched in
     /// delivery order, each with its own crashed-host check.
     ///

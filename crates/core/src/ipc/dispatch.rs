@@ -93,34 +93,61 @@ impl Ctx<'_> {
             + self.proto.encapsulation.extra_rx_cost();
         let end = self.charge(t, cost);
         let packet = match decoded {
-            Some(shared) => shared.clone(),
+            Some(shared) => return self.handle_shared(end, frame, shared),
             None => decode_frame(self.proto, frame),
         };
         let pkt = match packet {
             Ok(p) => p,
-            Err(WireError::UnknownKind(_)) => {
-                // The checksum held, so the frame arrived intact — the
-                // sender just speaks a newer (or broken) protocol rev.
-                self.host.stats.unknown_kind_drops += 1;
-                self.host.nic.note_rx_bad();
-                return;
-            }
-            Err(_) => {
-                self.host.stats.checksum_drops += 1;
-                self.host.nic.note_rx_bad();
-                return;
-            }
+            Err(e) => return self.drop_undecodable(&e),
         };
-        // Learn logical-host → station correspondences from traffic
-        // (10 Mb addressing mode), and treat any frame from a condemned
-        // peer as evidence of life.
+        self.learn_station(&pkt, frame);
+        self.dispatch_packet(end, pkt);
+    }
+
+    /// One receiver's part in a fan-out. Its receivers share one decode,
+    /// so this one looks before it copies: the broadcast the kernel sends
+    /// most is a name query that at most one of them answers, and its
+    /// body is `Copy`. Any other kind is cloned for the handler that will
+    /// keep it. A frame of this host's own never comes this way: its
+    /// packet is the receiver's to move.
+    fn handle_shared(&mut self, t: SimTime, frame: &Frame, decoded: &Result<Packet, WireError>) {
+        let pkt = match decoded {
+            Ok(p) => p,
+            Err(e) => return self.drop_undecodable(e),
+        };
+        self.learn_station(pkt, frame);
+        match pkt.body {
+            PacketBody::GetPidReq(body) => {
+                let Some(src) = Pid::from_raw(pkt.src_pid) else {
+                    return;
+                };
+                self.handle_getpid_req(t, src, body);
+            }
+            _ => self.dispatch_packet(t, pkt.clone()),
+        }
+    }
+
+    /// Counts a frame no packet could be made of, by what was wrong with it.
+    fn drop_undecodable(&mut self, why: &WireError) {
+        match why {
+            // The checksum held, so the frame arrived intact — the
+            // sender just speaks a newer (or broken) protocol rev.
+            WireError::UnknownKind(_) => self.host.stats.unknown_kind_drops += 1,
+            _ => self.host.stats.checksum_drops += 1,
+        }
+        self.host.nic.note_rx_bad();
+    }
+
+    /// Learns logical-host → station correspondences from traffic (10 Mb
+    /// addressing mode), and treats any frame from a condemned peer as
+    /// evidence of life.
+    fn learn_station(&mut self, pkt: &Packet, frame: &Frame) {
         if let Some(src) = Pid::from_raw(pkt.src_pid) {
             self.host.hostmap.learn(src.host(), frame.src);
             if self.host.suspects.remove(&src.host()) {
                 self.host.stats.peer_reprieves += 1;
             }
         }
-        self.dispatch_packet(end, pkt);
     }
 
     /// Routes a decoded packet to its protocol handler. Bodies are

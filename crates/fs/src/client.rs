@@ -316,8 +316,8 @@ pub(crate) fn check_reply(
         }
         FsCall::ReadExpect { count, expect, .. }
         | FsCall::ReadLargeExpect { count, expect, .. } => {
-            let got = api.mem_read(DATA_BUF, *count as usize).expect("fits");
-            if got.iter().any(|&b| b != *expect) {
+            let intact = api.mem_is_filled(DATA_BUF, *count as usize, *expect);
+            if !intact.expect("fits") {
                 rep.integrity_errors += 1;
             }
         }
@@ -467,11 +467,15 @@ mod tests {
     use v_sim::SimDuration;
 
     fn run_script(script: Vec<FsCall>) -> FsClientReport {
+        run_script_on(&[0x7E; 4 * BLOCK_SIZE], script)
+    }
+
+    /// Runs `script` against a server whose file "boot" holds `data`.
+    fn run_script_on(data: &[u8], script: Vec<FsCall>) -> FsClientReport {
         let cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz);
         let mut cl = Cluster::new(cfg);
         let mut store = BlockStore::new();
-        let data = vec![0x7Eu8; 4 * BLOCK_SIZE];
-        store.create_with("boot", &data).unwrap();
+        store.create_with("boot", data).unwrap();
         let server = cl.spawn(
             HostId(1),
             "fileserver",
@@ -546,6 +550,44 @@ mod tests {
         assert!(rep.done, "{rep:?}");
         assert_eq!(rep.errors, 0);
         assert_eq!(rep.integrity_errors, 0);
+    }
+
+    #[test]
+    fn one_wrong_byte_anywhere_in_a_read_is_one_integrity_error() {
+        // The fill check compares 32 bytes at a time: the first and last
+        // byte of a block, one inside a chunk, and one in the tail of a
+        // read that does not end on a chunk.
+        let short = 3 * 32 + 7;
+        let cases = [
+            (0, BLOCK_SIZE),
+            (16 * 32 + 5, BLOCK_SIZE),
+            (BLOCK_SIZE - 1, BLOCK_SIZE),
+            (short - 3, short),
+            (short - 1, short),
+        ];
+        for (wrong, count) in cases {
+            let mut data = [0x7E; 2 * BLOCK_SIZE];
+            data[wrong] = 0x7F;
+            let read = |block| FsCall::ReadExpect {
+                block,
+                count: count as u32,
+                expect: 0x7E,
+            };
+            let rep = run_script_on(&data, vec![FsCall::Open("boot".into()), read(0), read(1)]);
+            assert!(rep.done && rep.errors == 0, "{rep:?}");
+            assert_eq!(rep.completed, 3);
+            assert_eq!(rep.integrity_errors, 1, "byte {wrong} of {count}: {rep:?}");
+        }
+        // A wrong byte just past a short read is not the read's business.
+        let mut data = [0x7E; BLOCK_SIZE];
+        data[short] = 0x7F;
+        let read = FsCall::ReadExpect {
+            block: 0,
+            count: short as u32,
+            expect: 0x7E,
+        };
+        let rep = run_script_on(&data, vec![FsCall::Open("boot".into()), read]);
+        assert_eq!(rep.integrity_errors, 0, "{rep:?}");
     }
 
     #[test]

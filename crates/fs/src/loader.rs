@@ -127,9 +127,9 @@ impl Program for ProgramLoader {
                         );
                     }
                     Phase::Image { size, fill } => {
-                        let img = api.mem_read(IMAGE_BASE, size as usize).expect("fits");
+                        let intact = api.mem_is_filled(IMAGE_BASE, size as usize, fill);
                         let mut rep = self.report.borrow_mut();
-                        if img.iter().any(|&b| b != fill) {
+                        if !intact.expect("fits") {
                             rep.integrity_errors += 1;
                         }
                         rep.loaded = true;

@@ -1,0 +1,273 @@
+//! The event queue as a model check: random interleavings of `schedule`
+//! and `pop`, every accessor read after every step, against a reference
+//! priority queue ordered by `(time, sequence number)`. The radix heap keeps no sequence number —
+//! its FIFO order among equal instants is structural — so the reference
+//! is what says it got that order right.
+//!
+//! A failing case prints its short operation list (the vendored proptest
+//! does not shrink, so the lists are kept short instead); CI runs this in
+//! release with `PROPTEST_CASES=5000` ahead of the benchmark's baseline
+//! check.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use proptest::prelude::*;
+use v_sim::{EventQueue, SimStats, SimTime};
+
+/// Where an operation schedules, relative to the clock when it runs.
+#[derive(Debug, Clone, Copy)]
+enum When {
+    /// At `now`: the front, possibly while it is draining.
+    Now,
+    /// A few nanoseconds ahead: the lowest buckets.
+    Next(u64),
+    /// 0.5-1 ms ahead, the kernel's usual step.
+    Near(u64),
+    /// 200 ms ahead, a retransmit timer parked beside the near events.
+    Timer,
+    /// `2^bit` ahead: any bucket at all.
+    Far(u32),
+    /// `SimTime::MAX`, the "never" of an idle timer.
+    Never,
+    /// An instant some pending event already has — scheduled before its
+    /// bucket was last re-filed, or after.
+    Again(usize),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `count` events at one instant.
+    Schedule(When, usize),
+    Pop(usize),
+}
+
+fn when() -> impl Strategy<Value = When> {
+    prop_oneof![
+        Just(When::Now),
+        (1u64..5).prop_map(When::Next),
+        (500_000u64..1_000_000).prop_map(When::Near),
+        Just(When::Timer),
+        (0u32..64).prop_map(When::Far),
+        Just(When::Never),
+        // Twice, for weight: ties are what the structure has to get right.
+        (0usize..64).prop_map(When::Again),
+        (0usize..64).prop_map(When::Again),
+    ]
+}
+
+/// Mostly one, sometimes a burst.
+fn count(most: usize) -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(1usize), 2usize..most]
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (when(), count(6)).prop_map(|(when, n)| Op::Schedule(when, n)),
+        (when(), count(6)).prop_map(|(when, n)| Op::Schedule(when, n)),
+        count(8).prop_map(Op::Pop),
+    ]
+}
+
+/// The queue under test beside its reference.
+struct Pair {
+    queue: EventQueue<u64>,
+    /// `(time, sequence number)`; the sequence number is also the event.
+    model: BinaryHeap<Reverse<(u64, u64)>>,
+    scheduled: u64,
+    popped: u64,
+    now: u64,
+}
+
+impl Pair {
+    fn new() -> Pair {
+        Pair {
+            queue: EventQueue::new(),
+            model: BinaryHeap::new(),
+            scheduled: 0,
+            popped: 0,
+            now: 0,
+        }
+    }
+
+    fn instant(&self, when: When) -> u64 {
+        match when {
+            When::Now => self.now,
+            When::Next(d) | When::Near(d) => self.now.saturating_add(d),
+            When::Timer => self.now.saturating_add(200_000_000),
+            When::Far(bit) => self.now.saturating_add(1 << bit),
+            When::Never => u64::MAX,
+            When::Again(nth) => {
+                let pending = self.model.len().max(1);
+                let entry = self.model.iter().nth(nth % pending);
+                entry.map_or(self.now, |Reverse((at, _))| *at)
+            }
+        }
+    }
+
+    fn schedule(&mut self, at: u64) {
+        self.queue.schedule(SimTime::from_nanos(at), self.scheduled);
+        self.model.push(Reverse((at, self.scheduled)));
+        self.scheduled += 1;
+    }
+
+    /// Pops both; true if there was something to pop.
+    fn pop(&mut self) -> bool {
+        let got = self.queue.pop();
+        let want = self.model.pop().map(|Reverse(entry)| entry);
+        assert_eq!(got.map(|(at, ev)| (at.as_nanos(), ev)), want);
+        let Some((at, _)) = want else { return false };
+        self.now = at;
+        self.popped += 1;
+        true
+    }
+
+    /// Everything observable without popping agrees with the reference.
+    fn check(&self) {
+        let next = self.model.peek().map(|Reverse((at, _))| *at);
+        assert_eq!(self.queue.peek_time().map(SimTime::as_nanos), next);
+        assert_eq!(self.queue.now().as_nanos(), self.now);
+        assert_eq!(self.queue.len(), self.model.len());
+        assert_eq!(self.queue.is_empty(), self.model.is_empty());
+        assert_eq!(self.queue.total_scheduled(), self.scheduled);
+        assert_eq!(self.queue.total_popped(), self.popped);
+        let stats = SimStats {
+            scheduled: self.scheduled,
+            popped: self.popped,
+            pending: self.model.len(),
+        };
+        assert_eq!(self.queue.stats(), stats);
+    }
+
+    fn apply(&mut self, op: Op) {
+        match op {
+            Op::Schedule(when, count) => {
+                let at = self.instant(when);
+                for _ in 0..count {
+                    self.schedule(at);
+                    self.check();
+                }
+            }
+            Op::Pop(count) => {
+                for _ in 0..count {
+                    self.pop();
+                    self.check();
+                }
+            }
+        }
+    }
+
+    fn drain(&mut self) {
+        while self.pop() {
+            self.check();
+        }
+    }
+}
+
+proptest! {
+    /// Any interleaving pops exactly what the reference pops, and every
+    /// accessor agrees with it after every step.
+    #[test]
+    fn any_interleaving_matches_the_reference(ops in prop::collection::vec(op(), 1..32)) {
+        let mut pair = Pair::new();
+        pair.check();
+        for &op in &ops {
+            pair.apply(op);
+        }
+        pair.drain();
+    }
+
+    /// The exchange's shape: near events chained pop → schedule over a
+    /// standing crowd of timers that fire stale, bursts at one instant
+    /// landing around each re-filing.
+    #[test]
+    fn near_events_over_parked_timers_match_the_reference(
+        steps in prop::collection::vec((500_000u64..1_000_000, 0usize..4), 1..200),
+    ) {
+        let mut pair = Pair::new();
+        pair.schedule(0);
+        for &(ahead, burst) in &steps {
+            prop_assert!(pair.pop());
+            let near = pair.now + ahead;
+            pair.schedule(near);
+            pair.schedule(pair.now + 200_000_000);
+            for _ in 0..burst {
+                pair.schedule(near);
+            }
+            pair.check();
+        }
+        pair.drain();
+    }
+}
+
+#[test]
+fn an_empty_queue_pops_and_peeks_nothing_and_stays_usable() {
+    let mut pair = Pair::new();
+    assert!(!pair.pop());
+    pair.check();
+    pair.schedule(7);
+    pair.drain();
+    assert!(!pair.pop());
+    pair.check();
+    // Drained, not reset: the clock stays where the last pop left it.
+    pair.schedule(7);
+    pair.schedule(9);
+    pair.drain();
+    assert_eq!(pair.queue.now(), SimTime::from_nanos(9));
+}
+
+#[test]
+fn scheduling_at_now_while_the_front_drains_keeps_fifo() {
+    let mut pair = Pair::new();
+    for _ in 0..3 {
+        pair.schedule(10);
+    }
+    assert!(pair.pop());
+    // Two of the burst are still in the front; these queue behind them,
+    // and each one popped schedules another at the same instant.
+    for _ in 0..20 {
+        pair.schedule(10);
+        pair.check();
+        assert!(pair.pop());
+        pair.check();
+    }
+    pair.schedule(11);
+    pair.drain();
+    assert_eq!(pair.queue.now(), SimTime::from_nanos(11));
+}
+
+#[test]
+fn equal_instants_keep_their_order_across_every_refiling() {
+    // Scheduled into a high bucket, then — as pops move the clock and
+    // re-file that bucket level by level — into each lower one.
+    let mut pair = Pair::new();
+    let at = 0b1010_1010_1010;
+    pair.schedule(at);
+    for step in [0b1000_0000_0000, 0b1010_0000_0000, 0b1010_1000_0000, at - 2] {
+        pair.schedule(step);
+        pair.schedule(at);
+        pair.check();
+        assert!(pair.pop());
+        pair.schedule(at);
+        pair.check();
+    }
+    pair.drain();
+}
+
+#[test]
+fn never_is_a_time_like_any_other() {
+    let mut pair = Pair::new();
+    let never = SimTime::MAX.as_nanos();
+    pair.schedule(never);
+    pair.schedule(5);
+    pair.schedule(never);
+    pair.schedule(never - 1);
+    pair.check();
+    assert!(pair.pop());
+    pair.schedule(never);
+    pair.drain();
+    assert_eq!(pair.queue.now(), SimTime::MAX);
+    // At the end of time there is still one instant to schedule at.
+    pair.schedule(never);
+    pair.drain();
+}

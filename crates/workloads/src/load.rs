@@ -143,8 +143,8 @@ impl Program for LoadClient {
                     self.report.borrow_mut().integrity_errors += 1;
                 }
                 if self.done == 0 {
-                    let got = api.mem_read(IMAGE_ADDR, self.image as usize).expect("fits");
-                    if got.iter().any(|&b| b != self.pattern) {
+                    let intact = api.mem_is_filled(IMAGE_ADDR, self.image as usize, self.pattern);
+                    if !intact.expect("fits") {
                         self.report.borrow_mut().integrity_errors += 1;
                     }
                 }

@@ -52,8 +52,8 @@ impl Program for Grantor {
             Outcome::Send(Ok(_)) => {
                 if self.dir == MoveDir::To {
                     // The mover pushed `!pattern`; verify it landed.
-                    let got = api.mem_read(BUF_ADDR, self.size as usize).expect("fits");
-                    if got.iter().any(|&b| b != !self.pattern) {
+                    let intact = api.mem_is_filled(BUF_ADDR, self.size as usize, !self.pattern);
+                    if !intact.expect("fits") {
                         self.report.borrow_mut().integrity_errors += 1;
                     }
                 }
@@ -127,8 +127,8 @@ impl Program for Mover {
                     self.next_op(api);
                 } else {
                     if self.dir == MoveDir::From {
-                        let got = api.mem_read(BUF_ADDR, self.size as usize).expect("fits");
-                        if got.iter().any(|&b| b != self.pattern) {
+                        let intact = api.mem_is_filled(BUF_ADDR, self.size as usize, self.pattern);
+                        if !intact.expect("fits") {
                             self.report.borrow_mut().integrity_errors += 1;
                         }
                     }

@@ -235,8 +235,8 @@ impl Program for PageClient {
                 }
                 if self.op == PageOp::Read && self.done == 0 {
                     // Verify the first page landed intact.
-                    let got = api.mem_read(CLIENT_BUF, self.page as usize).expect("fits");
-                    if got.iter().any(|&b| b != self.pattern) {
+                    let intact = api.mem_is_filled(CLIENT_BUF, self.page as usize, self.pattern);
+                    if !intact.expect("fits") {
                         self.report.borrow_mut().integrity_errors += 1;
                     }
                 }
