@@ -7,7 +7,7 @@
 //! table under `cargo bench` ensures the whole harness stays runnable
 //! and performance-tracked.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
 use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope};
 use v_net::{EtherType, Frame, MacAddr, NetworkKind, Topology};
@@ -257,9 +257,10 @@ impl Program for Asker {
     }
 }
 
-/// The two layers a boot storm's broadcasts spend their wall-clock in
-/// (ROADMAP open item 1(d)): the transport's fan-out to every station,
-/// and the kernel's batch dispatch of one arrival to every receiver.
+/// The layers a boot storm spends its wall-clock in per head (ROADMAP
+/// open item 1(d)): the transport's fan-out to every station, the
+/// kernel's batch dispatch of one arrival to every receiver, and the
+/// spawn of every workstation's process.
 fn bench_fanout(c: &mut Criterion) {
     const STATIONS: usize = 1000;
     let mut g = c.benchmark_group("fanout");
@@ -297,6 +298,38 @@ fn bench_fanout(c: &mut Criterion) {
             cl.run();
             assert!(cl.events_dispatched() - before >= (STATIONS - 1) as u64);
         })
+    });
+    // What the storm's set-up pays per process, shaped like the storm:
+    // one default-size process on each of 1000 hosts of a cluster built
+    // outside the timing. `fresh` keeps every sample's cluster alive, so
+    // each spawns into memory the allocator has not handed out before —
+    // a benchmark's cold repetition; `after_drop` spawns when the sample
+    // before it has just been dropped — every repetition but the first.
+    // With flat `vec![0; 256 KB]` spaces a thousand spawns cost 3-4 ms in
+    // a process that had never dropped a cluster and 70 ms in one that
+    // had (as this one has, so both rows read 60-70 ms, `fresh` touching
+    // 256 MB a sample — hence the few samples); a page table costs under
+    // a millisecond either way.
+    g.sample_size(10);
+    let empty_cluster =
+        || Cluster::new(ClusterConfig::three_mb().with_hosts(STATIONS, CpuSpeed::Mc68000At10MHz));
+    let spawn_1000 = |mut cl: Cluster| {
+        for h in 0..STATIONS {
+            cl.spawn(HostId(h), "echo", Box::new(EchoServer));
+        }
+        cl
+    };
+    g.bench_function("spawn_1000_fresh", |b| {
+        let mut kept = Vec::new();
+        b.iter_batched(
+            empty_cluster,
+            |cl| kept.push(spawn_1000(cl)),
+            BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("spawn_1000_after_drop", |b| {
+        drop(spawn_1000(empty_cluster()));
+        b.iter_batched(empty_cluster, spawn_1000, BatchSize::PerIteration)
     });
     g.finish();
 }

@@ -1,72 +1,169 @@
 //! Per-process address spaces.
 //!
-//! Every simulated process owns a flat byte array standing in for its
-//! MC68000 address space. All data the kernel moves — appended segments,
-//! `MoveTo`/`MoveFrom` chunks, `ReplyWithSegment` payloads — is *really
-//! copied* between these arrays, so integration tests can verify
+//! Every simulated process owns a byte-addressed space standing in for
+//! its MC68000 address space. All data the kernel moves — appended
+//! segments, `MoveTo`/`MoveFrom` chunks, `ReplyWithSegment` payloads — is
+//! *really copied* between these spaces, so integration tests can verify
 //! end-to-end content integrity of the protocols, not just their timing.
+//!
+//! A space is a table of pages, each allocated and zeroed by the first
+//! write that lands on it; a page nothing has written is absent and
+//! reads as zeros. A process therefore costs what it touches: a boot
+//! storm's thousand 256 KB spaces are a thousand 512-byte tables and the
+//! few pages each workstation loads into.
+
+use std::fmt;
+use std::ops::Range;
 
 use crate::error::KernelError;
 
+/// Bytes per page: small enough that a process touching three places
+/// keeps three pages resident (64 KB pages put the N = 1000 boot storm's
+/// resident peak at 78 MB against 17.7), large enough that a default
+/// space's table is 64 entries.
+const PAGE_SIZE: usize = 4096;
+
+/// One resident page. Cache-line aligned: malloc aligns a plain 4 KB
+/// array to 16 bytes, so every 64-byte block a page copy moves would
+/// straddle two lines (1.6 % of the copy-heavy `cache_share` workload).
+#[derive(Clone)]
+#[repr(align(64))]
+struct Page([u8; PAGE_SIZE]);
+
 /// A process address space.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AddressSpace {
-    bytes: Vec<u8>,
+    size: usize,
+    /// One slot per page of `size` (the last possibly partial); `None`
+    /// until first written, and all zeros until then.
+    pages: Vec<Option<Box<Page>>>,
+}
+
+/// The spans `[lo, hi)` of each page that the byte range `r` covers, in
+/// address order, as `(page index, span within the page)`.
+fn page_spans(r: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut at = r.start;
+    std::iter::from_fn(move || {
+        (at < r.end).then(|| {
+            let page = at / PAGE_SIZE;
+            let base = page * PAGE_SIZE;
+            let hi = (r.end - base).min(PAGE_SIZE);
+            let span = at - base..hi;
+            at = base + hi;
+            (page, span)
+        })
+    })
+}
+
+/// True if every byte of `bytes` equals `value`.
+fn all_equal(bytes: &[u8], value: u8) -> bool {
+    // The differences of a whole chunk are folded into one byte and
+    // tested once: a loop that leaves at the first wrong byte has a
+    // branch per byte and does not vectorise.
+    let clean = |bytes: &[u8]| bytes.iter().fold(0, |diff, &b| diff | (b ^ value)) == 0;
+    let mut chunks = bytes.chunks_exact(32);
+    chunks.by_ref().all(clean) && clean(chunks.remainder())
 }
 
 impl AddressSpace {
     /// Default size given to processes spawned without an explicit size.
     pub const DEFAULT_SIZE: usize = 256 * 1024;
 
-    /// Creates a zero-filled space of `size` bytes.
+    /// Creates a zero-filled space of `size` bytes. No page is resident
+    /// yet.
     pub fn new(size: usize) -> AddressSpace {
         AddressSpace {
-            bytes: vec![0; size],
+            size,
+            pages: vec![None; size.div_ceil(PAGE_SIZE)],
         }
     }
 
     /// Size in bytes.
     pub fn size(&self) -> usize {
-        self.bytes.len()
+        self.size
     }
 
-    fn range(&self, addr: u32, len: usize) -> Result<std::ops::Range<usize>, KernelError> {
+    fn range(&self, addr: u32, len: usize) -> Result<Range<usize>, KernelError> {
         let start = addr as usize;
         let end = start.checked_add(len).ok_or(KernelError::BadAddress)?;
-        if end > self.bytes.len() {
+        if end > self.size {
             return Err(KernelError::BadAddress);
         }
         Ok(start..end)
     }
 
+    /// The resident page `idx`, allocated and zeroed if this is its
+    /// first write.
+    fn page_mut(&mut self, idx: usize) -> &mut [u8; PAGE_SIZE] {
+        &mut self.pages[idx]
+            .get_or_insert_with(|| Box::new(Page([0; PAGE_SIZE])))
+            .0
+    }
+
+    fn resident_pages(&self) -> usize {
+        self.pages.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// Checks that `[addr, addr+len)` lies inside the space, touching
+    /// no byte of it.
+    pub fn check(&self, addr: u32, len: usize) -> Result<(), KernelError> {
+        self.range(addr, len).map(|_| ())
+    }
+
     /// Reads `len` bytes starting at `addr`.
-    pub fn read(&self, addr: u32, len: usize) -> Result<&[u8], KernelError> {
+    pub fn read(&self, addr: u32, len: usize) -> Result<Vec<u8>, KernelError> {
         let r = self.range(addr, len)?;
-        Ok(&self.bytes[r])
+        let mut out = Vec::with_capacity(len);
+        for (idx, span) in page_spans(r) {
+            match &self.pages[idx] {
+                Some(page) => out.extend_from_slice(&page.0[span]),
+                None => out.resize(out.len() + span.len(), 0),
+            }
+        }
+        Ok(out)
     }
 
     /// Copies `data` into the space starting at `addr`.
     pub fn write(&mut self, addr: u32, data: &[u8]) -> Result<(), KernelError> {
         let r = self.range(addr, data.len())?;
-        self.bytes[r].copy_from_slice(data);
+        let mut rest = data;
+        for (idx, span) in page_spans(r) {
+            let (chunk, after) = rest.split_at(span.len());
+            self.page_mut(idx)[span].copy_from_slice(chunk);
+            rest = after;
+        }
         Ok(())
     }
 
     /// Fills `[addr, addr+len)` with `value` (handy for test patterns).
     pub fn fill(&mut self, addr: u32, len: usize, value: u8) -> Result<(), KernelError> {
         let r = self.range(addr, len)?;
-        self.bytes[r].fill(value);
+        for (idx, span) in page_spans(r) {
+            // Zeros onto a page nothing has written change nothing.
+            if value != 0 || self.pages[idx].is_some() {
+                self.page_mut(idx)[span].fill(value);
+            }
+        }
         Ok(())
     }
 
     /// True if every byte of `[addr, addr+len)` equals `value`.
     pub fn is_filled(&self, addr: u32, len: usize, value: u8) -> Result<bool, KernelError> {
-        // The differences of a whole chunk are folded into one byte and
-        // tested once: a loop that leaves at the first wrong byte has a
-        // branch per byte and does not vectorise.
-        let clean = |bytes: &[u8]| bytes.iter().fold(0, |diff, &b| diff | (b ^ value)) == 0;
-        let mut chunks = self.read(addr, len)?.chunks_exact(32);
-        Ok(chunks.by_ref().all(clean) && clean(chunks.remainder()))
+        let r = self.range(addr, len)?;
+        Ok(page_spans(r).all(|(idx, span)| match &self.pages[idx] {
+            Some(page) => all_equal(&page.0[span], value),
+            None => value == 0,
+        }))
+    }
+}
+
+impl fmt::Debug for AddressSpace {
+    /// The shape, not the bytes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AddressSpace")
+            .field("size", &self.size)
+            .field("resident_pages", &self.resident_pages())
+            .finish()
     }
 }
 
@@ -108,6 +205,32 @@ mod tests {
         assert_eq!(a.read(8, 8).unwrap(), &[0xAA; 8]);
         assert_eq!(a.read(16, 1).unwrap(), &[0]);
         assert_eq!(a.fill(30, 4, 1).unwrap_err(), KernelError::BadAddress);
+    }
+
+    #[test]
+    fn a_page_is_resident_from_its_first_write_and_not_before() {
+        let mut a = AddressSpace::new(AddressSpace::DEFAULT_SIZE);
+        assert_eq!(a.pages.len(), AddressSpace::DEFAULT_SIZE / PAGE_SIZE);
+        // Reading, checking, and zeros onto zeros touch nothing.
+        assert_eq!(a.read(0, a.size()).unwrap(), vec![0; a.size()]);
+        assert_eq!(a.check(0, a.size()), Ok(()));
+        assert_eq!(a.is_filled(0, a.size(), 0), Ok(true));
+        assert_eq!(a.is_filled(PAGE_SIZE as u32, 1, 9), Ok(false));
+        a.fill(0, a.size(), 0).unwrap();
+        assert_eq!(a.resident_pages(), 0);
+        // A write straddling a boundary brings in the two pages it
+        // lands on and no other.
+        a.write(PAGE_SIZE as u32 - 1, &[1, 2]).unwrap();
+        assert_eq!(a.resident_pages(), 2);
+        assert!(a.pages[0].is_some() && a.pages[1].is_some());
+        assert_eq!(a.read(PAGE_SIZE as u32 - 2, 4).unwrap(), &[0, 1, 2, 0]);
+        a.fill(5 * PAGE_SIZE as u32, 1, 0xEE).unwrap();
+        assert_eq!(a.resident_pages(), 3);
+        // A rejected range brings in nothing.
+        let end = a.size() as u32;
+        assert_eq!(a.write(end - 1, &[1, 2]), Err(KernelError::BadAddress));
+        assert_eq!(a.fill(end - 1, 2, 1), Err(KernelError::BadAddress));
+        assert_eq!(a.resident_pages(), 3);
     }
 
     #[test]

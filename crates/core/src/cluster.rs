@@ -203,7 +203,7 @@ impl Cluster {
         let pcb = self.hosts[host.0]
             .proc(pid)
             .ok_or(KernelError::NonexistentProcess)?;
-        pcb.space.read(addr, len).map(|s| s.to_vec())
+        pcb.space.read(addr, len)
     }
 
     /// Writes a process's address space directly (testing aid; bypasses
@@ -813,7 +813,7 @@ impl<'a> Api<'a> {
         let pcb = self.cl.hosts[self.host.0]
             .proc(self.pid)
             .expect("own process exists");
-        pcb.space.read(addr, len).map(|s| s.to_vec())
+        pcb.space.read(addr, len)
     }
 
     /// Writes this process's own memory.

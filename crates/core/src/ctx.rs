@@ -215,7 +215,10 @@ impl Ctx<'_> {
     /// [`Event::Arrival`] per run of consecutive same-instant deliveries
     /// — a broadcast's fan-out becomes a single queue entry instead of
     /// one per receiver. Scheduling order (and therefore FIFO tie-break
-    /// order at dispatch) is delivery order.
+    /// order at dispatch) is delivery order. The scratch is the buffer
+    /// the transport wrote each delivery into; a run is walked once to
+    /// find where its groups end, and each group's stations are then
+    /// copied out at their exact count.
     fn schedule_scratch(&mut self) {
         // A unicast's one delivery is moved, not cloned.
         if self.scratch.len() == 1 {
@@ -226,19 +229,19 @@ impl Ctx<'_> {
         let mut pending = &self.scratch[..];
         while let Some(head) = pending.first() {
             let at = head.at;
-            let same_instant = pending.iter().take_while(|d| d.at == at).count();
-            let (mut run, later) = pending.split_at(same_instant);
-            pending = later;
-            let event = if let [only] = run {
-                unicast(only.frame.clone(), only.dst)
+            let same_instant = |rest: &[Delivery]| rest.first().is_some_and(|d| d.at == at);
+            let group = take_group(&mut pending);
+            let event = if group.len() == 1 && !same_instant(pending) {
+                unicast(head.frame.clone(), head.dst)
             } else {
-                let (frame, stations) = take_group(&mut run);
+                let stations = stations_of(group);
                 let mut split = Vec::new();
-                while !run.is_empty() {
-                    split.push(take_group(&mut run));
+                while same_instant(pending) {
+                    let group = take_group(&mut pending);
+                    split.push((group[0].frame.clone(), stations_of(group)));
                 }
                 Event::Arrival {
-                    frame,
+                    frame: head.frame.clone(),
                     fan_out: Some(Box::new(FanOut { stations, split })),
                 }
             };
@@ -271,20 +274,27 @@ fn unicast(frame: Frame, dst: v_net::MacAddr) -> Event {
     }
 }
 
-/// Splits the leading deliveries of `run` that carry one and the same
-/// frame — one sender's payload buffer, not yet diverged by corruption —
-/// off as that frame and the stations it reaches.
-fn take_group(run: &mut &[Delivery]) -> (Frame, Box<[v_net::MacAddr]>) {
-    let frame = &run[0].frame;
+/// Splits off the leading deliveries of `run` that arrive at one instant
+/// carrying one and the same frame — one sender's payload buffer, not
+/// yet diverged by corruption — in a single pass that stops at the first
+/// delivery to differ in any of the four.
+fn take_group<'a>(run: &mut &'a [Delivery]) -> &'a [Delivery] {
+    let head = &run[0];
     let shared = run
         .iter()
         .take_while(|d| {
-            Rc::ptr_eq(&d.frame.payload, &frame.payload)
-                && d.frame.src == frame.src
-                && d.frame.ethertype == frame.ethertype
+            d.at == head.at
+                && Rc::ptr_eq(&d.frame.payload, &head.frame.payload)
+                && d.frame.src == head.frame.src
+                && d.frame.ethertype == head.frame.ethertype
         })
         .count();
     let (group, rest) = run.split_at(shared);
     *run = rest;
-    (frame.clone(), group.iter().map(|d| d.dst).collect())
+    group
+}
+
+/// The stations a group of deliveries reaches, in delivery order.
+fn stations_of(group: &[Delivery]) -> Box<[v_net::MacAddr]> {
+    group.iter().map(|d| d.dst).collect()
 }

@@ -66,7 +66,7 @@ impl Ctx<'_> {
                         .min(self.proto.max_data_per_packet);
                     let pcb = self.host.proc(pid).expect("sender exists");
                     match pcb.space.read(g.start, n) {
-                        Ok(bytes) => (bytes.to_vec(), g.start),
+                        Ok(bytes) => (bytes, g.start),
                         Err(e) => {
                             self.fail_send(end, pid, e);
                             return;
@@ -224,7 +224,7 @@ impl Ctx<'_> {
                         if n > 0 {
                             let data = {
                                 let sp = self.host.proc(sender).expect("checked");
-                                sp.space.read(start, n as usize).ok().map(|d| d.to_vec())
+                                sp.space.read(start, n as usize).ok()
                             };
                             if let Some(data) = data {
                                 cost +=
@@ -307,7 +307,7 @@ impl Ctx<'_> {
                     .ok_or(KernelError::NoSegmentAccess)?;
                 grant.check(dest_ptr, len, Access::Write)?;
                 let rp = self.host.proc(replier).expect("replier exists");
-                let data = rp.space.read(src_addr, len as usize)?.to_vec();
+                let data = rp.space.read(src_addr, len as usize)?;
                 cost += self.local_data_cost(self.host.costs.segment_fixed, len as usize);
                 write = Some((dest_ptr, data));
             }
@@ -336,7 +336,7 @@ impl Ctx<'_> {
                 let g = grant.ok_or(KernelError::NoSegmentAccess)?;
                 g.check(dest_ptr, len, Access::Write)?;
                 let rp = self.host.proc(replier).expect("replier exists");
-                let data = rp.space.read(src_addr, len as usize)?.to_vec();
+                let data = rp.space.read(src_addr, len as usize)?;
                 cost += self.host.costs.segment_fixed;
                 (dest_ptr, data)
             } else {

@@ -49,7 +49,7 @@ impl Ctx<'_> {
                 .and_then(|g| g.check(dest, count, Access::Write).map(|_| ()))
                 .and_then(|_| {
                     let mp = self.host.proc(mover).expect("mover exists");
-                    mp.space.read(src, count as usize).map(|d| d.to_vec())
+                    mp.space.read(src, count as usize)
                 });
             match res {
                 Err(e) => {
@@ -83,7 +83,7 @@ impl Ctx<'_> {
                 .and_then(|g| g.check(dest, count, Access::Write))
                 .and_then(|_| {
                     let mp = self.host.proc(mover).expect("mover exists");
-                    mp.space.read(src, count as usize).map(|_| ())
+                    mp.space.check(src, count as usize)
                 });
             if let Err(e) = check {
                 let end = self.charge(t, self.host.costs.syscall_min);
@@ -150,7 +150,6 @@ impl Ctx<'_> {
             mp.space
                 .read(src_addr + off, n as usize)
                 .expect("validated at setup")
-                .to_vec()
         };
         let pkt = Packet {
             seq,
@@ -214,7 +213,7 @@ impl Ctx<'_> {
                 .and_then(|g| g.check(src, count, Access::Read))
                 .and_then(|_| {
                     let sp = self.host.proc(src_pid).expect("checked");
-                    sp.space.read(src, count as usize).map(|d| d.to_vec())
+                    sp.space.read(src, count as usize)
                 });
             match res {
                 Err(e) => {
@@ -251,7 +250,7 @@ impl Ctx<'_> {
                 .and_then(|_| {
                     let rp = self.host.proc(requester).expect("requester exists");
                     // Destination range must be writable in our space.
-                    rp.space.read(dest, count as usize).map(|_| ())
+                    rp.space.check(dest, count as usize)
                 });
             if let Err(e) = check {
                 let end = self.charge(t, self.host.costs.syscall_min);
@@ -321,7 +320,6 @@ impl Ctx<'_> {
             gp.space
                 .read(src_addr + off, n as usize)
                 .expect("validated at request")
-                .to_vec()
         };
         let pkt = Packet {
             seq,
@@ -530,7 +528,7 @@ impl Ctx<'_> {
             .and_then(|g| g.check(body.src, body.total, Access::Read))
             .and_then(|_| {
                 let pcb = self.host.proc(dst).expect("checked");
-                pcb.space.read(body.src, body.total as usize).map(|_| ())
+                pcb.space.check(body.src, body.total as usize)
             });
         if ok.is_err() {
             let pkt = Self::ack_packet(seq, dst, src, 0, TransferStatus::AccessViolation);

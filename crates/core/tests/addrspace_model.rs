@@ -1,0 +1,332 @@
+//! The address space as a model check: random `write` / `fill` / `read` /
+//! `is_filled` / `check` against a flat `Vec<u8>` — which is what an
+//! [`AddressSpace`] was before it became a table of first-touch pages —
+//! with identical bytes and identical [`KernelError`]s at every step.
+//!
+//! The ranges are aimed at where a page table can go wrong: inside one
+//! page, ending exactly on a boundary, straddling two pages and many,
+//! zero length, the last byte of the space, one past it, `addr + len`
+//! overflowing, spaces that are not a page multiple, and zeros filled
+//! into or looked for in pages nothing has written.
+//!
+//! A failing case prints its short operation list (the vendored proptest
+//! does not shrink, so the lists are kept short instead); CI runs this in
+//! release with `PROPTEST_CASES=5000` ahead of the benchmark's baseline
+//! check.
+
+use proptest::prelude::*;
+use v_kernel::{AddressSpace, KernelError};
+
+/// The page size the ranges are aimed at. Private to the space; were it
+/// to change, every check here would still hold, only less pointedly.
+const PAGE: usize = 4096;
+
+/// A byte range, described by where it sits relative to the pages.
+#[derive(Debug, Clone, Copy)]
+enum Span {
+    /// `len` bytes at `off` inside page `page`.
+    Inside { page: usize, off: usize, len: usize },
+    /// The last `len` bytes of page `page`.
+    EndsOnBoundary { page: usize, len: usize },
+    /// `before` bytes of page `page` and `after` of the next.
+    Straddles {
+        page: usize,
+        before: usize,
+        after: usize,
+    },
+    /// From `off` in page `page` across `pages` whole pages and `tail`
+    /// bytes more.
+    Many {
+        page: usize,
+        off: usize,
+        pages: usize,
+        tail: usize,
+    },
+    /// Nothing, at `back` bytes before the end of the space (0: at it).
+    Empty { back: usize },
+    /// The last `len` bytes of the space.
+    LastBytes { len: usize },
+    /// `len` bytes starting `back` before the end: `len > back` runs off.
+    PastEnd { back: usize, len: usize },
+    /// `addr + len` does not fit a `usize`.
+    Overflows { addr_back: u32, len_back: usize },
+    /// The whole space.
+    Whole,
+}
+
+impl Span {
+    /// `(addr, len)` in a space of `size` bytes. Spans aimed at pages the
+    /// space does not have simply fall outside it, which is a case too.
+    fn place(self, size: usize) -> (u32, usize) {
+        let (addr, len) = match self {
+            Span::Inside { page, off, len } => (page * PAGE + off, len.min(PAGE - off)),
+            Span::EndsOnBoundary { page, len } => ((page + 1) * PAGE - len, len),
+            Span::Straddles {
+                page,
+                before,
+                after,
+            } => ((page + 1) * PAGE - before, before + after),
+            Span::Many {
+                page,
+                off,
+                pages,
+                tail,
+            } => (page * PAGE + off, PAGE - off + pages * PAGE + tail),
+            Span::Empty { back } => (size.saturating_sub(back), 0),
+            Span::LastBytes { len } => (size.saturating_sub(len), len.min(size)),
+            Span::PastEnd { back, len } => (size.saturating_sub(back), len),
+            Span::Overflows {
+                addr_back,
+                len_back,
+            } => ((u32::MAX - addr_back) as usize, usize::MAX - len_back),
+            Span::Whole => (0, size),
+        };
+        (addr as u32, len)
+    }
+}
+
+fn span() -> impl Strategy<Value = Span> {
+    let page = || 0usize..6;
+    prop_oneof![
+        (page(), 0..PAGE, 1usize..300).prop_map(|(page, off, len)| Span::Inside { page, off, len }),
+        (page(), 1usize..300).prop_map(|(page, len)| Span::EndsOnBoundary { page, len }),
+        (page(), 1usize..200, 1usize..200).prop_map(|(page, before, after)| Span::Straddles {
+            page,
+            before,
+            after
+        }),
+        (page(), 0..PAGE, 0usize..4, 0..PAGE).prop_map(|(page, off, pages, tail)| Span::Many {
+            page,
+            off,
+            pages,
+            tail
+        }),
+        (0usize..3).prop_map(|back| Span::Empty { back }),
+        (1usize..40).prop_map(|len| Span::LastBytes { len }),
+        (0usize..3, 1usize..6).prop_map(|(back, len)| Span::PastEnd { back, len }),
+        (0u32..3, 0usize..3).prop_map(|(addr_back, len_back)| Span::Overflows {
+            addr_back,
+            len_back
+        }),
+        Just(Span::Whole),
+    ]
+}
+
+/// Zero as often as not: an absent page is all zeros, so zero is the
+/// value a page table can get wrong.
+fn value() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0u8), 0u8..=255]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Bytes `first, first + 1, …` written over the span.
+    Write(Span, u8),
+    Fill(Span, u8),
+    Read(Span),
+    IsFilled(Span, u8),
+    Check(Span),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (span(), 0u8..=255).prop_map(|(s, first)| Op::Write(s, first)),
+        (span(), value()).prop_map(|(s, v)| Op::Fill(s, v)),
+        span().prop_map(Op::Read),
+        (span(), value()).prop_map(|(s, v)| Op::IsFilled(s, v)),
+        span().prop_map(Op::Check),
+    ]
+}
+
+/// Whole pages, a byte either side of whole pages, smaller than a page,
+/// and nothing at all.
+fn size() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(0usize),
+        1usize..PAGE,
+        Just(PAGE),
+        Just(PAGE + 1),
+        Just(3 * PAGE - 1),
+        Just(4 * PAGE),
+        PAGE..7 * PAGE,
+    ]
+}
+
+/// The flat reference: one bounds check, then the slice.
+struct Flat(Vec<u8>);
+
+impl Flat {
+    fn range(&self, addr: u32, len: usize) -> Result<std::ops::Range<usize>, KernelError> {
+        let start = addr as usize;
+        let end = start.checked_add(len).ok_or(KernelError::BadAddress)?;
+        if end > self.0.len() {
+            return Err(KernelError::BadAddress);
+        }
+        Ok(start..end)
+    }
+}
+
+/// The space under test beside its reference.
+struct Pair {
+    space: AddressSpace,
+    flat: Flat,
+}
+
+impl Pair {
+    fn new(size: usize) -> Pair {
+        Pair {
+            space: AddressSpace::new(size),
+            flat: Flat(vec![0; size]),
+        }
+    }
+
+    fn apply(&mut self, op: Op) {
+        let size = self.flat.0.len();
+        assert_eq!(self.space.size(), size);
+        match op {
+            Op::Write(span, first) => {
+                let (addr, len) = span.place(size);
+                // An overflowing length cannot be backed by real data:
+                // the longest slice that still runs off the end will do.
+                let data: Vec<u8> = (0..len.min(size + 8))
+                    .map(|i| first.wrapping_add(i as u8))
+                    .collect();
+                let want = self.flat.range(addr, data.len()).map(|r| {
+                    self.flat.0[r].copy_from_slice(&data);
+                });
+                assert_eq!(self.space.write(addr, &data), want, "{op:?}");
+            }
+            Op::Fill(span, value) => {
+                let (addr, len) = span.place(size);
+                let want = self
+                    .flat
+                    .range(addr, len)
+                    .map(|r| self.flat.0[r].fill(value));
+                assert_eq!(self.space.fill(addr, len, value), want, "{op:?}");
+            }
+            Op::Read(span) => {
+                let (addr, len) = span.place(size);
+                let want = self.flat.range(addr, len).map(|r| self.flat.0[r].to_vec());
+                assert_eq!(self.space.read(addr, len), want, "{op:?}");
+            }
+            Op::IsFilled(span, value) => {
+                let (addr, len) = span.place(size);
+                let want = self
+                    .flat
+                    .range(addr, len)
+                    .map(|r| self.flat.0[r].iter().all(|&b| b == value));
+                assert_eq!(self.space.is_filled(addr, len, value), want, "{op:?}");
+            }
+            Op::Check(span) => {
+                let (addr, len) = span.place(size);
+                let want = self.flat.range(addr, len).map(|_| ());
+                assert_eq!(self.space.check(addr, len), want, "{op:?}");
+            }
+        }
+    }
+
+    /// Every byte agrees, read back whole and a page at a time.
+    fn check_all(&self) {
+        let size = self.flat.0.len();
+        assert_eq!(self.space.read(0, size).as_deref(), Ok(&self.flat.0[..]));
+        for (i, page) in self.flat.0.chunks(PAGE).enumerate() {
+            let addr = (i * PAGE) as u32;
+            assert_eq!(self.space.read(addr, page.len()).as_deref(), Ok(page));
+        }
+    }
+}
+
+proptest! {
+    /// Any sequence of operations leaves the same bytes and returns the
+    /// same results as the flat array.
+    #[test]
+    fn any_sequence_matches_the_flat_array(
+        size in size(),
+        ops in prop::collection::vec(op(), 1..24),
+    ) {
+        let mut pair = Pair::new(size);
+        for &op in &ops {
+            pair.apply(op);
+        }
+        pair.check_all();
+    }
+
+    /// A clone is a copy: writes to either side do not show in the other.
+    #[test]
+    fn a_clone_shares_nothing(
+        before in prop::collection::vec(op(), 1..8),
+        after in prop::collection::vec(op(), 1..8),
+    ) {
+        let mut original = Pair::new(5 * PAGE + 17);
+        for &op in &before {
+            original.apply(op);
+        }
+        let mut copy = Pair {
+            space: original.space.clone(),
+            flat: Flat(original.flat.0.clone()),
+        };
+        for &op in &after {
+            copy.apply(op);
+        }
+        original.check_all();
+        copy.check_all();
+    }
+}
+
+#[test]
+fn zeros_and_never_written_pages_are_the_same_thing() {
+    let mut pair = Pair::new(3 * PAGE + 100);
+    let whole = Span::Whole;
+    // Nothing written: zeros everywhere, and only zeros.
+    pair.apply(Op::IsFilled(whole, 0));
+    pair.apply(Op::IsFilled(whole, 1));
+    pair.apply(Op::Fill(whole, 0));
+    pair.apply(Op::IsFilled(whole, 0));
+    // One byte in the last, partial page.
+    let last = Span::LastBytes { len: 1 };
+    pair.apply(Op::Write(last, 7));
+    pair.apply(Op::IsFilled(whole, 0));
+    pair.apply(Op::IsFilled(last, 7));
+    pair.apply(Op::Read(whole));
+    // Zeroed again by a fill that finds the page resident.
+    pair.apply(Op::Fill(last, 0));
+    pair.apply(Op::IsFilled(whole, 0));
+    pair.check_all();
+}
+
+#[test]
+fn the_edges_of_the_space_are_where_they_were() {
+    let mut pair = Pair::new(2 * PAGE + 5);
+    for span in [
+        Span::LastBytes { len: 1 },
+        Span::Empty { back: 0 },
+        Span::PastEnd { back: 0, len: 1 },
+        Span::PastEnd { back: 1, len: 2 },
+        Span::PastEnd { back: 2, len: 2 },
+        Span::Overflows {
+            addr_back: 0,
+            len_back: 0,
+        },
+        Span::Overflows {
+            addr_back: 1,
+            len_back: 2,
+        },
+    ] {
+        for op in [
+            Op::Write(span, 0xA0),
+            Op::Fill(span, 0x5C),
+            Op::Read(span),
+            Op::IsFilled(span, 0x5C),
+            Op::Check(span),
+        ] {
+            pair.apply(op);
+        }
+    }
+    pair.check_all();
+    // An empty space has no byte to address, and an empty range at 0.
+    let mut none = Pair::new(0);
+    none.apply(Op::Check(Span::Empty { back: 0 }));
+    none.apply(Op::Read(Span::Whole));
+    none.apply(Op::Write(Span::PastEnd { back: 0, len: 1 }, 1));
+    none.check_all();
+}

@@ -1,11 +1,12 @@
-//! Heap allocations on the packet path, as exact counts.
+//! Heap allocations on the packet path and at spawn, as exact counts.
 //!
 //! An encoded packet is one shared buffer from `v_wire::encode` to the
 //! last receiver (see "Hot-path engineering" in `docs/ARCHITECTURE.md`),
 //! so a remote exchange allocates once per packet and a broadcast
-//! fan-out twice per run, not once per cache and per receiver. Wall-clock
-//! and resident memory are too noisy to gate on in CI; these counts
-//! repeat exactly.
+//! fan-out twice per run, not once per cache and per receiver; and an
+//! address space is a page table until its process writes, so a spawn
+//! asks for bytes, not for 256 KB. Wall-clock and resident memory are
+//! too noisy to gate on in CI; these counts repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,17 +18,21 @@ thread_local! {
     /// Allocations made by this thread (the test harness runs tests on
     /// parallel threads, so a process-wide count would mix them).
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked the allocator for (a `realloc` counts
+    /// its growth).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the only addition is a thread-local
-// counter with a `const` initialiser and no destructor, which neither
-// allocates nor unwinds.
+// pair of counters with `const` initialisers and no destructor, which
+// neither allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -39,6 +44,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size.saturating_sub(layout.size()) as u64));
         // SAFETY: `ptr` came from `System`; the caller upholds the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -47,10 +53,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-fn allocations_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
+/// What `f` added to one of this thread's counters.
+fn counted_during<T>(
+    counter: &'static std::thread::LocalKey<Cell<u64>>,
+    f: impl FnOnce() -> T,
+) -> (u64, T) {
+    let before = counter.with(Cell::get);
     let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
+    (counter.with(Cell::get) - before, out)
 }
 
 struct Echo;
@@ -98,7 +108,7 @@ fn exchange_run_allocations(exchanges: u32) -> u64 {
             left: exchanges,
         }),
     );
-    let (n, ()) = allocations_during(|| cl.run());
+    let (n, ()) = counted_during(&ALLOCS, || cl.run());
     assert_eq!(cl.kernel_stats(HostId(1)).sends_remote, exchanges as u64);
     n
 }
@@ -121,17 +131,54 @@ fn remote_exchange_allocates_at_most_three_times() {
 
 #[test]
 fn boot_storm_allocates_about_a_quarter_per_event() {
-    let (n, report) = allocations_during(|| run_boot_storm(&BootStormConfig::new(256)));
+    let (n, report) = counted_during(&ALLOCS, || run_boot_storm(&BootStormConfig::new(256)));
     assert_eq!(report.loaded, 256);
     let per_event = n as f64 / report.events_dispatched as f64;
     println!(
         "{n} allocations over {} dispatched events: {per_event} per event",
         report.events_dispatched
     );
-    // The whole call, set-up included: 37,246 allocations over 139,534
-    // events (0.267), none of them per receiver — what is left is one
+    // The whole call, set-up included: 37,907 allocations over 139,534
+    // events (0.272), none of them per receiver — what is left is one
     // buffer per packet, a receiver list and its header per fan-out run,
-    // and the typed bodies' own segment bytes. It was 166,957 (1.197)
-    // when each broadcast receiver got its own copy of the frame.
-    assert!(per_event <= 0.27, "{per_event} allocations per event");
+    // the typed bodies' own segment bytes, and the pages the processes
+    // write: first-touch pages are allocations, which is the 661 by
+    // which this moved from 37,246 (0.267) when a space became a page
+    // table — the two or three pages each of the 256 workstations loads
+    // its 8 KB image into. It was 166,957 (1.197) when each broadcast
+    // receiver got its own copy of the frame.
+    assert!(per_event <= 0.272, "{per_event} allocations per event");
+}
+
+#[test]
+fn a_spawn_requests_under_a_kilobyte_however_warm_the_heap() {
+    // On a few hosts, so that the growth of each host's process table is
+    // amortised and what is counted is what a process costs.
+    const PROCESSES: usize = 1_000;
+    const HOSTS: usize = 4;
+    let spawn_round = || {
+        let cfg = ClusterConfig::three_mb().with_hosts(HOSTS, CpuSpeed::Mc68000At10MHz);
+        let mut cl = Cluster::new(cfg);
+        let (bytes, ()) = counted_during(&BYTES, || {
+            for i in 0..PROCESSES {
+                cl.spawn(HostId(i % HOSTS), "echo", Box::new(Echo));
+            }
+        });
+        bytes
+    };
+    let first = spawn_round();
+    println!(
+        "{first} bytes requested spawning {PROCESSES} default-size processes: {} each",
+        first / PROCESSES as u64
+    );
+    // A 256 KB space is a 64-entry page table (512 bytes) beside the
+    // process's other tables; it was 262,144 zeroed bytes, which the
+    // allocator hands over untouched only until the first cluster is
+    // dropped.
+    assert!(first < 1024 * PROCESSES as u64, "{first} bytes");
+    let second = spawn_round();
+    assert!(
+        second <= first,
+        "{second} bytes after a drop, {first} fresh"
+    );
 }

@@ -197,6 +197,15 @@ struct Gateway {
 
 /// Ethernet segments joined by a routed mesh of store-and-forward
 /// gateways.
+///
+/// Every segment transmit writes its deliveries where they will be
+/// read from — the caller's buffer for the origin segment, `pending`
+/// for a gateway's egress — and the mesh then takes back only the
+/// copies its gateways heard. That relies on an invariant of
+/// [`Ethernet`]: a segment delivers in station address order, hosts may
+/// not attach in the reserved range [`GATEWAY_MAC_FIRST`]`..=`
+/// [`GATEWAY_MAC_LAST`], and that range sorts above every host, so the
+/// gateway copies of one transmit are the tail of what it appended.
 #[derive(Debug)]
 pub struct Internetwork {
     cfg: MeshConfig,
@@ -215,14 +224,10 @@ pub struct Internetwork {
     next_hop: Vec<Vec<Option<(u16, u16)>>>,
     /// Segment-to-segment distance in gateway hops.
     dist: Vec<Vec<u16>>,
-    /// Deliveries produced by forwarding, awaiting a poll.
+    /// Deliveries produced by forwarding, awaiting a poll. Gateway
+    /// egress transmissions land here directly: the host copies stay,
+    /// the copies the next gateways hear are peeled off the tail.
     pending: Vec<Delivery>,
-    /// Scratch for the origin-segment transmit on paths that must route
-    /// its deliveries afterwards (reused across transmissions).
-    tx_scratch: Vec<Delivery>,
-    /// Scratch for gateway egress transmissions inside
-    /// [`Internetwork::forward_unicast`] / [`Internetwork::flood`].
-    fwd_scratch: Vec<Delivery>,
     /// Scratch for one broadcast's flood: the segments already covered
     /// and the `(gateway, segment, arrival)` copies still to forward.
     flood_visited: Vec<bool>,
@@ -305,8 +310,6 @@ impl Internetwork {
             next_hop,
             dist,
             pending: Vec::new(),
-            tx_scratch: Vec::new(),
-            fwd_scratch: Vec::new(),
             flood_visited: Vec::new(),
             flood_ingress: VecDeque::new(),
         }
@@ -370,14 +373,50 @@ impl Internetwork {
         self.next_hop = next_hop;
     }
 
-    /// The gateway index a station address in the reserved range maps
-    /// to, when that gateway exists in this mesh.
-    fn gateway_index(&self, mac: MacAddr) -> Option<usize> {
-        if !is_gateway_mac(mac) {
-            return None;
+    /// Takes the copies of one broadcast that gateways heard on segment
+    /// `seg` out of `deliveries[from..]` — everything one
+    /// [`Ethernet::transmit_into`] appended — and queues them as flood
+    /// ingress, leaving the host copies where they are.
+    ///
+    /// A segment delivers in station-address order and the reserved
+    /// gateway range sorts above every host address, so the gateway
+    /// copies are the tail: they are peeled off it, and the host copies
+    /// in front are never looked at (let alone moved).
+    fn hear_at_gateways(
+        gateways: &mut [Gateway],
+        ingress: &mut VecDeque<(usize, usize, SimTime)>,
+        deliveries: &mut Vec<Delivery>,
+        from: usize,
+        seg: usize,
+        emitter: Option<usize>,
+    ) {
+        let heard = deliveries[from..]
+            .iter()
+            .rev()
+            .take_while(|d| is_gateway_mac(d.dst))
+            .count();
+        let hosts_end = deliveries.len() - heard;
+        debug_assert!(
+            deliveries[from..hosts_end]
+                .iter()
+                .all(|d| !is_gateway_mac(d.dst)),
+            "a segment delivers in address order, gateways last"
+        );
+        for d in deliveries.drain(hosts_end..) {
+            let g = (d.dst.0 - GATEWAY_MAC_FIRST.0) as usize;
+            let gw = &mut gateways[g];
+            // The emitting gateway's own copy on its egress segment must
+            // not re-enter the flood, and a dead gateway hears nothing:
+            // with it gone the flood covers only what is still reachable.
+            if emitter == Some(g) || !gw.alive {
+                continue;
+            }
+            if d.corrupted {
+                gw.stats.corrupt_drops += 1;
+            } else {
+                ingress.push_back((g, seg, d.at));
+            }
         }
-        let idx = (mac.0 - GATEWAY_MAC_FIRST.0) as usize;
-        (idx < self.gateways.len()).then_some(idx)
     }
 
     /// Admits one ingress frame into gateway `g`'s bounded queue.
@@ -401,7 +440,6 @@ impl Internetwork {
     /// `dest_seg`, hop by hop along the routing tables, queuing final
     /// deliveries into `pending`.
     fn forward_unicast(&mut self, mut at: SimTime, frame: &Frame, mut seg: usize, dest_seg: usize) {
-        let mut buf = std::mem::take(&mut self.fwd_scratch);
         // An unreachable destination falls straight through: nothing
         // hears it.
         while let Some((g, e)) = self.next_hop[seg][dest_seg] {
@@ -421,8 +459,8 @@ impl Internetwork {
             } else {
                 start + self.cfg.forward_delay
             };
-            buf.clear();
-            let win = self.segments[egress].transmit_into(cursor, frame.clone(), &mut buf);
+            let copies = self.pending.len();
+            let win = self.segments[egress].transmit_into(cursor, frame.clone(), &mut self.pending);
             self.gateways[g].free = win.tx_end;
             self.gateways[g].last_egress = Some(egress);
             self.gateways[g].stats.forwarded += 1;
@@ -430,8 +468,7 @@ impl Internetwork {
             if egress == dest_seg {
                 // Final segment: the copies (possibly corrupted — the
                 // receiver's checksum is what rejects those) are host
-                // deliveries.
-                self.pending.append(&mut buf);
+                // deliveries, already where a poll finds them.
                 break;
             }
             // Intermediate segment: each copy is the next designated
@@ -441,7 +478,7 @@ impl Internetwork {
             // unicast has one receiver, so at most two copies exist.
             let mut continuations: [SimTime; 2] = [SimTime::ZERO; 2];
             let mut n_cont = 0usize;
-            for d in buf.drain(..) {
+            for d in self.pending.drain(copies..) {
                 if d.corrupted {
                     if let Some((ng, _)) = self.next_hop[egress][dest_seg] {
                         self.gateways[ng as usize].stats.corrupt_drops += 1;
@@ -458,7 +495,6 @@ impl Internetwork {
                     seg = egress;
                 }
                 _ => {
-                    self.fwd_scratch = buf;
                     for &a in &continuations[..n_cont] {
                         self.forward_unicast(a, frame, egress, dest_seg);
                     }
@@ -466,8 +502,6 @@ impl Internetwork {
                 }
             }
         }
-        buf.clear();
-        self.fwd_scratch = buf;
     }
 
     /// Floods a broadcast through the mesh. `flood_visited` marks
@@ -478,7 +512,6 @@ impl Internetwork {
     /// is transmitted on at most once, so every host sees the frame
     /// exactly once.
     fn flood(&mut self, frame: &Frame) {
-        let mut buf = std::mem::take(&mut self.fwd_scratch);
         let mut visited = std::mem::take(&mut self.flood_visited);
         let mut ingress = std::mem::take(&mut self.flood_ingress);
         while let Some((g, seg, at)) = ingress.pop_front() {
@@ -499,31 +532,22 @@ impl Internetwork {
                     continue;
                 }
                 visited[e] = true;
-                buf.clear();
-                let win = self.segments[e].transmit_into(cursor, frame.clone(), &mut buf);
+                let copies = self.pending.len();
+                let win = self.segments[e].transmit_into(cursor, frame.clone(), &mut self.pending);
                 cursor = win.tx_end;
                 self.gateways[g].free = win.tx_end;
                 self.gateways[g].last_egress = Some(e);
                 self.gateways[g].stats.forwarded += 1;
-                for d in buf.drain(..) {
-                    match self.gateway_index(d.dst) {
-                        // The emitting gateway's own copy on the egress
-                        // segment must not re-enter the flood; a dead
-                        // gateway's copy dies at its silent interface.
-                        Some(g2) if g2 == g || !self.gateways[g2].alive => {}
-                        Some(g2) => {
-                            if d.corrupted {
-                                self.gateways[g2].stats.corrupt_drops += 1;
-                            } else {
-                                ingress.push_back((g2, e, d.at));
-                            }
-                        }
-                        None => self.pending.push(d),
-                    }
-                }
+                Self::hear_at_gateways(
+                    &mut self.gateways,
+                    &mut ingress,
+                    &mut self.pending,
+                    copies,
+                    e,
+                    Some(g),
+                );
             }
         }
-        self.fwd_scratch = buf;
         self.flood_visited = visited;
         self.flood_ingress = ingress;
     }
@@ -623,10 +647,10 @@ impl Transport for Internetwork {
         }
 
         // Forwarding paths need the frame after the origin-segment
-        // transmit, so that transmit lands in a reused scratch buffer.
-        let mut buf = std::mem::take(&mut self.tx_scratch);
-        buf.clear();
-        let win = self.segments[from_seg].transmit_into(ready, frame.clone(), &mut buf);
+        // transmit, which lands in `out` like any other: what a gateway
+        // heard is taken back off its tail.
+        let copies = out.len();
+        let win = self.segments[from_seg].transmit_into(ready, frame.clone(), out);
 
         if frame.dst.is_broadcast() {
             // Host copies on the origin segment deliver directly; copies
@@ -635,21 +659,14 @@ impl Transport for Internetwork {
             self.flood_visited.resize(self.segments.len(), false);
             self.flood_visited[from_seg] = true;
             self.flood_ingress.clear();
-            for d in buf.drain(..) {
-                match self.gateway_index(d.dst) {
-                    // Dead gateways hear nothing: with them gone the
-                    // flood degrades to covering only reachable segments.
-                    Some(g) if !self.gateways[g].alive => {}
-                    Some(g) => {
-                        if d.corrupted {
-                            self.gateways[g].stats.corrupt_drops += 1;
-                        } else {
-                            self.flood_ingress.push_back((g, from_seg, d.at));
-                        }
-                    }
-                    None => out.push(d),
-                }
-            }
+            Self::hear_at_gateways(
+                &mut self.gateways,
+                &mut self.flood_ingress,
+                out,
+                copies,
+                from_seg,
+                None,
+            );
             self.flood(&frame);
         } else {
             // Off-segment (or unattached) destination: the designated
@@ -657,7 +674,7 @@ impl Transport for Internetwork {
             // An unknown destination has no segment: no station hears
             // the copies, so they are simply discarded.
             let dest = self.segment_of(frame.dst);
-            for d in buf.drain(..) {
+            for d in out.drain(copies..) {
                 let Some(dest_seg) = dest else { continue };
                 if d.corrupted {
                     if let Some((g, _)) = self.next_hop[from_seg][dest_seg] {
@@ -668,12 +685,18 @@ impl Transport for Internetwork {
                 }
             }
         }
-        self.tx_scratch = buf;
         win
     }
 
     fn poll_deliveries(&mut self, out: &mut Vec<Delivery>) {
-        out.append(&mut self.pending);
+        // The kernel polls into the buffer it has just scheduled from,
+        // which is empty: the two trade places (and capacities) instead
+        // of a flood's worth of deliveries being copied across.
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.pending);
+        } else {
+            out.append(&mut self.pending);
+        }
     }
 
     fn stats(&self) -> MediumStats {

@@ -208,9 +208,13 @@ impl MediumStats {
 #[derive(Debug)]
 pub struct Ethernet {
     params: NetParams,
-    /// Attached stations, kept sorted (broadcast fan-out iterates in
+    /// Attached stations, kept sorted: broadcast fan-out iterates in
     /// address order, which fixes the per-receiver fault-RNG draw
-    /// sequence and hence determinism).
+    /// sequence (and hence determinism) whatever order the stations
+    /// joined in, and puts the reserved gateway range `0xFF00..` last —
+    /// an [`Internetwork`](crate::Internetwork) takes what its gateways
+    /// heard off the tail of a segment's deliveries without looking at
+    /// the rest.
     stations: Vec<MacAddr>,
     medium_free: SimTime,
     faults: FaultPlan,
@@ -284,13 +288,17 @@ impl Ethernet {
     }
 
     /// Transmits `frame`, whose copy into the sending interface completed
-    /// at `ready`, appending the resulting deliveries to `out`. A unicast
-    /// delivery reuses the transmitted frame itself; every receiver of a
-    /// broadcast gets a handle on the same payload buffer (a pointer
-    /// copy), and only a delivery that is corrupted in flight is given
-    /// bytes of its own. Nothing is allocated per transmit or per
-    /// receiver, which is what lets a 1000-station boot-storm broadcast
-    /// stay cheap.
+    /// at `ready`, appending the resulting deliveries to `out`: one per
+    /// receiver (two where fault injection duplicates), in station
+    /// address order — so on a segment of an [`Internetwork`] the copies
+    /// the gateways hear (addresses `0xFF00..`) are the tail of what one
+    /// call appends. Every delivery is a handle on the transmitted
+    /// payload buffer (a pointer copy), and only one that is corrupted
+    /// in flight is given bytes of its own. Nothing is allocated per
+    /// transmit or per receiver, which is what lets a 1000-station
+    /// boot-storm broadcast stay cheap.
+    ///
+    /// [`Internetwork`]: crate::Internetwork
     ///
     /// # Panics
     ///
@@ -334,71 +342,84 @@ impl Ethernet {
             self.stats.bug_corruptions += 1;
         }
 
+        // Whether anything can happen to a copy is settled here, once per
+        // transmit: on a quiet network the loop below is compiled without
+        // a fate to test.
         let arrival = tx_end + self.params.latency;
-        if frame.dst.is_broadcast() {
-            for i in 0..self.stations.len() {
-                let dst = self.stations[i];
-                if dst == frame.src {
-                    continue;
-                }
-                self.deliver_fate(out, arrival, dst, frame.clone(), bug_corrupt);
-            }
+        let faults = self.faults;
+        if faults.is_none() {
+            self.fan_out(out, arrival, &frame, bug_corrupt, |_| Fate::Deliver);
         } else {
-            let dst = frame.dst;
-            self.deliver_fate(out, arrival, dst, frame, bug_corrupt);
+            self.fan_out(out, arrival, &frame, bug_corrupt, |rng| faults.draw(rng));
         }
 
         TxWindow { tx_start, tx_end }
     }
 
-    /// Draws one receiver's fate and appends the resulting deliveries
-    /// (zero, one or two) to `out`, consuming the frame.
-    fn deliver_fate(
+    /// Writes the delivery of `frame` to each of its receivers — every
+    /// other station for a broadcast, the addressed one otherwise —
+    /// straight into `out`, where it is scheduled from. The fault RNG is
+    /// consulted per receiver in station order: `fate`, then
+    /// [`scramble`] per corrupted copy.
+    #[inline]
+    fn fan_out(
         &mut self,
         out: &mut Vec<Delivery>,
         arrival: SimTime,
-        dst: MacAddr,
-        frame: Frame,
+        frame: &Frame,
         bug_corrupt: bool,
+        mut fate: impl FnMut(&mut SplitMix64) -> Fate,
     ) {
-        match self.faults.draw(&mut self.rng) {
-            Fate::Drop => {
-                self.stats.dropped += 1;
+        let Ethernet {
+            stations,
+            rng,
+            stats,
+            redelivery_gap,
+            ..
+        } = self;
+        let broadcast = frame.dst.is_broadcast();
+        let receivers = if broadcast {
+            &stations[..]
+        } else {
+            std::slice::from_ref(&frame.dst)
+        };
+        let before = out.len();
+        out.reserve(receivers.len());
+        for &dst in receivers {
+            if broadcast && dst == frame.src {
+                continue;
             }
-            Fate::Deliver => {
-                out.push(self.make_delivery(arrival, dst, frame, bug_corrupt));
-            }
-            Fate::DeliverCorrupted => {
-                out.push(self.make_delivery(arrival, dst, frame, true));
-            }
-            Fate::DeliverTwice { corrupted } => {
-                self.stats.duplicated += 1;
-                let dup = frame.clone();
-                out.push(self.make_delivery(arrival, dst, frame, corrupted || bug_corrupt));
-                out.push(self.make_delivery(arrival + self.redelivery_gap, dst, dup, bug_corrupt));
+            let fate = fate(rng);
+            let mut deliver = |at: SimTime, corrupted: bool| {
+                let mut payload = frame.payload.clone();
+                if corrupted {
+                    stats.corrupted += 1;
+                    scramble(rng, &mut payload);
+                }
+                out.push(Delivery {
+                    at,
+                    dst,
+                    frame: Frame {
+                        dst,
+                        src: frame.src,
+                        ethertype: frame.ethertype,
+                        payload,
+                    },
+                    corrupted,
+                });
+            };
+            match fate {
+                Fate::Drop => stats.dropped += 1,
+                Fate::Deliver => deliver(arrival, bug_corrupt),
+                Fate::DeliverCorrupted => deliver(arrival, true),
+                Fate::DeliverTwice { corrupted } => {
+                    stats.duplicated += 1;
+                    deliver(arrival, corrupted || bug_corrupt);
+                    deliver(arrival + *redelivery_gap, bug_corrupt);
+                }
             }
         }
-    }
-
-    fn make_delivery(
-        &mut self,
-        at: SimTime,
-        dst: MacAddr,
-        mut frame: Frame,
-        corrupted: bool,
-    ) -> Delivery {
-        self.stats.deliveries += 1;
-        frame.dst = dst;
-        if corrupted {
-            self.stats.corrupted += 1;
-            scramble(&mut self.rng, &mut frame.payload);
-        }
-        Delivery {
-            at,
-            dst,
-            frame,
-            corrupted,
-        }
+        stats.deliveries += (out.len() - before) as u64;
     }
 }
 

@@ -73,11 +73,17 @@ pub trait Transport {
 
     /// Transmits `frame`, whose copy into the sending interface
     /// completed at `ready`, appending the resulting deliveries to
-    /// `out` (callers reuse the buffer across transmissions).
+    /// `out` (callers reuse the buffer across transmissions). Each
+    /// delivery is written once, in place, into `out`; the kernel
+    /// schedules its arrivals straight from there. The receivers of a
+    /// broadcast on one segment come in station address order, never in
+    /// the order the stations were attached.
     fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut Vec<Delivery>) -> TxWindow;
 
     /// Drains deliveries produced by forwarding since the last call into
-    /// `out`. Single-hop transports append nothing.
+    /// `out`, after whatever it holds. Single-hop transports append
+    /// nothing. Cheapest into an empty `out`, which a forwarding
+    /// transport may simply exchange for its own buffer.
     fn poll_deliveries(&mut self, out: &mut Vec<Delivery>);
 
     /// Aggregate medium statistics (summed across segments for

@@ -1,0 +1,342 @@
+//! Fan-out golden: what a transport hands back for a fixed script of
+//! transmissions must not move when the fan-out loop, the gateway
+//! peeling or the polling are rewritten for speed.
+//!
+//! Each scenario drives one transport — a shared [`Ethernet`] segment or
+//! a gatewayed mesh, stations attached in shuffled order — through the
+//! same seeded script of broadcasts and unicasts, most of them finding
+//! the medium busy, and folds into one digest, in order: every direct
+//! and every polled delivery (`at`, `dst`, `frame.dst`, `frame.src`,
+//! ethertype, `corrupted`, payload bytes), every [`MediumStats`] and
+//! per-gateway [`GatewayStats`] counter, and a closing probe — a
+//! broadcast on every segment under a heavy fault plan, whose fates are
+//! the next draws of each segment's fault RNG. The expected values were
+//! recorded from the commit before the fan-out was rewritten (PR 14,
+//! `9990922`); a reordered draw, a delivery out of place or a counter
+//! bumped once too often changes them.
+
+use std::rc::Rc;
+
+use v_net::{
+    CollisionBug, Delivery, EtherType, FaultPlan, Frame, MacAddr, MeshConfig, NetworkKind,
+    Topology, Transport,
+};
+use v_sim::{SimDuration, SimTime, SplitMix64};
+
+/// An address no scenario attaches: nobody hears a unicast to it.
+const NOBODY: MacAddr = MacAddr(999);
+
+#[derive(Clone, Copy)]
+enum Net {
+    Ethernet,
+    Star15,
+    Line3,
+    /// Gateway 1 crashed: segment 2 is cut off.
+    Line3DeadGateway,
+    /// Gateway 2 crashed: the ring still reaches everyone the long way.
+    Ring4DeadGateway,
+}
+
+#[derive(Clone, Copy)]
+enum Faults {
+    None,
+    /// Every fate possible.
+    Mixed,
+    /// Loss only: the corruption and duplication draws are skipped.
+    Lossy,
+    /// The §5.4 collision bug on a clean network.
+    Bug,
+}
+
+const NETS: [(&str, Net); 5] = [
+    ("ethernet", Net::Ethernet),
+    ("star15", Net::Star15),
+    ("line3", Net::Line3),
+    ("line3-dead-gw1", Net::Line3DeadGateway),
+    ("ring4-dead-gw2", Net::Ring4DeadGateway),
+];
+
+const FAULTS: [(&str, Faults); 4] = [
+    ("none", Faults::None),
+    ("mixed", Faults::Mixed),
+    ("lossy", Faults::Lossy),
+    ("bug", Faults::Bug),
+];
+
+fn build(net: Net, faults: Faults) -> (Box<dyn Transport>, Vec<MacAddr>, usize) {
+    let (topology, dead) = match net {
+        Net::Ethernet => (Topology::SingleSegment(NetworkKind::Experimental3Mb), None),
+        Net::Star15 => (Topology::Mesh(MeshConfig::star(15)), None),
+        Net::Line3 => (Topology::Mesh(MeshConfig::line(3)), None),
+        Net::Line3DeadGateway => (Topology::Mesh(MeshConfig::line(3)), Some(1)),
+        Net::Ring4DeadGateway => (Topology::Mesh(MeshConfig::ring(4)), Some(2)),
+    };
+    let segments = topology.num_segments();
+    let mut t = topology.build(0x5EED);
+
+    // Stations 1..=45, attached in shuffled order: the fan-out must come
+    // out in address order whatever order they joined in.
+    let mut stations: Vec<MacAddr> = (1..=45).map(MacAddr).collect();
+    let mut rng = SplitMix64::new(0xA77AC4);
+    for i in (1..stations.len()).rev() {
+        stations.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    for &mac in &stations {
+        t.attach(mac, mac.0 as usize % segments);
+    }
+    if let Some(g) = dead {
+        assert!(t.fail_gateway(g));
+    }
+    match faults {
+        Faults::None => {}
+        Faults::Mixed => t.set_faults(FaultPlan {
+            loss: 0.1,
+            duplicate: 0.15,
+            corrupt: 0.1,
+        }),
+        Faults::Lossy => t.set_faults(FaultPlan::with_loss(0.3)),
+        Faults::Bug => t.set_collision_bug(Some(CollisionBug { corrupt_prob: 0.5 })),
+    }
+    (t, stations, segments)
+}
+
+/// FNV-1a over 64-bit words.
+struct Digest(u64);
+
+impl Digest {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn deliveries(&mut self, tag: u64, ds: &[Delivery], sent: &Rc<[u8]>) {
+        self.word(tag);
+        self.word(ds.len() as u64);
+        for d in ds {
+            self.word(d.at.as_nanos());
+            self.word(d.dst.0 as u64);
+            self.word(d.frame.dst.0 as u64);
+            self.word(d.frame.src.0 as u64);
+            self.word(d.frame.ethertype.0 as u64);
+            self.word(d.corrupted as u64);
+            self.word(d.frame.payload.len() as u64);
+            for &b in d.frame.payload.iter() {
+                self.word(b as u64);
+            }
+            // A clean copy is the transmitted buffer itself, a corrupted
+            // one never is (the sender still holds it).
+            assert_eq!(
+                Rc::ptr_eq(&d.frame.payload, sent),
+                !d.corrupted,
+                "delivery to {} shares the sender's payload iff clean",
+                d.dst
+            );
+            if !d.corrupted {
+                assert_eq!(d.frame.payload[..], sent[..]);
+            }
+        }
+    }
+}
+
+/// What one scenario produced.
+#[derive(Debug, PartialEq, Eq)]
+struct Outcome {
+    direct: usize,
+    polled: usize,
+    /// `deliveries, dropped, corrupted, duplicated, deferrals,
+    /// bug_corruptions` of the summed medium stats.
+    medium: [u64; 6],
+    /// `forwarded, queue_drops, corrupt_drops` summed over gateways.
+    gateways: [u64; 3],
+    digest: u64,
+}
+
+fn run(net: Net, faults: Faults) -> Outcome {
+    let (mut t, stations, segments) = build(net, faults);
+    let mut script = SplitMix64::new(0xC0FFEE);
+    let mut digest = Digest(0xCBF2_9CE4_8422_2325);
+    let (mut direct, mut polled) = (0, 0);
+    let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
+    let mut fwd = Vec::new();
+
+    let pick = |rng: &mut SplitMix64| stations[rng.below(stations.len() as u64) as usize];
+    for step in 0..40u64 {
+        let src = pick(&mut script);
+        let dst = match script.below(8) {
+            0..=3 => MacAddr::BROADCAST,
+            4 => NOBODY,
+            _ => pick(&mut script),
+        };
+        let len = 1 + script.below(200) as usize;
+        let sent: Rc<[u8]> = (0..len).map(|i| (i as u64 * 31 + step) as u8).collect();
+        // Mostly sooner than the previous frame's wire time: deferrals,
+        // and gateways with a backlog.
+        now = SimTime::from_nanos(now.as_nanos() + script.below(300_000));
+
+        out.clear();
+        let frame = Frame::new(dst, src, EtherType::INTERKERNEL, sent.clone());
+        let win = t.transmit(now, frame, &mut out);
+        digest.word(win.tx_start.as_nanos());
+        digest.word(win.tx_end.as_nanos());
+        digest.deliveries(0, &out, &sent);
+        direct += out.len();
+
+        // Polled into an empty buffer on even steps and behind the direct
+        // deliveries on odd ones: the same deliveries either way.
+        let n_direct = out.len();
+        let forwarded = if step % 2 == 0 {
+            fwd.clear();
+            t.poll_deliveries(&mut fwd);
+            &fwd[..]
+        } else {
+            t.poll_deliveries(&mut out);
+            &out[n_direct..]
+        };
+        digest.deliveries(1, forwarded, &sent);
+        polled += forwarded.len();
+    }
+
+    // The next draws of every segment's RNG: one heavily faulted
+    // broadcast per segment, long after the script's traffic has drained.
+    t.set_faults(FaultPlan {
+        loss: 0.3,
+        duplicate: 0.3,
+        corrupt: 0.3,
+    });
+    let mut probe_at = now + SimDuration::from_millis(500);
+    for seg in 0..segments {
+        let src = *stations
+            .iter()
+            .find(|m| m.0 as usize % segments == seg)
+            .expect("every segment has a station");
+        let sent: Rc<[u8]> = Rc::from([seg as u8; 48]);
+        out.clear();
+        let frame = Frame::new(MacAddr::BROADCAST, src, EtherType::RAW_BENCH, sent.clone());
+        t.transmit(probe_at, frame, &mut out);
+        t.poll_deliveries(&mut out);
+        digest.deliveries(2, &out, &sent);
+        probe_at += SimDuration::from_millis(500);
+    }
+
+    let m = t.stats();
+    for w in [
+        m.frames_sent,
+        m.bytes_sent,
+        m.deliveries,
+        m.dropped,
+        m.corrupted,
+        m.duplicated,
+        m.reordered,
+        m.deferrals,
+        m.bug_corruptions,
+        m.busy.as_nanos(),
+    ] {
+        digest.word(w);
+    }
+    for g in t.per_gateway_stats() {
+        for w in [
+            g.forwarded,
+            g.queue_drops,
+            g.corrupt_drops,
+            g.max_queue as u64,
+            g.coalesced,
+        ] {
+            digest.word(w);
+        }
+    }
+    let g = t.gateway_stats().unwrap_or_default();
+    Outcome {
+        direct,
+        polled,
+        medium: [
+            m.deliveries,
+            m.dropped,
+            m.corrupted,
+            m.duplicated,
+            m.deferrals,
+            m.bug_corruptions,
+        ],
+        gateways: [g.forwarded, g.queue_drops, g.corrupt_drops],
+        digest: digest.0,
+    }
+}
+
+const fn golden(
+    direct: usize,
+    polled: usize,
+    medium: [u64; 6],
+    gateways: [u64; 3],
+    digest: u64,
+) -> Outcome {
+    Outcome {
+        direct,
+        polled,
+        medium,
+        gateways,
+        digest,
+    }
+}
+
+/// Recorded from the parent commit, `NETS` × `FAULTS` in order.
+#[rustfmt::skip]
+const GOLDEN: [Outcome; 20] = [
+    golden(642, 0, [682, 16, 8, 12, 37, 0], [0, 0, 0], 0x6CA83467D26A9E08),
+    golden(654, 0, [685, 91, 61, 90, 37, 0], [0, 0, 0], 0x6549EEF2B30282A7),
+    golden(429, 0, [471, 226, 11, 11, 37, 0], [0, 0, 0], 0x1AC4B23017686E1C),
+    golden(642, 0, [682, 13, 331, 9, 37, 23], [0, 0, 0], 0xBDDCC5E1863C640D),
+    golden(29, 602, [1236, 145, 81, 78, 39, 0], [308, 0, 6], 0x1CE4EE538000C5BC),
+    golden(29, 434, [1152, 233, 181, 197, 39, 0], [277, 0, 5], 0x5297DB002D6BB011),
+    golden(23, 261, [984, 384, 128, 126, 38, 0], [289, 0, 3], 0x72CE99B222E2E9A2),
+    golden(29, 429, [1151, 199, 142, 108, 39, 17], [289, 0, 10], 0x1E309A882E3235F4),
+    golden(200, 431, [808, 23, 17, 24, 39, 0], [45, 0, 1], 0xEFCE0903C875A1E1),
+    golden(194, 355, [711, 90, 92, 89, 39, 0], [42, 0, 5], 0xE8C01311DF5A76DE),
+    golden(144, 224, [554, 200, 33, 32, 42, 0], [36, 0, 1], 0x9B40A02949C8A1A7),
+    golden(200, 339, [689, 21, 78, 20, 39, 12], [35, 0, 6], 0xDC5012FFEAAF7FC5),
+    golden(200, 107, [422, 13, 9, 16, 32, 0], [10, 0, 1], 0x2543191E7AC2A85B),
+    golden(203, 81, [374, 42, 36, 46, 30, 0], [7, 0, 2], 0x088014F86FAC8DAF),
+    golden(145, 74, [289, 105, 7, 8, 32, 0], [7, 0, 0], 0x941EB66C7D83B3BB),
+    golden(200, 91, [388, 8, 77, 10, 31, 10], [7, 0, 3], 0x35ADBD634D145D85),
+    golden(147, 484, [880, 23, 19, 23, 41, 0], [71, 0, 0], 0xC28C87EE4D2438D8),
+    golden(139, 408, [789, 95, 83, 104, 43, 0], [66, 0, 6], 0x0196B3D2F40351DF),
+    golden(106, 198, [486, 182, 27, 24, 41, 0], [41, 0, 2], 0x4A03123A2E8CD242),
+    golden(147, 309, [620, 20, 84, 11, 38, 17], [39, 0, 17], 0x768123E2247589A2),
+];
+
+#[test]
+fn deliveries_stats_and_rng_draws_match_the_recorded_parent() {
+    let mut mismatches = Vec::new();
+    let mut k = 0;
+    for (net_name, net) in NETS {
+        for (fault_name, faults) in FAULTS {
+            let got = run(net, faults);
+            let want = &GOLDEN[k];
+            if got != *want {
+                mismatches.push(format!(
+                    "{net_name}/{fault_name}:\n  got  {got:?}\n  want {want:?}"
+                ));
+            }
+            k += 1;
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn the_script_exercises_every_path() {
+    // The golden is only worth its digest if the script reaches the
+    // paths it is meant to pin.
+    let eth = run(Net::Ethernet, Faults::Mixed);
+    assert!(eth.direct > 500 && eth.polled == 0, "{eth:?}");
+    assert!(eth.medium[1] > 0 && eth.medium[2] > 0 && eth.medium[3] > 0);
+    assert!(eth.medium[4] > 0, "the script must defer: {eth:?}");
+    let bug = run(Net::Ethernet, Faults::Bug);
+    assert!(bug.medium[5] > 0, "the bug must fire: {bug:?}");
+    let star = run(Net::Star15, Faults::Mixed);
+    assert!(star.polled > star.direct, "floods dominate: {star:?}");
+    assert!(star.gateways[0] > 0 && star.gateways[2] > 0, "{star:?}");
+    let cut = run(Net::Line3DeadGateway, Faults::None);
+    let whole = run(Net::Line3, Faults::None);
+    assert!(cut.polled < whole.polled, "{cut:?} vs {whole:?}");
+}
