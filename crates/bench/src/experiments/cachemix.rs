@@ -105,9 +105,7 @@ fn run_read_mix(
         Some(spawn_caching_client(
             &mut cl,
             HostId(0),
-            team.server,
-            script,
-            rep.clone(),
+            FsClient::new(team.server, script, rep.clone()),
             client,
         ))
     };
@@ -172,9 +170,7 @@ fn run_shared(scheme: CacheMode, reads: u64, writes: u64) -> SharedOutcome {
     let reader = spawn_caching_client(
         &mut cl,
         HostId(0),
-        team.server,
-        read_script,
-        rrep.clone(),
+        FsClient::new(team.server, read_script, rrep.clone()),
         &cache_cfg,
     );
 
@@ -256,9 +252,7 @@ fn run_invalidation_storm(scheme: CacheMode, readers: usize) -> (f64, FileServer
             spawn_caching_client(
                 &mut cl,
                 HostId(h),
-                team.server,
-                script.clone(),
-                rep.clone(),
+                FsClient::new(team.server, script.clone(), rep.clone()),
                 &cache_cfg,
             ),
             rep,

@@ -28,10 +28,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::FsCall;
-use v_fs::replica::{spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::client::{FsCall, FsClient, FsClientReport, OpSeries};
+use v_fs::replica::spawn_replica_group;
 use v_fs::{BlockStore, DiskModel, FileServerConfig, BLOCK_SIZE};
-use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, Pid};
+use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::{SimDuration, SimTime};
 
 use crate::report::Comparison;
@@ -41,9 +41,19 @@ use super::N_PAGES;
 const REPLICAS: usize = 3;
 const FILL: u8 = 0x7E;
 
+/// What one arm's client produced: its report and the per-operation
+/// `(completed_at_ms, latency_ms)` series.
+struct Arm {
+    report: FsClientReport,
+    op_ms: Vec<(f64, f64)>,
+}
+
+/// Shared slots the client writes an [`Arm`] into.
+type ArmSlots = (Rc<RefCell<FsClientReport>>, OpSeries);
+
 /// Builds the 3-replica + 1-client cluster and spawns the group,
-/// returning the cluster, replica pids and the client's report slot.
-fn replicated_setup(reads: u64) -> (Cluster, Rc<RefCell<ReplicaReport>>) {
+/// returning the cluster and the client's report and op-series slots.
+fn replicated_setup(reads: u64) -> (Cluster, ArmSlots) {
     let cfg = ClusterConfig::three_mb().with_hosts(REPLICAS + 1, CpuSpeed::Mc68000At10MHz);
     let mut cl = Cluster::new(cfg);
     let mut store = BlockStore::new();
@@ -55,7 +65,8 @@ fn replicated_setup(reads: u64) -> (Cluster, Rc<RefCell<ReplicaReport>>) {
         ..FileServerConfig::default()
     };
     let hosts: Vec<HostId> = (0..REPLICAS).map(HostId).collect();
-    let pids: Vec<Pid> = spawn_replica_group(&mut cl, &hosts, &fs_cfg, &store);
+    let group = spawn_replica_group(&mut cl, &hosts, &fs_cfg, &store);
+    let pids = group.iter().map(|t| t.server).collect();
     cl.run(); // replicas blocked in Receive
 
     let mut script = vec![FsCall::Open("vmunix".into())];
@@ -66,19 +77,21 @@ fn replicated_setup(reads: u64) -> (Cluster, Rc<RefCell<ReplicaReport>>) {
             expect: FILL,
         });
     }
-    let rep = Rc::new(RefCell::new(ReplicaReport::default()));
+    let slots: ArmSlots = Default::default();
     cl.spawn(
         HostId(REPLICAS),
         "failover-client",
-        Box::new(ReplicatedFsClient::new(pids, script, rep.clone())),
+        Box::new(
+            FsClient::replicated(pids, script, slots.0.clone()).with_op_series(slots.1.clone()),
+        ),
     );
-    (cl, rep)
+    (cl, slots)
 }
 
 /// Runs one arm; `crash_at_ms` crashes replica 0's host mid-script
 /// (`None` = control). Returns the client's report and the crash time.
-fn run_arm(reads: u64, crash_at_ms: Option<f64>) -> ReplicaReport {
-    let (mut cl, rep) = replicated_setup(reads);
+fn run_arm(reads: u64, crash_at_ms: Option<f64>) -> Arm {
+    let (mut cl, (rep, op_ms)) = replicated_setup(reads);
     if let Some(at) = crash_at_ms {
         cl.run_until(SimTime::from_micros((at * 1000.0) as u64));
         cl.crash_host(HostId(0));
@@ -86,10 +99,13 @@ fn run_arm(reads: u64, crash_at_ms: Option<f64>) -> ReplicaReport {
     cl.run();
     let r = rep.borrow().clone();
     assert!(
-        r.fs.done && !r.gave_up && r.fs.integrity_errors == 0,
+        r.done && !r.gave_up && r.integrity_errors == 0,
         "failover arm failed: {r:?}"
     );
-    r
+    Arm {
+        report: r,
+        op_ms: op_ms.take(),
+    }
 }
 
 fn mean(xs: &[f64]) -> f64 {
@@ -161,8 +177,8 @@ pub fn failover_with_rounds(reads: u64) -> Comparison {
     c.push_ours("steady read, no-fault control", control_per_read, "ms");
     c.push_ours("failover spike (worst read)", spike, "ms");
     c.push_ours("reads absorbing the spike", 1.0, "reads");
-    c.push_ours("failovers", fault.failovers as f64, "switches");
-    c.push_ours("reads completed", fault.fs.completed as f64, "ops");
+    c.push_ours("failovers", fault.report.failovers as f64, "switches");
+    c.push_ours("reads completed", fault.report.completed as f64, "ops");
     c.push_ours("crash injected at", crash_at_ms, "ms");
 
     c.note("3 read-only replicas (cloned stores, identical file ids) + 1 client, one 3 Mb segment, 2 ms disk");

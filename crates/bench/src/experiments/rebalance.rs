@@ -22,19 +22,19 @@
 //! The off arm is not merely close to today's sharded deployment — it
 //! **is** that deployment: standing up migration-capable services and
 //! overlay-carrying clients without starting the rebalancer must
-//! reproduce the plain `spawn_shard_server` timeline to the bit. The
+//! reproduce the agent-less, overlay-less timeline to the bit. The
 //! calibration suite pins that row to exactly 0.0.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::disk::DiskModel;
-use v_fs::shard::{spawn_shard_server, ShardMap, ShardedFsClient};
+use v_fs::shard::ShardMap;
 use v_fs::store::BlockStore;
 use v_fs::{
-    spawn_rebalancer, spawn_shard_service, FileServerConfig, RebalancerConfig, ShardHandle,
-    ShardOverlay, BLOCK_SIZE,
+    spawn_file_server, spawn_rebalancer, FileServerConfig, RebalancerConfig, ShardOverlay,
+    BLOCK_SIZE,
 };
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::{SimDuration, SimTime};
@@ -51,8 +51,8 @@ const FILE_BLOCKS: usize = 4;
 /// How one arm deploys the shard fleet.
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
-    /// Today's sharded deployment: `spawn_shard_server`, plain
-    /// `ShardedFsClient`, no overlay, no agents.
+    /// The plain sharded deployment: registered `spawn_file_server`s,
+    /// sharded clients, no overlay, no agents.
     Baseline,
     /// Migration-capable services + overlay clients, rebalancer never
     /// started. Must be bit-identical to `Baseline`.
@@ -111,20 +111,13 @@ fn run_skew(arm: Arm, reads: u64) -> SkewOutcome {
         }
         let fs_cfg = FileServerConfig {
             disk: DiskModel::fixed(SimDuration::from_millis(1)),
+            register: Some(map.logical_id(shard)),
             ..FileServerConfig::default()
         };
-        if arm == Arm::Baseline {
-            servers.push(spawn_shard_server(
-                &mut cl,
-                HostId(shard),
-                &map,
-                shard,
-                fs_cfg,
-                store,
-            ));
-        } else {
-            let svc = spawn_shard_service(&mut cl, HostId(shard), &map, shard, fs_cfg, store);
-            servers.push(svc.server);
+        let mut svc = spawn_file_server(&mut cl, HostId(shard), fs_cfg, store);
+        servers.push(svc.server);
+        if arm != Arm::Baseline {
+            svc.attach_migration_agent(&mut cl);
             disks.push(svc.disk.clone());
             services.push(svc);
         }
@@ -158,7 +151,7 @@ fn run_skew(arm: Arm, reads: u64) -> SkewOutcome {
         });
         script_len = script.len() as u64;
         let rep = Rc::new(RefCell::new(FsClientReport::default()));
-        let mut c = ShardedFsClient::with_servers(servers.clone(), script, rep.clone());
+        let mut c = FsClient::sharded(servers.clone(), script, rep.clone());
         if arm != Arm::Baseline {
             c = c.with_overlay(overlay.clone());
         }
@@ -174,7 +167,7 @@ fn run_skew(arm: Arm, reads: u64) -> SkewOutcome {
                 min_score: 1.0,
                 ..RebalancerConfig::default()
             },
-            services.iter().map(ShardHandle::from).collect(),
+            &services,
             overlay.clone(),
         )
     });
@@ -298,7 +291,7 @@ pub fn rebalance_with_rounds(reads: u64) -> Comparison {
         "clients open once and stream — owner caches go stale when a file moves underneath them",
     );
     c.note("policy: 30 ms sampling, decay 0.5, band 1.25x mean, <= 2 moves/round; copy is 4 ordinary block reads");
-    c.note("off arm = migration-capable services with the rebalancer never started (pinned 0.0 vs spawn_shard_server)");
+    c.note("off arm = migration-capable services with the rebalancer never started (pinned 0.0 vs the agent-less deployment)");
     c.note("no paper counterpart — the 1983 file service is a fixed placement (its S7 capacity ceiling is the motivation)");
     c
 }

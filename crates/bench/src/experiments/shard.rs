@@ -21,11 +21,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::disk::DiskModel;
-use v_fs::shard::{spawn_shard_server, ShardMap, ShardedFsClient};
+use v_fs::shard::ShardMap;
 use v_fs::store::BlockStore;
-use v_fs::{FileServerConfig, BLOCK_SIZE};
+use v_fs::{spawn_file_server, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_net::MeshConfig;
 use v_sim::SimDuration;
@@ -73,16 +73,10 @@ fn run_placement(speed: CpuSpeed, reads_per_client: u64, partitioned: bool) -> (
             .expect("fresh store");
         let fs_cfg = FileServerConfig {
             disk: DiskModel::fixed(SimDuration::from_millis(1)),
+            register: Some(map.logical_id(shard)),
             ..FileServerConfig::default()
         };
-        servers.push(spawn_shard_server(
-            &mut cl,
-            HostId(shard),
-            &map,
-            shard,
-            fs_cfg,
-            store,
-        ));
+        servers.push(spawn_file_server(&mut cl, HostId(shard), fs_cfg, store).server);
     }
     cl.run(); // every server blocked in Receive
 
@@ -102,11 +96,7 @@ fn run_placement(speed: CpuSpeed, reads_per_client: u64, partitioned: bool) -> (
         cl.spawn(
             HostId(3 + client),
             "shard-client",
-            Box::new(ShardedFsClient::with_servers(
-                servers.clone(),
-                script,
-                rep.clone(),
-            )),
+            Box::new(FsClient::sharded(servers.clone(), script, rep.clone())),
         );
         reports.push(rep);
     }

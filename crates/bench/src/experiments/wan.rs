@@ -12,7 +12,7 @@
 //! honest.
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, KernelStats};
-use v_net::{InternetworkConfig, LinkParams, MeshConfig};
+use v_net::{LinkParams, MeshConfig};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::measure::{probe, RunReport};
 use v_workloads::mover::{Grantor, MoveDir, Mover};
@@ -42,7 +42,7 @@ fn run_exchange(mut cl: Cluster, rounds: u64) -> (f64, Cluster) {
 /// 3 Mb internetwork.
 fn gateway_pair(speed: CpuSpeed) -> Cluster {
     Cluster::new(
-        ClusterConfig::internetwork(InternetworkConfig::two_segments())
+        ClusterConfig::mesh(MeshConfig::star(2))
             .with_host_on(speed, 0)
             .with_host_on(speed, 1),
     )
@@ -54,8 +54,8 @@ fn gateway_pair(speed: CpuSpeed) -> Cluster {
 /// mismatch makes the chunks pile up at the gateway — every serviced
 /// frame has queued same-egress successors, the regime coalescing
 /// exists for.
-fn bulk_topology() -> InternetworkConfig {
-    let mut cfg = InternetworkConfig::two_segments();
+fn bulk_topology() -> MeshConfig {
+    let mut cfg = MeshConfig::star(2);
     cfg.segments = vec![
         v_net::NetworkKind::Standard10Mb,
         v_net::NetworkKind::Experimental3Mb,
@@ -72,13 +72,11 @@ fn bulk_topology() -> InternetworkConfig {
 /// the plain internetwork constructor, the pre-coalescing configuration
 /// the perturbation row pins against.
 fn run_bulk_move(speed: CpuSpeed, coalesce: Option<bool>, size: u32, rounds: u64) -> (f64, u64) {
-    let topo = match coalesce {
-        None => ClusterConfig::internetwork(bulk_topology()),
-        Some(on) => {
-            let mesh: MeshConfig = bulk_topology().into();
-            ClusterConfig::mesh(if on { mesh.with_coalescing() } else { mesh })
-        }
-    };
+    let mut mesh = bulk_topology();
+    if let Some(on) = coalesce {
+        mesh.coalesce = on;
+    }
+    let topo = ClusterConfig::mesh(mesh);
     let mut cl = Cluster::new(topo.with_host_on(speed, 0).with_host_on(speed, 1));
     let rep = probe(RunReport::default());
     let mover = cl.spawn(
@@ -137,8 +135,8 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
     // Gateway frame coalescing ablation: a 16 KB cross-gateway MoveTo
     // queues its chunk packets at the gateway; with coalescing the
     // queued same-egress chunks share one forwarding charge per burst.
-    // The off arm must reproduce the plain internetwork numbers to the
-    // bit (the calibration suite pins the perturbation row to 0.0).
+    // The off arm must reproduce the default mesh's numbers to the bit
+    // (the calibration suite pins the perturbation row to 0.0).
     let bulk_rounds = (rounds / 10).max(4);
     let (bulk_base, _) = run_bulk_move(speed, None, 16 * 1024, bulk_rounds);
     let (bulk_off, off_coalesced) = run_bulk_move(speed, Some(false), 16 * 1024, bulk_rounds);

@@ -180,8 +180,7 @@ impl Cluster {
     }
 
     /// Per-gateway statistics, one entry per gateway in placement order
-    /// ([`v_net::Topology::Mesh`] / [`v_net::Topology::Internetwork`]).
-    /// Empty when the topology has no store-and-forward element.
+    /// ([`v_net::Topology::Mesh`]). Empty when the topology has no store-and-forward element.
     pub fn gateway_stats(&self) -> Vec<v_net::GatewayStats> {
         self.net.per_gateway_stats()
     }

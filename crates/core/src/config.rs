@@ -1,8 +1,6 @@
 //! Cluster and protocol configuration.
 
-use v_net::{
-    CollisionBug, FaultPlan, InternetworkConfig, LinkParams, MeshConfig, NetworkKind, Topology,
-};
+use v_net::{CollisionBug, FaultPlan, LinkParams, MeshConfig, NetworkKind, Topology};
 use v_sim::SimDuration;
 
 use crate::cpu::CpuSpeed;
@@ -146,7 +144,7 @@ pub struct HostConfig {
     /// address by the 3 Mb convention.
     pub logical_host: Option<LogicalHost>,
     /// Which network segment this host attaches to. Only meaningful for
-    /// [`Topology::Internetwork`]; single-segment topologies ignore it.
+    /// [`Topology::Mesh`]; single-segment topologies ignore it.
     pub segment: usize,
 }
 
@@ -228,15 +226,6 @@ impl ClusterConfig {
     pub fn wan(params: LinkParams) -> ClusterConfig {
         ClusterConfig {
             topology: Some(Topology::PointToPoint(params)),
-            ..ClusterConfig::three_mb()
-        }
-    }
-
-    /// Ethernet segments joined by a store-and-forward gateway; place
-    /// hosts with [`ClusterConfig::with_host_on`].
-    pub fn internetwork(topo: InternetworkConfig) -> ClusterConfig {
-        ClusterConfig {
-            topology: Some(Topology::Internetwork(topo)),
             ..ClusterConfig::three_mb()
         }
     }
@@ -338,10 +327,10 @@ mod tests {
         let wan = ClusterConfig::wan(v_net::LinkParams::T1);
         assert!(matches!(wan.topology, Some(Topology::PointToPoint(_))));
 
-        let inet = ClusterConfig::internetwork(InternetworkConfig::two_segments())
+        let inet = ClusterConfig::mesh(MeshConfig::star(2))
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 1);
-        assert!(matches!(inet.topology, Some(Topology::Internetwork(_))));
+        assert!(matches!(inet.topology, Some(Topology::Mesh(_))));
         assert_eq!(inet.hosts[0].segment, 0);
         assert_eq!(inet.hosts[1].segment, 1);
 

@@ -16,7 +16,7 @@ use v_kernel::{
     Access, Api, Cluster, ClusterConfig, CpuSpeed, HostId, KernelError, Message, Outcome, Pid,
     Program, Scope,
 };
-use v_net::InternetworkConfig;
+use v_net::MeshConfig;
 use v_sim::SimTime;
 
 type Log = Rc<RefCell<Vec<String>>>;
@@ -324,7 +324,7 @@ impl Program for BigFetcher {
 /// internetwork, with the transfer started before the gateway dies.
 fn start_cross_gateway_move() -> (Cluster, Log) {
     let mut cl = Cluster::new(
-        ClusterConfig::internetwork(InternetworkConfig::two_segments())
+        ClusterConfig::mesh(MeshConfig::star(2))
             .with_host_on(CpuSpeed::Mc68000At10MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At10MHz, 1),
     );

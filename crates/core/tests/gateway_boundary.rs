@@ -10,15 +10,15 @@ use std::rc::Rc;
 use v_kernel::{
     Access, Api, Cluster, ClusterConfig, CpuSpeed, HostId, Message, Outcome, Pid, Program, Scope,
 };
-use v_net::InternetworkConfig;
+use v_net::MeshConfig;
 use v_sim::SimTime;
 
 type Log = Rc<RefCell<Vec<String>>>;
 
 /// Client segment 0, server segment 1, behind one gateway.
-fn gateway_pair(topo: InternetworkConfig) -> Cluster {
+fn gateway_pair(topo: MeshConfig) -> Cluster {
     Cluster::new(
-        ClusterConfig::internetwork(topo)
+        ClusterConfig::mesh(topo)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 1),
     )
@@ -104,7 +104,7 @@ fn run_exchanges(mut cluster: Cluster, n: u32) -> (Cluster, SimTime, Vec<String>
 #[test]
 fn exchanges_cross_the_gateway_with_added_latency() {
     let n = 50;
-    let (gw, gw_done, gw_log) = run_exchanges(gateway_pair(InternetworkConfig::two_segments()), n);
+    let (gw, gw_done, gw_log) = run_exchanges(gateway_pair(MeshConfig::star(2)), n);
     assert_eq!(gw_log.len(), n as usize);
     assert!(gw_log.iter().all(|l| l.starts_with("reply:")), "{gw_log:?}");
 
@@ -126,10 +126,10 @@ fn ipc_handlers_survive_gateway_queue_overflow() {
     // A 1-frame queue with several concurrent exchangers: bursts
     // overflow the gateway, and the retransmission machinery recovers —
     // the IPC layers never know the topology dropped frames.
-    let mut topo = InternetworkConfig::two_segments();
+    let mut topo = MeshConfig::star(2);
     topo.gateway_queue = 1;
     let mut cluster = Cluster::new(
-        ClusterConfig::internetwork(topo)
+        ClusterConfig::mesh(topo)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
@@ -217,7 +217,7 @@ impl Program for SegFetcher {
 
 #[test]
 fn bulk_transfer_streams_through_the_gateway() {
-    let mut cluster = gateway_pair(InternetworkConfig::two_segments());
+    let mut cluster = gateway_pair(MeshConfig::star(2));
     let log: Log = Default::default();
     let fetcher = cluster.spawn(
         HostId(1),
@@ -277,7 +277,7 @@ impl Program for Resolver {
 
 #[test]
 fn broadcast_name_resolution_floods_across_segments() {
-    let mut cluster = gateway_pair(InternetworkConfig::two_segments());
+    let mut cluster = gateway_pair(MeshConfig::star(2));
     cluster.spawn(HostId(1), "registrar", Box::new(Registrar));
     cluster.run(); // let the registration settle
     let log: Log = Default::default();

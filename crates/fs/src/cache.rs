@@ -4,10 +4,8 @@
 //! at 1983 RAM sizes; this module inverts the question. A workstation
 //! gets a configurable [`BlockCache`] (capacity in blocks, LRU
 //! eviction, keyed by `(file id, block)` so shard/replica id ranges
-//! partition naturally), layered into the read path of
-//! [`FsClient`],
-//! [`ShardedFsClient`](crate::shard::ShardedFsClient) and
-//! [`ReplicatedFsClient`](crate::replica::ReplicatedFsClient).
+//! partition naturally), layered into the read path of [`FsClient`]
+//! on any route (one server, shards, replicas).
 //!
 //! Consistency is the server's job, selected by [`CacheMode`]:
 //!
@@ -40,7 +38,7 @@ use std::rc::Rc;
 use v_kernel::{Api, Cluster, HostId, Outcome, Pid, Program};
 use v_sim::{SimDuration, SimTime};
 
-use crate::client::{FsCall, FsClient, FsClientReport, DATA_BUF};
+use crate::client::{FsCall, FsClient, DATA_BUF};
 use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY, CACHE_UNTIL_INVALIDATED};
 use crate::store::FileId;
 use crate::BLOCK_SIZE;
@@ -363,11 +361,6 @@ impl CacheLayer {
         }
     }
 
-    /// The shared cache.
-    pub fn cache(&self) -> &Rc<RefCell<BlockCache>> {
-        &self.cache
-    }
-
     /// CPU charged per hit.
     pub fn hit_cpu(&self) -> SimDuration {
         self.hit_cpu
@@ -454,46 +447,31 @@ impl CachingClient {
     }
 }
 
-/// Spawns a scripted client on `host` talking to `server`. In `Off`
-/// mode this constructs exactly the pre-cache [`FsClient`] and spawns
-/// nothing else; otherwise it spawns a [`CacheAgent`] sharing a fresh
+/// Spawns `client` — a built [`FsClient`] of any route — on `host`. In
+/// `Off` mode this spawns exactly the pre-cache client and nothing
+/// else; otherwise it first spawns a [`CacheAgent`] sharing a fresh
 /// [`BlockCache`] with the client.
 pub fn spawn_caching_client(
     cl: &mut Cluster,
     host: HostId,
-    server: Pid,
-    script: Vec<FsCall>,
-    report: Rc<RefCell<FsClientReport>>,
+    mut client: FsClient,
     cfg: &CacheConfig,
 ) -> CachingClient {
-    if cfg.mode == CacheMode::Off || cfg.capacity_blocks == 0 {
-        let client = cl.spawn(
+    let (mut agent, mut cache) = (None, None);
+    if cfg.mode != CacheMode::Off && cfg.capacity_blocks > 0 {
+        let shared = Rc::new(RefCell::new(BlockCache::new(cfg.capacity_blocks)));
+        let pid = cl.spawn(
             host,
-            "fsclient",
-            Box::new(FsClient::new(server, script, report)),
+            "cache-agent",
+            Box::new(CacheAgent::new(shared.clone())),
         );
-        return CachingClient {
-            client,
-            agent: None,
-            cache: None,
-        };
+        client = client.with_cache(CacheLayer::new(shared.clone(), pid, cfg.hit_cpu));
+        (agent, cache) = (Some(pid), Some(shared));
     }
-    let cache = Rc::new(RefCell::new(BlockCache::new(cfg.capacity_blocks)));
-    let agent = cl.spawn(
-        host,
-        "cache-agent",
-        Box::new(CacheAgent::new(cache.clone())),
-    );
-    let layer = CacheLayer::new(cache.clone(), agent, cfg.hit_cpu);
-    let client = cl.spawn(
-        host,
-        "fsclient",
-        Box::new(FsClient::new(server, script, report).with_cache(layer)),
-    );
     CachingClient {
-        client,
-        agent: Some(agent),
-        cache: Some(cache),
+        client: cl.spawn(host, "fsclient", Box::new(client)),
+        agent,
+        cache,
     }
 }
 

@@ -24,22 +24,28 @@
 //!   request to an idle worker, so disk waits on one request overlap
 //!   receive and file-system processing on the next
 //!   ([`FileServerConfig::workers`]; `1` = the paper's sequential
-//!   server, bit-identical);
-//! * [`client`] — client-side helpers that format requests and drive
-//!   multi-step operations;
-//! * [`shard`] — sharded file-service placement: a name-hash
-//!   [`ShardMap`] partitioning the directory over several servers (one
+//!   server, bit-identical) — [`spawn_file_server`] is the one builder
+//!   and [`FileServerTeam`] the one handle, whatever the deployment;
+//! * [`client`] — the stub routines that format requests, and the one
+//!   scripted [`FsClient`]: script cursor, cache hit path, reply check,
+//!   retry-after backoff and bounded failover written once, with a
+//!   private route (one server / name-hash shards / replica rotation)
+//!   deciding only where the next request goes and what to do when that
+//!   host is dead;
+//! * [`shard`] — sharded placement: a name-hash [`ShardMap`] partitions
+//!   the directory over several ordinary [`spawn_file_server`]s (one
 //!   per segment of a mesh, typically), each registered under a
-//!   distinct logical id, and a [`ShardedFsClient`] that resolves and
-//!   caches the owning server per file;
+//!   distinct logical id; the client's sharded route resolves them and
+//!   caches the owning server per file, and a [`ShardOverlay`] records
+//!   where migrated files went;
 //! * [`loader`] — program loading exactly as §6.3 describes (one block
 //!   read for the header, then one large read via `MoveTo` into the new
 //!   program space) and the §7 exec server that runs programs *on* the
 //!   file server;
 //! * [`replica`] — a replicated *read-only* root: N identical replicas
 //!   spawned from clones of one [`BlockStore`] (so file ids agree
-//!   everywhere), and a [`ReplicatedFsClient`] that fails over to the
-//!   next replica when the kernel reports a replica's host down;
+//!   everywhere); the client's replica route fails over to the next
+//!   one when the kernel reports a replica's host down;
 //! * [`cache`] — per-client block caching ([`BlockCache`] + the
 //!   invalidation [`CacheAgent`](cache::CacheAgent)) with a
 //!   write-invalidate or lease consistency protocol driven by the
@@ -48,8 +54,9 @@
 //! * [`migrate`] — live file migration between shards: a four-exchange
 //!   drain → copy → commit protocol built from ordinary V exchanges,
 //!   with a destination-side [`MigrationAgent`](migrate::MigrationAgent)
-//!   pulling blocks as plain reads and the old owner `Forward`ing
-//!   stale requests after the flip;
+//!   ([`FileServerTeam::attach_migration_agent`]) pulling blocks as
+//!   plain reads and the old owner `Forward`ing stale requests after
+//!   the flip;
 //! * [`rebalance`] — the policy half: a [`Rebalancer`] process samples
 //!   each shard's decayed [`FileHeat`], and while the hottest shard
 //!   sits outside a configurable band of the mean it issues move-plans
@@ -69,15 +76,13 @@ pub mod store;
 pub mod team;
 
 pub use cache::{spawn_caching_client, BlockCache, CacheConfig, CacheMode, CacheStats};
+pub use client::{FsCall, FsClient, FsClientReport, OpSeries};
 pub use disk::{DiskModel, DiskParams, DiskStats};
-pub use migrate::{spawn_shard_service, ShardService};
 pub use proto::{IoReply, IoRequest, IoStatus};
-pub use rebalance::{
-    spawn_rebalancer, MigrationLedger, MoveRecord, Rebalancer, RebalancerConfig, ShardHandle,
-};
-pub use replica::{spawn_replica, spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+pub use rebalance::{spawn_rebalancer, MigrationLedger, MoveRecord, Rebalancer, RebalancerConfig};
+pub use replica::spawn_replica_group;
 pub use server::{FileHeat, FileServer, FileServerConfig, FileServerStats, HeatEntry};
-pub use shard::{spawn_shard_server, ShardMap, ShardOverlay, ShardedFsClient};
+pub use shard::{ShardMap, ShardOverlay, ShardedFsClient};
 pub use store::BlockStore;
 pub use team::{spawn_file_server, FileServerTeam};
 

@@ -24,17 +24,15 @@
 //! and clients self-correct off the reply's `owner` stamp. A failure
 //! at any point before the commit aborts cleanly: the destination
 //! drops its partial copy and the old owner lifts the drain.
+//!
+//! A service becomes a possible destination when its handle grows an
+//! agent: [`crate::team::FileServerTeam::attach_migration_agent`].
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use v_kernel::{Access, Api, Message, Outcome, Pid, Program};
 
-use v_kernel::{Access, Api, Cluster, HostId, Message, Outcome, Pid, Program};
-
-use crate::disk::DiskModel;
 use crate::proto::{IoOp, IoReply, IoRequest, IoStatus};
-use crate::server::{FileServerConfig, FileServerStats, SharedServerState};
-use crate::shard::ShardMap;
-use crate::store::{BlockStore, FileId, StoreError};
+use crate::server::SharedServerState;
+use crate::store::{FileId, StoreError};
 use crate::BLOCK_SIZE;
 
 /// Where the agent's incoming request segments (file names) land.
@@ -54,18 +52,11 @@ pub mod stub {
     /// segment). The reply carries the file length in `value` and the
     /// name length in `aux`.
     pub fn begin(file: FileId, name_buf: u32, name_cap: u32, tag: u16) -> Message {
-        let mut m = IoRequest {
-            op: IoOp::MigrateBegin,
-            file,
-            block: 0,
-            count: 0,
+        let req = IoRequest {
             buffer: name_buf,
-            aux: 0,
-            tag,
-        }
-        .encode();
-        m.set_segment(name_buf, name_cap, Access::Write);
-        m
+            ..IoRequest::new(IoOp::MigrateBegin, file, tag)
+        };
+        req.encode_granting(name_buf, name_cap, Access::Write)
     }
 
     /// `MigratePull` to the destination's migration agent: adopt
@@ -79,18 +70,12 @@ pub mod stub {
         name_len: u32,
         tag: u16,
     ) -> Message {
-        let mut m = IoRequest {
-            op: IoOp::MigratePull,
-            file,
-            block: 0,
+        let req = IoRequest {
             count: len,
-            buffer: 0,
             aux: src,
-            tag,
-        }
-        .encode();
-        m.set_segment(name_addr, name_len, Access::Read);
-        m
+            ..IoRequest::new(IoOp::MigratePull, file, tag)
+        };
+        req.encode_granting(name_addr, name_len, Access::Read)
     }
 
     /// `MigrateCommit` to the old owner: the destination holds a full
@@ -98,13 +83,8 @@ pub mod stub {
     /// at raw pid `new_owner`.
     pub fn commit(file: FileId, new_owner: u32, tag: u16) -> Message {
         IoRequest {
-            op: IoOp::MigrateCommit,
-            file,
-            block: 0,
-            count: 0,
-            buffer: 0,
             aux: new_owner,
-            tag,
+            ..IoRequest::new(IoOp::MigrateCommit, file, tag)
         }
         .encode()
     }
@@ -112,66 +92,7 @@ pub mod stub {
     /// `MigrateAbort` to the old owner: the copy failed — lift the
     /// drain and keep serving the file.
     pub fn abort(file: FileId, tag: u16) -> Message {
-        IoRequest {
-            op: IoOp::MigrateAbort,
-            file,
-            block: 0,
-            count: 0,
-            buffer: 0,
-            aux: 0,
-            tag,
-        }
-        .encode()
-    }
-}
-
-/// What a spawned shard service hands back: the addressable server, the
-/// co-located migration agent, and the shared observability handles.
-pub struct ShardService {
-    /// The process clients (and `MigrateBegin`/`Commit`/`Abort`)
-    /// address: the receptionist, or the sequential server itself.
-    pub server: Pid,
-    /// The destination-side migration agent (`MigratePull` goes here).
-    pub agent: Pid,
-    /// Worker pids (just the server for the sequential case).
-    pub workers: Vec<Pid>,
-    /// The team's shared counters.
-    pub stats: Rc<RefCell<FileServerStats>>,
-    /// The team's shared disk unit.
-    pub disk: Rc<RefCell<DiskModel>>,
-}
-
-/// Spawns shard `i`'s file service on `host` — a
-/// [`crate::shard::spawn_shard_server`] plus a co-located
-/// [`MigrationAgent`] sharing the team's store, disk and stats, so the
-/// shard can *receive* live migrations. The agent is spawned after the
-/// team and never speaks unless pulled, so a service that no rebalancer
-/// ever touches behaves exactly like the agent-less spawn.
-pub fn spawn_shard_service(
-    cl: &mut Cluster,
-    host: HostId,
-    map: &ShardMap,
-    shard: usize,
-    cfg: FileServerConfig,
-    store: BlockStore,
-) -> ShardService {
-    let cfg = FileServerConfig {
-        register: Some(map.logical_id(shard)),
-        ..cfg
-    };
-    let shared = SharedServerState::new(cfg.build_disk(), store);
-    let team = crate::team::spawn_file_server_shared(cl, host, cfg, shared.clone());
-    let agent = cl.spawn(
-        host,
-        &format!("fs-migrate{shard}"),
-        Box::new(MigrationAgent::new(shared)),
-    );
-    ShardService {
-        server: team.server,
-        agent,
-        workers: team.workers,
-        stats: team.stats,
-        disk: team.disk,
+        IoRequest::new(IoOp::MigrateAbort, file, tag).encode()
     }
 }
 
@@ -189,11 +110,12 @@ enum AgentPhase {
     },
 }
 
-/// The destination side of a live migration: adopts the file id into
-/// the co-located service's store, pulls every block from the old
-/// owner with ordinary reads, charges the local disk for each landed
-/// block, and answers the rebalancer's `MigratePull` once the copy is
-/// complete. One migration at a time; a failure mid-copy (the source
+/// The destination side of a live migration, spawned beside a service
+/// by [`crate::team::FileServerTeam::attach_migration_agent`]: adopts
+/// the file id into the co-located service's store, pulls every block
+/// from the old owner with ordinary reads, charges the local disk for
+/// each landed block, and answers the rebalancer's `MigratePull` once
+/// the copy is complete. One migration at a time; a failure mid-copy (the source
 /// host dies, a read errors) drops the partial adoptee and reports the
 /// failure, leaving the file intact at the old owner.
 pub struct MigrationAgent {
@@ -266,15 +188,7 @@ impl Program for MigrationAgent {
             Outcome::Started => self.rearm(api),
             Outcome::ReceiveSeg { from, msg, seg_len } => {
                 let Some(req) = IoRequest::decode(&msg) else {
-                    let req = IoRequest {
-                        op: IoOp::MigratePull,
-                        file: FileId(0),
-                        block: 0,
-                        count: 0,
-                        buffer: 0,
-                        aux: 0,
-                        tag: msg.get_u16(20),
-                    };
+                    let req = IoRequest::new(IoOp::MigratePull, FileId(0), msg.get_u16(20));
                     self.current = Some((from, req, from));
                     self.reply_status(api, IoStatus::Error, 0);
                     return;
@@ -358,5 +272,104 @@ impl Program for MigrationAgent {
             }
             _ => api.exit(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+    use crate::client::{FsCall, FsClient, FsClientReport};
+    use crate::server::FileServerConfig;
+    use crate::store::BlockStore;
+    use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
+    use v_sim::SimDuration;
+
+    /// Freezes writes to a file for a while, as a rebalancer that then
+    /// changes its mind: `MigrateBegin`, a pause, `MigrateAbort`.
+    struct DrainThenAbort {
+        server: Pid,
+        file: FileId,
+        hold: SimDuration,
+    }
+
+    impl Program for DrainThenAbort {
+        fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+            match outcome {
+                Outcome::Started => api.send(stub::begin(self.file, 0x0100, 128, 0), self.server),
+                Outcome::Send(Ok(reply)) if IoReply::decode(&reply).tag == 0 => {
+                    assert_eq!(IoReply::decode(&reply).status, IoStatus::Ok);
+                    api.delay(self.hold);
+                }
+                Outcome::Delay => api.send(stub::abort(self.file, 1), self.server),
+                _ => api.exit(),
+            }
+        }
+    }
+
+    /// Retry-after is back-pressure on every route: a single-route
+    /// client whose write meets a draining file backs off and re-issues,
+    /// and once the drain is lifted the write lands exactly once.
+    #[test]
+    fn single_route_write_rides_out_a_drain() {
+        let cfg = ClusterConfig::three_mb().with_hosts(3, CpuSpeed::Mc68000At10MHz);
+        let mut cl = Cluster::new(cfg);
+        let mut store = BlockStore::new();
+        let file = store.create_with("boot", &[0x7E; 4 * BLOCK_SIZE]).unwrap();
+        let team = crate::team::spawn_file_server(
+            &mut cl,
+            HostId(0),
+            FileServerConfig {
+                disk: crate::disk::DiskModel::fixed(SimDuration::from_millis(1)),
+                workers: 2,
+                ..FileServerConfig::default()
+            },
+            store,
+        );
+        cl.run();
+        // The drain is set before the client's open has even returned
+        // and held for 40 ms: the write is refused a few times first.
+        let drain = DrainThenAbort {
+            server: team.server,
+            file,
+            hold: SimDuration::from_millis(40),
+        };
+        cl.spawn(HostId(2), "rebalancer", Box::new(drain));
+        let script = vec![
+            FsCall::Open("boot".into()),
+            FsCall::WriteFill {
+                block: 1,
+                count: BLOCK_SIZE as u32,
+                fill: 0x99,
+            },
+            FsCall::ReadExpect {
+                block: 1,
+                count: BLOCK_SIZE as u32,
+                expect: 0x99,
+            },
+        ];
+        let rep = Rc::new(RefCell::new(FsClientReport::default()));
+        cl.spawn(
+            HostId(1),
+            "fsclient",
+            Box::new(FsClient::new(team.server, script, rep.clone())),
+        );
+        cl.run();
+        let r = rep.borrow().clone();
+        assert!(r.done && !r.gave_up, "{r:?}");
+        assert!(r.write_retries >= 1, "the write never met the drain: {r:?}");
+        assert_eq!(
+            (r.errors, r.integrity_errors, r.completed),
+            (0, 0, 3),
+            "{r:?}"
+        );
+        let st = team.stats.borrow();
+        assert_eq!(
+            st.writes, 1,
+            "the refused write landed exactly once: {st:?}"
+        );
+        assert_eq!(st.drain_write_refusals, r.write_retries, "{st:?}");
     }
 }

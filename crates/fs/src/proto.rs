@@ -23,7 +23,7 @@
 //! bytes 20-21 tag (echoed in replies)
 //! ```
 
-use v_kernel::Message;
+use v_kernel::{Access, Message};
 
 use crate::store::FileId;
 
@@ -151,6 +151,28 @@ pub struct IoRequest {
 }
 
 impl IoRequest {
+    /// A request with every operand zeroed — the base the stub routines
+    /// fill in with struct-update syntax.
+    pub fn new(op: IoOp, file: FileId, tag: u16) -> IoRequest {
+        IoRequest {
+            op,
+            file,
+            block: 0,
+            count: 0,
+            buffer: 0,
+            aux: 0,
+            tag,
+        }
+    }
+
+    /// Encodes with a segment grant: reads grant write access on the
+    /// buffer, writes/opens grant read access on the data/name.
+    pub fn encode_granting(&self, addr: u32, len: u32, access: Access) -> Message {
+        let mut m = self.encode();
+        m.set_segment(addr, len, access);
+        m
+    }
+
     /// Encodes into a message (segment bits are the caller's business —
     /// reads grant write access on the buffer, writes/opens grant read
     /// access on the data/name).

@@ -23,11 +23,12 @@ use std::rc::Rc;
 use v_kernel::{Api, Cluster, HostId, Outcome, Pid, Program};
 use v_sim::SimDuration;
 
-use crate::migrate::{stub, ShardService};
+use crate::migrate::stub;
 use crate::proto::{IoReply, IoStatus};
 use crate::server::FileServerStats;
 use crate::shard::ShardOverlay;
 use crate::store::FileId;
+use crate::team::FileServerTeam;
 
 /// Where `MigrateBegin` replies deposit the migrating file's name in
 /// the rebalancer's space.
@@ -72,25 +73,14 @@ impl Default for RebalancerConfig {
 }
 
 /// The rebalancer's view of one shard service.
-#[derive(Clone)]
-pub struct ShardHandle {
+struct Shard {
     /// The service clients address (`Begin`/`Commit`/`Abort` go here).
-    pub server: Pid,
+    server: Pid,
     /// The shard's destination-side migration agent (`Pull` goes here).
-    pub agent: Pid,
+    agent: Pid,
     /// The shard's shared counters — sampled for heat, adjusted when a
     /// committed move carries a file's heat to its new shard.
-    pub stats: Rc<RefCell<FileServerStats>>,
-}
-
-impl From<&ShardService> for ShardHandle {
-    fn from(s: &ShardService) -> ShardHandle {
-        ShardHandle {
-            server: s.server,
-            agent: s.agent,
-            stats: s.stats.clone(),
-        }
-    }
+    stats: Rc<RefCell<FileServerStats>>,
 }
 
 /// One committed move.
@@ -149,7 +139,7 @@ enum Phase {
 /// The policy process. See the module docs for the loop it runs.
 pub struct Rebalancer {
     cfg: RebalancerConfig,
-    shards: Vec<ShardHandle>,
+    shards: Vec<Shard>,
     overlay: Rc<RefCell<ShardOverlay>>,
     /// Shared run record.
     pub ledger: Rc<RefCell<MigrationLedger>>,
@@ -159,16 +149,26 @@ pub struct Rebalancer {
     phase: Phase,
 }
 
-/// Spawns a [`Rebalancer`] over `shards` on `host`; committed moves
-/// are recorded in `overlay` (share it with the clients). Returns the
+/// Spawns a [`Rebalancer`] on `host` over `shards` (index = shard; each
+/// must already carry a migration agent, see
+/// [`FileServerTeam::attach_migration_agent`]); committed moves are
+/// recorded in `overlay` (share it with the clients). Returns the
 /// shared ledger.
 pub fn spawn_rebalancer(
     cl: &mut Cluster,
     host: HostId,
     cfg: RebalancerConfig,
-    shards: Vec<ShardHandle>,
+    shards: &[FileServerTeam],
     overlay: Rc<RefCell<ShardOverlay>>,
 ) -> Rc<RefCell<MigrationLedger>> {
+    let shards = shards
+        .iter()
+        .map(|t| Shard {
+            server: t.server,
+            agent: t.agent.expect("a shard the rebalancer may move files to"),
+            stats: t.stats.clone(),
+        })
+        .collect();
     let ledger: Rc<RefCell<MigrationLedger>> = Default::default();
     let reb = Rebalancer {
         cfg,
@@ -427,12 +427,13 @@ impl Program for Rebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::FsClient;
     use crate::client::{FsCall, FsClientReport};
     use crate::disk::DiskModel;
-    use crate::migrate::spawn_shard_service;
     use crate::server::FileServerConfig;
-    use crate::shard::{ShardMap, ShardedFsClient};
+    use crate::shard::ShardMap;
     use crate::store::BlockStore;
+    use crate::team::spawn_file_server;
     use crate::BLOCK_SIZE;
     use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 
@@ -462,17 +463,12 @@ mod tests {
             }
             let fs_cfg = FileServerConfig {
                 disk: DiskModel::fixed(v_sim::SimDuration::from_millis(1)),
-                register: None,
+                register: Some(map.logical_id(shard)),
                 ..FileServerConfig::default()
             };
-            services.push(spawn_shard_service(
-                &mut cl,
-                HostId(shard),
-                &map,
-                shard,
-                fs_cfg,
-                store,
-            ));
+            let mut team = spawn_file_server(&mut cl, HostId(shard), fs_cfg, store);
+            team.attach_migration_agent(&mut cl);
+            services.push(team);
         }
         cl.run(); // services reach their Receive
 
@@ -517,7 +513,7 @@ mod tests {
                 HostId(2 + i),
                 "client",
                 Box::new(
-                    ShardedFsClient::with_servers(servers.clone(), script, rep.clone())
+                    FsClient::sharded(servers.clone(), script, rep.clone())
                         .with_overlay(overlay.clone()),
                 ),
             );
@@ -532,7 +528,7 @@ mod tests {
                 min_score: 1.0,
                 ..RebalancerConfig::default()
             },
-            services.iter().map(ShardHandle::from).collect(),
+            &services,
             overlay.clone(),
         );
         cl.run();
@@ -592,17 +588,12 @@ mod tests {
                 .unwrap();
             let fs_cfg = FileServerConfig {
                 disk: DiskModel::fixed(v_sim::SimDuration::from_millis(1)),
-                register: None,
+                register: Some(map.logical_id(shard)),
                 ..FileServerConfig::default()
             };
-            services.push(spawn_shard_service(
-                &mut cl,
-                HostId(shard),
-                &map,
-                shard,
-                fs_cfg,
-                store,
-            ));
+            let mut team = spawn_file_server(&mut cl, HostId(shard), fs_cfg, store);
+            team.attach_migration_agent(&mut cl);
+            services.push(team);
         }
         cl.run();
 
@@ -623,7 +614,7 @@ mod tests {
             HostId(2),
             "client",
             Box::new(
-                ShardedFsClient::with_servers(
+                FsClient::sharded(
                     services.iter().map(|s| s.server).collect(),
                     script,
                     rep.clone(),
@@ -640,7 +631,7 @@ mod tests {
                 band: 1.5,
                 ..RebalancerConfig::default()
             },
-            services.iter().map(ShardHandle::from).collect(),
+            &services,
             overlay.clone(),
         );
         cl.run();

@@ -491,11 +491,6 @@ impl FileServer {
         }
     }
 
-    /// Handle to the server's counters.
-    pub fn stats_handle(&self) -> Rc<RefCell<FileServerStats>> {
-        self.shared.stats.clone()
-    }
-
     /// Issues a single-block-class disk request, routed to the arm the
     /// striping assigns `(file, block)`, and refreshes the surfaced
     /// (aggregate) disk counters.
@@ -708,17 +703,7 @@ impl FileServer {
                     let cur = self.current.as_ref().expect("request in progress");
                     (cur.req.file, cur.req.tag)
                 };
-                let msg = IoRequest {
-                    op: IoOp::Invalidate,
-                    file,
-                    block: 0,
-                    count: 0,
-                    buffer: 0,
-                    aux: 0,
-                    tag,
-                }
-                .encode();
-                api.send(msg, agent);
+                api.send(IoRequest::new(IoOp::Invalidate, file, tag).encode(), agent);
             }
             None => self.write_disk(api),
         }
@@ -1121,15 +1106,7 @@ impl Program for FileServer {
                     // is not left blocked forever.
                     self.current = Some(Current {
                         from,
-                        req: IoRequest {
-                            op: IoOp::Query,
-                            file: FileId(0),
-                            block: 0,
-                            count: 0,
-                            buffer: 0,
-                            aux: 0,
-                            tag: msg.get_u16(20),
-                        },
+                        req: IoRequest::new(IoOp::Query, FileId(0), msg.get_u16(20)),
                         seg_len: 0,
                         msg,
                     });

@@ -44,14 +44,18 @@ use std::rc::Rc;
 use v_kernel::{Api, Cluster, HostId, Message, Outcome, Pid, Program, Scope};
 
 use crate::disk::DiskModel;
+use crate::migrate::MigrationAgent;
 use crate::server::{FileServer, FileServerConfig, FileServerStats, SharedServerState, SRV_IN};
 use crate::store::BlockStore;
 use crate::BLOCK_SIZE;
 
-/// Handles to a spawned file service (team or sequential).
+/// Handles to a spawned file service (team or sequential) — the one
+/// handle every deployment gets, whether the service stands alone, is a
+/// shard ([`crate::shard`]) or a replica ([`crate::replica`]).
 pub struct FileServerTeam {
-    /// The process clients address: the receptionist, or the sequential
-    /// server itself when `workers == 1`.
+    /// The process clients (and `MigrateBegin`/`Commit`/`Abort`)
+    /// address: the receptionist, or the sequential server itself when
+    /// `workers == 1`.
     pub server: Pid,
     /// Worker pids (just the server for the sequential case).
     pub workers: Vec<Pid>,
@@ -61,6 +65,25 @@ pub struct FileServerTeam {
     /// stats live here; the aggregate is mirrored into
     /// [`FileServerStats::disk`]).
     pub disk: Rc<RefCell<DiskModel>>,
+    /// The destination-side migration agent (`MigratePull` goes here),
+    /// once [`FileServerTeam::attach_migration_agent`] has spawned one.
+    pub agent: Option<Pid>,
+    host: HostId,
+    shared: SharedServerState,
+}
+
+impl FileServerTeam {
+    /// Co-locates a [`MigrationAgent`] sharing the team's store, disk
+    /// and stats, so the service can *receive* live migrations (the
+    /// agent adopts files into the same store the workers serve from).
+    /// The agent never speaks unless pulled, so a service that no
+    /// rebalancer ever touches behaves exactly like an agent-less one.
+    pub fn attach_migration_agent(&mut self, cl: &mut Cluster) -> Pid {
+        let agent = MigrationAgent::new(self.shared.clone());
+        let pid = cl.spawn(self.host, "fs-migrate", Box::new(agent));
+        self.agent = Some(pid);
+        pid
+    }
 }
 
 /// The receptionist: receives every request, forwards each to an idle
@@ -150,7 +173,9 @@ impl Program for Receptionist {
 /// `store`, one disk unit and one stats block. The disk unit honours
 /// [`FileServerConfig::disk_arms`]: with `>= 2` arms the team's
 /// concurrent requests stripe across arms instead of queueing behind
-/// one.
+/// one. `cfg.register` is the logical id the service answers `GetPid`
+/// for — a shard's [`crate::shard::ShardMap::logical_id`], a replica
+/// group's shared id, or the well-known file-server id.
 pub fn spawn_file_server(
     cl: &mut Cluster,
     host: HostId,
@@ -158,60 +183,45 @@ pub fn spawn_file_server(
     store: BlockStore,
 ) -> FileServerTeam {
     let shared = SharedServerState::new(cfg.build_disk(), store);
-    spawn_file_server_shared(cl, host, cfg, shared)
-}
-
-/// [`spawn_file_server`] over caller-built shared state — how
-/// [`crate::migrate::spawn_shard_service`] co-locates a migration agent
-/// with the team it feeds (the agent adopts files into the same store
-/// the workers serve from).
-pub(crate) fn spawn_file_server_shared(
-    cl: &mut Cluster,
-    host: HostId,
-    cfg: FileServerConfig,
-    shared: SharedServerState,
-) -> FileServerTeam {
-    let stats = shared.stats.clone();
-    let disk = shared.disk.clone();
-    if cfg.workers <= 1 {
-        let server = FileServer::with_shared(cfg, shared, None);
+    let (server, workers) = if cfg.workers <= 1 {
+        let server = FileServer::with_shared(cfg, shared.clone(), None);
         let pid = cl.spawn(host, "fileserver", Box::new(server));
-        return FileServerTeam {
-            server: pid,
-            workers: vec![pid],
-            stats,
-            disk,
-        };
-    }
-    let worker_cell: Rc<RefCell<Vec<Pid>>> = Default::default();
-    let receptionist = cl.spawn(
-        host,
-        "fs-receptionist",
-        Box::new(Receptionist {
-            register: cfg.register,
-            workers: worker_cell.clone(),
-            idle: VecDeque::new(),
-            parked: VecDeque::new(),
-            stats: stats.clone(),
-        }),
-    );
-    let mut workers = Vec::with_capacity(cfg.workers);
-    for i in 0..cfg.workers {
-        let wcfg = FileServerConfig {
-            register: None,
-            ..cfg.clone()
-        };
-        let worker = FileServer::with_shared(wcfg, shared.clone(), Some(receptionist));
-        workers.push(cl.spawn(host, &format!("fs-worker{i}"), Box::new(worker)));
-    }
-    // Events have not run yet: the receptionist sees the full roster
-    // before its first resume.
-    *worker_cell.borrow_mut() = workers.clone();
+        (pid, vec![pid])
+    } else {
+        let worker_cell: Rc<RefCell<Vec<Pid>>> = Default::default();
+        let receptionist = cl.spawn(
+            host,
+            "fs-receptionist",
+            Box::new(Receptionist {
+                register: cfg.register,
+                workers: worker_cell.clone(),
+                idle: VecDeque::new(),
+                parked: VecDeque::new(),
+                stats: shared.stats.clone(),
+            }),
+        );
+        let mut workers = Vec::with_capacity(cfg.workers);
+        for i in 0..cfg.workers {
+            let wcfg = FileServerConfig {
+                register: None,
+                ..cfg.clone()
+            };
+            let worker = FileServer::with_shared(wcfg, shared.clone(), Some(receptionist));
+            workers.push(cl.spawn(host, &format!("fs-worker{i}"), Box::new(worker)));
+        }
+        // Events have not run yet: the receptionist sees the full roster
+        // before its first resume.
+        *worker_cell.borrow_mut() = workers.clone();
+        (receptionist, workers)
+    };
     FileServerTeam {
-        server: receptionist,
+        server,
         workers,
-        stats,
-        disk,
+        stats: shared.stats.clone(),
+        disk: shared.disk.clone(),
+        agent: None,
+        host,
+        shared,
     }
 }
 

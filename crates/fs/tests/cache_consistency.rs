@@ -17,12 +17,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::cache::{CacheAgent, CacheLayer};
 use v_fs::client::{FsCall, FsClient, FsClientReport};
-use v_fs::replica::{spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::replica::spawn_replica_group;
 use v_fs::{
-    spawn_caching_client, spawn_file_server, BlockCache, BlockStore, CacheConfig, CacheMode,
-    DiskModel, FileServerConfig, BLOCK_SIZE,
+    spawn_caching_client, spawn_file_server, BlockStore, CacheConfig, CacheMode, DiskModel,
+    FileServerConfig, BLOCK_SIZE,
 };
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::{SimDuration, SimTime};
@@ -92,9 +91,7 @@ fn write_racing_cached_reads_invalidates_instead_of_serving_stale() {
     let reader = spawn_caching_client(
         &mut cl,
         HostId(0),
-        team.server,
-        read_script(4, 40),
-        rrep.clone(),
+        FsClient::new(team.server, read_script(4, 40), rrep.clone()),
         &CacheConfig::write_invalidate(16),
     );
     let wrep = Rc::new(RefCell::new(FsClientReport::default()));
@@ -148,9 +145,7 @@ fn crashed_holder_costs_one_detection_and_never_wedges_the_writer() {
     spawn_caching_client(
         &mut cl,
         HostId(0),
-        team.server,
-        read_script(4, 1),
-        rrep.clone(),
+        FsClient::new(team.server, read_script(4, 1), rrep.clone()),
         &CacheConfig::write_invalidate(16),
     );
     cl.run();
@@ -199,9 +194,7 @@ fn leases_let_writes_expire_past_a_crashed_holder() {
     spawn_caching_client(
         &mut cl,
         HostId(0),
-        team.server,
-        read_script(4, 1),
-        rrep.clone(),
+        FsClient::new(team.server, read_script(4, 1), rrep.clone()),
         &CacheConfig::leases(16),
     );
     // Stop while the grants are still live, then kill the holder.
@@ -241,7 +234,7 @@ fn warm_cache_serves_hits_across_a_replica_crash() {
         .create_with("vol", &vec![FILL; 16 * BLOCK_SIZE])
         .unwrap();
     let cfg = server_cfg(CacheMode::WriteInvalidate);
-    let pids = spawn_replica_group(&mut cl, &hosts, &cfg, &store);
+    let group = spawn_replica_group(&mut cl, &hosts, &cfg, &store);
     cl.run();
 
     // Warm blocks 0..4, then grind 2000 hit-reads over them (pure
@@ -264,22 +257,13 @@ fn warm_cache_serves_hits_across_a_replica_crash() {
     }
     let ops = script.len() as u64;
 
-    let cache = Rc::new(RefCell::new(BlockCache::new(16)));
-    let agent = cl.spawn(
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
+    let replicas = group.iter().map(|t| t.server).collect();
+    let client = spawn_caching_client(
+        &mut cl,
         HostId(2),
-        "cache-agent",
-        Box::new(CacheAgent::new(cache.clone())),
-    );
-    let layer = CacheLayer::new(
-        cache.clone(),
-        agent,
-        CacheConfig::write_invalidate(16).hit_cpu,
-    );
-    let rep = Rc::new(RefCell::new(ReplicaReport::default()));
-    cl.spawn(
-        HostId(2),
-        "replclient",
-        Box::new(ReplicatedFsClient::new(pids.to_vec(), script, rep.clone()).with_cache(layer)),
+        FsClient::replicated(replicas, script, rep.clone()),
+        &CacheConfig::write_invalidate(16),
     );
     // Warm completes well before 100 ms; the hit grind runs for
     // hundreds of ms after it. Kill the primary mid-grind.
@@ -288,14 +272,14 @@ fn warm_cache_serves_hits_across_a_replica_crash() {
     cl.run();
 
     let r = rep.borrow().clone();
-    assert!(r.fs.done && !r.gave_up, "{r:?}");
-    assert_eq!(r.fs.integrity_errors, 0, "{r:?}");
-    assert_eq!(r.fs.completed, ops, "{r:?}");
+    assert!(r.done && !r.gave_up, "{r:?}");
+    assert_eq!(r.integrity_errors, 0, "{r:?}");
+    assert_eq!(r.completed, ops, "{r:?}");
     assert_eq!(
         r.failovers, 1,
         "only the first post-crash miss touches the wire: {r:?}"
     );
-    let stats = cache.borrow().stats;
+    let stats = client.stats();
     assert!(
         stats.hits >= 2000,
         "the grind must be served locally: {stats:?}"

@@ -9,8 +9,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::FsCall;
-use v_fs::replica::{spawn_replica, spawn_replica_group, ReplicaReport, ReplicatedFsClient};
+use v_fs::client::{FsCall, FsClient, FsClientReport, OpSeries};
+use v_fs::replica::spawn_replica_group;
 use v_fs::{BlockStore, DiskModel, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, Pid};
 use v_sim::{SimDuration, SimTime};
@@ -38,9 +38,9 @@ fn replicated_cluster(replicas: usize, clients: usize) -> (Cluster, Vec<Pid>) {
     let cfg = ClusterConfig::three_mb().with_hosts(replicas + clients, CpuSpeed::Mc68000At10MHz);
     let mut cl = Cluster::new(cfg);
     let hosts: Vec<HostId> = (0..replicas).map(HostId).collect();
-    let pids = spawn_replica_group(&mut cl, &hosts, &replica_cfg(), &root_store());
+    let group = spawn_replica_group(&mut cl, &hosts, &replica_cfg(), &root_store());
     cl.run(); // every replica reaches its Receive
-    (cl, pids)
+    (cl, group.iter().map(|t| t.server).collect())
 }
 
 fn read_script(blocks: u32) -> Vec<FsCall> {
@@ -60,12 +60,12 @@ fn spawn_client(
     host: HostId,
     pids: &[Pid],
     script: Vec<FsCall>,
-) -> Rc<RefCell<ReplicaReport>> {
-    let rep = Rc::new(RefCell::new(ReplicaReport::default()));
+) -> Rc<RefCell<FsClientReport>> {
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
     cl.spawn(
         host,
         "replclient",
-        Box::new(ReplicatedFsClient::new(pids.to_vec(), script, rep.clone())),
+        Box::new(FsClient::replicated(pids.to_vec(), script, rep.clone())),
     );
     rep
 }
@@ -92,10 +92,10 @@ fn replica_refuses_writes_and_keeps_data_intact() {
     let rep = spawn_client(&mut cl, HostId(1), &pids, script);
     cl.run();
     let r = rep.borrow().clone();
-    assert!(r.fs.done, "{r:?}");
-    assert_eq!(r.fs.errors, 1, "exactly the write is refused: {r:?}");
-    assert_eq!(r.fs.integrity_errors, 0, "{r:?}");
-    assert_eq!(r.fs.completed, 2, "open + read succeed: {r:?}");
+    assert!(r.done, "{r:?}");
+    assert_eq!(r.errors, 1, "exactly the write is refused: {r:?}");
+    assert_eq!(r.integrity_errors, 0, "{r:?}");
+    assert_eq!(r.completed, 2, "open + read succeed: {r:?}");
     assert_eq!(r.failovers, 0);
 }
 
@@ -113,14 +113,14 @@ fn client_fails_over_across_a_replica_crash() {
     cl.crash_host(HostId(0));
     cl.run();
     let r = rep.borrow().clone();
-    assert!(r.fs.done, "script must finish despite the crash: {r:?}");
+    assert!(r.done, "script must finish despite the crash: {r:?}");
     assert!(!r.gave_up, "{r:?}");
     assert!(r.failovers >= 1, "the crash must be noticed: {r:?}");
     assert_eq!(
-        r.fs.integrity_errors, 0,
+        r.integrity_errors, 0,
         "clone stores serve identical data: {r:?}"
     );
-    assert_eq!(r.fs.completed, 41, "open + 40 reads: {r:?}");
+    assert_eq!(r.completed, 41, "open + 40 reads: {r:?}");
     assert!(
         cl.kernel_stats(HostId(3)).host_down_failures >= 1,
         "failover must ride on the kernel's HostDown detection"
@@ -133,27 +133,31 @@ fn client_fails_over_across_a_replica_crash() {
 #[test]
 fn failover_latency_spike_is_confined_to_one_operation() {
     let (mut cl, pids) = replicated_cluster(2, 1);
-    let rep = spawn_client(&mut cl, HostId(2), &pids, read_script(40));
+    let rep = Rc::new(RefCell::new(FsClientReport::default()));
+    let op_ms = OpSeries::default();
+    cl.spawn(
+        HostId(2),
+        "replclient",
+        Box::new(
+            FsClient::replicated(pids, read_script(40), rep.clone()).with_op_series(op_ms.clone()),
+        ),
+    );
     cl.run_until(SimTime::from_millis(60));
     cl.crash_host(HostId(0));
     cl.run();
     let r = rep.borrow().clone();
-    assert!(r.fs.done && !r.gave_up, "{r:?}");
-    let spikes: Vec<&(f64, f64)> = r.op_ms.iter().filter(|(_, lat)| *lat > 100.0).collect();
+    assert!(r.done && !r.gave_up, "{r:?}");
+    let op_ms = op_ms.borrow();
+    let spikes: Vec<&(f64, f64)> = op_ms.iter().filter(|(_, lat)| *lat > 100.0).collect();
     assert_eq!(
         spikes.len(),
         1,
-        "exactly one read absorbs the failure-detection wait: {:?}",
-        r.op_ms
+        "exactly one read absorbs the failure-detection wait: {op_ms:?}"
     );
     // After the spike, latency settles back to the no-fault regime.
-    let after_spike = r.op_ms.iter().rev().take(5);
+    let after_spike = op_ms.iter().rev().take(5);
     for (_, lat) in after_spike {
-        assert!(
-            *lat < 100.0,
-            "post-failover reads are normal: {:?}",
-            r.op_ms
-        );
+        assert!(*lat < 100.0, "post-failover reads are normal: {op_ms:?}");
     }
 }
 
@@ -169,7 +173,7 @@ fn client_gives_up_when_all_replicas_are_down() {
     cl.run();
     let r = rep.borrow().clone();
     assert!(r.gave_up, "{r:?}");
-    assert!(!r.fs.done, "the script cannot have finished: {r:?}");
+    assert!(!r.done, "the script cannot have finished: {r:?}");
     assert!(
         r.failovers >= 2 * pids.len() as u64,
         "every replica tried before giving up: {r:?}"
@@ -191,10 +195,10 @@ fn replica_group_survives_a_crash_under_concurrent_load() {
     cl.run();
     for (i, rep) in reps.iter().enumerate() {
         let r = rep.borrow().clone();
-        assert!(r.fs.done, "client {i} must finish: {r:?}");
+        assert!(r.done, "client {i} must finish: {r:?}");
         assert!(!r.gave_up, "client {i}: {r:?}");
-        assert_eq!(r.fs.integrity_errors, 0, "client {i}: {r:?}");
-        assert_eq!(r.fs.completed, 31, "client {i}: {r:?}");
+        assert_eq!(r.integrity_errors, 0, "client {i}: {r:?}");
+        assert_eq!(r.completed, 31, "client {i}: {r:?}");
         assert!(
             r.failovers >= 1,
             "client {i} was mid-script on the primary: {r:?}"
@@ -203,7 +207,7 @@ fn replica_group_survives_a_crash_under_concurrent_load() {
 }
 
 /// A restarted host can rejoin the group: after the crash the service
-/// respawns a replica there ([`spawn_replica`]), and a fresh client
+/// respawns a replica there (a group of one), and a fresh client
 /// whose list starts at the reborn replica is served by it — the
 /// kernel's suspect probe gets an answer and lifts the suspicion.
 #[test]
@@ -213,20 +217,19 @@ fn restarted_host_serves_a_respawned_replica() {
     cl.run_until(SimTime::from_millis(60));
     cl.crash_host(HostId(0));
     cl.run();
-    assert!(rep.borrow().fs.done, "first client fails over and finishes");
+    assert!(rep.borrow().done, "first client fails over and finishes");
 
     // Restart the dead host and respawn its replica — the kernel
     // remembers nothing, so registration happens afresh.
     cl.restart_host(HostId(0));
-    let reborn = spawn_replica(&mut cl, HostId(0), &replica_cfg(), &root_store());
+    let reborn = spawn_replica_group(&mut cl, &[HostId(0)], &replica_cfg(), &root_store());
     cl.run();
 
-    let mut order = vec![reborn];
-    order.push(pids[1]);
+    let order = [reborn[0].server, pids[1]];
     let rep2 = spawn_client(&mut cl, HostId(3), &order, read_script(10));
     cl.run();
     let r = rep2.borrow().clone();
-    assert!(r.fs.done, "{r:?}");
-    assert_eq!(r.fs.integrity_errors, 0, "{r:?}");
+    assert!(r.done, "{r:?}");
+    assert_eq!(r.integrity_errors, 0, "{r:?}");
     assert_eq!(r.failovers, 0, "the reborn replica serves directly: {r:?}");
 }

@@ -134,44 +134,6 @@ impl MeshConfig {
     }
 }
 
-/// Configuration of the single-gateway internetwork star (the PR 3
-/// topology, kept as a convenience shorthand for [`MeshConfig::star`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InternetworkConfig {
-    /// The medium flavour of each segment (index = segment number).
-    pub segments: Vec<NetworkKind>,
-    /// Bounded gateway queue: frames arriving while this many are
-    /// already waiting are dropped.
-    pub gateway_queue: usize,
-    /// Per-frame store-and-forward processing delay at the gateway.
-    pub forward_delay: SimDuration,
-}
-
-impl InternetworkConfig {
-    /// Two 3 Mb segments behind a gateway with an 8-frame queue and a
-    /// 300 µs per-frame forwarding cost.
-    pub fn two_segments() -> InternetworkConfig {
-        InternetworkConfig {
-            segments: vec![NetworkKind::Experimental3Mb; 2],
-            gateway_queue: MeshConfig::DEFAULT_QUEUE,
-            forward_delay: MeshConfig::DEFAULT_FORWARD_DELAY,
-        }
-    }
-}
-
-impl From<InternetworkConfig> for MeshConfig {
-    /// A star: one gateway bridging every segment.
-    fn from(cfg: InternetworkConfig) -> MeshConfig {
-        MeshConfig {
-            gateways: vec![(0..cfg.segments.len()).collect()],
-            segments: cfg.segments,
-            gateway_queue: cfg.gateway_queue,
-            forward_delay: cfg.forward_delay,
-            coalesce: false,
-        }
-    }
-}
-
 /// Sentinel for "not attached" in the station→segment table.
 const UNPLACED: u16 = u16::MAX;
 
@@ -245,8 +207,7 @@ impl Internetwork {
     /// bridging fewer than two distinct segments or naming a segment
     /// that does not exist, more gateways than the reserved address
     /// range holds, or a segment graph that is not connected.
-    pub fn new(cfg: impl Into<MeshConfig>, seed: u64) -> Internetwork {
-        let cfg: MeshConfig = cfg.into();
+    pub fn new(cfg: MeshConfig, seed: u64) -> Internetwork {
         let n = cfg.segments.len();
         assert!(n >= 2, "a mesh needs at least two segments");
         assert!(cfg.gateway_queue > 0, "gateway queue must hold ≥ 1 frame");
@@ -776,7 +737,7 @@ mod tests {
     /// Star of two segments: station 1 on segment 0, stations 2 and 3
     /// on 1 — the PR 3 topology.
     fn star() -> Internetwork {
-        let mut n = Internetwork::new(InternetworkConfig::two_segments(), 42);
+        let mut n = Internetwork::new(MeshConfig::star(2), 42);
         n.attach(MacAddr(1), 0);
         n.attach(MacAddr(2), 1);
         n.attach(MacAddr(3), 1);
@@ -903,7 +864,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_drops_bursts() {
-        let mut cfg: MeshConfig = InternetworkConfig::two_segments().into();
+        let mut cfg = MeshConfig::star(2);
         cfg.gateway_queue = 1;
         let mut n = Internetwork::new(cfg, 9);
         n.attach(MacAddr(1), 0);
@@ -1016,7 +977,7 @@ mod tests {
     fn attach_past_256_stations_routes_and_floods() {
         // The PR 4 station table was a fixed `[u16; 256]`; the growable
         // table must carry addresses past the old 8-bit ceiling.
-        let mut n = Internetwork::new(InternetworkConfig::two_segments(), 13);
+        let mut n = Internetwork::new(MeshConfig::star(2), 13);
         for i in 0..300u16 {
             n.attach(MacAddr(1 + i), (i % 2) as usize);
         }
@@ -1036,7 +997,7 @@ mod tests {
     #[test]
     fn coalescing_batches_a_queued_same_egress_burst() {
         let run = |coalesce: bool| {
-            let mut cfg: MeshConfig = InternetworkConfig::two_segments().into();
+            let mut cfg = MeshConfig::star(2);
             cfg.coalesce = coalesce;
             let mut n = Internetwork::new(cfg, 21);
             n.attach(MacAddr(1), 0);
@@ -1067,7 +1028,7 @@ mod tests {
         // An unqueued frame has no predecessor to batch with: its
         // delivery time must match the uncoalesced mesh exactly.
         let run = |coalesce: bool| {
-            let mut cfg: MeshConfig = InternetworkConfig::two_segments().into();
+            let mut cfg = MeshConfig::star(2);
             cfg.coalesce = coalesce;
             let mut n = Internetwork::new(cfg, 5);
             n.attach(MacAddr(1), 0);

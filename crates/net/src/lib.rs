@@ -33,8 +33,8 @@
 //! joins Ethernet segments through a routed mesh of store-and-forward
 //! gateways ([`MeshConfig`]: shortest-path tables computed at build
 //! time, bounded per-gateway queues, loop-free broadcast flooding; the
-//! PR 3 single-gateway star remains as [`InternetworkConfig`]). A
-//! [`Topology`] value describes which to build.
+//! PR 3 single-gateway star is [`MeshConfig::star`]). A [`Topology`]
+//! value describes which to build.
 
 pub mod fault;
 pub mod frame;
@@ -47,8 +47,8 @@ pub mod transport;
 pub use fault::FaultPlan;
 pub use frame::{EtherType, Frame, MacAddr};
 pub use internet::{
-    gateway_mac, is_gateway_mac, Internetwork, InternetworkConfig, MeshConfig, GATEWAY_MAC_FIRST,
-    GATEWAY_MAC_LAST, MAX_GATEWAYS,
+    gateway_mac, is_gateway_mac, Internetwork, MeshConfig, GATEWAY_MAC_FIRST, GATEWAY_MAC_LAST,
+    MAX_GATEWAYS,
 };
 pub use link::{LinkParams, PointToPointLink};
 pub use medium::{

@@ -11,7 +11,7 @@ use v_sim::SimTime;
 
 use crate::fault::FaultPlan;
 use crate::frame::{Frame, MacAddr};
-use crate::internet::{Internetwork, InternetworkConfig, MeshConfig};
+use crate::internet::{Internetwork, MeshConfig};
 use crate::link::{LinkParams, PointToPointLink};
 use crate::medium::{CollisionBug, Delivery, Ethernet, MediumStats, NetworkKind, TxWindow};
 
@@ -137,9 +137,6 @@ pub enum Topology {
     SingleSegment(NetworkKind),
     /// A point-to-point WAN link between exactly two stations.
     PointToPoint(LinkParams),
-    /// Ethernet segments joined by one store-and-forward gateway (a
-    /// star — shorthand for a one-gateway [`Topology::Mesh`]).
-    Internetwork(InternetworkConfig),
     /// Ethernet segments joined by a routed mesh of explicitly-placed
     /// gateways.
     Mesh(MeshConfig),
@@ -151,7 +148,6 @@ impl Topology {
         match self {
             Topology::SingleSegment(kind) => Box::new(Ethernet::for_kind(*kind, seed)),
             Topology::PointToPoint(params) => Box::new(PointToPointLink::new(*params, seed)),
-            Topology::Internetwork(cfg) => Box::new(Internetwork::new(cfg.clone(), seed)),
             Topology::Mesh(cfg) => Box::new(Internetwork::new(cfg.clone(), seed)),
         }
     }
@@ -160,7 +156,6 @@ impl Topology {
     pub fn num_segments(&self) -> usize {
         match self {
             Topology::SingleSegment(_) | Topology::PointToPoint(_) => 1,
-            Topology::Internetwork(cfg) => cfg.segments.len(),
             Topology::Mesh(cfg) => cfg.segments.len(),
         }
     }

@@ -6,8 +6,7 @@
 //! 3-segment routed mesh whose A→B path crosses two gateways.
 
 use v_net::{
-    EtherType, FaultPlan, Frame, InternetworkConfig, LinkParams, MacAddr, MeshConfig, NetworkKind,
-    Topology, Transport,
+    EtherType, FaultPlan, Frame, LinkParams, MacAddr, MeshConfig, NetworkKind, Topology, Transport,
 };
 use v_sim::{SimDuration, SimTime};
 
@@ -25,10 +24,7 @@ fn all_transports(seed: u64) -> Vec<(&'static str, Box<dyn Transport>)> {
             Topology::SingleSegment(NetworkKind::Experimental3Mb),
         ),
         ("point-to-point", Topology::PointToPoint(LinkParams::T1)),
-        (
-            "internetwork",
-            Topology::Internetwork(InternetworkConfig::two_segments()),
-        ),
+        ("internetwork", Topology::Mesh(MeshConfig::star(2))),
         ("mesh-3seg-line", Topology::Mesh(MeshConfig::line(3))),
     ];
     for (name, topo) in topologies {
@@ -215,7 +211,7 @@ fn mtu_is_at_least_a_kernel_page_exchange() {
 
 #[test]
 fn internetwork_gateway_reports_forwarding_stats() {
-    let mut t = Topology::Internetwork(InternetworkConfig::two_segments()).build(10);
+    let mut t = Topology::Mesh(MeshConfig::star(2)).build(10);
     t.attach(A, 0);
     t.attach(B, 1);
     send(t.as_mut(), SimTime::ZERO, frame(B, 64));

@@ -9,8 +9,8 @@
 //!   order), exposing engine throughput counters as [`SimStats`];
 //! * [`SplitMix64`] — a tiny, fast, seedable PRNG used for fault injection
 //!   and workload generation so every run is reproducible;
-//! * [`OnlineStats`] / [`Histogram`] — streaming statistics used by the
-//!   measurement harness;
+//! * [`OnlineStats`] — streaming statistics used by the measurement
+//!   harness;
 //! * [`Timeline`] — a pre-written, replayable script of externally
 //!   injected events (the substrate of the chaos fault schedules).
 //!
@@ -26,6 +26,6 @@ pub mod timeline;
 
 pub use queue::{EventQueue, SimStats};
 pub use rng::SplitMix64;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;

@@ -131,83 +131,6 @@ impl fmt::Display for OnlineStats {
     }
 }
 
-/// Fixed-width linear histogram, used for latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram of `buckets` bins of `width` starting at `lo`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width <= 0` or `buckets == 0`.
-    pub fn new(lo: f64, width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0 && buckets > 0, "invalid histogram shape");
-        Histogram {
-            lo,
-            width,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records an observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.buckets.len() {
-            self.overflow += 1;
-        } else {
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total recorded observations, including out-of-range ones.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Count in bucket `i`.
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
-    }
-
-    /// Number of observations below range / above range.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) from bucket midpoints.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target && self.underflow > 0 {
-            return self.lo;
-        }
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.lo + (i as f64 + 0.5) * self.width;
-            }
-        }
-        self.lo + self.width * self.buckets.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,29 +183,5 @@ mod tests {
         let mut s = OnlineStats::new();
         s.push_duration(SimDuration::from_micros(2500));
         assert!((s.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_basic() {
-        let mut h = Histogram::new(0.0, 1.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.9, -1.0, 11.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bucket(0), 1);
-        assert_eq!(h.bucket(1), 2);
-        assert_eq!(h.bucket(9), 1);
-        assert_eq!(h.out_of_range(), (1, 1));
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn histogram_quantile() {
-        let mut h = Histogram::new(0.0, 1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.1);
-        }
-        let median = h.quantile(0.5);
-        assert!((median - 49.5).abs() <= 1.0, "median={median}");
-        assert_eq!(h.quantile(0.0), 0.5);
     }
 }

@@ -30,10 +30,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::loader::{install_image, LoadReport, ProgramLoader};
 use v_fs::{
-    spawn_caching_client, spawn_shard_server, BlockStore, CacheConfig, CacheMode, DiskModel,
+    spawn_caching_client, spawn_file_server, BlockStore, CacheConfig, CacheMode, DiskModel,
     FileServerConfig, ShardMap, BLOCK_SIZE,
 };
 use v_kernel::naming::Scope;
@@ -250,12 +250,11 @@ pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
     }
     let servers: Vec<Pid> = (0..shards)
         .map(|s| {
-            spawn_shard_server(
+            spawn_file_server(
                 &mut cl,
                 HostId(s),
-                &map,
-                s,
                 FileServerConfig {
+                    register: Some(map.logical_id(s)),
                     disk: DiskModel::fixed(SimDuration::from_millis(2)),
                     disk_arms: cfg.disk_arms,
                     transfer_unit: 4096,
@@ -268,6 +267,7 @@ pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
                 },
                 master.clone(),
             )
+            .server
         })
         .collect();
     cl.run(); // every server parked in its Receive
@@ -343,9 +343,7 @@ pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
             handles.push(spawn_caching_client(
                 &mut cl,
                 HostId(shards + j),
-                servers[shard],
-                script,
-                report.clone(),
+                FsClient::new(servers[shard], script, report.clone()),
                 &cache_cfg,
             ));
         }

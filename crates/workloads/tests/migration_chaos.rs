@@ -5,12 +5,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use v_fs::client::{FsCall, FsClientReport};
+use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::disk::DiskModel;
 use v_fs::store::BlockStore;
 use v_fs::{
-    spawn_rebalancer, spawn_shard_service, FileServerConfig, RebalancerConfig, ShardHandle,
-    ShardMap, ShardOverlay, ShardService, ShardedFsClient, BLOCK_SIZE,
+    spawn_file_server, spawn_rebalancer, FileServerConfig, FileServerTeam, RebalancerConfig,
+    ShardMap, ShardOverlay, BLOCK_SIZE,
 };
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::{SimDuration, SimTime};
@@ -18,7 +18,7 @@ use v_workloads::chaos::{run_with_faults, FaultSchedule};
 
 /// Everything a chaos scenario needs a handle on after setup.
 struct HotShards {
-    services: Vec<ShardService>,
+    services: Vec<FileServerTeam>,
     reports: Vec<Rc<RefCell<FsClientReport>>>,
     ledger: Rc<RefCell<v_fs::MigrationLedger>>,
     overlay: Rc<RefCell<ShardOverlay>>,
@@ -46,17 +46,12 @@ fn hot_shard_setup(cl: &mut Cluster) -> HotShards {
         }
         let fs_cfg = FileServerConfig {
             disk: DiskModel::fixed(SimDuration::from_millis(1)),
-            register: None,
+            register: Some(map.logical_id(shard)),
             ..FileServerConfig::default()
         };
-        services.push(spawn_shard_service(
-            cl,
-            HostId(shard),
-            &map,
-            shard,
-            fs_cfg,
-            store,
-        ));
+        let mut team = spawn_file_server(cl, HostId(shard), fs_cfg, store);
+        team.attach_migration_agent(cl);
+        services.push(team);
     }
     cl.run(); // services reach their Receive
 
@@ -99,7 +94,7 @@ fn hot_shard_setup(cl: &mut Cluster) -> HotShards {
             HostId(2 + i),
             "client",
             Box::new(
-                ShardedFsClient::with_servers(servers.clone(), script, rep.clone())
+                FsClient::sharded(servers.clone(), script, rep.clone())
                     .with_overlay(overlay.clone()),
             ),
         );
@@ -114,7 +109,7 @@ fn hot_shard_setup(cl: &mut Cluster) -> HotShards {
             min_score: 1.0,
             ..RebalancerConfig::default()
         },
-        services.iter().map(ShardHandle::from).collect(),
+        &services,
         overlay.clone(),
     );
     HotShards {
@@ -218,7 +213,7 @@ fn old_owner_crash_after_flip_fails_over_to_new_owner() {
     // Its client held a stale owner when host 0 died: it recovered
     // through a forward (pre-crash) or a Send-error failover (post).
     assert!(
-        r.stale_owner_forwards + r.owner_failovers >= 1,
+        r.stale_owner_forwards + r.failovers >= 1,
         "a client recovery path must have fired: {r:?}"
     );
     // The stranded client may fail its remaining ops (its server is
@@ -257,7 +252,7 @@ fn migration_chaos_replays_deterministically() {
                     r.errors,
                     r.stale_owner_forwards,
                     r.write_retries,
-                    r.owner_failovers,
+                    r.failovers,
                 )
             })
             .collect();

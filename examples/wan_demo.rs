@@ -11,16 +11,16 @@
 //! Run with: `cargo run --example wan_demo`
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
-use v_net::{FaultPlan, InternetworkConfig, LinkParams};
+use v_net::{FaultPlan, LinkParams, MeshConfig};
 use v_sim::SimDuration;
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::measure::probe;
 
 fn main() {
     // --- Across the gateway, through a 5% loss storm -------------------
-    let mut topo = InternetworkConfig::two_segments();
+    let mut topo = MeshConfig::star(2);
     topo.gateway_queue = 4;
-    let mut cfg = ClusterConfig::internetwork(topo)
+    let mut cfg = ClusterConfig::mesh(topo)
         .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
         .with_host_on(CpuSpeed::Mc68000At8MHz, 1);
     cfg.faults = FaultPlan::with_loss(0.05);
