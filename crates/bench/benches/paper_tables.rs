@@ -10,7 +10,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
 use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope};
-use v_net::{EtherType, Frame, MacAddr, NetworkKind, Topology};
+use v_net::{
+    Delivery, DeliverySink, EtherType, Frame, MacAddr, NetworkKind, StationRun, Topology, Transport,
+};
 use v_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
 use v_wire::{decode, encode, MoveToData, Packet, PacketBody, ReplyBody, SendBody};
 use v_workloads::echo::{EchoServer, Pinger};
@@ -257,33 +259,74 @@ impl Program for Asker {
     }
 }
 
+/// Takes a transport's output the way the kernel's sink does: a run is
+/// one entry, however many stations it reaches.
+#[derive(Default)]
+struct RunSink {
+    entries: usize,
+    receivers: usize,
+}
+
+impl DeliverySink for RunSink {
+    fn deliver(&mut self, d: Delivery) {
+        black_box(d);
+        self.entries += 1;
+        self.receivers += 1;
+    }
+
+    fn deliver_run(&mut self, run: StationRun) {
+        self.entries += 1;
+        self.receivers += run.range.len();
+        black_box(run);
+    }
+}
+
 /// The layers a boot storm spends its wall-clock in per head (ROADMAP
-/// open item 1(d)): the transport's fan-out to every station, the
-/// kernel's batch dispatch of one arrival to every receiver, and the
-/// spawn of every workstation's process.
+/// open item 1): the transport's fan-out to every station — into a
+/// `Vec<Delivery>`, which writes a record per receiver, and into a sink
+/// that takes runs whole, as the kernel's does — the kernel's batch
+/// dispatch of one arrival to every receiver, and the spawn of every
+/// workstation's process.
 fn bench_fanout(c: &mut Criterion) {
     const STATIONS: usize = 1000;
     let mut g = c.benchmark_group("fanout");
     g.sample_size(20);
-    g.bench_function("transport_transmit_1000_stations", |b| {
+    let segment = || {
         let mut net = Topology::SingleSegment(NetworkKind::Experimental3Mb).build(1);
         for i in 0..STATIONS {
             net.attach(HostId(i).station_mac(), 0);
         }
+        net
+    };
+    let payload: std::rc::Rc<[u8]> = std::rc::Rc::from([0xAB; 64]);
+    let broadcast = |net: &mut dyn Transport, now: &mut SimTime, out: &mut dyn DeliverySink| {
         let src = HostId(0).station_mac();
-        let payload: std::rc::Rc<[u8]> = std::rc::Rc::from([0xAB; 64]);
+        let frame = Frame::new(
+            MacAddr::BROADCAST,
+            src,
+            EtherType::INTERKERNEL,
+            payload.clone(),
+        );
+        *now = net.transmit(*now, frame, out).tx_end;
+    };
+    g.bench_function("transport_transmit_1000_stations", |b| {
+        let mut net = segment();
         let mut out = Vec::new();
         let mut now = SimTime::ZERO;
         b.iter(|| {
             out.clear();
-            let frame = Frame::new(
-                MacAddr::BROADCAST,
-                src,
-                EtherType::INTERKERNEL,
-                payload.clone(),
-            );
-            now = net.transmit(now, frame, &mut out).tx_end;
+            broadcast(net.as_mut(), &mut now, &mut out);
             assert_eq!(out.len(), STATIONS - 1);
+        })
+    });
+    g.bench_function("transport_transmit_1000_stations_run_sink", |b| {
+        let mut net = segment();
+        let mut now = SimTime::ZERO;
+        b.iter(|| {
+            let mut out = RunSink::default();
+            broadcast(net.as_mut(), &mut now, &mut out);
+            // The sender is the first station: everyone else is one run.
+            assert_eq!((out.entries, out.receivers), (1, STATIONS - 1));
         })
     });
     g.bench_function("getpid_broadcast_dispatch_1000_hosts", |b| {

@@ -5,19 +5,20 @@
 //! top-level object experiments construct; see the crate examples and the
 //! `v-bench` experiments for usage.
 
-use v_net::{Delivery, EtherType, Ethernet, Frame, MacAddr, Nic, Transport};
+use v_net::{EtherType, Ethernet, Frame, MacAddr, Nic, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
+use v_wire::{Packet, PacketBody};
 
 use crate::aliens::AlienTable;
 use crate::config::ClusterConfig;
 use crate::costs::CostModel;
-use crate::cpu::Cpu;
+use crate::cpu::{Cpu, CpuSpeed};
 use crate::ctx::Ctx;
 use crate::error::KernelError;
-use crate::event::{Event, FanOut, HostId, TimerKind};
-use crate::host::Host;
+use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
+use crate::host::{Host, Lane};
 use crate::hostmap::HostMap;
-use crate::ipc::dispatch::decode_frame;
+use crate::ipc::dispatch::{decode_frame, rx_cost};
 use crate::message::Message;
 use crate::naming::{NameTable, Scope};
 use crate::pcb::{Pcb, ProcState};
@@ -64,15 +65,14 @@ pub struct Cluster {
     pub(crate) queue: EventQueue<Event>,
     pub(crate) net: Box<dyn Transport>,
     pub(crate) hosts: Vec<Host>,
-    pub(crate) housekeeping_armed: Vec<bool>,
+    /// Host `i`'s processor, crashed flag and `quiet` bit — all a
+    /// broadcast reads and writes at a receiver it means nothing to —
+    /// and what else of a host outlives its kernel's tables.
+    pub(crate) lanes: Vec<Lane>,
     /// Logical events dispatched: one per resume/frame/timer/chunk. An
     /// arrival event counts once per receiver it reaches, so the number
     /// is comparable across delivery-batching changes.
     events_dispatched: u64,
-    /// Reusable buffer for transport deliveries: every transmit drains
-    /// into it and schedules from it, so the hot path never allocates a
-    /// per-transmit vector.
-    delivery_scratch: Vec<Delivery>,
 }
 
 impl Cluster {
@@ -99,6 +99,7 @@ impl Cluster {
         net.set_collision_bug(cfg.collision_bug);
 
         let mut hosts = Vec::with_capacity(cfg.hosts.len());
+        let mut lanes = Vec::with_capacity(cfg.hosts.len());
         for (i, hc) in cfg.hosts.iter().enumerate() {
             let mac = HostId(i).station_mac();
             net.attach(mac, hc.segment);
@@ -108,7 +109,6 @@ impl Cluster {
             hosts.push(Host {
                 id: HostId(i),
                 logical,
-                cpu: Cpu::new(hc.cpu),
                 costs: CostModel::for_speed(hc.cpu),
                 nic: Nic::new(mac),
                 procs: Default::default(),
@@ -122,19 +122,22 @@ impl Cluster {
                 out_serves: Default::default(),
                 raw: Default::default(),
                 stats: KernelStats::default(),
-                up: true,
                 suspects: Default::default(),
             });
+            lanes.push(Lane {
+                cpu: Cpu::new(hc.cpu),
+                up: true,
+                quiet: hosts[i].quiet(),
+                housekeeping_armed: false,
+            });
         }
-        let n = hosts.len();
         Cluster {
             cfg,
             queue: EventQueue::new(),
             net,
             hosts,
-            housekeeping_armed: vec![false; n],
+            lanes,
             events_dispatched: 0,
-            delivery_scratch: Vec::new(),
         }
     }
 
@@ -165,12 +168,12 @@ impl Cluster {
 
     /// A host's total charged processor time.
     pub fn cpu_busy(&self, host: HostId) -> SimDuration {
-        self.hosts[host.0].cpu.busy_total()
+        self.lanes[host.0].cpu.busy_total()
     }
 
     /// A host's processor utilization over the elapsed simulation time.
     pub fn cpu_utilization(&self, host: HostId) -> f64 {
-        self.hosts[host.0].cpu.utilization(self.now())
+        self.lanes[host.0].cpu.utilization(self.now())
     }
 
     /// Medium statistics (summed across segments on multi-segment
@@ -279,7 +282,7 @@ impl Cluster {
 
     /// True while `host` is up (not crashed).
     pub fn host_is_up(&self, host: HostId) -> bool {
-        self.hosts[host.0].up
+        self.lanes[host.0].up
     }
 
     /// Crashes a host: every process, alien descriptor, in-flight
@@ -292,10 +295,11 @@ impl Cluster {
         let addressing = self.cfg.addressing;
         let pool = self.cfg.protocol.alien_pool;
         let h = &mut self.hosts[host.0];
-        if !h.up {
+        let lane = &mut self.lanes[host.0];
+        if !lane.up {
             return;
         }
-        h.up = false;
+        lane.up = false;
         h.stats.crashes += 1;
         h.stats.processes_exited += h.procs.len() as u64;
         h.procs.clear();
@@ -308,6 +312,7 @@ impl Cluster {
         h.in_fetches.clear();
         h.out_serves.clear();
         h.raw.clear();
+        lane.requiet(h);
         // Timers and events still queued against this host become no-ops
         // at dispatch; `stats` survive as the simulation's accounting.
     }
@@ -322,10 +327,10 @@ impl Cluster {
     ///
     /// Panics if the host is up.
     pub fn restart_host(&mut self, host: HostId) {
-        let h = &mut self.hosts[host.0];
-        assert!(!h.up, "restart_host({host:?}): host is not crashed");
-        h.up = true;
-        h.stats.restarts += 1;
+        let lane = &mut self.lanes[host.0];
+        assert!(!lane.up, "restart_host({host:?}): host is not crashed");
+        lane.up = true;
+        self.hosts[host.0].stats.restarts += 1;
     }
 
     /// Replaces the transport's fault plan at the current instant —
@@ -369,13 +374,14 @@ impl Cluster {
     ) -> Pid {
         let now = self.now();
         let h = &mut self.hosts[host.0];
-        assert!(h.up, "cannot spawn {name:?} on crashed host {host:?}");
+        let lane = &mut self.lanes[host.0];
+        assert!(lane.up, "cannot spawn {name:?} on crashed host {host:?}");
         let uid = h.alloc_uid();
         let pid = Pid::new(h.logical, uid);
         let pcb = Pcb::new(pid, program, space, name.to_string());
         h.procs.insert(uid, pcb);
         h.stats.processes_spawned += 1;
-        let span = h.cpu.charge(now, h.costs.spawn);
+        let span = lane.cpu.charge(now, h.costs.spawn);
         self.queue.schedule(
             span.end,
             Event::Resume {
@@ -428,17 +434,12 @@ impl Cluster {
     fn dispatch(&mut self, t: SimTime, ev: Event) {
         match ev {
             Event::Arrival { frame, fan_out } => match fan_out {
-                None => {
-                    let host = HostId::from_station_mac(frame.dst);
-                    if self.hears(host) {
-                        self.ctx(host).handle_frame(t, &frame, None);
-                    }
-                }
+                None => self.dispatch_one(t, &frame),
                 Some(fan_out) => {
-                    let FanOut { stations, split } = *fan_out;
-                    self.dispatch_fan_out(t, frame, &stations);
-                    for (frame, stations) in split {
-                        self.dispatch_fan_out(t, frame, &stations);
+                    let FanOut { reach, rest } = *fan_out;
+                    self.dispatch_fan_out(t, frame, reach);
+                    for (frame, reach) in rest {
+                        self.dispatch_fan_out(t, frame, reach);
                     }
                 }
             },
@@ -458,7 +459,7 @@ impl Cluster {
                     _ => None,
                 };
                 if let Some(h) = target {
-                    if !self.hosts[h.0].up {
+                    if !self.lanes[h.0].up {
                         return;
                     }
                 }
@@ -474,19 +475,79 @@ impl Cluster {
         }
     }
 
-    /// Dispatches one frame of a fan-out to every station it reaches. An
-    /// interkernel payload is decoded once for all of them; each still
-    /// gets the frame addressed to itself.
-    fn dispatch_fan_out(&mut self, t: SimTime, mut frame: Frame, stations: &[MacAddr]) {
+    /// Dispatches one frame to every station it reaches.
+    ///
+    /// A frame of one station's own (a unicast, or a copy a fault plan
+    /// gave a fate of its own) is that host's to decode and keep. A run
+    /// is decoded once for all its receivers, and walked over the
+    /// [`Lane`]s: when what it carries is a name query, a receiver whose
+    /// lane is `quiet` is counted and charged its receive processing
+    /// there and then — by [`Host::quiet`] nothing else would come of
+    /// it, so the host's own tables are not touched (or even brought
+    /// into cache). Every other receiver, and every other kind of
+    /// packet, goes through `handle_frame` at the same position in the
+    /// station order, so whatever it schedules is scheduled in the same
+    /// order as if every station had.
+    fn dispatch_fan_out(&mut self, t: SimTime, mut frame: Frame, reach: Reach) {
+        let Reach::Run { stations, range } = reach else {
+            return self.dispatch_one(t, &frame);
+        };
         let decoded = (frame.ethertype == EtherType::INTERKERNEL)
             .then(|| decode_frame(&self.cfg.protocol, &frame));
-        for &station in stations {
-            let host = HostId::from_station_mac(station);
+        let name_query = matches!(
+            &decoded,
+            Some(Ok(Packet {
+                body: PacketBody::GetPidReq(_),
+                ..
+            }))
+        );
+        // Receive cost of this frame by processor grade, worked out from
+        // the first quiet receiver of each grade.
+        let mut quiet_cost = [None; CpuSpeed::GRADES];
+        for &station in &stations[range] {
+            let Some(host) = self.host_at(station) else {
+                continue;
+            };
+            if !self.hears(host) {
+                continue;
+            }
+            let lane = &mut self.lanes[host.0];
+            debug_assert_eq!(
+                lane.quiet,
+                self.hosts[host.0].quiet(),
+                "{host}: a change to what Host::quiet reads must call Lane::requiet"
+            );
+            if name_query && lane.quiet {
+                let cost = quiet_cost[lane.cpu.speed() as usize].get_or_insert_with(|| {
+                    rx_cost(
+                        &self.hosts[host.0].costs,
+                        &self.cfg.protocol,
+                        frame.payload.len(),
+                    )
+                });
+                lane.cpu.charge(t, *cost);
+                continue;
+            }
+            frame.dst = station;
+            self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
+        }
+    }
+
+    /// Dispatches a frame of one station's own to the host `frame.dst`
+    /// addresses. Nobody hears a frame no interface matches.
+    #[inline]
+    fn dispatch_one(&mut self, t: SimTime, frame: &Frame) {
+        if let Some(host) = self.host_at(frame.dst) {
             if self.hears(host) {
-                frame.dst = station;
-                self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
+                self.ctx(host).handle_frame(t, frame, None);
             }
         }
+    }
+
+    /// The host whose interface answers to station address `mac`, if the
+    /// cluster has one.
+    fn host_at(&self, mac: MacAddr) -> Option<HostId> {
+        HostId::from_station_mac(mac).filter(|h| h.0 < self.hosts.len())
     }
 
     /// Counts one frame arrival at `host` as a logical event and applies
@@ -494,23 +555,22 @@ impl Cluster {
     /// interface.
     fn hears(&mut self, host: HostId) -> bool {
         self.events_dispatched += 1;
-        let h = &mut self.hosts[host.0];
-        if !h.up {
-            h.stats.frames_dropped_down += 1;
+        let up = self.lanes[host.0].up;
+        if !up {
+            self.hosts[host.0].stats.frames_dropped_down += 1;
         }
-        h.up
+        up
     }
 
     /// Builds the split-borrow context for one host.
     pub(crate) fn ctx(&mut self, host: HostId) -> Ctx<'_> {
         Ctx {
             host: &mut self.hosts[host.0],
+            lane: &mut self.lanes[host.0],
             net: self.net.as_mut(),
             queue: &mut self.queue,
             proto: &self.cfg.protocol,
             host_id: host,
-            housekeeping_armed: &mut self.housekeeping_armed[host.0],
-            scratch: &mut self.delivery_scratch,
         }
     }
 
@@ -585,6 +645,7 @@ impl Cluster {
         }
         h.stats.processes_exited += 1;
         h.names.purge_pid(pid);
+        self.lanes[host.0].requiet(h);
         h.out_moves.remove(&pid.local());
         h.in_fetches.remove(&pid.local());
         h.in_moves.retain(|_, m| m.dest_pid != pid);
@@ -682,10 +743,9 @@ impl<'a> Api<'a> {
     /// paper's ±10 ms clock granularity. Charges the minimal kernel-call
     /// overhead.
     pub fn get_time(&mut self) -> SimTime {
-        let h = &mut self.cl.hosts[self.host.0];
-        let span = h.cpu.charge(self.now, h.costs.syscall_min);
-        self.now = span.end;
-        SimTime::from_millis(span.end.as_nanos() / 10_000_000 * 10)
+        let cost = self.cl.hosts[self.host.0].costs.syscall_min;
+        self.now = self.cl.lanes[self.host.0].cpu.charge(self.now, cost).end;
+        SimTime::from_millis(self.now.as_nanos() / 10_000_000 * 10)
     }
 
     /// `Send(message, pid)`: blocks until the receiver replies.
@@ -801,9 +861,10 @@ impl<'a> Api<'a> {
     /// `SetPid(logicalid, pid, scope)`: registers a logical id.
     pub fn set_pid(&mut self, logical_id: u32, pid: Pid, scope: Scope) {
         let h = &mut self.cl.hosts[self.host.0];
-        let span = h.cpu.charge(self.now, h.costs.name_op);
-        self.now = span.end;
+        let lane = &mut self.cl.lanes[self.host.0];
+        self.now = lane.cpu.charge(self.now, h.costs.name_op).end;
         h.names.set(logical_id, pid, scope);
+        lane.requiet(h);
     }
 
     /// Reads this process's own memory (no kernel charge: programs touch
@@ -854,9 +915,8 @@ impl<'a> Api<'a> {
     pub fn spawn(&mut self, name: &str, program: Box<dyn Program>) -> Pid {
         // Charge creation cost at the cursor, then spawn through the
         // cluster so accounting stays in one place.
-        let h = &mut self.cl.hosts[self.host.0];
-        let span = h.cpu.charge(self.now, h.costs.spawn);
-        self.now = span.end;
+        let cost = self.cl.hosts[self.host.0].costs.spawn;
+        self.now = self.cl.lanes[self.host.0].cpu.charge(self.now, cost).end;
         let host = self.host;
         let uid = self.cl.hosts[host.0].alloc_uid();
         let logical = self.cl.hosts[host.0].logical;

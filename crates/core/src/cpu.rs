@@ -24,6 +24,12 @@ pub enum CpuSpeed {
     Mc68000At10MHz,
 }
 
+impl CpuSpeed {
+    /// Number of speed grades: `grade as usize` indexes a table of this
+    /// length.
+    pub const GRADES: usize = 2;
+}
+
 /// A host processor.
 #[derive(Debug, Clone)]
 pub struct Cpu {

@@ -1,11 +1,11 @@
 //! The shared-state core of the kernel protocol engine.
 //!
-//! [`Ctx`] is a split borrow of one host plus the shared medium, event
-//! queue and protocol configuration. The protocol logic itself lives in
-//! the [`crate::ipc`] module tree — one file per protocol concern — as
-//! `impl Ctx` blocks; this file keeps only the state plumbing every
-//! concern shares: processor charging, event scheduling and frame
-//! emission.
+//! [`Ctx`] is a split borrow of one host and its receive lane plus the
+//! shared medium, event queue and protocol configuration. The protocol
+//! logic itself lives in the [`crate::ipc`] module tree — one file per
+//! protocol concern — as `impl Ctx` blocks; this file keeps only the
+//! state plumbing every concern shares: processor charging, event
+//! scheduling and frame emission.
 //!
 //! Timing discipline: a handler runs at its trigger's pop time, charges
 //! processor costs as it goes, and schedules every externally visible
@@ -14,12 +14,12 @@
 
 use std::rc::Rc;
 
-use v_net::{Delivery, EtherType, Frame, Transport};
+use v_net::{Delivery, DeliverySink, EtherType, Frame, StationRun, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 
 use crate::config::ProtocolConfig;
-use crate::event::{Event, FanOut, HostId, TimerKind};
-use crate::host::Host;
+use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
+use crate::host::{Host, Lane};
 use crate::pid::{LogicalHost, Pid};
 use crate::program::Outcome;
 use v_wire::{encode, Packet, PacketBody, WireBytes};
@@ -37,21 +37,18 @@ pub(crate) struct Emitted {
 /// Split-borrow context for one host's kernel.
 pub(crate) struct Ctx<'a> {
     pub host: &'a mut Host,
+    pub lane: &'a mut Lane,
     pub net: &'a mut dyn Transport,
     pub queue: &'a mut EventQueue<Event>,
     pub proto: &'a ProtocolConfig,
     pub host_id: HostId,
-    pub housekeeping_armed: &'a mut bool,
-    /// Cluster-owned delivery buffer every transmit drains into and
-    /// schedules from (always left empty between uses).
-    pub scratch: &'a mut Vec<Delivery>,
 }
 
 impl Ctx<'_> {
     /// Charges processor time starting no earlier than `t`; returns the
     /// completion instant.
     pub(crate) fn charge(&mut self, t: SimTime, cost: SimDuration) -> SimTime {
-        self.host.cpu.charge(t, cost).end
+        self.lane.cpu.charge(t, cost).end
     }
 
     /// Cost of handing `n` bytes of message data between two co-located
@@ -99,8 +96,8 @@ impl Ctx<'_> {
 
     /// Arms the housekeeping sweep if it is not already pending.
     pub(crate) fn arm_housekeeping(&mut self, t: SimTime) {
-        if !*self.housekeeping_armed {
-            *self.housekeeping_armed = true;
+        if !self.lane.housekeeping_armed {
+            self.lane.housekeeping_armed = true;
             let at = t + self.proto.housekeeping;
             self.timer_at(at, TimerKind::Housekeeping);
         }
@@ -176,12 +173,14 @@ impl Ctx<'_> {
     }
 
     /// The one transmit path every frame takes: charges the copy-in and
-    /// `extra_cost`, hands the frame to the transport, and schedules its
-    /// deliveries (direct and gateway-forwarded alike) out of the
-    /// cluster's reused scratch buffer. The payload is a handle, so
-    /// neither the transport's fan-out nor the queued arrivals copy the
-    /// bytes; what is allocated is a receiver list (and the box that
-    /// holds it) per fan-out run, and nothing for a unicast.
+    /// `extra_cost`, hands the frame to the transport, and has its
+    /// deliveries (direct and gateway-forwarded alike) scheduled as the
+    /// transport produces them ([`Arrivals`], [`UnicastArrivals`]). The
+    /// payload is a handle,
+    /// so neither the transport's fan-out nor the queued arrivals copy
+    /// the bytes; what is allocated is one box per fan-out event (its
+    /// stations are the transport's own shared list), and nothing for a
+    /// unicast.
     fn emit_frame(
         &mut self,
         t: SimTime,
@@ -195,59 +194,28 @@ impl Ctx<'_> {
         // begin until the previous frame has left it.
         let ready = self.host.nic.tx_ready_after(t);
         let cost = self.host.costs.frame_tx_cost(wire_len) + extra_cost;
-        let span = self.host.cpu.charge(ready, cost);
+        let span = self.lane.cpu.charge(ready, cost);
         let frame = Frame::new(dst, self.host.nic.mac(), ethertype, payload);
-        self.scratch.clear();
-        let win = self.net.transmit(span.end, frame, self.scratch);
-        self.host.nic.note_tx(win.tx_end, wire_len);
-        self.schedule_scratch();
-        // Forwarded deliveries a gateway produced ride the same buffer
-        // (empty again after the schedule above).
-        self.net.poll_deliveries(self.scratch);
-        self.schedule_scratch();
+        // Forwarded deliveries a gateway produced are polled after the
+        // origin segment's have been scheduled: a sequence of their own.
+        let win = if dst.is_broadcast() {
+            let mut arrivals = Arrivals::new(self.queue);
+            let win = self.net.transmit(span.end, frame, &mut arrivals);
+            arrivals.close();
+            self.net.poll_deliveries(&mut arrivals);
+            arrivals.close();
+            win
+        } else {
+            let mut copies = UnicastArrivals(self.queue);
+            let win = self.net.transmit(span.end, frame, &mut copies);
+            self.net.poll_deliveries(&mut copies);
+            win
+        };
+        self.host.nic.note_tx(win.tx_end);
         Emitted {
             cpu_done: span.end,
             tx_end: win.tx_end,
         }
-    }
-
-    /// Empties the delivery scratch into the event queue: one
-    /// [`Event::Arrival`] per run of consecutive same-instant deliveries
-    /// — a broadcast's fan-out becomes a single queue entry instead of
-    /// one per receiver. Scheduling order (and therefore FIFO tie-break
-    /// order at dispatch) is delivery order. The scratch is the buffer
-    /// the transport wrote each delivery into; a run is walked once to
-    /// find where its groups end, and each group's stations are then
-    /// copied out at their exact count.
-    fn schedule_scratch(&mut self) {
-        // A unicast's one delivery is moved, not cloned.
-        if self.scratch.len() == 1 {
-            let d = self.scratch.pop().expect("length checked");
-            self.queue.schedule(d.at, unicast(d.frame, d.dst));
-            return;
-        }
-        let mut pending = &self.scratch[..];
-        while let Some(head) = pending.first() {
-            let at = head.at;
-            let same_instant = |rest: &[Delivery]| rest.first().is_some_and(|d| d.at == at);
-            let group = take_group(&mut pending);
-            let event = if group.len() == 1 && !same_instant(pending) {
-                unicast(head.frame.clone(), head.dst)
-            } else {
-                let stations = stations_of(group);
-                let mut split = Vec::new();
-                while same_instant(pending) {
-                    let group = take_group(&mut pending);
-                    split.push((group[0].frame.clone(), stations_of(group)));
-                }
-                Event::Arrival {
-                    frame: head.frame.clone(),
-                    fan_out: Some(Box::new(FanOut { stations, split })),
-                }
-            };
-            self.queue.schedule(at, event);
-        }
-        self.scratch.clear();
     }
 
     /// Sends a negative acknowledgement for an exchange addressed to a
@@ -264,37 +232,100 @@ impl Ctx<'_> {
     }
 }
 
-/// The arrival of one delivery on its own. Every transport addresses a
-/// delivered frame to its receiver, which is how the dispatcher finds it.
-fn unicast(frame: Frame, dst: v_net::MacAddr) -> Event {
-    debug_assert_eq!(frame.dst, dst, "a delivery is addressed to its receiver");
-    Event::Arrival {
-        frame,
-        fan_out: None,
+/// The kernel's [`DeliverySink`] for a broadcast: schedules what a
+/// transport delivers straight into the event queue, one
+/// [`Event::Arrival`] per sequence
+/// of consecutive same-instant deliveries — a broadcast's fan-out on a
+/// segment is a single queue entry holding a run or two, not an entry
+/// (or even a record) per receiver. Scheduling order, and therefore
+/// FIFO tie-break order at dispatch, is delivery order.
+struct Arrivals<'a> {
+    queue: &'a mut EventQueue<Event>,
+    /// The event under construction — its instant, its own frame and who
+    /// that reaches: it is scheduled when a delivery for another instant
+    /// follows, or on [`Arrivals::close`].
+    open: Option<(SimTime, Frame, Reach)>,
+    /// The deliveries that followed `open` at the same instant.
+    rest: Vec<(Frame, Reach)>,
+}
+
+impl<'a> Arrivals<'a> {
+    fn new(queue: &'a mut EventQueue<Event>) -> Self {
+        Arrivals {
+            queue,
+            open: None,
+            rest: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, at: SimTime, frame: Frame, reach: Reach) {
+        match &self.open {
+            Some((open_at, ..)) if *open_at == at => self.rest.push((frame, reach)),
+            _ => {
+                self.close();
+                self.open = Some((at, frame, reach));
+            }
+        }
+    }
+
+    /// Schedules the event under construction, if any. What reaches one
+    /// station is a unicast arrival, with nothing boxed.
+    fn close(&mut self) {
+        let Some((at, mut frame, reach)) = self.open.take() else {
+            return;
+        };
+        let rest = std::mem::take(&mut self.rest);
+        let fan_out = match reach {
+            Reach::One if rest.is_empty() => None,
+            Reach::Run { stations, range } if rest.is_empty() && range.len() == 1 => {
+                frame.dst = stations[range.start];
+                None
+            }
+            reach => Some(Box::new(FanOut { reach, rest })),
+        };
+        self.queue.schedule(at, Event::Arrival { frame, fan_out });
     }
 }
 
-/// Splits off the leading deliveries of `run` that arrive at one instant
-/// carrying one and the same frame — one sender's payload buffer, not
-/// yet diverged by corruption — in a single pass that stops at the first
-/// delivery to differ in any of the four.
-fn take_group<'a>(run: &mut &'a [Delivery]) -> &'a [Delivery] {
-    let head = &run[0];
-    let shared = run
-        .iter()
-        .take_while(|d| {
-            d.at == head.at
-                && Rc::ptr_eq(&d.frame.payload, &head.frame.payload)
-                && d.frame.src == head.frame.src
-                && d.frame.ethertype == head.frame.ethertype
-        })
-        .count();
-    let (group, rest) = run.split_at(shared);
-    *run = rest;
-    group
+impl DeliverySink for Arrivals<'_> {
+    fn deliver(&mut self, d: Delivery) {
+        debug_assert_eq!(
+            d.frame.dst, d.dst,
+            "a delivery is addressed to its receiver"
+        );
+        self.push(d.at, d.frame, Reach::One);
+    }
+
+    fn deliver_run(&mut self, run: StationRun) {
+        let StationRun {
+            at,
+            frame,
+            stations,
+            range,
+        } = run;
+        self.push(at, frame, Reach::Run { stations, range });
+    }
 }
 
-/// The stations a group of deliveries reaches, in delivery order.
-fn stations_of(group: &[Delivery]) -> Box<[v_net::MacAddr]> {
-    group.iter().map(|d| d.dst).collect()
+/// The kernel's [`DeliverySink`] for a unicast: each copy is scheduled
+/// as it comes, with nothing held open — the copies of a unicast never
+/// share an instant (a duplicate trails its original by the redelivery
+/// gap, and a medium serialises what a gateway forwards onto it), so
+/// there is never a second delivery to put in the same event.
+struct UnicastArrivals<'a>(&'a mut EventQueue<Event>);
+
+impl DeliverySink for UnicastArrivals<'_> {
+    fn deliver(&mut self, d: Delivery) {
+        debug_assert_eq!(
+            d.frame.dst, d.dst,
+            "a delivery is addressed to its receiver"
+        );
+        let frame = d.frame;
+        let fan_out = None;
+        self.0.schedule(d.at, Event::Arrival { frame, fan_out });
+    }
+
+    fn deliver_run(&mut self, _run: StationRun) {
+        unreachable!("only a broadcast is delivered as a run");
+    }
 }

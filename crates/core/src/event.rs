@@ -1,5 +1,8 @@
 //! Cluster event vocabulary.
 
+use std::ops::Range;
+use std::rc::Rc;
+
 use v_net::{Frame, MacAddr};
 
 use crate::pid::Pid;
@@ -27,11 +30,15 @@ impl HostId {
         MacAddr(((self.0 / 255) as u16) << 8 | (self.0 % 255 + 1) as u16)
     }
 
-    /// The host index occupying station address `mac` — the inverse of
-    /// [`HostId::station_mac`], used to route a frame delivery to its
-    /// receiving host.
-    pub fn from_station_mac(mac: MacAddr) -> HostId {
-        HostId((mac.0 >> 8) as usize * 255 + (mac.0 & 0xFF) as usize - 1)
+    /// The host index the station-address plan puts at `mac` — the
+    /// inverse of [`HostId::station_mac`], used to route a frame
+    /// delivery to its receiving host — or `None` for an address the
+    /// plan never hands out (a zero low byte). The index may still lie
+    /// past the end of a particular cluster: a frame can be addressed to
+    /// a station nobody attached.
+    pub fn from_station_mac(mac: MacAddr) -> Option<HostId> {
+        let low = (mac.0 & 0xFF) as usize;
+        (low != 0).then(|| HostId((mac.0 >> 8) as usize * 255 + low - 1))
     }
 }
 
@@ -98,21 +105,36 @@ pub enum TimerKind {
     },
 }
 
-/// Everyone a run of same-instant deliveries reaches, when that is more
-/// than one station.
-///
-/// The receivers share the frame — and so its payload buffer — instead
-/// of holding a copy each: a station costs two bytes here.
+/// Who one frame of a fan-out reaches.
+#[derive(Debug)]
+pub enum Reach {
+    /// The station `frame.dst` addresses: a copy the transport gave a
+    /// fate of its own (a fault plan or the collision bug was at work).
+    One,
+    /// `stations[range]`, in that order, each handed the frame addressed
+    /// to itself: a run of clean copies of a broadcast. `stations` is
+    /// the transport's own list of the segment, shared, so a receiver
+    /// costs nothing here.
+    Run {
+        /// Every station of the segment, in address order.
+        stations: Rc<[MacAddr]>,
+        /// The stations this frame reaches.
+        range: Range<usize>,
+    },
+}
+
+/// Everyone a sequence of same-instant deliveries reaches, when that is
+/// more than one station.
 #[derive(Debug)]
 pub struct FanOut {
-    /// The stations the event's frame reaches, in delivery order. Each
-    /// is handed the frame addressed to itself.
-    pub stations: Box<[MacAddr]>,
-    /// The run's other frames with their stations, in delivery order: a
-    /// copy corrupted in flight has bytes of its own, so it (and the
-    /// clean copies after it) cannot share the event's frame. Empty —
-    /// and unallocated — when nothing was corrupted.
-    pub split: Vec<(Frame, Box<[MacAddr]>)>,
+    /// Who the event's own frame reaches.
+    pub reach: Reach,
+    /// The deliveries that followed at the same instant, in delivery
+    /// order: the run on the far side of the sender, the next segment
+    /// of a flood if it arrives at the same nanosecond, or — under a
+    /// fault plan — the other stations' copies one by one. Empty, and
+    /// unallocated, for a single run.
+    pub rest: Vec<(Frame, Reach)>,
 }
 
 /// Events driving the cluster.

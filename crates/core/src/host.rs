@@ -7,7 +7,7 @@ use crate::aliens::AlienTable;
 use crate::costs::CostModel;
 use crate::cpu::Cpu;
 use crate::event::HostId;
-use crate::hostmap::HostMap;
+use crate::hostmap::{AddressingMode, HostMap};
 use crate::naming::NameTable;
 use crate::pcb::Pcb;
 use crate::pid::{LogicalHost, Pid};
@@ -95,14 +95,44 @@ pub struct OutServe {
     pub total: u32,
 }
 
-/// A workstation: one processor, one network interface, one kernel.
+/// What a frame arriving at a host reads and writes whoever the frame
+/// is for — the receive path's share of the host's state — and the
+/// flags that outlive a crash, kept apart from [`Host`] (a kilobyte of
+/// tables) in a dense array of its own, so that a broadcast walking a
+/// thousand receivers walks thirty-two bytes each.
+#[derive(Debug)]
+pub struct Lane {
+    /// The processor.
+    pub cpu: Cpu,
+    /// False while this host is crashed: the kernel holds no state and
+    /// the interface drops every frame.
+    pub up: bool,
+    /// [`Host::quiet`] as of its last change: true when a name query
+    /// heard here costs its receive processing and has no other effect.
+    /// Derived state — whoever changes what `Host::quiet` reads calls
+    /// [`Lane::requiet`]: `SetPid`, a process exit's name purge, a peer
+    /// becoming or ceasing to be a suspect, and a crash.
+    pub quiet: bool,
+    /// True while a housekeeping sweep is queued for this host. Not a
+    /// table a crash clears: the sweep that is still queued finds the
+    /// tables empty and disarms itself.
+    pub housekeeping_armed: bool,
+}
+
+impl Lane {
+    /// Re-derives `quiet` from the host's tables.
+    pub fn requiet(&mut self, host: &Host) {
+        self.quiet = host.quiet();
+    }
+}
+
+/// A workstation: one network interface, one kernel, and (in its
+/// [`Lane`]) one processor.
 pub struct Host {
     /// This host's index in the cluster.
     pub id: HostId,
     /// This host's logical host identifier.
     pub logical: LogicalHost,
-    /// The processor.
-    pub cpu: Cpu,
     /// Calibrated cost constants for this processor.
     pub costs: CostModel,
     /// The network interface.
@@ -129,9 +159,6 @@ pub struct Host {
     pub raw: LinearMap<u16, Box<dyn RawHandler>>,
     /// Protocol counters.
     pub stats: KernelStats,
-    /// False while this host is crashed: the kernel holds no state and
-    /// the interface drops every frame.
-    pub up: bool,
     /// Peers condemned as down (a Send exhausted its full retransmission
     /// budget against them). Sends to a suspect use the reduced
     /// `suspect_retries` probe budget; any frame heard from the peer
@@ -164,6 +191,17 @@ impl Host {
             }
         }
         panic!("local uid space exhausted");
+    }
+
+    /// True if a broadcast name query changes nothing here beyond the
+    /// processor time its reception costs: the frame's source teaches
+    /// this kernel nothing (station addresses are computed, not
+    /// learned), reprieves nobody (it suspects no peer), and asks for
+    /// no name this kernel would answer for.
+    pub fn quiet(&self) -> bool {
+        self.hostmap.mode() == AddressingMode::Direct
+            && self.suspects.is_empty()
+            && !self.names.answers_remote_queries()
     }
 
     /// Registers a raw protocol handler for an ethertype.

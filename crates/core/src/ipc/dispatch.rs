@@ -13,6 +13,7 @@ use v_sim::{SimDuration, SimTime};
 
 use crate::cluster::Pending;
 use crate::config::ProtocolConfig;
+use crate::costs::CostModel;
 use crate::ctx::Ctx;
 use crate::event::TimerKind;
 use crate::pcb::ProcState;
@@ -28,6 +29,13 @@ pub(crate) fn decode_frame(proto: &ProtocolConfig, frame: &Frame) -> Result<Pack
         .payload_after(proto.encapsulation.extra_bytes())
         .ok_or(WireError::TooShort)?;
     decode(body)
+}
+
+/// Processor time a kernel spends taking an interkernel frame of `len`
+/// payload bytes off its interface, before it can know what the frame
+/// says.
+pub(crate) fn rx_cost(costs: &CostModel, proto: &ProtocolConfig, len: usize) -> SimDuration {
+    costs.rx_dispatch + costs.frame_rx_cost(len) + proto.encapsulation.extra_rx_cost()
 }
 
 impl Ctx<'_> {
@@ -83,14 +91,11 @@ impl Ctx<'_> {
         frame: &Frame,
         decoded: Option<&Result<Packet, WireError>>,
     ) {
-        self.host.nic.note_rx(frame.payload.len());
         if frame.ethertype != EtherType::INTERKERNEL {
             self.dispatch_raw(t, frame);
             return;
         }
-        let cost = self.host.costs.rx_dispatch
-            + self.host.costs.frame_rx_cost(frame.payload.len())
-            + self.proto.encapsulation.extra_rx_cost();
+        let cost = rx_cost(&self.host.costs, self.proto, frame.payload.len());
         let end = self.charge(t, cost);
         let packet = match decoded {
             Some(shared) => return self.handle_shared(end, frame, shared),
@@ -107,9 +112,11 @@ impl Ctx<'_> {
     /// One receiver's part in a fan-out. Its receivers share one decode,
     /// so this one looks before it copies: the broadcast the kernel sends
     /// most is a name query that at most one of them answers, and its
-    /// body is `Copy`. Any other kind is cloned for the handler that will
-    /// keep it. A frame of this host's own never comes this way: its
-    /// packet is the receiver's to move.
+    /// body is `Copy`. (A receiver whose lane is `quiet` is spared even
+    /// this much of a name query: see `Cluster::dispatch_fan_out`.) Any
+    /// other kind is cloned for the handler that will keep it. A frame
+    /// of this host's own never comes this way: its packet is the
+    /// receiver's to move.
     fn handle_shared(&mut self, t: SimTime, frame: &Frame, decoded: &Result<Packet, WireError>) {
         let pkt = match decoded {
             Ok(p) => p,
@@ -135,7 +142,6 @@ impl Ctx<'_> {
             WireError::UnknownKind(_) => self.host.stats.unknown_kind_drops += 1,
             _ => self.host.stats.checksum_drops += 1,
         }
-        self.host.nic.note_rx_bad();
     }
 
     /// Learns logical-host → station correspondences from traffic (10 Mb
@@ -146,6 +152,7 @@ impl Ctx<'_> {
             self.host.hostmap.learn(src.host(), frame.src);
             if self.host.suspects.remove(&src.host()) {
                 self.host.stats.peer_reprieves += 1;
+                self.lane.requiet(self.host);
             }
         }
     }
@@ -272,7 +279,7 @@ impl crate::raw::RawCtx for RawCtxImpl<'_, '_> {
     }
 
     fn charge(&mut self, cost: SimDuration) {
-        self.now = self.ctx.host.cpu.charge(self.now, cost).end;
+        self.now = self.ctx.charge(self.now, cost);
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) {

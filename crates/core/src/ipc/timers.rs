@@ -40,6 +40,7 @@ impl Ctx<'_> {
             self.host.stats.host_down_failures += 1;
             if self.host.suspects.insert(to.host()) {
                 self.host.stats.peer_suspicions += 1;
+                self.lane.requiet(self.host);
             }
             let pcb = self.host.proc_mut(pid).expect("checked");
             pcb.state = ProcState::Ready;
@@ -156,7 +157,7 @@ impl Ctx<'_> {
             let at = t + self.proto.housekeeping;
             self.timer_at(at, TimerKind::Housekeeping);
         } else {
-            *self.housekeeping_armed = false;
+            self.lane.housekeeping_armed = false;
         }
     }
 }

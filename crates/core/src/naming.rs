@@ -73,6 +73,12 @@ impl NameTable {
         }
     }
 
+    /// True if any registration is visible to other kernels' broadcast
+    /// queries ([`NameTable::lookup_remote`] can succeed).
+    pub fn answers_remote_queries(&self) -> bool {
+        self.map.values().any(|(_, scope)| *scope != Scope::Local)
+    }
+
     /// Drops every registration pointing at `pid` (process exit).
     pub fn purge_pid(&mut self, pid: Pid) {
         self.map.retain(|_, (p, _)| *p != pid);

@@ -3,9 +3,9 @@
 //! An encoded packet is one shared buffer from `v_wire::encode` to the
 //! last receiver (see "Hot-path engineering" in `docs/ARCHITECTURE.md`),
 //! so a remote exchange allocates once per packet and a broadcast
-//! fan-out twice per run, not once per cache and per receiver; and an
-//! address space is a page table until its process writes, so a spawn
-//! asks for bytes, not for 256 KB. Wall-clock and resident memory are
+//! fan-out once per arrival event, not once per cache and per receiver;
+//! and an address space is a page table until its process writes, so a
+//! spawn asks for bytes, not for 256 KB. Wall-clock and resident memory are
 //! too noisy to gate on in CI; these counts repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -138,16 +138,20 @@ fn boot_storm_allocates_about_a_quarter_per_event() {
         "{n} allocations over {} dispatched events: {per_event} per event",
         report.events_dispatched
     );
-    // The whole call, set-up included: 37,907 allocations over 139,534
-    // events (0.272), none of them per receiver — what is left is one
-    // buffer per packet, a receiver list and its header per fan-out run,
-    // the typed bodies' own segment bytes, and the pages the processes
-    // write: first-touch pages are allocations, which is the 661 by
-    // which this moved from 37,246 (0.267) when a space became a page
-    // table — the two or three pages each of the 256 workstations loads
-    // its 8 KB image into. It was 166,957 (1.197) when each broadcast
-    // receiver got its own copy of the frame.
-    assert!(per_event <= 0.272, "{per_event} allocations per event");
+    // The whole call, set-up included: 36,784 allocations over 139,534
+    // events (0.264), none of them per receiver — what is left is one
+    // buffer per packet, one box per fan-out event (plus a small vector
+    // where the event holds a second run: the sender's own segment,
+    // stations either side of it), the typed bodies' own segment bytes,
+    // and the pages the processes write. It was 37,907 (0.272) while
+    // every fan-out event also copied its receivers' addresses into a
+    // list of its own — one box fewer for each of the three segments a
+    // broadcast is flooded to, now that an event names a range of the
+    // transport's shared station list. Before that: 37,246 (0.267) until
+    // a space became a page table and first-touch pages became
+    // allocations, and 166,957 (1.197) when each broadcast receiver got
+    // its own copy of the frame.
+    assert!(per_event <= 0.264, "{per_event} allocations per event");
 }
 
 #[test]

@@ -256,3 +256,120 @@ fn raw_broadcast_reaches_every_handler_with_its_own_dst() {
         assert_eq!(payload[..], RAW_PAYLOAD[..]);
     }
 }
+
+// ----------------------------------------------------------------------
+// Frames no interface matches
+// ----------------------------------------------------------------------
+
+use v_kernel::{KernelError, Message};
+use v_net::MeshConfig;
+
+/// Sends one message to `to` and records how the exchange ended.
+struct CallGhost {
+    to: Pid,
+    ended: Rc<RefCell<Option<Result<Message, KernelError>>>>,
+}
+
+impl Program for CallGhost {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        match outcome {
+            Outcome::Started => api.send(Message::empty(), self.to),
+            Outcome::Send(result) => {
+                *self.ended.borrow_mut() = Some(result);
+                api.exit();
+            }
+            other => panic!("resumed with {other:?}"),
+        }
+    }
+}
+
+/// A `Send` from host 1 to a process on the logical host of `station`,
+/// which no host of `cl` occupies; returns how it ended.
+fn call_ghost_station(mut cl: Cluster, station: u16) -> Option<Result<Message, KernelError>> {
+    let ended = Rc::new(RefCell::new(None));
+    let call = CallGhost {
+        to: Pid::new(LogicalHost::from_station(station), 1),
+        ended: Rc::clone(&ended),
+    };
+    cl.spawn(HostId(1), "caller", Box::new(call));
+    cl.run();
+    let budget = cl.config().protocol.max_retries as u64;
+    assert_eq!(cl.kernel_stats(HostId(1)).retransmissions, budget);
+    assert_eq!(cl.kernel_stats(HostId(1)).host_down_failures, 1);
+    assert_eq!(
+        cl.cpu_busy(HostId(0)),
+        SimDuration::ZERO,
+        "host 0 heard nothing"
+    );
+    let ended = *ended.borrow();
+    ended
+}
+
+#[test]
+fn a_send_to_a_station_nobody_attached_ends_in_host_down() {
+    // The shared Ethernet delivers a unicast whatever its address, as the
+    // wire does: it is for the receiving side to find that no interface
+    // matches. Station 200 on a two-host segment is host index 199.
+    let ended = call_ghost_station(two_hosts(), 200);
+    assert_eq!(ended, Some(Err(KernelError::HostDown)));
+}
+
+#[test]
+fn a_send_off_the_station_plan_of_a_mesh_ends_in_host_down() {
+    let mut cfg = ClusterConfig::mesh(MeshConfig::line(3));
+    for segment in 0..3 {
+        cfg = cfg.with_host_on(CpuSpeed::Mc68000At8MHz, segment);
+    }
+    let ended = call_ghost_station(Cluster::new(cfg), 0x0201);
+    assert_eq!(ended, Some(Err(KernelError::HostDown)));
+}
+
+/// Sends one raw datagram to the station it is told to.
+struct Unicaster {
+    to: MacAddr,
+}
+
+impl RawHandler for Unicaster {
+    fn on_frame(&mut self, _ctx: &mut dyn RawCtx, _frame: &Frame) {}
+
+    fn on_timer(&mut self, ctx: &mut dyn RawCtx, _token: u64) {
+        ctx.send_frame(self.to, RAW_PAYLOAD.to_vec());
+    }
+}
+
+#[test]
+fn a_frame_for_a_zero_low_byte_address_is_heard_by_nobody() {
+    // The station plan skips addresses with a zero low byte, so 0x0100
+    // has no host index at all (the inverse of the plan used to
+    // underflow on it).
+    for ghost in [MacAddr(0x0100), MacAddr(0)] {
+        let mut cl = two_hosts();
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        for h in 0..2 {
+            let heard = Rc::clone(&heard);
+            cl.register_raw_handler(
+                HostId(h),
+                EtherType::RAW_BENCH,
+                Box::new(Recorder { heard }),
+            );
+        }
+        cl.register_raw_handler(
+            HostId(0),
+            EtherType(0x7777),
+            Box::new(Unicaster { to: ghost }),
+        );
+        cl.poke_raw_handler(HostId(0), EtherType(0x7777), 0, SimDuration::from_millis(1));
+        cl.run();
+        assert_eq!(
+            cl.medium_stats().frames_sent,
+            1,
+            "{ghost}: the frame went out"
+        );
+        assert_eq!(
+            cl.events_dispatched(),
+            1,
+            "{ghost}: the timer, and no arrival"
+        );
+        assert!(heard.borrow().is_empty());
+    }
+}

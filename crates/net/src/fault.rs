@@ -70,6 +70,7 @@ impl FaultPlan {
     }
 
     /// Draws the fate of one delivery.
+    #[inline]
     pub fn draw(&self, rng: &mut SplitMix64) -> Fate {
         if self.is_none() {
             return Fate::Deliver;

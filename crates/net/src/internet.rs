@@ -31,6 +31,7 @@ use crate::frame::{Frame, MacAddr};
 use crate::medium::{
     CollisionBug, Delivery, Ethernet, MediumStats, NetworkKind, TxResult, TxWindow,
 };
+use crate::sink::{DeliverySink, StationRun};
 use crate::transport::{GatewayStats, Transport};
 
 /// First station address of the reserved gateway range. Gateway `i`
@@ -157,17 +158,128 @@ struct Gateway {
     stats: GatewayStats,
 }
 
+/// The sink of one broadcast transmit on segment `seg`: host copies go
+/// on to `hosts` untouched, and the copies the segment's gateways heard
+/// are queued as flood ingress instead.
+///
+/// A segment delivers in station-address order and the reserved gateway
+/// range sorts above every host address, so the gateway copies of a run
+/// are its tail: the run is cut at the first gateway address and the
+/// host part in front is passed on whole, never looked at.
+struct GatewayEars<'a> {
+    hosts: &'a mut dyn DeliverySink,
+    gateways: &'a mut [Gateway],
+    ingress: &'a mut VecDeque<(usize, usize, SimTime)>,
+    seg: usize,
+    /// The gateway whose egress this transmit is, if any.
+    emitter: Option<usize>,
+}
+
+impl GatewayEars<'_> {
+    fn hear(&mut self, mac: MacAddr, at: SimTime, corrupted: bool) {
+        let g = (mac.0 - GATEWAY_MAC_FIRST.0) as usize;
+        let gw = &mut self.gateways[g];
+        // The emitting gateway's own copy on its egress segment must
+        // not re-enter the flood, and a dead gateway hears nothing:
+        // with it gone the flood covers only what is still reachable.
+        if self.emitter == Some(g) || !gw.alive {
+            return;
+        }
+        if corrupted {
+            gw.stats.corrupt_drops += 1;
+        } else {
+            self.ingress.push_back((g, self.seg, at));
+        }
+    }
+}
+
+impl DeliverySink for GatewayEars<'_> {
+    fn deliver(&mut self, d: Delivery) {
+        if is_gateway_mac(d.dst) {
+            self.hear(d.dst, d.at, d.corrupted);
+        } else {
+            self.hosts.deliver(d);
+        }
+    }
+
+    fn deliver_run(&mut self, mut run: StationRun) {
+        let hosts = run.receivers().partition_point(|&m| !is_gateway_mac(m));
+        let heard = run.split_off(hosts);
+        debug_assert!(
+            heard.receivers().iter().all(|&m| is_gateway_mac(m)),
+            "a segment delivers in address order, gateways last"
+        );
+        if !run.range.is_empty() {
+            self.hosts.deliver_run(run);
+        }
+        for &mac in heard.receivers() {
+            self.hear(mac, heard.at, false);
+        }
+    }
+}
+
+/// What egress segments emitted for hosts since the last poll, as they
+/// emitted it: a flooded broadcast waits as a run per segment, not a
+/// record per host.
+#[derive(Debug, Default)]
+struct Pending(Vec<Forwarded>);
+
+#[derive(Debug)]
+enum Forwarded {
+    One(Delivery),
+    Run(StationRun),
+}
+
+impl DeliverySink for Pending {
+    fn deliver(&mut self, d: Delivery) {
+        self.0.push(Forwarded::One(d));
+    }
+
+    fn deliver_run(&mut self, run: StationRun) {
+        self.0.push(Forwarded::Run(run));
+    }
+}
+
+/// The sink of a unicast transmit whose copies a gateway, not a host,
+/// is to take: all that matters of each is when it arrived and whether
+/// intact. A unicast has one receiver, so fault injection makes at most
+/// two copies of it.
+#[derive(Default)]
+struct Copies {
+    n: usize,
+    heard: [(SimTime, bool); 2],
+}
+
+impl Copies {
+    /// `(arrival, corrupted)` per copy, in delivery order.
+    fn heard(&self) -> &[(SimTime, bool)] {
+        &self.heard[..self.n]
+    }
+}
+
+impl DeliverySink for Copies {
+    fn deliver(&mut self, d: Delivery) {
+        self.heard[self.n] = (d.at, d.corrupted);
+        self.n += 1;
+    }
+
+    fn deliver_run(&mut self, _run: StationRun) {
+        unreachable!("a unicast is never delivered as a run");
+    }
+}
+
 /// Ethernet segments joined by a routed mesh of store-and-forward
 /// gateways.
 ///
-/// Every segment transmit writes its deliveries where they will be
-/// read from — the caller's buffer for the origin segment, `pending`
-/// for a gateway's egress — and the mesh then takes back only the
-/// copies its gateways heard. That relies on an invariant of
-/// [`Ethernet`]: a segment delivers in station address order, hosts may
-/// not attach in the reserved range [`GATEWAY_MAC_FIRST`]`..=`
-/// [`GATEWAY_MAC_LAST`], and that range sorts above every host, so the
-/// gateway copies of one transmit are the tail of what it appended.
+/// Every segment transmit hands its host deliveries to where they will
+/// be read from — the caller's sink for the origin segment, `pending`
+/// for a gateway's egress — and the mesh keeps only the copies its
+/// gateways heard (`GatewayEars`). A clean broadcast arrives as runs of
+/// the segment's station list, and finding the gateways in one relies on
+/// an invariant of [`Ethernet`]: a segment delivers in station address
+/// order, hosts may not attach in the reserved range
+/// [`GATEWAY_MAC_FIRST`]`..=`[`GATEWAY_MAC_LAST`], and that range sorts
+/// above every host, so the gateway copies are the tail of a run.
 #[derive(Debug)]
 pub struct Internetwork {
     cfg: MeshConfig,
@@ -186,10 +298,8 @@ pub struct Internetwork {
     next_hop: Vec<Vec<Option<(u16, u16)>>>,
     /// Segment-to-segment distance in gateway hops.
     dist: Vec<Vec<u16>>,
-    /// Deliveries produced by forwarding, awaiting a poll. Gateway
-    /// egress transmissions land here directly: the host copies stay,
-    /// the copies the next gateways hear are peeled off the tail.
-    pending: Vec<Delivery>,
+    /// Deliveries produced by forwarding, awaiting a poll.
+    pending: Pending,
     /// Scratch for one broadcast's flood: the segments already covered
     /// and the `(gateway, segment, arrival)` copies still to forward.
     flood_visited: Vec<bool>,
@@ -270,7 +380,7 @@ impl Internetwork {
             seg_of: Vec::new(),
             next_hop,
             dist,
-            pending: Vec::new(),
+            pending: Pending::default(),
             flood_visited: Vec::new(),
             flood_ingress: VecDeque::new(),
         }
@@ -291,7 +401,9 @@ impl Internetwork {
     /// Allocating convenience wrapper around the batched
     /// [`Transport::poll_deliveries`].
     pub fn poll_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.pending)
+        let mut deliveries = Vec::new();
+        Transport::poll_deliveries(self, &mut deliveries);
+        deliveries
     }
 
     /// The configured topology.
@@ -334,52 +446,6 @@ impl Internetwork {
         self.next_hop = next_hop;
     }
 
-    /// Takes the copies of one broadcast that gateways heard on segment
-    /// `seg` out of `deliveries[from..]` — everything one
-    /// [`Ethernet::transmit_into`] appended — and queues them as flood
-    /// ingress, leaving the host copies where they are.
-    ///
-    /// A segment delivers in station-address order and the reserved
-    /// gateway range sorts above every host address, so the gateway
-    /// copies are the tail: they are peeled off it, and the host copies
-    /// in front are never looked at (let alone moved).
-    fn hear_at_gateways(
-        gateways: &mut [Gateway],
-        ingress: &mut VecDeque<(usize, usize, SimTime)>,
-        deliveries: &mut Vec<Delivery>,
-        from: usize,
-        seg: usize,
-        emitter: Option<usize>,
-    ) {
-        let heard = deliveries[from..]
-            .iter()
-            .rev()
-            .take_while(|d| is_gateway_mac(d.dst))
-            .count();
-        let hosts_end = deliveries.len() - heard;
-        debug_assert!(
-            deliveries[from..hosts_end]
-                .iter()
-                .all(|d| !is_gateway_mac(d.dst)),
-            "a segment delivers in address order, gateways last"
-        );
-        for d in deliveries.drain(hosts_end..) {
-            let g = (d.dst.0 - GATEWAY_MAC_FIRST.0) as usize;
-            let gw = &mut gateways[g];
-            // The emitting gateway's own copy on its egress segment must
-            // not re-enter the flood, and a dead gateway hears nothing:
-            // with it gone the flood covers only what is still reachable.
-            if emitter == Some(g) || !gw.alive {
-                continue;
-            }
-            if d.corrupted {
-                gw.stats.corrupt_drops += 1;
-            } else {
-                ingress.push_back((g, seg, d.at));
-            }
-        }
-    }
-
     /// Admits one ingress frame into gateway `g`'s bounded queue.
     /// Returns the instant service starts, or `None` if the queue was
     /// full and the frame was dropped.
@@ -420,32 +486,37 @@ impl Internetwork {
             } else {
                 start + self.cfg.forward_delay
             };
-            let copies = self.pending.len();
-            let win = self.segments[egress].transmit_into(cursor, frame.clone(), &mut self.pending);
+            // On the final segment the copies (possibly corrupted — the
+            // receiver's checksum is what rejects those) are host
+            // deliveries and go where a poll finds them. On an
+            // intermediate one each is the next designated gateway's
+            // ingress.
+            let mut copies = Copies::default();
+            let out: &mut dyn DeliverySink = if egress == dest_seg {
+                &mut self.pending
+            } else {
+                &mut copies
+            };
+            let win = self.segments[egress].transmit_into(cursor, frame.clone(), out);
             self.gateways[g].free = win.tx_end;
             self.gateways[g].last_egress = Some(egress);
             self.gateways[g].stats.forwarded += 1;
 
             if egress == dest_seg {
-                // Final segment: the copies (possibly corrupted — the
-                // receiver's checksum is what rejects those) are host
-                // deliveries, already where a poll finds them.
                 break;
             }
-            // Intermediate segment: each copy is the next designated
-            // gateway's ingress. Fault injection may have dropped it
-            // (empty), corrupted it (the gateway's link-level check
-            // discards it) or duplicated it (both copies continue). A
-            // unicast has one receiver, so at most two copies exist.
+            // Fault injection may have dropped the frame (no copy),
+            // corrupted it (the gateway's link-level check discards it)
+            // or duplicated it (both copies continue).
             let mut continuations: [SimTime; 2] = [SimTime::ZERO; 2];
             let mut n_cont = 0usize;
-            for d in self.pending.drain(copies..) {
-                if d.corrupted {
+            for &(heard_at, corrupted) in copies.heard() {
+                if corrupted {
                     if let Some((ng, _)) = self.next_hop[egress][dest_seg] {
                         self.gateways[ng as usize].stats.corrupt_drops += 1;
                     }
                 } else {
-                    continuations[n_cont] = d.at;
+                    continuations[n_cont] = heard_at;
                     n_cont += 1;
                 }
             }
@@ -493,20 +564,18 @@ impl Internetwork {
                     continue;
                 }
                 visited[e] = true;
-                let copies = self.pending.len();
-                let win = self.segments[e].transmit_into(cursor, frame.clone(), &mut self.pending);
+                let mut ears = GatewayEars {
+                    hosts: &mut self.pending,
+                    gateways: &mut self.gateways,
+                    ingress: &mut ingress,
+                    seg: e,
+                    emitter: Some(g),
+                };
+                let win = self.segments[e].transmit_into(cursor, frame.clone(), &mut ears);
                 cursor = win.tx_end;
                 self.gateways[g].free = win.tx_end;
                 self.gateways[g].last_egress = Some(e);
                 self.gateways[g].stats.forwarded += 1;
-                Self::hear_at_gateways(
-                    &mut self.gateways,
-                    &mut ingress,
-                    &mut self.pending,
-                    copies,
-                    e,
-                    Some(g),
-                );
             }
         }
         self.flood_visited = visited;
@@ -595,68 +664,64 @@ impl Transport for Internetwork {
         self.segments[segment].register(mac);
     }
 
-    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut Vec<Delivery>) -> TxWindow {
+    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut dyn DeliverySink) -> TxWindow {
         let from_seg = self
             .segment_of(frame.src)
             .expect("transmitting station is not attached to any segment");
 
-        // Fast path: a unicast whose destination sits on the origin
-        // segment never involves a gateway — transmit straight into
-        // `out`.
-        if !frame.dst.is_broadcast() && self.segment_of(frame.dst) == Some(from_seg) {
-            return self.segments[from_seg].transmit_into(ready, frame, out);
-        }
-
-        // Forwarding paths need the frame after the origin-segment
-        // transmit, which lands in `out` like any other: what a gateway
-        // heard is taken back off its tail.
-        let copies = out.len();
-        let win = self.segments[from_seg].transmit_into(ready, frame.clone(), out);
-
         if frame.dst.is_broadcast() {
-            // Host copies on the origin segment deliver directly; copies
-            // addressed to gateways seed the mesh-wide flood.
+            // Host copies on the origin segment deliver directly; the
+            // copies its gateways hear seed the mesh-wide flood.
             self.flood_visited.clear();
             self.flood_visited.resize(self.segments.len(), false);
             self.flood_visited[from_seg] = true;
             self.flood_ingress.clear();
-            Self::hear_at_gateways(
-                &mut self.gateways,
-                &mut self.flood_ingress,
-                out,
-                copies,
-                from_seg,
-                None,
-            );
+            let mut ears = GatewayEars {
+                hosts: out,
+                gateways: &mut self.gateways,
+                ingress: &mut self.flood_ingress,
+                seg: from_seg,
+                emitter: None,
+            };
+            let win = self.segments[from_seg].transmit_into(ready, frame.clone(), &mut ears);
             self.flood(&frame);
-        } else {
-            // Off-segment (or unattached) destination: the designated
-            // gateway on this segment hears each copy and routes it.
-            // An unknown destination has no segment: no station hears
-            // the copies, so they are simply discarded.
-            let dest = self.segment_of(frame.dst);
-            for d in out.drain(copies..) {
-                let Some(dest_seg) = dest else { continue };
-                if d.corrupted {
+            return win;
+        }
+
+        // Fast path: a unicast whose destination sits on the origin
+        // segment never involves a gateway — transmit straight into
+        // `out`.
+        let dest = self.segment_of(frame.dst);
+        if dest == Some(from_seg) {
+            return self.segments[from_seg].transmit_into(ready, frame, out);
+        }
+
+        // Off-segment (or unattached) destination: the designated
+        // gateway on this segment hears each copy and routes it. An
+        // unknown destination has no segment: no station hears the
+        // copies, so they are simply discarded.
+        let mut copies = Copies::default();
+        let win = self.segments[from_seg].transmit_into(ready, frame.clone(), &mut copies);
+        if let Some(dest_seg) = dest {
+            for &(at, corrupted) in copies.heard() {
+                if corrupted {
                     if let Some((g, _)) = self.next_hop[from_seg][dest_seg] {
                         self.gateways[g as usize].stats.corrupt_drops += 1;
                     }
                 } else {
-                    self.forward_unicast(d.at, &frame, from_seg, dest_seg);
+                    self.forward_unicast(at, &frame, from_seg, dest_seg);
                 }
             }
         }
         win
     }
 
-    fn poll_deliveries(&mut self, out: &mut Vec<Delivery>) {
-        // The kernel polls into the buffer it has just scheduled from,
-        // which is empty: the two trade places (and capacities) instead
-        // of a flood's worth of deliveries being copied across.
-        if out.is_empty() {
-            std::mem::swap(out, &mut self.pending);
-        } else {
-            out.append(&mut self.pending);
+    fn poll_deliveries(&mut self, out: &mut dyn DeliverySink) {
+        for forwarded in self.pending.0.drain(..) {
+            match forwarded {
+                Forwarded::One(d) => out.deliver(d),
+                Forwarded::Run(run) => out.deliver_run(run),
+            }
         }
     }
 

@@ -42,6 +42,7 @@ pub mod internet;
 pub mod link;
 pub mod medium;
 pub mod nic;
+pub mod sink;
 pub mod transport;
 
 pub use fault::FaultPlan;
@@ -55,4 +56,5 @@ pub use medium::{
     CollisionBug, Delivery, Ethernet, MediumStats, NetParams, NetworkKind, TxResult, TxWindow,
 };
 pub use nic::Nic;
+pub use sink::{DeliverySink, StationRun};
 pub use transport::{GatewayStats, Topology, Transport};

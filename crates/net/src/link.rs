@@ -12,6 +12,7 @@ use v_sim::{SimDuration, SimTime, SplitMix64};
 use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
 use crate::frame::{Frame, MacAddr};
 use crate::medium::{Delivery, MediumStats, TxResult, TxWindow};
+use crate::sink::DeliverySink;
 use crate::transport::Transport;
 
 /// Physical and error parameters of a point-to-point link.
@@ -93,7 +94,7 @@ impl PointToPointLink {
         &self.params
     }
 
-    fn deliver(&mut self, at: SimTime, dst: MacAddr, frame: &Frame, corrupted: bool) -> Delivery {
+    fn delivery(&mut self, at: SimTime, dst: MacAddr, frame: &Frame, corrupted: bool) -> Delivery {
         self.stats.deliveries += 1;
         let mut frame = frame.clone();
         frame.dst = dst;
@@ -143,7 +144,7 @@ impl Transport for PointToPointLink {
         self.endpoints.push(mac);
     }
 
-    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut Vec<Delivery>) -> TxWindow {
+    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut dyn DeliverySink) -> TxWindow {
         assert!(
             frame.payload.len() <= self.params.max_payload,
             "frame payload {} exceeds link MTU {}",
@@ -183,24 +184,24 @@ impl Transport for PointToPointLink {
                 Fate::Drop => self.stats.dropped += 1,
                 Fate::Deliver => {
                     self.note_reordered(reordered);
-                    out.push(self.deliver(arrival, dst, &frame, false));
+                    out.deliver(self.delivery(arrival, dst, &frame, false));
                 }
                 Fate::DeliverCorrupted => {
                     self.note_reordered(reordered);
-                    out.push(self.deliver(arrival, dst, &frame, true));
+                    out.deliver(self.delivery(arrival, dst, &frame, true));
                 }
                 Fate::DeliverTwice { corrupted } => {
                     self.note_reordered(reordered);
                     self.stats.duplicated += 1;
-                    out.push(self.deliver(arrival, dst, &frame, corrupted));
-                    out.push(self.deliver(arrival + self.redelivery_gap, dst, &frame, false));
+                    out.deliver(self.delivery(arrival, dst, &frame, corrupted));
+                    out.deliver(self.delivery(arrival + self.redelivery_gap, dst, &frame, false));
                 }
             }
         }
         TxWindow { tx_start, tx_end }
     }
 
-    fn poll_deliveries(&mut self, _out: &mut Vec<Delivery>) {}
+    fn poll_deliveries(&mut self, _out: &mut dyn DeliverySink) {}
 
     fn stats(&self) -> MediumStats {
         self.stats

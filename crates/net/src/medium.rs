@@ -1,9 +1,12 @@
 //! The shared Ethernet medium.
 
+use std::rc::Rc;
+
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
 use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
 use crate::frame::{Frame, MacAddr};
+use crate::sink::{DeliverySink, StationRun};
 
 /// Which physical network flavour to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +110,8 @@ pub struct TxResult {
 }
 
 /// Transmit window of one transmission — the allocation-free part of a
-/// [`TxResult`]; the deliveries themselves land in a caller-owned
-/// buffer.
+/// [`TxResult`]; the deliveries themselves go to the caller's
+/// [`DeliverySink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxWindow {
     /// When the transmission actually started (after any CSMA deferral).
@@ -212,10 +215,13 @@ pub struct Ethernet {
     /// address order, which fixes the per-receiver fault-RNG draw
     /// sequence (and hence determinism) whatever order the stations
     /// joined in, and puts the reserved gateway range `0xFF00..` last —
-    /// an [`Internetwork`](crate::Internetwork) takes what its gateways
-    /// heard off the tail of a segment's deliveries without looking at
-    /// the rest.
+    /// an [`Internetwork`](crate::Internetwork) finds what its gateways
+    /// heard of a run at the run's tail without looking at the rest.
     stations: Vec<MacAddr>,
+    /// `stations` as every [`StationRun`] of this segment shares it.
+    /// Built by the first clean broadcast after the last `register`,
+    /// not per attach: a thousand stations joining copy nothing.
+    shared: Option<Rc<[MacAddr]>>,
     medium_free: SimTime,
     faults: FaultPlan,
     bug: Option<CollisionBug>,
@@ -231,6 +237,7 @@ impl Ethernet {
         Ethernet {
             params,
             stations: Vec::new(),
+            shared: None,
             medium_free: SimTime::ZERO,
             faults: FaultPlan::NONE,
             bug: None,
@@ -265,6 +272,7 @@ impl Ethernet {
         assert!(!mac.is_broadcast(), "cannot register the broadcast address");
         if let Err(pos) = self.stations.binary_search(&mac) {
             self.stations.insert(pos, mac);
+            self.shared = None;
         }
     }
 
@@ -274,9 +282,7 @@ impl Ethernet {
     }
 
     /// Allocating convenience wrapper around
-    /// [`Ethernet::transmit_into`], for tests and one-shot probes; the
-    /// kernel hot path reuses a scratch buffer through the transport
-    /// trait instead.
+    /// [`Ethernet::transmit_into`], for tests and one-shot probes.
     pub fn transmit(&mut self, ready: SimTime, frame: Frame) -> TxResult {
         let mut deliveries = Vec::new();
         let win = self.transmit_into(ready, frame, &mut deliveries);
@@ -288,17 +294,23 @@ impl Ethernet {
     }
 
     /// Transmits `frame`, whose copy into the sending interface completed
-    /// at `ready`, appending the resulting deliveries to `out`: one per
-    /// receiver (two where fault injection duplicates), in station
-    /// address order — so on a segment of an [`Internetwork`] the copies
-    /// the gateways hear (addresses `0xFF00..`) are the tail of what one
-    /// call appends. Every delivery is a handle on the transmitted
-    /// payload buffer (a pointer copy), and only one that is corrupted
-    /// in flight is given bytes of its own. Nothing is allocated per
-    /// transmit or per receiver, which is what lets a 1000-station
-    /// boot-storm broadcast stay cheap.
+    /// at `ready`, handing what arrives to `out` in station address
+    /// order — so on a segment of an [`Internetwork`] the copies the
+    /// gateways hear (addresses `0xFF00..`) come last.
+    ///
+    /// A broadcast nothing can happen to — no fault plan, not hit by the
+    /// collision bug — is emitted as at most two [`StationRun`]s, the
+    /// stations either side of the sender: nothing is written, counted
+    /// or allocated per receiver, which is what lets a 1000-station
+    /// boot-storm broadcast stay cheap. Otherwise every receiver's fate
+    /// is drawn in station order and it gets a [`Delivery`] of its own
+    /// (two where fault injection duplicates): a handle on the
+    /// transmitted payload buffer, with bytes of its own only if
+    /// corrupted in flight. A unicast is one such delivery — the frame
+    /// itself, moved, when nothing can happen to it.
     ///
     /// [`Internetwork`]: crate::Internetwork
+    /// [`Delivery`]: crate::Delivery
     ///
     /// # Panics
     ///
@@ -309,7 +321,7 @@ impl Ethernet {
         &mut self,
         ready: SimTime,
         frame: Frame,
-        out: &mut Vec<Delivery>,
+        out: &mut dyn DeliverySink,
     ) -> TxWindow {
         assert!(
             frame.payload.len() <= self.params.max_payload,
@@ -342,38 +354,66 @@ impl Ethernet {
             self.stats.bug_corruptions += 1;
         }
 
-        // Whether anything can happen to a copy is settled here, once per
-        // transmit: on a quiet network the loop below is compiled without
-        // a fate to test.
         let arrival = tx_end + self.params.latency;
-        let faults = self.faults;
-        if faults.is_none() {
-            self.fan_out(out, arrival, &frame, bug_corrupt, |_| Fate::Deliver);
+        if !self.faults.is_none() || bug_corrupt {
+            self.fan_out(out, arrival, &frame, bug_corrupt);
+        } else if frame.dst.is_broadcast() {
+            self.emit_runs(out, arrival, frame);
         } else {
-            self.fan_out(out, arrival, &frame, bug_corrupt, |rng| faults.draw(rng));
+            // Nothing can happen to the one copy: it is the frame itself.
+            self.stats.deliveries += 1;
+            out.deliver(Delivery {
+                at: arrival,
+                dst: frame.dst,
+                frame,
+                corrupted: false,
+            });
         }
 
         TxWindow { tx_start, tx_end }
     }
 
-    /// Writes the delivery of `frame` to each of its receivers — every
-    /// other station for a broadcast, the addressed one otherwise —
-    /// straight into `out`, where it is scheduled from. The fault RNG is
-    /// consulted per receiver in station order: `fate`, then
-    /// [`scramble`] per corrupted copy.
-    #[inline]
+    /// A clean broadcast: every other station, as the runs either side
+    /// of the sender. The fault RNG is not consulted.
+    fn emit_runs(&mut self, out: &mut dyn DeliverySink, at: SimTime, frame: Frame) {
+        let stations = self
+            .shared
+            .get_or_insert_with(|| self.stations.as_slice().into());
+        let n = stations.len();
+        // A sender that is not attached here is nobody's to skip.
+        let (before, after) = match stations.binary_search(&frame.src) {
+            Ok(i) => (0..i, i + 1..n),
+            Err(_) => (0..n, n..n),
+        };
+        self.stats.deliveries += (before.len() + after.len()) as u64;
+        for range in [before, after] {
+            if !range.is_empty() {
+                out.deliver_run(StationRun {
+                    at,
+                    frame: frame.clone(),
+                    stations: stations.clone(),
+                    range,
+                });
+            }
+        }
+    }
+
+    /// Hands the delivery of `frame` to each of its receivers — every
+    /// other station for a broadcast, the addressed one otherwise — one
+    /// at a time. The fault RNG is consulted per receiver in station
+    /// order: its fate, then [`scramble`] per corrupted copy.
     fn fan_out(
         &mut self,
-        out: &mut Vec<Delivery>,
+        out: &mut dyn DeliverySink,
         arrival: SimTime,
         frame: &Frame,
         bug_corrupt: bool,
-        mut fate: impl FnMut(&mut SplitMix64) -> Fate,
     ) {
         let Ethernet {
             stations,
             rng,
             stats,
+            faults,
             redelivery_gap,
             ..
         } = self;
@@ -383,20 +423,19 @@ impl Ethernet {
         } else {
             std::slice::from_ref(&frame.dst)
         };
-        let before = out.len();
-        out.reserve(receivers.len());
         for &dst in receivers {
             if broadcast && dst == frame.src {
                 continue;
             }
-            let fate = fate(rng);
+            let fate = faults.draw(rng);
             let mut deliver = |at: SimTime, corrupted: bool| {
                 let mut payload = frame.payload.clone();
                 if corrupted {
                     stats.corrupted += 1;
                     scramble(rng, &mut payload);
                 }
-                out.push(Delivery {
+                stats.deliveries += 1;
+                out.deliver(Delivery {
                     at,
                     dst,
                     frame: Frame {
@@ -419,7 +458,6 @@ impl Ethernet {
                 }
             }
         }
-        stats.deliveries += (out.len() - before) as u64;
     }
 }
 

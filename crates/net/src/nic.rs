@@ -14,23 +14,12 @@ use crate::frame::MacAddr;
 /// overruns.)
 ///
 /// Copy costs are CPU-speed dependent and are charged by the kernel's cost
-/// model; the NIC only tracks *when the transmit buffer frees up* plus
-/// some counters.
+/// model; the NIC only tracks *when the transmit buffer frees up*.
 #[derive(Debug, Clone)]
 pub struct Nic {
     mac: MacAddr,
     /// Instant the transmit buffer becomes free (end of last transmission).
     tx_free: SimTime,
-    /// Frames handed to the medium.
-    pub tx_frames: u64,
-    /// Payload bytes handed to the medium.
-    pub tx_bytes: u64,
-    /// Frames received (after medium-level loss).
-    pub rx_frames: u64,
-    /// Payload bytes received.
-    pub rx_bytes: u64,
-    /// Received frames discarded for checksum failure.
-    pub rx_bad: u64,
 }
 
 impl Nic {
@@ -39,11 +28,6 @@ impl Nic {
         Nic {
             mac,
             tx_free: SimTime::ZERO,
-            tx_frames: 0,
-            tx_bytes: 0,
-            rx_frames: 0,
-            rx_bytes: 0,
-            rx_bad: 0,
         }
     }
 
@@ -58,22 +42,9 @@ impl Nic {
     }
 
     /// Records a transmission occupying the buffer until `tx_end`.
-    pub fn note_tx(&mut self, tx_end: SimTime, bytes: usize) {
+    pub fn note_tx(&mut self, tx_end: SimTime) {
         debug_assert!(tx_end >= self.tx_free);
         self.tx_free = tx_end;
-        self.tx_frames += 1;
-        self.tx_bytes += bytes as u64;
-    }
-
-    /// Records a frame reception.
-    pub fn note_rx(&mut self, bytes: usize) {
-        self.rx_frames += 1;
-        self.rx_bytes += bytes as u64;
-    }
-
-    /// Records a checksum-failed reception.
-    pub fn note_rx_bad(&mut self) {
-        self.rx_bad += 1;
     }
 }
 
@@ -87,7 +58,7 @@ mod tests {
         let mut nic = Nic::new(MacAddr(1));
         let now = SimTime::from_millis(1);
         assert_eq!(nic.tx_ready_after(now), now);
-        nic.note_tx(SimTime::from_millis(3), 64);
+        nic.note_tx(SimTime::from_millis(3));
         // A copy requested at t=2 must wait for the buffer.
         assert_eq!(
             nic.tx_ready_after(SimTime::from_millis(2)),
@@ -96,20 +67,5 @@ mod tests {
         // A copy requested later starts immediately.
         let later = SimTime::from_millis(3) + SimDuration::from_micros(1);
         assert_eq!(nic.tx_ready_after(later), later);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut nic = Nic::new(MacAddr(7));
-        nic.note_tx(SimTime::from_millis(1), 100);
-        nic.note_tx(SimTime::from_millis(2), 28);
-        nic.note_rx(64);
-        nic.note_rx_bad();
-        assert_eq!(nic.tx_frames, 2);
-        assert_eq!(nic.tx_bytes, 128);
-        assert_eq!(nic.rx_frames, 1);
-        assert_eq!(nic.rx_bytes, 64);
-        assert_eq!(nic.rx_bad, 1);
-        assert_eq!(nic.mac(), MacAddr(7));
     }
 }

@@ -13,7 +13,8 @@ use crate::fault::FaultPlan;
 use crate::frame::{Frame, MacAddr};
 use crate::internet::{Internetwork, MeshConfig};
 use crate::link::{LinkParams, PointToPointLink};
-use crate::medium::{CollisionBug, Delivery, Ethernet, MediumStats, NetworkKind, TxWindow};
+use crate::medium::{CollisionBug, Ethernet, MediumStats, NetworkKind, TxWindow};
+use crate::sink::DeliverySink;
 
 /// Statistics of one store-and-forward element inside a transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,11 +56,12 @@ impl GatewayStats {
 
 /// A medium that moves frames between attached stations.
 ///
-/// A transmission returns its transmit window and **appends** the
-/// deliveries it directly produces into a caller-owned scratch vector —
-/// the hot path of the whole simulation, so a 1000-receiver broadcast
-/// allocates nothing: every delivery's frame shares the transmitted
-/// frame's payload buffer (see [`Frame`]).
+/// A transmission returns its transmit window and hands the deliveries
+/// it directly produces to a caller-owned [`DeliverySink`] — the hot
+/// path of the whole simulation, so a clean 1000-receiver broadcast is
+/// a couple of [`StationRun`](crate::StationRun)s, not a thousand
+/// records: what a receiver costs is the sink's to decide, and every
+/// copy shares the transmitted frame's payload buffer (see [`Frame`]).
 /// Transports with a forwarding element (gateways) additionally
 /// accumulate *forwarded* deliveries, which callers drain with
 /// [`Transport::poll_deliveries`] after each transmit. Every delivery
@@ -72,19 +74,17 @@ pub trait Transport {
     fn attach(&mut self, mac: MacAddr, segment: usize);
 
     /// Transmits `frame`, whose copy into the sending interface
-    /// completed at `ready`, appending the resulting deliveries to
-    /// `out` (callers reuse the buffer across transmissions). Each
-    /// delivery is written once, in place, into `out`; the kernel
-    /// schedules its arrivals straight from there. The receivers of a
-    /// broadcast on one segment come in station address order, never in
-    /// the order the stations were attached.
-    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut Vec<Delivery>) -> TxWindow;
+    /// completed at `ready`, handing the resulting deliveries to `out`
+    /// (a `Vec<Delivery>` is a sink: it appends one record per
+    /// receiver). The receivers of a broadcast on one segment come in
+    /// station address order, never in the order the stations were
+    /// attached; a copy nothing happened to may come as part of a run.
+    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut dyn DeliverySink) -> TxWindow;
 
     /// Drains deliveries produced by forwarding since the last call into
-    /// `out`, after whatever it holds. Single-hop transports append
-    /// nothing. Cheapest into an empty `out`, which a forwarding
-    /// transport may simply exchange for its own buffer.
-    fn poll_deliveries(&mut self, out: &mut Vec<Delivery>);
+    /// `out`, in the order they were produced. Single-hop transports
+    /// hand over nothing.
+    fn poll_deliveries(&mut self, out: &mut dyn DeliverySink);
 
     /// Aggregate medium statistics (summed across segments for
     /// multi-segment topologies).
@@ -166,11 +166,11 @@ impl Transport for Ethernet {
         self.register(mac);
     }
 
-    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut Vec<Delivery>) -> TxWindow {
+    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut dyn DeliverySink) -> TxWindow {
         Ethernet::transmit_into(self, ready, frame, out)
     }
 
-    fn poll_deliveries(&mut self, _out: &mut Vec<Delivery>) {}
+    fn poll_deliveries(&mut self, _out: &mut dyn DeliverySink) {}
 
     fn stats(&self) -> MediumStats {
         Ethernet::stats(self)

@@ -18,8 +18,8 @@
 use std::rc::Rc;
 
 use v_net::{
-    CollisionBug, Delivery, EtherType, FaultPlan, Frame, MacAddr, MeshConfig, NetworkKind,
-    Topology, Transport,
+    CollisionBug, Delivery, DeliverySink, EtherType, FaultPlan, Frame, MacAddr, MeshConfig,
+    NetworkKind, StationRun, Topology, Transport,
 };
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
@@ -152,17 +152,15 @@ struct Outcome {
     digest: u64,
 }
 
-fn run(net: Net, faults: Faults) -> Outcome {
-    let (mut t, stations, segments) = build(net, faults);
+/// The seeded script: 40 transmissions, half of them broadcasts, one in
+/// eight to [`NOBODY`], most of them sooner than the previous frame's
+/// wire time (deferrals, and gateways with a backlog). Yields
+/// `(step, ready, frame, payload as sent)`.
+fn script(stations: &[MacAddr]) -> impl Iterator<Item = (u64, SimTime, Frame, Rc<[u8]>)> + '_ {
     let mut script = SplitMix64::new(0xC0FFEE);
-    let mut digest = Digest(0xCBF2_9CE4_8422_2325);
-    let (mut direct, mut polled) = (0, 0);
     let mut now = SimTime::ZERO;
-    let mut out = Vec::new();
-    let mut fwd = Vec::new();
-
     let pick = |rng: &mut SplitMix64| stations[rng.below(stations.len() as u64) as usize];
-    for step in 0..40u64 {
+    (0..40u64).map(move |step| {
         let src = pick(&mut script);
         let dst = match script.below(8) {
             0..=3 => MacAddr::BROADCAST,
@@ -171,12 +169,23 @@ fn run(net: Net, faults: Faults) -> Outcome {
         };
         let len = 1 + script.below(200) as usize;
         let sent: Rc<[u8]> = (0..len).map(|i| (i as u64 * 31 + step) as u8).collect();
-        // Mostly sooner than the previous frame's wire time: deferrals,
-        // and gateways with a backlog.
         now = SimTime::from_nanos(now.as_nanos() + script.below(300_000));
-
-        out.clear();
         let frame = Frame::new(dst, src, EtherType::INTERKERNEL, sent.clone());
+        (step, now, frame, sent)
+    })
+}
+
+fn run(net: Net, faults: Faults) -> Outcome {
+    let (mut t, stations, segments) = build(net, faults);
+    let mut digest = Digest(0xCBF2_9CE4_8422_2325);
+    let (mut direct, mut polled) = (0, 0);
+    let mut now = SimTime::ZERO;
+    let mut out = Vec::new();
+    let mut fwd = Vec::new();
+
+    for (step, ready, frame, sent) in script(&stations) {
+        now = ready;
+        out.clear();
         let win = t.transmit(now, frame, &mut out);
         digest.word(win.tx_start.as_nanos());
         digest.word(win.tx_end.as_nanos());
@@ -339,4 +348,119 @@ fn the_script_exercises_every_path() {
     let cut = run(Net::Line3DeadGateway, Faults::None);
     let whole = run(Net::Line3, Faults::None);
     assert!(cut.polled < whole.polled, "{cut:?} vs {whole:?}");
+}
+
+/// A sink that keeps what the transport said as it said it.
+#[derive(Default)]
+struct Recorder {
+    said: Vec<Said>,
+}
+
+enum Said {
+    One(Delivery),
+    Run(StationRun),
+}
+
+impl DeliverySink for Recorder {
+    fn deliver(&mut self, d: Delivery) {
+        self.said.push(Said::One(d));
+    }
+
+    fn deliver_run(&mut self, run: StationRun) {
+        self.said.push(Said::Run(run));
+    }
+}
+
+impl Recorder {
+    /// Every station's delivery, runs written out, and how many
+    /// deliveries came as part of a run.
+    fn expanded(self) -> (Vec<Delivery>, usize) {
+        let mut out = Vec::new();
+        let mut in_runs = 0;
+        for said in self.said {
+            match said {
+                Said::One(d) => out.push(d),
+                Said::Run(run) => {
+                    assert!(run.frame.dst.is_broadcast(), "only a broadcast is a run");
+                    assert!(!run.range.is_empty(), "an empty run says nothing");
+                    in_runs += run.range.len();
+                    for &dst in run.receivers() {
+                        let mut frame = run.frame.clone();
+                        frame.dst = dst;
+                        out.push(Delivery {
+                            at: run.at,
+                            dst,
+                            frame,
+                            corrupted: false,
+                        });
+                    }
+                }
+            }
+        }
+        (out, in_runs)
+    }
+}
+
+fn assert_same(what: &str, want: &[Delivery], got: &[Delivery]) {
+    assert_eq!(want.len(), got.len(), "{what}: count");
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert_eq!(
+            (w.at, w.dst, &w.frame, w.corrupted),
+            (g.at, g.dst, &g.frame, g.corrupted),
+            "{what}: delivery {i}"
+        );
+        assert_eq!(
+            Rc::ptr_eq(&w.frame.payload, &g.frame.payload),
+            !w.corrupted,
+            "{what}: delivery {i} shares the sent buffer iff clean"
+        );
+    }
+}
+
+/// The kernel takes a transport's output as runs; the goldens above (and
+/// the benchmark's microbenchmarks) take it as one `Delivery` per
+/// station. Two transports built alike, one driven into each kind of
+/// sink, must be saying the same thing.
+#[test]
+fn runs_expanded_are_the_deliveries_a_vec_receives() {
+    for (net_name, net) in NETS {
+        for (fault_name, faults) in FAULTS {
+            let (mut by_vec, stations, _) = build(net, faults);
+            let (mut by_run, _, _) = build(net, faults);
+            let mut in_runs = 0;
+            for (step, ready, frame, _sent) in script(&stations) {
+                let what = format!("{net_name}/{fault_name} step {step}");
+                let broadcast = frame.dst.is_broadcast();
+                let mut want = Vec::new();
+                let mut said = Recorder::default();
+                let win = by_vec.transmit(ready, frame.clone(), &mut want);
+                // The same payload buffer, so that sharing can be compared.
+                assert_eq!(win, by_run.transmit(ready, frame, &mut said));
+                let (got, n) = said.expanded();
+                assert_same(&format!("{what} direct"), &want, &got);
+                assert!(broadcast || n == 0, "{what}: a unicast came as a run");
+                in_runs += n;
+
+                let mut want = Vec::new();
+                let mut said = Recorder::default();
+                by_vec.poll_deliveries(&mut want);
+                by_run.poll_deliveries(&mut said);
+                let (got, n) = said.expanded();
+                assert_same(&format!("{what} polled"), &want, &got);
+                assert!(broadcast || n == 0, "{what}: a unicast came as a run");
+                in_runs += n;
+            }
+            // Where no fate is drawn per station every broadcast copy is
+            // part of a run; under a fault plan none is. (The collision
+            // bug hits only some transmissions.)
+            let m = by_run.stats();
+            match faults {
+                Faults::None => assert!(in_runs > 200, "{net_name}: {in_runs} in runs"),
+                Faults::Bug => assert!(in_runs > 0 && (in_runs as u64) < m.deliveries),
+                Faults::Mixed | Faults::Lossy => assert_eq!(in_runs, 0, "{net_name}"),
+            }
+            assert_eq!(format!("{m:?}"), format!("{:?}", by_vec.stats()));
+            assert_eq!(by_run.per_gateway_stats(), by_vec.per_gateway_stats());
+        }
+    }
 }
