@@ -110,17 +110,62 @@ impl AddressSpace {
         self.range(addr, len).map(|_| ())
     }
 
+    /// The bytes of `[addr, addr+len)` where they lie: one slice per page
+    /// the range covers, in address order, a page nothing has written
+    /// lending zeros. `read`, `read_into` and `copy_from` are written
+    /// over it; a caller whose bytes go somewhere else copies from it.
+    pub fn spans(
+        &self,
+        addr: u32,
+        len: usize,
+    ) -> Result<impl Iterator<Item = &[u8]> + '_, KernelError> {
+        static ZEROS: Page = Page([0; PAGE_SIZE]);
+        let r = self.range(addr, len)?;
+        Ok(
+            page_spans(r).map(move |(idx, span)| match &self.pages[idx] {
+                Some(page) => &page.0[span],
+                None => &ZEROS.0[span],
+            }),
+        )
+    }
+
     /// Reads `len` bytes starting at `addr`.
     pub fn read(&self, addr: u32, len: usize) -> Result<Vec<u8>, KernelError> {
-        let r = self.range(addr, len)?;
+        let spans = self.spans(addr, len)?;
         let mut out = Vec::with_capacity(len);
-        for (idx, span) in page_spans(r) {
-            match &self.pages[idx] {
-                Some(page) => out.extend_from_slice(&page.0[span]),
-                None => out.resize(out.len() + span.len(), 0),
-            }
+        for span in spans {
+            out.extend_from_slice(span);
         }
         Ok(out)
+    }
+
+    /// Reads `out.len()` bytes starting at `addr` into `out`.
+    pub fn read_into(&self, addr: u32, out: &mut [u8]) -> Result<(), KernelError> {
+        let mut rest = out;
+        for span in self.spans(addr, rest.len())? {
+            let (chunk, after) = rest.split_at_mut(span.len());
+            chunk.copy_from_slice(span);
+            rest = after;
+        }
+        Ok(())
+    }
+
+    /// Copies `len` bytes at `src_addr` in `src` to `addr` here, space to
+    /// space. Either range failing its check leaves this space untouched.
+    pub fn copy_from(
+        &mut self,
+        addr: u32,
+        src: &AddressSpace,
+        src_addr: u32,
+        len: usize,
+    ) -> Result<(), KernelError> {
+        let spans = src.spans(src_addr, len)?;
+        let mut at = self.range(addr, len)?.start;
+        for span in spans {
+            self.write(at as u32, span)?;
+            at += span.len();
+        }
+        Ok(())
     }
 
     /// Copies `data` into the space starting at `addr`.

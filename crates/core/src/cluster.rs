@@ -876,6 +876,16 @@ impl<'a> Api<'a> {
         pcb.space.read(addr, len)
     }
 
+    /// Reads this process's own memory into `out`, whole: for bytes whose
+    /// next home already exists (a store's block), so that no `Vec` has
+    /// to carry them there.
+    pub fn mem_read_into(&self, addr: u32, out: &mut [u8]) -> Result<(), KernelError> {
+        let pcb = self.cl.hosts[self.host.0]
+            .proc(self.pid)
+            .expect("own process exists");
+        pcb.space.read_into(addr, out)
+    }
+
     /// Writes this process's own memory.
     pub fn mem_write(&mut self, addr: u32, data: &[u8]) -> Result<(), KernelError> {
         let pcb = self.cl.hosts[self.host.0]

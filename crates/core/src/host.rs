@@ -6,6 +6,7 @@ use v_sim::SimTime;
 use crate::aliens::AlienTable;
 use crate::costs::CostModel;
 use crate::cpu::Cpu;
+use crate::error::KernelError;
 use crate::event::HostId;
 use crate::hostmap::{AddressingMode, HostMap};
 use crate::naming::NameTable;
@@ -175,6 +176,24 @@ impl Host {
     /// Mutable process lookup.
     pub fn proc_mut(&mut self, pid: Pid) -> Option<&mut Pcb> {
         self.procs.get_mut(&pid.local())
+    }
+
+    /// Copies `len` bytes at `src` in `from`'s space to `dest` in `to`'s,
+    /// space to space: the same-host leg of a segment or a move. The two
+    /// are never one process — one of them is blocked on the other.
+    pub fn copy_between(
+        &mut self,
+        from: Pid,
+        src: u32,
+        to: Pid,
+        dest: u32,
+        len: usize,
+    ) -> Result<(), KernelError> {
+        let (from, to) = self
+            .procs
+            .get_beside_mut(&from.local(), &to.local())
+            .expect("two distinct live processes");
+        to.space.copy_from(dest, &from.space, src, len)
     }
 
     /// Allocates an unused local uid.

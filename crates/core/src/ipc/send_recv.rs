@@ -14,6 +14,7 @@ use crate::aliens::{AlienState, SendVerdict};
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::event::TimerKind;
+use crate::host::Host;
 use crate::message::Message;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
@@ -172,7 +173,7 @@ impl Ctx<'_> {
             enum SegData {
                 None,
                 Local { start: u32, len: u32 },
-                Appended(Vec<u8>),
+                Appended,
             }
             let (msg, seg) = if sender.is_local_to(self.host.logical) {
                 match self.host.proc(sender) {
@@ -196,7 +197,7 @@ impl Ctx<'_> {
                         let seg = if a.appended.is_empty() {
                             SegData::None
                         } else {
-                            SegData::Appended(a.appended.clone())
+                            SegData::Appended
                         };
                         (a.msg, seg)
                     }
@@ -214,46 +215,46 @@ impl Ctx<'_> {
             if dispatch {
                 cost += self.host.costs.context_switch;
             }
+            // The segment goes from where it lies — the sender's space,
+            // or the alien that holds what the Send packet carried —
+            // into the receiver's buffer: one copy, nothing in between.
+            // A bogus receiver buffer costs the same and delivers none.
             let mut seg_len: u32 = 0;
-            let mut seg_bytes: Option<(u32, Vec<u8>)> = None;
             if wants_seg {
                 match seg {
                     SegData::None => {}
                     SegData::Local { start, len } => {
                         let n = size.min(len);
-                        if n > 0 {
-                            let data = {
-                                let sp = self.host.proc(sender).expect("checked");
-                                sp.space.read(start, n as usize).ok()
-                            };
-                            if let Some(data) = data {
-                                cost +=
-                                    self.local_data_cost(self.host.costs.segment_fixed, n as usize);
-                                seg_bytes = Some((buf, data));
-                                seg_len = n;
-                            }
+                        let sp = self.host.proc(sender).expect("checked");
+                        if n > 0 && sp.space.check(start, n as usize).is_ok() {
+                            cost += self.local_data_cost(self.host.costs.segment_fixed, n as usize);
+                            let copied = self
+                                .host
+                                .copy_between(sender, start, receiver, buf, n as usize);
+                            seg_len = if copied.is_ok() { n } else { 0 };
                         }
                     }
-                    SegData::Appended(data) => {
+                    SegData::Appended => {
+                        let Host {
+                            aliens,
+                            procs,
+                            costs,
+                            ..
+                        } = &mut *self.host;
+                        let data = &aliens.get(sender).expect("checked").appended;
                         let n = (size as usize).min(data.len());
                         if n > 0 {
                             // Bytes came off the wire straight into their
                             // final location: only fixed handling cost.
-                            cost += self.host.costs.segment_fixed;
-                            seg_bytes = Some((buf, data[..n].to_vec()));
-                            seg_len = n as u32;
+                            cost += costs.segment_fixed;
+                            let to = procs.get_mut(&receiver.local()).expect("checked");
+                            let copied = to.space.write(buf, &data[..n]);
+                            seg_len = if copied.is_ok() { n as u32 } else { 0 };
                         }
                     }
                 }
             }
             let end = self.charge(t, cost);
-
-            if let Some((addr, data)) = seg_bytes {
-                let pcb = self.host.proc_mut(receiver).expect("checked");
-                if pcb.space.write(addr, &data).is_err() {
-                    seg_len = 0; // receiver's own buffer was bogus
-                }
-            }
 
             // Mark the sender's exchange delivered.
             if sender.is_local_to(self.host.logical) {
@@ -298,7 +299,6 @@ impl Ctx<'_> {
                 return Err(KernelError::NotAwaitingReply);
             }
             let mut cost = self.host.costs.reply_local + self.host.costs.context_switch;
-            let mut write: Option<(u32, Vec<u8>)> = None;
             if let Some((dest_ptr, src_addr, len)) = seg {
                 let target = self.host.proc(to).expect("checked");
                 let grant = target
@@ -307,14 +307,13 @@ impl Ctx<'_> {
                     .ok_or(KernelError::NoSegmentAccess)?;
                 grant.check(dest_ptr, len, Access::Write)?;
                 let rp = self.host.proc(replier).expect("replier exists");
-                let data = rp.space.read(src_addr, len as usize)?;
+                rp.space.check(src_addr, len as usize)?;
                 cost += self.local_data_cost(self.host.costs.segment_fixed, len as usize);
-                write = Some((dest_ptr, data));
             }
             let end = self.charge(t, cost);
-            if let Some((addr, data)) = write {
-                let target = self.host.proc_mut(to).expect("checked");
-                target.space.write(addr, &data)?;
+            if let Some((dest_ptr, src_addr, len)) = seg {
+                self.host
+                    .copy_between(replier, src_addr, to, dest_ptr, len as usize)?;
             }
             let target = self.host.proc_mut(to).expect("checked");
             target.state = ProcState::Ready;

@@ -49,19 +49,21 @@ impl Ctx<'_> {
                 .and_then(|g| g.check(dest, count, Access::Write).map(|_| ()))
                 .and_then(|_| {
                     let mp = self.host.proc(mover).expect("mover exists");
-                    mp.space.read(src, count as usize)
+                    mp.space.check(src, count as usize)
                 });
             match res {
                 Err(e) => {
                     let end = self.charge(t, self.host.costs.syscall_min);
                     self.fail_move(end, mover, e);
                 }
-                Ok(data) => {
+                Ok(()) => {
                     let cost =
                         self.local_data_cost(self.host.costs.move_local_fixed, count as usize);
                     let end = self.charge(t, cost);
-                    let target = self.host.proc_mut(dst).expect("checked");
-                    if target.space.write(dest, &data).is_err() {
+                    let copied = self
+                        .host
+                        .copy_between(mover, src, dst, dest, count as usize);
+                    if copied.is_err() {
                         self.fail_move(end, mover, KernelError::BadAddress);
                         return;
                     }
@@ -213,19 +215,21 @@ impl Ctx<'_> {
                 .and_then(|g| g.check(src, count, Access::Read))
                 .and_then(|_| {
                     let sp = self.host.proc(src_pid).expect("checked");
-                    sp.space.read(src, count as usize)
+                    sp.space.check(src, count as usize)
                 });
             match res {
                 Err(e) => {
                     let end = self.charge(t, self.host.costs.syscall_min);
                     self.fail_move(end, requester, e);
                 }
-                Ok(data) => {
+                Ok(()) => {
                     let cost =
                         self.local_data_cost(self.host.costs.move_local_fixed, count as usize);
                     let end = self.charge(t, cost);
-                    let rp = self.host.proc_mut(requester).expect("requester exists");
-                    if rp.space.write(dest, &data).is_err() {
+                    let copied =
+                        self.host
+                            .copy_between(src_pid, src, requester, dest, count as usize);
+                    if copied.is_err() {
                         self.fail_move(end, requester, KernelError::BadAddress);
                         return;
                     }

@@ -54,6 +54,22 @@ impl<T> UidSlab<T> {
         self.slots.get_mut(*k as usize).and_then(|s| s.as_mut())
     }
 
+    /// The value at `a` beside mutable access to the one at `b`, if both
+    /// are present and `a != b`.
+    pub fn get_beside_mut(&mut self, a: &u16, b: &u16) -> Option<(&T, &mut T)> {
+        let (a, b) = (*a as usize, *b as usize);
+        if a == b || a.max(b) >= self.slots.len() {
+            return None;
+        }
+        let (low, high) = self.slots.split_at_mut(a.max(b));
+        let (at_a, at_b) = if a < b {
+            (&low[a], &mut high[0])
+        } else {
+            (&high[0], &mut low[b])
+        };
+        Some((at_a.as_ref()?, at_b.as_mut()?))
+    }
+
     /// True if `k` holds a value.
     pub fn contains_key(&self, k: &u16) -> bool {
         self.get(k).is_some()
@@ -289,6 +305,23 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.get(&200), None);
+    }
+
+    #[test]
+    fn uid_slab_lends_two_distinct_slots_at_once() {
+        let mut s: UidSlab<u32> = UidSlab::default();
+        s.insert(2, 20);
+        s.insert(7, 70);
+        for (a, b) in [(2u16, 7u16), (7, 2)] {
+            let (from, to) = s.get_beside_mut(&a, &b).expect("both present");
+            assert_eq!((*from, *to), (u32::from(a) * 10, u32::from(b) * 10));
+            *to += 1;
+            *to -= 1;
+        }
+        // The same slot twice, an empty slot, a slot past the end.
+        for (a, b) in [(2u16, 2u16), (2, 3), (3, 2), (2, 8), (8, 2), (900, 901)] {
+            assert!(s.get_beside_mut(&a, &b).is_none(), "({a}, {b})");
+        }
     }
 
     #[test]

@@ -330,3 +330,144 @@ fn the_edges_of_the_space_are_where_they_were() {
     none.apply(Op::Write(Span::PastEnd { back: 0, len: 1 }, 1));
     none.check_all();
 }
+
+/// The readers that lend or deposit bytes instead of returning a `Vec` —
+/// `spans`, `read_into`, `copy_from` — against the same flat array.
+impl Pair {
+    /// `spans` yields `read`'s bytes, a page's worth at a time.
+    fn check_spans(&self, span: Span) {
+        let (addr, len) = span.place(self.flat.0.len());
+        let want = self.flat.range(addr, len).map(|r| self.flat.0[r].to_vec());
+        let got = self.space.spans(addr, len).map(|spans| {
+            let spans: Vec<&[u8]> = spans.collect();
+            let mut at = addr as usize;
+            for s in &spans {
+                assert!(!s.is_empty(), "{span:?}");
+                assert_eq!(
+                    at / PAGE,
+                    (at + s.len() - 1) / PAGE,
+                    "{span:?} crosses a page"
+                );
+                at += s.len();
+            }
+            spans.concat()
+        });
+        assert_eq!(got, want, "{span:?}");
+    }
+
+    /// `read_into` fills exactly the slice it is given, or nothing.
+    fn check_read_into(&self, span: Span) {
+        let size = self.flat.0.len();
+        let (addr, len) = span.place(size);
+        let mut out = vec![0xEE; len.min(size + 8)];
+        let want = self.flat.range(addr, out.len());
+        let got = self.space.read_into(addr, &mut out);
+        match want {
+            Ok(r) => assert_eq!((got, &out[..]), (Ok(()), &self.flat.0[r]), "{span:?}"),
+            Err(e) => {
+                assert_eq!(got, Err(e), "{span:?}");
+                assert!(out.iter().all(|&b| b == 0xEE), "{span:?} touched its slice");
+            }
+        }
+    }
+
+    /// `copy_from` moves `from` of `src` to where `to` starts here, or —
+    /// either range out of bounds — changes nothing.
+    fn copy_from(&mut self, to: Span, src: &Pair, from: Span) {
+        let (src_addr, len) = from.place(src.flat.0.len());
+        let len = len.min(src.flat.0.len() + 8);
+        let (addr, _) = to.place(self.flat.0.len());
+        let want = src.flat.range(src_addr, len).and_then(|from| {
+            let to = self.flat.range(addr, len)?;
+            self.flat.0[to].copy_from_slice(&src.flat.0[from]);
+            Ok(())
+        });
+        let got = self.space.copy_from(addr, &src.space, src_addr, len);
+        assert_eq!(got, want, "{from:?} to {to:?}");
+    }
+}
+
+proptest! {
+    /// After any sequence of writes, the lending and depositing readers
+    /// agree with the flat array on every kind of range, and a copy
+    /// between two spaces is the copy between their arrays.
+    #[test]
+    fn the_readers_without_a_vec_match_the_flat_array(
+        sizes in (size(), size()),
+        ops in prop::collection::vec(op(), 1..12),
+        probes in prop::collection::vec((span(), span()), 1..12),
+    ) {
+        let mut src = Pair::new(sizes.0);
+        for &op in &ops {
+            src.apply(op);
+        }
+        let mut dst = Pair::new(sizes.1);
+        dst.apply(Op::Fill(Span::Whole, 0x33));
+        for &(from, to) in &probes {
+            src.check_spans(from);
+            src.check_read_into(from);
+            dst.copy_from(to, &src, from);
+        }
+        src.check_all();
+        dst.check_all();
+    }
+}
+
+#[test]
+fn span_shapes_inside_straddling_absent_and_past_the_end() {
+    let mut pair = Pair::new(3 * PAGE);
+    let inside = Span::Inside {
+        page: 0,
+        off: 0x400,
+        len: 512,
+    };
+    let straddles = Span::Straddles {
+        page: 0,
+        before: 100,
+        after: 412,
+    };
+    pair.apply(Op::Write(inside, 1));
+    pair.apply(Op::Write(straddles, 2));
+    let lens = |pair: &Pair, span: Span| -> Vec<usize> {
+        let (addr, len) = span.place(3 * PAGE);
+        let spans = pair.space.spans(addr, len).expect("in bounds");
+        spans.map(<[u8]>::len).collect()
+    };
+    // One slice inside a page, two across a boundary, and a page nothing
+    // has written lends zeros without becoming resident.
+    assert_eq!(lens(&pair, inside), [512]);
+    assert_eq!(lens(&pair, straddles), [100, 412]);
+    assert_eq!(lens(&pair, Span::Whole), [PAGE, PAGE, PAGE]);
+    let absent = Span::Inside {
+        page: 2,
+        off: 7,
+        len: 64,
+    };
+    let (addr, len) = absent.place(3 * PAGE);
+    let mut spans = pair.space.spans(addr, len).expect("in bounds");
+    assert_eq!(spans.next(), Some(&[0u8; 64][..]));
+    assert!(format!("{:?}", pair.space).contains("resident_pages: 2"));
+    for span in [
+        inside,
+        straddles,
+        absent,
+        Span::Whole,
+        Span::Empty { back: 0 },
+    ] {
+        pair.check_spans(span);
+        pair.check_read_into(span);
+    }
+    // One past the end is rejected by all three, the last byte is not.
+    for span in [
+        Span::PastEnd { back: 0, len: 1 },
+        Span::PastEnd { back: 1, len: 2 },
+        Span::LastBytes { len: 1 },
+    ] {
+        pair.check_spans(span);
+        pair.check_read_into(span);
+        let mut dst = Pair::new(PAGE + 1);
+        dst.copy_from(Span::LastBytes { len: 1 }, &pair, span);
+        dst.copy_from(span, &pair, Span::LastBytes { len: 2 });
+        dst.check_all();
+    }
+}

@@ -32,11 +32,10 @@
 //! with a [`CACHE_DENY`] grant (see `write_pending` in the server).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use v_kernel::{Api, Cluster, HostId, Outcome, Pid, Program};
-use v_sim::{SimDuration, SimTime};
+use v_sim::{FixedMap, SimDuration, SimTime};
 
 use crate::client::{FsCall, FsClient, DATA_BUF};
 use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY, CACHE_UNTIL_INVALIDATED};
@@ -150,21 +149,21 @@ impl CacheStats {
 #[derive(Debug)]
 struct Entry {
     data: Vec<u8>,
-    /// LRU stamp: strictly increasing, so `min_by_key` is
-    /// deterministic regardless of map iteration order.
+    /// LRU stamp: strictly increasing, so the coldest entry is unique.
     stamp: u64,
     /// Lease expiry; `None` = valid until invalidated.
     expires: Option<SimTime>,
 }
 
 /// A per-client block cache: LRU over `(file, block)` keys with
-/// per-file version counters for in-flight-read coherence.
+/// per-file version counters for in-flight-read coherence; under the
+/// fixed hasher, so the same in every process down to `Debug` output.
 #[derive(Debug)]
 pub struct BlockCache {
     capacity: usize,
     tick: u64,
-    blocks: HashMap<(u16, u32), Entry>,
-    versions: HashMap<u16, u64>,
+    blocks: FixedMap<(u16, u32), Entry>,
+    versions: FixedMap<u16, u64>,
     /// Counters.
     pub stats: CacheStats,
 }
@@ -175,8 +174,8 @@ impl BlockCache {
         BlockCache {
             capacity,
             tick: 0,
-            blocks: HashMap::new(),
-            versions: HashMap::new(),
+            blocks: FixedMap::default(),
+            versions: FixedMap::default(),
             stats: CacheStats::default(),
         }
     }
@@ -191,36 +190,39 @@ impl BlockCache {
         self.blocks.is_empty()
     }
 
-    /// Looks up the first `count` bytes of a block, honoring lease
-    /// expiry against `now` and refreshing LRU recency on a hit.
-    pub fn lookup(
+    /// A hit in place: hands the first `count` bytes of a block to `take`
+    /// where they lie, honoring lease expiry against `now` and refreshing
+    /// LRU recency — one probe of the map, and no copy but the one `take`
+    /// makes. `None` (and `take` not called) is a miss.
+    pub fn hit<R>(
         &mut self,
         file: FileId,
         block: u32,
         count: usize,
         now: SimTime,
-    ) -> Option<Vec<u8>> {
+        take: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
         let key = (file.0, block);
-        let expired = matches!(
-            self.blocks.get(&key),
-            Some(e) if e.expires.is_some_and(|t| t <= now)
-        );
-        if expired {
-            self.blocks.remove(&key);
-            self.stats.lease_expirations += 1;
-        }
         match self.blocks.get_mut(&key) {
+            Some(e) if e.expires.is_some_and(|t| t <= now) => {
+                self.blocks.remove(&key);
+                self.stats.lease_expirations += 1;
+            }
             Some(e) if e.data.len() >= count => {
                 self.tick += 1;
                 e.stamp = self.tick;
                 self.stats.hits += 1;
-                Some(e.data[..count].to_vec())
+                return Some(take(&e.data[..count]));
             }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
+            _ => {}
         }
+        self.stats.misses += 1;
+        None
+    }
+
+    /// [`BlockCache::hit`] returning an owned copy of the `n` bytes.
+    pub fn lookup(&mut self, file: FileId, block: u32, n: usize, now: SimTime) -> Option<Vec<u8>> {
+        self.hit(file, block, n, now, <[u8]>::to_vec)
     }
 
     /// Installs a block, evicting the least-recently-used entry when
@@ -371,12 +373,17 @@ impl CacheLayer {
         self.agent.raw()
     }
 
-    /// Tries to serve a read from the cache; `Some(data)` is a hit.
-    pub(crate) fn try_hit(&mut self, call: &FsCall, file: FileId, now: SimTime) -> Option<Vec<u8>> {
+    /// Serves a read from the cache if it can: the block is copied once,
+    /// cache to the client's [`DATA_BUF`], and its length returned. Nobody
+    /// else writes a computing client's buffer, so depositing now rather
+    /// than when the hit's CPU charge has run reads the same.
+    pub(crate) fn hit(&mut self, api: &mut Api<'_>, call: &FsCall, file: FileId) -> Option<u32> {
         let (block, count) = cacheable_read(call)?;
-        self.cache
-            .borrow_mut()
-            .lookup(file, block, count as usize, now)
+        let (now, mut cache) = (api.now(), self.cache.borrow_mut());
+        cache.hit(file, block, count as usize, now, |data| {
+            api.mem_write(DATA_BUF, data).expect("fits");
+            count
+        })
     }
 
     /// Bookkeeping at issue time: writes purge the file locally (the

@@ -478,7 +478,9 @@ pub struct FsClient {
     /// series as the client actually experienced it.
     issued_at: SimTime,
     cache: Option<CacheLayer>,
-    pending_hit: Option<Vec<u8>>,
+    /// Length of the cache hit deposited in [`DATA_BUF`] whose CPU
+    /// charge is running.
+    pending_hit: Option<u32>,
     /// Retries already burned on the current step.
     retries_this_step: u32,
     /// Consecutive `Send` failures (dead-host failover bookkeeping).
@@ -618,10 +620,10 @@ impl FsClient {
         }
         let mut cache_agent = None;
         if let Some(layer) = self.cache.as_mut() {
-            if let Some(data) = layer.try_hit(call, self.file, api.now()) {
+            if let Some(len) = layer.hit(api, call, self.file) {
                 // A hit never touches the wire: no failover, no
                 // detection budget — served even while servers die.
-                self.pending_hit = Some(data);
+                self.pending_hit = Some(len);
                 api.compute(layer.hit_cpu());
                 return;
             }
@@ -722,19 +724,17 @@ impl Program for FsClient {
             // The only delay a client asks for is a retry-after backoff.
             Outcome::Delay => self.issue(api, false),
             Outcome::Compute if self.pending_hit.is_some() => {
-                // Complete the hit: deposit the cached bytes where the
-                // remote path would have and synthesize an `Ok` reply
-                // (with a `CACHE_DENY` grant so it is not re-installed),
-                // so hits and misses share one check path — and a hit's
-                // latency, the per-hit CPU charge, lands in the op
-                // series like any other op.
+                // Complete the hit: the cached bytes already lie where
+                // the remote path would have put them, so synthesize an
+                // `Ok` reply (with a `CACHE_DENY` grant so it is not
+                // re-installed) and hits and misses share one check path
+                // — and a hit's latency, the per-hit CPU charge, lands in
+                // the op series like any other op.
                 self.consecutive_failures = 0;
-                let data = self.pending_hit.take().expect("hit in flight");
-                api.mem_write(DATA_BUF, &data).expect("fits");
                 let reply = IoReply {
                     status: IoStatus::Ok,
                     file: self.file,
-                    value: data.len() as u32,
+                    value: self.pending_hit.take().expect("hit in flight"),
                     aux: CACHE_DENY,
                     owner: 0,
                     tag: self.step as u16,

@@ -1008,17 +1008,17 @@ impl FileServer {
         let cur = self.current.as_ref().expect("request in progress");
         let req = cur.req;
         let from = cur.from;
-        let read: Result<Vec<u8>, StoreError> = self
-            .shared
-            .store
-            .borrow()
+        // Store to `SRV_OUT` under the borrow: the block's one copy on
+        // this host before the kernel gathers it into the reply.
+        let staged = (self.shared.store.borrow())
             .read_block(req.file, req.block, req.count as usize)
-            .map(|d| d.to_vec());
-        match read {
+            .map(|data| {
+                api.mem_write(SRV_OUT, data).expect("staging fits");
+                data.len() as u32
+            });
+        match staged {
             Err(e) => self.reply_status(api, Self::store_status(e), 0, req.file),
-            Ok(data) => {
-                let n = data.len() as u32;
-                api.mem_write(SRV_OUT, &data).expect("staging fits");
+            Ok(n) => {
                 let reply = IoReply {
                     status: IoStatus::Ok,
                     file: req.file,
@@ -1060,12 +1060,10 @@ impl FileServer {
         let req = cur.req;
         self.shared.migration.borrow_mut().note_write_end(req.file);
         let count = req.count.min(BLOCK_SIZE as u32);
-        let data = api.mem_read(SRV_IN, count as usize).expect("in buffer");
-        let wrote = self
-            .shared
-            .store
-            .borrow_mut()
-            .write_block(req.file, req.block, &data);
+        // `SRV_IN` to the store, the block's one copy on this host.
+        let wrote = (self.shared.store.borrow_mut())
+            .block_mut(req.file, req.block, count as usize)
+            .map(|block| api.mem_read_into(SRV_IN, block).expect("in buffer"));
         self.finish_write_pending(req.file);
         match wrote {
             Ok(()) => {
@@ -1143,18 +1141,12 @@ impl Program for FileServer {
                                 cur.req.count as usize,
                             )
                         };
-                        let read: Result<Vec<u8>, StoreError> = self
-                            .shared
-                            .store
-                            .borrow()
+                        let staged = (self.shared.store.borrow())
                             .read_range(file, offset, count)
-                            .map(|d| d.to_vec());
-                        match read {
+                            .map(|data| api.mem_write(SRV_OUT, data).expect("staging fits"));
+                        match staged {
                             Err(e) => self.reply_status(api, Self::store_status(e), 0, file),
-                            Ok(data) => {
-                                api.mem_write(SRV_OUT, &data).expect("staging fits");
-                                self.push_large(api, 0);
-                            }
+                            Ok(()) => self.push_large(api, 0),
                         }
                     }
                     _ => self.rearm(api),

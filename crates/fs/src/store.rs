@@ -264,18 +264,24 @@ impl BlockStore {
         Ok(&f.data[offset..end])
     }
 
-    /// Writes `data` at block `block`, growing the file if needed.
-    pub fn write_block(&mut self, id: FileId, block: u32, data: &[u8]) -> Result<(), StoreError> {
-        if data.len() > BLOCK_SIZE {
+    /// The first `n` bytes of block `block` to write into, the file grown
+    /// to hold them if needed.
+    pub fn block_mut(&mut self, id: FileId, block: u32, n: usize) -> Result<&mut [u8], StoreError> {
+        if n > BLOCK_SIZE {
             return Err(StoreError::BadBlock);
         }
         let f = self.file_mut(id)?;
         let start = block as usize * BLOCK_SIZE;
-        let end = start + data.len();
+        let end = start + n;
         if end > f.data.len() {
             f.data.resize(end, 0);
         }
-        f.data[start..end].copy_from_slice(data);
+        Ok(&mut f.data[start..end])
+    }
+
+    /// Writes `data` at block `block`, growing the file if needed.
+    pub fn write_block(&mut self, id: FileId, block: u32, data: &[u8]) -> Result<(), StoreError> {
+        self.block_mut(id, block, data.len())?.copy_from_slice(data);
         Ok(())
     }
 }

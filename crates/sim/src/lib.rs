@@ -9,6 +9,9 @@
 //!   order), exposing engine throughput counters as [`SimStats`];
 //! * [`SplitMix64`] — a tiny, fast, seedable PRNG used for fault injection
 //!   and workload generation so every run is reproducible;
+//! * [`FixedMap`] — a `HashMap` under a fixed, seedless hasher, for maps
+//!   keyed by the simulation's own integers: the same order in every
+//!   process, and no SipHash on a hot path;
 //! * [`OnlineStats`] — streaming statistics used by the measurement
 //!   harness;
 //! * [`Timeline`] — a pre-written, replayable script of externally
@@ -18,12 +21,14 @@
 //! depends on precise ordering of sub-millisecond events across simulated
 //! hosts, and determinism is worth far more here than parallel speedup.
 
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timeline;
 
+pub use hash::{FixedHasher, FixedMap};
 pub use queue::{EventQueue, SimStats};
 pub use rng::SplitMix64;
 pub use stats::OnlineStats;
