@@ -116,10 +116,8 @@ impl Cluster {
                 aliens: AlienTable::new(cfg.protocol.alien_pool),
                 names: NameTable::new(),
                 hostmap: HostMap::new(cfg.addressing),
-                out_moves: Default::default(),
-                in_moves: Default::default(),
-                in_fetches: Default::default(),
-                out_serves: Default::default(),
+                outbound: Default::default(),
+                inbound: Default::default(),
                 raw: Default::default(),
                 stats: KernelStats::default(),
                 suspects: Default::default(),
@@ -307,10 +305,8 @@ impl Cluster {
         h.names = NameTable::new();
         h.hostmap = HostMap::new(addressing);
         h.suspects.clear();
-        h.out_moves.clear();
-        h.in_moves.clear();
-        h.in_fetches.clear();
-        h.out_serves.clear();
+        h.outbound.clear();
+        h.inbound.clear();
         h.raw.clear();
         lane.requiet(h);
         // Timers and events still queued against this host become no-ops
@@ -646,15 +642,12 @@ impl Cluster {
         h.stats.processes_exited += 1;
         h.names.purge_pid(pid);
         self.lanes[host.0].requiet(h);
-        h.out_moves.remove(&pid.local());
-        h.in_fetches.remove(&pid.local());
-        h.in_moves.retain(|_, m| m.dest_pid != pid);
-        h.out_serves.retain(|_, s| s.grantor != pid);
+        h.drop_streams_of(pid);
 
         // Fail local senders blocked on the departed process.
         let mut to_fail = Vec::new();
         for pcb in h.procs.values() {
-            if let ProcState::AwaitingReplyLocal { to } = &pcb.state {
+            if let ProcState::AwaitingReplyLocal { to, .. } = &pcb.state {
                 if *to == pid {
                     to_fail.push(pcb.pid);
                 }

@@ -48,22 +48,25 @@ impl std::fmt::Display for HostId {
     }
 }
 
-/// Identifies an outbound data stream being paced chunk-by-chunk.
+/// Names one bulk-data stream in a host's outbound or inbound table:
+/// the process at the far end and the sequence number the stream's
+/// initiator — the `MoveTo` mover, the `MoveFrom` requester — gave it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StreamKey {
-    /// A `MoveTo` in progress, keyed by the mover's local uid.
-    Move {
-        /// Mover's local uid.
-        mover: u16,
-    },
-    /// A `MoveFrom` service stream (this kernel is the data source),
-    /// keyed by requester pid and transfer sequence number.
-    Serve {
-        /// Requesting process (raw pid).
-        requester: u32,
-        /// Transfer sequence number.
-        seq: u32,
-    },
+pub struct StreamKey {
+    /// The remote peer (raw pid).
+    pub peer: u32,
+    /// Transfer sequence number.
+    pub seq: u32,
+}
+
+impl StreamKey {
+    /// The key of the stream numbered `seq` whose far end is `peer`.
+    pub fn new(peer: Pid, seq: u32) -> StreamKey {
+        StreamKey {
+            peer: peer.raw(),
+            seq,
+        }
+    }
 }
 
 /// Kernel timers.
@@ -179,7 +182,19 @@ pub enum Event {
     ChunkReady {
         /// Host doing the streaming.
         host: HostId,
-        /// Which stream.
+        /// Which of its outbound streams.
         key: StreamKey,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_event_is_no_larger_than_it_was() {
+        // Every queued event is as large as the largest variant; 56
+        // bytes is what PR 22 left (see `Event::Arrival`).
+        assert!(std::mem::size_of::<Event>() <= 56);
+    }
 }

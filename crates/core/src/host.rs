@@ -7,7 +7,7 @@ use crate::aliens::AlienTable;
 use crate::costs::CostModel;
 use crate::cpu::Cpu;
 use crate::error::KernelError;
-use crate::event::HostId;
+use crate::event::{HostId, StreamKey};
 use crate::hostmap::{AddressingMode, HostMap};
 use crate::naming::NameTable;
 use crate::pcb::Pcb;
@@ -16,84 +16,133 @@ use crate::raw::RawHandler;
 use crate::slab::{LinearMap, SortedSet, UidSlab};
 use crate::stats::KernelStats;
 
-/// State of an outbound `MoveTo` (this host is the mover).
+/// Stall detection for the end of a stream a blocked process waits
+/// on: the `MoveTo` mover's, the `MoveFrom` requester's. (The other two
+/// ends carry an idle one.)
+#[derive(Debug, Default)]
+pub struct Stall {
+    /// Stall retries remaining.
+    pub retries_left: u32,
+    /// Progress marker, advanced with every chunk: a stall timer armed
+    /// against an older value finds the stream moved on.
+    pub marker: u32,
+}
+
+/// What put a stream in the outbound table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OutRole {
+    /// A local process's `MoveTo`: it stays blocked until the far kernel
+    /// acknowledges the last chunk, and a stall rewinds the stream.
+    Push,
+    /// A remote `MoveFrom` served out of a local grantor's space:
+    /// unacknowledged, gone when its last chunk is, re-requested by the
+    /// far end if that was not enough.
+    Serve,
+}
+
+/// Bytes leaving this host, chunk by chunk.
 #[derive(Debug)]
-pub struct OutMove {
-    /// Transfer sequence number.
-    pub seq: u32,
-    /// Destination (granting) process on the remote host.
-    pub dest_pid: Pid,
-    /// Destination address in the remote process's space.
-    pub dest_addr: u32,
-    /// Source address in the mover's space.
+pub struct OutStream {
+    /// Which primitive this stream serves.
+    pub role: OutRole,
+    /// The local process whose space is read: the mover of a push, the
+    /// grantor of a serve.
+    pub local: Pid,
+    /// The remote process at the far end: the grantor a push writes,
+    /// the requester a serve answers.
+    pub peer: Pid,
+    /// Where byte 0 lies in `local`'s space.
     pub src_addr: u32,
-    /// Total bytes to move.
+    /// Where byte 0 goes in `peer`'s space (a push says so in every
+    /// chunk; a requester knows where it asked for its bytes).
+    pub dest_addr: u32,
+    /// Total bytes in the stream.
     pub total: u32,
     /// Offset of the next chunk to transmit.
     pub next_off: u32,
-    /// Last offset known received (resume point on timeout).
+    /// Push: last offset known received (the rewind point of a stall).
     pub acked_base: u32,
-    /// Stall retries remaining.
-    pub retries_left: u32,
-    /// True once all chunks are out and the completion ack is awaited.
+    /// Push: true once all chunks are out and the completion ack is
+    /// awaited.
     pub awaiting_ack: bool,
-    /// Stall-marker snapshot for timer staleness detection.
-    pub marker: u32,
+    /// Push: the mover's stall detection.
+    pub stall: Stall,
 }
 
-/// State of an inbound `MoveTo` (this host holds the granting process).
+impl OutStream {
+    /// A stream of the `total` bytes at `src_addr` in `local`'s space,
+    /// none of them sent yet.
+    pub fn new(role: OutRole, local: Pid, peer: Pid, src_addr: u32, total: u32) -> OutStream {
+        OutStream {
+            role,
+            local,
+            peer,
+            src_addr,
+            dest_addr: 0,
+            total,
+            next_off: 0,
+            acked_base: 0,
+            awaiting_ack: false,
+            stall: Stall::default(),
+        }
+    }
+}
+
+/// What put a stream in the inbound table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InRole {
+    /// A remote `MoveTo` deposited into a local process under the grant
+    /// it sent; this end acknowledges, and keeps the completed stream as
+    /// a tombstone that re-acknowledges duplicate chunks.
+    Deposit,
+    /// A local process's `MoveFrom`: it stays blocked until the last
+    /// byte is in, and a stall asks again from the last in-order byte.
+    Fetch,
+}
+
+/// Bytes arriving at this host, reassembled strictly in order.
 #[derive(Debug)]
-pub struct InMove {
-    /// The local process whose segment is being written.
-    pub dest_pid: Pid,
+pub struct InStream {
+    /// Which primitive this stream serves.
+    pub role: InRole,
+    /// The local process whose space is written: the grantor of a
+    /// deposit, the requester of a fetch.
+    pub local: Pid,
+    /// The remote process the bytes come from.
+    pub peer: Pid,
+    /// Total bytes in the stream.
+    pub total: u32,
     /// Next in-order offset expected.
     pub expected: u32,
-    /// Total bytes in the transfer.
-    pub total: u32,
-    /// Completed (tombstone kept to re-ack duplicate chunks).
+    /// Deposit: completed (the tombstone).
     pub complete: bool,
-    /// Last activity (for housekeeping expiry).
+    /// Deposit: last activity (for the tombstone's expiry).
     pub last_seen: SimTime,
-}
-
-/// State of an outbound `MoveFrom` request (this host is the requester
-/// copying data *in*).
-#[derive(Debug)]
-pub struct InFetch {
-    /// Transfer sequence number.
-    pub seq: u32,
-    /// The remote (granting) process the data comes from.
-    pub src_pid: Pid,
-    /// Source address in the remote process's space.
+    /// Fetch: where byte 0 lies in `peer`'s space (to ask again).
     pub src_addr: u32,
-    /// Destination address in the requester's space.
+    /// Fetch: where byte 0 goes in `local`'s space.
     pub dest_addr: u32,
-    /// Total bytes requested.
-    pub total: u32,
-    /// Next in-order offset expected.
-    pub expected: u32,
-    /// Stall retries remaining.
-    pub retries_left: u32,
-    /// Stall-marker snapshot for timer staleness detection.
-    pub marker: u32,
+    /// Fetch: the requester's stall detection.
+    pub stall: Stall,
 }
 
-/// State of a `MoveFrom` service stream (this host holds the granting
-/// process and streams data out).
-#[derive(Debug)]
-pub struct OutServe {
-    /// The requesting process (on the remote host).
-    pub requester: Pid,
-    /// Transfer sequence number (the requester's).
-    pub seq: u32,
-    /// The local granting process.
-    pub grantor: Pid,
-    /// Source address in the grantor's space.
-    pub src_addr: u32,
-    /// Offset of the next chunk to transmit.
-    pub next_off: u32,
-    /// Total bytes to stream.
-    pub total: u32,
+impl InStream {
+    /// A stream of `total` bytes for `local`'s space, none of them in
+    /// yet, opened at `now`.
+    pub fn new(role: InRole, local: Pid, peer: Pid, total: u32, now: SimTime) -> InStream {
+        InStream {
+            role,
+            local,
+            peer,
+            total,
+            expected: 0,
+            complete: false,
+            last_seen: now,
+            src_addr: 0,
+            dest_addr: 0,
+            stall: Stall::default(),
+        }
+    }
 }
 
 /// What a frame arriving at a host reads and writes whoever the frame
@@ -148,14 +197,11 @@ pub struct Host {
     pub names: NameTable,
     /// Logical host → station mapping.
     pub hostmap: HostMap,
-    /// Outbound `MoveTo` transfers, keyed by mover local uid.
-    pub out_moves: UidSlab<OutMove>,
-    /// Inbound `MoveTo` transfers, keyed by (mover raw pid, seq).
-    pub in_moves: LinearMap<(u32, u32), InMove>,
-    /// Outstanding `MoveFrom` requests, keyed by requester local uid.
-    pub in_fetches: UidSlab<InFetch>,
-    /// `MoveFrom` service streams, keyed by (requester raw pid, seq).
-    pub out_serves: LinearMap<(u32, u32), OutServe>,
+    /// Bulk data leaving this host: a `MoveTo` pushed, a `MoveFrom`
+    /// served.
+    pub outbound: LinearMap<StreamKey, OutStream>,
+    /// Bulk data arriving: a `MoveTo` deposited, a `MoveFrom` fetched.
+    pub inbound: LinearMap<StreamKey, InStream>,
     /// Raw protocol handlers by ethertype.
     pub raw: LinearMap<u16, Box<dyn RawHandler>>,
     /// Protocol counters.
@@ -194,6 +240,12 @@ impl Host {
             .get_beside_mut(&from.local(), &to.local())
             .expect("two distinct live processes");
         to.space.copy_from(dest, &from.space, src, len)
+    }
+
+    /// Forgets every stream that reads or writes `pid`'s space.
+    pub fn drop_streams_of(&mut self, pid: Pid) {
+        self.outbound.retain(|_, s| s.local != pid);
+        self.inbound.retain(|_, s| s.local != pid);
     }
 
     /// Allocates an unused local uid.

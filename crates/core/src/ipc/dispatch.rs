@@ -16,6 +16,7 @@ use crate::config::ProtocolConfig;
 use crate::costs::CostModel;
 use crate::ctx::Ctx;
 use crate::event::TimerKind;
+use crate::ipc::transfer::Dir;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
@@ -54,13 +55,13 @@ impl Ctx<'_> {
                 dest,
                 src,
                 count,
-            } => self.do_move_to(t, pid, dst, dest, src, count),
+            } => self.do_move(t, pid, dst, Dir::To, dest, src, count),
             Pending::MoveFrom {
                 src_pid,
                 dest,
                 src,
                 count,
-            } => self.do_move_from(t, pid, src_pid, dest, src, count),
+            } => self.do_move(t, pid, src_pid, Dir::From, dest, src, count),
             Pending::GetPid { logical_id, scope } => self.do_get_pid(t, pid, logical_id, scope),
             Pending::Delay(d) => {
                 let pcb = self.host.proc_mut(pid).expect("caller verified");
@@ -161,71 +162,29 @@ impl Ctx<'_> {
     /// already typed; this only resolves the pid words and fans out.
     fn dispatch_packet(&mut self, t: SimTime, pkt: Packet) {
         let seq = pkt.seq;
-        let src = Pid::from_raw(pkt.src_pid);
-        let dst = Pid::from_raw(pkt.dst_pid);
+        // Every packet passes between two processes, except that a name
+        // query has no destination process and its answer names no
+        // source: there the end that is present stands in for the one
+        // that is not, which its handler never reads.
+        let ends = (Pid::from_raw(pkt.src_pid), Pid::from_raw(pkt.dst_pid));
+        let (src, dst) = match (&pkt.body, ends) {
+            (_, (Some(src), Some(dst))) => (src, dst),
+            (PacketBody::GetPidReq(_), (Some(src), None)) => (src, src),
+            (PacketBody::GetPidReply(_), (None, Some(dst))) => (dst, dst),
+            _ => return,
+        };
         match pkt.body {
-            PacketBody::Send(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_send_pkt(t, src, dst, seq, body);
-            }
-            PacketBody::Reply(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_reply_pkt(t, src, dst, seq, body);
-            }
-            PacketBody::ReplyPending => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_reply_pending(t, src, dst, seq);
-            }
-            PacketBody::Nack => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_nack(t, src, dst, seq);
-            }
-            PacketBody::MoveToData(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_moveto_data(t, src, dst, seq, body);
-            }
-            PacketBody::MoveFromReq(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_movefrom_req(t, src, dst, seq, body);
-            }
-            PacketBody::MoveFromData(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_movefrom_data(t, src, dst, seq, body);
-            }
-            PacketBody::TransferAck(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_transfer_ack(t, src, dst, seq, body);
-            }
-            PacketBody::GetPidReq(body) => {
-                let Some(src) = src else { return };
-                self.handle_getpid_req(t, src, body);
-            }
-            PacketBody::GetPidReply(body) => {
-                let Some(dst) = dst else { return };
-                self.handle_getpid_reply(t, dst, body);
-            }
-            PacketBody::Forward(body) => {
-                let (Some(src), Some(dst)) = (src, dst) else {
-                    return;
-                };
-                self.handle_forward_pkt(t, src, dst, seq, body);
-            }
+            PacketBody::Send(body) => self.handle_send_pkt(t, src, dst, seq, body),
+            PacketBody::Reply(body) => self.handle_reply_pkt(t, src, dst, seq, body),
+            PacketBody::ReplyPending => self.handle_reply_pending(t, src, dst, seq),
+            PacketBody::Nack => self.handle_nack(t, src, dst, seq),
+            PacketBody::MoveToData(body) => self.handle_moveto_data(t, src, dst, seq, body),
+            PacketBody::MoveFromReq(body) => self.handle_movefrom_req(t, src, dst, seq, body),
+            PacketBody::MoveFromData(body) => self.handle_movefrom_data(t, src, dst, seq, body),
+            PacketBody::TransferAck(body) => self.handle_transfer_ack(t, src, dst, seq, body),
+            PacketBody::Forward(body) => self.handle_forward_pkt(t, src, dst, seq, body),
+            PacketBody::GetPidReq(body) => self.handle_getpid_req(t, src, body),
+            PacketBody::GetPidReply(body) => self.handle_getpid_reply(t, dst, body),
         }
     }
 

@@ -78,27 +78,19 @@ impl Ctx<'_> {
         from: Pid,
         to: Pid,
     ) -> Result<SimTime, KernelError> {
-        let awaiting = matches!(
-            self.host.proc(from).map(|p| &p.state),
-            Some(ProcState::AwaitingReplyLocal { to: t2 }) if *t2 == forwarder
-        );
-        if !awaiting {
-            return Err(KernelError::NotAwaitingReply);
-        }
+        self.blocked_on(forwarder, from)
+            .ok_or(KernelError::NotAwaitingReply)?;
         let end = self.charge(t, self.host.costs.forward);
         self.host.stats.forwards += 1;
-        {
-            let pcb = self.host.proc_mut(from).expect("checked");
-            pcb.out_msg = msg;
-        }
-        if to.is_local_to(self.host.logical) {
-            let pcb = self.host.proc_mut(from).expect("checked");
-            pcb.state = ProcState::AwaitingReplyLocal { to };
-            let receiver = self.host.proc_mut(to).expect("checked");
-            receiver.senders.push_back(from);
-            if receiver.state.is_receiving() {
-                self.pump(end, to, true);
-            }
+        let local = to.is_local_to(self.host.logical);
+        let pcb = self.host.proc_mut(from).expect("checked");
+        pcb.out_msg = msg;
+        if local {
+            pcb.state = ProcState::AwaitingReplyLocal {
+                to,
+                received: false,
+            };
+            self.enqueue_sender(end, to, from);
         } else {
             // The client's exchange turns into an ordinary remote Send
             // of the forwarded message, with the full retransmission
@@ -117,10 +109,10 @@ impl Ctx<'_> {
         from: Pid,
         to: Pid,
     ) -> Result<SimTime, KernelError> {
-        let seq = match self.host.aliens.get(from) {
-            Some(a) if a.dst == forwarder && a.state == AlienState::Delivered => a.seq,
-            _ => return Err(KernelError::NotAwaitingReply),
-        };
+        let seq = self
+            .blocked_on(forwarder, from)
+            .ok_or(KernelError::NotAwaitingReply)?
+            .seq;
         let end = self.charge(t, self.host.costs.forward);
         self.host.stats.forwards += 1;
 
@@ -146,54 +138,38 @@ impl Ctx<'_> {
             body: PacketBody::Forward(body.clone()),
         });
 
-        if to.is_local_to(self.host.logical) {
-            // Same-host forwardee (the server-team case): rebind the
-            // alien and requeue it for the forwardee.
-            {
-                let a = self.host.aliens.get_mut(from).expect("checked");
-                a.dst = to;
-                a.msg = msg;
-                a.state = AlienState::Queued;
-                a.forward_note = Some(Rc::clone(&note));
-            }
-            let receiver = self.host.proc_mut(to).expect("checked");
-            receiver.senders.push_back(from);
-            let emitted = self.emit_bytes(end, note, from.host());
-            let receiving = self
-                .host
-                .proc(to)
-                .map(|p| p.state.is_receiving())
-                .unwrap_or(false);
-            if receiving {
-                self.pump(emitted.cpu_done, to, true);
-            }
-            Ok(emitted.cpu_done)
+        // Rebind the alien. For a forwardee on this host (the
+        // server-team case) it is requeued; for one on another kernel it
+        // becomes a tombstone that answers duplicates with the note.
+        let local = to.is_local_to(self.host.logical);
+        let a = self.host.aliens.get_mut(from).expect("checked");
+        a.dst = to;
+        a.msg = msg;
+        a.state = if local {
+            AlienState::Queued
         } else {
-            // Forwardee on another kernel: tombstone the alien, notify
-            // the client's kernel, and — unless the forwardee shares the
-            // client's kernel, where the note itself is the hand-off —
-            // hand the message off to the forwardee's kernel.
-            {
-                let a = self.host.aliens.get_mut(from).expect("checked");
-                a.dst = to;
-                a.msg = msg;
-                a.state = AlienState::Forwarded { at: end };
-                a.forward_note = Some(Rc::clone(&note));
-            }
-            let emitted = self.emit_bytes(end, note, from.host());
-            let mut done = emitted.cpu_done;
-            if to.host() != from.host() {
-                let handoff = Packet {
-                    seq,
-                    src_pid: forwarder.raw(),
-                    dst_pid: to.raw(),
-                    body: PacketBody::Forward(body),
-                };
-                done = self.emit_packet(done, &handoff, to.host()).cpu_done;
-            }
-            self.arm_housekeeping(done);
-            Ok(done)
+            AlienState::Forwarded { at: end }
+        };
+        a.forward_note = Some(Rc::clone(&note));
+        let mut done = self.emit_bytes(end, note, from.host()).cpu_done;
+        if local {
+            self.enqueue_sender(done, to, from);
+            return Ok(done);
         }
+        // Unless the forwardee shares the client's kernel, where the
+        // note itself is the hand-off, hand the message off to the
+        // forwardee's kernel.
+        if to.host() != from.host() {
+            let handoff = Packet {
+                seq,
+                src_pid: forwarder.raw(),
+                dst_pid: to.raw(),
+                body: PacketBody::Forward(body),
+            };
+            done = self.emit_packet(done, &handoff, to.host()).cpu_done;
+        }
+        self.arm_housekeeping(done);
+        Ok(done)
     }
 
     // ------------------------------------------------------------------
@@ -261,16 +237,13 @@ impl Ctx<'_> {
                 return;
             }
             self.host.stats.forward_rebinds += 1;
-            {
-                let pcb = self.host.proc_mut(client).expect("checked");
-                pcb.out_msg = msg;
-                pcb.state = ProcState::AwaitingReplyLocal { to: new_server };
-            }
-            let receiver = self.host.proc_mut(new_server).expect("checked");
-            receiver.senders.push_back(client);
-            if receiver.state.is_receiving() {
-                self.pump(end, new_server, true);
-            }
+            let pcb = self.host.proc_mut(client).expect("checked");
+            pcb.out_msg = msg;
+            pcb.state = ProcState::AwaitingReplyLocal {
+                to: new_server,
+                received: false,
+            };
+            self.enqueue_sender(end, new_server, client);
         } else {
             // Re-point the exchange — and the cached retransmission
             // packet — at the forwardee, carrying the forwarded message,

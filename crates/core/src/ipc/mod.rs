@@ -6,12 +6,14 @@
 //! * [`dispatch`] — the receive boundary: frame → decoded packet →
 //!   typed handler, raw-protocol fan-out, and blocking-syscall dispatch;
 //! * [`send_recv`] — the Send/Receive/Reply message exchange, including
-//!   the alien admission path and the receiver pump;
+//!   the alien admission path, the receiver pump and the one
+//!   blocked-peer rule every other primitive asks first;
 //! * [`forward`] — the `Forward` primitive: rebinding a received
 //!   exchange to another server process (receptionist/worker teams),
 //!   locally and across kernels;
-//! * [`transfer`] — `MoveTo`/`MoveFrom` bulk transfer: chunk streaming,
-//!   in-order reassembly and transfer acknowledgements;
+//! * [`transfer`] — `MoveTo`/`MoveFrom` bulk transfer: the same-host
+//!   move and the one stream engine (chunk sender, in-order-and-in-bounds
+//!   reassembly, acknowledgements) over the host's two transfer tables;
 //! * [`naming`] — `GetPid` broadcast resolution;
 //! * [`timers`] — retransmission, transfer-stall and housekeeping
 //!   timers.

@@ -19,10 +19,57 @@ use crate::message::Message;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
-use crate::segment::Access;
+use crate::segment::{Access, SegmentGrant};
 use v_wire::{encode, Packet, PacketBody, ReplyBody, SendBody};
 
+/// What [`Ctx::blocked_on`] knows of a peer blocked on the asking
+/// process.
+pub(crate) struct Blocked {
+    /// The segment access the peer's message granted.
+    pub grant: Option<SegmentGrant>,
+    /// The exchange's sequence number, when the peer is an alien; a
+    /// local exchange has none and reads 0.
+    pub seq: u32,
+}
+
 impl Ctx<'_> {
+    /// Is `peer` blocked in a `Send` that `me` has received? The one
+    /// rule `Reply`, `ReplyWithSegment`, `MoveTo`, `MoveFrom` and
+    /// `Forward` ask before they touch `peer`, the same for a process on
+    /// this host and for an alien: a sender still queued behind `me`'s
+    /// `Receive` is not blocked on `me` yet, whichever side of the wire
+    /// it queues from.
+    pub(crate) fn blocked_on(&self, me: Pid, peer: Pid) -> Option<Blocked> {
+        if peer.is_local_to(self.host.logical) {
+            let pcb = self.host.proc(peer)?;
+            let received = matches!(
+                pcb.state,
+                ProcState::AwaitingReplyLocal { to, received: true } if to == me
+            );
+            received.then(|| Blocked {
+                grant: pcb.out_msg.segment(),
+                seq: 0,
+            })
+        } else {
+            let alien = self.host.aliens.get(peer)?;
+            (alien.dst == me && alien.state == AlienState::Delivered).then(|| Blocked {
+                grant: alien.msg.segment(),
+                seq: alien.seq,
+            })
+        }
+    }
+
+    /// Queues `sender` — a local process or an alien, its message in
+    /// place — behind `receiver`'s `Receive`, and delivers at once if
+    /// the receiver is waiting in one.
+    pub(crate) fn enqueue_sender(&mut self, t: SimTime, receiver: Pid, sender: Pid) {
+        let pcb = self.host.proc_mut(receiver).expect("the receiver exists");
+        pcb.senders.push_back(sender);
+        if pcb.state.is_receiving() {
+            self.pump(t, receiver, true);
+        }
+    }
+
     pub(crate) fn do_send(&mut self, t: SimTime, pid: Pid, msg: Message, to: Pid) {
         {
             let pcb = self.host.proc_mut(pid).expect("sender exists");
@@ -40,15 +87,12 @@ impl Ctx<'_> {
                 );
                 return;
             }
-            {
-                let pcb = self.host.proc_mut(pid).expect("sender exists");
-                pcb.state = ProcState::AwaitingReplyLocal { to };
-            }
-            let receiver = self.host.proc_mut(to).expect("checked above");
-            receiver.senders.push_back(pid);
-            if receiver.state.is_receiving() {
-                self.pump(end, to, true);
-            }
+            let pcb = self.host.proc_mut(pid).expect("sender exists");
+            pcb.state = ProcState::AwaitingReplyLocal {
+                to,
+                received: false,
+            };
+            self.enqueue_sender(end, to, pid);
         } else {
             self.host.stats.sends_remote += 1;
             let cost = self.host.costs.send_remote + self.host.costs.timer_admin;
@@ -168,38 +212,24 @@ impl Ctx<'_> {
                 return;
             };
 
-            // Gather message + segment source, skipping stale queue
-            // entries (dead senders, superseded aliens).
-            enum SegData {
-                None,
-                Local { start: u32, len: u32 },
-                Appended,
-            }
-            let (msg, seg) = if sender.is_local_to(self.host.logical) {
+            // Gather the message, skipping stale queue entries (dead
+            // senders, superseded aliens), and what the sender offers a
+            // `ReceiveWithSegment`: a local one a readable segment of
+            // its space, an alien what its Send packet carried.
+            let (msg, readable, appended) = if sender.is_local_to(self.host.logical) {
                 match self.host.proc(sender) {
-                    Some(sp) if matches!(sp.state, ProcState::AwaitingReplyLocal { to } if to == receiver) =>
+                    Some(sp) if matches!(sp.state, ProcState::AwaitingReplyLocal { to, .. } if to == receiver) =>
                     {
-                        let msg = sp.out_msg;
-                        let seg = match msg.segment() {
-                            Some(g) if g.access.allows_read() && g.len > 0 => SegData::Local {
-                                start: g.start,
-                                len: g.len,
-                            },
-                            _ => SegData::None,
-                        };
-                        (msg, seg)
+                        let grant = sp.out_msg.segment();
+                        let readable = grant.filter(|g| g.access.allows_read() && g.len > 0);
+                        (sp.out_msg, readable, false)
                     }
                     _ => continue, // stale entry
                 }
             } else {
                 match self.host.aliens.get(sender) {
                     Some(a) if a.dst == receiver && a.state == AlienState::Queued => {
-                        let seg = if a.appended.is_empty() {
-                            SegData::None
-                        } else {
-                            SegData::Appended
-                        };
-                        (a.msg, seg)
+                        (a.msg, None, !a.appended.is_empty())
                     }
                     _ => continue, // stale entry
                 }
@@ -220,45 +250,44 @@ impl Ctx<'_> {
             // into the receiver's buffer: one copy, nothing in between.
             // A bogus receiver buffer costs the same and delivers none.
             let mut seg_len: u32 = 0;
-            if wants_seg {
-                match seg {
-                    SegData::None => {}
-                    SegData::Local { start, len } => {
-                        let n = size.min(len);
-                        let sp = self.host.proc(sender).expect("checked");
-                        if n > 0 && sp.space.check(start, n as usize).is_ok() {
-                            cost += self.local_data_cost(self.host.costs.segment_fixed, n as usize);
-                            let copied = self
-                                .host
-                                .copy_between(sender, start, receiver, buf, n as usize);
-                            seg_len = if copied.is_ok() { n } else { 0 };
-                        }
-                    }
-                    SegData::Appended => {
-                        let Host {
-                            aliens,
-                            procs,
-                            costs,
-                            ..
-                        } = &mut *self.host;
-                        let data = &aliens.get(sender).expect("checked").appended;
-                        let n = (size as usize).min(data.len());
-                        if n > 0 {
-                            // Bytes came off the wire straight into their
-                            // final location: only fixed handling cost.
-                            cost += costs.segment_fixed;
-                            let to = procs.get_mut(&receiver.local()).expect("checked");
-                            let copied = to.space.write(buf, &data[..n]);
-                            seg_len = if copied.is_ok() { n as u32 } else { 0 };
-                        }
-                    }
+            if let Some(g) = readable.filter(|_| wants_seg) {
+                let n = size.min(g.len);
+                let sp = self.host.proc(sender).expect("checked");
+                if n > 0 && sp.space.check(g.start, n as usize).is_ok() {
+                    cost += self.local_data_cost(self.host.costs.segment_fixed, n as usize);
+                    let copied = self
+                        .host
+                        .copy_between(sender, g.start, receiver, buf, n as usize);
+                    seg_len = if copied.is_ok() { n } else { 0 };
+                }
+            } else if wants_seg && appended {
+                let Host {
+                    aliens,
+                    procs,
+                    costs,
+                    ..
+                } = &mut *self.host;
+                let data = &aliens.get(sender).expect("checked").appended;
+                let n = (size as usize).min(data.len());
+                if n > 0 {
+                    // Bytes came off the wire straight into their
+                    // final location: only fixed handling cost.
+                    cost += costs.segment_fixed;
+                    let to = procs.get_mut(&receiver.local()).expect("checked");
+                    let copied = to.space.write(buf, &data[..n]);
+                    seg_len = if copied.is_ok() { n as u32 } else { 0 };
                 }
             }
             let end = self.charge(t, cost);
 
-            // Mark the sender's exchange delivered.
+            // Mark the sender's exchange received: from here on it is
+            // blocked on `receiver` (see `blocked_on`).
             if sender.is_local_to(self.host.logical) {
-                // Local sender stays AwaitingReplyLocal.
+                if let Some(ProcState::AwaitingReplyLocal { received, .. }) =
+                    self.host.proc_mut(sender).map(|p| &mut p.state)
+                {
+                    *received = true;
+                }
             } else if let Some(a) = self.host.aliens.get_mut(sender) {
                 a.state = AlienState::Delivered;
             }
@@ -289,22 +318,14 @@ impl Ctx<'_> {
         to: Pid,
         seg: Option<(u32, u32, u32)>, // (dest_ptr, src_addr, len)
     ) -> Result<SimTime, KernelError> {
+        let blocked = self
+            .blocked_on(replier, to)
+            .ok_or(KernelError::NotAwaitingReply)?;
         if to.is_local_to(self.host.logical) {
             // Local reply.
-            let awaiting = matches!(
-                self.host.proc(to).map(|p| &p.state),
-                Some(ProcState::AwaitingReplyLocal { to: t2 }) if *t2 == replier
-            );
-            if !awaiting {
-                return Err(KernelError::NotAwaitingReply);
-            }
             let mut cost = self.host.costs.reply_local + self.host.costs.context_switch;
             if let Some((dest_ptr, src_addr, len)) = seg {
-                let target = self.host.proc(to).expect("checked");
-                let grant = target
-                    .out_msg
-                    .segment()
-                    .ok_or(KernelError::NoSegmentAccess)?;
+                let grant = blocked.grant.ok_or(KernelError::NoSegmentAccess)?;
                 grant.check(dest_ptr, len, Access::Write)?;
                 let rp = self.host.proc(replier).expect("replier exists");
                 rp.space.check(src_addr, len as usize)?;
@@ -321,12 +342,7 @@ impl Ctx<'_> {
             Ok(end)
         } else {
             // Remote reply, through the alien.
-            let (seq, grant) = match self.host.aliens.get(to) {
-                Some(a) if a.dst == replier && a.state == AlienState::Delivered => {
-                    (a.seq, a.msg.segment())
-                }
-                _ => return Err(KernelError::NotAwaitingReply),
-            };
+            let Blocked { seq, grant } = blocked;
             let mut cost = self.host.costs.reply_remote;
             let (seg_dest, seg_data) = if let Some((dest_ptr, src_addr, len)) = seg {
                 if len as usize > self.proto.max_data_per_packet {
@@ -394,43 +410,28 @@ impl Ctx<'_> {
         // retransmission of an exchange that already completed must be
         // answered from the alien's cached reply even if the replier has
         // since exited (the sender's reply was lost, not the exchange).
-        if let Some(alien) = self.host.aliens.get(src) {
-            if alien.seq == seq {
-                // A forwarded exchange's duplicate means the client may
-                // have missed the rebind notification: repair it first.
-                let note = alien.forward_note.as_ref().map(Rc::clone);
-                let forwarded = matches!(alien.state, AlienState::Forwarded { .. });
-                if let Some(note) = note {
-                    self.host.stats.forward_notes_resent += 1;
-                    self.emit_bytes(t, note, src.host());
-                }
-                if forwarded {
-                    // The exchange lives at the forwardee's kernel now;
-                    // the re-sent note is the whole answer.
-                    self.host.stats.duplicates_filtered += 1;
-                    return;
-                }
-                match &self.host.aliens.get(src).expect("still present").state {
-                    AlienState::Replied { packet, .. } => {
-                        let packet = Rc::clone(packet);
-                        self.host.stats.duplicates_filtered += 1;
-                        self.host.stats.replies_retransmitted += 1;
-                        self.emit_bytes(t, packet, src.host());
-                    }
-                    _ => {
-                        self.host.stats.duplicates_filtered += 1;
-                        self.host.stats.reply_pending_sent += 1;
-                        let pkt = Packet {
-                            seq,
-                            src_pid: dst.raw(),
-                            dst_pid: src.raw(),
-                            body: PacketBody::ReplyPending,
-                        };
-                        self.emit_packet(t, &pkt, src.host());
-                    }
-                }
-                return;
+        if let Some(alien) = self.host.aliens.get(src).filter(|a| a.seq == seq) {
+            self.host.stats.duplicates_filtered += 1;
+            let reply = match &alien.state {
+                AlienState::Replied { packet, .. } => Some(Rc::clone(packet)),
+                _ => None,
+            };
+            let forwarded = matches!(alien.state, AlienState::Forwarded { .. });
+            // A forwarded exchange's duplicate means the client may
+            // have missed the rebind notification: repair it first.
+            if let Some(note) = alien.forward_note.as_ref().map(Rc::clone) {
+                self.host.stats.forward_notes_resent += 1;
+                self.emit_bytes(t, note, src.host());
             }
+            // A forwarded exchange lives at the forwardee's kernel now:
+            // the re-sent note is the whole answer.
+            if let Some(packet) = reply {
+                self.host.stats.replies_retransmitted += 1;
+                self.emit_bytes(t, packet, src.host());
+            } else if !forwarded {
+                self.send_reply_pending(t, src, seq, dst);
+            }
+            return;
         }
         if self.host.proc(dst).is_none() {
             self.send_nack(t, src, seq, dst);
@@ -449,50 +450,37 @@ impl Ctx<'_> {
                 let alloc = self.host.costs.alien_alloc + self.host.costs.unblock;
                 let end = self.charge(t, alloc);
                 self.arm_housekeeping(end);
-                if !already_queued {
-                    let pcb = self.host.proc_mut(dst).expect("checked");
-                    pcb.senders.push_back(src);
-                }
-                let receiving = self
-                    .host
-                    .proc(dst)
-                    .map(|p| p.state.is_receiving())
-                    .unwrap_or(false);
-                if receiving {
+                if already_queued {
                     self.pump(end, dst, true);
-                }
-            }
-            SendVerdict::RetransmitReply(packet) => {
-                self.host.stats.duplicates_filtered += 1;
-                self.host.stats.replies_retransmitted += 1;
-                self.emit_bytes(t, packet, src.host());
-            }
-            SendVerdict::ReplyPending => {
-                // Either a duplicate whose reply is still pending, or the
-                // alien pool is exhausted.
-                if matches!(self.host.aliens.get(src), Some(a) if a.seq == seq) {
-                    self.host.stats.duplicates_filtered += 1;
                 } else {
-                    self.host.stats.aliens_exhausted += 1;
+                    self.enqueue_sender(end, dst, src);
                 }
-                self.host.stats.reply_pending_sent += 1;
-                let pkt = Packet {
-                    seq,
-                    src_pid: dst.raw(),
-                    dst_pid: src.raw(),
-                    body: PacketBody::ReplyPending,
-                };
-                self.emit_packet(t, &pkt, src.host());
             }
-            SendVerdict::Drop => {
-                self.host.stats.duplicates_filtered += 1;
+            SendVerdict::Drop => self.host.stats.duplicates_filtered += 1,
+            // A duplicate was answered above: what is turned away here
+            // found the alien pool exhausted.
+            SendVerdict::ReplyPending => {
+                self.host.stats.aliens_exhausted += 1;
+                self.send_reply_pending(t, src, seq, dst);
             }
+            SendVerdict::RetransmitReply(_) => unreachable!("duplicates were answered above"),
         }
     }
 
-    /// Completes the sender's exchange from a wire `Reply` body — the
-    /// `ReplyFields`-style struct the ROADMAP asked for, now simply the
-    /// wire body itself.
+    /// Tells `to`'s kernel that its `Send` numbered `seq` is known here
+    /// and `busy` has not replied yet: keep waiting, keep retransmitting.
+    fn send_reply_pending(&mut self, t: SimTime, to: Pid, seq: u32, busy: Pid) {
+        self.host.stats.reply_pending_sent += 1;
+        let pkt = Packet {
+            seq,
+            src_pid: busy.raw(),
+            dst_pid: to.raw(),
+            body: PacketBody::ReplyPending,
+        };
+        self.emit_packet(t, &pkt, to.host());
+    }
+
+    /// Completes the sender's exchange from a wire `Reply` body.
     pub(crate) fn handle_reply_pkt(
         &mut self,
         t: SimTime,
@@ -507,33 +495,23 @@ impl Ctx<'_> {
             }) if *to == src && *s == seq => *grant,
             _ => return, // duplicate or stale reply
         };
-        let msg = Message::from_bytes(body.msg);
+        let mut result = Ok(Message::from_bytes(body.msg));
         let mut cost =
             self.host.costs.reply_match + self.host.costs.unblock + self.host.costs.context_switch;
-        let mut seg_err = None;
+        let pcb = self.host.procs.get_mut(&dst.local()).expect("checked");
         if !body.seg.is_empty() {
+            // The segment lands only where the Send granted write access;
+            // a refused one fails the exchange it rode on.
             cost += self.host.costs.segment_fixed;
-            let ok = grant
+            let landed = grant
                 .ok_or(KernelError::NoSegmentAccess)
-                .and_then(|g| g.check(body.seg_dest, body.seg.len() as u32, Access::Write));
-            match ok {
-                Ok(()) => {
-                    let pcb = self.host.proc_mut(dst).expect("checked");
-                    if pcb.space.write(body.seg_dest, &body.seg).is_err() {
-                        seg_err = Some(KernelError::BadAddress);
-                    }
-                }
-                Err(e) => seg_err = Some(e),
-            }
+                .and_then(|g| g.check(body.seg_dest, body.seg.len() as u32, Access::Write))
+                .and_then(|_| pcb.space.write(body.seg_dest, &body.seg));
+            result = landed.and(result);
         }
-        let end = self.charge(t, cost);
-        let pcb = self.host.proc_mut(dst).expect("checked");
         pcb.state = ProcState::Ready;
-        let outcome = match seg_err {
-            None => Outcome::Send(Ok(msg)),
-            Some(e) => Outcome::Send(Err(e)),
-        };
-        self.resume_at(end, dst, outcome);
+        let end = self.charge(t, cost);
+        self.resume_at(end, dst, Outcome::Send(result));
     }
 
     pub(crate) fn handle_reply_pending(&mut self, _t: SimTime, src: Pid, dst: Pid, seq: u32) {

@@ -12,10 +12,10 @@ use v_sim::SimTime;
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::event::TimerKind;
+use crate::host::{InRole, OutRole};
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
-use v_wire::{MoveFromReq, Packet, PacketBody};
 
 impl Ctx<'_> {
     /// A remote `Send`'s reply did not arrive in time: retransmit the
@@ -62,84 +62,47 @@ impl Ctx<'_> {
     }
 
     /// A bulk transfer stopped making progress: rewind to the last
-    /// acknowledged point (MoveTo) or re-request from the last in-order
-    /// byte (MoveFrom).
+    /// acknowledged point (a push) or re-request from the last in-order
+    /// byte (a fetch).
     pub(crate) fn transfer_stall_timer(&mut self, t: SimTime, pid: Pid, seq: u32, marker: u32) {
+        let Some((key, fetching)) = self.moving_on(pid).filter(|(key, _)| key.seq == seq) else {
+            return; // timer belongs to a finished transfer
+        };
+        let stall = if fetching {
+            self.host.inbound.get_mut(&key).map(|s| &mut s.stall)
+        } else {
+            self.host.outbound.get_mut(&key).map(|s| &mut s.stall)
+        };
+        let Some(stall) = stall else {
+            return;
+        };
         let timeout = self.proto.transfer_timeout;
-        // MoveTo mover side.
-        if let Some(om) = self.host.out_moves.get(&pid.local()) {
-            if om.seq != seq {
-                return; // timer belongs to a finished transfer
-            }
-            if om.marker != marker {
-                // Progress since the timer was set; re-arm.
-                let m = om.marker;
-                self.timer_at(
-                    t + timeout,
-                    TimerKind::TransferStall {
-                        pid,
-                        seq,
-                        marker: m,
-                    },
-                );
-                return;
-            }
-            if om.retries_left == 0 {
-                self.fail_move(t, pid, KernelError::Timeout);
-                return;
-            }
-            let om = self.host.out_moves.get_mut(&pid.local()).expect("exists");
-            om.retries_left -= 1;
-            om.next_off = om.acked_base;
-            om.awaiting_ack = false;
-            self.host.stats.transfer_resumes += 1;
-            let marker = self.send_move_chunk(t, pid);
+        if stall.marker != marker {
+            // Progress since the timer was set; re-arm.
+            let marker = stall.marker;
             self.timer_at(t + timeout, TimerKind::TransferStall { pid, seq, marker });
             return;
         }
-        // MoveFrom requester side.
-        if let Some(f) = self.host.in_fetches.get(&pid.local()) {
-            if f.seq != seq {
-                return; // timer belongs to a finished transfer
-            }
-            if f.marker != marker {
-                let m = f.marker;
-                self.timer_at(
-                    t + timeout,
-                    TimerKind::TransferStall {
-                        pid,
-                        seq,
-                        marker: m,
-                    },
-                );
-                return;
-            }
-            if f.retries_left == 0 {
-                self.fail_move(t, pid, KernelError::Timeout);
-                return;
-            }
-            let (src_pid, src_addr, total, expected) = (f.src_pid, f.src_addr, f.total, f.expected);
-            let f = self.host.in_fetches.get_mut(&pid.local()).expect("exists");
-            f.retries_left -= 1;
-            f.marker = f.marker.wrapping_add(1);
-            let marker = f.marker;
-            self.host.stats.transfer_resumes += 1;
-            let pkt = Packet {
-                seq,
-                src_pid: pid.raw(),
-                dst_pid: src_pid.raw(),
-                body: PacketBody::MoveFromReq(MoveFromReq {
-                    src: src_addr,
-                    offset: expected,
-                    total,
-                }),
-            };
-            let emitted = self.emit_packet(t, &pkt, src_pid.host());
-            self.timer_at(
-                emitted.cpu_done + timeout,
-                TimerKind::TransferStall { pid, seq, marker },
-            );
+        if stall.retries_left == 0 {
+            self.fail_move(t, pid, KernelError::Timeout);
+            return;
         }
+        stall.retries_left -= 1;
+        self.host.stats.transfer_resumes += 1;
+        let (armed, marker) = if fetching {
+            stall.marker = stall.marker.wrapping_add(1);
+            let marker = stall.marker;
+            (self.request_rest(t, key).cpu_done, marker)
+        } else {
+            let push = self.host.outbound.get_mut(&key).expect("exists");
+            push.next_off = push.acked_base;
+            push.awaiting_ack = false;
+            (t, self.send_chunk(t, key))
+        };
+        self.timer_at(
+            armed + timeout,
+            TimerKind::TransferStall { pid, seq, marker },
+        );
     }
 
     /// Periodic sweep: expires idle aliens and completed inbound-transfer
@@ -147,12 +110,13 @@ impl Ctx<'_> {
     pub(crate) fn housekeeping(&mut self, t: SimTime) {
         let keep = self.proto.alien_keep;
         self.host.aliens.sweep(t, keep);
-        self.host
-            .in_moves
-            .retain(|_, m| !(m.complete && t.since(m.last_seen) >= keep));
+        let inbound = &mut self.host.inbound;
+        inbound.retain(|_, s| !(s.complete && t.since(s.last_seen) >= keep));
+        // The two ends of a stream no local process waits on (and so no
+        // stall timer watches) are the ones this sweep stays armed for.
         let busy = !self.host.aliens.is_empty()
-            || !self.host.in_moves.is_empty()
-            || !self.host.out_serves.is_empty();
+            || inbound.values().any(|s| s.role == InRole::Deposit)
+            || (self.host.outbound.values()).any(|s| s.role == OutRole::Serve);
         if busy {
             let at = t + self.proto.housekeeping;
             self.timer_at(at, TimerKind::Housekeeping);

@@ -3,6 +3,7 @@
 use std::collections::VecDeque;
 
 use crate::addrspace::AddressSpace;
+use crate::event::StreamKey;
 use crate::message::Message;
 use crate::pid::Pid;
 use crate::program::Program;
@@ -27,6 +28,10 @@ pub enum ProcState {
     AwaitingReplyLocal {
         /// The process that must reply.
         to: Pid,
+        /// True once `to` has received the message: until then the
+        /// sender is queued, not blocked on `to` — what an alien's
+        /// `Queued` and `Delivered` states say of a remote sender.
+        received: bool,
     },
     /// Blocked in `Send` to a remote process; the kernel retransmits the
     /// cached packet until a reply, reply-pending, nack, or exhaustion.
@@ -45,9 +50,15 @@ pub enum ProcState {
         /// validated against it on this (the granting) side too.
         grant: Option<SegmentGrant>,
     },
-    /// Blocked in a remote `MoveTo`/`MoveFrom` (stream state lives in the
-    /// host's transfer tables).
-    Moving,
+    /// Blocked in a remote `MoveTo`/`MoveFrom`, on a stream in one of the
+    /// host's two transfer tables.
+    Moving {
+        /// The stream's key there.
+        stream: StreamKey,
+        /// True for a `MoveFrom` (the inbound table), false for a
+        /// `MoveTo` (the outbound one).
+        fetching: bool,
+    },
     /// Blocked in a broadcast `GetPid` resolution.
     AwaitingGetPid {
         /// Logical id being resolved.
@@ -86,8 +97,6 @@ pub struct Pcb {
     pub senders: VecDeque<Pid>,
     /// Sequence number of the next outgoing remote message exchange.
     pub send_seq: u32,
-    /// Monotonic marker used to detect stale transfer-stall timers.
-    pub stall_marker: u32,
     /// Debug name (for traces and error messages).
     pub name: String,
 }
@@ -103,7 +112,6 @@ impl Pcb {
             out_msg: Message::empty(),
             senders: VecDeque::new(),
             send_seq: 0,
-            stall_marker: 0,
             name,
         }
     }

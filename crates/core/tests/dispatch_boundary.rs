@@ -373,3 +373,263 @@ fn a_frame_for_a_zero_low_byte_address_is_heard_by_nobody() {
         assert!(heard.borrow().is_empty());
     }
 }
+
+// ----------------------------------------------------------------------
+// Forged transfer packets: a stream is held to its own bounds
+// ----------------------------------------------------------------------
+
+use v_kernel::Access;
+use v_wire::{MoveFromData, MoveFromReq, MoveToData, TransferAck, TransferStatus};
+
+/// The granted segment, and the bytes it and its surroundings hold.
+const GRANT_AT: u32 = 0x1000;
+const GRANTED: u8 = 0x11;
+const UNGRANTED: u8 = 0xEE;
+/// Where the holder keeps its own bytes.
+const HOLDER_BUF: u32 = 0x3000;
+const HOLDER_FILL: u8 = 0x77;
+
+/// Paints its space, grants `len` bytes at [`GRANT_AT`] to `to` and
+/// stays blocked in the `Send`.
+struct Grantor {
+    to: Pid,
+    len: u32,
+    access: Access,
+}
+
+impl Program for Grantor {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        match outcome {
+            Outcome::Started => {
+                api.mem_fill(0, 0x4000, UNGRANTED).unwrap();
+                api.mem_fill(GRANT_AT, self.len as usize, GRANTED).unwrap();
+                let mut m = Message::empty();
+                m.set_segment(GRANT_AT, self.len, self.access);
+                api.send(m, self.to);
+            }
+            _ => api.exit(),
+        }
+    }
+}
+
+/// What a [`Holder`] does with the exchange it holds.
+#[derive(Clone, Copy)]
+enum Hold {
+    /// Nothing: it never replies.
+    Sit,
+    /// After 5 ms, `MoveFrom` 64 granted bytes into [`HOLDER_BUF`].
+    Pull,
+    /// After 5 ms, `MoveTo` 2 KB of its own into the grant.
+    Push,
+}
+
+/// Receives one message and holds it, logging how its move ended.
+struct Holder {
+    hold: Hold,
+    from: Option<Pid>,
+    moved: Rc<RefCell<Option<Result<u32, KernelError>>>>,
+}
+
+impl Program for Holder {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        match outcome {
+            Outcome::Started => {
+                api.mem_fill(HOLDER_BUF, 0x1000, HOLDER_FILL).unwrap();
+                api.receive();
+            }
+            Outcome::Receive { from, .. } => {
+                self.from = Some(from);
+                api.delay(match self.hold {
+                    Hold::Sit => SimDuration::from_millis(3_600_000),
+                    _ => SimDuration::from_millis(5),
+                });
+            }
+            Outcome::Delay => {
+                let from = self.from.expect("held");
+                match self.hold {
+                    Hold::Pull => api.move_from(from, HOLDER_BUF, GRANT_AT, 64),
+                    _ => api.move_to(from, GRANT_AT, HOLDER_BUF, 2048),
+                }
+            }
+            Outcome::Move(result) => {
+                *self.moved.borrow_mut() = Some(result);
+                api.delay(SimDuration::from_millis(3_600_000));
+            }
+            other => panic!("holder resumed with {other:?}"),
+        }
+    }
+}
+
+/// A grantor on host 0 blocked on a holder on host 1, 4 ms in: the
+/// exchange is delivered and the holder has not yet moved.
+struct Held {
+    cl: Cluster,
+    grantor: Pid,
+    holder: Pid,
+    moved: Rc<RefCell<Option<Result<u32, KernelError>>>>,
+}
+
+fn held(len: u32, access: Access, hold: Hold) -> Held {
+    let mut cl = two_hosts();
+    let moved = Rc::new(RefCell::new(None));
+    let holder = Holder {
+        hold,
+        from: None,
+        moved: Rc::clone(&moved),
+    };
+    let holder = cl.spawn(HostId(1), "holder", Box::new(holder));
+    let grantor = Grantor {
+        to: holder,
+        len,
+        access,
+    };
+    let grantor = cl.spawn(HostId(0), "grantor", Box::new(grantor));
+    cl.run_for(SimDuration::from_millis(4));
+    Held {
+        cl,
+        grantor,
+        holder,
+        moved,
+    }
+}
+
+impl Held {
+    /// Lands a forged packet from `from` for `to` at `to`'s host.
+    fn forge(&mut self, to_host: usize, from: Pid, to: Pid, seq: u32, body: PacketBody) {
+        let pkt = Packet {
+            seq,
+            src_pid: from.raw(),
+            dst_pid: to.raw(),
+            body,
+        };
+        let payload = v_wire::encode(&pkt);
+        let frame = Frame::new(MacAddr(1), MacAddr(2), EtherType::INTERKERNEL, payload);
+        self.cl.inject_frame(HostId(to_host), frame);
+    }
+
+    /// The holder's move is under way with the grantor's host gone, so
+    /// that nothing but what is forged answers it. A process's first
+    /// transfer is numbered 1.
+    fn strand_the_holder(&mut self) {
+        self.cl.crash_host(HostId(0));
+        self.cl.run_for(SimDuration::from_millis(15));
+        assert!(self.moved.borrow().is_none(), "the move is in progress");
+    }
+}
+
+#[test]
+fn a_movefrom_request_that_resumes_past_the_end_is_refused() {
+    // 64 bytes are granted at 0x1000. The request asks for them "from
+    // offset 0x1000 on": the serve used to start there, outside the
+    // grant, and run until it fell off the address space.
+    let mut h = held(64, Access::Read, Hold::Sit);
+    let frames_before = h.cl.medium_stats().frames_sent;
+    let req = MoveFromReq {
+        src: GRANT_AT,
+        offset: 0x1000,
+        total: 64,
+    };
+    h.forge(0, h.holder, h.grantor, 9, PacketBody::MoveFromReq(req));
+    h.cl.run_for(SimDuration::from_millis(50));
+    let stats = h.cl.kernel_stats(HostId(0));
+    assert_eq!(stats.chunks_sent, 0, "not a byte is served");
+    assert_eq!(
+        h.cl.medium_stats().frames_sent,
+        frames_before + 1,
+        "one frame answers it: the refusal"
+    );
+    assert!(h.cl.process_exists(HostId(0), h.grantor));
+}
+
+#[test]
+fn a_movefrom_chunk_larger_than_the_request_is_dropped_unwritten() {
+    let mut h = held(64, Access::Read, Hold::Pull);
+    h.strand_the_holder();
+    let chunk = MoveFromData {
+        offset: 0,
+        total: 64,
+        last: true,
+        data: vec![0xBB; 300],
+    };
+    h.forge(1, h.grantor, h.holder, 1, PacketBody::MoveFromData(chunk));
+    h.cl.run_for(SimDuration::from_millis(1));
+    let stats = h.cl.kernel_stats(HostId(1));
+    assert_eq!((stats.chunks_received, stats.chunks_dropped), (0, 1));
+    let buf =
+        h.cl.read_process_memory(HostId(1), h.holder, HOLDER_BUF, 512);
+    assert_eq!(
+        buf.unwrap(),
+        vec![HOLDER_FILL; 512],
+        "not the 64 asked for, and not the 236 past them"
+    );
+    // The stall timer asks again, of a host that is gone.
+    h.cl.run_for(SimDuration::from_millis(3000));
+    assert_eq!(*h.moved.borrow(), Some(Err(KernelError::Timeout)));
+
+    // A chunk that fits is the move's whole answer.
+    let mut h = held(64, Access::Read, Hold::Pull);
+    h.strand_the_holder();
+    let chunk = MoveFromData {
+        offset: 0,
+        total: 64,
+        last: true,
+        data: vec![0xBB; 64],
+    };
+    h.forge(1, h.grantor, h.holder, 1, PacketBody::MoveFromData(chunk));
+    h.cl.run_for(SimDuration::from_millis(5));
+    assert_eq!(*h.moved.borrow(), Some(Ok(64)));
+}
+
+#[test]
+fn a_moveto_chunk_larger_than_its_transfer_is_refused_unwritten() {
+    // A kilobyte is granted; the transfer announces 64 bytes and its
+    // one chunk carries 300 — inside the grant, outside the transfer.
+    let mut h = held(1024, Access::Write, Hold::Sit);
+    let frames_before = h.cl.medium_stats().frames_sent;
+    let chunk = MoveToData {
+        dest: GRANT_AT,
+        offset: 0,
+        total: 64,
+        last: true,
+        data: vec![0xBB; 300],
+    };
+    h.forge(0, h.holder, h.grantor, 9, PacketBody::MoveToData(chunk));
+    h.cl.run_for(SimDuration::from_millis(10));
+    let stats = h.cl.kernel_stats(HostId(0));
+    assert_eq!(stats.chunks_received, 0);
+    let seg =
+        h.cl.read_process_memory(HostId(0), h.grantor, GRANT_AT, 1024);
+    assert_eq!(seg.unwrap(), vec![GRANTED; 1024], "nothing was deposited");
+    assert_eq!(h.cl.medium_stats().frames_sent, frames_before + 1);
+    // The stream is gone, not left waiting for bytes 300 to 64: the
+    // same chunk again is a first chunk again, refused again.
+    let chunk = MoveToData {
+        dest: GRANT_AT,
+        offset: 0,
+        total: 64,
+        last: true,
+        data: vec![0xBB; 300],
+    };
+    h.forge(0, h.holder, h.grantor, 9, PacketBody::MoveToData(chunk));
+    h.cl.run_for(SimDuration::from_millis(10));
+    assert_eq!(h.cl.kernel_stats(HostId(0)).chunks_dropped, 2);
+}
+
+#[test]
+fn a_partial_ack_for_more_than_the_transfer_is_ignored() {
+    let mut h = held(2048, Access::Write, Hold::Push);
+    h.strand_the_holder();
+    let sent_before = h.cl.kernel_stats(HostId(1)).chunks_sent;
+    assert_eq!(sent_before, 4, "2 KB went out and waits for its ack");
+    let ack = TransferAck {
+        received: 5000,
+        status: TransferStatus::Partial,
+    };
+    h.forge(1, h.grantor, h.holder, 1, PacketBody::TransferAck(ack));
+    h.cl.run_for(SimDuration::from_millis(10));
+    let stats = h.cl.kernel_stats(HostId(1));
+    assert_eq!(stats.chunks_sent, sent_before, "no resumption from 5000");
+    assert_eq!(stats.transfer_resumes, 0);
+    h.cl.run_for(SimDuration::from_millis(3000));
+    assert_eq!(*h.moved.borrow(), Some(Err(KernelError::Timeout)));
+}

@@ -362,3 +362,159 @@ fn gettime_has_paper_granularity() {
     assert_eq!(ns % 10_000_000, 0, "GetTime must tick in 10 ms units");
     assert_eq!(ns, 10_000_000, "12.3 ms truncates to 10 ms");
 }
+
+/// A sender that is queued behind a server's `Receive` is not blocked on
+/// that server yet — and the kernel says so with the same error whether
+/// the sender queues from this host or from across the wire. Only once
+/// the server has received its message do `Reply`, `ReplyWithSegment`,
+/// `MoveTo`, `MoveFrom` and `Forward` reach it.
+#[test]
+fn a_queued_sender_is_not_blocked_on_the_server_local_or_remote() {
+    use std::cell::Cell;
+    use v_sim::SimDuration;
+
+    /// Grants a segment to `to` after `wait`, and logs how the `Send`
+    /// ended.
+    struct LateSender {
+        to: Pid,
+        wait: SimDuration,
+        me: Rc<Cell<Option<Pid>>>,
+        log: Log,
+    }
+    impl Program for LateSender {
+        fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+            match outcome {
+                Outcome::Started => {
+                    self.me.set(Some(api.self_pid()));
+                    api.delay(self.wait);
+                }
+                Outcome::Delay => {
+                    let mut m = Message::empty();
+                    m.set_segment(0x2000, 512, Access::ReadWrite);
+                    api.send(m, self.to);
+                }
+                Outcome::Send(r) => {
+                    self.log
+                        .borrow_mut()
+                        .push(format!("queued-send:{}", r.is_ok()));
+                    api.exit();
+                }
+                _ => api.exit(),
+            }
+        }
+    }
+
+    /// Receives a first request and, while still holding it, tries every
+    /// primitive on `queued` — who has sent by then, and whom it has not
+    /// received. Then it receives `queued` and replies to both.
+    struct EagerServer {
+        queued: Rc<Cell<Option<Pid>>>,
+        first: Option<Pid>,
+        step: u32,
+        log: Log,
+    }
+    impl EagerServer {
+        fn note<T>(&self, what: &str, r: Result<T, v_kernel::KernelError>) {
+            let how = r.map_or_else(|e| format!("{e:?}"), |_| "ok".to_string());
+            self.log.borrow_mut().push(format!("{what}:{how}"));
+        }
+    }
+    impl Program for EagerServer {
+        fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+            let queued = self.queued.get();
+            match (outcome, self.step) {
+                (Outcome::Started, _) => api.receive(),
+                (Outcome::Receive { from, .. }, 0) => {
+                    self.first = Some(from);
+                    self.step = 1;
+                    api.delay(SimDuration::from_millis(30));
+                }
+                (Outcome::Delay, 1) => {
+                    let queued = queued.expect("the late sender started");
+                    let me = api.self_pid();
+                    self.note("reply", api.reply(Message::empty(), queued));
+                    let seg = api.reply_with_segment(Message::empty(), queued, 0x2000, 0x3000, 64);
+                    self.note("reply-with-segment", seg);
+                    self.note("forward", api.forward(Message::empty(), queued, me));
+                    self.step = 2;
+                    api.move_to(queued, 0x2000, 0x3000, 64);
+                }
+                (Outcome::Move(r), 2) => {
+                    self.note("move-to", r);
+                    self.step = 3;
+                    api.move_from(queued.expect("set"), 0x3000, 0x2000, 64);
+                }
+                (Outcome::Move(r), 3) => {
+                    self.note("move-from", r);
+                    self.step = 4;
+                    api.receive();
+                }
+                (Outcome::Receive { from, .. }, 4) => {
+                    assert_eq!(Some(from), queued, "it was queued all along");
+                    self.note("reply-once-received", api.reply(Message::empty(), from));
+                    api.reply(Message::empty(), self.first.expect("held"))
+                        .expect("the first sender is still blocked");
+                    api.exit();
+                }
+                (other, step) => panic!("server at step {step} resumed with {other:?}"),
+            }
+        }
+    }
+
+    let run = |sender_host: usize| -> Vec<String> {
+        let mut cl = cluster(2);
+        let log: Log = Default::default();
+        let queued = Rc::new(Cell::new(None));
+        let server = cl.spawn(
+            HostId(0),
+            "server",
+            Box::new(EagerServer {
+                queued: queued.clone(),
+                first: None,
+                step: 0,
+                log: log.clone(),
+            }),
+        );
+        let first = OneShot {
+            to: server,
+            tag: 1,
+            log: log.clone(),
+        };
+        cl.spawn(HostId(1), "first", Box::new(first));
+        let late = LateSender {
+            to: server,
+            wait: SimDuration::from_millis(10),
+            me: queued,
+            log: log.clone(),
+        };
+        cl.spawn(HostId(sender_host), "late", Box::new(late));
+        // Bounded: a server that wrongly replied to the queued sender
+        // never receives it, and the first sender retransmits for ever.
+        cl.run_for(SimDuration::from_millis(500));
+        let log = log.borrow().clone();
+        log
+    };
+
+    let expected = [
+        "reply:NotAwaitingReply",
+        "reply-with-segment:NotAwaitingReply",
+        "forward:NotAwaitingReply",
+        "move-to:NotBlocked",
+        "move-from:NotBlocked",
+        "reply-once-received:ok",
+    ];
+    for (side, sender_host) in [("local", 0), ("remote", 1)] {
+        let log = run(sender_host);
+        let server: Vec<&str> = log
+            .iter()
+            .map(String::as_str)
+            .filter(|l| !l.starts_with("ok:") && !l.starts_with("queued-send:"))
+            .collect();
+        assert_eq!(server, expected, "{side} sender");
+        assert!(
+            log.contains(&"queued-send:true".to_string()),
+            "{side}: {log:?}"
+        );
+        assert!(log.contains(&"ok:1:0".to_string()), "{side}: {log:?}");
+    }
+}
