@@ -467,34 +467,64 @@ fn bench_event_queue(c: &mut Criterion) {
     // `exchange` workload offers the queue: per operation, four events
     // chained pop → schedule 0.5-0.78 ms ahead (2.55 ms an exchange) and
     // one retransmit timer 200 ms ahead that nothing cancels — 78 of them
-    // stand parked, and each pops stale as a no-op.
+    // stand parked, and each pops stale as a no-op — beside a 1 s
+    // housekeeping timer per host, re-armed when it fires. The event is as
+    // large as the kernel's.
+    g.bench_function(&format!("exchange_shaped_x{BATCH}"), shaped(1, BATCH));
+    // And what `capacity` offers it: sixteen such chains interleaved, a
+    // link anywhere from 0.5 to 23 ms ahead (a message, a queued request,
+    // a disk access), so that few of the near events ascend behind one
+    // another and most of them miss the queue's runs.
+    g.bench_function(&format!("capacity_shaped_x{BATCH}"), shaped(16, BATCH));
+    g.finish();
+}
+
+/// As large as `v_kernel::Event`; the first word says what it is.
+type QueuedEvent = [u64; 7];
+
+/// `chains` interleaved pop → schedule chains, every fourth link arming a
+/// 200 ms timer that fires stale, and two 1 s housekeeping timers that
+/// re-arm themselves; a sample is `events` pops.
+fn shaped(chains: u64, events: usize) -> impl FnMut(&mut criterion::Bencher) {
     const NEAR: u64 = 0;
     const TIMER: u64 = 1;
+    const HOUSEKEEPING: u64 = 2;
+    let spread = chains > 1;
     let mut rng = SplitMix64::new(1983);
-    let mut q = EventQueue::new();
-    q.schedule(SimTime::ZERO, NEAR);
+    let mut q = EventQueue::<QueuedEvent>::new();
+    for chain in 0..chains {
+        q.schedule(SimTime::from_nanos(chain), [NEAR; 7]);
+    }
+    for host in 0..2 {
+        q.schedule(SimTime::from_millis(1_000 + host), [HOUSEKEEPING; 7]);
+    }
     let mut chained = 0u64;
-    let mut run = |events: usize| {
+    let mut run = move |events: usize| {
         for _ in 0..events {
-            let (at, ev) = q.pop().expect("the chain never ends");
-            if ev == TIMER {
-                continue;
+            let (at, ev) = q.pop().expect("the chains never end");
+            match black_box(ev)[0] {
+                TIMER => continue,
+                HOUSEKEEPING => {
+                    q.schedule(at + SimDuration::from_millis(1_000), ev);
+                    continue;
+                }
+                _ => {}
             }
             if chained % 4 == 0 {
-                q.schedule(at + SimDuration::from_millis(200), TIMER);
+                q.schedule(at + SimDuration::from_millis(200), [TIMER; 7]);
             }
             chained += 1;
-            let ahead = 500_000 + rng.below(276_000);
-            q.schedule(at + SimDuration::from_nanos(ahead), NEAR);
+            let mut ahead = 500_000 + rng.below(276_000);
+            if spread {
+                ahead <<= rng.below(6);
+            }
+            q.schedule(at + SimDuration::from_nanos(ahead), black_box(ev));
         }
         q.len()
     };
     // Past the first 200 ms the parked crowd is at its steady size.
-    run(1_000);
-    g.bench_function(&format!("exchange_shaped_x{BATCH}"), |b| {
-        b.iter(|| run(BATCH))
-    });
-    g.finish();
+    run(2_000 * chains as usize);
+    move |b| b.iter(|| run(events))
 }
 
 criterion_group!(

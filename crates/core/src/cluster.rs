@@ -400,11 +400,7 @@ impl Cluster {
     /// Runs until simulated time `deadline` (events at exactly `deadline`
     /// included) or quiescence, whichever is first.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked");
+        while let Some((t, ev)) = self.queue.pop_due(deadline) {
             self.dispatch(t, ev);
         }
     }

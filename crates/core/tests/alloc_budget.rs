@@ -136,6 +136,17 @@ fn remote_exchange_allocates_at_most_three_times() {
     );
 }
 
+#[test]
+fn a_steady_exchange_allocates_its_two_packets_and_nothing_else() {
+    // Past the first second every retransmit timer's 200 ms and every
+    // housekeeping timer's 1 s have come round: the event queue's slab,
+    // its rings and its buckets have the capacity they will ever need,
+    // and so have the kernel's tables. What is left is exact.
+    let extra = 2_000;
+    let n = exchange_run_allocations(1_000 + extra) - exchange_run_allocations(1_000);
+    assert_eq!(n, 2 * extra as u64, "allocations over {extra} exchanges");
+}
+
 /// Allocations of a whole two-host run of `pages` remote 512-byte page
 /// reads or writes (Table 6-1's exchange: `Send` — `ReceiveWithSegment` —
 /// `ReplyWithSegment`).

@@ -1,13 +1,18 @@
-//! The event queue as a model check: random interleavings of `schedule`
-//! and `pop`, every accessor read after every step, against a reference
-//! priority queue ordered by `(time, sequence number)`. The radix heap keeps no sequence number —
-//! its FIFO order among equal instants is structural — so the reference
-//! is what says it got that order right.
+//! The event queue as a model check: random interleavings of `schedule`,
+//! `pop` and `pop_due`, every accessor read after every step, against a
+//! reference priority queue ordered by `(time, sequence number)`. The
+//! queue keeps ascending runs beside a radix heap and no sequence number:
+//! its FIFO order among equal instants is structural — within a run,
+//! within the heap, run before heap, earlier run before later — so the
+//! reference is what says it got that order right, and the strategies aim
+//! at the seams: parked classes that each ascend (more of them than there
+//! are runs, so some overflow into the heap), and instants that are
+//! pending already, wherever they are pending.
 //!
 //! A failing case prints its short operation list (the vendored proptest
 //! does not shrink, so the lists are kept short instead); CI runs this in
-//! release with `PROPTEST_CASES=5000` ahead of the benchmark's baseline
-//! check.
+//! debug — the queue's `debug_assert!`s exist only there — and in release
+//! with `PROPTEST_CASES=5000` ahead of the benchmark's baseline check.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,6 +31,12 @@ enum When {
     Near(u64),
     /// 200 ms ahead, a retransmit timer parked beside the near events.
     Timer,
+    /// 1 s ahead, a housekeeping timer: a second parked class, which
+    /// closes the run the retransmit timers were using if it joins it.
+    Housekeeping,
+    /// One of six more fixed distances, 3 ms to 90 s: with the two above,
+    /// more ascending classes than the queue has runs.
+    Parked(usize),
     /// `2^bit` ahead: any bucket at all.
     Far(u32),
     /// `SimTime::MAX`, the "never" of an idle timer.
@@ -40,7 +51,19 @@ enum Op {
     /// `count` events at one instant.
     Schedule(When, usize),
     Pop(usize),
+    /// `pop_due` up to an instant picked like a schedule's.
+    PopDue(When, usize),
 }
+
+/// The distances of [`When::Parked`].
+const PARKED_NS: [u64; 6] = [
+    3_000_000,
+    20_000_000,
+    2_000_000_000,
+    5_000_000_000,
+    30_000_000_000,
+    90_000_000_000,
+];
 
 fn when() -> impl Strategy<Value = When> {
     prop_oneof![
@@ -48,6 +71,8 @@ fn when() -> impl Strategy<Value = When> {
         (1u64..5).prop_map(When::Next),
         (500_000u64..1_000_000).prop_map(When::Near),
         Just(When::Timer),
+        Just(When::Housekeeping),
+        (0usize..PARKED_NS.len()).prop_map(When::Parked),
         (0u32..64).prop_map(When::Far),
         Just(When::Never),
         // Twice, for weight: ties are what the structure has to get right.
@@ -66,6 +91,21 @@ fn op() -> impl Strategy<Value = Op> {
         (when(), count(6)).prop_map(|(when, n)| Op::Schedule(when, n)),
         (when(), count(6)).prop_map(|(when, n)| Op::Schedule(when, n)),
         count(8).prop_map(Op::Pop),
+        (when(), count(4)).prop_map(|(when, n)| Op::PopDue(when, n)),
+    ]
+}
+
+/// Schedules only, of the parked kinds and of instants pending already.
+fn parked() -> impl Strategy<Value = When> {
+    prop_oneof![
+        Just(When::Timer),
+        Just(When::Housekeeping),
+        (0usize..PARKED_NS.len()).prop_map(When::Parked),
+        (0usize..PARKED_NS.len()).prop_map(When::Parked),
+        Just(When::Never),
+        (500_000u64..1_000_000).prop_map(When::Near),
+        (0usize..64).prop_map(When::Again),
+        (0usize..64).prop_map(When::Again),
     ]
 }
 
@@ -95,6 +135,8 @@ impl Pair {
             When::Now => self.now,
             When::Next(d) | When::Near(d) => self.now.saturating_add(d),
             When::Timer => self.now.saturating_add(200_000_000),
+            When::Housekeeping => self.now.saturating_add(1_000_000_000),
+            When::Parked(class) => self.now.saturating_add(PARKED_NS[class]),
             When::Far(bit) => self.now.saturating_add(1 << bit),
             When::Never => u64::MAX,
             When::Again(nth) => {
@@ -120,6 +162,25 @@ impl Pair {
         self.now = at;
         self.popped += 1;
         true
+    }
+
+    /// `pop_due` against peek-then-pop on the reference; true if the
+    /// earliest event was due.
+    fn pop_due(&mut self, deadline: u64) -> bool {
+        let due = self
+            .model
+            .peek()
+            .is_some_and(|Reverse((at, _))| *at <= deadline);
+        if due {
+            let got = self.queue.pop_due(SimTime::from_nanos(deadline));
+            let want = self.model.pop().map(|Reverse(entry)| entry);
+            assert_eq!(got.map(|(at, ev)| (at.as_nanos(), ev)), want);
+            self.now = want.expect("peeked").0;
+            self.popped += 1;
+        } else {
+            assert_eq!(self.queue.pop_due(SimTime::from_nanos(deadline)), None);
+        }
+        due
     }
 
     /// Everything observable without popping agrees with the reference.
@@ -154,6 +215,13 @@ impl Pair {
                     self.check();
                 }
             }
+            Op::PopDue(when, count) => {
+                let deadline = self.instant(when);
+                for _ in 0..count {
+                    self.pop_due(deadline);
+                    self.check();
+                }
+            }
         }
     }
 
@@ -178,8 +246,9 @@ proptest! {
     }
 
     /// The exchange's shape: near events chained pop → schedule over a
-    /// standing crowd of timers that fire stale, bursts at one instant
-    /// landing around each re-filing.
+    /// standing crowd of timers that fire stale — retransmit timers and,
+    /// now and then between them, a housekeeping timer five times as far —
+    /// bursts at one instant landing around each re-filing.
     #[test]
     fn near_events_over_parked_timers_match_the_reference(
         steps in prop::collection::vec((500_000u64..1_000_000, 0usize..4), 1..200),
@@ -191,10 +260,30 @@ proptest! {
             let near = pair.now + ahead;
             pair.schedule(near);
             pair.schedule(pair.now + 200_000_000);
+            if burst == 0 {
+                pair.schedule(pair.now + 1_000_000_000);
+            }
             for _ in 0..burst {
                 pair.schedule(near);
             }
             pair.check();
+        }
+        pair.drain();
+    }
+
+    /// Eight parked classes, each ascending as the clock moves, scheduled
+    /// in any order between pops: more streams than runs, so the same
+    /// class is in a run at one time and overflows into the heap at
+    /// another, and an instant pending already is scheduled again wherever
+    /// the first one went.
+    #[test]
+    fn more_parked_classes_than_runs_match_the_reference(
+        steps in prop::collection::vec((parked(), count(3), 0usize..3), 1..60),
+    ) {
+        let mut pair = Pair::new();
+        for &(when, count, pops) in &steps {
+            pair.apply(Op::Schedule(when, count));
+            pair.apply(Op::Pop(pops));
         }
         pair.drain();
     }
@@ -270,4 +359,139 @@ fn never_is_a_time_like_any_other() {
     // At the end of time there is still one instant to schedule at.
     pair.schedule(never);
     pair.drain();
+}
+
+/// Far instants in descending order: none fits a run an earlier one is
+/// in, so each takes a run to itself until there is none left (the queue
+/// has fewer than eight) and the rest are filed in the heap.
+fn close_every_run(pair: &mut Pair, beyond: u64) {
+    for step in (1..=8).rev() {
+        pair.schedule(beyond + step * 1_000);
+    }
+}
+
+#[test]
+fn an_instant_in_a_run_and_in_the_heap_pops_the_run_first() {
+    let mut pair = Pair::new();
+    let at = 10_000;
+    // Into an empty run, which then moves on.
+    pair.schedule(at);
+    pair.schedule(at);
+    pair.schedule(at + 100);
+    close_every_run(&mut pair, at + 100);
+    // No run fits it now, nor ever again before it pops.
+    pair.schedule(at);
+    pair.schedule(at + 50);
+    pair.schedule(at);
+    pair.check();
+    assert!(pair.pop());
+    // Popping the run's first leaves the rest where they are.
+    pair.schedule(at);
+    pair.check();
+    pair.drain();
+}
+
+#[test]
+fn an_instant_in_several_runs_pops_the_oldest_first() {
+    let mut pair = Pair::new();
+    let at = 10_000;
+    // 3 does not fit behind 5: two runs.
+    pair.schedule(5);
+    pair.schedule(3);
+    // Behind the 5, which then moves on; so next behind the 3.
+    pair.schedule(at);
+    pair.schedule(at + 20);
+    pair.schedule(at);
+    pair.check();
+    // That run moves on as well, and a third takes the instant; and a
+    // fourth, or the heap.
+    pair.schedule(at + 10);
+    pair.schedule(at);
+    pair.schedule(at + 5);
+    pair.schedule(at);
+    pair.check();
+    // Past 3 and 5 every head is the same instant.
+    for _ in 0..4 {
+        assert!(pair.pop());
+        pair.schedule(at);
+        pair.check();
+    }
+    pair.drain();
+}
+
+#[test]
+fn never_in_every_run_leaves_the_end_of_time_to_the_heap() {
+    let mut pair = Pair::new();
+    let never = SimTime::MAX.as_nanos();
+    // A never fits any run, whatever its tail, so the heap never holds
+    // one: close every run with one instead.
+    close_every_run(&mut pair, 1_000_000);
+    for _ in 0..8 {
+        pair.schedule(never);
+    }
+    // Every tail is `never` now, and only the heap takes anything else.
+    pair.schedule(never - 1);
+    pair.schedule(never - 1);
+    pair.schedule(never);
+    pair.schedule(never - 2);
+    pair.check();
+    for _ in 0..9 {
+        assert!(pair.pop());
+        pair.check();
+    }
+    pair.schedule(never);
+    pair.schedule(never - 1);
+    pair.drain();
+    assert_eq!(pair.queue.now(), SimTime::MAX);
+    pair.schedule(never);
+    pair.drain();
+}
+
+#[test]
+fn more_parked_classes_than_runs_overflow_and_come_back() {
+    let mut pair = Pair::new();
+    pair.schedule(0);
+    for round in 0..400u64 {
+        assert!(pair.pop());
+        pair.schedule(pair.now + 700_000);
+        // A class is skipped now and then, so which of them overflow
+        // changes as the run goes.
+        for (class, ahead) in PARKED_NS.iter().enumerate() {
+            if (round + class as u64) % 5 != 0 {
+                pair.schedule(pair.now + ahead);
+            }
+        }
+        pair.schedule(pair.now + 200_000_000);
+        pair.check();
+    }
+    pair.drain();
+}
+
+#[test]
+fn pop_due_stops_at_its_deadline_and_leaves_the_clock() {
+    let mut pair = Pair::new();
+    assert!(!pair.pop_due(u64::MAX));
+    // One in a run, one in the heap, one in the heap's front.
+    pair.schedule(1_000);
+    pair.schedule(3_000);
+    close_every_run(&mut pair, 10_000);
+    pair.schedule(2_000);
+    assert!(!pair.pop_due(999));
+    pair.check();
+    assert!(pair.pop_due(1_000));
+    assert!(!pair.pop_due(1_999));
+    assert_eq!(pair.queue.now(), SimTime::from_nanos(1_000));
+    pair.check();
+    assert!(pair.pop_due(2_500));
+    pair.schedule(2_000);
+    pair.schedule(2_000);
+    assert!(pair.pop_due(2_000));
+    assert!(pair.pop_due(2_000));
+    assert!(!pair.pop_due(2_999));
+    assert!(pair.pop_due(u64::MAX));
+    pair.check();
+    while pair.pop_due(20_000) {
+        pair.check();
+    }
+    assert!(pair.queue.is_empty());
 }
