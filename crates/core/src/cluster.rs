@@ -7,12 +7,12 @@
 
 use v_net::{EtherType, Ethernet, Frame, MacAddr, Nic, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
-use v_wire::{Packet, PacketBody};
+use v_wire::{Packet, PacketBody, WireError};
 
 use crate::aliens::AlienTable;
 use crate::config::ClusterConfig;
 use crate::costs::CostModel;
-use crate::cpu::{Cpu, CpuSpeed};
+use crate::cpu::{ChargeLog, Cpu, CpuSpeed};
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
@@ -59,16 +59,77 @@ pub(crate) enum Pending {
     Compute(SimDuration),
 }
 
+/// What the cluster keeps of one network segment for the name queries
+/// it hears. A query that reaches every host of the segment (but its
+/// sender) is charged to the deferred lanes as one entry of `log`, and
+/// handed only to the `exceptions`.
+#[derive(Debug, Default)]
+pub(crate) struct Segment {
+    /// Number of hosts attached to the segment.
+    hosts: usize,
+    /// Receive charges its deferred lanes owe.
+    log: ChargeLog,
+    /// Its hosts whose lanes are not deferred, in station order — and
+    /// any that have become deferred since the last query logged here,
+    /// which that query drops.
+    exceptions: Vec<u32>,
+}
+
+impl Segment {
+    /// Charges a deferred lane what it owes the log.
+    #[inline]
+    fn catch_up(&self, lane: &mut Lane) {
+        if lane.deferred() && (lane.cursor as usize) < self.log.len() {
+            self.log.catch_up(&mut lane.cpu, &mut lane.cursor);
+        }
+    }
+
+    /// Sets `host`'s lane's `quiet` and `up` flags, moving it into or out
+    /// of the deferred state: a lane that leaves is caught up and joins
+    /// the exceptions, a lane that enters owes nothing logged before.
+    pub(crate) fn redefer(&mut self, lane: &mut Lane, host: HostId, quiet: bool, up: bool) {
+        let was = lane.deferred();
+        (lane.quiet, lane.up) = (quiet, up);
+        if was && !lane.deferred() {
+            self.log.catch_up(&mut lane.cpu, &mut lane.cursor);
+            let h = host.0 as u32;
+            if let Err(at) = self.exceptions.binary_search(&h) {
+                self.exceptions.insert(at, h);
+            }
+        } else if !was && lane.deferred() {
+            lane.cursor = self.log.len() as u32;
+        }
+    }
+}
+
+/// A name query's run(s) that reach every host of one segment, or every
+/// host but the query's sender.
+struct WholeSegment {
+    seg: usize,
+    /// The sender, when it is attached to the segment.
+    sender: Option<HostId>,
+    /// Hosts reached.
+    receivers: usize,
+}
+
 /// The simulated distributed system.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) net: Box<dyn Transport>,
     pub(crate) hosts: Vec<Host>,
-    /// Host `i`'s processor, crashed flag and `quiet` bit — all a
-    /// broadcast reads and writes at a receiver it means nothing to —
-    /// and what else of a host outlives its kernel's tables.
+    /// Host `i`'s processor, crashed flag, `quiet` bit and place in its
+    /// segment's charge log, and what else of a host outlives its
+    /// kernel's tables.
     pub(crate) lanes: Vec<Lane>,
+    /// Per network segment: its charge log and exceptions.
+    pub(crate) segments: Vec<Segment>,
+    /// The cost model of each processor grade, `grade as usize` indexed.
+    grade_costs: [CostModel; CpuSpeed::GRADES],
+    /// Entries logged on any segment so far, counted round: a lane that
+    /// has seen this many owes nothing new, which is what anything that
+    /// reads or charges a processor asks first.
+    logged: u32,
     /// Logical events dispatched: one per resume/frame/timer/chunk. An
     /// arrival event counts once per receiver it reaches, so the number
     /// is comparable across delivery-batching changes.
@@ -100,6 +161,9 @@ impl Cluster {
 
         let mut hosts = Vec::with_capacity(cfg.hosts.len());
         let mut lanes = Vec::with_capacity(cfg.hosts.len());
+        let mut segments: Vec<Segment> = (0..cfg.num_segments())
+            .map(|_| Segment::default())
+            .collect();
         for (i, hc) in cfg.hosts.iter().enumerate() {
             let mac = HostId(i).station_mac();
             net.attach(mac, hc.segment);
@@ -122,12 +186,21 @@ impl Cluster {
                 stats: KernelStats::default(),
                 suspects: Default::default(),
             });
-            lanes.push(Lane {
+            let lane = Lane {
                 cpu: Cpu::new(hc.cpu),
+                cursor: 0,
+                seen: 0,
+                seg: hc.segment as u32,
                 up: true,
                 quiet: hosts[i].quiet(),
                 housekeeping_armed: false,
-            });
+            };
+            let seg = &mut segments[hc.segment];
+            seg.hosts += 1;
+            if !lane.deferred() {
+                seg.exceptions.push(i as u32);
+            }
+            lanes.push(lane);
         }
         Cluster {
             cfg,
@@ -135,6 +208,9 @@ impl Cluster {
             net,
             hosts,
             lanes,
+            segments,
+            grade_costs: CpuSpeed::ALL.map(CostModel::for_speed),
+            logged: 0,
             events_dispatched: 0,
         }
     }
@@ -166,12 +242,24 @@ impl Cluster {
 
     /// A host's total charged processor time.
     pub fn cpu_busy(&self, host: HostId) -> SimDuration {
-        self.lanes[host.0].cpu.busy_total()
+        self.cpu(host).busy_total()
     }
 
     /// A host's processor utilization over the elapsed simulation time.
     pub fn cpu_utilization(&self, host: HostId) -> f64 {
-        self.lanes[host.0].cpu.utilization(self.now())
+        self.cpu(host).utilization(self.now())
+    }
+
+    /// A host's processor as it stands once caught up with its segment's
+    /// log.
+    fn cpu(&self, host: HostId) -> Cpu {
+        let lane = &self.lanes[host.0];
+        if lane.deferred() {
+            let log = &self.segments[lane.seg as usize].log;
+            log.caught_up(&lane.cpu, lane.cursor)
+        } else {
+            lane.cpu.clone()
+        }
     }
 
     /// Medium statistics (summed across segments on multi-segment
@@ -297,7 +385,6 @@ impl Cluster {
         if !lane.up {
             return;
         }
-        lane.up = false;
         h.stats.crashes += 1;
         h.stats.processes_exited += h.procs.len() as u64;
         h.procs.clear();
@@ -308,7 +395,8 @@ impl Cluster {
         h.outbound.clear();
         h.inbound.clear();
         h.raw.clear();
-        lane.requiet(h);
+        let seg = &mut self.segments[lane.seg as usize];
+        seg.redefer(lane, host, h.quiet(), false);
         // Timers and events still queued against this host become no-ops
         // at dispatch; `stats` survive as the simulation's accounting.
     }
@@ -325,7 +413,8 @@ impl Cluster {
     pub fn restart_host(&mut self, host: HostId) {
         let lane = &mut self.lanes[host.0];
         assert!(!lane.up, "restart_host({host:?}): host is not crashed");
-        lane.up = true;
+        let seg = &mut self.segments[lane.seg as usize];
+        seg.redefer(lane, host, lane.quiet, true);
         self.hosts[host.0].stats.restarts += 1;
     }
 
@@ -372,6 +461,7 @@ impl Cluster {
         let h = &mut self.hosts[host.0];
         let lane = &mut self.lanes[host.0];
         assert!(lane.up, "cannot spawn {name:?} on crashed host {host:?}");
+        self.segments[lane.seg as usize].catch_up(lane);
         let uid = h.alloc_uid();
         let pid = Pid::new(h.logical, uid);
         let pcb = Pcb::new(pid, program, space, name.to_string());
@@ -471,17 +561,19 @@ impl Cluster {
     ///
     /// A frame of one station's own (a unicast, or a copy a fault plan
     /// gave a fate of its own) is that host's to decode and keep. A run
-    /// is decoded once for all its receivers, and walked over the
-    /// [`Lane`]s: when what it carries is a name query, a receiver whose
-    /// lane is `quiet` is counted and charged its receive processing
-    /// there and then — by [`Host::quiet`] nothing else would come of
-    /// it, so the host's own tables are not touched (or even brought
-    /// into cache). Every other receiver, and every other kind of
-    /// packet, goes through `handle_frame` at the same position in the
-    /// station order, so whatever it schedules is scheduled in the same
-    /// order as if every station had.
+    /// is decoded once for all its receivers. A name query whose run —
+    /// with the run on the far side of its sender — reaches a whole
+    /// segment is logged ([`Cluster::log_query`]). Every receiver of
+    /// anything else goes through `handle_frame`, in station order.
+    /// (Kept out of `dispatch`: inlined, it costs the unicast path.)
+    #[inline(never)]
     fn dispatch_fan_out(&mut self, t: SimTime, mut frame: Frame, reach: Reach) {
-        let Reach::Run { stations, range } = reach else {
+        let Reach::Run {
+            stations,
+            range,
+            far,
+        } = reach
+        else {
             return self.dispatch_one(t, &frame);
         };
         let decoded = (frame.ethertype == EtherType::INTERKERNEL)
@@ -493,36 +585,115 @@ impl Cluster {
                 ..
             }))
         );
-        // Receive cost of this frame by processor grade, worked out from
-        // the first quiet receiver of each grade.
-        let mut quiet_cost = [None; CpuSpeed::GRADES];
-        for &station in &stations[range] {
+        if name_query {
+            let reached = range.len() + far.len();
+            if let Some(whole) = self.whole_segment(&frame, &stations, range.start, reached) {
+                return self.log_query(t, frame, &decoded, whole);
+            }
+        }
+        for &station in stations[range].iter().chain(&stations[far]) {
             let Some(host) = self.host_at(station) else {
                 continue;
             };
-            if !self.hears(host) {
-                continue;
+            if self.hears(host) {
+                frame.dst = station;
+                self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
             }
-            let lane = &mut self.lanes[host.0];
-            debug_assert_eq!(
-                lane.quiet,
-                self.hosts[host.0].quiet(),
-                "{host}: a change to what Host::quiet reads must call Lane::requiet"
-            );
-            if name_query && lane.quiet {
-                let cost = quiet_cost[lane.cpu.speed() as usize].get_or_insert_with(|| {
-                    rx_cost(
-                        &self.hosts[host.0].costs,
-                        &self.cfg.protocol,
-                        frame.payload.len(),
-                    )
-                });
-                lane.cpu.charge(t, *cost);
-                continue;
-            }
-            frame.dst = station;
-            self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
         }
+    }
+
+    /// The segment of which a broadcast's run, starting at
+    /// `stations[first]`, reaches every host — or every host but the
+    /// broadcast's sender — if it reaches `reached` of them. A run only
+    /// ever reaches hosts of one segment, and never the sender, so
+    /// counting suffices.
+    fn whole_segment(
+        &self,
+        frame: &Frame,
+        stations: &[MacAddr],
+        first: usize,
+        reached: usize,
+    ) -> Option<WholeSegment> {
+        let seg = self.lanes[self.host_at(*stations.get(first)?)?.0].seg;
+        let sender = self
+            .host_at(frame.src)
+            .filter(|h| self.lanes[h.0].seg == seg);
+        let seg = seg as usize;
+        let receivers = self.segments[seg].hosts - sender.is_some() as usize;
+        (reached == receivers).then_some(WholeSegment {
+            seg,
+            sender,
+            receivers,
+        })
+    }
+
+    /// A name query that reaches every host of a segment (but its
+    /// sender): counted once per receiver, charged to the segment's
+    /// deferred lanes as one entry of its log — the sender's, if it is
+    /// one of them, skips it; a full log is folded first — and handed to
+    /// the segment's exceptions, in station order: by [`Host::quiet`]
+    /// nothing but the charge comes of it anywhere else, which debug
+    /// builds check of every lane of the segment.
+    fn log_query(
+        &mut self,
+        t: SimTime,
+        mut frame: Frame,
+        decoded: &Option<Result<Packet, WireError>>,
+        whole: WholeSegment,
+    ) {
+        let WholeSegment {
+            seg,
+            sender,
+            receivers,
+        } = whole;
+        self.events_dispatched += receivers as u64;
+        if cfg!(debug_assertions) {
+            for (h, lane) in self.lanes.iter().enumerate() {
+                let stale = lane.seg as usize == seg && lane.quiet != self.hosts[h].quiet();
+                assert!(
+                    !stale,
+                    "host{h}: a change to what Host::quiet reads must call Lane::requiet"
+                );
+            }
+        }
+        if self.logged == u32::MAX {
+            // Counted round, a lane's `seen` could come back into step
+            // with entries it owes: every lane catches up, and the count
+            // starts over.
+            for lane in &mut self.lanes {
+                self.segments[lane.seg as usize].catch_up(lane);
+                lane.seen = 0;
+            }
+            self.logged = 0;
+        }
+        let log = &mut self.segments[seg].log;
+        if log.is_full() {
+            let owing = (self.lanes.iter_mut()).filter(|l| l.seg as usize == seg && l.deferred());
+            log.fold(owing.map(|l| (&mut l.cpu, &mut l.cursor)));
+        }
+        let len = frame.payload.len();
+        let cost =
+            CpuSpeed::ALL.map(|g| rx_cost(&self.grade_costs[g as usize], &self.cfg.protocol, len));
+        let sender_lane = sender
+            .map(|h| &mut self.lanes[h.0])
+            .filter(|l| l.deferred())
+            .map(|l| (&mut l.cpu, &mut l.cursor));
+        log.push(t, cost, sender_lane);
+        self.logged += 1;
+        let mut exceptions = std::mem::take(&mut self.segments[seg].exceptions);
+        exceptions.retain(|&h| {
+            let host = HostId(h as usize);
+            if self.lanes[host.0].deferred() {
+                return false;
+            }
+            if Some(host) != sender && self.live(host) {
+                frame.dst = host.station_mac();
+                self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
+            }
+            true
+        });
+        debug_assert!(self.segments[seg].exceptions.is_empty());
+        self.segments[seg].exceptions = exceptions;
     }
 
     /// Dispatches a frame of one station's own to the host `frame.dst`
@@ -543,10 +714,15 @@ impl Cluster {
     }
 
     /// Counts one frame arrival at `host` as a logical event and applies
-    /// the crashed-host check: false if the bits died at a dead
-    /// interface.
+    /// the crashed-host check.
     fn hears(&mut self, host: HostId) -> bool {
         self.events_dispatched += 1;
+        self.live(host)
+    }
+
+    /// The crashed-host check of a frame arrival: false, and counted, if
+    /// the bits died at a dead interface.
+    fn live(&mut self, host: HostId) -> bool {
         let up = self.lanes[host.0].up;
         if !up {
             self.hosts[host.0].stats.frames_dropped_down += 1;
@@ -554,11 +730,18 @@ impl Cluster {
         up
     }
 
-    /// Builds the split-borrow context for one host.
+    /// Builds the split-borrow context for one host, its lane caught up.
+    #[inline]
     pub(crate) fn ctx(&mut self, host: HostId) -> Ctx<'_> {
+        let lane = &mut self.lanes[host.0];
+        if lane.seen != self.logged {
+            lane.seen = self.logged;
+            self.segments[lane.seg as usize].catch_up(lane);
+        }
         Ctx {
             host: &mut self.hosts[host.0],
-            lane: &mut self.lanes[host.0],
+            lane,
+            segments: &mut self.segments,
             net: self.net.as_mut(),
             queue: &mut self.queue,
             proto: &self.cfg.protocol,
@@ -600,6 +783,12 @@ impl Cluster {
             return; // re-entrant resume; cannot happen with correct state
         };
         pcb.state = ProcState::Ready;
+        // The program may charge its processor through the `Api`.
+        let lane = &mut self.lanes[host.0];
+        if lane.seen != self.logged {
+            lane.seen = self.logged;
+            self.segments[lane.seg as usize].catch_up(lane);
+        }
 
         let mut api = Api {
             cl: self,
@@ -610,9 +799,12 @@ impl Cluster {
             exited: false,
         };
         program.resume(&mut api, outcome);
-        let pending = api.pending.take();
-        let exited = api.exited;
-        let after = api.now;
+        let Api {
+            pending,
+            exited,
+            now: after,
+            ..
+        } = api;
 
         if exited {
             drop(program);
@@ -625,7 +817,7 @@ impl Cluster {
         }
         match pending {
             None => self.exit_process(after, host, pid),
-            Some(p) => self.ctx(host).execute_blocking(after, pid, p),
+            Some(p) => self.ctx(host).execute_blocking(after, pid, &p),
         }
     }
 
@@ -637,7 +829,8 @@ impl Cluster {
         }
         h.stats.processes_exited += 1;
         h.names.purge_pid(pid);
-        self.lanes[host.0].requiet(h);
+        let lane = &mut self.lanes[host.0];
+        lane.requiet(h, &mut self.segments);
         h.drop_streams_of(pid);
 
         // Fail local senders blocked on the departed process.
@@ -853,7 +1046,7 @@ impl<'a> Api<'a> {
         let lane = &mut self.cl.lanes[self.host.0];
         self.now = lane.cpu.charge(self.now, h.costs.name_op).end;
         h.names.set(logical_id, pid, scope);
-        lane.requiet(h);
+        lane.requiet(h, &mut self.cl.segments);
     }
 
     /// Reads this process's own memory (no kernel charge: programs touch
@@ -937,5 +1130,64 @@ impl<'a> Api<'a> {
             },
         );
         pid
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Registers a name, then answers whatever it receives.
+    struct Named;
+
+    impl Program for Named {
+        fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+            match outcome {
+                Outcome::Receive { from, msg } => {
+                    api.reply(msg, from).expect("the sender awaits it");
+                }
+                _ => {
+                    let me = api.self_pid();
+                    api.set_pid(7, me, Scope::Both);
+                }
+            }
+            api.receive();
+        }
+    }
+
+    /// Resolves the name `left` times.
+    struct Asker {
+        left: u32,
+    }
+
+    impl Program for Asker {
+        fn resume(&mut self, api: &mut Api<'_>, _outcome: Outcome) {
+            if self.left == 0 {
+                return api.exit();
+            }
+            self.left -= 1;
+            api.get_pid(7, Scope::Both);
+        }
+    }
+
+    /// Every host's processor time after a few rounds of name queries on
+    /// one segment, with the count of logged entries starting at `logged`.
+    fn busy_after_queries(logged: u32) -> Vec<SimDuration> {
+        let mut cl =
+            Cluster::new(ClusterConfig::three_mb().with_hosts(8, CpuSpeed::Mc68000At10MHz));
+        cl.logged = logged;
+        cl.spawn(HostId(0), "named", Box::new(Named));
+        for h in 1..5 {
+            cl.spawn(HostId(h), "asker", Box::new(Asker { left: 3 }));
+            cl.run_for(SimDuration::from_millis(3));
+        }
+        cl.run();
+        assert!(cl.logged < 20, "counted round");
+        (0..8).map(|h| cl.cpu_busy(HostId(h))).collect()
+    }
+
+    #[test]
+    fn the_count_of_logged_entries_comes_round_without_a_trace() {
+        assert_eq!(busy_after_queries(u32::MAX - 3), busy_after_queries(0));
     }
 }

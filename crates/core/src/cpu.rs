@@ -12,6 +12,10 @@
 //! counterpart is exact: [`Cpu::busy_total`] is the processor time all
 //! other work consumed, and [`Cpu::busywork_count`] converts idle time
 //! into the counter value the paper's busywork process would have shown.
+//!
+//! A [`ChargeLog`] holds charges made to many processors at once — the
+//! receive processing a name query costs every workstation of a segment
+//! it means nothing to — until each processor is next looked at.
 
 use v_sim::{SimDuration, SimTime};
 
@@ -28,6 +32,10 @@ impl CpuSpeed {
     /// Number of speed grades: `grade as usize` indexes a table of this
     /// length.
     pub const GRADES: usize = 2;
+
+    /// Every grade, in index order.
+    pub const ALL: [CpuSpeed; CpuSpeed::GRADES] =
+        [CpuSpeed::Mc68000At8MHz, CpuSpeed::Mc68000At10MHz];
 }
 
 /// A host processor.
@@ -114,6 +122,160 @@ impl Cpu {
             self.busy_total.as_secs_f64() / elapsed
         }
     }
+}
+
+/// Entries a [`ChargeLog`] holds before it is folded into the processors
+/// that owe them: a bound on its memory, not a tuning knob (a fold costs
+/// a catch-up per owing processor, amortised over this many entries).
+const LOG_CAPACITY: usize = 512;
+
+/// Charges owed by many processors at once, kept until each is next
+/// looked at: one entry per name query a segment heard, `(instant, cost
+/// per processor grade)`, owed by every processor the query meant nothing
+/// to. A processor that owes entries holds a *cursor*: the first entry it
+/// has not been charged.
+///
+/// [`Cpu::charge`] of `cᵢ` at `tᵢ` maps `busy_until` by
+/// `b ↦ max(b, tᵢ) + cᵢ`, and such maps compose in closed form. With
+/// `P(i)` the cost of the entries before `i` (per grade), charging entries
+/// `c..n` in order leaves
+///
+/// ```text
+/// busy_until = P(n) + max(b − P(c), max_{i ≥ c} (tᵢ − P(i)))
+/// busy_total = busy_total + P(n) − P(c)
+/// ```
+///
+/// — exactly what `n − c` calls of `charge` leave. The suffix maximum is
+/// the key of the first *peak* at or after `c`: the peaks are the entries
+/// whose key `tᵢ − P(i)` no later entry reaches, kept as a stack as
+/// entries are pushed, so their keys fall along it and a binary search
+/// finds the answer. Catching up on any number of entries is O(log n).
+#[derive(Debug, Default)]
+pub struct ChargeLog {
+    /// Each entry's instant, in nanoseconds.
+    at: Vec<u64>,
+    /// Per grade, the cost of entries `0..=i` in nanoseconds.
+    sums: [Vec<u64>; CpuSpeed::GRADES],
+    /// Per grade, the peaks, in entry order.
+    peaks: [Vec<u32>; CpuSpeed::GRADES],
+}
+
+impl ChargeLog {
+    /// An empty log.
+    pub fn new() -> ChargeLog {
+        ChargeLog::default()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.at.len()
+    }
+
+    /// True if the log holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// True when the log must be [folded](ChargeLog::fold) before the
+    /// next [`push`](ChargeLog::push).
+    pub fn is_full(&self) -> bool {
+        self.len() >= LOG_CAPACITY
+    }
+
+    /// Logs `cost[grade]` charged at `t` to every processor that owes the
+    /// log, except `sender`'s: the query's own sender, if it owes the log
+    /// too, is caught up to here and then skips the new entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log is full, or `t` is before the last entry.
+    pub fn push(
+        &mut self,
+        t: SimTime,
+        cost: [SimDuration; CpuSpeed::GRADES],
+        sender: Option<(&mut Cpu, &mut u32)>,
+    ) {
+        assert!(!self.is_full(), "a full charge log is folded first");
+        let sender = sender.map(|(cpu, cursor)| {
+            self.catch_up(cpu, cursor);
+            cursor
+        });
+        let t = t.as_nanos();
+        let n = self.at.len();
+        assert!(
+            self.at.last().map_or(true, |&last| last <= t),
+            "out of order"
+        );
+        self.at.push(t);
+        for ((sums, peaks), cost) in self.sums.iter_mut().zip(&mut self.peaks).zip(cost) {
+            sums.push(sums.last().copied().unwrap_or(0) + cost.as_nanos());
+            let key = key_of(&self.at, sums, n);
+            while peaks
+                .last()
+                .is_some_and(|&p| key_of(&self.at, sums, p as usize) <= key)
+            {
+                peaks.pop();
+            }
+            peaks.push(n as u32);
+        }
+        if let Some(cursor) = sender {
+            *cursor = self.len() as u32;
+        }
+    }
+
+    /// Charges `cpu` every entry from `*cursor` on, and moves the cursor
+    /// past the last.
+    pub fn catch_up(&self, cpu: &mut Cpu, cursor: &mut u32) {
+        let (from, n) = (*cursor as usize, self.len());
+        *cursor = n as u32;
+        if from >= n {
+            return;
+        }
+        let sums = &self.sums[cpu.speed as usize];
+        let peaks = &self.peaks[cpu.speed as usize];
+        let (p_from, p_n) = (before(sums, from), sums[n - 1]);
+        let first = peaks[peaks.partition_point(|&p| (p as usize) < from)];
+        let highest = key_of(&self.at, sums, first as usize);
+        let idle = cpu.busy_until.as_nanos() as i64 - p_from as i64;
+        cpu.busy_until = SimTime::from_nanos((p_n as i64 + idle.max(highest)) as u64);
+        cpu.busy_total += SimDuration::from_nanos(p_n - p_from);
+    }
+
+    /// `cpu` as it will be once caught up from `cursor`: what a reader
+    /// that may not charge it sees.
+    pub fn caught_up(&self, cpu: &Cpu, mut cursor: u32) -> Cpu {
+        let mut cpu = cpu.clone();
+        self.catch_up(&mut cpu, &mut cursor);
+        cpu
+    }
+
+    /// Catches up every processor that owes the log — `owing`, each with
+    /// its cursor — and empties it: the cursors all point at its start.
+    pub fn fold<'a>(&mut self, owing: impl IntoIterator<Item = (&'a mut Cpu, &'a mut u32)>) {
+        for (cpu, cursor) in owing {
+            self.catch_up(cpu, cursor);
+            *cursor = 0;
+        }
+        self.at.clear();
+        for g in 0..CpuSpeed::GRADES {
+            self.sums[g].clear();
+            self.peaks[g].clear();
+        }
+    }
+}
+
+/// `P(i)` from one grade's sums: the cost of the entries before `i`.
+fn before(sums: &[u64], i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        sums[i - 1]
+    }
+}
+
+/// Entry `i`'s key `tᵢ − P(i)`, from the instants and one grade's sums.
+fn key_of(at: &[u64], sums: &[u64], i: usize) -> i64 {
+    at[i] as i64 - before(sums, i) as i64
 }
 
 #[cfg(test)]

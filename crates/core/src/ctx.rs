@@ -17,6 +17,7 @@ use std::rc::Rc;
 use v_net::{Delivery, DeliverySink, EtherType, Frame, StationRun, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 
+use crate::cluster::Segment;
 use crate::config::ProtocolConfig;
 use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
 use crate::host::{Host, Lane};
@@ -34,10 +35,12 @@ pub(crate) struct Emitted {
     pub tx_end: SimTime,
 }
 
-/// Split-borrow context for one host's kernel.
+/// Split-borrow context for one host's kernel. The lane is caught up
+/// with its segment's log for as long as the context lives.
 pub(crate) struct Ctx<'a> {
     pub host: &'a mut Host,
     pub lane: &'a mut Lane,
+    pub segments: &'a mut [Segment],
     pub net: &'a mut dyn Transport,
     pub queue: &'a mut EventQueue<Event>,
     pub proto: &'a ProtocolConfig,
@@ -277,7 +280,11 @@ impl<'a> Arrivals<'a> {
         let rest = std::mem::take(&mut self.rest);
         let fan_out = match reach {
             Reach::One if rest.is_empty() => None,
-            Reach::Run { stations, range } if rest.is_empty() && range.len() == 1 => {
+            Reach::Run {
+                stations,
+                range,
+                far,
+            } if rest.is_empty() && range.len() == 1 && far.is_empty() => {
                 frame.dst = stations[range.start];
                 None
             }
@@ -297,13 +304,28 @@ impl DeliverySink for Arrivals<'_> {
     }
 
     fn deliver_run(&mut self, run: StationRun) {
+        if let Some((open_at, open, reach)) = &mut self.open {
+            let same_frame = *open_at == run.at && Rc::ptr_eq(&open.payload, &run.frame.payload);
+            if same_frame && self.rest.is_empty() && reach.join_far_side(&run) {
+                return;
+            }
+        }
         let StationRun {
             at,
             frame,
             stations,
             range,
         } = run;
-        self.push(at, frame, Reach::Run { stations, range });
+        let far = 0..0;
+        self.push(
+            at,
+            frame,
+            Reach::Run {
+                stations,
+                range,
+                far,
+            },
+        );
     }
 }
 

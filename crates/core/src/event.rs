@@ -3,7 +3,7 @@
 use std::ops::Range;
 use std::rc::Rc;
 
-use v_net::{Frame, MacAddr};
+use v_net::{Frame, MacAddr, StationRun};
 
 use crate::pid::Pid;
 use crate::program::Outcome;
@@ -114,16 +114,42 @@ pub enum Reach {
     /// The station `frame.dst` addresses: a copy the transport gave a
     /// fate of its own (a fault plan or the collision bug was at work).
     One,
-    /// `stations[range]`, in that order, each handed the frame addressed
-    /// to itself: a run of clean copies of a broadcast. `stations` is
-    /// the transport's own list of the segment, shared, so a receiver
-    /// costs nothing here.
+    /// `stations[range]` and then `stations[far]`, in that order, each
+    /// handed the frame addressed to itself: a run of clean copies of a
+    /// broadcast, and the run on the far side of its sender when that
+    /// followed at the same instant. `stations` is the transport's own
+    /// list of the segment, shared, so a receiver costs nothing here.
     Run {
         /// Every station of the segment, in address order.
         stations: Rc<[MacAddr]>,
         /// The stations this frame reaches.
         range: Range<usize>,
+        /// The stations past the sender it reaches too (often none).
+        far: Range<usize>,
     },
+}
+
+impl Reach {
+    /// Makes a run of a broadcast reach `run` too, when `run` is the run
+    /// on the far side of the broadcast's sender on the same segment and
+    /// this one reaches nothing there yet; false, and unchanged, if not.
+    pub(crate) fn join_far_side(&mut self, run: &StationRun) -> bool {
+        let Reach::Run {
+            stations,
+            range,
+            far,
+        } = self
+        else {
+            return false;
+        };
+        let beyond_sender =
+            range.end + 1 == run.range.start && stations[range.end] == run.frame.src;
+        let joins = Range::is_empty(far) && Rc::ptr_eq(stations, &run.stations) && beyond_sender;
+        if joins {
+            *far = run.range.clone();
+        }
+        joins
+    }
 }
 
 /// Everyone a sequence of same-instant deliveries reaches, when that is
@@ -133,10 +159,10 @@ pub struct FanOut {
     /// Who the event's own frame reaches.
     pub reach: Reach,
     /// The deliveries that followed at the same instant, in delivery
-    /// order: the run on the far side of the sender, the next segment
-    /// of a flood if it arrives at the same nanosecond, or — under a
-    /// fault plan — the other stations' copies one by one. Empty, and
-    /// unallocated, for a single run.
+    /// order: the next segment of a flood if it arrives at the same
+    /// nanosecond, or — under a fault plan — the other stations' copies
+    /// one by one. Empty, and unallocated, for a broadcast's run (or two)
+    /// on one segment.
     pub rest: Vec<(Frame, Reach)>,
 }
 

@@ -4,6 +4,7 @@ use v_net::{EtherType, Nic};
 use v_sim::SimTime;
 
 use crate::aliens::AlienTable;
+use crate::cluster::Segment;
 use crate::costs::CostModel;
 use crate::cpu::Cpu;
 use crate::error::KernelError;
@@ -148,12 +149,25 @@ impl InStream {
 /// What a frame arriving at a host reads and writes whoever the frame
 /// is for — the receive path's share of the host's state — and the
 /// flags that outlive a crash, kept apart from [`Host`] (a kilobyte of
-/// tables) in a dense array of its own, so that a broadcast walking a
-/// thousand receivers walks thirty-two bytes each.
+/// tables) in a dense array of its own.
+///
+/// A lane that is up and `quiet` is *deferred*: the name queries its
+/// segment hears are charged to it through the segment's
+/// [`ChargeLog`](crate::cpu::ChargeLog), from `cursor` on, when something
+/// next reads or charges `cpu`.
 #[derive(Debug)]
 pub struct Lane {
-    /// The processor.
+    /// The processor; behind by the log's entries from `cursor` on while
+    /// the lane is deferred.
     pub cpu: Cpu,
+    /// While deferred: the first entry of the segment's log not yet
+    /// charged to `cpu`.
+    pub cursor: u32,
+    /// How many entries had been logged on any segment (counted round)
+    /// when this lane last caught up.
+    pub seen: u32,
+    /// The segment the host is attached to.
+    pub seg: u32,
     /// False while this host is crashed: the kernel holds no state and
     /// the interface drops every frame.
     pub up: bool,
@@ -170,9 +184,16 @@ pub struct Lane {
 }
 
 impl Lane {
-    /// Re-derives `quiet` from the host's tables.
-    pub fn requiet(&mut self, host: &Host) {
-        self.quiet = host.quiet();
+    /// True while the segment's name queries are charged to this lane
+    /// through the segment's log.
+    pub fn deferred(&self) -> bool {
+        self.up && self.quiet
+    }
+
+    /// Re-derives `quiet` from the host's tables, entering or leaving
+    /// the deferred state on its segment.
+    pub fn requiet(&mut self, host: &Host, segments: &mut [Segment]) {
+        segments[self.seg as usize].redefer(self, host.id, host.quiet(), self.up);
     }
 }
 

@@ -44,9 +44,10 @@ impl Ctx<'_> {
     // Blocking syscall execution
     // ------------------------------------------------------------------
 
-    /// Executes the blocking call a program issued during its resume.
-    pub(crate) fn execute_blocking(&mut self, t: SimTime, pid: Pid, pending: Pending) {
-        match pending {
+    /// Executes the blocking call a program issued during its resume,
+    /// read where the program wrote it.
+    pub(crate) fn execute_blocking(&mut self, t: SimTime, pid: Pid, pending: &Pending) {
+        match *pending {
             Pending::Send { msg, to } => self.do_send(t, pid, msg, to),
             Pending::Receive => self.do_receive(t, pid, None),
             Pending::ReceiveSeg { buf, size } => self.do_receive(t, pid, Some((buf, size))),
@@ -113,8 +114,8 @@ impl Ctx<'_> {
     /// One receiver's part in a fan-out. Its receivers share one decode,
     /// so this one looks before it copies: the broadcast the kernel sends
     /// most is a name query that at most one of them answers, and its
-    /// body is `Copy`. (A receiver whose lane is `quiet` is spared even
-    /// this much of a name query: see `Cluster::dispatch_fan_out`.) Any
+    /// body is `Copy`. (A receiver whose lane is deferred is spared even
+    /// this much of a name query: see `Cluster::log_query`.) Any
     /// other kind is cloned for the handler that will keep it. A frame
     /// of this host's own never comes this way: its packet is the
     /// receiver's to move.
@@ -153,7 +154,7 @@ impl Ctx<'_> {
             self.host.hostmap.learn(src.host(), frame.src);
             if self.host.suspects.remove(&src.host()) {
                 self.host.stats.peer_reprieves += 1;
-                self.lane.requiet(self.host);
+                self.lane.requiet(self.host, self.segments);
             }
         }
     }

@@ -437,24 +437,27 @@ impl Ctx<'_> {
             self.send_nack(t, src, seq, dst);
             return;
         }
-        // Is there an existing queued entry for this source? (Avoid
-        // double-queueing when a superseding exchange replaces an alien
-        // still sitting in the receiver's queue.)
-        let already_queued = matches!(
-            self.host.aliens.get(src),
-            Some(a) if a.state == AlienState::Queued
-        );
+        // A superseding exchange takes over the source's one alien: if
+        // the one it replaces still waits in a receiver's queue, that
+        // entry now stands for the new exchange — there, or moved to
+        // `dst`'s queue when the new exchange is for another process.
+        let queued_for = match self.host.aliens.get(src) {
+            Some(a) if a.state == AlienState::Queued => Some(a.dst),
+            _ => None,
+        };
         match self.host.aliens.admit(src, seq, dst, body) {
             SendVerdict::Deliver => {
                 self.host.stats.aliens_allocated += 1;
                 let alloc = self.host.costs.alien_alloc + self.host.costs.unblock;
                 let end = self.charge(t, alloc);
                 self.arm_housekeeping(end);
-                if already_queued {
-                    self.pump(end, dst, true);
-                } else {
-                    self.enqueue_sender(end, dst, src);
+                if queued_for == Some(dst) {
+                    return self.pump(end, dst, true);
                 }
+                if let Some(old) = queued_for.and_then(|old| self.host.proc_mut(old)) {
+                    old.senders.retain(|&s| s != src);
+                }
+                self.enqueue_sender(end, dst, src);
             }
             SendVerdict::Drop => self.host.stats.duplicates_filtered += 1,
             // A duplicate was answered above: what is turned away here

@@ -40,7 +40,7 @@ impl Ctx<'_> {
             self.host.stats.host_down_failures += 1;
             if self.host.suspects.insert(to.host()) {
                 self.host.stats.peer_suspicions += 1;
-                self.lane.requiet(self.host);
+                self.lane.requiet(self.host, self.segments);
             }
             let pcb = self.host.proc_mut(pid).expect("checked");
             pcb.state = ProcState::Ready;

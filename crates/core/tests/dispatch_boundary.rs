@@ -633,3 +633,81 @@ fn a_partial_ack_for_more_than_the_transfer_is_ignored() {
     h.cl.run_for(SimDuration::from_millis(3000));
     assert_eq!(*h.moved.borrow(), Some(Err(KernelError::Timeout)));
 }
+
+// ----------------------------------------------------------------------
+// A superseding Send for another process of the same host
+// ----------------------------------------------------------------------
+
+use v_wire::SendBody;
+
+/// Sits in a `Delay` for `first` before its first `Receive`, then logs
+/// every message it receives — `(the receiving process, the sender, the
+/// message's word at 4)` — and replies to it.
+struct Logger {
+    first: SimDuration,
+    got: Rc<RefCell<Vec<(Pid, Pid, u32)>>>,
+}
+
+impl Program for Logger {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        match outcome {
+            Outcome::Started => return api.delay(self.first),
+            Outcome::Delay => {}
+            Outcome::Receive { from, msg } => {
+                let me = api.self_pid();
+                self.got.borrow_mut().push((me, from, msg.get_u32(4)));
+                let _ = api.reply(msg, from);
+            }
+            other => panic!("logger resumed with {other:?}"),
+        }
+        api.receive();
+    }
+}
+
+#[test]
+fn a_superseding_send_for_another_process_is_queued_for_that_process() {
+    // A remote sender's exchange 1 waits in busy process A's queue; its
+    // exchange 2 — the first one given up — is for process B on the same
+    // host, which is waiting in `Receive`. The alien is one descriptor
+    // per remote sender, so exchange 2 takes it over: it must be queued
+    // for B, not left where exchange 1 was.
+    let mut cl = two_hosts();
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let logger = |first: u64| Logger {
+        first: SimDuration::from_millis(first),
+        got: Rc::clone(&got),
+    };
+    let a = cl.spawn(HostId(1), "busy", Box::new(logger(50)));
+    let b = cl.spawn(HostId(1), "waiting", Box::new(logger(0)));
+    cl.run_for(SimDuration::from_millis(1));
+    let sender = Pid::new(cl.logical_host(HostId(0)), 9);
+    for (seq, to) in [(1, a), (2, b)] {
+        let mut msg = Message::empty();
+        msg.set_u32(4, seq);
+        let pkt = Packet {
+            seq,
+            src_pid: sender.raw(),
+            dst_pid: to.raw(),
+            body: PacketBody::Send(SendBody {
+                msg: *msg.as_bytes(),
+                appended: Vec::new(),
+                appended_from: 0,
+            }),
+        };
+        let frame = Frame::new(
+            cl.mac(HostId(1)),
+            cl.mac(HostId(0)),
+            EtherType::INTERKERNEL,
+            v_wire::encode(&pkt),
+        );
+        cl.inject_frame(HostId(1), frame);
+        cl.run_for(SimDuration::from_millis(1));
+    }
+    cl.run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        *got.borrow(),
+        [(b, sender, 2)],
+        "B is handed exchange 2 at once, and A never sees a stale entry"
+    );
+    assert_eq!(cl.kernel_stats(HostId(1)).aliens_allocated, 2);
+}

@@ -18,10 +18,14 @@
 //! or has just been restarted, it holds a peer under suspicion, its
 //! registrant has exited; and for the ways a broadcast can fail to be a
 //! run at all: a fault plan or the collision bug giving every copy a
-//! fate of its own.
+//! fate of its own. Three more are aimed at a receiver whose charges wait
+//! in its segment's log: one that leaves and re-enters that state, ones
+//! read only through `cpu_busy` / `cpu_utilization`, and two processor
+//! grades sharing the log's entries.
 //!
 //! The expected values were recorded by running this file on the commit
-//! before runs and receive lanes existed (PR 16, `d6a7b76`).
+//! before runs and receive lanes existed (`d6a7b76`), and on the commit
+//! before the charge log existed (`0674072`) for the last three.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -317,8 +321,13 @@ fn storm_mesh_crash_and_restart() -> Ran {
 /// 201 and 202 sit on the first, a middle and the last station; `ask`
 /// lists `(host, name)` askers, each exchanging two messages and then
 /// asking twice more.
-fn one_segment(mut cfg: ClusterConfig, hosts: usize, ask: &[(usize, u32)]) -> Ran {
-    cfg = cfg.with_hosts(hosts, CPU);
+fn one_segment(cfg: ClusterConfig, hosts: usize, ask: &[(usize, u32)]) -> Ran {
+    one_segment_of(cfg.with_hosts(hosts, CPU), ask)
+}
+
+/// [`one_segment`] over hosts `cfg` already places.
+fn one_segment_of(cfg: ClusterConfig, ask: &[(usize, u32)]) -> Ran {
+    let hosts = cfg.hosts.len();
     let mut cl = Cluster::new(cfg);
     let log = Log::default();
     for (host, id) in [(0, 200), (hosts / 2, 201), (hosts - 1, 202)] {
@@ -446,6 +455,100 @@ fn a_registrant_that_exits() -> Ran {
     (cl, log)
 }
 
+/// Sleeps `after`, registers `id`, serves one request and exits.
+struct Joiner {
+    id: u32,
+    after: SimDuration,
+}
+
+impl Program for Joiner {
+    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+        match outcome {
+            Outcome::Started => api.delay(self.after),
+            Outcome::Delay => {
+                let me = api.self_pid();
+                api.set_pid(self.id, me, Scope::Both);
+                api.receive();
+            }
+            Outcome::Receive { from, msg } => {
+                api.reply(msg, from).expect("the sender awaits this reply");
+                api.exit();
+            }
+            other => panic!("joiner resumed with {other:?}"),
+        }
+    }
+}
+
+/// A workstation (host 6) hears name queries that mean nothing to it,
+/// registers a name of its own between two of them, answers for it once
+/// and exits — taking the name with it — and hears more queries, for
+/// the old name among them, that again mean nothing to it.
+fn a_workstation_that_joins_and_leaves() -> Ran {
+    let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(16, CPU));
+    let log = Log::default();
+    cl.spawn(HostId(0), "registrant", registrant(200));
+    let joiner = Joiner {
+        id: 300,
+        after: SimDuration::from_millis(15),
+    };
+    cl.spawn(HostId(6), "joiner", Box::new(joiner));
+    cl.run_for(SimDuration::from_millis(5));
+    // Before the name, while it is held, its one request, after the exit.
+    let waves: [&[(usize, u32)]; 4] = [
+        &[(2, 200), (9, 200)],
+        &[(3, 200)],
+        &[(11, 300)],
+        &[(12, 200), (13, 300), (6, 200)],
+    ];
+    for wave in waves {
+        for &(host, id) in wave {
+            cl.spawn(HostId(host), "asker", Box::new(Asker::new(id, 1, &log)));
+        }
+        cl.run_for(SimDuration::from_millis(20));
+    }
+    cl.run();
+    (cl, log)
+}
+
+/// Forty stations, twenty of which never run a process: between waves
+/// of queries their processor time and utilization are read — the only
+/// way anything ever looks at their processors.
+fn idle_hosts_read_through_the_views() -> Ran {
+    let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(40, CPU));
+    let log = Log::default();
+    cl.spawn(HostId(0), "registrant", registrant(200));
+    cl.spawn(HostId(19), "registrant", registrant(201));
+    cl.run();
+    for wave in 0..5u64 {
+        for host in 1..6 {
+            let id = 200 + (host as u32 + wave as u32) % 3;
+            cl.spawn(HostId(host), "asker", Box::new(Asker::new(id, 1, &log)));
+        }
+        cl.run_for(SimDuration::from_millis(3 + 7 * wave));
+        for host in (20..40).step_by(3 + wave as usize) {
+            let util = cl.cpu_utilization(HostId(host)).to_bits();
+            let busy = cl.cpu_busy(HostId(host)).as_nanos();
+            log.borrow_mut().push([host as u64, 4, busy, util]);
+        }
+    }
+    cl.run();
+    (cl, log)
+}
+
+/// [`registrants_first_middle_last`] with the segment's stations
+/// alternately 8 and 10 MHz processors: one query costs its receivers two
+/// different amounts.
+fn mixed_grades_on_one_segment() -> Ran {
+    let mut cfg = ClusterConfig::three_mb();
+    for h in 0..30 {
+        cfg = cfg.with_host(match h % 3 {
+            0 => CpuSpeed::Mc68000At8MHz,
+            _ => CPU,
+        });
+    }
+    one_segment_of(cfg, &EVERY_POSITION)
+}
+
 const fn golden(
     events_dispatched: u64,
     scheduled: u64,
@@ -478,10 +581,20 @@ const SCENARIOS: [Scenario; 9] = [
     ("a-registrant-that-exits", a_registrant_that_exits, golden(167, 71, 71, 6007691043, 0xDB5F6B5B1C4D2951)),
 ];
 
+/// Recorded at `0674072`, before the per-segment charge log existed: a
+/// lane leaving and re-entering the deferred state, lanes only ever read
+/// through the views, and two processor grades sharing one log entry.
+#[rustfmt::skip]
+const DEFERRED_SCENARIOS: [Scenario; 3] = [
+    ("a-workstation-that-joins-and-leaves", a_workstation_that_joins_and_leaves, golden(219, 79, 79, 3022836543, 0x73E92BC3F85A3EB4)),
+    ("idle-hosts-read-through-the-views", idle_hosts_read_through_the_views, golden(2234, 258, 258, 3004068146, 0x20756274351A0D24)),
+    ("mixed-grades-on-one-segment", mixed_grades_on_one_segment, golden(1141, 217, 217, 3006547666, 0x42F783F21014825B)),
+];
+
 #[test]
 fn every_host_is_charged_counted_and_told_what_the_recorded_parent_was() {
     let mut mismatches = Vec::new();
-    for (name, run, want) in &SCENARIOS {
+    for (name, run, want) in SCENARIOS.iter().chain(&DEFERRED_SCENARIOS) {
         let got = golden_of(&run());
         if got != *want {
             mismatches.push(format!("{name}:\n  got  {got:?}\n  want {want:?}"));
@@ -571,4 +684,25 @@ fn the_scenarios_reach_what_they_are_meant_to_pin() {
     assert_eq!(cl.kernel_stats(HostId(4)).getpid_answers, 2);
     assert_eq!(cl.kernel_stats(HostId(4)).processes_exited, 1);
     assert_eq!(resolved(&log, false), 2, "200 is gone for the second round");
+
+    let (cl, log) = a_workstation_that_joins_and_leaves();
+    let k = cl.kernel_stats(HostId(6));
+    assert_eq!(k.getpid_answers, 1);
+    assert_eq!(k.getpid_broadcasts, 1, "host 6 asks after its joiner left");
+    assert_eq!(k.processes_exited, 2, "the joiner, then the asker");
+    assert_eq!(resolved(&log, false), 1, "300 is gone for the last round");
+
+    let (cl, log) = idle_hosts_read_through_the_views();
+    let reads = log.borrow().iter().filter(|e| e[1] == 4).count();
+    assert!(reads > 20, "{reads}");
+    for host in 20..40 {
+        assert_eq!(cl.kernel_stats(HostId(host)).processes_spawned, 0);
+        assert!(cl.cpu_busy(HostId(host)) > SimDuration::ZERO);
+    }
+
+    let (cl, _) = mixed_grades_on_one_segment();
+    let busy = |h| cl.cpu_busy(HostId(h));
+    assert_eq!(cl.config().hosts[3].cpu, CpuSpeed::Mc68000At8MHz);
+    assert_ne!(busy(3), busy(4), "two idle hosts of different grades");
+    assert_eq!(busy(3), busy(6), "two idle hosts of one grade");
 }
