@@ -5,6 +5,7 @@
 //! top-level object experiments construct; see the crate examples and the
 //! `v-bench` experiments for usage.
 
+use v_net::sink::receivers;
 use v_net::{EtherType, Ethernet, Frame, MacAddr, Nic, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 use v_wire::{Packet, PacketBody, WireError};
@@ -60,13 +61,11 @@ pub(crate) enum Pending {
 }
 
 /// What the cluster keeps of one network segment for the name queries
-/// it hears. A query that reaches every host of the segment (but its
-/// sender) is charged to the deferred lanes as one entry of `log`, and
-/// handed only to the `exceptions`.
+/// it hears. A query reaches every host of the segment but its sender;
+/// it is charged to the deferred lanes as one entry of `log`, and handed
+/// only to the `exceptions`.
 #[derive(Debug, Default)]
 pub(crate) struct Segment {
-    /// Number of hosts attached to the segment.
-    hosts: usize,
     /// Receive charges its deferred lanes owe.
     log: ChargeLog,
     /// Its hosts whose lanes are not deferred, in station order — and
@@ -100,16 +99,6 @@ impl Segment {
             lane.cursor = self.log.len() as u32;
         }
     }
-}
-
-/// A name query's run(s) that reach every host of one segment, or every
-/// host but the query's sender.
-struct WholeSegment {
-    seg: usize,
-    /// The sender, when it is attached to the segment.
-    sender: Option<HostId>,
-    /// Hosts reached.
-    receivers: usize,
 }
 
 /// The simulated distributed system.
@@ -195,10 +184,8 @@ impl Cluster {
                 quiet: hosts[i].quiet(),
                 housekeeping_armed: false,
             };
-            let seg = &mut segments[hc.segment];
-            seg.hosts += 1;
             if !lane.deferred() {
-                seg.exceptions.push(i as u32);
+                segments[hc.segment].exceptions.push(i as u32);
             }
             lanes.push(lane);
         }
@@ -561,21 +548,16 @@ impl Cluster {
     ///
     /// A frame of one station's own (a unicast, or a copy a fault plan
     /// gave a fate of its own) is that host's to decode and keep. A run
-    /// is decoded once for all its receivers. A name query whose run —
-    /// with the run on the far side of its sender — reaches a whole
-    /// segment is logged ([`Cluster::log_query`]). Every receiver of
-    /// anything else goes through `handle_frame`, in station order.
-    /// (Kept out of `dispatch`: inlined, it costs the unicast path.)
+    /// is decoded once for all its receivers. A name query's run is
+    /// logged ([`Cluster::log_query`]). Every receiver of anything else
+    /// goes through `handle_frame`, in station order. (Kept out of
+    /// `dispatch`: inlined, it costs the unicast path.)
     #[inline(never)]
     fn dispatch_fan_out(&mut self, t: SimTime, mut frame: Frame, reach: Reach) {
-        let Reach::Run {
-            stations,
-            range,
-            far,
-        } = reach
-        else {
+        let Reach::Run { stations, len } = reach else {
             return self.dispatch_one(t, &frame);
         };
+        let stations = &stations[..len];
         let decoded = (frame.ethertype == EtherType::INTERKERNEL)
             .then(|| decode_frame(&self.cfg.protocol, &frame));
         let name_query = matches!(
@@ -586,12 +568,9 @@ impl Cluster {
             }))
         );
         if name_query {
-            let reached = range.len() + far.len();
-            if let Some(whole) = self.whole_segment(&frame, &stations, range.start, reached) {
-                return self.log_query(t, frame, &decoded, whole);
-            }
+            return self.log_query(t, frame, &decoded, stations);
         }
-        for &station in stations[range].iter().chain(&stations[far]) {
+        for station in receivers(stations, frame.src) {
             let Some(host) = self.host_at(station) else {
                 continue;
             };
@@ -602,59 +581,45 @@ impl Cluster {
         }
     }
 
-    /// The segment of which a broadcast's run, starting at
-    /// `stations[first]`, reaches every host — or every host but the
-    /// broadcast's sender — if it reaches `reached` of them. A run only
-    /// ever reaches hosts of one segment, and never the sender, so
-    /// counting suffices.
-    fn whole_segment(
-        &self,
-        frame: &Frame,
-        stations: &[MacAddr],
-        first: usize,
-        reached: usize,
-    ) -> Option<WholeSegment> {
-        let seg = self.lanes[self.host_at(*stations.get(first)?)?.0].seg;
-        let sender = self
-            .host_at(frame.src)
-            .filter(|h| self.lanes[h.0].seg == seg);
-        let seg = seg as usize;
-        let receivers = self.segments[seg].hosts - sender.is_some() as usize;
-        (reached == receivers).then_some(WholeSegment {
-            seg,
-            sender,
-            receivers,
-        })
-    }
-
-    /// A name query that reaches every host of a segment (but its
-    /// sender): counted once per receiver, charged to the segment's
+    /// A name query's run, which reaches every host of a segment but the
+    /// sender: counted once per receiver, charged to the segment's
     /// deferred lanes as one entry of its log — the sender's, if it is
     /// one of them, skips it; a full log is folded first — and handed to
     /// the segment's exceptions, in station order: by [`Host::quiet`]
-    /// nothing but the charge comes of it anywhere else, which debug
-    /// builds check of every lane of the segment.
+    /// nothing but the charge comes of it anywhere else. Debug builds
+    /// check both halves of that, lane by lane: the run covers every
+    /// host of the segment in order (the sender's station too, which its
+    /// readers skip), and every lane's `quiet` bit is current.
     fn log_query(
         &mut self,
         t: SimTime,
         mut frame: Frame,
         decoded: &Option<Result<Packet, WireError>>,
-        whole: WholeSegment,
+        stations: &[MacAddr],
     ) {
-        let WholeSegment {
-            seg,
-            sender,
-            receivers,
-        } = whole;
-        self.events_dispatched += receivers as u64;
+        let first = self.host_at(stations[0]).expect("a run reaches hosts");
+        let seg = self.lanes[first.0].seg as usize;
+        let sender = self
+            .host_at(frame.src)
+            .filter(|h| self.lanes[h.0].seg as usize == seg);
+        self.events_dispatched += (stations.len() - sender.is_some() as usize) as u64;
         if cfg!(debug_assertions) {
+            let mut run = stations.iter();
             for (h, lane) in self.lanes.iter().enumerate() {
-                let stale = lane.seg as usize == seg && lane.quiet != self.hosts[h].quiet();
+                if lane.seg as usize != seg {
+                    continue;
+                }
                 assert!(
-                    !stale,
+                    lane.quiet == self.hosts[h].quiet(),
                     "host{h}: a change to what Host::quiet reads must call Lane::requiet"
                 );
+                assert_eq!(
+                    run.next(),
+                    Some(&HostId(h).station_mac()),
+                    "a name query's run covers every host of its segment, in order"
+                );
             }
+            assert_eq!(run.next(), None, "a run covers the hosts of one segment");
         }
         if self.logged == u32::MAX {
             // Counted round, a lane's `seen` could come back into step

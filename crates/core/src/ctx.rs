@@ -14,6 +14,7 @@
 
 use std::rc::Rc;
 
+use v_net::sink::receivers;
 use v_net::{Delivery, DeliverySink, EtherType, Frame, StationRun, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 
@@ -239,8 +240,8 @@ impl Ctx<'_> {
 /// transport delivers straight into the event queue, one
 /// [`Event::Arrival`] per sequence
 /// of consecutive same-instant deliveries — a broadcast's fan-out on a
-/// segment is a single queue entry holding a run or two, not an entry
-/// (or even a record) per receiver. Scheduling order, and therefore
+/// segment is a single queue entry holding its run, not an entry (or
+/// even a record) per receiver. Scheduling order, and therefore
 /// FIFO tie-break order at dispatch, is delivery order.
 struct Arrivals<'a> {
     queue: &'a mut EventQueue<Event>,
@@ -278,17 +279,20 @@ impl<'a> Arrivals<'a> {
             return;
         };
         let rest = std::mem::take(&mut self.rest);
-        let fan_out = match reach {
-            Reach::One if rest.is_empty() => None,
-            Reach::Run {
-                stations,
-                range,
-                far,
-            } if rest.is_empty() && range.len() == 1 && far.is_empty() => {
-                frame.dst = stations[range.start];
+        let sole = match &reach {
+            _ if !rest.is_empty() => None,
+            Reach::One => Some(frame.dst),
+            Reach::Run { stations, len } => {
+                let mut receivers = receivers(&stations[..*len], frame.src);
+                receivers.next().filter(|_| receivers.next().is_none())
+            }
+        };
+        let fan_out = match sole {
+            Some(dst) => {
+                frame.dst = dst;
                 None
             }
-            reach => Some(Box::new(FanOut { reach, rest })),
+            None => Some(Box::new(FanOut { reach, rest })),
         };
         self.queue.schedule(at, Event::Arrival { frame, fan_out });
     }
@@ -304,28 +308,13 @@ impl DeliverySink for Arrivals<'_> {
     }
 
     fn deliver_run(&mut self, run: StationRun) {
-        if let Some((open_at, open, reach)) = &mut self.open {
-            let same_frame = *open_at == run.at && Rc::ptr_eq(&open.payload, &run.frame.payload);
-            if same_frame && self.rest.is_empty() && reach.join_far_side(&run) {
-                return;
-            }
-        }
         let StationRun {
             at,
             frame,
             stations,
-            range,
+            len,
         } = run;
-        let far = 0..0;
-        self.push(
-            at,
-            frame,
-            Reach::Run {
-                stations,
-                range,
-                far,
-            },
-        );
+        self.push(at, frame, Reach::Run { stations, len });
     }
 }
 

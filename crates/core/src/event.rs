@@ -1,9 +1,8 @@
 //! Cluster event vocabulary.
 
-use std::ops::Range;
 use std::rc::Rc;
 
-use v_net::{Frame, MacAddr, StationRun};
+use v_net::{Frame, MacAddr};
 
 use crate::pid::Pid;
 use crate::program::Outcome;
@@ -114,42 +113,17 @@ pub enum Reach {
     /// The station `frame.dst` addresses: a copy the transport gave a
     /// fate of its own (a fault plan or the collision bug was at work).
     One,
-    /// `stations[range]` and then `stations[far]`, in that order, each
-    /// handed the frame addressed to itself: a run of clean copies of a
-    /// broadcast, and the run on the far side of its sender when that
-    /// followed at the same instant. `stations` is the transport's own
-    /// list of the segment, shared, so a receiver costs nothing here.
+    /// The first `len` of `stations` but the frame's sender, in order,
+    /// each handed the frame addressed to itself: a segment's run of
+    /// clean copies of a broadcast ([`v_net::StationRun`]). `stations` is
+    /// the transport's own list of the segment, shared, so a receiver
+    /// costs nothing here.
     Run {
         /// Every station of the segment, in address order.
         stations: Rc<[MacAddr]>,
-        /// The stations this frame reaches.
-        range: Range<usize>,
-        /// The stations past the sender it reaches too (often none).
-        far: Range<usize>,
+        /// How many of them, from the first, the run covers.
+        len: usize,
     },
-}
-
-impl Reach {
-    /// Makes a run of a broadcast reach `run` too, when `run` is the run
-    /// on the far side of the broadcast's sender on the same segment and
-    /// this one reaches nothing there yet; false, and unchanged, if not.
-    pub(crate) fn join_far_side(&mut self, run: &StationRun) -> bool {
-        let Reach::Run {
-            stations,
-            range,
-            far,
-        } = self
-        else {
-            return false;
-        };
-        let beyond_sender =
-            range.end + 1 == run.range.start && stations[range.end] == run.frame.src;
-        let joins = Range::is_empty(far) && Rc::ptr_eq(stations, &run.stations) && beyond_sender;
-        if joins {
-            *far = run.range.clone();
-        }
-        joins
-    }
 }
 
 /// Everyone a sequence of same-instant deliveries reaches, when that is
@@ -161,8 +135,8 @@ pub struct FanOut {
     /// The deliveries that followed at the same instant, in delivery
     /// order: the next segment of a flood if it arrives at the same
     /// nanosecond, or — under a fault plan — the other stations' copies
-    /// one by one. Empty, and unallocated, for a broadcast's run (or two)
-    /// on one segment.
+    /// one by one. Empty, and unallocated, for a broadcast's run on one
+    /// segment.
     pub rest: Vec<(Frame, Reach)>,
 }
 

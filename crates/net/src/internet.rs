@@ -164,8 +164,9 @@ struct Gateway {
 ///
 /// A segment delivers in station-address order and the reserved gateway
 /// range sorts above every host address, so the gateway copies of a run
-/// are its tail: the run is cut at the first gateway address and the
-/// host part in front is passed on whole, never looked at.
+/// are its tail: the run is shortened to end at the first gateway
+/// address and the host part in front is passed on whole, never looked
+/// at.
 struct GatewayEars<'a> {
     hosts: &'a mut dyn DeliverySink,
     gateways: &'a mut [Gateway],
@@ -203,17 +204,14 @@ impl DeliverySink for GatewayEars<'_> {
     }
 
     fn deliver_run(&mut self, mut run: StationRun) {
-        let hosts = run.receivers().partition_point(|&m| !is_gateway_mac(m));
-        let heard = run.split_off(hosts);
-        debug_assert!(
-            heard.receivers().iter().all(|&m| is_gateway_mac(m)),
-            "a segment delivers in address order, gateways last"
-        );
-        if !run.range.is_empty() {
-            self.hosts.deliver_run(run);
+        let hosts = run.stations[..run.len].partition_point(|&m| !is_gateway_mac(m));
+        // No host sends from the gateway range: there is no sender to skip.
+        for &mac in &run.stations[hosts..run.len] {
+            self.hear(mac, run.at, false);
         }
-        for &mac in heard.receivers() {
-            self.hear(mac, heard.at, false);
+        run.len = hosts;
+        if run.receivers().next().is_some() {
+            self.hosts.deliver_run(run);
         }
     }
 }
@@ -274,8 +272,8 @@ impl DeliverySink for Copies {
 /// Every segment transmit hands its host deliveries to where they will
 /// be read from — the caller's sink for the origin segment, `pending`
 /// for a gateway's egress — and the mesh keeps only the copies its
-/// gateways heard (`GatewayEars`). A clean broadcast arrives as runs of
-/// the segment's station list, and finding the gateways in one relies on
+/// gateways heard (`GatewayEars`). A clean broadcast arrives as one run
+/// of the segment's station list, and finding the gateways in it relies on
 /// an invariant of [`Ethernet`]: a segment delivers in station address
 /// order, hosts may not attach in the reserved range
 /// [`GATEWAY_MAC_FIRST`]`..=`[`GATEWAY_MAC_LAST`], and that range sorts

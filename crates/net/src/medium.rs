@@ -299,15 +299,15 @@ impl Ethernet {
     /// gateways hear (addresses `0xFF00..`) come last.
     ///
     /// A broadcast nothing can happen to — no fault plan, not hit by the
-    /// collision bug — is emitted as at most two [`StationRun`]s, the
-    /// stations either side of the sender: nothing is written, counted
-    /// or allocated per receiver, which is what lets a 1000-station
-    /// boot-storm broadcast stay cheap. Otherwise every receiver's fate
-    /// is drawn in station order and it gets a [`Delivery`] of its own
-    /// (two where fault injection duplicates): a handle on the
-    /// transmitted payload buffer, with bytes of its own only if
-    /// corrupted in flight. A unicast is one such delivery — the frame
-    /// itself, moved, when nothing can happen to it.
+    /// collision bug — is emitted as one [`StationRun`] of the segment's
+    /// whole station list, whose readers skip the sender: nothing is
+    /// written, counted or allocated per receiver, which is what lets a
+    /// 1000-station boot-storm broadcast stay cheap. Otherwise every
+    /// receiver's fate is drawn in station order and it gets a
+    /// [`Delivery`] of its own (two where fault injection duplicates): a
+    /// handle on the transmitted payload buffer, with bytes of its own
+    /// only if corrupted in flight. A unicast is one such delivery — the
+    /// frame itself, moved, when nothing can happen to it.
     ///
     /// [`Internetwork`]: crate::Internetwork
     /// [`Delivery`]: crate::Delivery
@@ -358,7 +358,7 @@ impl Ethernet {
         if !self.faults.is_none() || bug_corrupt {
             self.fan_out(out, arrival, &frame, bug_corrupt);
         } else if frame.dst.is_broadcast() {
-            self.emit_runs(out, arrival, frame);
+            self.emit_run(out, arrival, frame);
         } else {
             // Nothing can happen to the one copy: it is the frame itself.
             self.stats.deliveries += 1;
@@ -373,28 +373,24 @@ impl Ethernet {
         TxWindow { tx_start, tx_end }
     }
 
-    /// A clean broadcast: every other station, as the runs either side
-    /// of the sender. The fault RNG is not consulted.
-    fn emit_runs(&mut self, out: &mut dyn DeliverySink, at: SimTime, frame: Frame) {
+    /// A clean broadcast: every other station, as one run of them all.
+    /// The fault RNG is not consulted.
+    fn emit_run(&mut self, out: &mut dyn DeliverySink, at: SimTime, frame: Frame) {
         let stations = self
             .shared
             .get_or_insert_with(|| self.stations.as_slice().into());
-        let n = stations.len();
+        let len = stations.len();
         // A sender that is not attached here is nobody's to skip.
-        let (before, after) = match stations.binary_search(&frame.src) {
-            Ok(i) => (0..i, i + 1..n),
-            Err(_) => (0..n, n..n),
-        };
-        self.stats.deliveries += (before.len() + after.len()) as u64;
-        for range in [before, after] {
-            if !range.is_empty() {
-                out.deliver_run(StationRun {
-                    at,
-                    frame: frame.clone(),
-                    stations: stations.clone(),
-                    range,
-                });
-            }
+        let receivers = len - stations.binary_search(&frame.src).is_ok() as usize;
+        self.stats.deliveries += receivers as u64;
+        if receivers > 0 {
+            let stations = stations.clone();
+            out.deliver_run(StationRun {
+                at,
+                frame,
+                stations,
+                len,
+            });
         }
     }
 

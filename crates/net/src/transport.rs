@@ -59,7 +59,7 @@ impl GatewayStats {
 /// A transmission returns its transmit window and hands the deliveries
 /// it directly produces to a caller-owned [`DeliverySink`] — the hot
 /// path of the whole simulation, so a clean 1000-receiver broadcast is
-/// a couple of [`StationRun`](crate::StationRun)s, not a thousand
+/// one [`StationRun`](crate::StationRun) per segment, not a thousand
 /// records: what a receiver costs is the sink's to decide, and every
 /// copy shares the transmitted frame's payload buffer (see [`Frame`]).
 /// Transports with a forwarding element (gateways) additionally

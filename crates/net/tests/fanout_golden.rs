@@ -382,9 +382,10 @@ impl Recorder {
                 Said::One(d) => out.push(d),
                 Said::Run(run) => {
                     assert!(run.frame.dst.is_broadcast(), "only a broadcast is a run");
-                    assert!(!run.range.is_empty(), "an empty run says nothing");
-                    in_runs += run.range.len();
-                    for &dst in run.receivers() {
+                    let n = run.receivers().count();
+                    assert!(n > 0, "an empty run says nothing");
+                    in_runs += n;
+                    for dst in run.receivers() {
                         let mut frame = run.frame.clone();
                         frame.dst = dst;
                         out.push(Delivery {
@@ -398,6 +399,59 @@ impl Recorder {
             }
         }
         (out, in_runs)
+    }
+}
+
+/// With no fate drawn per station, a broadcast is one run per segment
+/// transmit — the origin segment's handed over directly, every other
+/// segment's when polled — and a run's receivers are its segment's hosts
+/// but the sender, in address order.
+#[test]
+fn a_clean_broadcast_is_one_run_per_segment_transmit() {
+    for (net_name, net) in [
+        ("ethernet", Net::Ethernet),
+        ("line3", Net::Line3),
+        ("star15", Net::Star15),
+    ] {
+        let (mut t, stations, segments) = build(net, Faults::None);
+        let seg_of = |m: MacAddr| m.0 as usize % segments;
+        let mut broadcasts = 0;
+        for (step, ready, frame, _sent) in script(&stations) {
+            let (src, broadcast) = (frame.src, frame.dst.is_broadcast());
+            let mut direct = Recorder::default();
+            let mut polled = Recorder::default();
+            t.transmit(ready, frame, &mut direct);
+            t.poll_deliveries(&mut polled);
+            if !broadcast {
+                continue;
+            }
+            broadcasts += 1;
+            let said = (direct.said.iter().map(|s| (s, true)))
+                .chain(polled.said.iter().map(|s| (s, false)));
+            let mut reached = Vec::new();
+            for (said, is_direct) in said {
+                let what = format!("{net_name} step {step}");
+                let Said::Run(run) = said else {
+                    panic!("{what}: a clean copy came on its own");
+                };
+                let got: Vec<MacAddr> = run.receivers().collect();
+                let seg = seg_of(*got.first().expect("a run reaches someone"));
+                let mut want: Vec<MacAddr> = (stations.iter().copied())
+                    .filter(|&m| seg_of(m) == seg && m != src)
+                    .collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "{what}: the run on segment {seg}");
+                assert_eq!(is_direct, seg == seg_of(src), "{what}: segment {seg}");
+                reached.push(seg);
+            }
+            reached.sort_unstable();
+            assert_eq!(
+                reached,
+                (0..segments).collect::<Vec<_>>(),
+                "{net_name} step {step}: one run per segment"
+            );
+        }
+        assert!(broadcasts > 10, "{net_name}: {broadcasts} broadcasts");
     }
 }
 
