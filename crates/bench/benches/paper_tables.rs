@@ -9,12 +9,16 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
-use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope};
+use v_kernel::{
+    AddressSpace, Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope,
+};
 use v_net::{
     Delivery, DeliverySink, EtherType, Frame, MacAddr, NetworkKind, StationRun, Topology, Transport,
 };
 use v_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
-use v_wire::{decode, encode, MoveToData, Packet, PacketBody, ReplyBody, SendBody};
+use v_wire::{
+    decode, decode_ref, encode, encode_with, MoveToData, Packet, PacketBody, ReplyBody, SendBody,
+};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::load::{LoadClient, LoadServer};
 use v_workloads::measure::probe;
@@ -377,9 +381,13 @@ fn bench_fanout(c: &mut Criterion) {
     g.finish();
 }
 
-/// The codec (ROADMAP open item 1(d)): every packet is encoded once and
-/// decoded once, and both passes sum every byte. One sample is a batch:
-/// a single call is shorter than the clock's resolution.
+/// The codec: every packet is encoded once and decoded once, and both
+/// passes sum every byte. One sample is a batch: a single call is
+/// shorter than the clock's resolution. The owned `encode` / `decode`
+/// rows copy the data from and into a body's `Vec`; the two `space` rows
+/// are the kernel's own path for a page reply — the segment gathered
+/// from an `AddressSpace` straight into the packet (`encode_with`), and
+/// read in place out of it into another space (`decode_ref`).
 fn bench_codec(c: &mut Criterion) {
     const BATCH: usize = 10_000;
     let packet = |body| Packet {
@@ -435,6 +443,45 @@ fn bench_codec(c: &mut Criterion) {
             })
         });
     }
+
+    const PAGE: u32 = 0x2000;
+    let mut replier = AddressSpace::new(AddressSpace::DEFAULT_SIZE);
+    replier.fill(PAGE, 512, 0x7E).expect("the page fits");
+    let head = packet(PacketBody::Reply(ReplyBody {
+        msg: [0x5A; 32],
+        seg_dest: PAGE,
+        seg: Vec::new(),
+    }));
+    let gather = |space: &AddressSpace| {
+        encode_with(&head, 512, |data| space.read_into(PAGE, data)).expect("the page fits")
+    };
+    g.bench_function(
+        &format!("encode_with_reply_page_576B_from_space_x{BATCH}"),
+        |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    black_box(gather(black_box(&replier)));
+                }
+            })
+        },
+    );
+    let bytes = gather(&replier);
+    let mut client = AddressSpace::new(AddressSpace::DEFAULT_SIZE);
+    g.bench_function(
+        &format!("decode_ref_reply_page_576B_into_space_x{BATCH}"),
+        |b| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    let (p, data) = decode_ref(black_box(&bytes)).expect("well-formed");
+                    let PacketBody::Reply(reply) = p.body else {
+                        unreachable!("a reply")
+                    };
+                    client.write(reply.seg_dest, data).expect("the page fits");
+                }
+                black_box(&client);
+            })
+        },
+    );
     g.finish();
 }
 

@@ -14,13 +14,14 @@
 //! * the pool is **bounded**: if no descriptor is free the new message is
 //!   discarded and a reply-pending packet tells the sender to retry.
 
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use v_sim::SimTime;
 
 use crate::message::Message;
 use crate::pid::Pid;
-use v_wire::{SendBody, WireBytes};
+use v_wire::{encode_with, MsgBytes, Packet, WireBytes};
 
 /// Delivery state of an alien's message exchange.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,17 +58,57 @@ pub struct Alien {
     pub dst: Pid,
     /// The 32-byte message.
     pub msg: Message,
-    /// Appended segment bytes carried by the Send packet (the
-    /// `ReceiveWithSegment` optimization), if any.
-    pub appended: Vec<u8>,
-    /// Address in the *sender's* space the appended bytes came from.
-    pub appended_from: u32,
+    /// The segment prefix the Send packet carried, where it arrived.
+    pub appended: Appended,
     /// Exchange state.
     pub state: AlienState,
     /// Encoded Forward rebind notification, cached once the exchange has
     /// been forwarded so a duplicate Send (the client missed the note)
     /// can be answered by re-sending it.
     pub forward_note: Option<WireBytes>,
+}
+
+/// The segment prefix a Send packet carried (the `ReceiveWithSegment`
+/// optimization), left in the packet it arrived in: the alien keeps a
+/// handle on that buffer, as a replied alien keeps the reply it sent, and
+/// the bytes are its last `len`.
+#[derive(Debug, Clone)]
+pub struct Appended {
+    /// The buffer the Send (or a Forward hand-off) arrived in.
+    pub packet: WireBytes,
+    /// How many bytes at its end the packet carried (0: none).
+    pub len: usize,
+    /// Address in the *sender's* space the bytes came from.
+    pub from: u32,
+}
+
+impl Appended {
+    /// The `data` that ends `packet`, kept there.
+    pub fn tail(packet: &WireBytes, data: &[u8], from: u32) -> Appended {
+        debug_assert!(std::ptr::eq(&packet[packet.len() - data.len()..], data));
+        Appended {
+            packet: Rc::clone(packet),
+            len: data.len(),
+            from,
+        }
+    }
+
+    /// The carried bytes.
+    pub fn bytes(&self) -> &[u8] {
+        &self.packet[self.packet.len() - self.len..]
+    }
+
+    /// Encodes `pkt` carrying these bytes, copied from the packet they
+    /// arrived in straight into the new packet's buffer (a forwarded
+    /// exchange's message takes its segment prefix along).
+    pub fn encode_in(&self, pkt: &Packet) -> WireBytes {
+        let data = self.bytes();
+        encode_with(pkt, data.len(), |buf| {
+            buf.copy_from_slice(data);
+            Ok::<(), Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {})
+    }
 }
 
 /// Disposition of an arriving Send packet, as judged by the alien table.
@@ -126,13 +167,21 @@ impl AlienTable {
         self.pool.iter_mut().find(|a| a.src == src)
     }
 
-    /// Judges an arriving Send packet body and updates the table.
+    /// Judges an arriving Send packet — its message and what it carried
+    /// — and updates the table.
     ///
     /// `newer(a, b)` on sequence numbers is wrapping-aware: the sender
     /// increments per exchange, and because the sender is synchronous a
     /// numerically newer sequence implies the previous exchange completed,
     /// so its alien may be reused.
-    pub fn admit(&mut self, src: Pid, seq: u32, dst: Pid, body: SendBody) -> SendVerdict {
+    pub fn admit(
+        &mut self,
+        src: Pid,
+        seq: u32,
+        dst: Pid,
+        msg: MsgBytes,
+        appended: Appended,
+    ) -> SendVerdict {
         let slot = self.pool.iter().position(|a| a.src == src);
         if let Some(i) = slot {
             let alien = &self.pool[i];
@@ -158,9 +207,8 @@ impl AlienTable {
             src,
             seq,
             dst,
-            msg: Message::from_bytes(body.msg),
-            appended: body.appended,
-            appended_from: body.appended_from,
+            msg: Message::from_bytes(msg),
+            appended,
             state: AlienState::Queued,
             forward_note: None,
         };
@@ -243,18 +291,18 @@ mod tests {
         AlienTable::new(cap)
     }
 
-    fn body() -> SendBody {
-        SendBody {
-            msg: [0u8; 32],
-            appended: vec![],
-            appended_from: 0,
+    fn none() -> Appended {
+        Appended {
+            packet: Rc::from([]),
+            len: 0,
+            from: 0,
         }
     }
 
     #[test]
     fn fresh_message_is_delivered() {
         let mut t = table(4);
-        let v = t.admit(pid(2, 1), 1, pid(1, 1), body());
+        let v = t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
         assert!(matches!(v, SendVerdict::Deliver));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(pid(2, 1)).unwrap().state, AlienState::Queued);
@@ -263,20 +311,20 @@ mod tests {
     #[test]
     fn duplicate_before_reply_gets_reply_pending() {
         let mut t = table(4);
-        t.admit(pid(2, 1), 1, pid(1, 1), body());
-        let v = t.admit(pid(2, 1), 1, pid(1, 1), body());
+        t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
+        let v = t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
         assert!(matches!(v, SendVerdict::ReplyPending));
     }
 
     #[test]
     fn duplicate_after_reply_retransmits_cached_reply() {
         let mut t = table(4);
-        t.admit(pid(2, 1), 1, pid(1, 1), body());
+        t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
             packet: Rc::from([1, 2, 3]),
             at: SimTime::ZERO,
         };
-        let v = t.admit(pid(2, 1), 1, pid(1, 1), body());
+        let v = t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
         match v {
             SendVerdict::RetransmitReply(p) => assert_eq!(p[..], [1, 2, 3]),
             other => panic!("expected retransmit, got {other:?}"),
@@ -286,12 +334,12 @@ mod tests {
     #[test]
     fn newer_seq_replaces_old_alien() {
         let mut t = table(4);
-        t.admit(pid(2, 1), 1, pid(1, 1), body());
+        t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
             packet: Rc::from([]),
             at: SimTime::ZERO,
         };
-        let v = t.admit(pid(2, 1), 2, pid(1, 1), body());
+        let v = t.admit(pid(2, 1), 2, pid(1, 1), [0u8; 32], none());
         assert!(matches!(v, SendVerdict::Deliver));
         assert_eq!(t.get(pid(2, 1)).unwrap().seq, 2);
         assert_eq!(t.len(), 1);
@@ -300,17 +348,17 @@ mod tests {
     #[test]
     fn stale_seq_is_dropped() {
         let mut t = table(4);
-        t.admit(pid(2, 1), 5, pid(1, 1), body());
-        let v = t.admit(pid(2, 1), 4, pid(1, 1), body());
+        t.admit(pid(2, 1), 5, pid(1, 1), [0u8; 32], none());
+        let v = t.admit(pid(2, 1), 4, pid(1, 1), [0u8; 32], none());
         assert!(matches!(v, SendVerdict::Drop));
     }
 
     #[test]
     fn pool_exhaustion_yields_reply_pending() {
         let mut t = table(2);
-        t.admit(pid(2, 1), 1, pid(1, 1), body());
-        t.admit(pid(2, 2), 1, pid(1, 1), body());
-        let v = t.admit(pid(2, 3), 1, pid(1, 1), body());
+        t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
+        t.admit(pid(2, 2), 1, pid(1, 1), [0u8; 32], none());
+        let v = t.admit(pid(2, 3), 1, pid(1, 1), [0u8; 32], none());
         assert!(matches!(v, SendVerdict::ReplyPending));
         assert_eq!(t.len(), 2);
     }
@@ -318,8 +366,8 @@ mod tests {
     #[test]
     fn sweep_frees_old_replies_only() {
         let mut t = table(4);
-        t.admit(pid(2, 1), 1, pid(1, 1), body());
-        t.admit(pid(2, 2), 1, pid(1, 1), body());
+        t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
+        t.admit(pid(2, 2), 1, pid(1, 1), [0u8; 32], none());
         t.get_mut(pid(2, 1)).unwrap().state = AlienState::Replied {
             packet: Rc::from([]),
             at: SimTime::ZERO,
@@ -334,6 +382,17 @@ mod tests {
     }
 
     #[test]
+    fn appended_bytes_are_the_tail_of_their_packet() {
+        let appended = Appended {
+            packet: Rc::from([1, 2, 3, 4, 5]),
+            len: 2,
+            from: 0x100,
+        };
+        assert_eq!(appended.bytes(), &[4, 5]);
+        assert_eq!(none().bytes(), &[] as &[u8]);
+    }
+
+    #[test]
     fn seq_wrapping_comparison() {
         assert!(seq_newer(1, 2));
         assert!(!seq_newer(2, 1));
@@ -344,8 +403,8 @@ mod tests {
     #[test]
     fn addressed_to_finds_aliens() {
         let mut t = table(4);
-        t.admit(pid(2, 1), 1, pid(1, 1), body());
-        t.admit(pid(2, 2), 1, pid(1, 9), body());
+        t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
+        t.admit(pid(2, 2), 1, pid(1, 9), [0u8; 32], none());
         let v = t.addressed_to(pid(1, 1));
         assert_eq!(v, vec![pid(2, 1)]);
     }

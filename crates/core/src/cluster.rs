@@ -8,7 +8,7 @@
 use v_net::sink::receivers;
 use v_net::{EtherType, Ethernet, Frame, MacAddr, Nic, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
-use v_wire::{Packet, PacketBody, WireError};
+use v_wire::{Packet, PacketBody};
 
 use crate::aliens::AlienTable;
 use crate::config::ClusterConfig;
@@ -19,7 +19,7 @@ use crate::error::KernelError;
 use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
 use crate::host::{Host, Lane};
 use crate::hostmap::HostMap;
-use crate::ipc::dispatch::{decode_frame, rx_cost};
+use crate::ipc::dispatch::{decode_frame, rx_cost, Decoded};
 use crate::message::Message;
 use crate::naming::{NameTable, Scope};
 use crate::pcb::{Pcb, ProcState};
@@ -558,14 +558,21 @@ impl Cluster {
             return self.dispatch_one(t, &frame);
         };
         let stations = &stations[..len];
+        // The packet borrows its data from a copy of the frame (a handle
+        // on the same buffer), so that the frame itself can be addressed
+        // to each receiver in turn.
+        let shared = frame.clone();
         let decoded = (frame.ethertype == EtherType::INTERKERNEL)
-            .then(|| decode_frame(&self.cfg.protocol, &frame));
+            .then(|| decode_frame(&self.cfg.protocol, &shared));
         let name_query = matches!(
             &decoded,
-            Some(Ok(Packet {
-                body: PacketBody::GetPidReq(_),
-                ..
-            }))
+            Some(Ok((
+                Packet {
+                    body: PacketBody::GetPidReq(_),
+                    ..
+                },
+                _
+            )))
         );
         if name_query {
             return self.log_query(t, frame, &decoded, stations);
@@ -594,7 +601,7 @@ impl Cluster {
         &mut self,
         t: SimTime,
         mut frame: Frame,
-        decoded: &Option<Result<Packet, WireError>>,
+        decoded: &Option<Decoded<'_>>,
         stations: &[MacAddr],
     ) {
         let first = self.host_at(stations[0]).expect("a run reaches hosts");

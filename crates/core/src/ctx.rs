@@ -24,7 +24,7 @@ use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
 use crate::host::{Host, Lane};
 use crate::pid::{LogicalHost, Pid};
 use crate::program::Outcome;
-use v_wire::{encode, Packet, PacketBody, WireBytes};
+use v_wire::{encode, encode_with, Packet, PacketBody, WireBytes};
 
 /// Result of handing a frame to the interface.
 #[derive(Debug, Clone, Copy)]
@@ -116,6 +116,15 @@ impl Ctx<'_> {
         to_host: LogicalHost,
     ) -> Emitted {
         self.emit_bytes(t, encode(pkt), to_host)
+    }
+
+    /// Encodes `pkt` carrying the `len` bytes at `addr` in `pid`'s space,
+    /// gathered straight into the packet's buffer — the one copy a
+    /// segment makes on its way out. The caller checked the range.
+    pub(crate) fn gather(&self, pkt: &Packet, pid: Pid, addr: u32, len: usize) -> WireBytes {
+        let space = &self.host.proc(pid).expect("the sender exists").space;
+        let bytes = encode_with(pkt, len, |data| space.read_into(addr, data));
+        bytes.expect("the caller checked the range")
     }
 
     /// Transmits an encoded packet by handle: the caller may keep its

@@ -3,14 +3,16 @@
 //! Inbound frames are decoded exactly once — raw payload bytes become a
 //! typed [`v_wire::PacketBody`] here ([`decode_frame`], once per frame
 //! however many receivers of a broadcast share it), and every protocol
-//! handler beyond this point consumes a body struct. Undecodable frames
-//! are counted (corruption vs. unknown kind) at each receiver and
+//! handler beyond this point consumes a body struct, and the data the
+//! packet carries lent beside it from the frame's buffer. Undecodable
+//! frames are counted (corruption vs. unknown kind) at each receiver and
 //! dropped; the protocols above never see them. Frames with a foreign
 //! ethertype fan out to the registered raw-protocol handlers.
 
 use v_net::{EtherType, Frame};
 use v_sim::{SimDuration, SimTime};
 
+use crate::aliens::Appended;
 use crate::cluster::Pending;
 use crate::config::ProtocolConfig;
 use crate::costs::CostModel;
@@ -20,16 +22,19 @@ use crate::ipc::transfer::Dir;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
-use v_wire::{decode, Packet, PacketBody, WireError};
+use v_wire::{decode_ref, Packet, PacketBody, WireBytes, WireError};
+
+/// A frame's packet, and the data it carries lent from the frame.
+pub(crate) type Decoded<'a> = Result<(Packet, &'a [u8]), WireError>;
 
 /// Decodes the interkernel packet a frame carries. A frame too short to
 /// hold the encapsulation header fails like any other the checksum
 /// rejects.
-pub(crate) fn decode_frame(proto: &ProtocolConfig, frame: &Frame) -> Result<Packet, WireError> {
+pub(crate) fn decode_frame<'a>(proto: &ProtocolConfig, frame: &'a Frame) -> Decoded<'a> {
     let body = frame
         .payload_after(proto.encapsulation.extra_bytes())
         .ok_or(WireError::TooShort)?;
-    decode(body)
+    decode_ref(body)
 }
 
 /// Processor time a kernel spends taking an interkernel frame of `len`
@@ -91,7 +96,7 @@ impl Ctx<'_> {
         &mut self,
         t: SimTime,
         frame: &Frame,
-        decoded: Option<&Result<Packet, WireError>>,
+        decoded: Option<&Decoded<'_>>,
     ) {
         if frame.ethertype != EtherType::INTERKERNEL {
             self.dispatch_raw(t, frame);
@@ -103,12 +108,12 @@ impl Ctx<'_> {
             Some(shared) => return self.handle_shared(end, frame, shared),
             None => decode_frame(self.proto, frame),
         };
-        let pkt = match packet {
+        let (pkt, data) = match packet {
             Ok(p) => p,
             Err(e) => return self.drop_undecodable(&e),
         };
         self.learn_station(&pkt, frame);
-        self.dispatch_packet(end, pkt);
+        self.dispatch_packet(end, pkt, data, &frame.payload);
     }
 
     /// One receiver's part in a fan-out. Its receivers share one decode,
@@ -116,11 +121,11 @@ impl Ctx<'_> {
     /// most is a name query that at most one of them answers, and its
     /// body is `Copy`. (A receiver whose lane is deferred is spared even
     /// this much of a name query: see `Cluster::log_query`.) Any
-    /// other kind is cloned for the handler that will keep it. A frame
-    /// of this host's own never comes this way: its packet is the
-    /// receiver's to move.
-    fn handle_shared(&mut self, t: SimTime, frame: &Frame, decoded: &Result<Packet, WireError>) {
-        let pkt = match decoded {
+    /// other kind is cloned, its data still lent, for the handler that
+    /// will keep it. A frame of this host's own never comes this way: its
+    /// packet is the receiver's to move.
+    fn handle_shared(&mut self, t: SimTime, frame: &Frame, decoded: &Decoded<'_>) {
+        let (pkt, data) = match decoded {
             Ok(p) => p,
             Err(e) => return self.drop_undecodable(e),
         };
@@ -132,7 +137,7 @@ impl Ctx<'_> {
                 };
                 self.handle_getpid_req(t, src, body);
             }
-            _ => self.dispatch_packet(t, pkt.clone()),
+            _ => self.dispatch_packet(t, pkt.clone(), data, &frame.payload),
         }
     }
 
@@ -159,9 +164,10 @@ impl Ctx<'_> {
         }
     }
 
-    /// Routes a decoded packet to its protocol handler. Bodies are
-    /// already typed; this only resolves the pid words and fans out.
-    fn dispatch_packet(&mut self, t: SimTime, pkt: Packet) {
+    /// Routes a decoded packet, and the `data` it carries at the end of
+    /// `wire`, to its protocol handler. Bodies are already typed; this
+    /// only resolves the pid words and fans out.
+    fn dispatch_packet(&mut self, t: SimTime, pkt: Packet, data: &[u8], wire: &WireBytes) {
         let seq = pkt.seq;
         // Every packet passes between two processes, except that a name
         // query has no destination process and its answer names no
@@ -175,15 +181,23 @@ impl Ctx<'_> {
             _ => return,
         };
         match pkt.body {
-            PacketBody::Send(body) => self.handle_send_pkt(t, src, dst, seq, body),
-            PacketBody::Reply(body) => self.handle_reply_pkt(t, src, dst, seq, body),
+            PacketBody::Send(body) => {
+                let appended = Appended::tail(wire, data, body.appended_from);
+                self.handle_send_pkt(t, src, dst, seq, body.msg, appended)
+            }
+            PacketBody::Reply(body) => self.handle_reply_pkt(t, src, dst, seq, body, data),
             PacketBody::ReplyPending => self.handle_reply_pending(t, src, dst, seq),
             PacketBody::Nack => self.handle_nack(t, src, dst, seq),
-            PacketBody::MoveToData(body) => self.handle_moveto_data(t, src, dst, seq, body),
+            PacketBody::MoveToData(body) => self.handle_moveto_data(t, src, dst, seq, body, data),
             PacketBody::MoveFromReq(body) => self.handle_movefrom_req(t, src, dst, seq, body),
-            PacketBody::MoveFromData(body) => self.handle_movefrom_data(t, src, dst, seq, body),
+            PacketBody::MoveFromData(body) => {
+                self.handle_movefrom_data(t, src, dst, seq, body, data)
+            }
             PacketBody::TransferAck(body) => self.handle_transfer_ack(t, src, dst, seq, body),
-            PacketBody::Forward(body) => self.handle_forward_pkt(t, src, dst, seq, body),
+            PacketBody::Forward(body) => {
+                let appended = Appended::tail(wire, data, body.appended_from);
+                self.handle_forward_pkt(t, src, dst, seq, body, appended)
+            }
             PacketBody::GetPidReq(body) => self.handle_getpid_req(t, src, body),
             PacketBody::GetPidReply(body) => self.handle_getpid_reply(t, dst, body),
         }

@@ -36,13 +36,13 @@ use std::rc::Rc;
 
 use v_sim::SimTime;
 
-use crate::aliens::AlienState;
+use crate::aliens::{AlienState, Appended};
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::message::Message;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
-use v_wire::{encode, ForwardBody, Packet, PacketBody, SendBody};
+use v_wire::{ForwardBody, MsgBytes, Packet, PacketBody, SendBody};
 
 impl Ctx<'_> {
     /// `Forward(msg, from, to)` issued by `forwarder` (non-blocking).
@@ -120,23 +120,22 @@ impl Ctx<'_> {
         // Send must start accepting the forwardee's Reply/MoveTo/
         // MoveFrom (and, if that kernel also hosts the forwardee, the
         // note doubles as the hand-off, so it carries the message).
-        let (appended, appended_from) = {
-            let a = self.host.aliens.get(from).expect("checked");
-            (a.appended.clone(), a.appended_from)
-        };
+        let a = self.host.aliens.get(from).expect("checked");
+        let appended = a.appended.clone();
         let body = ForwardBody {
             client: from.raw(),
             new_server: to.raw(),
             msg: *msg.as_bytes(),
-            appended,
-            appended_from,
+            appended: Vec::new(),
+            appended_from: appended.from,
         };
-        let note = encode(&Packet {
+        let mut pkt = Packet {
             seq,
             src_pid: forwarder.raw(),
             dst_pid: from.raw(),
-            body: PacketBody::Forward(body.clone()),
-        });
+            body: PacketBody::Forward(body),
+        };
+        let note = appended.encode_in(&pkt);
 
         // Rebind the alien. For a forwardee on this host (the
         // server-team case) it is requeued; for one on another kernel it
@@ -160,13 +159,9 @@ impl Ctx<'_> {
         // note itself is the hand-off, hand the message off to the
         // forwardee's kernel.
         if to.host() != from.host() {
-            let handoff = Packet {
-                seq,
-                src_pid: forwarder.raw(),
-                dst_pid: to.raw(),
-                body: PacketBody::Forward(body),
-            };
-            done = self.emit_packet(done, &handoff, to.host()).cpu_done;
+            pkt.dst_pid = to.raw();
+            let handoff = appended.encode_in(&pkt);
+            done = self.emit_bytes(done, handoff, to.host()).cpu_done;
         }
         self.arm_housekeeping(done);
         Ok(done)
@@ -185,6 +180,7 @@ impl Ctx<'_> {
         dst: Pid,
         seq: u32,
         body: ForwardBody,
+        appended: Appended,
     ) {
         let (Some(client), Some(new_server)) =
             (Pid::from_raw(body.client), Pid::from_raw(body.new_server))
@@ -192,17 +188,12 @@ impl Ctx<'_> {
             return;
         };
         if dst == client && client.is_local_to(self.host.logical) {
-            self.rebind_forwarded_sender(t, src, client, new_server, seq, body);
+            self.rebind_forwarded_sender(t, src, (client, new_server), seq, body.msg, appended);
         } else if dst == new_server && new_server.is_local_to(self.host.logical) {
             // Hand-off role: admit the client's exchange for the
             // forwardee exactly as an arriving Send would be (duplicate
             // filtering, alien pool bounds and nacks included).
-            let send = SendBody {
-                msg: body.msg,
-                appended: body.appended,
-                appended_from: body.appended_from,
-            };
-            self.handle_send_pkt(t, client, new_server, seq, send);
+            self.handle_send_pkt(t, client, new_server, seq, body.msg, appended);
         }
     }
 
@@ -211,10 +202,10 @@ impl Ctx<'_> {
         &mut self,
         t: SimTime,
         src: Pid,
-        client: Pid,
-        new_server: Pid,
+        (client, new_server): (Pid, Pid),
         seq: u32,
-        body: ForwardBody,
+        msg: MsgBytes,
+        appended: Appended,
     ) {
         let bound_to = match self.host.proc(client).map(|p| &p.state) {
             Some(ProcState::AwaitingReplyRemote { to, seq: s, .. }) if *s == seq => *to,
@@ -227,7 +218,6 @@ impl Ctx<'_> {
             return; // stale: the exchange belongs to someone else now
         }
         let end = self.charge(t, self.host.costs.forward);
-        let msg = Message::from_bytes(body.msg);
         if new_server.is_local_to(self.host.logical) {
             // The exchange came home: the forwardee shares this kernel,
             // so the blocked Send becomes a plain local exchange.
@@ -238,7 +228,7 @@ impl Ctx<'_> {
             }
             self.host.stats.forward_rebinds += 1;
             let pcb = self.host.proc_mut(client).expect("checked");
-            pcb.out_msg = msg;
+            pcb.out_msg = Message::from_bytes(msg);
             pcb.state = ProcState::AwaitingReplyLocal {
                 to: new_server,
                 received: false,
@@ -249,16 +239,17 @@ impl Ctx<'_> {
             // packet — at the forwardee, carrying the forwarded message,
             // so a lost hand-off is repaired by the next retransmission.
             self.host.stats.forward_rebinds += 1;
-            let rebuilt = encode(&Packet {
+            let send = Packet {
                 seq,
                 src_pid: client.raw(),
                 dst_pid: new_server.raw(),
                 body: PacketBody::Send(SendBody {
-                    msg: body.msg,
-                    appended: body.appended,
-                    appended_from: body.appended_from,
+                    msg,
+                    appended: Vec::new(),
+                    appended_from: appended.from,
                 }),
-            });
+            };
+            let rebuilt = appended.encode_in(&send);
             let max_retries = self.proto.max_retries;
             if let Some(ProcState::AwaitingReplyRemote {
                 to,

@@ -10,17 +10,16 @@ use std::rc::Rc;
 
 use v_sim::{SimDuration, SimTime};
 
-use crate::aliens::{AlienState, SendVerdict};
+use crate::aliens::{AlienState, Appended, SendVerdict};
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::event::TimerKind;
-use crate::host::Host;
 use crate::message::Message;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
 use crate::segment::{Access, SegmentGrant};
-use v_wire::{encode, Packet, PacketBody, ReplyBody, SendBody};
+use v_wire::{MsgBytes, Packet, PacketBody, ReplyBody, SendBody};
 
 /// What [`Ctx::blocked_on`] knows of a peer blocked on the asking
 /// process.
@@ -98,27 +97,25 @@ impl Ctx<'_> {
             let cost = self.host.costs.send_remote + self.host.costs.timer_admin;
             let end = self.charge(t, cost);
 
-            // Gather the appended segment prefix, if read access was
-            // granted (§3.4's optimization: the first part of the segment
-            // rides in the Send packet). The `appended_segments` ablation
-            // reproduces the unmodified kernel, which sends the grant
-            // unaccompanied.
+            // Append the segment prefix, if read access was granted
+            // (§3.4's optimization: the first part of the segment rides in
+            // the Send packet), gathered from the space into the packet.
+            // The `appended_segments` ablation reproduces the unmodified
+            // kernel, which sends the grant unaccompanied.
             let grant = msg.segment();
-            let (appended, appended_from) = match grant {
+            let (appended_from, appended_len) = match grant {
                 Some(g) if self.proto.appended_segments && g.access.allows_read() && g.len > 0 => {
                     let n = (g.len as usize)
                         .min(self.proto.max_appended_segment)
                         .min(self.proto.max_data_per_packet);
                     let pcb = self.host.proc(pid).expect("sender exists");
-                    match pcb.space.read(g.start, n) {
-                        Ok(bytes) => (bytes, g.start),
-                        Err(e) => {
-                            self.fail_send(end, pid, e);
-                            return;
-                        }
+                    if let Err(e) = pcb.space.check(g.start, n) {
+                        self.fail_send(end, pid, e);
+                        return;
                     }
+                    (g.start, n)
                 }
-                _ => (Vec::new(), 0),
+                _ => (0, 0),
             };
 
             let seq = {
@@ -131,11 +128,11 @@ impl Ctx<'_> {
                 dst_pid: to.raw(),
                 body: PacketBody::Send(SendBody {
                     msg: *msg.as_bytes(),
-                    appended,
+                    appended: Vec::new(),
                     appended_from,
                 }),
             };
-            let bytes = encode(&pkt);
+            let bytes = self.gather(&pkt, pid, appended_from, appended_len);
             {
                 // A condemned peer gets a short probe, not the full
                 // ladder: bounded failover latency, but a restarted host
@@ -222,15 +219,17 @@ impl Ctx<'_> {
                     {
                         let grant = sp.out_msg.segment();
                         let readable = grant.filter(|g| g.access.allows_read() && g.len > 0);
-                        (sp.out_msg, readable, false)
+                        (sp.out_msg, readable, None)
                     }
                     _ => continue, // stale entry
                 }
             } else {
                 match self.host.aliens.get(sender) {
-                    Some(a) if a.dst == receiver && a.state == AlienState::Queued => {
-                        (a.msg, None, !a.appended.is_empty())
-                    }
+                    Some(a) if a.dst == receiver && a.state == AlienState::Queued => (
+                        a.msg,
+                        None,
+                        (a.appended.len > 0).then(|| a.appended.clone()),
+                    ),
                     _ => continue, // stale entry
                 }
             };
@@ -246,8 +245,8 @@ impl Ctx<'_> {
                 cost += self.host.costs.context_switch;
             }
             // The segment goes from where it lies — the sender's space,
-            // or the alien that holds what the Send packet carried —
-            // into the receiver's buffer: one copy, nothing in between.
+            // or the packet the alien's Send arrived in — into the
+            // receiver's buffer: one copy, nothing in between.
             // A bogus receiver buffer costs the same and delivers none.
             let mut seg_len: u32 = 0;
             if let Some(g) = readable.filter(|_| wants_seg) {
@@ -260,21 +259,14 @@ impl Ctx<'_> {
                         .copy_between(sender, g.start, receiver, buf, n as usize);
                     seg_len = if copied.is_ok() { n } else { 0 };
                 }
-            } else if wants_seg && appended {
-                let Host {
-                    aliens,
-                    procs,
-                    costs,
-                    ..
-                } = &mut *self.host;
-                let data = &aliens.get(sender).expect("checked").appended;
-                let n = (size as usize).min(data.len());
+            } else if let Some(carried) = appended.filter(|_| wants_seg) {
+                let n = (size as usize).min(carried.len);
                 if n > 0 {
                     // Bytes came off the wire straight into their
                     // final location: only fixed handling cost.
-                    cost += costs.segment_fixed;
-                    let to = procs.get_mut(&receiver.local()).expect("checked");
-                    let copied = to.space.write(buf, &data[..n]);
+                    cost += self.host.costs.segment_fixed;
+                    let to = self.host.proc_mut(receiver).expect("checked");
+                    let copied = to.space.write(buf, &carried.bytes()[..n]);
                     seg_len = if copied.is_ok() { n as u32 } else { 0 };
                 }
             }
@@ -344,18 +336,18 @@ impl Ctx<'_> {
             // Remote reply, through the alien.
             let Blocked { seq, grant } = blocked;
             let mut cost = self.host.costs.reply_remote;
-            let (seg_dest, seg_data) = if let Some((dest_ptr, src_addr, len)) = seg {
+            let (seg_dest, src_addr, len) = if let Some((dest_ptr, src_addr, len)) = seg {
                 if len as usize > self.proto.max_data_per_packet {
                     return Err(KernelError::NoSegmentAccess);
                 }
                 let g = grant.ok_or(KernelError::NoSegmentAccess)?;
                 g.check(dest_ptr, len, Access::Write)?;
                 let rp = self.host.proc(replier).expect("replier exists");
-                let data = rp.space.read(src_addr, len as usize)?;
+                rp.space.check(src_addr, len as usize)?;
                 cost += self.host.costs.segment_fixed;
-                (dest_ptr, data)
+                (dest_ptr, src_addr, len as usize)
             } else {
-                (0, Vec::new())
+                (0, 0, 0)
             };
             let end = self.charge(t, cost);
             let pkt = Packet {
@@ -365,10 +357,10 @@ impl Ctx<'_> {
                 body: PacketBody::Reply(ReplyBody {
                     msg: *msg.as_bytes(),
                     seg_dest,
-                    seg: seg_data,
+                    seg: Vec::new(),
                 }),
             };
-            let bytes = encode(&pkt);
+            let bytes = self.gather(&pkt, replier, src_addr, len);
             let emitted = self.emit_bytes(end, Rc::clone(&bytes), to.host());
             if self.proto.reply_caching {
                 if let Some(a) = self.host.aliens.get_mut(to) {
@@ -401,7 +393,8 @@ impl Ctx<'_> {
         src: Pid,
         dst: Pid,
         seq: u32,
-        body: SendBody,
+        msg: MsgBytes,
+        appended: Appended,
     ) {
         if !dst.is_local_to(self.host.logical) {
             return; // stray broadcast-fallback delivery; not ours
@@ -445,7 +438,7 @@ impl Ctx<'_> {
             Some(a) if a.state == AlienState::Queued => Some(a.dst),
             _ => None,
         };
-        match self.host.aliens.admit(src, seq, dst, body) {
+        match self.host.aliens.admit(src, seq, dst, msg, appended) {
             SendVerdict::Deliver => {
                 self.host.stats.aliens_allocated += 1;
                 let alloc = self.host.costs.alien_alloc + self.host.costs.unblock;
@@ -483,7 +476,9 @@ impl Ctx<'_> {
         self.emit_packet(t, &pkt, to.host());
     }
 
-    /// Completes the sender's exchange from a wire `Reply` body.
+    /// Completes the sender's exchange from a wire `Reply` body and the
+    /// segment the packet carried, written from the packet straight into
+    /// the sender's space.
     pub(crate) fn handle_reply_pkt(
         &mut self,
         t: SimTime,
@@ -491,6 +486,7 @@ impl Ctx<'_> {
         dst: Pid,
         seq: u32,
         body: ReplyBody,
+        seg: &[u8],
     ) {
         let grant = match self.host.proc(dst).map(|p| &p.state) {
             Some(ProcState::AwaitingReplyRemote {
@@ -502,14 +498,14 @@ impl Ctx<'_> {
         let mut cost =
             self.host.costs.reply_match + self.host.costs.unblock + self.host.costs.context_switch;
         let pcb = self.host.procs.get_mut(&dst.local()).expect("checked");
-        if !body.seg.is_empty() {
+        if !seg.is_empty() {
             // The segment lands only where the Send granted write access;
             // a refused one fails the exchange it rode on.
             cost += self.host.costs.segment_fixed;
             let landed = grant
                 .ok_or(KernelError::NoSegmentAccess)
-                .and_then(|g| g.check(body.seg_dest, body.seg.len() as u32, Access::Write))
-                .and_then(|_| pcb.space.write(body.seg_dest, &body.seg));
+                .and_then(|g| g.check(body.seg_dest, seg.len() as u32, Access::Write))
+                .and_then(|_| pcb.space.write(body.seg_dest, seg));
             result = landed.and(result);
         }
         pcb.state = ProcState::Ready;

@@ -212,36 +212,33 @@ impl Ctx<'_> {
         let off = s.next_off;
         let n = (self.proto.max_data_per_packet as u32).min(s.total - off);
         let last = off + n == s.total;
-        let (role, peer, total) = (s.role, s.peer, s.total);
-        let data = {
-            let pcb = self.host.proc(s.local).expect("purged with its process");
-            let read = pcb.space.read(s.src_addr + off, n as usize);
-            read.expect("validated when the stream was set up")
-        };
+        let (role, peer, total, local, src) = (s.role, s.peer, s.total, s.local, s.src_addr + off);
         let body = match role {
             OutRole::Push => PacketBody::MoveToData(MoveToData {
                 dest: s.dest_addr + off,
                 offset: off,
                 total,
                 last,
-                data,
+                data: Vec::new(),
             }),
             OutRole::Serve => PacketBody::MoveFromData(MoveFromData {
                 offset: off,
                 total,
                 last,
-                data,
+                data: Vec::new(),
             }),
         };
         let pkt = Packet {
             seq: key.seq,
-            src_pid: s.local.raw(),
+            src_pid: local.raw(),
             dst_pid: peer.raw(),
             body,
         };
         let chunk_cost = self.host.costs.chunk_send;
         let end = self.charge(t, chunk_cost);
-        let emitted = self.emit_packet(end, &pkt, peer.host());
+        // Validated when the stream was set up.
+        let bytes = self.gather(&pkt, local, src, n as usize);
+        let emitted = self.emit_bytes(end, bytes, peer.host());
         self.host.stats.chunks_sent += 1;
         let s = self.host.outbound.get_mut(&key).expect("exists");
         s.next_off = off + n;
@@ -320,10 +317,10 @@ impl Ctx<'_> {
         verdict
     }
 
-    /// Writes an accepted chunk at `addr` in the stream's process and
-    /// advances the stream (its progress marker and last activity too);
-    /// returns the new in-order offset and whether that is the whole
-    /// stream.
+    /// Writes an accepted chunk, straight from the packet it arrived in, at
+    /// `addr` in the stream's process and advances the stream (its
+    /// progress marker and last activity too); returns the new in-order
+    /// offset and whether that is the whole stream.
     fn store_chunk(
         &mut self,
         now: SimTime,
@@ -354,6 +351,7 @@ impl Ctx<'_> {
         dst: Pid,
         seq: u32,
         body: MoveToData,
+        data: &[u8],
     ) {
         let key = StreamKey::new(src, seq);
         let (expected, total) = match self.host.inbound.get_mut(&key) {
@@ -388,7 +386,7 @@ impl Ctx<'_> {
 
         let chunk_cost = self.host.costs.chunk_recv;
         let end = self.charge(t, chunk_cost);
-        let n = body.data.len() as u32;
+        let n = data.len() as u32;
         let verdict = self.accept_chunk(expected, total, body.offset, n);
         if let Accept::Gap = verdict {
             if body.last {
@@ -404,7 +402,7 @@ impl Ctx<'_> {
             Some(&ProcState::AwaitingReplyRemote { grant: Some(g), .. }) => {
                 let fits =
                     matches!(verdict, Accept::Next) && g.check(body.dest, n, Access::Write).is_ok();
-                let stored = fits.then(|| self.store_chunk(end, key, body.dest, &body.data).ok());
+                let stored = fits.then(|| self.store_chunk(end, key, body.dest, data).ok());
                 stored.flatten().ok_or(TransferStatus::AccessViolation)
             }
             _ => Err(TransferStatus::Unknown),
@@ -492,6 +490,7 @@ impl Ctx<'_> {
         dst: Pid,
         seq: u32,
         body: MoveFromData,
+        data: &[u8],
     ) {
         let key = StreamKey::new(src, seq);
         if self.moving_on(dst) != Some((key, true)) {
@@ -502,7 +501,7 @@ impl Ctx<'_> {
 
         let f = self.host.inbound.get(&key).expect("exists");
         let (expected, total, dest_addr) = (f.expected, f.total, f.dest_addr);
-        match self.accept_chunk(expected, total, body.offset, body.data.len() as u32) {
+        match self.accept_chunk(expected, total, body.offset, data.len() as u32) {
             Accept::Next => {}
             Accept::Gap if body.last => {
                 // Ask the source to resume from the last in-order byte.
@@ -516,7 +515,7 @@ impl Ctx<'_> {
             Accept::Gap | Accept::Overrun => return,
         }
         let dest = dest_addr + body.offset;
-        let Ok((received, filled)) = self.store_chunk(end, key, dest, &body.data) else {
+        let Ok((received, filled)) = self.store_chunk(end, key, dest, data) else {
             self.fail_move(end, dst, KernelError::BadAddress);
             return;
         };

@@ -1,9 +1,11 @@
 //! Heap allocations on the packet path and at spawn, as exact counts.
 //!
-//! An encoded packet is one shared buffer from `v_wire::encode` to the
-//! last receiver (see "Hot-path engineering" in `docs/ARCHITECTURE.md`),
-//! so a remote exchange allocates once per packet and a broadcast
-//! fan-out once per arrival event, not once per cache and per receiver;
+//! An encoded packet is one shared buffer from `v_wire::encode_with` to
+//! the last receiver (see "Hot-path engineering" in
+//! `docs/ARCHITECTURE.md`), and the segment it carries is gathered into
+//! it and read out of it in place, so a remote exchange allocates once
+//! per packet whatever it carries and a broadcast fan-out once per
+//! arrival event, not once per cache, per receiver or per copy;
 //! and an address space is a page table until its process writes, so a
 //! spawn asks for bytes, not for 256 KB. Wall-clock and resident memory are
 //! too noisy to gate on in CI; these counts repeat exactly.
@@ -19,6 +21,7 @@ use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Message, Outcome, 
 use v_sim::SimDuration;
 use v_workloads::boot::{run_boot_storm, BootStormConfig};
 use v_workloads::measure::{probe, RunReport};
+use v_workloads::mover::{Grantor, MoveDir, Mover};
 use v_workloads::page::{PageClient, PageMode, PageOp, PageServer};
 
 thread_local! {
@@ -166,7 +169,7 @@ fn page_run_allocations(op: PageOp, pages: u64) -> u64 {
 }
 
 #[test]
-fn remote_page_read_and_write_allocate_four_times_each() {
+fn remote_page_read_and_write_allocate_twice_each() {
     let extra = 1_000;
     let per_page = |op| {
         let n = page_run_allocations(op, 100 + extra) - page_run_allocations(op, 100);
@@ -174,16 +177,65 @@ fn remote_page_read_and_write_allocate_four_times_each() {
     };
     let (read, write) = (per_page(PageOp::Read), per_page(PageOp::Write));
     println!("allocations per remote 512-byte page: read {read}, write {write}");
-    // What the wire types own, and nothing else. A read: the Send's
-    // buffer, then the reply's segment as the typed body holds it, the
-    // packet's buffer and the decoded body's copy. A write: the same
-    // three for the appended segment going out, then the Reply's buffer.
-    // The read was already that (4.015); the write was 6.015 while
-    // `pump` cloned the alien's copy of the segment and then copied the
-    // clone to write it into the receiver. The 15 per thousand are not
-    // per page: a 32-byte exchange, above, shows 18.
-    assert!(read <= 4.02, "{read} allocations per page read");
-    assert!(write <= 4.02, "{write} allocations per page write");
+    // One buffer per packet, the Send's and the Reply's, and nothing
+    // else: the segment is gathered from the sender's space straight into
+    // its packet, and written from the packet straight into the
+    // receiver's space (a write's alien keeps a handle on the Send it
+    // arrived in). Both were 4.015 while the typed bodies held the
+    // segment — read into a body `Vec`, copied into the packet, copied
+    // out again by `decode` — and the write 6.015 before that, while
+    // `pump` cloned the alien's copy. The 4 per thousand are not per
+    // page: a 32-byte exchange, above, shows 18.
+    assert!(read <= 2.02, "{read} allocations per page read");
+    assert!(write <= 2.02, "{write} allocations per page write");
+}
+
+/// Allocations of a two-host run in which a mover pushes `moves`
+/// back-to-back `size`-byte `MoveTo`s into the buffer a grantor lent it.
+fn move_to_run_allocations(size: u32, moves: u64) -> u64 {
+    let mut cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz);
+    // The grantor's Send waits out every move, and at the default 200 ms
+    // its retransmissions each earn a reply-pending packet: a cost per
+    // second of the run, not per chunk. Here it waits without them.
+    cfg.protocol.retransmit_timeout = SimDuration::from_millis(3_600_000);
+    let mut cl = Cluster::new(cfg);
+    let report = probe(RunReport::default());
+    let mover = Mover::new(moves, size, MoveDir::To, 0x5A, report.clone());
+    let mover = cl.spawn(HostId(0), "mover", Box::new(mover));
+    let grantor = Grantor {
+        mover,
+        size,
+        pattern: 0x5A,
+        dir: MoveDir::To,
+        report: report.clone(),
+    };
+    cl.spawn(HostId(1), "grantor", Box::new(grantor));
+    let (n, ()) = counted_during(&ALLOCS, || cl.run());
+    let report = report.borrow();
+    assert!(report.clean() && report.iterations == moves, "{report:?}");
+    n
+}
+
+#[test]
+fn a_16_kb_move_to_allocates_once_per_chunk() {
+    // A 16 KB MoveTo is 32 chunks of 512 bytes and a 512-byte one is one
+    // chunk; everything else a move costs (its acknowledgement, the
+    // process's resume) they share, so the difference is 31 chunks a
+    // move, and the differences of two run lengths cancel set-up.
+    const CHUNK: u32 = 512;
+    let (moves, extra) = (50, 100);
+    let run =
+        |size| move_to_run_allocations(size, moves + extra) - move_to_run_allocations(size, moves);
+    let n = run(32 * CHUNK) - run(CHUNK);
+    let chunks = 31 * extra;
+    println!(
+        "allocations per 512-byte chunk of a 16 KB MoveTo: {}",
+        n as f64 / chunks as f64
+    );
+    // The chunk's packet, gathered from the mover's space and written
+    // from the packet into the grantor's. It was 3: the chunk read into
+    // a body `Vec`, the packet, and `decode`'s copy of its data.
+    assert_eq!(n, chunks, "allocations over {chunks} chunks");
 }
 
 /// Allocations of a run in which one caching client of a file server
@@ -237,7 +289,7 @@ fn a_thousand_warm_cache_hits_allocate_nothing() {
 }
 
 #[test]
-fn boot_storm_allocates_about_a_quarter_per_event() {
+fn boot_storm_allocates_about_a_seventh_per_event() {
     let (n, report) = counted_during(&ALLOCS, || run_boot_storm(&BootStormConfig::new(256)));
     assert_eq!(report.loaded, 256);
     let per_event = n as f64 / report.events_dispatched as f64;
@@ -245,11 +297,13 @@ fn boot_storm_allocates_about_a_quarter_per_event() {
         "{n} allocations over {} dispatched events: {per_event} per event",
         report.events_dispatched
     );
-    // The whole call, set-up included: 35,399 allocations over 139,534
-    // events (0.254), none of them per receiver — what is left is one
-    // buffer per packet, one box per fan-out event, the typed bodies' own
-    // segment bytes, the pages the processes write, and a few for each
-    // segment's charge log as it grows. It was 35,746 (0.256) while an
+    // The whole call, set-up included: 19,949 allocations over 139,534
+    // events (0.143), none of them per receiver — what is left is one
+    // buffer per packet, one box per fan-out event, the pages the
+    // processes write, and a few for each segment's charge log as it
+    // grows. It was 35,399 (0.254) while each image chunk was also read
+    // into a typed body's `Vec` and copied out of the packet into
+    // another, 35,746 (0.256) while an
     // event that held the runs either side of a sender kept the second
     // in a vector of its own, 36,784 (0.264) when this bound was set, and
     // 37,907 (0.272) while every fan-out event also copied its receivers'
@@ -259,7 +313,7 @@ fn boot_storm_allocates_about_a_quarter_per_event() {
     // a space became a page table and first-touch pages became
     // allocations, and 166,957 (1.197) when each broadcast receiver got
     // its own copy of the frame.
-    assert!(per_event <= 0.254, "{per_event} allocations per event");
+    assert!(per_event <= 0.143, "{per_event} allocations per event");
 }
 
 #[test]

@@ -4,19 +4,18 @@
 
 use proptest::prelude::*;
 
-use v_kernel::aliens::{AlienState, AlienTable, SendVerdict};
+use v_kernel::aliens::{AlienState, AlienTable, Appended, SendVerdict};
 use v_kernel::pid::{LogicalHost, Pid};
-use v_wire::SendBody;
 
 fn pid(l: u16) -> Pid {
     Pid::new(LogicalHost(2), l)
 }
 
-fn body() -> SendBody {
-    SendBody {
-        msg: [0u8; 32],
-        appended: vec![],
-        appended_from: 0,
+fn none() -> Appended {
+    Appended {
+        packet: [].into(),
+        len: 0,
+        from: 0,
     }
 }
 
@@ -35,7 +34,7 @@ proptest! {
         let mut last_delivered: [Option<u32>; 3] = [None; 3];
         for (i, &(s, seq)) in schedule.iter().enumerate() {
             let src = pid(s + 1);
-            let verdict = table.admit(src, seq, dst, body());
+            let verdict = table.admit(src, seq, dst, [0u8; 32], none());
             match verdict {
                 SendVerdict::Deliver => {
                     if let Some(prev) = last_delivered[s as usize] {
@@ -75,7 +74,7 @@ proptest! {
         let mut table = AlienTable::new(cap);
         let dst = pid(0x99);
         for &(s, seq) in &schedule {
-            let _ = table.admit(pid(s + 1), seq, dst, body());
+            let _ = table.admit(pid(s + 1), seq, dst, [0u8; 32], none());
             prop_assert!(table.len() <= cap, "{} > {cap}", table.len());
         }
     }
@@ -90,7 +89,7 @@ proptest! {
         let mut table = AlienTable::new(16);
         let dst = pid(0x99);
         for i in 0..n {
-            table.admit(pid(i + 1), 1, dst, body());
+            table.admit(pid(i + 1), 1, dst, [0u8; 32], none());
             if reply_mask & (1 << i) != 0 {
                 table.get_mut(pid(i + 1)).unwrap().state = AlienState::Replied {
                     packet: [].into(),

@@ -43,11 +43,18 @@
 //! here resists an adversary who can compute it.
 //!
 //! The three kind-specific words carry addresses, offsets, totals, logical
-//! ids and the like; see the `encode`/`decode` match arms for the exact
-//! mapping per kind. Decoding is the single point where raw bytes become a
-//! typed [`PacketBody`]: everything past this function works with body
+//! ids and the like; `header_fields` is the exact mapping per kind, read
+//! by both directions. Decoding is the single point where raw bytes become
+//! a typed [`PacketBody`]: everything past [`decode_ref`] works with body
 //! structs, never with loose header words.
+//!
+//! There is one encoder and one decoder. [`encode_with`] writes a packet's
+//! data through a closure, straight from wherever it lies, and
+//! [`decode_ref`] lends the data out as a slice of the packet; the owned
+//! [`encode`] and [`decode`] are those two with the data copied from and
+//! into the body's own `Vec`.
 
+use std::convert::Infallible;
 use std::rc::Rc;
 
 use crate::packet::{
@@ -74,7 +81,11 @@ pub enum WireError {
         /// Bytes actually present after the header.
         actual: usize,
     },
-    /// Payload too small for the kind (e.g. a Send without a full message).
+    /// The packet is not in the one form `encode_with` writes: a payload
+    /// too small for the kind (e.g. a Send without a full message) or
+    /// carrying bytes the kind has none of, a length word that disagrees
+    /// with the data, an undefined transfer status, or a nonzero unused
+    /// word or flag bit.
     Malformed,
 }
 
@@ -134,14 +145,17 @@ fn stripe_words(stripe: &[u8]) -> [u64; 4] {
     })
 }
 
-/// The checksum of a whole packet (header ++ payload), reading the
-/// checksum field as zero whatever it holds — so the same pass serves
-/// `encode` before the field is written and `decode` after.
+/// The checksum of a packet whose header is the four words `header` and
+/// whose payload follows it, reading the checksum field (the high half
+/// of the last word) as zero whatever it holds — so the same pass serves
+/// [`encode_with`] before the field is written and [`decode_ref`] after.
+/// The header comes as the words it is: `encode_with` hands over the
+/// ones it has just stored, `decode_ref` the ones it parses, and neither
+/// reads the stripe back.
 ///
 /// Four independent multiply chains keep a 64-bit multiplier busy every
 /// cycle where a byte-serial hash waits out one multiply per byte.
-fn checksum(packet: &[u8]) -> u32 {
-    let (header, payload) = packet.split_at(HEADER_LEN);
+fn checksum(header: [u64; 4], payload: &[u8]) -> u32 {
     let mut lanes = LANE_SEEDS;
     let mut mix = |words: [u64; 4]| {
         for (lane, word) in lanes.iter_mut().zip(words) {
@@ -151,7 +165,7 @@ fn checksum(packet: &[u8]) -> u32 {
 
     // Stripe 0 is the header; its last word holds word_c (low half) and
     // the checksum field (high half), which is masked off in-register.
-    let mut words = stripe_words(header);
+    let mut words = header;
     words[3] &= u64::from(u32::MAX);
     mix(words);
 
@@ -169,9 +183,8 @@ fn checksum(packet: &[u8]) -> u32 {
     // Length first (zero padding must not hide it), then the lanes in
     // order, through the same step; then a full-width avalanche so the 32
     // bits kept depend on all 64.
-    let mut h = lanes
-        .into_iter()
-        .fold(step(STEP_MUL, packet.len() as u64), step);
+    let len = (HEADER_LEN + payload.len()) as u64;
+    let mut h = lanes.into_iter().fold(step(STEP_MUL, len), step);
     h ^= h >> 32;
     h = h.wrapping_mul(LANE_SEEDS[0]);
     h ^= h >> 29;
@@ -182,31 +195,15 @@ fn checksum(packet: &[u8]) -> u32 {
 
 /// Writes the checksum field of a whole packet (header ++ payload) in
 /// place, so that [`decode`] accepts its integrity and goes on to parse
-/// it. `encode` ends with this; tests use it to forge packets `encode`
-/// refuses to build.
+/// it. Tests use it to forge packets `encode` refuses to build.
 ///
 /// # Panics
 ///
 /// If `packet` is shorter than a header.
 pub fn seal(packet: &mut [u8]) {
-    let sum = checksum(packet);
-    put_u32(packet, SUM_AT, sum);
-}
-
-fn put_u16(buf: &mut [u8], off: usize, v: u16) {
-    buf[off..off + 2].copy_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(buf: &mut [u8], off: usize, v: u32) {
-    buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn get_u16(buf: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes([buf[off], buf[off + 1]])
-}
-
-fn get_u32(buf: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
+    let (header, payload) = packet.split_at_mut(HEADER_LEN);
+    let sum = checksum(stripe_words(header), payload);
+    header[SUM_AT..].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// An encoded packet: one immutable, reference-counted buffer.
@@ -217,210 +214,281 @@ fn get_u32(buf: &[u8], off: usize) -> u32 {
 /// handle copies a pointer, never the bytes.
 pub type WireBytes = Rc<[u8]>;
 
-/// Encodes a packet to its on-wire byte representation, writing header,
-/// payload and checksum straight into the shared buffer.
+/// How a kind's payload is laid out: whether it starts with a 32-byte
+/// message, and whether data may follow. Data, where a kind has it, ends
+/// the packet.
+fn layout(kind: PacketKind) -> (bool, bool) {
+    match kind {
+        PacketKind::Send | PacketKind::Reply | PacketKind::Forward => (true, true),
+        PacketKind::MoveToData | PacketKind::MoveFromData => (false, true),
+        _ => (false, false),
+    }
+}
+
+/// What the header says of `body` beyond its sequence number and pids,
+/// when `data_len` bytes of data follow: the flags, the three
+/// kind-specific words (a length word, where a kind has one, is
+/// `data_len`), and the message the payload starts with, if it has one.
+/// The one map between bodies and header words, both ways: `encode_with`
+/// writes what it says and `decode_ref` accepts only what it says.
+fn header_fields(body: &PacketBody, data_len: usize) -> (u8, [u32; 3], Option<&MsgBytes>) {
+    let n = data_len as u32;
+    let last = |last: bool| if last { FLAG_LAST } else { 0 };
+    match body {
+        PacketBody::Send(b) => (0, [b.appended_from, n, 0], Some(&b.msg)),
+        PacketBody::Reply(b) => (0, [b.seg_dest, n, 0], Some(&b.msg)),
+        PacketBody::ReplyPending | PacketBody::Nack => (0, [0; 3], None),
+        PacketBody::MoveToData(b) => (last(b.last), [b.dest, b.offset, b.total], None),
+        PacketBody::MoveFromReq(b) => (0, [b.src, b.offset, b.total], None),
+        PacketBody::MoveFromData(b) => (last(b.last), [0, b.offset, b.total], None),
+        PacketBody::TransferAck(b) => (0, [b.received, b.status as u32, 0], None),
+        PacketBody::GetPidReq(b) => (0, [b.logical_id, 0, 0], None),
+        PacketBody::GetPidReply(b) => (0, [b.logical_id, b.pid, 0], None),
+        PacketBody::Forward(b) => (0, [b.client, b.new_server, b.appended_from], Some(&b.msg)),
+    }
+}
+
+/// The data an owned body carries.
+fn data_of(body: &PacketBody) -> &[u8] {
+    match body {
+        PacketBody::Send(b) => &b.appended,
+        PacketBody::Reply(b) => &b.seg,
+        PacketBody::MoveToData(b) => &b.data,
+        PacketBody::MoveFromData(b) => &b.data,
+        PacketBody::Forward(b) => &b.appended,
+        _ => &[],
+    }
+}
+
+/// Where an owned body keeps its data, if its kind has any.
+fn data_slot(body: &mut PacketBody) -> Option<&mut Vec<u8>> {
+    match body {
+        PacketBody::Send(b) => Some(&mut b.appended),
+        PacketBody::Reply(b) => Some(&mut b.seg),
+        PacketBody::MoveToData(b) => Some(&mut b.data),
+        PacketBody::MoveFromData(b) => Some(&mut b.data),
+        PacketBody::Forward(b) => Some(&mut b.appended),
+        _ => None,
+    }
+}
+
+/// Encodes a packet whose data is written where it will travel: allocates
+/// the packet's one buffer, writes the header and the message `head`
+/// describes, lets `fill` write the `data_len` bytes of data that follow
+/// them, and seals the buffer. The one encoder — [`encode`] is this with
+/// a `fill` that copies the body's own bytes — so a kernel gathers a
+/// segment from the sender's space straight into the packet.
+///
+/// `head`'s data fields (`SendBody::appended`, `ReplyBody::seg`, the
+/// chunks' `data`, `ForwardBody::appended`) are not read: `data_len` and
+/// `fill` stand for them. The header is written as the four 64-bit words
+/// it is, and the checksum takes its first stripe from those words.
+///
+/// # Errors
+///
+/// What `fill` returns, if it fails; nothing is encoded.
 ///
 /// # Panics
 ///
 /// If the payload is longer than the 16-bit length field can say
-/// (`ClusterConfig::validate` keeps the kernel's packets below that).
-pub fn encode(p: &Packet) -> WireBytes {
-    let mut flags: u8 = 0;
-    // The kind-specific words and the (at most two) payload parts.
-    let (word_a, word_b, word_c, payload): (u32, u32, u32, [&[u8]; 2]) = match &p.body {
-        PacketBody::Send(b) => (
-            b.appended_from,
-            b.appended.len() as u32,
-            0,
-            [&b.msg, &b.appended],
-        ),
-        PacketBody::Reply(b) => (b.seg_dest, b.seg.len() as u32, 0, [&b.msg, &b.seg]),
-        PacketBody::ReplyPending | PacketBody::Nack => (0, 0, 0, [&[], &[]]),
-        PacketBody::MoveToData(b) => {
-            if b.last {
-                flags |= FLAG_LAST;
-            }
-            (b.dest, b.offset, b.total, [&b.data, &[]])
-        }
-        PacketBody::MoveFromReq(b) => (b.src, b.offset, b.total, [&[], &[]]),
-        PacketBody::MoveFromData(b) => {
-            if b.last {
-                flags |= FLAG_LAST;
-            }
-            (0, b.offset, b.total, [&b.data, &[]])
-        }
-        PacketBody::TransferAck(b) => (b.received, b.status as u32, 0, [&[], &[]]),
-        PacketBody::GetPidReq(b) => (b.logical_id, 0, 0, [&[], &[]]),
-        PacketBody::GetPidReply(b) => (b.logical_id, b.pid, 0, [&[], &[]]),
-        PacketBody::Forward(b) => (
-            b.client,
-            b.new_server,
-            b.appended_from,
-            [&b.msg, &b.appended],
-        ),
-    };
-    let payload_len = payload[0].len() + payload[1].len();
+/// (`ClusterConfig::validate` keeps the kernel's packets below that), or
+/// if `data_len` is not zero for a kind that carries no data.
+pub fn encode_with<E>(
+    head: &Packet,
+    data_len: usize,
+    fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+) -> Result<WireBytes, E> {
+    let kind = head.kind();
+    assert!(
+        data_len == 0 || layout(kind).1,
+        "a {kind:?} carries no data"
+    );
+    let (flags, [word_a, word_b, word_c], msg) = header_fields(&head.body, data_len);
+    let msg_len = msg.map_or(0, |m| m.len());
+    let payload_len = msg_len + data_len;
+    let claimed = u16::try_from(payload_len)
+        .expect("payload exceeds the 16-bit length field; ClusterConfig::validate bounds it");
+    let header = [
+        u64::from(kind as u8)
+            | u64::from(flags) << 8
+            | u64::from(claimed) << 16
+            | u64::from(head.seq) << 32,
+        u64::from(head.src_pid) | u64::from(head.dst_pid) << 32,
+        u64::from(word_a) | u64::from(word_b) << 32,
+        u64::from(word_c),
+    ];
 
     let mut out: WireBytes = std::iter::repeat(0u8)
         .take(HEADER_LEN + payload_len)
         .collect();
     let buf = Rc::get_mut(&mut out).expect("a fresh buffer has one owner");
-    buf[0] = p.kind() as u8;
-    buf[1] = flags;
-    let claimed = u16::try_from(payload_len)
-        .expect("payload exceeds the 16-bit length field; ClusterConfig::validate bounds it");
-    put_u16(buf, 2, claimed);
-    put_u32(buf, 4, p.seq);
-    put_u32(buf, 8, p.src_pid);
-    put_u32(buf, 12, p.dst_pid);
-    put_u32(buf, 16, word_a);
-    put_u32(buf, 20, word_b);
-    put_u32(buf, 24, word_c);
-    let (first, second) = buf[HEADER_LEN..].split_at_mut(payload[0].len());
-    first.copy_from_slice(payload[0]);
-    second.copy_from_slice(payload[1]);
-    seal(buf);
-    out
+    let (header_bytes, payload) = buf.split_at_mut(HEADER_LEN);
+    for (at, word) in header_bytes.chunks_exact_mut(8).zip(header) {
+        at.copy_from_slice(&word.to_le_bytes());
+    }
+    let (msg_bytes, data) = payload.split_at_mut(msg_len);
+    if let Some(msg) = msg {
+        msg_bytes.copy_from_slice(msg);
+    }
+    fill(data)?;
+    let sum = checksum(header, payload);
+    header_bytes[SUM_AT..].copy_from_slice(&sum.to_le_bytes());
+    Ok(out)
 }
 
-/// Decodes a packet from its on-wire byte representation, verifying the
-/// checksum. This is the only place raw header words are interpreted;
-/// the result carries fully typed bodies.
-pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
+/// Encodes a packet that owns its data: [`encode_with`], copying the
+/// body's bytes into place.
+///
+/// # Panics
+///
+/// As [`encode_with`].
+pub fn encode(p: &Packet) -> WireBytes {
+    let data = data_of(&p.body);
+    encode_with(p, data.len(), |buf| {
+        buf.copy_from_slice(data);
+        Ok::<(), Infallible>(())
+    })
+    .unwrap_or_else(|never| match never {})
+}
+
+/// Decodes a packet from its on-wire bytes and lends out the data it
+/// carries: the body's data fields are left empty, and the data follows
+/// as the slice of `bytes` it is (empty for a kind that carries none).
+/// The one decoder, and the only place raw header words are interpreted
+/// — [`decode`] is this with the data copied into the body.
+///
+/// The checksum is verified over every byte before anything is parsed.
+/// A packet is accepted only in the form [`encode_with`] writes — unused
+/// words and flag bits zero, a transfer status that is one of the four,
+/// a length word that matches the data — so a decoded packet always
+/// re-encodes to the exact bytes it came from.
+///
+/// # Errors
+///
+/// The first thing wrong with `bytes`, in the order length, checksum,
+/// kind, body.
+pub fn decode_ref(bytes: &[u8]) -> Result<(Packet, &[u8]), WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::TooShort);
     }
     let (header, payload) = bytes.split_at(HEADER_LEN);
-
-    let claimed = get_u16(header, 2) as usize;
+    let words = stripe_words(header);
+    let claimed = usize::from((words[0] >> 16) as u16);
     if claimed != payload.len() {
         return Err(WireError::LengthMismatch {
             claimed,
             actual: payload.len(),
         });
     }
-
-    if checksum(bytes) != get_u32(header, SUM_AT) {
+    if checksum(words, payload) != (words[3] >> 32) as u32 {
         return Err(WireError::BadChecksum);
     }
 
     let kind = PacketKind::from_u8(header[0]).ok_or(WireError::UnknownKind(header[0]))?;
     let flags = header[1];
-    let seq = get_u32(header, 4);
-    let src_pid = get_u32(header, 8);
-    let dst_pid = get_u32(header, 12);
-    let word_a = get_u32(header, 16);
-    let word_b = get_u32(header, 20);
-    let word_c = get_u32(header, 24);
     let last = flags & FLAG_LAST != 0;
+    let seq = (words[0] >> 32) as u32;
+    let (src_pid, dst_pid) = (words[1] as u32, (words[1] >> 32) as u32);
+    let header_words = [words[2] as u32, (words[2] >> 32) as u32, words[3] as u32];
+    let [word_a, word_b, word_c] = header_words;
 
-    let take_msg = |payload: &[u8]| -> Result<(MsgBytes, Vec<u8>), WireError> {
+    let (has_msg, has_data) = layout(kind);
+    let (msg, data) = if has_msg {
         if payload.len() < MSG_LEN {
             return Err(WireError::Malformed);
         }
-        let mut msg = [0u8; MSG_LEN];
-        msg.copy_from_slice(&payload[..MSG_LEN]);
-        Ok((msg, payload[MSG_LEN..].to_vec()))
+        let (msg, data) = payload.split_at(MSG_LEN);
+        (msg.try_into().expect("MSG_LEN bytes"), data)
+    } else {
+        ([0; MSG_LEN], payload)
     };
-
-    // Kinds without a data payload must not smuggle one: a decoded packet
-    // always re-encodes to the exact bytes it came from.
-    let no_payload = || -> Result<(), WireError> {
-        if payload.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed)
-        }
-    };
+    if !has_data && !data.is_empty() {
+        return Err(WireError::Malformed);
+    }
 
     let body = match kind {
-        PacketKind::Send => {
-            let (msg, appended) = take_msg(payload)?;
-            if appended.len() != word_b as usize {
-                return Err(WireError::Malformed);
-            }
-            PacketBody::Send(SendBody {
-                msg,
-                appended,
-                appended_from: word_a,
-            })
-        }
-        PacketKind::Reply => {
-            let (msg, seg) = take_msg(payload)?;
-            if seg.len() != word_b as usize {
-                return Err(WireError::Malformed);
-            }
-            PacketBody::Reply(ReplyBody {
-                msg,
-                seg_dest: word_a,
-                seg,
-            })
-        }
-        PacketKind::ReplyPending => {
-            no_payload()?;
-            PacketBody::ReplyPending
-        }
-        PacketKind::Nack => {
-            no_payload()?;
-            PacketBody::Nack
-        }
+        PacketKind::Send => PacketBody::Send(SendBody {
+            msg,
+            appended: Vec::new(),
+            appended_from: word_a,
+        }),
+        PacketKind::Reply => PacketBody::Reply(ReplyBody {
+            msg,
+            seg_dest: word_a,
+            seg: Vec::new(),
+        }),
+        PacketKind::ReplyPending => PacketBody::ReplyPending,
+        PacketKind::Nack => PacketBody::Nack,
         PacketKind::MoveToData => PacketBody::MoveToData(MoveToData {
             dest: word_a,
             offset: word_b,
             total: word_c,
             last,
-            data: payload.to_vec(),
+            data: Vec::new(),
         }),
-        PacketKind::MoveFromReq => {
-            no_payload()?;
-            PacketBody::MoveFromReq(MoveFromReq {
-                src: word_a,
-                offset: word_b,
-                total: word_c,
-            })
-        }
+        PacketKind::MoveFromReq => PacketBody::MoveFromReq(MoveFromReq {
+            src: word_a,
+            offset: word_b,
+            total: word_c,
+        }),
         PacketKind::MoveFromData => PacketBody::MoveFromData(MoveFromData {
             offset: word_b,
             total: word_c,
             last,
-            data: payload.to_vec(),
+            data: Vec::new(),
         }),
         PacketKind::TransferAck => {
-            no_payload()?;
+            let status = u8::try_from(word_b).ok().and_then(TransferStatus::from_u8);
             PacketBody::TransferAck(TransferAck {
                 received: word_a,
-                status: TransferStatus::from_u8(word_b as u8).ok_or(WireError::Malformed)?,
+                status: status.ok_or(WireError::Malformed)?,
             })
         }
-        PacketKind::GetPidReq => {
-            no_payload()?;
-            PacketBody::GetPidReq(GetPidReq { logical_id: word_a })
-        }
-        PacketKind::GetPidReply => {
-            no_payload()?;
-            PacketBody::GetPidReply(GetPidReply {
-                logical_id: word_a,
-                pid: word_b,
-            })
-        }
-        PacketKind::Forward => {
-            let (msg, appended) = take_msg(payload)?;
-            PacketBody::Forward(ForwardBody {
-                client: word_a,
-                new_server: word_b,
-                msg,
-                appended,
-                appended_from: word_c,
-            })
-        }
+        PacketKind::GetPidReq => PacketBody::GetPidReq(GetPidReq { logical_id: word_a }),
+        PacketKind::GetPidReply => PacketBody::GetPidReply(GetPidReply {
+            logical_id: word_a,
+            pid: word_b,
+        }),
+        PacketKind::Forward => PacketBody::Forward(ForwardBody {
+            client: word_a,
+            new_server: word_b,
+            msg,
+            appended: Vec::new(),
+            appended_from: word_c,
+        }),
     };
 
-    Ok(Packet {
+    // Canonical form: the header says exactly what `encode_with` writes
+    // for this body and this much data.
+    let (canonical_flags, canonical_words, _) = header_fields(&body, data.len());
+    if (flags, header_words) != (canonical_flags, canonical_words) {
+        return Err(WireError::Malformed);
+    }
+
+    let packet = Packet {
         seq,
         src_pid,
         dst_pid,
         body,
-    })
+    };
+    Ok((packet, data))
+}
+
+/// Decodes a packet into one that owns its data: [`decode_ref`], with
+/// the lent data copied into the body.
+///
+/// # Errors
+///
+/// As [`decode_ref`].
+pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
+    let (mut p, data) = decode_ref(bytes)?;
+    // The body's `Vec` is empty already: an empty `to_vec` would only cost.
+    if !data.is_empty() {
+        if let Some(slot) = data_slot(&mut p.body) {
+            *slot = data.to_vec();
+        }
+    }
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -604,7 +672,7 @@ mod tests {
         // body malformed.
         let mut bytes = vec![0u8; HEADER_LEN];
         bytes[0] = PacketKind::Send as u8;
-        put_u16(&mut bytes, 2, 4);
+        bytes[2..4].copy_from_slice(&4u16.to_le_bytes());
         bytes.extend_from_slice(&[1, 2, 3, 4]);
         seal(&mut bytes);
         assert_eq!(decode(&bytes), Err(WireError::Malformed));

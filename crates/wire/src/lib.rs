@@ -17,6 +17,10 @@
 //!   kernel handlers consume structs rather than loose header words;
 //! * one shared, immutable buffer per encoded packet ([`WireBytes`]):
 //!   retransmission caches and every receiver hold the same bytes;
+//! * one encoder, which has the caller write a packet's data in place
+//!   ([`encode_with`]), and one decoder, which lends the data out as a
+//!   slice of the packet ([`decode_ref`]); the owned [`encode`] and
+//!   [`decode`] wrap them;
 //! * a 32-bit checksum over the whole packet — a four-lane, word-wide
 //!   multiplicative sum (see [`codec`]) that every decode verifies —
 //!   which is how receivers detect the corruption injected by the
@@ -29,7 +33,7 @@
 pub mod codec;
 pub mod packet;
 
-pub use codec::{decode, encode, seal, WireBytes, WireError};
+pub use codec::{decode, decode_ref, encode, encode_with, seal, WireBytes, WireError};
 pub use packet::{
     ForwardBody, GetPidReply, GetPidReq, MoveFromData, MoveFromReq, MoveToData, MsgBytes, Packet,
     PacketBody, PacketKind, ReplyBody, SendBody, TransferAck, TransferStatus, HEADER_LEN, MSG_LEN,

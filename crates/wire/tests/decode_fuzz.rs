@@ -1,6 +1,7 @@
 //! Decode fuzzing: no byte sequence — random soup, truncations, or
 //! checksum-repaired (`v_wire::seal`) structural corruption — may ever
-//! panic the decoder.
+//! panic the decoder, and what it accepts is canonical: it re-encodes to
+//! the bytes it was decoded from.
 //! Malformed input must surface as `Err`, because the kernel feeds every
 //! received frame straight into `decode` and counts failures instead of
 //! crashing.
@@ -85,6 +86,18 @@ fn bad_transfer_status_with_valid_checksum_is_malformed() {
 }
 
 #[test]
+fn a_transfer_status_of_256_is_malformed() {
+    // The status word is 32 bits and only 0-3 are defined: 256 must not
+    // be read through its low byte as `Complete`.
+    let mut header = [0u8; HEADER_LEN];
+    header[0] = 8; // TransferAck
+    header[20..24].copy_from_slice(&256u32.to_le_bytes());
+    let mut bytes = header.to_vec();
+    seal(&mut bytes);
+    assert_eq!(decode(&bytes), Err(WireError::Malformed));
+}
+
+#[test]
 fn message_bodies_shorter_than_a_message_are_malformed() {
     // Send, Reply and Forward all require a full 32-byte message up front.
     for kind in [1u8, 2, 11] {
@@ -148,8 +161,9 @@ proptest! {
         bytes.extend_from_slice(&payload);
         seal(&mut bytes);
         if let Ok(p) = decode(&bytes) {
-            // Whatever decoded must re-encode consistently.
-            prop_assert_eq!(p.wire_len(), bytes.len());
+            // Whatever decoded was in the one form `encode` writes: it
+            // re-encodes to the very bytes it came from.
+            prop_assert_eq!(&encode(&p)[..], &bytes[..]);
         }
     }
 }
