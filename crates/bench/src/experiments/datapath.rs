@@ -4,7 +4,7 @@
 //! Two independent accelerations of the paper's data path, measured
 //! with their toggles off to pin the baseline and on to cap the gain:
 //!
-//! * **Striped arms** ([`v_fs::DiskParams::arms`]): the Table 6-1
+//! * **Striped arms** ([`v_fs::FileServerConfig::disk_arms`]): the Table 6-1
 //!   remote-read burst of the pipelining experiment, re-run with the
 //!   team's one disk reshaped to 1, 2 and 4 striped arms. With four
 //!   workers feeding it, the single spindle is the queueing centre; a

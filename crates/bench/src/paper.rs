@@ -12,11 +12,6 @@ pub const TABLE_4_1: [(usize, f64, f64); 5] = [
     (1024, 6.95, 5.83),
 ];
 
-/// Linear fit of the 8 MHz penalty: `P(n) = A·n + B`.
-pub const PENALTY_FIT_8MHZ: (f64, f64) = (0.0064, 0.390);
-/// Linear fit of the 10 MHz penalty.
-pub const PENALTY_FIT_10MHZ: (f64, f64) = (0.0054, 0.251);
-
 /// One row of Tables 5-1 / 5-2.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelPerfRow {
@@ -159,8 +154,6 @@ pub const FS_PROGRAM_LOAD_CPU_MS: f64 = 300.0;
 pub const FS_MIX_AVG_CPU_MS: f64 = 36.0;
 /// §7 — requests/second one file server sustains.
 pub const FS_REQUESTS_PER_SEC: f64 = 28.0;
-/// §7 — workstations one file server supports satisfactorily.
-pub const FS_WORKSTATIONS: f64 = 10.0;
 
 /// §8 — 10 Mb Ethernet, 8 MHz processors: remote exchange ms.
 pub const TEN_MB_SRR_MS: f64 = 2.71;

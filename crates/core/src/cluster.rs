@@ -156,12 +156,9 @@ impl Cluster {
         for (i, hc) in cfg.hosts.iter().enumerate() {
             let mac = HostId(i).station_mac();
             net.attach(mac, hc.segment);
-            let logical = hc
-                .logical_host
-                .unwrap_or_else(|| LogicalHost::from_station(mac.0));
             hosts.push(Host {
                 id: HostId(i),
-                logical,
+                logical: LogicalHost::from_station(mac.0),
                 costs: CostModel::for_speed(hc.cpu),
                 nic: Nic::new(mac),
                 procs: Default::default(),
@@ -279,21 +276,6 @@ impl Cluster {
             .proc(pid)
             .ok_or(KernelError::NonexistentProcess)?;
         pcb.space.read(addr, len)
-    }
-
-    /// Writes a process's address space directly (testing aid; bypasses
-    /// cost accounting, as test-fixture setup should).
-    pub fn write_process_memory(
-        &mut self,
-        host: HostId,
-        pid: Pid,
-        addr: u32,
-        data: &[u8],
-    ) -> Result<(), KernelError> {
-        let pcb = self.hosts[host.0]
-            .proc_mut(pid)
-            .ok_or(KernelError::NonexistentProcess)?;
-        pcb.space.write(addr, data)
     }
 
     /// True if the process still exists.
@@ -1063,15 +1045,6 @@ impl<'a> Api<'a> {
             .proc(self.pid)
             .expect("own process exists");
         pcb.space.is_filled(addr, len, value)
-    }
-
-    /// Size of this process's address space.
-    pub fn mem_size(&self) -> usize {
-        self.cl.hosts[self.host.0]
-            .proc(self.pid)
-            .expect("own process exists")
-            .space
-            .size()
     }
 
     /// Creates a process on this host (the kernel's process-creation

@@ -5,7 +5,6 @@ use v_sim::SimDuration;
 
 use crate::cpu::CpuSpeed;
 use crate::hostmap::AddressingMode;
-use crate::pid::LogicalHost;
 
 /// Optional IP encapsulation of interkernel packets (§3 of the paper
 /// measured ~20 % slowdown from an IP layer, "even without computing the
@@ -52,18 +51,6 @@ pub struct ProtocolConfig {
     /// Retransmission budget `N`: a Send fails after `N` retransmissions
     /// with neither reply nor reply-pending.
     pub max_retries: u32,
-    /// Reduced retransmission budget for a `Send` to a host this kernel
-    /// already holds suspect (a previous exchange exhausted the full
-    /// budget). The probe keeps failover latency bounded while still
-    /// giving a restarted host a chance to answer and clear suspicion.
-    pub suspect_retries: u32,
-    /// Largest data payload per packet for bulk transfer and appended
-    /// segments ("maximally-sized packets").
-    pub max_data_per_packet: usize,
-    /// Cap on the segment prefix appended to a Send packet; the paper
-    /// sets it "at least as large as a file block" so a one-block write is
-    /// a single two-packet exchange.
-    pub max_appended_segment: usize,
     /// Alien descriptor pool size per kernel.
     pub alien_pool: usize,
     /// How long replied aliens retain cached replies.
@@ -71,15 +58,10 @@ pub struct ProtocolConfig {
     /// Stall timeout for bulk transfers (no in-order progress → resume
     /// from the last acknowledged offset).
     pub transfer_timeout: SimDuration,
-    /// Retries for a stalled transfer before it fails.
-    pub transfer_retries: u32,
     /// Timeout awaiting answers to a broadcast `GetPid`.
     pub getpid_timeout: SimDuration,
     /// Broadcast retries for `GetPid` before returning "no such id".
     pub getpid_retries: u32,
-    /// Interval of the kernel's housekeeping sweep (alien/transfer
-    /// garbage collection).
-    pub housekeeping: SimDuration,
     /// Packet encapsulation.
     pub encapsulation: Encapsulation,
     /// §3.4 appended segments: the first part of a read-granted segment
@@ -108,6 +90,35 @@ pub struct ProtocolConfig {
     pub local_fastpath: bool,
 }
 
+impl ProtocolConfig {
+    /// Reduced retransmission budget for a `Send` to a host this kernel
+    /// already holds suspect (a previous exchange exhausted the full
+    /// budget). The probe keeps failover latency bounded while still
+    /// giving a restarted host a chance to answer and clear suspicion.
+    pub const SUSPECT_RETRIES: u32 = 1;
+    /// Largest data payload per packet for bulk transfer and appended
+    /// segments (§3.4: "maximally-sized packets").
+    pub const MAX_DATA_PER_PACKET: usize = 512;
+    /// Cap on the segment prefix appended to a Send packet; the paper
+    /// sets it "at least as large as a file block" (§3.4) so a one-block
+    /// write is a single two-packet exchange.
+    pub const MAX_APPENDED_SEGMENT: usize = 512;
+    /// Retries for a stalled transfer before it fails.
+    pub const TRANSFER_RETRIES: u32 = 5;
+    /// Interval of the kernel's housekeeping sweep (alien/transfer
+    /// garbage collection).
+    pub const HOUSEKEEPING: SimDuration = SimDuration::from_millis(1000);
+}
+
+// A segment rides behind a 32-byte message in a Send, Reply or Forward
+// packet, and the wire's payload-length field is 16 bits: a larger limit
+// would wrap it and every receiver would drop the packet as a length
+// mismatch until the exchange timed out.
+const _: () = assert!(
+    ProtocolConfig::MAX_DATA_PER_PACKET + v_wire::MSG_LEN <= u16::MAX as usize
+        && ProtocolConfig::MAX_APPENDED_SEGMENT + v_wire::MSG_LEN <= u16::MAX as usize
+);
+
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {
@@ -117,16 +128,11 @@ impl Default for ProtocolConfig {
             // way ⇒ ~1/3 per-attempt failure): 13 attempts pushes the
             // per-exchange failure odds below 1e-6.
             max_retries: 12,
-            suspect_retries: 1,
-            max_data_per_packet: 512,
-            max_appended_segment: 512,
             alien_pool: 16,
             alien_keep: SimDuration::from_millis(2000),
             transfer_timeout: SimDuration::from_millis(200),
-            transfer_retries: 5,
             getpid_timeout: SimDuration::from_millis(100),
             getpid_retries: 3,
-            housekeeping: SimDuration::from_millis(1000),
             encapsulation: Encapsulation::Raw,
             appended_segments: true,
             reply_caching: true,
@@ -135,36 +141,27 @@ impl Default for ProtocolConfig {
     }
 }
 
-/// Per-host configuration.
+/// Per-host configuration. A host's logical id is not configured: it
+/// comes from the station address by the 3 Mb convention
+/// ([`crate::LogicalHost::from_station`]).
 #[derive(Debug, Clone)]
 pub struct HostConfig {
     /// Processor grade.
     pub cpu: CpuSpeed,
-    /// Logical host identifier; `None` assigns one from the station
-    /// address by the 3 Mb convention.
-    pub logical_host: Option<LogicalHost>,
     /// Which network segment this host attaches to. Only meaningful for
     /// [`Topology::Mesh`]; single-segment topologies ignore it.
     pub segment: usize,
 }
 
 impl HostConfig {
-    /// A host with the given CPU and an auto-assigned logical host id on
-    /// segment 0.
+    /// A host with the given CPU on segment 0.
     pub fn new(cpu: CpuSpeed) -> HostConfig {
-        HostConfig {
-            cpu,
-            logical_host: None,
-            segment: 0,
-        }
+        HostConfig { cpu, segment: 0 }
     }
 
     /// A host attached to a specific network segment.
     pub fn on_segment(cpu: CpuSpeed, segment: usize) -> HostConfig {
-        HostConfig {
-            segment,
-            ..HostConfig::new(cpu)
-        }
+        HostConfig { cpu, segment }
     }
 }
 
@@ -266,8 +263,7 @@ impl ClusterConfig {
         self.topology.as_ref().map_or(1, Topology::num_segments)
     }
 
-    /// Validates per-host segment placement against the topology, and the
-    /// protocol's per-packet byte limits against the wire's length field.
+    /// Validates per-host segment placement against the topology.
     /// [`crate::Cluster::new`] calls this and panics on the error, so a
     /// host placed on a nonexistent segment fails loudly at build time —
     /// with the offending host named — rather than misrouting frames.
@@ -279,23 +275,6 @@ impl ClusterConfig {
                     "host {i} is placed on segment {}, but the topology has only \
                      {segments} segment(s)",
                     h.segment
-                ));
-            }
-        }
-        // A segment rides behind a 32-byte message in a Send, Reply or
-        // Forward packet, and the wire's payload-length field is 16 bits:
-        // a larger limit would wrap it and every receiver would drop the
-        // packet as a length mismatch until the exchange timed out.
-        let ceiling = usize::from(u16::MAX) - v_wire::MSG_LEN;
-        for (field, limit) in [
-            ("max_data_per_packet", self.protocol.max_data_per_packet),
-            ("max_appended_segment", self.protocol.max_appended_segment),
-        ] {
-            if limit > ceiling {
-                return Err(format!(
-                    "protocol.{field} is {limit}, but a packet payload's 16-bit length field \
-                     holds at most {ceiling} bytes behind a {}-byte message",
-                    v_wire::MSG_LEN
                 ));
             }
         }
@@ -311,7 +290,6 @@ mod tests {
     fn defaults_are_sane() {
         let p = ProtocolConfig::default();
         assert!(p.max_retries > 0);
-        assert!(p.max_data_per_packet >= 512);
         assert!(p.alien_pool > 0);
         assert_eq!(p.encapsulation, Encapsulation::Raw);
         assert!(p.appended_segments, "paper's kernel appends segments");
@@ -365,23 +343,23 @@ mod tests {
         assert_eq!(ClusterConfig::three_mb().num_segments(), 1);
     }
 
+    /// A maximal packet — header, message, a full data payload and an IP
+    /// header in front — fits in one frame of every medium the kernel
+    /// runs on, so no configuration needs fragmentation.
     #[test]
-    fn packet_limits_beyond_the_wire_length_field_are_named() {
-        let ceiling = usize::from(u16::MAX) - v_wire::MSG_LEN;
-        let mut cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At8MHz);
-        cfg.protocol.max_data_per_packet = ceiling;
-        cfg.protocol.max_appended_segment = ceiling;
-        assert!(cfg.validate().is_ok());
-
-        cfg.protocol.max_data_per_packet = ceiling + 1;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("max_data_per_packet"), "{err}");
-        assert!(err.contains("65504"), "{err}");
-
-        cfg.protocol.max_data_per_packet = 512;
-        cfg.protocol.max_appended_segment = 1 << 20;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.contains("max_appended_segment"), "{err}");
+    fn a_maximal_packet_fits_every_medium() {
+        let packet = v_wire::HEADER_LEN
+            + v_wire::MSG_LEN
+            + ProtocolConfig::MAX_DATA_PER_PACKET.max(ProtocolConfig::MAX_APPENDED_SEGMENT)
+            + Encapsulation::Ip.extra_bytes();
+        let media = [
+            v_net::NetParams::for_kind(NetworkKind::Experimental3Mb).max_payload,
+            v_net::NetParams::for_kind(NetworkKind::Standard10Mb).max_payload,
+            LinkParams::T1.max_payload,
+        ];
+        for max_payload in media {
+            assert!(packet <= max_payload, "{packet} B > {max_payload} B");
+        }
     }
 
     #[test]

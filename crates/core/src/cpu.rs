@@ -82,11 +82,6 @@ impl Cpu {
         CpuSpan { start, end }
     }
 
-    /// Earliest instant new work requested at `now` could begin.
-    pub fn ready_at(&self, now: SimTime) -> SimTime {
-        now.max(self.busy_until)
-    }
-
     /// Instant the processor goes idle (given no further charges).
     pub fn busy_until(&self) -> SimTime {
         self.busy_until

@@ -102,7 +102,7 @@ impl Ctx<'_> {
     pub(crate) fn arm_housekeeping(&mut self, t: SimTime) {
         if !self.lane.housekeeping_armed {
             self.lane.housekeeping_armed = true;
-            let at = t + self.proto.housekeeping;
+            let at = t + ProtocolConfig::HOUSEKEEPING;
             self.timer_at(at, TimerKind::Housekeeping);
         }
     }

@@ -229,8 +229,8 @@ pub struct Host {
     pub stats: KernelStats,
     /// Peers condemned as down (a Send exhausted its full retransmission
     /// budget against them). Sends to a suspect use the reduced
-    /// `suspect_retries` probe budget; any frame heard from the peer
-    /// clears the suspicion.
+    /// [`crate::ProtocolConfig::SUSPECT_RETRIES`] probe budget; any frame
+    /// heard from the peer clears the suspicion.
     pub suspects: SortedSet<LogicalHost>,
 }
 

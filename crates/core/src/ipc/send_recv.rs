@@ -11,6 +11,7 @@ use std::rc::Rc;
 use v_sim::{SimDuration, SimTime};
 
 use crate::aliens::{AlienState, Appended, SendVerdict};
+use crate::config::ProtocolConfig;
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::event::TimerKind;
@@ -106,8 +107,8 @@ impl Ctx<'_> {
             let (appended_from, appended_len) = match grant {
                 Some(g) if self.proto.appended_segments && g.access.allows_read() && g.len > 0 => {
                     let n = (g.len as usize)
-                        .min(self.proto.max_appended_segment)
-                        .min(self.proto.max_data_per_packet);
+                        .min(ProtocolConfig::MAX_APPENDED_SEGMENT)
+                        .min(ProtocolConfig::MAX_DATA_PER_PACKET);
                     let pcb = self.host.proc(pid).expect("sender exists");
                     if let Err(e) = pcb.space.check(g.start, n) {
                         self.fail_send(end, pid, e);
@@ -139,7 +140,7 @@ impl Ctx<'_> {
                 // still gets a packet to answer (which clears suspicion).
                 let max_retries = if self.host.suspects.contains(&to.host()) {
                     self.host.stats.sends_to_suspect += 1;
-                    self.proto.suspect_retries
+                    ProtocolConfig::SUSPECT_RETRIES
                 } else {
                     self.proto.max_retries
                 };
@@ -337,7 +338,7 @@ impl Ctx<'_> {
             let Blocked { seq, grant } = blocked;
             let mut cost = self.host.costs.reply_remote;
             let (seg_dest, src_addr, len) = if let Some((dest_ptr, src_addr, len)) = seg {
-                if len as usize > self.proto.max_data_per_packet {
+                if len as usize > ProtocolConfig::MAX_DATA_PER_PACKET {
                     return Err(KernelError::NoSegmentAccess);
                 }
                 let g = grant.ok_or(KernelError::NoSegmentAccess)?;

@@ -9,6 +9,7 @@ use std::rc::Rc;
 
 use v_sim::SimTime;
 
+use crate::config::ProtocolConfig;
 use crate::ctx::Ctx;
 use crate::error::KernelError;
 use crate::event::TimerKind;
@@ -118,7 +119,7 @@ impl Ctx<'_> {
             || inbound.values().any(|s| s.role == InRole::Deposit)
             || (self.host.outbound.values()).any(|s| s.role == OutRole::Serve);
         if busy {
-            let at = t + self.proto.housekeeping;
+            let at = t + ProtocolConfig::HOUSEKEEPING;
             self.timer_at(at, TimerKind::Housekeeping);
         } else {
             self.lane.housekeeping_armed = false;

@@ -11,10 +11,10 @@
 //! | `MoveTo`   | `Push`, at the mover          | `Deposit`, at the grantor   | the mover, on the outbound end   |
 //! | `MoveFrom` | `Serve`, at the grantor       | `Fetch`, at the requester   | the requester, on the inbound end |
 //!
-//! **Sending.** [`Ctx::send_chunk`] streams `max_data_per_packet`-sized
-//! chunks back to back — the next is launched when the previous frame
-//! clears the interface ([`Event::ChunkReady`]) — and the two roles
-//! differ in the packet built (`MoveToData` names where each chunk
+//! **Sending.** [`Ctx::send_chunk`] streams chunks of
+//! [`ProtocolConfig::MAX_DATA_PER_PACKET`] bytes back to back — the next
+//! is launched when the previous frame clears the interface
+//! ([`Event::ChunkReady`]) — and the two roles differ in the packet built (`MoveToData` names where each chunk
 //! lands; a `MoveFromData` chunk goes where the requester asked) and in
 //! what follows the last chunk: a push waits for the deposit's
 //! acknowledgement, a serve is forgotten.
@@ -44,6 +44,7 @@
 
 use v_sim::SimTime;
 
+use crate::config::ProtocolConfig;
 use crate::ctx::{Ctx, Emitted};
 use crate::error::KernelError;
 use crate::event::{Event, StreamKey, TimerKind};
@@ -135,7 +136,7 @@ impl Ctx<'_> {
             fetching: dir == Dir::From,
         };
         let stall = Stall {
-            retries_left: self.proto.transfer_retries,
+            retries_left: ProtocolConfig::TRANSFER_RETRIES,
             marker: 0,
         };
         let timeout = self.proto.transfer_timeout;
@@ -210,7 +211,7 @@ impl Ctx<'_> {
             return 0;
         };
         let off = s.next_off;
-        let n = (self.proto.max_data_per_packet as u32).min(s.total - off);
+        let n = (ProtocolConfig::MAX_DATA_PER_PACKET as u32).min(s.total - off);
         let last = off + n == s.total;
         let (role, peer, total, local, src) = (s.role, s.peer, s.total, s.local, s.src_addr + off);
         let body = match role {

@@ -48,11 +48,6 @@ impl Message {
         &self.0
     }
 
-    /// Mutable raw bytes.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8; MSG_LEN] {
-        &mut self.0
-    }
-
     /// Reads byte `i`.
     pub fn byte(&self, i: usize) -> u8 {
         self.0[i]

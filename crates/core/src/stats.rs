@@ -74,7 +74,7 @@ pub struct KernelStats {
     /// Condemned peers cleared by evidence of life (any frame from them).
     pub peer_reprieves: u64,
     /// Sends issued against an already-suspect peer, probing with the
-    /// reduced [`crate::ProtocolConfig::suspect_retries`] budget.
+    /// reduced [`crate::ProtocolConfig::SUSPECT_RETRIES`] budget.
     pub sends_to_suspect: u64,
     /// Frames addressed to this host while it was down (counted by the
     /// simulation, not the dead kernel: the bits died at the interface).

@@ -143,7 +143,7 @@ fn send_to_crashed_host_resolves_host_down_instead_of_hanging() {
 }
 
 /// Once a peer is suspect, the next failure is cheap: the reduced
-/// probe budget (`suspect_retries`) resolves in a fraction of the full
+/// probe budget (`ProtocolConfig::SUSPECT_RETRIES`) resolves in a fraction of the full
 /// ladder. Fail-fast, exactly once per exchange attempt.
 #[test]
 fn second_send_to_a_suspect_peer_fails_fast() {

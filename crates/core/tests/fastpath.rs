@@ -24,7 +24,7 @@ type Log = Rc<RefCell<Vec<String>>>;
 
 const PAGE: u32 = 4096;
 /// Short segments ride inside packets remotely, so the shared workload
-/// keeps them under `max_data_per_packet` to stay wire-expressible.
+/// keeps them under `ProtocolConfig::MAX_DATA_PER_PACKET` to stay wire-expressible.
 const SEG: u32 = 512;
 
 /// Serves one request: accepts the client's short inbound segment on

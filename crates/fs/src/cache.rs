@@ -66,13 +66,11 @@ pub struct CacheConfig {
     pub mode: CacheMode,
     /// Cache capacity in blocks (LRU beyond this).
     pub capacity_blocks: usize,
-    /// CPU charged per cache hit (lookup + local copy) — hits are fast
-    /// but not free.
-    pub hit_cpu: SimDuration,
 }
 
 impl CacheConfig {
-    /// Default CPU charge per hit: a lookup plus a 512 B memory copy.
+    /// CPU charged per cache hit: a lookup plus a 512 B memory copy —
+    /// hits are fast but not free.
     pub fn default_hit_cpu() -> SimDuration {
         SimDuration::from_micros(200)
     }
@@ -82,7 +80,6 @@ impl CacheConfig {
         CacheConfig {
             mode: CacheMode::Off,
             capacity_blocks: 0,
-            hit_cpu: Self::default_hit_cpu(),
         }
     }
 
@@ -91,7 +88,6 @@ impl CacheConfig {
         CacheConfig {
             mode: CacheMode::WriteInvalidate,
             capacity_blocks,
-            hit_cpu: Self::default_hit_cpu(),
         }
     }
 
@@ -100,7 +96,6 @@ impl CacheConfig {
         CacheConfig {
             mode: CacheMode::Leases,
             capacity_blocks,
-            hit_cpu: Self::default_hit_cpu(),
         }
     }
 }
@@ -472,7 +467,11 @@ pub fn spawn_caching_client(
             "cache-agent",
             Box::new(CacheAgent::new(shared.clone())),
         );
-        client = client.with_cache(CacheLayer::new(shared.clone(), pid, cfg.hit_cpu));
+        client = client.with_cache(CacheLayer::new(
+            shared.clone(),
+            pid,
+            CacheConfig::default_hit_cpu(),
+        ));
         (agent, cache) = (Some(pid), Some(shared));
     }
     CachingClient {

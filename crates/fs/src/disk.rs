@@ -1,14 +1,15 @@
-//! The file server's disk — now a configurable multi-arm (striped) unit.
+//! The file server's disk — a unit of one or more striped arms.
 //!
 //! The paper's analysis only needs a disk's *latency distribution*: Table
 //! 6-2 sweeps 10/15/20 ms, §6.1 estimates 20 ms per access, and §7 treats
 //! disk scheduling as "identical to conventional multi-user systems".
-//! Each **arm** charges a positioning latency (seek + rotation) plus
-//! per-byte transfer time, with optional uniform jitter, and serializes
-//! its own requests. A [`DiskParams`]-built unit may carry several
-//! independent arms with blocks **striped** across them RAID-0 style
-//! (configurable stripe width), so concurrent requests for different
-//! stripes overlap their seeks — the classic multi-arm capacity lift.
+//! Each **arm** charges one positioning latency (seek and rotation
+//! together) plus a fixed 1 MB/s per-byte transfer time, with optional
+//! uniform jitter, and serializes its own requests. A unit reshaped by
+//! [`DiskModel::with_arms`] carries several independent arms with
+//! consecutive blocks **striped** across them one block at a time, RAID-0
+//! style, so concurrent requests for different blocks overlap their
+//! seeks — the classic multi-arm capacity lift.
 //!
 //! The single-arm default is bit-identical to the historical one-arm
 //! model: same request arithmetic, same jitter stream, same counters.
@@ -19,8 +20,8 @@ use v_sim::{SimDuration, SimTime, SplitMix64};
 
 use crate::BLOCK_SIZE;
 
-/// Default per-byte transfer time: a 1983-plausible 1 MB/s rate.
-const DEFAULT_PER_BYTE: SimDuration = SimDuration::from_nanos(1_000);
+/// Transfer time per byte off the platters: a 1983-plausible 1 MB/s rate.
+const PER_BYTE: SimDuration = SimDuration::from_nanos(1_000);
 /// Default jitter seed (no jitter drawn unless jitter is nonzero).
 const DEFAULT_SEED: u64 = 0xD15C;
 
@@ -66,82 +67,23 @@ impl DiskStats {
     }
 }
 
-/// Mechanical parameters of a disk unit. The positioning latency is
-/// split into its seek and rotational components (their *sum* is what a
-/// request pays, so `DiskParams::fixed(d)` — all-seek, zero rotation —
-/// reproduces the historical combined-latency model exactly).
+/// What a disk unit is built from — set only through [`DiskModel::fixed`],
+/// [`DiskModel::with_jitter`] and [`DiskModel::with_arms`].
 #[derive(Debug, Clone, Copy)]
-pub struct DiskParams {
-    /// Arm positioning (seek) latency per request.
-    pub seek: SimDuration,
-    /// Rotational latency per request.
-    pub rotation: SimDuration,
-    /// Transfer time per byte off the platters.
-    pub per_byte: SimDuration,
+struct DiskParams {
+    /// Positioning latency (seek and rotation) per request.
+    access: SimDuration,
     /// Uniform extra jitter in `[0, jitter)` per request.
-    pub jitter: SimDuration,
+    jitter: SimDuration,
     /// Seed for the jitter stream (arm `i` draws from `seed + i`).
-    pub seed: u64,
+    seed: u64,
     /// Independent arms blocks are striped across.
-    pub arms: usize,
-    /// Stripe width: consecutive blocks per arm before the next arm
-    /// takes over.
-    pub stripe_blocks: u32,
+    arms: usize,
 }
 
 impl DiskParams {
-    /// A single-arm disk with a fixed combined positioning latency —
-    /// the historical model.
-    pub fn fixed(access: SimDuration) -> DiskParams {
-        DiskParams {
-            seek: access,
-            rotation: SimDuration::ZERO,
-            per_byte: DEFAULT_PER_BYTE,
-            jitter: SimDuration::ZERO,
-            seed: DEFAULT_SEED,
-            arms: 1,
-            stripe_blocks: 1,
-        }
-    }
-
-    /// A single-arm disk with explicit seek and rotational components
-    /// (a request pays their sum).
-    pub fn split(seek: SimDuration, rotation: SimDuration) -> DiskParams {
-        DiskParams {
-            seek,
-            rotation,
-            ..DiskParams::fixed(SimDuration::ZERO)
-        }
-    }
-
-    /// Stripes the unit over `n` independent arms.
-    pub fn arms(mut self, n: usize) -> DiskParams {
-        assert!(n >= 1, "a disk needs at least one arm");
-        self.arms = n;
-        self
-    }
-
-    /// Sets the stripe width in blocks.
-    pub fn stripe(mut self, blocks: u32) -> DiskParams {
-        assert!(blocks >= 1, "stripe width must be at least one block");
-        self.stripe_blocks = blocks;
-        self
-    }
-
-    /// Adds uniform jitter drawn from `seed`.
-    pub fn with_jitter(mut self, jitter: SimDuration, seed: u64) -> DiskParams {
-        self.jitter = jitter;
-        self.seed = seed;
-        self
-    }
-
-    /// The combined positioning latency a request pays before transfer.
-    pub fn positioning(&self) -> SimDuration {
-        self.seek + self.rotation
-    }
-
-    /// Builds the (idle) disk unit.
-    pub fn build(self) -> DiskModel {
+    /// The idle unit.
+    fn build(self) -> DiskModel {
         let arms = (0..self.arms)
             .map(|i| Arm {
                 rng: SplitMix64::new(self.seed.wrapping_add(i as u64)),
@@ -176,12 +118,13 @@ impl DiskModel {
     /// A single-arm disk with fixed access latency and a 1983-plausible
     /// 1 MB/s transfer rate.
     pub fn fixed(access: SimDuration) -> DiskModel {
-        DiskParams::fixed(access).build()
-    }
-
-    /// The mechanical parameters this unit was built from.
-    pub fn params(&self) -> &DiskParams {
-        &self.params
+        DiskParams {
+            access,
+            jitter: SimDuration::ZERO,
+            seed: DEFAULT_SEED,
+            arms: 1,
+        }
+        .build()
     }
 
     /// Number of independent arms.
@@ -194,12 +137,22 @@ impl DiskModel {
     /// `FileServerConfig::disk_arms`; with `n == 1` the result is
     /// indistinguishable from a freshly built single-arm unit.
     pub fn with_arms(self, n: usize) -> DiskModel {
-        self.params.arms(n).build()
+        assert!(n >= 1, "a disk needs at least one arm");
+        DiskParams {
+            arms: n,
+            ..self.params
+        }
+        .build()
     }
 
-    /// Adds uniform jitter (single-arm builder compatibility).
+    /// Adds uniform jitter drawn from `seed` (idle state).
     pub fn with_jitter(self, jitter: SimDuration, seed: u64) -> DiskModel {
-        self.params.with_jitter(jitter, seed).build()
+        DiskParams {
+            jitter,
+            seed,
+            ..self.params
+        }
+        .build()
     }
 
     /// The counters accumulated so far, aggregated across arms.
@@ -224,19 +177,17 @@ impl DiskModel {
     }
 
     /// The arm serving block `block` of file `file_key`: consecutive
-    /// stripes of a file walk the arms round-robin, and different files
+    /// blocks of a file walk the arms round-robin, and different files
     /// start on different arms so concurrent single-block loads spread.
     pub fn arm_for(&self, file_key: u32, block: u32) -> usize {
-        let stripe = block / self.params.stripe_blocks;
-        ((file_key as u64 + stripe as u64) % self.arms.len() as u64) as usize
+        ((file_key as u64 + block as u64) % self.arms.len() as u64) as usize
     }
 
     /// Issues a request for `bytes` at time `now` on one arm; returns
     /// when the data is in memory. Requests on the same arm queue behind
     /// each other.
     fn request_on(&mut self, arm_idx: usize, now: SimTime, bytes: usize) -> SimTime {
-        let positioning = self.params.positioning();
-        let per_byte = self.params.per_byte;
+        let mut service = self.service_estimate(bytes);
         let jitter = self.params.jitter;
         let arm = &mut self.arms[arm_idx];
         while arm.inflight.front().is_some_and(|&done| done <= now) {
@@ -244,7 +195,6 @@ impl DiskModel {
         }
         let depth = arm.inflight.len() as u32;
         let start = now.max(arm.busy_until);
-        let mut service = positioning + SimDuration::from_nanos(per_byte.as_nanos() * bytes as u64);
         if !jitter.is_zero() {
             service += SimDuration::from_nanos(arm.rng.below(jitter.as_nanos().max(1)));
         }
@@ -318,8 +268,7 @@ impl DiskModel {
     /// The service time the *next* request would take (no queueing),
     /// useful for read-ahead planning.
     pub fn service_estimate(&self, bytes: usize) -> SimDuration {
-        self.params.positioning()
-            + SimDuration::from_nanos(self.params.per_byte.as_nanos() * bytes as u64)
+        self.params.access + SimDuration::from_nanos(PER_BYTE.as_nanos() * bytes as u64)
     }
 }
 
@@ -392,28 +341,12 @@ mod tests {
     }
 
     #[test]
-    fn seek_and_rotation_components_sum() {
-        // split(10, 5) must behave exactly like the historical fixed(15).
-        let mut split =
-            DiskParams::split(SimDuration::from_millis(10), SimDuration::from_millis(5)).build();
-        let mut fixed = DiskModel::fixed(SimDuration::from_millis(15));
-        for (t, bytes) in [(0u64, 512usize), (3, 0), (40, 4096)] {
-            let now = SimTime::from_millis(t);
-            assert_eq!(split.request(now, bytes), fixed.request(now, bytes));
-        }
-        assert_eq!(split.stats(), fixed.stats());
-        assert_eq!(split.service_estimate(512), fixed.service_estimate(512));
-    }
-
-    #[test]
     fn striped_arms_overlap_independent_blocks() {
         // Four simultaneous one-block reads of four consecutive blocks
         // on a 4-arm unit: every request lands on its own arm and they
         // all complete in one access time, where a single arm would have
         // serialized them.
-        let mut d = DiskParams::fixed(SimDuration::from_millis(10))
-            .arms(4)
-            .build();
+        let mut d = DiskModel::fixed(SimDuration::from_millis(10)).with_arms(4);
         for block in 0..4 {
             let done = d.request_striped(SimTime::ZERO, 0, block, 0);
             assert_eq!(done, SimTime::from_millis(10), "block {block}");
@@ -430,26 +363,10 @@ mod tests {
     }
 
     #[test]
-    fn stripe_width_groups_consecutive_blocks() {
-        let d = DiskParams::fixed(SimDuration::from_millis(10))
-            .arms(2)
-            .stripe(4)
-            .build();
-        // Blocks 0..3 on one arm, 4..7 on the other, 8..11 wrap back.
-        assert_eq!(d.arm_for(0, 0), d.arm_for(0, 3));
-        assert_ne!(d.arm_for(0, 3), d.arm_for(0, 4));
-        assert_eq!(d.arm_for(0, 0), d.arm_for(0, 8));
-        // Different files start on different arms.
-        assert_ne!(d.arm_for(0, 0), d.arm_for(1, 0));
-    }
-
-    #[test]
     fn span_splits_across_arms() {
         // An 8-block span on 2 arms: each arm seeks once and transfers
         // half the bytes in parallel.
-        let mut two = DiskParams::fixed(SimDuration::from_millis(10))
-            .arms(2)
-            .build();
+        let mut two = DiskModel::fixed(SimDuration::from_millis(10)).with_arms(2);
         let done = two.request_span(SimTime::ZERO, 0, 0, 8 * BLOCK_SIZE);
         assert_eq!(done, SimTime::from_micros(10_000 + 4 * 512));
         let s = two.stats();

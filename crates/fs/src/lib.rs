@@ -8,9 +8,9 @@
 //!
 //! * [`disk`] — the disk model (per-request positioning latency +
 //!   transfer time) standing in for the file server's spindles; a
-//!   [`DiskParams`]-built unit stripes blocks over several independent
-//!   arms ([`FileServerConfig::disk_arms`]) so concurrent requests
-//!   overlap their seeks;
+//!   unit may stripe blocks over several independent arms
+//!   ([`FileServerConfig::disk_arms`]) so concurrent requests overlap
+//!   their seeks;
 //! * [`store`] — an in-memory block store with a flat directory
 //!   (create/lookup/read/write), the server's cache+filesystem state;
 //! * [`proto`] — the Verex-style I/O protocol: file requests and replies
@@ -59,7 +59,7 @@
 //!   the flip;
 //! * [`rebalance`] — the policy half: a [`Rebalancer`] process samples
 //!   each shard's decayed [`FileHeat`], and while the hottest shard
-//!   sits outside a configurable band of the mean it issues move-plans
+//!   sits outside a fixed band of the mean it issues move-plans
 //!   for the hottest files until the shards converge.
 
 pub mod cache;
@@ -77,7 +77,7 @@ pub mod team;
 
 pub use cache::{spawn_caching_client, BlockCache, CacheConfig, CacheMode, CacheStats};
 pub use client::{FsCall, FsClient, FsClientReport, OpSeries};
-pub use disk::{DiskModel, DiskParams, DiskStats};
+pub use disk::{DiskModel, DiskStats};
 pub use proto::{IoReply, IoRequest, IoStatus};
 pub use rebalance::{spawn_rebalancer, MigrationLedger, MoveRecord, Rebalancer, RebalancerConfig};
 pub use replica::spawn_replica_group;

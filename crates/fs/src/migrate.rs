@@ -248,7 +248,6 @@ impl Program for MigrationAgent {
                     next,
                     n,
                 );
-                self.shared.stats.borrow_mut().disk = self.shared.disk.borrow().stats();
                 self.phase = AgentPhase::DiskWrite { next, total };
                 api.delay(done.since(api.now()));
             }

@@ -5,7 +5,7 @@
 //! periodically samples every shard's decayed [`crate::FileHeat`]
 //! (the scores age each round, so only *recent* traffic counts),
 //! computes an imbalance score — hottest shard over the mean — and,
-//! while the spread exceeds a configurable band, issues explicit
+//! while the spread exceeds a fixed band, issues explicit
 //! move-plans for the hottest files from the hottest shard to the
 //! coldest one. Each move is the four-exchange drain → copy → commit
 //! protocol of [`crate::migrate`]; a failed copy is aborted cleanly
@@ -44,14 +44,6 @@ pub struct RebalancerConfig {
     /// Sampling rounds before the rebalancer retires (bounds the run;
     /// convergence exits earlier).
     pub rounds: u32,
-    /// Heat-score decay factor applied to every shard after each round
-    /// (see [`crate::FileHeat::decay`]): `0.5` halves a file's score
-    /// each interval it goes untouched.
-    pub decay: f64,
-    /// Convergence band: the shards are balanced when the hottest
-    /// shard's score is within `band × mean` — no moves are planned
-    /// and the rebalancer exits.
-    pub band: f64,
     /// Most files moved per sampling round (migration bandwidth cap).
     pub max_moves_per_round: usize,
     /// Files with a decayed score below this are never moved — too
@@ -59,13 +51,22 @@ pub struct RebalancerConfig {
     pub min_score: f64,
 }
 
+impl RebalancerConfig {
+    /// Heat-score decay factor applied to every shard after each round
+    /// (see [`crate::FileHeat::decay`]): `0.5` halves a file's score
+    /// each interval it goes untouched.
+    pub const DECAY: f64 = 0.5;
+    /// Convergence band: the shards are balanced when the hottest
+    /// shard's score is within `BAND × mean` — no moves are planned and
+    /// the rebalancer exits.
+    pub const BAND: f64 = 1.25;
+}
+
 impl Default for RebalancerConfig {
     fn default() -> RebalancerConfig {
         RebalancerConfig {
             interval: SimDuration::from_millis(50),
             rounds: 8,
-            decay: 0.5,
-            band: 1.25,
             max_moves_per_round: 2,
             min_score: 4.0,
         }
@@ -197,7 +198,7 @@ impl Rebalancer {
     /// the next round or retire.
     fn next_round(&mut self, api: &mut Api<'_>) {
         for s in &self.shards {
-            s.stats.borrow_mut().heat.decay(self.cfg.decay);
+            s.stats.borrow_mut().heat.decay(RebalancerConfig::DECAY);
         }
         self.round += 1;
         if self.round >= self.cfg.rounds {
@@ -220,7 +221,7 @@ impl Rebalancer {
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("at least one shard");
-        if total > 0.0 && max <= self.cfg.band * mean {
+        if total > 0.0 && max <= RebalancerConfig::BAND * mean {
             // Inside the band: the shards have converged. Retire — a
             // later imbalance would need a fresh rebalancer, and a
             // bounded process keeps run-to-quiescence terminating.
@@ -628,7 +629,6 @@ mod tests {
             RebalancerConfig {
                 interval: SimDuration::from_millis(30),
                 rounds: 4,
-                band: 1.5,
                 ..RebalancerConfig::default()
             },
             &services,

@@ -29,7 +29,7 @@ use v_kernel::{naming, Api, Message, Outcome, Pid, Program, Scope};
 use v_sim::{SimDuration, SimTime};
 
 use crate::cache::CacheMode;
-use crate::disk::{DiskModel, DiskStats};
+use crate::disk::DiskModel;
 use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY, CACHE_UNTIL_INVALIDATED};
 use crate::store::{BlockStore, FileId, StoreError};
 use crate::BLOCK_SIZE;
@@ -52,10 +52,6 @@ pub struct FileServerConfig {
     /// of queueing behind one arm. Threaded unchanged through the team,
     /// shard and replica builders, which all take this config.
     pub disk_arms: usize,
-    /// File-system processing charged per request (the paper estimates
-    /// 2.5 ms at 10 MHz for a local system, 3.5 ms from LOCUS for
-    /// capacity planning).
-    pub fs_cpu: SimDuration,
     /// `MoveTo`/`MoveFrom` chunking for large transfers.
     pub transfer_unit: u32,
     /// Prefetch the next sequential block after each read.
@@ -90,7 +86,6 @@ impl Default for FileServerConfig {
         FileServerConfig {
             disk: DiskModel::fixed(SimDuration::from_millis(15)),
             disk_arms: 1,
-            fs_cpu: SimDuration::from_micros(2500),
             transfer_unit: 4096,
             read_ahead: true,
             register: Some(naming::logical::FILE_SERVER),
@@ -108,10 +103,13 @@ impl Default for FileServerConfig {
 pub const LEASE_GUARD: SimDuration = SimDuration::from_millis(10);
 
 impl FileServerConfig {
+    /// File-system processing charged per request (the paper estimates
+    /// 2.5 ms at 10 MHz for a local system, 3.5 ms from LOCUS for
+    /// capacity planning).
+    pub const FS_CPU: SimDuration = SimDuration::from_micros(2500);
+
     /// The disk unit a spawn actually installs: `disk` as given for
-    /// `disk_arms <= 1` (a pre-striped [`crate::DiskParams`] build
-    /// passes through untouched), reshaped to `disk_arms` striped arms
-    /// otherwise.
+    /// `disk_arms <= 1`, reshaped to `disk_arms` striped arms otherwise.
     pub(crate) fn build_disk(&self) -> DiskModel {
         if self.disk_arms > 1 {
             self.disk.clone().with_arms(self.disk_arms)
@@ -121,8 +119,8 @@ impl FileServerConfig {
     }
 }
 
-/// One file's heat row: lifetime totals, the current sampling epoch,
-/// and an exponentially decayed score.
+/// One file's heat row: lifetime totals and an exponentially decayed
+/// score.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct HeatEntry {
     /// The file.
@@ -131,10 +129,6 @@ pub struct HeatEntry {
     pub reads: u64,
     /// Lifetime writes.
     pub writes: u64,
-    /// Reads since the last [`FileHeat::decay`].
-    pub epoch_reads: u64,
-    /// Writes since the last [`FileHeat::decay`].
-    pub epoch_writes: u64,
     /// Exponentially decayed operation count: `+1` per operation,
     /// multiplied by the decay factor at each sampling epoch. Recent
     /// traffic dominates; ancient traffic fades geometrically — the
@@ -146,8 +140,8 @@ pub struct HeatEntry {
 /// Per-file read/write heat, kept sorted by file id — which files a
 /// server actually serves, and how hot each one runs *now*. Lifetime
 /// totals never decay (cachemix reporting); the [`HeatEntry::score`]
-/// and epoch counters age via [`FileHeat::decay`], which the
-/// rebalancer calls once per sampling interval.
+/// ages via [`FileHeat::decay`], which the rebalancer calls once per
+/// sampling interval.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileHeat {
     /// Rows sorted by file id.
@@ -176,7 +170,6 @@ impl FileHeat {
     pub fn bump_read(&mut self, file: FileId) {
         let s = self.slot(file);
         s.reads += 1;
-        s.epoch_reads += 1;
         s.score += 1.0;
     }
 
@@ -184,20 +177,12 @@ impl FileHeat {
     pub fn bump_write(&mut self, file: FileId) {
         let s = self.slot(file);
         s.writes += 1;
-        s.epoch_writes += 1;
         s.score += 1.0;
     }
 
     /// Lifetime `(reads, writes)` served for `file`.
     pub fn of(&self, file: FileId) -> (u64, u64) {
         self.entry(file).map_or((0, 0), |e| (e.reads, e.writes))
-    }
-
-    /// `(reads, writes)` served for `file` since the last decay — the
-    /// sampled-epoch view a policy process reads between intervals.
-    pub fn epoch_of(&self, file: FileId) -> (u64, u64) {
-        self.entry(file)
-            .map_or((0, 0), |e| (e.epoch_reads, e.epoch_writes))
     }
 
     /// The decayed score of `file` (0.0 when unknown).
@@ -232,13 +217,11 @@ impl FileHeat {
     }
 
     /// Ages every row by one sampling epoch: scores are multiplied by
-    /// `factor` (half-life = `ln 2 / ln(1/factor)` epochs) and the
-    /// epoch counters reset. Lifetime totals are untouched.
+    /// `factor` (half-life = `ln 2 / ln(1/factor)` epochs). Lifetime
+    /// totals are untouched.
     pub fn decay(&mut self, factor: f64) {
         for e in &mut self.entries {
             e.score *= factor;
-            e.epoch_reads = 0;
-            e.epoch_writes = 0;
         }
     }
 
@@ -257,8 +240,6 @@ impl FileHeat {
         let s = self.slot(row.file);
         s.reads += row.reads;
         s.writes += row.writes;
-        s.epoch_reads += row.epoch_reads;
-        s.epoch_writes += row.epoch_writes;
         s.score += row.score;
     }
 
@@ -314,12 +295,6 @@ pub struct FileServerStats {
     pub migrated_in: u64,
     /// Per-file read/write heat across every request class.
     pub heat: FileHeat,
-    /// The shared disk's queueing counters — aggregated across every
-    /// arm of a striped unit ([`DiskStats::absorb`]) — refreshed on
-    /// every disk request so experiments can report utilization and
-    /// queue depth instead of inferring them. Per-arm breakdowns come
-    /// from the disk handle itself ([`DiskModel::per_arm_stats`]).
-    pub disk: DiskStats,
 }
 
 /// One registered cache holder of a file.
@@ -492,28 +467,15 @@ impl FileServer {
     }
 
     /// Issues a single-block-class disk request, routed to the arm the
-    /// striping assigns `(file, block)`, and refreshes the surfaced
-    /// (aggregate) disk counters.
+    /// striping assigns `(file, block)`.
     fn disk_request(&mut self, now: SimTime, file: FileId, block: u32, bytes: usize) -> SimTime {
-        let done = self
-            .shared
-            .disk
-            .borrow_mut()
-            .request_striped(now, file.0 as u32, block, bytes);
-        self.shared.stats.borrow_mut().disk = self.shared.disk.borrow().stats();
-        done
+        (self.shared.disk.borrow_mut()).request_striped(now, file.0 as u32, block, bytes)
     }
 
     /// Issues a multi-block span request (large reads): on a striped
     /// unit each touched arm transfers its stripes in parallel.
     fn disk_span(&mut self, now: SimTime, file: FileId, block: u32, bytes: usize) -> SimTime {
-        let done = self
-            .shared
-            .disk
-            .borrow_mut()
-            .request_span(now, file.0 as u32, block, bytes);
-        self.shared.stats.borrow_mut().disk = self.shared.disk.borrow().stats();
-        done
+        (self.shared.disk.borrow_mut()).request_span(now, file.0 as u32, block, bytes)
     }
 
     fn rearm(&mut self, api: &mut Api<'_>) {
@@ -1118,7 +1080,7 @@ impl Program for FileServer {
                     msg,
                 });
                 self.phase = Phase::FsWork;
-                api.compute(self.cfg.fs_cpu);
+                api.compute(FileServerConfig::FS_CPU);
             }
             Outcome::Compute => self.dispatch(api),
             Outcome::Delay if matches!(self.phase, Phase::LeaseWait) => {
@@ -1194,7 +1156,6 @@ impl Program for FileServer {
                     let file = self.current.as_ref().expect("in progress").req.file;
                     self.shared.migration.borrow_mut().note_write_end(file);
                 }
-                self.shared.stats.borrow_mut().errors += 1;
                 self.reply_status(api, IoStatus::Error, 0, FileId(0));
             }
             // An invalidation callback completed (the holder's agent
@@ -1226,10 +1187,10 @@ impl Program for FileServer {
 mod tests {
     use super::*;
 
-    /// Decay ages the score geometrically and resets the epoch window,
-    /// while lifetime totals never shrink.
+    /// Decay ages the score geometrically, while lifetime totals never
+    /// shrink.
     #[test]
-    fn heat_decay_ages_scores_and_resets_epochs() {
+    fn heat_decay_ages_scores_and_keeps_totals() {
         let mut heat = FileHeat::default();
         let f = FileId(7);
         for _ in 0..6 {
@@ -1239,12 +1200,10 @@ mod tests {
             heat.bump_write(f);
         }
         assert_eq!(heat.of(f), (6, 2));
-        assert_eq!(heat.epoch_of(f), (6, 2));
         assert_eq!(heat.score_of(f), 8.0);
 
         heat.decay(0.5);
         assert_eq!(heat.of(f), (6, 2), "lifetime totals survive decay");
-        assert_eq!(heat.epoch_of(f), (0, 0), "epoch window resets");
         assert_eq!(heat.score_of(f), 4.0, "score halves");
 
         // A quiet file fades geometrically toward zero...
@@ -1259,7 +1218,6 @@ mod tests {
         }
         assert!(heat.score_of(g) > heat.score_of(f));
         assert_eq!(heat.total_score(), 4.0);
-        assert_eq!(heat.epoch_of(g), (3, 0));
     }
 
     /// `take` + `graft` carries a row between tables without losing
@@ -1272,7 +1230,7 @@ mod tests {
         for _ in 0..5 {
             src.bump_read(f);
         }
-        src.decay(0.5); // score 2.5, epochs reset, totals 5 reads
+        src.decay(0.5); // score 2.5, totals 5 reads
 
         let row = src.take(f).expect("row exists");
         assert_eq!(src.score_of(f), 0.0, "taken row leaves no residue");

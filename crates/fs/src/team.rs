@@ -61,9 +61,9 @@ pub struct FileServerTeam {
     pub workers: Vec<Pid>,
     /// The team's shared counters.
     pub stats: Rc<RefCell<FileServerStats>>,
-    /// The team's shared disk unit (per-arm queue-depth / busy-time
-    /// stats live here; the aggregate is mirrored into
-    /// [`FileServerStats::disk`]).
+    /// The team's shared disk unit: its queue-depth / busy-time
+    /// counters, aggregate ([`DiskModel::stats`]) and per arm
+    /// ([`DiskModel::per_arm_stats`]).
     pub disk: Rc<RefCell<DiskModel>>,
     /// The destination-side migration agent (`MigratePull` goes here),
     /// once [`FileServerTeam::attach_migration_agent`] has spawned one.
@@ -312,11 +312,9 @@ mod tests {
         assert_eq!(st.reads, 24);
         assert_eq!(st.meta, 3);
         assert_eq!(st.forwarded, 27, "every request went through Forward");
-        assert_eq!(st.disk.requests, 24);
-        assert!(
-            st.disk.queued > 0,
-            "concurrent load queued the disk: {st:?}"
-        );
+        let disk = team.disk.borrow().stats();
+        assert_eq!(disk.requests, 24);
+        assert!(disk.queued > 0, "concurrent load queued the disk: {disk:?}");
     }
 
     #[test]
@@ -407,5 +405,43 @@ mod tests {
         assert_eq!(st.writes, 1);
         assert_eq!(st.large_reads, 1);
         assert_eq!(st.reads, 1);
+    }
+
+    /// A large read whose client dies mid-push: the server's `MoveTo`
+    /// times out, the request is refused, and that is one error.
+    #[test]
+    fn a_failed_push_counts_one_error() {
+        let mut cl = team_cluster(1);
+        let cfg = FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(2)),
+            register: None,
+            ..FileServerConfig::default()
+        };
+        let team = spawn_file_server(&mut cl, HostId(0), cfg, store_with(&[("big", 32)]));
+        cl.run();
+        let rep = Rc::new(RefCell::new(FsClientReport::default()));
+        let script = vec![
+            FsCall::Open("big".into()),
+            FsCall::ReadLargeExpect {
+                block: 0,
+                count: 32 * BLOCK_SIZE as u32,
+                expect: 0x7E,
+            },
+        ];
+        cl.spawn(
+            HostId(1),
+            "client",
+            Box::new(FsClient::new(team.server, script, rep.clone())),
+        );
+        let mut t = cl.now();
+        while cl.kernel_stats(HostId(0)).chunks_sent == 0 {
+            t += SimDuration::from_millis(1);
+            cl.run_until(t);
+        }
+        cl.crash_host(HostId(1));
+        cl.run();
+        let st = team.stats.borrow().clone();
+        assert_eq!(st.large_reads, 0, "{st:?}");
+        assert_eq!(st.errors, 1, "{st:?}");
     }
 }

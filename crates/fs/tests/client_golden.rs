@@ -417,7 +417,6 @@ fn resolving_shards_across_a_migration() -> ShardRun {
             rounds: 1,
             min_score: 1.0,
             max_moves_per_round: 1,
-            ..RebalancerConfig::default()
         },
         &shards,
         &overlay,
@@ -544,7 +543,11 @@ const fn client(
     }
 }
 
-/// Recorded from the parent commit, scenarios 1-3 in order.
+/// Recorded from the parent commit, scenarios 1-3 in order. The digests
+/// were re-recorded once, when `FileServerStats` lost its `disk` copy
+/// and `HeatEntry` its two epoch counters: they are what the commit
+/// before that folds once those fields are cut from the `Debug` text it
+/// hashes, and every other field here kept its recorded value.
 fn golden() -> [Outcome; 3] {
     [
         Outcome {
@@ -554,7 +557,7 @@ fn golden() -> [Outcome; 3] {
                 client(211, 1080.595149, 0, 0, 0),
                 client(25, 459.197543, 0, 0, 0),
             ],
-            digest: 0xBB9CE7C56BB5AE62,
+            digest: 0x6B09EB55813808FB,
         },
         Outcome {
             now_ns: 6_135_393_006,
@@ -564,13 +567,13 @@ fn golden() -> [Outcome; 3] {
                 client(81, 3552.680219, 0, 5, 1),
                 client(19, 327.073895, 0, 0, 0),
             ],
-            digest: 0xF8E67B9390892321,
+            digest: 0xBC69AC02FB4D7060,
         },
         Outcome {
             now_ns: 5_700_807_649,
             events: 275,
             clients: vec![client(91, 2853.439605, 0, 0, 1)],
-            digest: 0xBC7D8822D349068E,
+            digest: 0x74B52B00CF865581,
         },
     ]
 }

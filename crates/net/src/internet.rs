@@ -73,13 +73,11 @@ pub struct MeshConfig {
     /// Bounded per-gateway queue: frames arriving at a gateway while
     /// this many are already waiting are dropped.
     pub gateway_queue: usize,
-    /// Per-frame store-and-forward processing delay at each gateway.
-    pub forward_delay: SimDuration,
     /// Frame coalescing: when a frame is already **queued** behind the
     /// forwarding engine and bound for the same egress segment as the
     /// frame the engine just handled, the gateway batches its header
     /// processing with the predecessor's and skips the per-frame
-    /// [`MeshConfig::forward_delay`] charge (the route lookup and egress
+    /// [`MeshConfig::FORWARD_DELAY`] charge (the route lookup and egress
     /// setup were just done; a real gateway keeps them hot). Off by
     /// default — the uncoalesced mesh is the calibrated baseline, and
     /// every existing topology must stay bit-identical.
@@ -90,15 +88,14 @@ impl MeshConfig {
     /// Default per-gateway queue depth (frames).
     pub const DEFAULT_QUEUE: usize = 8;
 
-    /// Default per-frame forwarding delay.
-    pub const DEFAULT_FORWARD_DELAY: SimDuration = SimDuration::from_micros(300);
+    /// Per-frame store-and-forward processing delay at each gateway.
+    pub const FORWARD_DELAY: SimDuration = SimDuration::from_micros(300);
 
     fn uniform(segments: usize, gateways: Vec<Vec<usize>>) -> MeshConfig {
         MeshConfig {
             segments: vec![NetworkKind::Experimental3Mb; segments],
             gateways,
             gateway_queue: Self::DEFAULT_QUEUE,
-            forward_delay: Self::DEFAULT_FORWARD_DELAY,
             coalesce: false,
         }
     }
@@ -482,7 +479,7 @@ impl Internetwork {
                 self.gateways[g].stats.coalesced += 1;
                 start
             } else {
-                start + self.cfg.forward_delay
+                start + MeshConfig::FORWARD_DELAY
             };
             // On the final segment the copies (possibly corrupted — the
             // receiver's checksum is what rejects those) are host
@@ -555,7 +552,7 @@ impl Internetwork {
             let Some(start) = self.admit(g, at) else {
                 continue;
             };
-            let mut cursor = start + self.cfg.forward_delay;
+            let mut cursor = start + MeshConfig::FORWARD_DELAY;
             for i in 0..self.gateways[g].attached.len() {
                 let e = self.gateways[g].attached[i];
                 if e == seg || visited[e] {
@@ -1146,7 +1143,6 @@ mod tests {
             segments: vec![NetworkKind::Experimental3Mb; 4],
             gateways: vec![vec![0, 1], vec![2, 3]],
             gateway_queue: 8,
-            forward_delay: SimDuration::from_micros(300),
             coalesce: false,
         };
         Internetwork::new(cfg, 1);
@@ -1159,7 +1155,6 @@ mod tests {
             segments: vec![NetworkKind::Experimental3Mb; 2],
             gateways: vec![vec![1, 1]],
             gateway_queue: 8,
-            forward_delay: SimDuration::from_micros(300),
             coalesce: false,
         };
         Internetwork::new(cfg, 1);

@@ -12,8 +12,6 @@
 //! * [`FixedMap`] — a `HashMap` under a fixed, seedless hasher, for maps
 //!   keyed by the simulation's own integers: the same order in every
 //!   process, and no SipHash on a hot path;
-//! * [`OnlineStats`] — streaming statistics used by the measurement
-//!   harness;
 //! * [`Timeline`] — a pre-written, replayable script of externally
 //!   injected events (the substrate of the chaos fault schedules).
 //!
@@ -24,13 +22,11 @@
 pub mod hash;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod timeline;
 
 pub use hash::{FixedHasher, FixedMap};
 pub use queue::{EventQueue, SimStats};
 pub use rng::SplitMix64;
-pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};
 pub use timeline::Timeline;

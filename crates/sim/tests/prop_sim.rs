@@ -1,7 +1,7 @@
 //! Property tests for the simulation engine.
 
 use proptest::prelude::*;
-use v_sim::{EventQueue, OnlineStats, SimDuration, SimTime};
+use v_sim::{EventQueue, SimDuration, SimTime};
 
 proptest! {
     /// Events always pop in non-decreasing time order, and same-time
@@ -24,43 +24,6 @@ proptest! {
             last = Some((t, idx));
         }
         prop_assert_eq!(q.now(), SimTime::from_nanos(*times.iter().max().unwrap()));
-    }
-
-    /// Welford statistics agree with the naive two-pass computation.
-    #[test]
-    fn online_stats_matches_naive(xs in prop::collection::vec(-1e6f64..1e6, 2..100)) {
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let n = xs.len() as f64;
-        let mean = xs.iter().sum::<f64>() / n;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((s.mean() - mean).abs() <= 1e-6 * mean.abs().max(1.0));
-        prop_assert!((s.variance() - var).abs() <= 1e-5 * var.abs().max(1.0));
-        prop_assert_eq!(s.min(), xs.iter().cloned().fold(f64::INFINITY, f64::min));
-        prop_assert_eq!(s.max(), xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
-    }
-
-    /// Merging partitions equals processing the concatenation.
-    #[test]
-    fn stats_merge_is_concatenation(
-        xs in prop::collection::vec(-1e3f64..1e3, 1..50),
-        ys in prop::collection::vec(-1e3f64..1e3, 1..50),
-    ) {
-        let mut whole = OnlineStats::new();
-        for &x in xs.iter().chain(&ys) {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs { a.push(x); }
-        for &y in &ys { b.push(y); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * whole.mean().abs().max(1.0));
-        prop_assert!((a.variance() - whole.variance()).abs()
-            < 1e-7 * whole.variance().abs().max(1.0));
     }
 
     /// Duration arithmetic is consistent with nanosecond arithmetic.

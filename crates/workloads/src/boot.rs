@@ -9,16 +9,24 @@
 //! that scenario end to end:
 //!
 //! * a mesh of 3 Mb segments behind a hub gateway, one file-service
-//!   shard per segment ([`v_fs::ShardMap`] placement), every shard
-//!   serving a clone of the same read-only image catalogue (a
+//!   shard per segment and one segment per ~64 clients
+//!   ([`BootStormConfig::shards`], [`v_fs::ShardMap`] placement), every
+//!   shard serving a clone of the same read-only image catalogue (a
 //!   replicated root, sharded routing);
 //! * N client hosts spread round-robin over the segments, each running
 //!   a `BootClient` program: resolve the owning shard's logical id
 //!   with broadcast `GetPid`, then perform the §6.3 two-read program
 //!   load ([`v_fs::loader::ProgramLoader`]) — header block, then the
 //!   image via `MoveTo`;
-//! * clients power on in waves ([`BootStormConfig::wave`]), the
-//!   staggered ramp of a building's worth of workstations booting.
+//! * clients power on in waves of [`BootStormConfig::WAVE`], spaced
+//!   [`BootStormConfig::WAVE_SPACING`] apart — the staggered ramp of a
+//!   building's worth of workstations booting — every host of grade
+//!   [`BootStormConfig::CPU`].
+//!
+//! What an experiment turns is the [`BootStormConfig`]: the client
+//! count, the image size, the shard servers' disk arms and the
+//! post-load reread phase with its optional client cache. The wave
+//! shape, the processor and the shard count per client are constants.
 //!
 //! Every client's image placement hashes to the client's own segment,
 //! so page traffic stays local and only the resolution broadcasts cross
@@ -46,17 +54,8 @@ use v_sim::SimDuration;
 pub struct BootStormConfig {
     /// Number of diskless client hosts.
     pub clients: usize,
-    /// File-service shards (= mesh segments); each shard's server host
-    /// sits on its own segment.
-    pub shards: usize,
     /// Program image size in bytes (excluding the header block).
     pub image_size: u32,
-    /// Clients powered on per wave.
-    pub wave: usize,
-    /// Simulated spacing between waves.
-    pub wave_spacing: SimDuration,
-    /// Processor grade of every host.
-    pub cpu: CpuSpeed,
     /// Independent disk arms per shard server
     /// ([`FileServerConfig::disk_arms`]). Storm defaults give every
     /// shard a two-arm unit: under mass load the image reads queue at
@@ -77,23 +76,31 @@ pub struct BootStormConfig {
 }
 
 impl BootStormConfig {
-    /// A storm of `clients` hosts with proportionate shard count
-    /// (one file-service shard per ~64 clients, within the
-    /// [`ShardMap`] id-range limit).
+    /// Clients powered on per wave.
+    pub const WAVE: usize = 64;
+    /// Simulated spacing between waves.
+    pub const WAVE_SPACING: SimDuration = SimDuration::from_millis(10);
+    /// Processor grade of every host.
+    pub const CPU: CpuSpeed = CpuSpeed::Mc68000At10MHz;
+
+    /// A storm of `clients` hosts.
     pub fn new(clients: usize) -> BootStormConfig {
         assert!(clients >= 1, "a boot storm needs at least one client");
         BootStormConfig {
             clients,
-            shards: (clients / 64).clamp(2, 16),
             image_size: 8192,
-            wave: 64,
-            wave_spacing: SimDuration::from_millis(10),
-            cpu: CpuSpeed::Mc68000At10MHz,
             disk_arms: 2,
             client_cache: 0,
             reread_blocks: 0,
             reread_passes: 0,
         }
+    }
+
+    /// File-service shards (= mesh segments), each shard's server host
+    /// on its own segment: one per ~64 clients, within the [`ShardMap`]
+    /// id-range limit.
+    pub fn shards(&self) -> usize {
+        (self.clients / 64).clamp(2, 16)
     }
 }
 
@@ -226,15 +233,15 @@ impl Program for BootClient {
 
 /// Runs one boot storm to quiescence and collects the report.
 pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
-    let shards = cfg.shards;
+    let shards = cfg.shards();
     let map = ShardMap::new(shards);
 
     let mut cluster_cfg = ClusterConfig::mesh(MeshConfig::star(shards));
     for s in 0..shards {
-        cluster_cfg = cluster_cfg.with_host_on(cfg.cpu, s); // server host
+        cluster_cfg = cluster_cfg.with_host_on(BootStormConfig::CPU, s); // server host
     }
     for j in 0..cfg.clients {
-        cluster_cfg = cluster_cfg.with_host_on(cfg.cpu, j % shards);
+        cluster_cfg = cluster_cfg.with_host_on(BootStormConfig::CPU, j % shards);
     }
     let mut cl = Cluster::new(cluster_cfg);
 
@@ -280,7 +287,7 @@ pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
     // Power the clients on in waves.
     let mut next = 0;
     while next < cfg.clients {
-        let end = (next + cfg.wave.max(1)).min(cfg.clients);
+        let end = (next + BootStormConfig::WAVE).min(cfg.clients);
         for (j, report) in reports.iter().enumerate().take(end).skip(next) {
             let shard = j % shards;
             cl.spawn(
@@ -297,7 +304,7 @@ pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
         }
         next = end;
         if next < cfg.clients {
-            let deadline = cl.now() + cfg.wave_spacing;
+            let deadline = cl.now() + BootStormConfig::WAVE_SPACING;
             cl.run_until(deadline);
         }
     }
