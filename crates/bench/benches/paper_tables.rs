@@ -20,12 +20,10 @@ use v_wire::{
     decode, decode_ref, encode, encode_with, MoveToData, Packet, PacketBody, ReplyBody, SendBody,
 };
 use v_workloads::echo::{EchoServer, Pinger};
-use v_workloads::load::{LoadClient, LoadServer};
 use v_workloads::measure::probe;
 use v_workloads::mover::{Grantor, MoveDir, Mover};
-use v_workloads::page::{PageClient, PageMode, PageOp, PageServer};
+use v_workloads::page::{PageClient, PageMode, PageOp, PageServer, IMAGE, MIX_PATTERN};
 use v_workloads::penalty::measure_penalty;
-use v_workloads::seq::{SeqReadClient, SeqReadServer};
 
 fn pair(speed: CpuSpeed) -> Cluster {
     Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed))
@@ -129,21 +127,20 @@ fn bench_table_6_2(c: &mut Criterion) {
             let server = cl.spawn(
                 HostId(1),
                 "seq",
-                Box::new(SeqReadServer::new(
-                    512,
-                    SimDuration::from_millis(15),
-                    0x22,
-                    rep.clone(),
-                )),
+                Box::new(
+                    PageServer::new(PageMode::Segment, 512, 0x22, rep.clone())
+                        .with_read_ahead(SimDuration::from_millis(15)),
+                ),
             );
             cl.spawn(
                 HostId(0),
                 "reader",
-                Box::new(SeqReadClient::new(
+                Box::new(PageClient::new(
                     server,
+                    PageOp::Read,
                     512,
                     200,
-                    SimDuration::ZERO,
+                    0x22,
                     rep.clone(),
                 )),
             );
@@ -164,12 +161,22 @@ fn bench_table_6_3(c: &mut Criterion) {
             let server = cl.spawn(
                 HostId(1),
                 "loadserver",
-                Box::new(LoadServer::new(65536, 16384, 0x42, rep.clone())),
+                Box::new(
+                    PageServer::new(PageMode::Segment, IMAGE, 0x42, rep.clone())
+                        .with_transfer_unit(16384),
+                ),
             );
             cl.spawn(
                 HostId(0),
                 "loadclient",
-                Box::new(LoadClient::new(server, 65536, 5, 0x42, rep.clone())),
+                Box::new(PageClient::new(
+                    server,
+                    PageOp::Load,
+                    IMAGE,
+                    5,
+                    0x42,
+                    rep.clone(),
+                )),
             );
             cl.run();
             assert!(rep.borrow().clean());
@@ -205,16 +212,17 @@ fn bench_section_7(c: &mut Criterion) {
             let server = cl.spawn(
                 HostId(0),
                 "server",
-                Box::new(v_workloads::mixed::CapacityServer::new(
-                    SimDuration::from_millis_f64(3.5),
-                    rep,
-                )),
+                Box::new(
+                    PageServer::new(PageMode::Segment, IMAGE, MIX_PATTERN, rep)
+                        .with_transfer_unit(16384)
+                        .with_fs_cpu(SimDuration::from_millis_f64(3.5)),
+                ),
             );
             for i in 0..5 {
                 cl.spawn(
                     HostId(i + 1),
                     "ws",
-                    Box::new(v_workloads::mixed::MixedClient::new(
+                    Box::new(PageClient::mix(
                         server,
                         30,
                         SimDuration::from_millis(300),

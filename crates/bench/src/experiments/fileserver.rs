@@ -3,8 +3,8 @@
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::SimDuration;
-use v_workloads::measure::probe;
-use v_workloads::mixed::{CapacityServer, MixStats, MixedClient};
+use v_workloads::measure::{probe, RunReport};
+use v_workloads::page::{PageClient, PageMode, PageOp, PageServer, IMAGE, MIX_PATTERN};
 
 use crate::paper;
 use crate::report::Comparison;
@@ -24,18 +24,19 @@ fn simulate_capacity(k: usize, requests_per_ws: u64, think: SimDuration) -> (f64
     let server = cl.spawn(
         HostId(0),
         "file-server",
-        Box::new(CapacityServer::new(
-            SimDuration::from_millis_f64(FS_CPU),
-            rep.clone(),
-        )),
+        Box::new(
+            PageServer::new(PageMode::Segment, IMAGE, MIX_PATTERN, rep.clone())
+                .with_transfer_unit(16384)
+                .with_fs_cpu(SimDuration::from_millis_f64(FS_CPU)),
+        ),
     );
     let stats: Vec<_> = (0..k)
         .map(|i| {
-            let st = probe(MixStats::default());
+            let st = probe(RunReport::default());
             cl.spawn(
                 HostId(i + 1),
                 "workstation",
-                Box::new(MixedClient::new(
+                Box::new(PageClient::mix(
                     server,
                     requests_per_ws,
                     think,
@@ -50,6 +51,10 @@ fn simulate_capacity(k: usize, requests_per_ws: u64, think: SimDuration) -> (f64
     cl.run();
     let elapsed_s = cl.now().since(t0).as_secs_f64();
     assert_eq!(rep.borrow().failures, 0);
+    for st in &stats {
+        let st = st.borrow();
+        assert!(st.clean(), "a workstation failed: {st:?}");
+    }
     let total: u64 = stats.iter().map(|s| s.borrow().requests()).sum();
     let page_ms = stats.iter().map(|s| s.borrow().page_ms()).sum::<f64>() / k as f64;
     let util = cl.cpu_utilization(HostId(0));
@@ -63,8 +68,8 @@ pub fn file_server_capacity() -> Comparison {
     // The paper's estimate, recomputed from *our measured* components.
     let page = measure_page(
         CpuSpeed::Mc68000At10MHz,
-        v_workloads::page::PageOp::Read,
-        v_workloads::page::PageMode::Segment,
+        PageOp::Read,
+        PageMode::Segment,
         true,
     );
     let page_cpu = page.server_cpu_ms + FS_CPU;

@@ -2,7 +2,7 @@
 
 use v_kernel::{CpuSpeed, HostId};
 use v_sim::SimDuration;
-use v_workloads::seq::{SeqReadClient, SeqReadServer};
+use v_workloads::page::{PageClient, PageMode, PageOp, PageServer, Think};
 
 use crate::paper;
 use crate::report::Comparison;
@@ -20,15 +20,18 @@ pub(crate) fn measure_seq(disk_ms: u64, think: SimDuration) -> f64 {
             cl.spawn(
                 HostId(1),
                 "seqserver",
-                Box::new(SeqReadServer::new(
-                    512,
-                    SimDuration::from_millis(disk_ms),
-                    0x11,
-                    Default::default(),
-                )),
+                Box::new(
+                    PageServer::new(PageMode::Segment, 512, 0x11, Default::default())
+                        .with_read_ahead(SimDuration::from_millis(disk_ms)),
+                ),
             )
         },
-        |server, rep| Box::new(SeqReadClient::new(server, 512, N_PAGES, think, rep)),
+        |server, rep| {
+            Box::new(
+                PageClient::new(server, PageOp::Read, 512, N_PAGES, 0x11, rep)
+                    .with_think(Think::Compute(think)),
+            )
+        },
     );
     m.elapsed_ms
 }

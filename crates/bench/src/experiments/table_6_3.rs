@@ -1,7 +1,7 @@
 //! Table 6-3: program loading — a 64 KB read chunked into `MoveTo`s.
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
-use v_workloads::load::{LoadClient, LoadServer};
+use v_workloads::page::{PageClient, PageMode, PageOp, PageServer, IMAGE};
 
 use crate::paper;
 use crate::report::Comparison;
@@ -23,10 +23,22 @@ pub(crate) fn measure_load(cfg: ClusterConfig, unit: u32, remote: bool) -> Measu
             cl.spawn(
                 server_host,
                 "loadserver",
-                Box::new(LoadServer::new(65536, unit, 0x42, Default::default())),
+                Box::new(
+                    PageServer::new(PageMode::Segment, IMAGE, 0x42, Default::default())
+                        .with_transfer_unit(unit),
+                ),
             )
         },
-        |server, rep| Box::new(LoadClient::new(server, 65536, N_LOADS, 0x42, rep)),
+        |server, rep| {
+            Box::new(PageClient::new(
+                server,
+                PageOp::Load,
+                IMAGE,
+                N_LOADS,
+                0x42,
+                rep,
+            ))
+        },
     );
     m
 }

@@ -38,6 +38,14 @@ pub struct RunReport {
     /// from the elapsed time — the paper's "subtracting loop overhead and
     /// other artifact".
     pub deducted: SimDuration,
+    /// Completed page requests (reads and writes).
+    pub pages: u64,
+    /// Completed program loads.
+    pub loads: u64,
+    /// Summed issue→reply time of the page requests (ms).
+    pub page_ms_total: f64,
+    /// Summed issue→reply time of the loads (ms).
+    pub load_ms_total: f64,
 }
 
 impl RunReport {
@@ -65,6 +73,29 @@ impl RunReport {
     /// True if the loop ran to completion without failures.
     pub fn clean(&self) -> bool {
         self.finished.is_some() && self.failures == 0 && self.integrity_errors == 0
+    }
+
+    /// Mean page response time (ms).
+    pub fn page_ms(&self) -> f64 {
+        if self.pages == 0 {
+            0.0
+        } else {
+            self.page_ms_total / self.pages as f64
+        }
+    }
+
+    /// Mean load response time (ms).
+    pub fn load_ms(&self) -> f64 {
+        if self.loads == 0 {
+            0.0
+        } else {
+            self.load_ms_total / self.loads as f64
+        }
+    }
+
+    /// Completed requests of either kind.
+    pub fn requests(&self) -> u64 {
+        self.pages + self.loads
     }
 }
 

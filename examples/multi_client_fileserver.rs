@@ -6,28 +6,29 @@
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::SimDuration;
-use v_workloads::measure::probe;
-use v_workloads::mixed::{CapacityServer, MixStats, MixedClient};
+use v_workloads::measure::{probe, RunReport};
+use v_workloads::page::{PageClient, PageMode, PageServer, IMAGE, MIX_PATTERN};
 
 fn run(workstations: usize) -> (f64, f64, f64) {
     let cfg = ClusterConfig::three_mb().with_hosts(workstations + 1, CpuSpeed::Mc68000At10MHz);
     let mut cluster = Cluster::new(cfg);
-    let server_rep = probe(Default::default());
+    let server_rep = probe(RunReport::default());
     let server = cluster.spawn(
         HostId(0),
         "fileserver",
-        Box::new(CapacityServer::new(
-            SimDuration::from_millis_f64(3.5),
-            server_rep,
-        )),
+        Box::new(
+            PageServer::new(PageMode::Segment, IMAGE, MIX_PATTERN, server_rep.clone())
+                .with_transfer_unit(16384)
+                .with_fs_cpu(SimDuration::from_millis_f64(3.5)),
+        ),
     );
     let stats: Vec<_> = (0..workstations)
         .map(|i| {
-            let st = probe(MixStats::default());
+            let st = probe(RunReport::default());
             cluster.spawn(
                 HostId(i + 1),
                 "workstation",
-                Box::new(MixedClient::new(
+                Box::new(PageClient::mix(
                     server,
                     50,
                     SimDuration::from_millis(300),
@@ -41,6 +42,11 @@ fn run(workstations: usize) -> (f64, f64, f64) {
     let t0 = cluster.now();
     cluster.run();
     let secs = cluster.now().since(t0).as_secs_f64();
+    assert_eq!(server_rep.borrow().failures, 0);
+    for st in &stats {
+        let st = st.borrow();
+        assert!(st.clean(), "a workstation failed: {st:?}");
+    }
     let total: u64 = stats.iter().map(|s| s.borrow().requests()).sum();
     let page_ms = stats.iter().map(|s| s.borrow().page_ms()).sum::<f64>() / workstations as f64;
     (

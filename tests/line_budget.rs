@@ -1,10 +1,10 @@
 //! Line budgets for the file service (`crates/fs/src`), the kernel's
-//! IPC engine (`crates/core/src/ipc` and `host.rs`) and the broadcast
-//! path from wire to kernel, and a field budget for the configuration
-//! surface.
+//! IPC engine (`crates/core/src/ipc` and `host.rs`), the broadcast path
+//! from wire to kernel and the workloads (`crates/workloads/src`), and a
+//! field budget for the configuration surface.
 //!
 //! ROADMAP aim 2 asks for the same numbers from fewer shapes, fewer
-//! toggles and fewer lines; a budget nobody checks is a wish. Five
+//! toggles and fewer lines; a budget nobody checks is a wish. Seven
 //! properties, counted from the sources themselves:
 //!
 //! * the non-test code of `crates/fs/src/*.rs` — every line above a
@@ -16,6 +16,7 @@
 //!   [`KERNEL_IPC_BUDGET`];
 //! * likewise the six files a broadcast crosses from wire to kernel —
 //!   [`BROADCAST_PATH`] — within [`BROADCAST_PATH_BUDGET`];
+//! * likewise `crates/workloads/src` within [`WORKLOADS_BUDGET`];
 //! * the fields of the configuration structs — [`CONFIG_STRUCTS`] —
 //!   stay within [`CONFIG_FIELD_BUDGET`]: a knob is something an
 //!   experiment, a deployment or a test turns, and a value nothing
@@ -23,7 +24,12 @@
 //! * there is one scripted client: exactly one `impl Program for` among
 //!   the client modules. A deployment that needs the client to go
 //!   somewhere new adds an arm to its private `Route`, not a second
-//!   state machine.
+//!   state machine;
+//! * the page-level programs of Tables 6-1, 6-2, 6-3 and §7 are one
+//!   pair: exactly two `impl Program for` in `page.rs`, and none of the
+//!   modules the read-ahead, load and capacity programs once lived in
+//!   ([`RETIRED_PAGE_MODULES`]). A measurement that needs the pair to
+//!   do something new adds a builder or an op, not a third program.
 
 use std::path::Path;
 
@@ -57,6 +63,17 @@ const BROADCAST_PATH: [&str; 6] = [
 /// checking the glued run covered the segment), rounded up to the next
 /// 50.
 const BROADCAST_PATH_BUDGET: usize = 3_000;
+
+/// Non-test lines `crates/workloads/src` may hold: what one page server
+/// and one page client reached (1,688; 2,075 before them, with four
+/// page-level servers and four clients, near-copies that differed in how
+/// the data moved and what happened between requests), rounded up to
+/// the next 50.
+const WORKLOADS_BUDGET: usize = 1_700;
+
+/// The modules the Table 6-2, Table 6-3 and §7 programs lived in before
+/// they folded into `page.rs`.
+const RETIRED_PAGE_MODULES: [&str; 3] = ["seq.rs", "load.rs", "mixed.rs"];
 
 /// The configuration structs, by the file that declares each.
 const CONFIG_STRUCTS: [(&str, &str); 12] = [
@@ -160,6 +177,52 @@ fn broadcast_path_fits_its_line_budget() {
         total <= BROADCAST_PATH_BUDGET,
         "the broadcast path holds {total} non-test lines, over its budget of \
          {BROADCAST_PATH_BUDGET}: {counts:?}"
+    );
+}
+
+#[test]
+fn workloads_fit_their_line_budget() {
+    let sources = non_test_sources_in("crates/workloads/src");
+    let counts: Vec<(&str, usize)> = sources
+        .iter()
+        .map(|(name, code)| (name.as_str(), code.len()))
+        .collect();
+    let total: usize = counts.iter().map(|(_, n)| n).sum();
+    assert!(
+        total <= WORKLOADS_BUDGET,
+        "crates/workloads/src holds {total} non-test lines, over its budget of \
+         {WORKLOADS_BUDGET}: {counts:?}"
+    );
+}
+
+#[test]
+fn the_page_programs_are_one_pair() {
+    let sources = non_test_sources_in("crates/workloads/src");
+    let retired: Vec<&str> = sources
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| RETIRED_PAGE_MODULES.contains(name))
+        .collect();
+    assert!(
+        retired.is_empty(),
+        "page programs outside page.rs: {retired:?}"
+    );
+    let (_, page) = sources
+        .iter()
+        .find(|(name, _)| name == "page.rs")
+        .expect("crates/workloads/src/page.rs exists");
+    let impls: Vec<&str> = page
+        .iter()
+        .map(|line| line.trim())
+        .filter(|line| line.starts_with("impl Program for"))
+        .collect();
+    assert_eq!(
+        impls,
+        [
+            "impl Program for PageServer {",
+            "impl Program for PageClient {"
+        ],
+        "the page-level programs must be one server and one client"
     );
 }
 

@@ -138,28 +138,27 @@ fn sequential_access_within_15_percent_of_disk_floor() {
     // §6.2's headline: request-response file access sits within 10-15 %
     // of the disk-latency floor, so streaming has little to offer.
     for disk in [15u64, 20] {
-        use v_workloads::seq::{SeqReadClient, SeqReadServer};
+        use v_workloads::page::{PageClient, PageMode, PageOp, PageServer};
         let cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz);
         let mut cl = Cluster::new(cfg);
         let rep = probe(Default::default());
         let server = cl.spawn(
             HostId(1),
             "seq",
-            Box::new(SeqReadServer::new(
-                512,
-                SimDuration::from_millis(disk),
-                0x22,
-                rep.clone(),
-            )),
+            Box::new(
+                PageServer::new(PageMode::Segment, 512, 0x22, rep.clone())
+                    .with_read_ahead(SimDuration::from_millis(disk)),
+            ),
         );
         cl.spawn(
             HostId(0),
             "reader",
-            Box::new(SeqReadClient::new(
+            Box::new(PageClient::new(
                 server,
+                PageOp::Read,
                 512,
                 200,
-                SimDuration::ZERO,
+                0x22,
                 rep.clone(),
             )),
         );
@@ -180,7 +179,7 @@ fn program_loading_shape_holds() {
     // Table 6-3's shape: remote cost falls as the transfer unit grows,
     // flattens past 16 KB, and the large-unit rate is within the same
     // ballpark as writing packets back-to-back (~200 KB/s).
-    use v_workloads::load::{LoadClient, LoadServer};
+    use v_workloads::page::{PageClient, PageMode, PageOp, PageServer, IMAGE};
     let mut results = Vec::new();
     for unit in [1024u32, 4096, 16384, 65536] {
         let cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At8MHz);
@@ -189,12 +188,22 @@ fn program_loading_shape_holds() {
         let server = cl.spawn(
             HostId(1),
             "loadserver",
-            Box::new(LoadServer::new(65536, unit, 0x42, rep.clone())),
+            Box::new(
+                PageServer::new(PageMode::Segment, IMAGE, 0x42, rep.clone())
+                    .with_transfer_unit(unit),
+            ),
         );
         cl.spawn(
             HostId(0),
             "loadclient",
-            Box::new(LoadClient::new(server, 65536, 3, 0x42, rep.clone())),
+            Box::new(PageClient::new(
+                server,
+                PageOp::Load,
+                IMAGE,
+                3,
+                0x42,
+                rep.clone(),
+            )),
         );
         cl.run();
         let r = rep.borrow();
