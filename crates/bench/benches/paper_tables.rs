@@ -1,14 +1,18 @@
-//! Criterion benches: one group per paper table/figure.
+//! Criterion benches: the paper's tables, then the layers a boot storm
+//! spends its wall-clock in.
 //!
 //! Criterion measures the *simulator's* wall-clock throughput while it
-//! regenerates each experiment — the reproduced 1983 timings themselves
-//! are simulated time and live in the experiment outputs
-//! (`cargo run -p v-bench -- all`) and EXPERIMENTS.md. Keeping every
-//! table under `cargo bench` ensures the whole harness stays runnable
-//! and performance-tracked.
+//! regenerates each table — the reproduced 1983 timings themselves are
+//! simulated time and live in the experiment outputs
+//! (`cargo run -p v-bench -- all`) and EXPERIMENTS.md. Each table is
+//! timed as the public experiment that regenerates it
+//! (`v_bench::experiments`), so the bench runs the deployments
+//! `v-bench` reports, not copies of them, and keeps the whole harness
+//! runnable and performance-tracked.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 
+use v_bench::experiments::{self as exp, Experiment};
 use v_kernel::{
     AddressSpace, Api, Cluster, ClusterConfig, CpuSpeed, HostId, Outcome, Program, Scope,
 };
@@ -19,242 +23,31 @@ use v_sim::{EventQueue, SimDuration, SimTime, SplitMix64};
 use v_wire::{
     decode, decode_ref, encode, encode_with, MoveToData, Packet, PacketBody, ReplyBody, SendBody,
 };
-use v_workloads::echo::{EchoServer, Pinger};
-use v_workloads::measure::probe;
-use v_workloads::mover::{Grantor, MoveDir, Mover};
-use v_workloads::page::{PageClient, PageMode, PageOp, PageServer, IMAGE, MIX_PATTERN};
-use v_workloads::penalty::measure_penalty;
+use v_workloads::echo::EchoServer;
 
-fn pair(speed: CpuSpeed) -> Cluster {
-    Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed))
-}
-
-fn bench_table_4_1(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table_4_1_network_penalty");
-    g.sample_size(20);
-    g.bench_function("penalty_1024B_300_rounds", |b| {
-        b.iter(|| {
-            let mut cl = pair(CpuSpeed::Mc68000At8MHz);
-            let (ms, _) = measure_penalty(&mut cl, 1024, 300);
-            assert!(ms > 0.0);
-        })
-    });
-    g.finish();
-}
-
-fn bench_table_5(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table_5_kernel_ops");
-    g.sample_size(20);
-    g.bench_function("remote_srr_1000_exchanges", |b| {
-        b.iter(|| {
-            let mut cl = pair(CpuSpeed::Mc68000At8MHz);
-            let server = cl.spawn(HostId(1), "echo", Box::new(EchoServer));
-            let rep = probe(Default::default());
-            cl.spawn(
-                HostId(0),
-                "ping",
-                Box::new(Pinger::new(server, 1000, rep.clone())),
-            );
-            cl.run();
-            assert!(rep.borrow().clean());
-        })
-    });
-    g.bench_function("remote_moveto_1024B_300_ops", |b| {
-        b.iter(|| {
-            let mut cl = pair(CpuSpeed::Mc68000At8MHz);
-            let rep = probe(Default::default());
-            let mover = cl.spawn(
-                HostId(0),
-                "mover",
-                Box::new(Mover::new(300, 1024, MoveDir::To, 0x5A, rep.clone())),
-            );
-            cl.spawn(
-                HostId(1),
-                "grantor",
-                Box::new(Grantor {
-                    mover,
-                    size: 1024,
-                    pattern: 0x5A,
-                    dir: MoveDir::To,
-                    report: rep.clone(),
-                }),
-            );
-            cl.run();
-            assert!(rep.borrow().clean());
-        })
-    });
-    g.finish();
-}
-
-fn bench_table_6_1(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table_6_1_page_access");
-    g.sample_size(20);
-    g.bench_function("remote_page_read_500_ops", |b| {
-        b.iter(|| {
-            let mut cl = pair(CpuSpeed::Mc68000At10MHz);
-            let rep = probe(Default::default());
-            let server = cl.spawn(
-                HostId(1),
-                "pageserver",
-                Box::new(PageServer::new(PageMode::Segment, 512, 0x7E, rep.clone())),
-            );
-            cl.spawn(
-                HostId(0),
-                "client",
-                Box::new(PageClient::new(
-                    server,
-                    PageOp::Read,
-                    512,
-                    500,
-                    0x7E,
-                    rep.clone(),
-                )),
-            );
-            cl.run();
-            assert!(rep.borrow().clean());
-        })
-    });
-    g.finish();
-}
-
-fn bench_table_6_2(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table_6_2_sequential");
-    g.sample_size(20);
-    g.bench_function("seq_read_200_pages_disk15ms", |b| {
-        b.iter(|| {
-            let mut cl = pair(CpuSpeed::Mc68000At10MHz);
-            let rep = probe(Default::default());
-            let server = cl.spawn(
-                HostId(1),
-                "seq",
-                Box::new(
-                    PageServer::new(PageMode::Segment, 512, 0x22, rep.clone())
-                        .with_read_ahead(SimDuration::from_millis(15)),
-                ),
-            );
-            cl.spawn(
-                HostId(0),
-                "reader",
-                Box::new(PageClient::new(
-                    server,
-                    PageOp::Read,
-                    512,
-                    200,
-                    0x22,
-                    rep.clone(),
-                )),
-            );
-            cl.run();
-            assert!(rep.borrow().clean());
-        })
-    });
-    g.finish();
-}
-
-fn bench_table_6_3(c: &mut Criterion) {
-    let mut g = c.benchmark_group("table_6_3_program_loading");
+/// The paper's tables and sections, each timed as the experiment that
+/// regenerates it; a whole table runs in milliseconds.
+fn bench_tables(c: &mut Criterion) {
+    let tables: [(&str, Experiment); 9] = [
+        ("table_4_1_network_penalty", exp::network_penalty),
+        ("table_5_1_kernel_ops_8mhz", || {
+            exp::kernel_performance(CpuSpeed::Mc68000At8MHz)
+        }),
+        ("table_5_2_kernel_ops_10mhz", || {
+            exp::kernel_performance(CpuSpeed::Mc68000At10MHz)
+        }),
+        ("section_5_4_multipair", exp::multi_process_traffic),
+        ("table_6_1_page_access", exp::page_access),
+        ("table_6_2_sequential", exp::sequential_access),
+        ("table_6_3_program_loading", exp::program_loading),
+        ("section_7_fileserver", exp::file_server_capacity),
+        ("section_8_ten_mb", exp::ten_mb_ethernet),
+    ];
+    let mut g = c.benchmark_group("paper_tables");
     g.sample_size(10);
-    g.bench_function("remote_64KB_load_16KB_units", |b| {
-        b.iter(|| {
-            let mut cl = pair(CpuSpeed::Mc68000At8MHz);
-            let rep = probe(Default::default());
-            let server = cl.spawn(
-                HostId(1),
-                "loadserver",
-                Box::new(
-                    PageServer::new(PageMode::Segment, IMAGE, 0x42, rep.clone())
-                        .with_transfer_unit(16384),
-                ),
-            );
-            cl.spawn(
-                HostId(0),
-                "loadclient",
-                Box::new(PageClient::new(
-                    server,
-                    PageOp::Load,
-                    IMAGE,
-                    5,
-                    0x42,
-                    rep.clone(),
-                )),
-            );
-            cl.run();
-            assert!(rep.borrow().clean());
-        })
-    });
-    g.finish();
-}
-
-fn bench_section_5_4(c: &mut Criterion) {
-    let mut g = c.benchmark_group("section_5_4_multipair");
-    g.sample_size(10);
-    g.bench_function("two_pairs_500_exchanges_bug_mode", |b| {
-        b.iter(|| {
-            let mut cfg = ClusterConfig::three_mb().with_hosts(4, CpuSpeed::Mc68000At8MHz);
-            cfg.collision_bug = Some(v_net::CollisionBug::PAPER_3MB);
-            let mut cl = Cluster::new(cfg);
-            let res =
-                v_workloads::multipair::run_pairs(&mut cl, 2, 500, SimDuration::from_millis(1));
-            assert!(res.mean_per_op_ms > 0.0);
-        })
-    });
-    g.finish();
-}
-
-fn bench_section_7(c: &mut Criterion) {
-    let mut g = c.benchmark_group("section_7_fileserver");
-    g.sample_size(10);
-    g.bench_function("five_workstations_mixed_load", |b| {
-        b.iter(|| {
-            let cfg = ClusterConfig::three_mb().with_hosts(6, CpuSpeed::Mc68000At10MHz);
-            let mut cl = Cluster::new(cfg);
-            let rep = probe(Default::default());
-            let server = cl.spawn(
-                HostId(0),
-                "server",
-                Box::new(
-                    PageServer::new(PageMode::Segment, IMAGE, MIX_PATTERN, rep)
-                        .with_transfer_unit(16384)
-                        .with_fs_cpu(SimDuration::from_millis_f64(3.5)),
-                ),
-            );
-            for i in 0..5 {
-                cl.spawn(
-                    HostId(i + 1),
-                    "ws",
-                    Box::new(PageClient::mix(
-                        server,
-                        30,
-                        SimDuration::from_millis(300),
-                        i as u64 + 1,
-                        probe(Default::default()),
-                    )),
-                );
-            }
-            cl.run();
-        })
-    });
-    g.finish();
-}
-
-fn bench_section_8(c: &mut Criterion) {
-    let mut g = c.benchmark_group("section_8_ten_mb");
-    g.sample_size(20);
-    g.bench_function("ten_mb_remote_srr_1000", |b| {
-        b.iter(|| {
-            let mut cl =
-                Cluster::new(ClusterConfig::ten_mb().with_hosts(2, CpuSpeed::Mc68000At8MHz));
-            let server = cl.spawn(HostId(1), "echo", Box::new(EchoServer));
-            let rep = probe(Default::default());
-            cl.spawn(
-                HostId(0),
-                "ping",
-                Box::new(Pinger::new(server, 1000, rep.clone())),
-            );
-            cl.run();
-            assert!(rep.borrow().clean());
-        })
-    });
+    for (name, table) in tables {
+        g.bench_function(name, |b| b.iter(|| black_box(table())));
+    }
     g.finish();
 }
 
@@ -584,14 +377,7 @@ fn shaped(chains: u64, events: usize) -> impl FnMut(&mut criterion::Bencher) {
 
 criterion_group!(
     benches,
-    bench_table_4_1,
-    bench_table_5,
-    bench_table_6_1,
-    bench_table_6_2,
-    bench_table_6_3,
-    bench_section_5_4,
-    bench_section_7,
-    bench_section_8,
+    bench_tables,
     bench_fanout,
     bench_codec,
     bench_event_queue

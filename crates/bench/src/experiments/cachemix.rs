@@ -20,15 +20,11 @@
 //!   storms rerun with a post-load shared-text reread phase, cached vs
 //!   uncached: the per-load and served-load wins client caching buys.
 //!
-//! `CacheMode::Off` must be **bit-identical** to the pre-cache client —
-//! the perturbation row is pinned to exactly 0.0 by the calibration
-//! suite, the same discipline every other opt-in datapath feature in
-//! this repo ships under.
+//! The uncached rows run with the cache off: `spawn_caching_client`
+//! with `CacheConfig::off()` spawns the plain client and nothing else
+//! (`v_fs`'s own test).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use v_fs::client::{FsCall, FsClient, FsClientReport};
+use v_fs::client::{FsCall, FsClient};
 use v_fs::{
     spawn_caching_client, spawn_file_server, BlockStore, CacheConfig, CacheMode, CacheStats,
     DiskModel, FileServerConfig, FileServerStats, BLOCK_SIZE,
@@ -39,13 +35,33 @@ use v_workloads::boot::{run_boot_storm, BootStormConfig};
 
 use crate::report::Comparison;
 
-use super::N_PAGES;
+use super::{read_script, run_clients, FILL, N_PAGES};
 
 /// Blocks in the benchmark volume (bounds every working set below).
 const VOL_BLOCKS: usize = 128;
-/// Fill byte of the volume (and of every write, so concurrent readers
-/// can keep verifying content).
-const FILL: u8 = 0x7E;
+
+/// The benchmark volume: one file, "vol", of [`VOL_BLOCKS`] blocks of
+/// [`FILL`] (every write repeats the byte, so concurrent readers can
+/// keep verifying content).
+fn volume() -> BlockStore {
+    let mut store = BlockStore::new();
+    store
+        .create_with("vol", &vec![FILL; VOL_BLOCKS * BLOCK_SIZE])
+        .expect("fresh store");
+    store
+}
+
+/// `Open("vol")`, then `writes` block writes of [`FILL`] cycling over
+/// the first 8 blocks.
+fn write_script(writes: u64) -> Vec<FsCall> {
+    let mut script = vec![FsCall::Open("vol".into())];
+    script.extend((0..writes).map(|i| FsCall::WriteFill {
+        block: (i % 8) as u32,
+        count: BLOCK_SIZE as u32,
+        fill: FILL,
+    }));
+    script
+}
 
 /// A 2 ms-per-request disk behind a server running `mode`.
 fn server_cfg(mode: CacheMode) -> FileServerConfig {
@@ -65,60 +81,28 @@ struct MixOutcome {
 }
 
 /// Runs `reads` 512-byte page reads cycling over a `working_set`-block
-/// file. `client` picks the cache arrangement; `plain` bypasses
-/// [`spawn_caching_client`] entirely and spawns the pre-cache
-/// [`FsClient`] — the arm the Off perturbation row pins against.
+/// file, through a client cache arranged by `client`.
 fn run_read_mix(
     server_mode: CacheMode,
     client: &CacheConfig,
-    plain: bool,
     working_set: u32,
     reads: u64,
 ) -> MixOutcome {
     let speed = CpuSpeed::Mc68000At10MHz;
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed));
-    let mut store = BlockStore::new();
-    store
-        .create_with("vol", &vec![FILL; VOL_BLOCKS * BLOCK_SIZE])
-        .expect("fresh store");
-    let team = spawn_file_server(&mut cl, HostId(1), server_cfg(server_mode), store);
+    let team = spawn_file_server(&mut cl, HostId(1), server_cfg(server_mode), volume());
     cl.run();
 
-    let mut script = vec![FsCall::Open("vol".into())];
-    for i in 0..reads {
-        script.push(FsCall::ReadExpect {
-            block: (i % working_set as u64) as u32,
-            count: BLOCK_SIZE as u32,
-            expect: FILL,
-        });
-    }
-    let ops = script.len() as f64;
-    let rep = Rc::new(RefCell::new(FsClientReport::default()));
-    let handle = if plain {
-        cl.spawn(
-            HostId(0),
-            "fsclient",
-            Box::new(FsClient::new(team.server, script, rep.clone())),
-        );
-        None
-    } else {
-        Some(spawn_caching_client(
-            &mut cl,
-            HostId(0),
-            FsClient::new(team.server, script, rep.clone()),
-            client,
-        ))
-    };
-    cl.run();
-    let r = rep.borrow().clone();
-    assert!(
-        r.done && r.errors == 0 && r.integrity_errors == 0,
-        "read mix failed: {r:?}"
-    );
+    let mut handle = None;
+    let reports = run_clients(&mut cl, 1, |cl, _, slot| {
+        let script = read_script("vol", reads, working_set, FILL);
+        let reader = FsClient::new(team.server, script, slot);
+        handle = Some(spawn_caching_client(cl, HostId(0), reader, client));
+    });
     let server = team.stats.borrow().clone();
     MixOutcome {
-        per_op_ms: r.elapsed_ms / ops,
-        cache: handle.map(|h| h.stats()).unwrap_or_default(),
+        per_op_ms: reports[0].elapsed_ms / (reads + 1) as f64,
+        cache: handle.expect("the reader was spawned").stats(),
         server,
     }
 }
@@ -141,71 +125,32 @@ struct SharedOutcome {
 fn run_shared(scheme: CacheMode, reads: u64, writes: u64) -> SharedOutcome {
     let speed = CpuSpeed::Mc68000At10MHz;
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(3, speed));
-    let mut store = BlockStore::new();
-    store
-        .create_with("vol", &vec![FILL; VOL_BLOCKS * BLOCK_SIZE])
-        .expect("fresh store");
     let cfg = FileServerConfig {
         lease: SimDuration::from_millis(200),
         ..server_cfg(scheme)
     };
-    let team = spawn_file_server(&mut cl, HostId(2), cfg, store);
+    let team = spawn_file_server(&mut cl, HostId(2), cfg, volume());
     cl.run();
 
-    let mut read_script = vec![FsCall::Open("vol".into())];
-    for i in 0..reads {
-        read_script.push(FsCall::ReadExpect {
-            block: (i % 8) as u32,
-            count: BLOCK_SIZE as u32,
-            expect: FILL,
-        });
-    }
-    let read_ops = read_script.len() as f64;
-    let rrep = Rc::new(RefCell::new(FsClientReport::default()));
-    let cache_cfg = match scheme {
-        CacheMode::Off => CacheConfig::off(),
-        CacheMode::WriteInvalidate => CacheConfig::write_invalidate(64),
-        CacheMode::Leases => CacheConfig::leases(64),
+    let cache_cfg = CacheConfig {
+        mode: scheme,
+        capacity_blocks: 64,
     };
-    let reader = spawn_caching_client(
-        &mut cl,
-        HostId(0),
-        FsClient::new(team.server, read_script, rrep.clone()),
-        &cache_cfg,
-    );
-
-    let mut write_script = vec![FsCall::Open("vol".into())];
-    for i in 0..writes {
-        write_script.push(FsCall::WriteFill {
-            block: (i % 8) as u32,
-            count: BLOCK_SIZE as u32,
-            fill: FILL,
-        });
-    }
-    let write_ops = write_script.len() as f64;
-    let wrep = Rc::new(RefCell::new(FsClientReport::default()));
-    cl.spawn(
-        HostId(1),
-        "writer",
-        Box::new(FsClient::new(team.server, write_script, wrep.clone())),
-    );
-    cl.run();
-
-    let r = rrep.borrow().clone();
-    let w = wrep.borrow().clone();
-    assert!(
-        r.done && r.errors == 0 && r.integrity_errors == 0,
-        "shared reader failed: {r:?}"
-    );
-    assert!(
-        w.done && w.errors == 0 && w.integrity_errors == 0,
-        "shared writer failed: {w:?}"
-    );
+    let mut cached = None;
+    let reports = run_clients(&mut cl, 2, |cl, i, slot| {
+        if i == 0 {
+            let reader = FsClient::new(team.server, read_script("vol", reads, 8, FILL), slot);
+            cached = Some(spawn_caching_client(cl, HostId(0), reader, &cache_cfg));
+        } else {
+            let writer = FsClient::new(team.server, write_script(writes), slot);
+            cl.spawn(HostId(1), "writer", Box::new(writer));
+        }
+    });
     let server = team.stats.borrow().clone();
     SharedOutcome {
-        reader_ms: r.elapsed_ms / read_ops,
-        hit_rate: reader.stats().hit_rate(),
-        writer_ms: w.elapsed_ms / write_ops,
+        reader_ms: reports[0].elapsed_ms / (reads + 1) as f64,
+        hit_rate: cached.expect("the reader was spawned").stats().hit_rate(),
+        writer_ms: reports[1].elapsed_ms / (writes + 1) as f64,
         server,
     }
 }
@@ -220,73 +165,31 @@ fn run_shared(scheme: CacheMode, reads: u64, writes: u64) -> SharedOutcome {
 fn run_invalidation_storm(scheme: CacheMode, readers: usize) -> (f64, FileServerStats) {
     let speed = CpuSpeed::Mc68000At10MHz;
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(readers + 2, speed));
-    let mut store = BlockStore::new();
-    store
-        .create_with("vol", &vec![FILL; VOL_BLOCKS * BLOCK_SIZE])
-        .expect("fresh store");
     let cfg = FileServerConfig {
         lease: SimDuration::from_millis(8000),
         ..server_cfg(scheme)
     };
-    let team = spawn_file_server(&mut cl, HostId(readers + 1), cfg, store);
+    let team = spawn_file_server(&mut cl, HostId(readers + 1), cfg, volume());
     cl.run();
 
     // Warm every reader's cache (each registers as a holder).
-    let cache_cfg = match scheme {
-        CacheMode::Off => CacheConfig::off(),
-        CacheMode::WriteInvalidate => CacheConfig::write_invalidate(16),
-        CacheMode::Leases => CacheConfig::leases(16),
+    let cache_cfg = CacheConfig {
+        mode: scheme,
+        capacity_blocks: 16,
     };
-    let mut script = vec![FsCall::Open("vol".into())];
-    for b in 0..4u32 {
-        script.push(FsCall::ReadExpect {
-            block: b,
-            count: BLOCK_SIZE as u32,
-            expect: FILL,
-        });
-    }
-    let mut handles = Vec::new();
-    for h in 0..readers {
-        let rep = Rc::new(RefCell::new(FsClientReport::default()));
-        handles.push((
-            spawn_caching_client(
-                &mut cl,
-                HostId(h),
-                FsClient::new(team.server, script.clone(), rep.clone()),
-                &cache_cfg,
-            ),
-            rep,
-        ));
-    }
-    cl.run();
-    for (_, rep) in &handles {
-        let r = rep.borrow();
-        assert!(r.done && r.errors == 0, "warm reader failed: {r:?}");
-    }
+    let script = read_script("vol", 4, 4, FILL);
+    run_clients(&mut cl, readers, |cl, h, slot| {
+        let reader = FsClient::new(team.server, script.clone(), slot);
+        spawn_caching_client(cl, HostId(h), reader, &cache_cfg);
+    });
 
     // One write: the consistency protocol runs before it commits.
-    let wrep = Rc::new(RefCell::new(FsClientReport::default()));
-    cl.spawn(
-        HostId(readers),
-        "storm-writer",
-        Box::new(FsClient::new(
-            team.server,
-            vec![
-                FsCall::Open("vol".into()),
-                FsCall::WriteFill {
-                    block: 0,
-                    count: BLOCK_SIZE as u32,
-                    fill: FILL,
-                },
-            ],
-            wrep.clone(),
-        )),
-    );
-    cl.run();
-    let w = wrep.borrow().clone();
-    assert!(w.done && w.errors == 0, "storm writer failed: {w:?}");
+    let reports = run_clients(&mut cl, 1, |cl, _, slot| {
+        let writer = FsClient::new(team.server, write_script(1), slot);
+        cl.spawn(HostId(readers), "storm-writer", Box::new(writer));
+    });
     let stats = team.stats.borrow().clone();
-    (w.elapsed_ms / 2.0, stats)
+    (reports[0].elapsed_ms / 2.0, stats)
 }
 
 /// Boot-storm reread re-timing at `clients` hosts: uncached vs a
@@ -352,38 +255,26 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
         "client block caching & consistency under mixed workloads, 10 MHz",
     );
 
-    // --- Off is the pre-cache client, to the bit ------------------------
-    let plain = run_read_mix(CacheMode::Off, &CacheConfig::off(), true, 8, reads);
-    let off = run_read_mix(CacheMode::Off, &CacheConfig::off(), false, 8, reads);
-    c.push_ours("page read 512 B, pre-cache client", plain.per_op_ms, "ms");
+    // --- the uncached client ------------------------------------------
+    let off = run_read_mix(CacheMode::Off, &CacheConfig::off(), 8, reads);
     c.push_ours("page read 512 B, cache off", off.per_op_ms, "ms");
-    // Pinned to exactly 0.0 by the calibration suite: Off is not a
-    // near miss of the old client, it IS the old client.
-    c.push_ours(
-        "cache-off perturbation",
-        off.per_op_ms - plain.per_op_ms,
-        "ms",
-    );
 
     // --- cache size × working set (write-invalidate) --------------------
     let fit = run_read_mix(
         CacheMode::WriteInvalidate,
         &CacheConfig::write_invalidate(64),
-        false,
         8,
         reads,
     );
     let tight = run_read_mix(
         CacheMode::WriteInvalidate,
         &CacheConfig::write_invalidate(4),
-        false,
         8,
         reads,
     );
     let thrash = run_read_mix(
         CacheMode::WriteInvalidate,
         &CacheConfig::write_invalidate(16),
-        false,
         128,
         reads,
     );
@@ -395,7 +286,7 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
     );
     c.push_ours(
         "ws=8 in 64-block cache: speedup over uncached",
-        plain.per_op_ms / fit.per_op_ms,
+        off.per_op_ms / fit.per_op_ms,
         "x",
     );
     c.push_ours("ws=8 in 4-block cache: per read", tight.per_op_ms, "ms");
@@ -428,7 +319,7 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
     );
 
     // --- leases on the same read-mostly mix -----------------------------
-    let lease_fit = run_read_mix(CacheMode::Leases, &CacheConfig::leases(64), false, 8, reads);
+    let lease_fit = run_read_mix(CacheMode::Leases, &CacheConfig::leases(64), 8, reads);
     c.push_ours(
         "ws=8 in 64-block cache (leases): per read",
         lease_fit.per_op_ms,

@@ -25,10 +25,7 @@
 //! operation. See `docs/BENCHMARKS.md` for how the emitted
 //! `BENCH_failover.json` is gated in CI.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use v_fs::client::{FsCall, FsClient, FsClientReport, OpSeries};
+use v_fs::client::{FsClient, FsClientReport, OpSeries};
 use v_fs::replica::spawn_replica_group;
 use v_fs::{BlockStore, DiskModel, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
@@ -36,10 +33,9 @@ use v_sim::{SimDuration, SimTime};
 
 use crate::report::Comparison;
 
-use super::N_PAGES;
+use super::{read_script, Slot, FILL, N_PAGES};
 
 const REPLICAS: usize = 3;
-const FILL: u8 = 0x7E;
 
 /// What one arm's client produced: its report and the per-operation
 /// `(completed_at_ms, latency_ms)` series.
@@ -49,7 +45,7 @@ struct Arm {
 }
 
 /// Shared slots the client writes an [`Arm`] into.
-type ArmSlots = (Rc<RefCell<FsClientReport>>, OpSeries);
+type ArmSlots = (Slot, OpSeries);
 
 /// Builds the 3-replica + 1-client cluster and spawns the group,
 /// returning the cluster and the client's report and op-series slots.
@@ -69,14 +65,7 @@ fn replicated_setup(reads: u64) -> (Cluster, ArmSlots) {
     let pids = group.iter().map(|t| t.server).collect();
     cl.run(); // replicas blocked in Receive
 
-    let mut script = vec![FsCall::Open("vmunix".into())];
-    for j in 0..reads {
-        script.push(FsCall::ReadExpect {
-            block: (j % 16) as u32,
-            count: BLOCK_SIZE as u32,
-            expect: FILL,
-        });
-    }
+    let script = read_script("vmunix", reads, 16, FILL);
     let slots: ArmSlots = Default::default();
     cl.spawn(
         HostId(REPLICAS),

@@ -14,161 +14,94 @@
 //! 8-block file on one server and read pages in a tight loop — the
 //! Table 6-1 remote-read shape, fanned in. The same burst runs against
 //! the sequential server (`workers = 1`) and a 4-worker team; read-ahead
-//! is off in both so the contrast isolates pipelining. A side pair of
-//! single-client runs pins the `workers = 1` team-builder path
-//! bit-identical to a directly spawned pre-team `FileServer`.
+//! is off in both so the contrast isolates pipelining. The Datapath
+//! table runs the same burst (`run_burst`) with the disk striped
+//! over more arms. That `workers = 1` spawns the sequential server is
+//! `v_fs`'s own test (`team::tests::workers_1_takes_the_sequential_path`).
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use v_fs::client::{FsCall, FsClient, FsClientReport};
+use v_fs::client::FsClient;
 use v_fs::disk::{DiskModel, DiskStats};
-use v_fs::server::{FileServer, FileServerConfig};
+use v_fs::server::FileServerConfig;
 use v_fs::store::BlockStore;
 use v_fs::team::spawn_file_server;
 use v_fs::BLOCK_SIZE;
-use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, Pid};
+use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::SimDuration;
 
 use crate::report::Comparison;
 
-use super::N_PAGES;
+use super::{read_script, run_clients, FILL, N_PAGES};
 
 /// Workers in the pipelined team.
-const WORKERS: usize = 4;
+pub(crate) const WORKERS: usize = 4;
 /// Blocks per client file.
-const FILE_BLOCKS: usize = 8;
+pub(crate) const FILE_BLOCKS: usize = 8;
 
 /// One burst run's measurements.
-struct Burst {
+pub(crate) struct Burst {
     /// Mean ms per completed script step (open + reads) per client.
-    per_read_ms: f64,
+    pub per_read_ms: f64,
     /// Served load over the burst.
-    req_per_s: f64,
+    pub req_per_s: f64,
     /// The server disk's counters (aggregated across arms by
     /// [`DiskStats::absorb`]).
-    disk: DiskStats,
+    pub disk: DiskStats,
     /// Disk utilization over the burst.
-    disk_util: f64,
-    /// Per-arm utilization over the burst (one entry on the default
-    /// single-arm unit; the Datapath table sweeps wider stripes).
-    arm_util: Vec<f64>,
+    pub disk_util: f64,
+    /// Per-arm utilization over the burst (one entry on a single-arm
+    /// unit; the Datapath table sweeps wider stripes).
+    pub arm_util: Vec<f64>,
 }
 
-fn burst_cluster(clients: usize) -> Cluster {
-    Cluster::new(ClusterConfig::three_mb().with_hosts(clients + 1, CpuSpeed::Mc68000At10MHz))
-}
-
-fn burst_store(clients: usize) -> BlockStore {
+/// Runs one burst: `clients` simultaneous clients, one per host, each
+/// opening its private file and reading `reads` pages from a server
+/// with `workers` workers and a disk of `arms` striped arms. The one
+/// burst of both the Pipeline and the Datapath table.
+pub(crate) fn run_burst(workers: usize, arms: usize, clients: usize, reads: u64) -> Burst {
+    let mut cl =
+        Cluster::new(ClusterConfig::three_mb().with_hosts(clients + 1, CpuSpeed::Mc68000At10MHz));
     let mut store = BlockStore::new();
     for i in 0..clients {
         store
-            .create_with(&format!("vol{i}"), &vec![0x7E; FILE_BLOCKS * BLOCK_SIZE])
+            .create_with(&format!("vol{i}"), &vec![FILL; FILE_BLOCKS * BLOCK_SIZE])
             .expect("fresh store");
     }
-    store
-}
-
-fn burst_cfg(workers: usize) -> FileServerConfig {
-    FileServerConfig {
+    let cfg = FileServerConfig {
         disk: DiskModel::fixed(SimDuration::from_millis(15)),
+        disk_arms: arms,
         // Isolate pipelining: no speculative disk traffic.
         read_ahead: false,
         register: None,
         workers,
         ..FileServerConfig::default()
-    }
-}
-
-fn client_script(file: &str, reads: u64) -> Vec<FsCall> {
-    let mut script = vec![FsCall::Open(file.into())];
-    for j in 0..reads {
-        script.push(FsCall::ReadExpect {
-            block: (j % FILE_BLOCKS as u64) as u32,
-            count: BLOCK_SIZE as u32,
-            expect: 0x7E,
-        });
-    }
-    script
-}
-
-/// Spawns `clients` simultaneous scripted clients against `server` and
-/// runs the burst to completion; returns the per-client reports and the
-/// burst's elapsed seconds.
-fn run_clients(
-    cl: &mut Cluster,
-    server: Pid,
-    clients: usize,
-    reads: u64,
-) -> (Vec<FsClientReport>, f64) {
-    let t0 = cl.now();
-    let reports: Vec<_> = (0..clients)
-        .map(|i| {
-            let rep = Rc::new(RefCell::new(FsClientReport::default()));
-            cl.spawn(
-                HostId(1 + i),
-                "burst-client",
-                Box::new(FsClient::new(
-                    server,
-                    client_script(&format!("vol{i}"), reads),
-                    rep.clone(),
-                )),
-            );
-            rep
-        })
-        .collect();
-    cl.run();
-    let elapsed_s = cl.now().since(t0).as_secs_f64();
-    let reports: Vec<FsClientReport> = reports.iter().map(|r| r.borrow().clone()).collect();
-    for (i, r) in reports.iter().enumerate() {
-        assert!(
-            r.done && r.errors == 0 && r.integrity_errors == 0,
-            "burst client {i} failed: {r:?}"
-        );
-    }
-    (reports, elapsed_s)
-}
-
-/// Runs one burst: `clients` × (`reads` page reads) against a server
-/// with `workers` workers.
-fn run_burst(workers: usize, clients: usize, reads: u64) -> Burst {
-    let mut cl = burst_cluster(clients);
-    let team = spawn_file_server(&mut cl, HostId(0), burst_cfg(workers), burst_store(clients));
+    };
+    let team = spawn_file_server(&mut cl, HostId(0), cfg, store);
     cl.run(); // team settled: every process blocked receiving
-    let (reports, elapsed_s) = run_clients(&mut cl, team.server, clients, reads);
+
+    let t0 = cl.now();
+    let reports = run_clients(&mut cl, clients, |cl, i, slot| {
+        let script = read_script(&format!("vol{i}"), reads, FILE_BLOCKS as u32, FILL);
+        cl.spawn(
+            HostId(1 + i),
+            "burst-client",
+            Box::new(FsClient::new(team.server, script, slot)),
+        );
+    });
+    let elapsed = cl.now().since(t0);
     let total_ops: u64 = reports.iter().map(|r| r.completed).sum();
-    let per_read_ms = reports.iter().map(|r| r.elapsed_ms).sum::<f64>() / total_ops as f64;
-    let disk = team.disk.borrow().stats();
-    let elapsed = SimDuration::from_millis_f64(elapsed_s * 1000.0);
-    let arm_util = team
-        .disk
-        .borrow()
-        .per_arm_stats()
-        .iter()
-        .map(|s| s.utilization(elapsed))
-        .collect();
+    let unit = team.disk.borrow();
+    let disk = unit.stats();
     Burst {
-        per_read_ms,
-        req_per_s: total_ops as f64 / elapsed_s,
+        per_read_ms: reports.iter().map(|r| r.elapsed_ms).sum::<f64>() / total_ops as f64,
+        req_per_s: total_ops as f64 / elapsed.as_secs_f64(),
         disk,
         disk_util: disk.utilization(elapsed),
-        arm_util,
+        arm_util: unit
+            .per_arm_stats()
+            .iter()
+            .map(|s| s.utilization(elapsed))
+            .collect(),
     }
-}
-
-/// Single-client run against a *directly spawned* pre-team
-/// `FileServer::new` — the pre-refactor construction path, kept as the
-/// bit-identity reference for the `workers = 1` team builder.
-fn run_direct_sequential(reads: u64) -> f64 {
-    let mut cl = burst_cluster(1);
-    let server = cl.spawn(
-        HostId(0),
-        "fileserver",
-        Box::new(FileServer::new(burst_cfg(1), burst_store(1))),
-    );
-    cl.run();
-    let (reports, _) = run_clients(&mut cl, server, 1, reads);
-    reports[0].elapsed_ms / reports[0].completed as f64
 }
 
 /// The pipelining table with the full round count.
@@ -188,8 +121,8 @@ pub fn pipeline_with_rounds(reads: u64) -> Comparison {
     let mut seq_at = Vec::new();
     let mut pipe_at = Vec::new();
     for clients in [1usize, 2, 4, 8] {
-        let seq = run_burst(1, clients, reads);
-        let pipe = run_burst(WORKERS, clients, reads);
+        let seq = run_burst(1, 1, clients, reads);
+        let pipe = run_burst(WORKERS, 1, clients, reads);
         c.push_ours(
             format!("burst of {clients}: sequential per read"),
             seq.per_read_ms,
@@ -267,21 +200,6 @@ pub fn pipeline_with_rounds(reads: u64) -> Comparison {
         "capacity estimate, pipelined (1000/disk service)",
         1000.0 / disk_service_ms,
         "req/s",
-    );
-
-    // --- bit-identity of the workers=1 path ------------------------------
-    let direct = run_direct_sequential(reads);
-    // The burst-of-1 sequential run above *is* a workers=1 team-builder
-    // run (deterministic simulator): reuse it rather than re-simulate.
-    let via_team = seq_at[0].per_read_ms;
-    c.push_ours("single client, direct sequential spawn", direct, "ms");
-    c.push_ours("single client, workers=1 team builder", via_team, "ms");
-    // Pinned to exactly 0.0 by the calibration suite: the team refactor
-    // must not move the paper-shaped sequential server by one event.
-    c.push_ours(
-        "workers=1 perturbation of direct spawn",
-        via_team - direct,
-        "ms",
     );
 
     c.note(format!(

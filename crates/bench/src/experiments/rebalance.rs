@@ -41,7 +41,7 @@ use v_sim::{SimDuration, SimTime};
 
 use crate::report::Comparison;
 
-use super::N_PAGES;
+use super::{read_script, N_PAGES};
 
 /// Shards (and hot files, and streaming clients).
 const SHARDS: usize = 4;
@@ -128,14 +128,12 @@ fn run_skew(arm: Arm, reads: u64) -> SkewOutcome {
     let mut reports = Vec::new();
     let mut script_len = 0u64;
     for client in 0..SHARDS {
-        let mut script = vec![FsCall::Open(map.name_for_shard(0, &format!("hot{client}")))];
-        for j in 0..reads {
-            script.push(FsCall::ReadExpect {
-                block: (j % FILE_BLOCKS as u64) as u32,
-                count: BLOCK_SIZE as u32,
-                expect: 0xA0 + client as u8,
-            });
-        }
+        let mut script = read_script(
+            &map.name_for_shard(0, &format!("hot{client}")),
+            reads,
+            FILE_BLOCKS as u32,
+            0xA0 + client as u8,
+        );
         // Close with a write+read pair: the file must take writes
         // wherever the policy left it (and the drain's retry-after
         // path gets exercised when a write lands mid-move).

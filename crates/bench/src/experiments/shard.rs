@@ -18,10 +18,7 @@
 //!    segment, so every client reads locally. Same protocol, same
 //!    servers, same scripts — only placement moves.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use v_fs::client::{FsCall, FsClient, FsClientReport};
+use v_fs::client::FsClient;
 use v_fs::disk::DiskModel;
 use v_fs::shard::ShardMap;
 use v_fs::store::BlockStore;
@@ -29,11 +26,12 @@ use v_fs::{spawn_file_server, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_net::MeshConfig;
 use v_sim::SimDuration;
+use v_workloads::page::PageMode;
 
 use crate::paper;
 use crate::report::Comparison;
 
-use super::{pair_3mb, run_page_reads, N_PAGES};
+use super::{pair_3mb, read_script, run_clients, run_page_reads, FILL, N_PAGES};
 
 /// Mean ms per 512-byte page read with the server `hops` gateways away
 /// on a 3-segment line mesh (client always on segment 0).
@@ -43,7 +41,7 @@ fn mesh_page_read(speed: CpuSpeed, hops: usize, rounds: u64) -> f64 {
             .with_host_on(speed, 0)
             .with_host_on(speed, hops),
     );
-    run_page_reads(cl, rounds)
+    run_page_reads(cl, HostId(1), PageMode::Segment, rounds).0
 }
 
 /// Runs the 3-client / 3-shard placement workload. `partitioned` puts
@@ -68,7 +66,7 @@ fn run_placement(speed: CpuSpeed, reads_per_client: u64, partitioned: bool) -> (
         store
             .create_with(
                 &map.name_for_shard(shard, "vol"),
-                &vec![0x7E; 16 * BLOCK_SIZE],
+                &vec![FILL; 16 * BLOCK_SIZE],
             )
             .expect("fresh store");
         let fs_cfg = FileServerConfig {
@@ -80,37 +78,22 @@ fn run_placement(speed: CpuSpeed, reads_per_client: u64, partitioned: bool) -> (
     }
     cl.run(); // every server blocked in Receive
 
-    let mut reports = Vec::new();
-    for client in 0..3usize {
+    let reports = run_clients(&mut cl, 3, |cl, client, slot| {
         // Client `i` works the file pinned to shard `i` — the placement
         // a directory partition by client home volume produces.
-        let mut script = vec![FsCall::Open(map.name_for_shard(client, "vol"))];
-        for j in 0..reads_per_client {
-            script.push(FsCall::ReadExpect {
-                block: (j % 16) as u32,
-                count: BLOCK_SIZE as u32,
-                expect: 0x7E,
-            });
-        }
-        let rep = Rc::new(RefCell::new(FsClientReport::default()));
+        let script = read_script(
+            &map.name_for_shard(client, "vol"),
+            reads_per_client,
+            16,
+            FILL,
+        );
         cl.spawn(
             HostId(3 + client),
             "shard-client",
-            Box::new(FsClient::sharded(servers.clone(), script, rep.clone())),
+            Box::new(FsClient::sharded(servers.clone(), script, slot)),
         );
-        reports.push(rep);
-    }
-    cl.run();
-
-    let mut total_ms = 0.0;
-    for (i, rep) in reports.iter().enumerate() {
-        let r = rep.borrow().clone();
-        assert!(
-            r.done && r.errors == 0 && r.integrity_errors == 0,
-            "client {i} failed: {r:?}"
-        );
-        total_ms += r.elapsed_ms;
-    }
+    });
+    let total_ms: f64 = reports.iter().map(|r| r.elapsed_ms).sum();
     let per_read = total_ms / (3.0 * reads_per_client as f64);
     let forwarded = cl.gateway_stats_total().map_or(0, |g| g.forwarded);
     (per_read, forwarded)
@@ -131,7 +114,7 @@ pub fn shard_with_rounds(rounds: u64) -> Comparison {
     );
 
     // --- page-read latency by hop count --------------------------------
-    let baseline = run_page_reads(pair_3mb(speed), rounds);
+    let (baseline, _) = run_page_reads(pair_3mb(speed), HostId(1), PageMode::Segment, rounds);
     let same = mesh_page_read(speed, 0, rounds);
     let one = mesh_page_read(speed, 1, rounds);
     let two = mesh_page_read(speed, 2, rounds);

@@ -16,6 +16,7 @@ use v_net::{LinkParams, MeshConfig};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::measure::{probe, RunReport};
 use v_workloads::mover::{Grantor, MoveDir, Mover};
+use v_workloads::page::PageMode;
 
 use crate::report::Comparison;
 
@@ -67,15 +68,14 @@ fn bulk_topology() -> MeshConfig {
 /// Mean ms per cross-gateway bulk `MoveTo` of `size` bytes, plus the
 /// gateway's coalesced-frame count. The mover (fast segment 0) pushes
 /// each transfer as back-to-back chunk packets toward the grantor
-/// (slow segment 1), so the chunks queue at the gateway. `Some(on)`
-/// builds the mesh with the flag set explicitly; `None` goes through
-/// the plain internetwork constructor, the pre-coalescing configuration
-/// the perturbation row pins against.
-fn run_bulk_move(speed: CpuSpeed, coalesce: Option<bool>, size: u32, rounds: u64) -> (f64, u64) {
-    let mut mesh = bulk_topology();
-    if let Some(on) = coalesce {
-        mesh.coalesce = on;
-    }
+/// (slow segment 1), so the chunks queue at the gateway. The mesh
+/// coalesces queued frames only when `coalesce` is set.
+fn run_bulk_move(speed: CpuSpeed, coalesce: bool, size: u32, rounds: u64) -> (f64, u64) {
+    let mesh = if coalesce {
+        bulk_topology().with_coalescing()
+    } else {
+        bulk_topology()
+    };
     let topo = ClusterConfig::mesh(mesh);
     let mut cl = Cluster::new(topo.with_host_on(speed, 0).with_host_on(speed, 1));
     let rep = probe(RunReport::default());
@@ -126,8 +126,8 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
     c.push_ours("gateway frames forwarded", g.forwarded as f64, "frames");
 
     // Table 6-1 page reads: one segment vs across the gateway.
-    let read_seg = run_page_reads(pair_3mb(speed), rounds);
-    let read_gw = run_page_reads(gateway_pair(speed), rounds);
+    let (read_seg, _) = run_page_reads(pair_3mb(speed), HostId(1), PageMode::Segment, rounds);
+    let (read_gw, _) = run_page_reads(gateway_pair(speed), HostId(1), PageMode::Segment, rounds);
     c.push_ours("page read 512 B, one segment", read_seg, "ms");
     c.push_ours("page read 512 B, across gateway", read_gw, "ms");
     c.push_ours("page read added hop latency", read_gw - read_seg, "ms");
@@ -135,12 +135,9 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
     // Gateway frame coalescing ablation: a 16 KB cross-gateway MoveTo
     // queues its chunk packets at the gateway; with coalescing the
     // queued same-egress chunks share one forwarding charge per burst.
-    // The off arm must reproduce the default mesh's numbers to the bit
-    // (the calibration suite pins the perturbation row to 0.0).
     let bulk_rounds = (rounds / 10).max(4);
-    let (bulk_base, _) = run_bulk_move(speed, None, 16 * 1024, bulk_rounds);
-    let (bulk_off, off_coalesced) = run_bulk_move(speed, Some(false), 16 * 1024, bulk_rounds);
-    let (bulk_on, on_coalesced) = run_bulk_move(speed, Some(true), 16 * 1024, bulk_rounds);
+    let (bulk_off, off_coalesced) = run_bulk_move(speed, false, 16 * 1024, bulk_rounds);
+    let (bulk_on, on_coalesced) = run_bulk_move(speed, true, 16 * 1024, bulk_rounds);
     c.push_ours(
         "bulk 16 KB MoveTo across gateway, coalescing off",
         bulk_off,
@@ -151,7 +148,6 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
         bulk_on,
         "ms",
     );
-    c.push_ours("coalescing-off perturbation", bulk_off - bulk_base, "ms");
     c.push_ours("coalescing speedup", bulk_off / bulk_on, "x");
     c.push_ours("frames coalesced, off", off_coalesced as f64, "frames");
     c.push_ours("frames coalesced, on", on_coalesced as f64, "frames");

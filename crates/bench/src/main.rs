@@ -25,65 +25,43 @@
 
 use std::path::PathBuf;
 
-use v_bench::experiments as exp;
+use v_bench::experiments::{self as exp, Experiment};
 use v_bench::report::Comparison;
 use v_kernel::CpuSpeed;
 
-fn comparison_for(id: &str) -> Option<Comparison> {
-    Some(match id {
-        "4-1" => exp::network_penalty(),
-        "5-1" => exp::kernel_performance(CpuSpeed::Mc68000At8MHz),
-        "5-2" => exp::kernel_performance(CpuSpeed::Mc68000At10MHz),
-        "5-4" => exp::multi_process_traffic(),
-        "6-1" => exp::page_access(),
-        "6-2" => exp::sequential_access(),
-        "6-3" => exp::program_loading(),
-        "7" => exp::file_server_capacity(),
-        "8" => exp::ten_mb_ethernet(),
-        "ip" => exp::ip_encapsulation(),
-        "relay" => exp::netserver_relay(),
-        "wfs" => exp::wfs_comparison(),
-        "streaming" => exp::streaming_comparison(),
-        "wan" => exp::wan_topologies(),
-        "shard" => exp::shard_placement(),
-        "rebalance" => exp::rebalance(),
-        "failover" => exp::failover(),
-        "pipeline" => exp::pipeline_contention(),
-        "datapath" => exp::datapath(),
-        "cachemix" => exp::cachemix(),
-        "ablate" => exp::protocol_ablations(),
-        "engine" => exp::engine_throughput(),
-        other => {
-            eprintln!("unknown experiment: {other}");
-            return None;
-        }
-    })
-}
-
-const ALL: [&str; 22] = [
-    "4-1",
-    "5-1",
-    "5-2",
-    "5-4",
-    "6-1",
-    "6-2",
-    "6-3",
-    "7",
-    "8",
-    "ip",
-    "relay",
-    "wfs",
-    "streaming",
-    "wan",
-    "shard",
-    "rebalance",
-    "failover",
-    "pipeline",
-    "datapath",
-    "cachemix",
-    "ablate",
-    "engine",
+/// Every experiment by id, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 22] = [
+    ("4-1", exp::network_penalty),
+    ("5-1", || exp::kernel_performance(CpuSpeed::Mc68000At8MHz)),
+    ("5-2", || exp::kernel_performance(CpuSpeed::Mc68000At10MHz)),
+    ("5-4", exp::multi_process_traffic),
+    ("6-1", exp::page_access),
+    ("6-2", exp::sequential_access),
+    ("6-3", exp::program_loading),
+    ("7", exp::file_server_capacity),
+    ("8", exp::ten_mb_ethernet),
+    ("ip", exp::ip_encapsulation),
+    ("relay", exp::netserver_relay),
+    ("wfs", exp::wfs_comparison),
+    ("streaming", exp::streaming_comparison),
+    ("wan", exp::wan_topologies),
+    ("shard", exp::shard_placement),
+    ("rebalance", exp::rebalance),
+    ("failover", exp::failover),
+    ("pipeline", exp::pipeline_contention),
+    ("datapath", exp::datapath),
+    ("cachemix", exp::cachemix),
+    ("ablate", exp::protocol_ablations),
+    ("engine", exp::engine_throughput),
 ];
+
+fn comparison_for(id: &str) -> Option<Comparison> {
+    let found = EXPERIMENTS.iter().find(|(name, _)| *name == id);
+    if found.is_none() {
+        eprintln!("unknown experiment: {id}");
+    }
+    found.map(|(_, run)| run())
+}
 
 /// Parsed command line.
 struct Opts {
@@ -205,7 +183,7 @@ fn main() {
     }
 
     let ids: Vec<&str> = if opts.ids.is_empty() || opts.ids.iter().any(|a| a == "all") {
-        ALL.to_vec()
+        EXPERIMENTS.iter().map(|(id, _)| *id).collect()
     } else {
         opts.ids.iter().map(|s| s.as_str()).collect()
     };

@@ -86,12 +86,20 @@ impl Comparison {
         self.notes.push(s.into());
     }
 
-    /// Largest absolute relative deviation across comparable rows.
+    /// Largest absolute relative deviation across comparable rows. A
+    /// row whose deviation is not finite — a NaN or infinite
+    /// measurement — counts as infinitely far off, so no gate passes it.
     pub fn worst_deviation(&self) -> f64 {
         self.rows
             .iter()
             .filter_map(|r| r.deviation())
-            .map(f64::abs)
+            .map(|d| {
+                if d.is_finite() {
+                    d.abs()
+                } else {
+                    f64::INFINITY
+                }
+            })
             .fold(0.0, f64::max)
     }
 
@@ -219,6 +227,16 @@ mod tests {
         c.push_ours("c", 9.0, "ms");
         assert!((c.worst_deviation() - 0.2).abs() < 1e-9);
         assert_eq!(c.get("c"), Some(9.0));
+    }
+
+    #[test]
+    fn a_nan_measurement_fails_every_gate() {
+        let mut clean = Comparison::new("T", "t");
+        clean.push("x", 1.0, 1.0, "ms");
+        assert_eq!(clean.worst_deviation(), 0.0);
+        let mut c = Comparison::new("T", "t");
+        c.push("x", 1.0, f64::NAN, "ms");
+        assert!(c.worst_deviation() > f64::MAX, "{}", c.worst_deviation());
     }
 
     #[test]

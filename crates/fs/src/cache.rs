@@ -10,8 +10,8 @@
 //! Consistency is the server's job, selected by [`CacheMode`]:
 //!
 //! * **`Off`** — no cache, no agent; the client is construction- and
-//!   wire-identical to the pre-cache client (the calibration suite
-//!   pins the perturbation to exactly 0.0).
+//!   wire-identical to the pre-cache client ([`spawn_caching_client`]
+//!   spawns it and nothing else).
 //! * **`WriteInvalidate`** — cached reads go out as
 //!   [`IoOp::ReadCached`] carrying the client's cache-agent pid; the
 //!   server records the agent as a *holder* of the file and, before
@@ -532,5 +532,30 @@ mod tests {
         c.insert(FileId(1), 0, vec![0xAA; 256], None);
         assert!(c.lookup(FileId(1), 0, 128, t(0)).is_some());
         assert!(c.lookup(FileId(1), 0, 512, t(0)).is_none());
+    }
+
+    /// With the cache off — by mode, or by a zero capacity — a caching
+    /// client is the plain client: one process, no agent, no cache.
+    #[test]
+    fn a_cache_that_is_off_spawns_the_plain_client_alone() {
+        use crate::client::FsClientReport;
+        use v_kernel::{ClusterConfig, CpuSpeed};
+        for cfg in [CacheConfig::off(), CacheConfig::write_invalidate(0)] {
+            let mut cl =
+                Cluster::new(ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz));
+            let server = crate::team::spawn_file_server(
+                &mut cl,
+                HostId(1),
+                Default::default(),
+                Default::default(),
+            )
+            .server;
+            let report = Rc::new(RefCell::new(FsClientReport::default()));
+            let client = FsClient::new(server, vec![FsCall::Open("f".into())], report);
+            let handle = spawn_caching_client(&mut cl, HostId(0), client, &cfg);
+            assert_eq!(cl.kernel_stats(HostId(0)).processes_spawned, 1, "{cfg:?}");
+            assert!(handle.agent.is_none(), "{cfg:?}");
+            assert!(handle.cache.is_none(), "{cfg:?}");
+        }
     }
 }

@@ -750,8 +750,9 @@ impl Program for FsClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{FileServer, FileServerConfig};
+    use crate::server::FileServerConfig;
     use crate::store::BlockStore;
+    use crate::team::spawn_file_server;
     use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 
     fn run_script(script: Vec<FsCall>) -> FsClientReport {
@@ -764,17 +765,16 @@ mod tests {
         let mut cl = Cluster::new(cfg);
         let mut store = BlockStore::new();
         store.create_with("boot", data).unwrap();
-        let server = cl.spawn(
+        let server = spawn_file_server(
+            &mut cl,
             HostId(1),
-            "fileserver",
-            Box::new(FileServer::new(
-                FileServerConfig {
-                    disk: crate::disk::DiskModel::fixed(SimDuration::from_millis(1)),
-                    ..FileServerConfig::default()
-                },
-                store,
-            )),
-        );
+            FileServerConfig {
+                disk: crate::disk::DiskModel::fixed(SimDuration::from_millis(1)),
+                ..FileServerConfig::default()
+            },
+            store,
+        )
+        .server;
         let rep = Rc::new(RefCell::new(FsClientReport::default()));
         cl.spawn(
             HostId(0),

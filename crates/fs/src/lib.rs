@@ -81,7 +81,7 @@ pub use disk::{DiskModel, DiskStats};
 pub use proto::{IoReply, IoRequest, IoStatus};
 pub use rebalance::{spawn_rebalancer, MigrationLedger, MoveRecord, Rebalancer, RebalancerConfig};
 pub use replica::spawn_replica_group;
-pub use server::{FileHeat, FileServer, FileServerConfig, FileServerStats, HeatEntry};
+pub use server::{FileHeat, FileServerConfig, FileServerStats, HeatEntry};
 pub use shard::{ShardMap, ShardOverlay, ShardedFsClient};
 pub use store::BlockStore;
 pub use team::{spawn_file_server, FileServerTeam};

@@ -195,7 +195,8 @@ impl Program for ExecServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{FileServer, FileServerConfig};
+    use crate::server::FileServerConfig;
+    use crate::team::spawn_file_server;
     use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
     use v_sim::SimDuration;
 
@@ -204,18 +205,17 @@ mod tests {
         let mut cl = Cluster::new(cfg);
         let mut store = BlockStore::new();
         install_image(&mut store, "shell", 65536, 0xC7);
-        let server = cl.spawn(
+        let server = spawn_file_server(
+            &mut cl,
             HostId(1),
-            "fileserver",
-            Box::new(FileServer::new(
-                FileServerConfig {
-                    disk: crate::disk::DiskModel::fixed(SimDuration::from_millis(2)),
-                    transfer_unit: 4096,
-                    ..FileServerConfig::default()
-                },
-                store,
-            )),
-        );
+            FileServerConfig {
+                disk: crate::disk::DiskModel::fixed(SimDuration::from_millis(2)),
+                transfer_unit: 4096,
+                ..FileServerConfig::default()
+            },
+            store,
+        )
+        .server;
         (cl, server)
     }
 

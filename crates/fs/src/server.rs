@@ -242,13 +242,6 @@ impl FileHeat {
         s.writes += row.writes;
         s.score += row.score;
     }
-
-    /// Folds another heat table into this one (team aggregation).
-    pub fn absorb(&mut self, other: &FileHeat) {
-        for &row in &other.entries {
-            self.graft(row);
-        }
-    }
 }
 
 /// Counters the server (or the whole team) accumulates.
@@ -442,13 +435,6 @@ pub struct FileServer {
 }
 
 impl FileServer {
-    /// Creates a standalone (sequential) file server over a
-    /// pre-populated store.
-    pub fn new(cfg: FileServerConfig, store: BlockStore) -> FileServer {
-        let shared = SharedServerState::new(cfg.build_disk(), store);
-        FileServer::with_shared(cfg, shared, None)
-    }
-
     /// Creates a server over team-shared state; `notify` puts it in
     /// worker mode (idle notifications to the receptionist).
     pub(crate) fn with_shared(
@@ -1243,5 +1229,18 @@ mod tests {
         assert_eq!(dst.of(f), (6, 0));
         assert_eq!(dst.score_of(f), 3.5);
         assert_eq!(dst.hottest(), Some((f, 6)));
+    }
+
+    /// A default server has one disk arm, and one arm installs the disk
+    /// exactly as configured — no striping layer.
+    #[test]
+    fn one_arm_is_the_default_and_builds_the_disk_as_given() {
+        let cfg = FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(15)),
+            ..FileServerConfig::default()
+        };
+        assert_eq!(FileServerConfig::default().disk_arms, 1);
+        assert_eq!(cfg.disk_arms, 1);
+        assert_eq!(format!("{:?}", cfg.build_disk()), format!("{:?}", cfg.disk));
     }
 }

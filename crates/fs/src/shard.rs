@@ -179,7 +179,7 @@ mod tests {
     use super::*;
     use crate::client::{FsCall, FsClientReport};
     use crate::disk::DiskModel;
-    use crate::server::{FileServer, FileServerConfig};
+    use crate::server::FileServerConfig;
     use crate::team::spawn_file_server;
     use crate::BLOCK_SIZE;
     use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
@@ -286,11 +286,7 @@ mod tests {
                 register: None,
                 ..FileServerConfig::default()
             };
-            servers.push(cl.spawn(
-                HostId(shard),
-                "srv",
-                Box::new(FileServer::new(fs_cfg, store)),
-            ));
+            servers.push(spawn_file_server(&mut cl, HostId(shard), fs_cfg, store).server);
         }
         cl.run();
         let script = vec![
@@ -337,11 +333,7 @@ mod tests {
                 register: None,
                 ..FileServerConfig::default()
             };
-            servers.push(cl.spawn(
-                HostId(shard),
-                "srv",
-                Box::new(FileServer::new(fs_cfg, store)),
-            ));
+            servers.push(spawn_file_server(&mut cl, HostId(shard), fs_cfg, store).server);
         }
         cl.run();
 

@@ -1159,4 +1159,18 @@ mod tests {
         };
         Internetwork::new(cfg, 1);
     }
+
+    /// Every mesh constructor leaves frame coalescing off; only
+    /// `with_coalescing` turns it on.
+    #[test]
+    fn mesh_constructors_build_without_coalescing() {
+        for mesh in [
+            MeshConfig::line(3),
+            MeshConfig::ring(3),
+            MeshConfig::star(2),
+        ] {
+            assert!(!mesh.coalesce, "{mesh:?}");
+            assert!(mesh.with_coalescing().coalesce);
+        }
+    }
 }

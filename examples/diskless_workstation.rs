@@ -6,8 +6,8 @@
 
 use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::loader::{install_image, LoadReport, ProgramLoader};
-use v_fs::server::{FileServer, FileServerConfig};
-use v_fs::{BlockStore, DiskModel};
+use v_fs::server::FileServerConfig;
+use v_fs::{spawn_file_server, BlockStore, DiskModel};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_sim::SimDuration;
 
@@ -24,18 +24,17 @@ fn main() {
     store
         .create_with("motd", &vec![0x42u8; 2048])
         .expect("fresh store");
-    let server = cluster.spawn(
+    let server = spawn_file_server(
+        &mut cluster,
         HostId(0),
-        "fileserver",
-        Box::new(FileServer::new(
-            FileServerConfig {
-                disk: DiskModel::fixed(SimDuration::from_millis(15)),
-                transfer_unit: 4096,
-                ..FileServerConfig::default()
-            },
-            store,
-        )),
-    );
+        FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(15)),
+            transfer_unit: 4096,
+            ..FileServerConfig::default()
+        },
+        store,
+    )
+    .server;
 
     // Workstation 1 boots by loading the shell (two reads: header, then
     // the image via MoveTo — §6.3).

@@ -7,8 +7,8 @@
 //! Run with: `cargo run --example lossy_network`
 
 use v_fs::client::{FsCall, FsClient, FsClientReport};
-use v_fs::server::{FileServer, FileServerConfig};
-use v_fs::{BlockStore, DiskModel};
+use v_fs::server::FileServerConfig;
+use v_fs::{spawn_file_server, BlockStore, DiskModel};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_net::FaultPlan;
 use v_sim::SimDuration;
@@ -50,17 +50,16 @@ fn main() {
     // File operations with real data through the same storm.
     let mut store = BlockStore::new();
     store.create_with("data", &vec![0x7Au8; 8192]).unwrap();
-    let server = cluster.spawn(
+    let server = spawn_file_server(
+        &mut cluster,
         HostId(1),
-        "fileserver",
-        Box::new(FileServer::new(
-            FileServerConfig {
-                disk: DiskModel::fixed(SimDuration::from_millis(2)),
-                ..FileServerConfig::default()
-            },
-            store,
-        )),
-    );
+        FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(2)),
+            ..FileServerConfig::default()
+        },
+        store,
+    )
+    .server;
     let frep = std::rc::Rc::new(std::cell::RefCell::new(FsClientReport::default()));
     let mut script = vec![FsCall::Open("data".into())];
     for i in 0..16 {

@@ -2,8 +2,8 @@
 //! unreliable network, the alien-pool bound, and transfer recovery.
 
 use v_fs::client::{FsCall, FsClient, FsClientReport};
-use v_fs::server::{FileServer, FileServerConfig};
-use v_fs::{BlockStore, DiskModel};
+use v_fs::server::FileServerConfig;
+use v_fs::{spawn_file_server, BlockStore, DiskModel};
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
 use v_net::FaultPlan;
 use v_sim::SimDuration;
@@ -101,17 +101,16 @@ fn file_content_survives_the_storm() {
     let mut cl = Cluster::new(cfg);
     let mut store = BlockStore::new();
     store.create_with("f", &vec![0x11u8; 4096]).unwrap();
-    let server = cl.spawn(
+    let server = spawn_file_server(
+        &mut cl,
         HostId(1),
-        "fileserver",
-        Box::new(FileServer::new(
-            FileServerConfig {
-                disk: DiskModel::fixed(SimDuration::from_millis(1)),
-                ..FileServerConfig::default()
-            },
-            store,
-        )),
-    );
+        FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(1)),
+            ..FileServerConfig::default()
+        },
+        store,
+    )
+    .server;
     let rep = std::rc::Rc::new(std::cell::RefCell::new(FsClientReport::default()));
     let mut script = vec![FsCall::Open("f".into())];
     for round in 0u8..8 {
