@@ -73,11 +73,11 @@ fn server_cfg(mode: CacheMode) -> FileServerConfig {
 }
 
 /// The read-mix outcome: mean ms per script op, client cache counters,
-/// and the server team's counters.
+/// and the reads of the server's hottest file.
 struct MixOutcome {
     per_op_ms: f64,
     cache: CacheStats,
-    server: FileServerStats,
+    hottest_reads: u64,
 }
 
 /// Runs `reads` 512-byte page reads cycling over a `working_set`-block
@@ -99,11 +99,11 @@ fn run_read_mix(
         let reader = FsClient::new(team.server, script, slot);
         handle = Some(spawn_caching_client(cl, HostId(0), reader, client));
     });
-    let server = team.stats.borrow().clone();
+    let hottest_reads = team.files.borrow().hottest().map_or(0, |h| h.reads);
     MixOutcome {
         per_op_ms: reports[0].elapsed_ms / (reads + 1) as f64,
         cache: handle.expect("the reader was spawned").stats(),
-        server,
+        hottest_reads,
     }
 }
 
@@ -306,15 +306,9 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
         thrash.cache.evictions as f64,
         "blocks",
     );
-    let (heat_reads, _) = fit
-        .server
-        .heat
-        .hottest()
-        .map(|(f, _)| fit.server.heat.of(f))
-        .unwrap_or((0, 0));
     c.push_ours(
         "server heat: reads of hottest file (ws=8 fit)",
-        heat_reads as f64,
+        fit.hottest_reads as f64,
         "reads",
     );
 

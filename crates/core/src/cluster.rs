@@ -6,7 +6,7 @@
 //! `v-bench` experiments for usage.
 
 use v_net::sink::receivers;
-use v_net::{EtherType, Ethernet, Frame, MacAddr, Nic, Transport};
+use v_net::{EtherType, Frame, MacAddr, Nic, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 use v_wire::{Packet, PacketBody};
 
@@ -136,10 +136,7 @@ impl Cluster {
         if let Err(e) = cfg.validate() {
             panic!("invalid cluster configuration: {e}");
         }
-        let mut net: Box<dyn Transport> = match &cfg.topology {
-            None => Box::new(Ethernet::for_kind(cfg.network, cfg.seed)),
-            Some(topology) => topology.build(cfg.seed),
-        };
+        let mut net = cfg.topology.build(cfg.seed);
         // Only install an explicit plan: the default empty plan must not
         // clobber error rates a topology carries in its own parameters
         // (a WAN link's configured loss).

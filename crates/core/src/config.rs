@@ -168,13 +168,11 @@ impl HostConfig {
 /// Whole-cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Which physical network to simulate when `topology` is `None`
-    /// (the paper's single shared segment).
-    pub network: NetworkKind,
-    /// Explicit network topology. `None` means one shared Ethernet
-    /// segment of the `network` flavour — the paper's configuration and
-    /// the default for every existing experiment.
-    pub topology: Option<Topology>,
+    /// The network: one shared Ethernet segment
+    /// ([`Topology::SingleSegment`], the paper's configuration and what
+    /// [`ClusterConfig::three_mb`] and [`ClusterConfig::ten_mb`] build),
+    /// a WAN link, or a mesh of segments joined by gateways.
+    pub topology: Topology,
     /// pid → station addressing scheme.
     pub addressing: AddressingMode,
     /// The workstations, in station-address order (station `i + 1`).
@@ -197,8 +195,7 @@ impl ClusterConfig {
     /// — the paper's main configuration.
     pub fn three_mb() -> ClusterConfig {
         ClusterConfig {
-            network: NetworkKind::Experimental3Mb,
-            topology: None,
+            topology: Topology::SingleSegment(NetworkKind::Experimental3Mb),
             addressing: AddressingMode::Direct,
             hosts: Vec::new(),
             protocol: ProtocolConfig::default(),
@@ -212,7 +209,7 @@ impl ClusterConfig {
     /// (§8's configuration).
     pub fn ten_mb() -> ClusterConfig {
         ClusterConfig {
-            network: NetworkKind::Standard10Mb,
+            topology: Topology::SingleSegment(NetworkKind::Standard10Mb),
             addressing: AddressingMode::Learned,
             ..ClusterConfig::three_mb()
         }
@@ -222,7 +219,7 @@ impl ClusterConfig {
     /// off-segment regime the paper never measured.
     pub fn wan(params: LinkParams) -> ClusterConfig {
         ClusterConfig {
-            topology: Some(Topology::PointToPoint(params)),
+            topology: Topology::PointToPoint(params),
             ..ClusterConfig::three_mb()
         }
     }
@@ -231,7 +228,7 @@ impl ClusterConfig {
     /// hosts with [`ClusterConfig::with_host_on`].
     pub fn mesh(topo: MeshConfig) -> ClusterConfig {
         ClusterConfig {
-            topology: Some(Topology::Mesh(topo)),
+            topology: Topology::Mesh(topo),
             ..ClusterConfig::three_mb()
         }
     }
@@ -260,7 +257,7 @@ impl ClusterConfig {
     /// Number of network segments hosts can be placed on (1 for the
     /// paper's single shared Ethernet).
     pub fn num_segments(&self) -> usize {
-        self.topology.as_ref().map_or(1, Topology::num_segments)
+        self.topology.num_segments()
     }
 
     /// Validates per-host segment placement against the topology.
@@ -303,24 +300,25 @@ mod tests {
     #[test]
     fn topology_builders() {
         let wan = ClusterConfig::wan(v_net::LinkParams::T1);
-        assert!(matches!(wan.topology, Some(Topology::PointToPoint(_))));
+        assert!(matches!(wan.topology, Topology::PointToPoint(_)));
 
         let inet = ClusterConfig::mesh(MeshConfig::star(2))
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 1);
-        assert!(matches!(inet.topology, Some(Topology::Mesh(_))));
+        assert!(matches!(inet.topology, Topology::Mesh(_)));
         assert_eq!(inet.hosts[0].segment, 0);
         assert_eq!(inet.hosts[1].segment, 1);
 
         let mesh = ClusterConfig::mesh(MeshConfig::line(3))
             .with_host_on(CpuSpeed::Mc68000At8MHz, 0)
             .with_host_on(CpuSpeed::Mc68000At8MHz, 2);
-        assert!(matches!(mesh.topology, Some(Topology::Mesh(_))));
+        assert!(matches!(mesh.topology, Topology::Mesh(_)));
         assert_eq!(mesh.num_segments(), 3);
 
         // The paper's configurations stay single-segment.
-        assert!(ClusterConfig::three_mb().topology.is_none());
-        assert!(ClusterConfig::ten_mb().topology.is_none());
+        for cfg in [ClusterConfig::three_mb(), ClusterConfig::ten_mb()] {
+            assert!(matches!(cfg.topology, Topology::SingleSegment(_)));
+        }
     }
 
     #[test]
@@ -371,7 +369,10 @@ mod tests {
         assert_eq!(cfg.addressing, AddressingMode::Direct);
         let cfg10 = ClusterConfig::ten_mb();
         assert_eq!(cfg10.addressing, AddressingMode::Learned);
-        assert_eq!(cfg10.network, NetworkKind::Standard10Mb);
+        assert!(matches!(
+            cfg10.topology,
+            Topology::SingleSegment(NetworkKind::Standard10Mb)
+        ));
     }
 
     #[test]

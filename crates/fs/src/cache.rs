@@ -27,9 +27,11 @@
 //! Two races are closed explicitly. A read in flight across a write
 //! must not install stale data: the client snapshots the cache's
 //! per-file version when it issues and skips the insert if an
-//! invalidation bumped it meanwhile. A read *dispatched during* a
-//! pending write never becomes a holder at all: the server answers it
-//! with a [`CACHE_DENY`] grant (see `write_pending` in the server).
+//! invalidation bumped it meanwhile. A read dispatched while a write is
+//! in flight (the count in the server's [`FileTable`](crate::FileTable),
+//! which also refuses a `MigrateBegin`) never becomes a holder at all:
+//! the server answers it with a [`CACHE_DENY`] grant. The server's half
+//! of each scheme is one type here, the holder rules.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,6 +59,99 @@ pub enum CacheMode {
     WriteInvalidate,
     /// Server grants expiring read leases and writes wait them out.
     Leases,
+}
+
+/// Slack a lease-mode write waits beyond the last lease expiry: covers
+/// the reply's flight time, during which the client's lease clock
+/// (started when the grant *arrived*) still runs.
+pub const LEASE_GUARD: SimDuration = SimDuration::from_millis(10);
+
+/// One registered cache holder of a file: its agent, and its lease
+/// expiry (`None` under write-invalidate).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Holder {
+    agent: Pid,
+    expires: Option<SimTime>,
+}
+
+/// What a write must do about the file's holders before it commits.
+pub(crate) enum BeforeWrite {
+    /// Nothing: commit now.
+    Commit,
+    /// Call these agents back (perhaps none), last first: `pop()` walks
+    /// registration order.
+    CallBack(Vec<Pid>),
+    /// Wait until this instant: the last unexpired lease, plus
+    /// [`LEASE_GUARD`].
+    WaitUntil(SimTime),
+}
+
+/// The server's half of a [`CacheMode`]: how one file's holder list is
+/// kept — who registers, what a served read is granted, and what a
+/// write must do first. The server's in-flight write count fences all
+/// three from outside (see the server's file table).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HolderRules {
+    pub(crate) mode: CacheMode,
+    /// Lease granted per cached read under [`CacheMode::Leases`].
+    pub(crate) lease: SimDuration,
+}
+
+impl HolderRules {
+    /// Registers `agent` as a holder at dispatch time, *before* the disk
+    /// — so a write dispatched during the read's disk wait still finds
+    /// it. Holders whose lease lapsed meanwhile are dropped.
+    pub(crate) fn register(&self, holders: &mut Vec<Holder>, agent: Pid, now: SimTime) {
+        let expires = match self.mode {
+            CacheMode::Off => return,
+            CacheMode::WriteInvalidate => None,
+            CacheMode::Leases => Some(now + self.lease),
+        };
+        holders.retain(|x| x.expires.map_or(true, |e| e > now) || x.agent == agent);
+        match holders.iter_mut().find(|x| x.agent == agent) {
+            Some(x) => x.expires = expires,
+            None => holders.push(Holder { agent, expires }),
+        }
+    }
+
+    /// The cacheability grant for a served read: deny unless `agent` is
+    /// (still) a registered holder.
+    pub(crate) fn grant(&self, holders: &[Holder], agent: Pid, now: SimTime) -> u32 {
+        match holders.iter().find(|x| x.agent == agent).map(|x| x.expires) {
+            Some(None) => CACHE_UNTIL_INVALIDATED,
+            Some(Some(exp)) if exp > now => {
+                let us = exp.since(now).as_nanos() / 1_000;
+                us.min(CACHE_UNTIL_INVALIDATED as u64 - 1) as u32
+            }
+            _ => CACHE_DENY,
+        }
+    }
+
+    /// Drains the holders ahead of a write by `writer` (whose own cache
+    /// purged itself at issue): write-invalidate calls the rest back,
+    /// leases wait out the longest one still running.
+    pub(crate) fn before_write(
+        &self,
+        holders: &mut Vec<Holder>,
+        writer: Option<Pid>,
+        now: SimTime,
+    ) -> BeforeWrite {
+        let others = std::mem::take(holders)
+            .into_iter()
+            .filter(|x| Some(x.agent) != writer);
+        match self.mode {
+            CacheMode::Off => BeforeWrite::Commit,
+            CacheMode::WriteInvalidate => {
+                BeforeWrite::CallBack(others.map(|x| x.agent).rev().collect())
+            }
+            CacheMode::Leases => {
+                match others.filter_map(|x| x.expires).filter(|&e| e > now).max() {
+                    Some(exp) => BeforeWrite::WaitUntil(exp + LEASE_GUARD),
+                    None => BeforeWrite::Commit,
+                }
+            }
+        }
+    }
 }
 
 /// Client-side cache knobs.

@@ -58,9 +58,9 @@
 //!   plain reads and the old owner `Forward`ing stale requests after
 //!   the flip;
 //! * [`rebalance`] — the policy half: a [`Rebalancer`] process samples
-//!   each shard's decayed [`FileHeat`], and while the hottest shard
-//!   sits outside a fixed band of the mean it issues move-plans
-//!   for the hottest files until the shards converge.
+//!   the decayed [`Heat`] in each shard's [`FileTable`], and while the
+//!   hottest shard sits outside a fixed band of the mean it issues
+//!   move-plans for the hottest files until the shards converge.
 
 pub mod cache;
 pub mod client;
@@ -81,7 +81,7 @@ pub use disk::{DiskModel, DiskStats};
 pub use proto::{IoReply, IoRequest, IoStatus};
 pub use rebalance::{spawn_rebalancer, MigrationLedger, MoveRecord, Rebalancer, RebalancerConfig};
 pub use replica::spawn_replica_group;
-pub use server::{FileHeat, FileServerConfig, FileServerStats, HeatEntry};
+pub use server::{FileServerConfig, FileServerStats, FileTable, Heat};
 pub use shard::{ShardMap, ShardOverlay, ShardedFsClient};
 pub use store::BlockStore;
 pub use team::{spawn_file_server, FileServerTeam};

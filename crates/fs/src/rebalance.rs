@@ -2,10 +2,10 @@
 //! migration (the mechanism lives in [`crate::migrate`]).
 //!
 //! A [`Rebalancer`] is a separate V process, not kernel machinery: it
-//! periodically samples every shard's decayed [`crate::FileHeat`]
-//! (the scores age each round, so only *recent* traffic counts),
-//! computes an imbalance score — hottest shard over the mean — and,
-//! while the spread exceeds a fixed band, issues explicit
+//! periodically samples the decayed [`crate::Heat`] in every shard's
+//! [`FileTable`] (the scores age each round, so only *recent* traffic
+//! counts), computes an imbalance score — hottest shard over the mean —
+//! and, while the spread exceeds a fixed band, issues explicit
 //! move-plans for the hottest files from the hottest shard to the
 //! coldest one. Each move is the four-exchange drain → copy → commit
 //! protocol of [`crate::migrate`]; a failed copy is aborted cleanly
@@ -25,7 +25,7 @@ use v_sim::SimDuration;
 
 use crate::migrate::stub;
 use crate::proto::{IoReply, IoStatus};
-use crate::server::FileServerStats;
+use crate::server::FileTable;
 use crate::shard::ShardOverlay;
 use crate::store::FileId;
 use crate::team::FileServerTeam;
@@ -52,9 +52,8 @@ pub struct RebalancerConfig {
 }
 
 impl RebalancerConfig {
-    /// Heat-score decay factor applied to every shard after each round
-    /// (see [`crate::FileHeat::decay`]): `0.5` halves a file's score
-    /// each interval it goes untouched.
+    /// Heat-score decay factor applied to every shard after each round:
+    /// `0.5` halves a file's score each interval it goes untouched.
     pub const DECAY: f64 = 0.5;
     /// Convergence band: the shards are balanced when the hottest
     /// shard's score is within `BAND × mean` — no moves are planned and
@@ -79,9 +78,10 @@ struct Shard {
     server: Pid,
     /// The shard's destination-side migration agent (`Pull` goes here).
     agent: Pid,
-    /// The shard's shared counters — sampled for heat, adjusted when a
-    /// committed move carries a file's heat to its new shard.
-    stats: Rc<RefCell<FileServerStats>>,
+    /// The shard's file table — sampled for heat, aged each round, and
+    /// edited when a committed move carries a file's heat to its new
+    /// shard.
+    files: Rc<RefCell<FileTable>>,
 }
 
 /// One committed move.
@@ -167,7 +167,7 @@ pub fn spawn_rebalancer(
         .map(|t| Shard {
             server: t.server,
             agent: t.agent.expect("a shard the rebalancer may move files to"),
-            stats: t.stats.clone(),
+            files: t.files.clone(),
         })
         .collect();
     let ledger: Rc<RefCell<MigrationLedger>> = Default::default();
@@ -190,7 +190,7 @@ impl Rebalancer {
     fn scores(&self) -> Vec<f64> {
         self.shards
             .iter()
-            .map(|s| s.stats.borrow().heat.total_score())
+            .map(|s| s.files.borrow().total_score())
             .collect()
     }
 
@@ -198,7 +198,7 @@ impl Rebalancer {
     /// the next round or retire.
     fn next_round(&mut self, api: &mut Api<'_>) {
         for s in &self.shards {
-            s.stats.borrow_mut().heat.decay(RebalancerConfig::DECAY);
+            s.files.borrow_mut().decay(RebalancerConfig::DECAY);
         }
         self.round += 1;
         if self.round >= self.cfg.rounds {
@@ -241,13 +241,9 @@ impl Rebalancer {
         self.plan_idx = 0;
         if total > 0.0 && src != dst {
             // Hottest files first; move one while it narrows the gap.
-            let mut candidates: Vec<(FileId, f64)> = self.shards[src]
-                .stats
-                .borrow()
-                .heat
-                .entries()
-                .iter()
-                .map(|e| (e.file, e.score))
+            let mut candidates: Vec<(FileId, f64)> = (self.shards[src].files.borrow())
+                .heat_rows()
+                .map(|(file, heat)| (file, heat.score))
                 .collect();
             candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
             let (mut src_score, mut dst_score) = (max, min);
@@ -309,10 +305,8 @@ impl Rebalancer {
         self.overlay
             .borrow_mut()
             .record_move(mv.file, &mv.name, dst_pid);
-        let row = self.shards[mv.src].stats.borrow_mut().heat.take(mv.file);
-        if let Some(row) = row {
-            self.shards[mv.dst].stats.borrow_mut().heat.graft(row);
-        }
+        let heat = self.shards[mv.src].files.borrow_mut().take_heat(mv.file);
+        (self.shards[mv.dst].files.borrow_mut()).graft_heat(mv.file, heat);
         let mut led = self.ledger.borrow_mut();
         led.completed += 1;
         led.moves.push(MoveRecord {
@@ -568,8 +562,8 @@ mod tests {
         );
         // The moved file's heat travelled with it.
         let moved = led.moves[0].file;
-        assert_eq!(s0.heat.score_of(moved), 0.0);
-        assert!(s1.heat.of(moved).0 > 0);
+        assert_eq!(services[0].files.borrow().heat(moved).score, 0.0);
+        assert!(services[1].files.borrow().heat(moved).reads > 0);
     }
 
     /// With traffic already uniform, the rebalancer observes the

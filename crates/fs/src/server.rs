@@ -21,16 +21,16 @@
 //! back to the receptionist — the store, disk and stats are shared
 //! across the whole team.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 
 use v_kernel::{naming, Api, Message, Outcome, Pid, Program, Scope};
 use v_sim::{SimDuration, SimTime};
 
-use crate::cache::CacheMode;
+use crate::cache::{BeforeWrite, CacheMode, Holder, HolderRules};
 use crate::disk::DiskModel;
-use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY, CACHE_UNTIL_INVALIDATED};
+use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY};
+use crate::shard::ShardOverlay;
 use crate::store::{BlockStore, FileId, StoreError};
 use crate::BLOCK_SIZE;
 
@@ -76,7 +76,8 @@ pub struct FileServerConfig {
     /// bit-identical to the pre-cache server.
     pub cache_mode: CacheMode,
     /// Lease granted per cached read in [`CacheMode::Leases`]; writes
-    /// wait out the longest unexpired lease (plus [`LEASE_GUARD`])
+    /// wait out the longest unexpired lease (plus
+    /// [`LEASE_GUARD`](crate::cache::LEASE_GUARD))
     /// instead of calling holders back.
     pub lease: SimDuration,
 }
@@ -97,11 +98,6 @@ impl Default for FileServerConfig {
     }
 }
 
-/// Slack a lease-mode write waits beyond the last lease expiry: covers
-/// the reply's flight time, during which the client's lease clock
-/// (started when the grant *arrived*) still runs.
-pub const LEASE_GUARD: SimDuration = SimDuration::from_millis(10);
-
 impl FileServerConfig {
     /// File-system processing charged per request (the paper estimates
     /// 2.5 ms at 10 MHz for a local system, 3.5 ms from LOCUS for
@@ -119,12 +115,10 @@ impl FileServerConfig {
     }
 }
 
-/// One file's heat row: lifetime totals and an exponentially decayed
+/// One file's traffic: lifetime totals and an exponentially decayed
 /// score.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct HeatEntry {
-    /// The file.
-    pub file: FileId,
+pub struct Heat {
     /// Lifetime reads (page + large + cached).
     pub reads: u64,
     /// Lifetime writes.
@@ -137,110 +131,107 @@ pub struct HeatEntry {
     pub score: f64,
 }
 
-/// Per-file read/write heat, kept sorted by file id — which files a
-/// server actually serves, and how hot each one runs *now*. Lifetime
-/// totals never decay (cachemix reporting); the [`HeatEntry::score`]
-/// ages via [`FileHeat::decay`], which the rebalancer calls once per
-/// sampling interval.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FileHeat {
-    /// Rows sorted by file id.
-    entries: Vec<HeatEntry>,
+/// Everything a server team knows about one file besides its blocks.
+#[derive(Debug, Default)]
+pub(crate) struct FileRow {
+    file: FileId,
+    heat: Heat,
+    /// Registered cache holders (kept by [`HolderRules`]).
+    pub(crate) holders: Vec<Holder>,
+    /// Frozen for copy-out: writes are refused with
+    /// [`IoStatus::RetryAfter`] (reads keep flowing — the frozen image
+    /// is exactly what the destination is copying).
+    pub(crate) draining: bool,
+    /// Writes between dispatch and commit (or their failed `MoveFrom`
+    /// pull). While nonzero a cached read is denied — served beside the
+    /// write, it could install pre-write data after the holders were
+    /// drained — and a `MigrateBegin` is refused, so the copied image
+    /// cannot miss a write already past the drain check.
+    pub(crate) writes_in_flight: u32,
 }
 
-impl FileHeat {
-    fn slot(&mut self, file: FileId) -> &mut HeatEntry {
-        let idx = match self.entries.binary_search_by_key(&file.0, |e| e.file.0) {
-            Ok(i) => i,
-            Err(i) => {
-                self.entries.insert(
-                    i,
-                    HeatEntry {
-                        file,
-                        ..HeatEntry::default()
-                    },
-                );
-                i
-            }
-        };
-        &mut self.entries[idx]
+/// A server team's file table: one row per file id, sorted by id, and
+/// where each file that migrated away went. Team-shared, so a drain,
+/// a holder or a write in flight through one worker is seen by all.
+#[derive(Debug, Default)]
+pub struct FileTable {
+    rows: Vec<FileRow>,
+    /// Committed moves out of this service.
+    pub(crate) moved: ShardOverlay,
+}
+
+impl FileTable {
+    /// `file`'s row, created empty if new.
+    pub(crate) fn row(&mut self, file: FileId) -> &mut FileRow {
+        let i = self.find(file).unwrap_or_else(|i| {
+            let row = FileRow {
+                file,
+                ..FileRow::default()
+            };
+            self.rows.insert(i, row);
+            i
+        });
+        &mut self.rows[i]
     }
 
-    /// Counts one read (page or large) of `file`.
-    pub fn bump_read(&mut self, file: FileId) {
-        let s = self.slot(file);
-        s.reads += 1;
-        s.score += 1.0;
+    fn find(&self, file: FileId) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&file.0, |r| r.file.0)
     }
 
-    /// Counts one write of `file`.
-    pub fn bump_write(&mut self, file: FileId) {
-        let s = self.slot(file);
-        s.writes += 1;
-        s.score += 1.0;
+    /// Counts one served read (`write == false`) or write of `file`.
+    pub(crate) fn bump(&mut self, file: FileId, write: bool) {
+        let heat = &mut self.row(file).heat;
+        heat.reads += u64::from(!write);
+        heat.writes += u64::from(write);
+        heat.score += 1.0;
     }
 
-    /// Lifetime `(reads, writes)` served for `file`.
-    pub fn of(&self, file: FileId) -> (u64, u64) {
-        self.entry(file).map_or((0, 0), |e| (e.reads, e.writes))
+    /// `file`'s heat (zero when unknown).
+    pub fn heat(&self, file: FileId) -> Heat {
+        self.find(file)
+            .map_or(Heat::default(), |i| self.rows[i].heat)
     }
 
-    /// The decayed score of `file` (0.0 when unknown).
-    pub fn score_of(&self, file: FileId) -> f64 {
-        self.entry(file).map_or(0.0, |e| e.score)
+    /// Every file that has served an operation, with its heat, by id.
+    pub fn heat_rows(&self) -> impl Iterator<Item = (FileId, Heat)> + '_ {
+        (self.rows.iter())
+            .filter(|r| r.heat.reads + r.heat.writes > 0)
+            .map(|r| (r.file, r.heat))
     }
 
-    /// Sum of every file's decayed score — the load this server carries
+    /// The heat of the file with the most operations (ties: lowest id).
+    pub fn hottest(&self) -> Option<Heat> {
+        let ops = |(f, h): &(FileId, Heat)| (h.reads + h.writes, std::cmp::Reverse(f.0));
+        self.heat_rows().max_by_key(ops).map(|(_, heat)| heat)
+    }
+
+    /// Sum of every file's decayed score — the load this service carries
     /// on the rebalancer's clock.
-    pub fn total_score(&self) -> f64 {
-        self.entries.iter().map(|e| e.score).sum()
-    }
-
-    fn entry(&self, file: FileId) -> Option<&HeatEntry> {
-        self.entries
-            .binary_search_by_key(&file.0, |e| e.file.0)
-            .ok()
-            .map(|i| &self.entries[i])
-    }
-
-    /// All rows, sorted by file id.
-    pub fn entries(&self) -> &[HeatEntry] {
-        &self.entries
-    }
-
-    /// The file with the most total operations (ties: lowest id).
-    pub fn hottest(&self) -> Option<(FileId, u64)> {
-        self.entries
-            .iter()
-            .map(|e| (e.file, e.reads + e.writes))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0 .0.cmp(&a.0 .0)))
+    pub(crate) fn total_score(&self) -> f64 {
+        self.rows.iter().map(|r| r.heat.score).sum()
     }
 
     /// Ages every row by one sampling epoch: scores are multiplied by
     /// `factor` (half-life = `ln 2 / ln(1/factor)` epochs). Lifetime
     /// totals are untouched.
-    pub fn decay(&mut self, factor: f64) {
-        for e in &mut self.entries {
-            e.score *= factor;
+    pub(crate) fn decay(&mut self, factor: f64) {
+        for r in &mut self.rows {
+            r.heat.score *= factor;
         }
     }
 
-    /// Removes and returns `file`'s row — the releasing half of moving
-    /// a file's heat along with its blocks during migration.
-    pub fn take(&mut self, file: FileId) -> Option<HeatEntry> {
-        match self.entries.binary_search_by_key(&file.0, |e| e.file.0) {
-            Ok(i) => Some(self.entries.remove(i)),
-            Err(_) => None,
-        }
+    /// Takes `file`'s heat, leaving zero — the releasing half of moving
+    /// a file's heat along with its blocks.
+    pub(crate) fn take_heat(&mut self, file: FileId) -> Heat {
+        std::mem::take(&mut self.row(file).heat)
     }
 
-    /// Grafts a row taken from another server's heat table (merging if
-    /// the file already has local history).
-    pub fn graft(&mut self, row: HeatEntry) {
-        let s = self.slot(row.file);
-        s.reads += row.reads;
-        s.writes += row.writes;
-        s.score += row.score;
+    /// Adds heat taken from another service's table to `file`'s row.
+    pub(crate) fn graft_heat(&mut self, file: FileId, heat: Heat) {
+        let h = &mut self.row(file).heat;
+        h.reads += heat.reads;
+        h.writes += heat.writes;
+        h.score += heat.score;
     }
 }
 
@@ -286,83 +277,12 @@ pub struct FileServerStats {
     pub migrated_out: u64,
     /// Files this service adopted from another shard (copy completed).
     pub migrated_in: u64,
-    /// Per-file read/write heat across every request class.
-    pub heat: FileHeat,
-}
-
-/// One registered cache holder of a file.
-#[derive(Debug, Clone, Copy)]
-struct Holder {
-    /// The holder's cache agent.
-    agent: Pid,
-    /// Lease expiry (`None` in write-invalidate mode).
-    expires: Option<SimTime>,
-}
-
-/// Holder bookkeeping for one file.
-#[derive(Debug, Default)]
-pub(crate) struct FileHolders {
-    holders: Vec<Holder>,
-    /// Writes between holder-drain and commit. While nonzero, new
-    /// cached reads get a deny grant — a read served concurrently with
-    /// the write could otherwise install pre-write data *after* the
-    /// holders were drained, with nobody left to call it back.
-    write_pending: u32,
-}
-
-/// Live-migration bookkeeping one server team shares (see
-/// [`crate::migrate`] for the mechanism and [`crate::rebalance`] for
-/// the policy that drives it).
-#[derive(Debug, Default)]
-pub(crate) struct MigrationTable {
-    /// Files frozen for copy-out: writes are refused with
-    /// [`IoStatus::RetryAfter`] (reads keep flowing — the frozen image
-    /// is exactly what the destination is copying).
-    pub(crate) draining: std::collections::HashSet<u16>,
-    /// Writes currently between dispatch and commit, per file — a
-    /// `MigrateBegin` is refused (retry-after) while nonzero, so the
-    /// copied image can never miss a write that was already in flight
-    /// past the drain check on another worker.
-    pub(crate) inflight_writes: HashMap<u16, u32>,
-    /// file id → the service now owning it (commit flipped ownership).
-    pub(crate) moved: HashMap<u16, Pid>,
-    /// file name → new owner, for `Open`s arriving by name.
-    pub(crate) moved_names: HashMap<String, Pid>,
-}
-
-impl MigrationTable {
-    fn note_write_begin(&mut self, file: FileId) {
-        *self.inflight_writes.entry(file.0).or_insert(0) += 1;
-    }
-
-    fn note_write_end(&mut self, file: FileId) {
-        if let Some(n) = self.inflight_writes.get_mut(&file.0) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.inflight_writes.remove(&file.0);
-            }
-        }
-    }
-
-    fn writes_in_flight(&self, file: FileId) -> bool {
-        self.inflight_writes.get(&file.0).copied().unwrap_or(0) > 0
-    }
-
-    /// Where a request for `file` should go instead, if anywhere.
-    pub(crate) fn redirect_for(&self, file: FileId) -> Option<Pid> {
-        self.moved.get(&file.0).copied()
-    }
-
-    /// Where an open of `name` should go instead, if anywhere.
-    pub(crate) fn redirect_for_name(&self, name: &str) -> Option<Pid> {
-        self.moved_names.get(name).copied()
-    }
 }
 
 /// State one server team shares: the block store, the disk unit (one
-/// arm or a striped set), the stats block and the read-ahead slot. The
-/// sequential server owns a private copy of the same structure, so its
-/// code path is identical.
+/// arm or a striped set), the stats block, the read-ahead slot and the
+/// file table. The sequential server owns a private copy of the same
+/// structure, so its code path is identical.
 #[derive(Clone)]
 pub(crate) struct SharedServerState {
     pub(crate) store: Rc<RefCell<BlockStore>>,
@@ -371,12 +291,7 @@ pub(crate) struct SharedServerState {
     /// (file, block) the pending read-ahead will satisfy, and when the
     /// disk will have it. Shared: any worker may take the hit.
     pub(crate) prefetch: Rc<RefCell<Option<(FileId, u32, SimTime)>>>,
-    /// Cache holders per file id — team-shared so any worker's write
-    /// invalidates holders registered through any other worker.
-    pub(crate) holders: Rc<RefCell<HashMap<u16, FileHolders>>>,
-    /// Migration state — team-shared so a drain set by one worker
-    /// refuses writes dispatched through any other worker.
-    pub(crate) migration: Rc<RefCell<MigrationTable>>,
+    pub(crate) files: Rc<RefCell<FileTable>>,
 }
 
 impl SharedServerState {
@@ -386,8 +301,7 @@ impl SharedServerState {
             disk: Rc::new(RefCell::new(disk)),
             stats: Default::default(),
             prefetch: Default::default(),
-            holders: Default::default(),
-            migration: Default::default(),
+            files: Default::default(),
         }
     }
 }
@@ -423,6 +337,7 @@ struct Current {
 /// The file-server program.
 pub struct FileServer {
     cfg: FileServerConfig,
+    rules: HolderRules,
     shared: SharedServerState,
     /// Team-worker mode: the receptionist to notify after each served
     /// request (None: standalone sequential server).
@@ -443,6 +358,10 @@ impl FileServer {
         notify: Option<Pid>,
     ) -> FileServer {
         FileServer {
+            rules: HolderRules {
+                mode: cfg.cache_mode,
+                lease: cfg.lease,
+            },
             cfg,
             shared,
             notify,
@@ -450,6 +369,11 @@ impl FileServer {
             current: None,
             inval_queue: Vec::new(),
         }
+    }
+
+    /// `file`'s row in the team's file table.
+    fn row(&self, file: FileId) -> RefMut<'_, FileRow> {
+        RefMut::map(self.shared.files.borrow_mut(), |t| t.row(file))
     }
 
     /// Issues a single-block-class disk request, routed to the arm the
@@ -514,130 +438,63 @@ impl FileServer {
         }
     }
 
-    /// Registers the requesting cache agent as a holder of the file
-    /// (dispatch time, *before* the disk — so a write dispatched during
-    /// this read's disk wait still finds the holder and calls it back).
-    /// Reads arriving while a write is pending are not registered: the
-    /// serve-time grant will deny them.
+    /// The cache agent a `ReadCached` request speaks for.
+    fn reader_agent(req: &IoRequest) -> Option<Pid> {
+        Pid::from_raw(req.aux).filter(|_| req.op == IoOp::ReadCached)
+    }
+
+    /// Registers a cached read's agent as a holder of the file, unless a
+    /// write to it is in flight (the served read's grant will deny it).
     fn register_holder(&mut self, now: SimTime, req: &IoRequest) {
-        if self.cfg.cache_mode == CacheMode::Off {
-            return;
-        }
-        let Some(agent) = Pid::from_raw(req.aux) else {
+        let Some(agent) = Self::reader_agent(req) else {
             return;
         };
-        let expires = match self.cfg.cache_mode {
-            CacheMode::Leases => Some(now + self.cfg.lease),
-            _ => None,
-        };
-        let mut h = self.shared.holders.borrow_mut();
-        let fh = h.entry(req.file.0).or_default();
-        if fh.write_pending > 0 {
-            return;
-        }
-        // Drop holders whose lease already lapsed while here.
-        fh.holders
-            .retain(|x| x.expires.map_or(true, |e| e > now) || x.agent == agent);
-        match fh.holders.iter_mut().find(|x| x.agent == agent) {
-            Some(x) => x.expires = expires,
-            None => fh.holders.push(Holder { agent, expires }),
+        let mut row = self.row(req.file);
+        if row.writes_in_flight == 0 {
+            self.rules.register(&mut row.holders, agent, now);
         }
     }
 
     /// The cacheability grant for a served read: deny unless the
-    /// requester is (still) a registered holder with no write pending.
+    /// requester is (still) a registered holder with no write in flight.
     fn read_grant(&self, now: SimTime, req: &IoRequest) -> u32 {
-        if self.cfg.cache_mode == CacheMode::Off || req.op != IoOp::ReadCached {
-            return CACHE_DENY;
-        }
-        let Some(agent) = Pid::from_raw(req.aux) else {
+        let Some(agent) = Self::reader_agent(req) else {
             return CACHE_DENY;
         };
-        let h = self.shared.holders.borrow();
-        let Some(fh) = h.get(&req.file.0) else {
-            return CACHE_DENY;
-        };
-        if fh.write_pending > 0 {
-            return CACHE_DENY;
-        }
-        let Some(holder) = fh.holders.iter().find(|x| x.agent == agent) else {
-            return CACHE_DENY;
-        };
-        match holder.expires {
-            None => CACHE_UNTIL_INVALIDATED,
-            Some(exp) if exp > now => {
-                let us = exp.since(now).as_nanos() / 1_000;
-                us.min(CACHE_UNTIL_INVALIDATED as u64 - 1) as u32
-            }
-            Some(_) => CACHE_DENY,
+        let row = self.row(req.file);
+        match row.writes_in_flight {
+            0 => self.rules.grant(&row.holders, agent, now),
+            _ => CACHE_DENY,
         }
     }
 
-    /// Starts the disk write for the current request (the pre-cache
-    /// write path).
+    /// Starts the disk write for the current request.
     fn write_disk(&mut self, api: &mut Api<'_>) {
-        let (file, block, count) = {
-            let cur = self.current.as_ref().expect("request in progress");
-            (
-                cur.req.file,
-                cur.req.block,
-                cur.req.count.min(BLOCK_SIZE as u32),
-            )
-        };
-        let done = self.disk_request(api.now(), file, block, count as usize);
+        let req = self.current.as_ref().expect("request in progress").req;
+        let count = req.count.min(BLOCK_SIZE as u32) as usize;
+        let done = self.disk_request(api.now(), req.file, req.block, count);
         self.phase = Phase::DiskWait;
         api.delay(done.since(api.now()));
     }
 
-    /// A write's data is fully in: run the consistency protocol before
-    /// committing. `Off` goes straight to the disk (bit-identical);
-    /// write-invalidate drains the file's holders with callbacks;
-    /// leases wait out the longest unexpired lease.
+    /// A write's data is fully in: drain the file's cache holders as the
+    /// consistency scheme says, then commit.
     fn begin_write_commit(&mut self, api: &mut Api<'_>) {
-        if self.cfg.cache_mode == CacheMode::Off {
-            self.write_disk(api);
-            return;
-        }
-        let (file, excl) = {
-            let cur = self.current.as_ref().expect("request in progress");
-            (cur.req.file, cur.req.aux)
-        };
+        let req = self.current.as_ref().expect("request in progress").req;
         let now = api.now();
-        let taken = {
-            let mut h = self.shared.holders.borrow_mut();
-            let fh = h.entry(file.0).or_default();
-            fh.write_pending += 1;
-            std::mem::take(&mut fh.holders)
-        };
-        // The writer's own agent (if caching) purged locally at issue.
-        let excl_agent = Pid::from_raw(excl);
-        match self.cfg.cache_mode {
-            CacheMode::Off => unreachable!("handled above"),
-            CacheMode::WriteInvalidate => {
-                self.inval_queue = taken
-                    .iter()
-                    .filter(|x| Some(x.agent) != excl_agent)
-                    .map(|x| x.agent)
-                    .rev()
-                    .collect();
+        let writer = Pid::from_raw(req.aux);
+        let step = (self.rules).before_write(&mut self.row(req.file).holders, writer, now);
+        match step {
+            BeforeWrite::Commit => self.write_disk(api),
+            BeforeWrite::CallBack(agents) => {
+                self.inval_queue = agents;
                 self.phase = Phase::Invalidating;
                 self.next_invalidation(api);
             }
-            CacheMode::Leases => {
-                let latest = taken
-                    .iter()
-                    .filter(|x| Some(x.agent) != excl_agent)
-                    .filter_map(|x| x.expires)
-                    .filter(|&e| e > now)
-                    .max();
-                match latest {
-                    Some(exp) => {
-                        self.shared.stats.borrow_mut().lease_waits += 1;
-                        self.phase = Phase::LeaseWait;
-                        api.delay(exp.since(now) + LEASE_GUARD);
-                    }
-                    None => self.write_disk(api),
-                }
+            BeforeWrite::WaitUntil(t) => {
+                self.shared.stats.borrow_mut().lease_waits += 1;
+                self.phase = Phase::LeaseWait;
+                api.delay(t.since(now));
             }
         }
     }
@@ -654,21 +511,6 @@ impl FileServer {
                 api.send(IoRequest::new(IoOp::Invalidate, file, tag).encode(), agent);
             }
             None => self.write_disk(api),
-        }
-    }
-
-    /// Balances `begin_write_commit`'s pending marker once the write
-    /// commits (or fails at the store).
-    fn finish_write_pending(&mut self, file: FileId) {
-        if self.cfg.cache_mode == CacheMode::Off {
-            return;
-        }
-        let mut h = self.shared.holders.borrow_mut();
-        if let Some(fh) = h.get_mut(&file.0) {
-            fh.write_pending = fh.write_pending.saturating_sub(1);
-            if fh.write_pending == 0 && fh.holders.is_empty() {
-                h.remove(&file.0);
-            }
         }
     }
 
@@ -701,7 +543,7 @@ impl FileServer {
         // off the reply's `owner` stamp. Opens (by name) check the
         // moved-names side of the table in their own arm below.
         if !matches!(req.op, IoOp::Open | IoOp::Create | IoOp::Invalidate) {
-            let moved = self.shared.migration.borrow().redirect_for(req.file);
+            let moved = self.shared.files.borrow().moved.owner_of_id(req.file);
             if let Some(new_owner) = moved {
                 self.forward_to_owner(api, new_owner);
                 return;
@@ -713,14 +555,7 @@ impl FileServer {
             self.reply_status(api, IoStatus::ReadOnly, 0, req.file);
             return;
         }
-        if req.op == IoOp::Write
-            && self
-                .shared
-                .migration
-                .borrow()
-                .draining
-                .contains(&req.file.0)
-        {
+        if req.op == IoOp::Write && self.row(req.file).draining {
             // The file is frozen for copy-out. Refuse without side
             // effects — the client backs off and retries, and the team
             // keeps serving everything else meanwhile.
@@ -732,7 +567,7 @@ impl FileServer {
             IoOp::Open => {
                 let name_bytes = api.mem_read(SRV_IN, seg_len as usize).expect("in buffer");
                 let name = String::from_utf8_lossy(&name_bytes).into_owned();
-                let moved = self.shared.migration.borrow().redirect_for_name(&name);
+                let moved = self.shared.files.borrow().moved.owner_of_name(&name);
                 if let Some(new_owner) = moved {
                     self.forward_to_owner(api, new_owner);
                     return;
@@ -800,10 +635,9 @@ impl FileServer {
                 api.delay(done.since(api.now()));
             }
             IoOp::Write => {
-                self.shared
-                    .migration
-                    .borrow_mut()
-                    .note_write_begin(req.file);
+                // Open the write's in-flight window: until it commits
+                // (or its pull fails), no cached read and no drain.
+                self.row(req.file).writes_in_flight += 1;
                 let count = req.count.min(BLOCK_SIZE as u32);
                 if seg_len < count {
                     // The appended prefix didn't cover the block: pull
@@ -833,12 +667,7 @@ impl FileServer {
             IoOp::MigrateAbort => {
                 // Copy failed: unfreeze and keep serving the file.
                 self.shared.stats.borrow_mut().meta += 1;
-                let dropped = self
-                    .shared
-                    .migration
-                    .borrow_mut()
-                    .draining
-                    .remove(&req.file.0);
+                let dropped = std::mem::take(&mut self.row(req.file).draining);
                 let status = if dropped {
                     IoStatus::Ok
                 } else {
@@ -858,7 +687,7 @@ impl FileServer {
     /// length (reply `value`), and the name, deposited into the
     /// requester's write-granted buffer (length in reply `aux`).
     fn serve_migrate_begin(&mut self, api: &mut Api<'_>, req: &IoRequest) {
-        if self.shared.migration.borrow().writes_in_flight(req.file) {
+        if self.row(req.file).writes_in_flight > 0 {
             // A write already passed the drain check on another worker:
             // freezing now could snapshot a torn image. Back off.
             self.reply_status(api, IoStatus::RetryAfter, 0, req.file);
@@ -873,11 +702,7 @@ impl FileServer {
         match info {
             Err(e) => self.reply_status(api, Self::store_status(e), 0, req.file),
             Ok((len, name)) => {
-                self.shared
-                    .migration
-                    .borrow_mut()
-                    .draining
-                    .insert(req.file.0);
+                self.row(req.file).draining = true;
                 self.shared.stats.borrow_mut().meta += 1;
                 let owner = self.service_pid(api).raw();
                 let cur = self.current.as_ref().expect("request in progress");
@@ -899,11 +724,7 @@ impl FileServer {
                 {
                     // The rebalancer died mid-handshake: nobody will
                     // commit or abort this drain, so lift it here.
-                    self.shared
-                        .migration
-                        .borrow_mut()
-                        .draining
-                        .remove(&req.file.0);
+                    self.row(req.file).draining = false;
                     self.shared.stats.borrow_mut().errors += 1;
                 }
                 self.rearm(api);
@@ -931,16 +752,16 @@ impl FileServer {
                     .borrow_mut()
                     .remove(req.file)
                     .expect("name() just found it");
+                // The drain lifts and cache holders are released: the
+                // new owner starts with a clean registry and clients
+                // re-register on their next (forwarded) cached read.
                 {
-                    let mut mig = self.shared.migration.borrow_mut();
-                    mig.draining.remove(&req.file.0);
-                    mig.moved.insert(req.file.0, new_owner);
-                    mig.moved_names.insert(name, new_owner);
+                    let mut files = self.shared.files.borrow_mut();
+                    files.moved.record_move(req.file, &name, new_owner);
+                    let row = files.row(req.file);
+                    row.draining = false;
+                    row.holders.clear();
                 }
-                // Cache holders of the file are released: the new owner
-                // starts with a clean registry and clients re-register
-                // on their next (forwarded) cached read.
-                self.shared.holders.borrow_mut().remove(&req.file.0);
                 {
                     let mut st = self.shared.stats.borrow_mut();
                     st.meta += 1;
@@ -982,11 +803,8 @@ impl FileServer {
                 {
                     self.shared.stats.borrow_mut().errors += 1;
                 }
-                {
-                    let mut st = self.shared.stats.borrow_mut();
-                    st.reads += 1;
-                    st.heat.bump_read(req.file);
-                }
+                self.shared.stats.borrow_mut().reads += 1;
+                self.shared.files.borrow_mut().bump(req.file, false);
                 // Read-ahead: start fetching the next block now. The
                 // existence probe is free — no block copy.
                 if self.cfg.read_ahead {
@@ -1006,20 +824,16 @@ impl FileServer {
     fn serve_write(&mut self, api: &mut Api<'_>) {
         let cur = self.current.as_ref().expect("request in progress");
         let req = cur.req;
-        self.shared.migration.borrow_mut().note_write_end(req.file);
+        self.row(req.file).writes_in_flight -= 1;
         let count = req.count.min(BLOCK_SIZE as u32);
         // `SRV_IN` to the store, the block's one copy on this host.
         let wrote = (self.shared.store.borrow_mut())
             .block_mut(req.file, req.block, count as usize)
             .map(|block| api.mem_read_into(SRV_IN, block).expect("in buffer"));
-        self.finish_write_pending(req.file);
         match wrote {
             Ok(()) => {
-                {
-                    let mut st = self.shared.stats.borrow_mut();
-                    st.writes += 1;
-                    st.heat.bump_write(req.file);
-                }
+                self.shared.stats.borrow_mut().writes += 1;
+                self.shared.files.borrow_mut().bump(req.file, true);
                 self.reply_status(api, IoStatus::Ok, count, req.file);
             }
             Err(e) => self.reply_status(api, Self::store_status(e), 0, req.file),
@@ -1125,11 +939,8 @@ impl Program for FileServer {
                     if pushed < count {
                         self.push_large(api, pushed);
                     } else {
-                        {
-                            let mut st = self.shared.stats.borrow_mut();
-                            st.large_reads += 1;
-                            st.heat.bump_read(file);
-                        }
+                        self.shared.stats.borrow_mut().large_reads += 1;
+                        self.shared.files.borrow_mut().bump(file, false);
                         self.reply_status(api, IoStatus::Ok, pushed, file);
                     }
                 }
@@ -1140,7 +951,7 @@ impl Program for FileServer {
                     // The write's data pull failed: it will never reach
                     // serve_write, so balance the in-flight marker here.
                     let file = self.current.as_ref().expect("in progress").req.file;
-                    self.shared.migration.borrow_mut().note_write_end(file);
+                    self.row(file).writes_in_flight -= 1;
                 }
                 self.reply_status(api, IoStatus::Error, 0, FileId(0));
             }
@@ -1177,58 +988,339 @@ mod tests {
     /// shrink.
     #[test]
     fn heat_decay_ages_scores_and_keeps_totals() {
-        let mut heat = FileHeat::default();
+        let mut files = FileTable::default();
         let f = FileId(7);
-        for _ in 0..6 {
-            heat.bump_read(f);
+        for write in [false, false, false, false, false, false, true, true] {
+            files.bump(f, write);
         }
-        for _ in 0..2 {
-            heat.bump_write(f);
-        }
-        assert_eq!(heat.of(f), (6, 2));
-        assert_eq!(heat.score_of(f), 8.0);
+        let heat = |files: &FileTable, f| files.heat(f);
+        assert_eq!((heat(&files, f).reads, heat(&files, f).writes), (6, 2));
+        assert_eq!(heat(&files, f).score, 8.0);
 
-        heat.decay(0.5);
-        assert_eq!(heat.of(f), (6, 2), "lifetime totals survive decay");
-        assert_eq!(heat.score_of(f), 4.0, "score halves");
+        files.decay(0.5);
+        let h = heat(&files, f);
+        assert_eq!((h.reads, h.writes), (6, 2), "lifetime totals survive decay");
+        assert_eq!(h.score, 4.0, "score halves");
 
         // A quiet file fades geometrically toward zero...
-        heat.decay(0.5);
-        heat.decay(0.5);
-        assert_eq!(heat.score_of(f), 1.0);
+        files.decay(0.5);
+        files.decay(0.5);
+        assert_eq!(heat(&files, f).score, 1.0);
 
         // ...while fresh traffic immediately outweighs old history.
         let g = FileId(9);
         for _ in 0..3 {
-            heat.bump_read(g);
+            files.bump(g, false);
         }
-        assert!(heat.score_of(g) > heat.score_of(f));
-        assert_eq!(heat.total_score(), 4.0);
+        assert!(heat(&files, g).score > heat(&files, f).score);
+        assert_eq!(files.total_score(), 4.0);
     }
 
-    /// `take` + `graft` carries a row between tables without losing
-    /// operations — the heat transfer that rides each migration.
+    /// `take_heat` + `graft_heat` carries a row between tables without
+    /// losing operations — the heat transfer that rides each migration.
     #[test]
     fn heat_take_and_graft_conserve_history() {
-        let mut src = FileHeat::default();
-        let mut dst = FileHeat::default();
+        let mut src = FileTable::default();
+        let mut dst = FileTable::default();
         let f = FileId(3);
         for _ in 0..5 {
-            src.bump_read(f);
+            src.bump(f, false);
         }
         src.decay(0.5); // score 2.5, totals 5 reads
 
-        let row = src.take(f).expect("row exists");
-        assert_eq!(src.score_of(f), 0.0, "taken row leaves no residue");
-        assert!(src.take(f).is_none(), "second take finds nothing");
+        let row = src.take_heat(f);
+        assert_eq!(src.heat(f), Heat::default(), "taken heat leaves no residue");
+        assert_eq!(src.heat_rows().count(), 0, "nor a heat row");
 
         // The destination already served the file once (a pulled copy
         // read would do this): grafting merges, not overwrites.
-        dst.bump_read(f);
-        dst.graft(row);
-        assert_eq!(dst.of(f), (6, 0));
-        assert_eq!(dst.score_of(f), 3.5);
-        assert_eq!(dst.hottest(), Some((f, 6)));
+        dst.bump(f, false);
+        dst.graft_heat(f, row);
+        let h = dst.heat(f);
+        assert_eq!((h.reads, h.writes), (6, 0));
+        assert_eq!(h.score, 3.5);
+        assert_eq!(dst.hottest(), Some(h));
+    }
+
+    /// Rows kept only for a holder, a drain or a write in flight carry
+    /// no heat: they are not heat rows and add nothing to the load.
+    #[test]
+    fn rows_without_traffic_are_not_heat_rows() {
+        let mut files = FileTable::default();
+        files.row(FileId(1)).draining = true;
+        files.row(FileId(2)).writes_in_flight = 1;
+        files.bump(FileId(3), true);
+        let rows: Vec<_> = files.heat_rows().map(|(f, _)| f).collect();
+        assert_eq!(rows, [FileId(3)]);
+        assert_eq!(files.total_score(), 1.0);
+        assert_eq!(files.hottest().map(|h| h.writes), Some(1));
+    }
+
+    use crate::cache::{BlockCache, CacheAgent};
+    use crate::client::{stub, FsCall, FsClient, FsClientReport};
+    use crate::migrate::stub as migration;
+    use crate::proto::CACHE_UNTIL_INVALIDATED;
+    use crate::team::{spawn_file_server, FileServerTeam};
+    use std::collections::VecDeque;
+    use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId};
+
+    /// A message the probe builds once it knows its own pid.
+    type Request = Box<dyn Fn(Pid) -> Message>;
+
+    /// Sends each request at its instant (or as soon as the one before
+    /// it is answered) and keeps every reply.
+    struct Probe {
+        server: Pid,
+        steps: VecDeque<(SimTime, Request)>,
+        replies: Rc<RefCell<Vec<IoReply>>>,
+    }
+
+    impl Program for Probe {
+        fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+            if let Outcome::Send(Ok(reply)) = &outcome {
+                self.replies.borrow_mut().push(IoReply::decode(reply));
+            }
+            match (outcome, self.steps.front()) {
+                (Outcome::Delay, Some(_)) => {
+                    let (_, request) = self.steps.pop_front().expect("a step");
+                    api.send(request(api.self_pid()), self.server);
+                }
+                (Outcome::Started | Outcome::Send(Ok(_)), Some((at, _))) => {
+                    api.delay(at.since(api.now()));
+                }
+                _ => api.exit(),
+            }
+        }
+    }
+
+    fn probe(
+        cl: &mut Cluster,
+        host: usize,
+        server: Pid,
+        steps: Vec<(SimTime, Request)>,
+    ) -> Rc<RefCell<Vec<IoReply>>> {
+        let replies: Rc<RefCell<Vec<IoReply>>> = Default::default();
+        let program = Probe {
+            server,
+            steps: steps.into(),
+            replies: replies.clone(),
+        };
+        cl.spawn(HostId(host), "probe", Box::new(program));
+        replies
+    }
+
+    fn begin(file: FileId) -> Request {
+        Box::new(move |_| migration::begin(file, 0x0100, 128, 0))
+    }
+
+    /// `file`'s (writes in flight, draining, holders) in `team`'s table.
+    fn row_of(team: &FileServerTeam, file: FileId) -> (u32, bool, usize) {
+        let mut files = team.files.borrow_mut();
+        let row = files.row(file);
+        (row.writes_in_flight, row.draining, row.holders.len())
+    }
+
+    /// With appended segments off, a write's page does not ride its
+    /// `Send`: the server pulls it with `MoveFrom` (the `FetchRest`
+    /// phase) and the block reads back intact. The write is in flight
+    /// from its dispatch, pull included: while a dead writer's pull
+    /// fails, a cached read is denied and a `MigrateBegin` refused. Once
+    /// it has failed no write is left in flight: a later `MigrateBegin`
+    /// of the file is answered `Ok`, not `RetryAfter`.
+    #[test]
+    fn a_write_whose_page_is_pulled_commits_or_closes_its_window() {
+        let mut cfg = ClusterConfig::three_mb().with_hosts(4, CpuSpeed::Mc68000At10MHz);
+        cfg.protocol.appended_segments = false;
+        let mut cl = Cluster::new(cfg);
+        let mut store = BlockStore::new();
+        let file = store.create_with("f", &[0x7E; 4 * BLOCK_SIZE]).unwrap();
+        let fs_cfg = FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(2)),
+            workers: 2,
+            cache_mode: CacheMode::WriteInvalidate,
+            ..FileServerConfig::default()
+        };
+        let team = spawn_file_server(&mut cl, HostId(0), fs_cfg, store);
+        cl.run();
+
+        // An `Open`'s name would not ride its `Send` either, and the
+        // server reads names only from what arrived with the request: the
+        // script starts on the id a client holds before any open, which
+        // is the first file's.
+        assert_eq!(file, FileId(0));
+        let script = vec![
+            FsCall::WriteFill {
+                block: 1,
+                count: BLOCK_SIZE as u32,
+                fill: 0x55,
+            },
+            FsCall::ReadExpect {
+                block: 1,
+                count: BLOCK_SIZE as u32,
+                expect: 0x55,
+            },
+        ];
+        let rep = Rc::new(RefCell::new(FsClientReport::default()));
+        cl.spawn(
+            HostId(1),
+            "writer",
+            Box::new(FsClient::new(team.server, script, rep.clone())),
+        );
+        cl.run();
+        let r = rep.borrow().clone();
+        assert_eq!(
+            (r.completed, r.errors, r.integrity_errors),
+            (2, 0, 0),
+            "{r:?}"
+        );
+        assert!(
+            cl.kernel_stats(HostId(1)).chunks_sent >= 1,
+            "no page was pulled"
+        );
+        assert_eq!(team.stats.borrow().writes, 1);
+        assert_eq!(row_of(&team, file), (0, false, 0));
+
+        // A second writer dies while its page is being pulled.
+        let doomed = vec![(
+            cl.now(),
+            Box::new(move |_| stub::write(file, 2, BLOCK_SIZE as u32, 0x1000, 0, 1)) as Request,
+        )];
+        probe(&mut cl, 2, team.server, doomed);
+        let (start, mut t) = (cl.now(), cl.now());
+        while row_of(&team, file).0 == 0 {
+            t += SimDuration::from_micros(50);
+            assert!(
+                t <= start + SimDuration::from_millis(100),
+                "no write opened"
+            );
+            cl.run_until(t);
+        }
+        cl.crash_host(HostId(2));
+        let now = cl.now();
+        let cached: Request =
+            Box::new(move |me| stub::read_cached(file, 0, 512, 0x1000, me.raw(), 0));
+        let during = probe(
+            &mut cl,
+            3,
+            team.server,
+            vec![(now, cached), (now, begin(file))],
+        );
+        while during.borrow().len() < 2 {
+            t += SimDuration::from_millis(1);
+            assert!(
+                t <= now + SimDuration::from_millis(100),
+                "the probe stalled"
+            );
+            cl.run_until(t);
+        }
+        let seen: Vec<_> = during.borrow().iter().map(|r| (r.status, r.aux)).collect();
+        assert_eq!(
+            seen,
+            [(IoStatus::Ok, CACHE_DENY), (IoStatus::RetryAfter, 0)]
+        );
+        assert_eq!(
+            row_of(&team, file),
+            (1, false, 0),
+            "the pull is still failing"
+        );
+        cl.run();
+        assert_eq!(
+            row_of(&team, file),
+            (0, false, 0),
+            "the failed pull closed its window"
+        );
+        assert_eq!(
+            team.stats.borrow().writes,
+            1,
+            "the torn write never committed"
+        );
+
+        let now = cl.now();
+        let replies = probe(&mut cl, 3, team.server, vec![(now, begin(file))]);
+        cl.run();
+        assert_eq!(replies.borrow()[0].status, IoStatus::Ok);
+        assert_eq!(row_of(&team, file), (0, true, 0));
+    }
+
+    /// One count gates both readers of a write in flight, on a 2-worker
+    /// team. While a write to the file waits at the disk, a
+    /// `MigrateBegin` is refused with `RetryAfter` and sets no drain
+    /// (the rebalancer's skipped-busy path), and a `ReadCached` served
+    /// from the read-ahead slot is denied a grant and not registered.
+    /// After the commit both are answered normally.
+    #[test]
+    fn one_write_in_flight_gates_the_drain_and_the_cache() {
+        let cfg = ClusterConfig::three_mb().with_hosts(3, CpuSpeed::Mc68000At10MHz);
+        let mut cl = Cluster::new(cfg);
+        let mut store = BlockStore::new();
+        let file = store.create_with("f", &[0x7E; 8 * BLOCK_SIZE]).unwrap();
+        let fs_cfg = FileServerConfig {
+            disk: DiskModel::fixed(SimDuration::from_millis(40)),
+            workers: 2,
+            cache_mode: CacheMode::WriteInvalidate,
+            ..FileServerConfig::default()
+        };
+        let team = spawn_file_server(&mut cl, HostId(0), fs_cfg, store);
+        let cache = Rc::new(RefCell::new(BlockCache::new(8)));
+        let agent = cl.spawn(HostId(1), "cache-agent", Box::new(CacheAgent::new(cache)));
+        cl.run();
+        let t0 = cl.now();
+        let at = |offset: u64| t0 + SimDuration::from_millis(offset);
+        let cached = |block: u32| -> Request {
+            Box::new(move |_| stub::read_cached(file, block, 512, 0x1000, agent.raw(), 0))
+        };
+
+        // Block 0 registers the agent and starts the read-ahead of
+        // block 1, ready long before the write arrives at 100 ms; the
+        // write's callback and disk wait hold it in flight past 140 ms.
+        let replies = probe(
+            &mut cl,
+            1,
+            team.server,
+            vec![
+                (at(0), cached(0)),
+                (at(110), begin(file)),
+                (at(120), cached(1)),
+                (at(300), cached(1)),
+                (at(400), begin(file)),
+            ],
+        );
+        let write = move |_| stub::write(file, 2, BLOCK_SIZE as u32, 0x1000, 0, 9);
+        let written = probe(&mut cl, 2, team.server, vec![(at(100), Box::new(write))]);
+        cl.run_until(at(140));
+        {
+            let got = replies.borrow();
+            let seen: Vec<_> = got.iter().map(|r| (r.status, r.aux)).collect();
+            assert_eq!(
+                seen,
+                [
+                    (IoStatus::Ok, CACHE_UNTIL_INVALIDATED),
+                    (IoStatus::RetryAfter, 0),
+                    (IoStatus::Ok, CACHE_DENY),
+                ]
+            );
+        }
+        assert_eq!(
+            row_of(&team, file),
+            (1, false, 0),
+            "in flight, no drain, no holder"
+        );
+        assert!(
+            written.borrow().is_empty(),
+            "the write is still at the disk"
+        );
+
+        cl.run();
+        assert_eq!(written.borrow()[0].status, IoStatus::Ok);
+        let got = replies.borrow();
+        assert_eq!(
+            (got[3].status, got[3].aux),
+            (IoStatus::Ok, CACHE_UNTIL_INVALIDATED)
+        );
+        assert_eq!(got[4].status, IoStatus::Ok);
+        assert_eq!(row_of(&team, file), (0, true, 1), "drained, one holder");
+        let st = team.stats.borrow();
+        assert_eq!((st.readahead_hits, st.invalidations), (1, 1), "{st:?}");
     }
 
     /// A default server has one disk arm, and one arm installs the disk

@@ -45,7 +45,9 @@ use v_kernel::{Api, Cluster, HostId, Message, Outcome, Pid, Program, Scope};
 
 use crate::disk::DiskModel;
 use crate::migrate::MigrationAgent;
-use crate::server::{FileServer, FileServerConfig, FileServerStats, SharedServerState, SRV_IN};
+use crate::server::{
+    FileServer, FileServerConfig, FileServerStats, FileTable, SharedServerState, SRV_IN,
+};
 use crate::store::BlockStore;
 use crate::BLOCK_SIZE;
 
@@ -61,6 +63,9 @@ pub struct FileServerTeam {
     pub workers: Vec<Pid>,
     /// The team's shared counters.
     pub stats: Rc<RefCell<FileServerStats>>,
+    /// The team's file table: per-file heat, cache holders, drains and
+    /// writes in flight, and where migrated files went.
+    pub files: Rc<RefCell<FileTable>>,
     /// The team's shared disk unit: its queue-depth / busy-time
     /// counters, aggregate ([`DiskModel::stats`]) and per arm
     /// ([`DiskModel::per_arm_stats`]).
@@ -218,6 +223,7 @@ pub fn spawn_file_server(
         server,
         workers,
         stats: shared.stats.clone(),
+        files: shared.files.clone(),
         disk: shared.disk.clone(),
         agent: None,
         host,

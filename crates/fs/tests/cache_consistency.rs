@@ -3,9 +3,10 @@
 //! These tests pin the fault-model half of the caching design:
 //!
 //! * a write racing a caching reader never lets the reader observe
-//!   stale bytes — holders are registered at dispatch and fenced by
-//!   `write_pending`, so the race resolves to an invalidation or a
-//!   denied grant, never a silent stale hit;
+//!   stale bytes — holders are registered at dispatch and fenced by the
+//!   file's in-flight write count (open from the write's dispatch to its
+//!   commit), so the race resolves to an invalidation or a denied grant,
+//!   never a silent stale hit;
 //! * a crashed caching client cannot wedge a writer: write-invalidate
 //!   pays one kernel `HostDown` detection for the dead holder's
 //!   callback and moves on; leases never contact holders at all, so a
@@ -74,7 +75,7 @@ fn write_script(blocks: u32) -> Vec<FsCall> {
 /// read the reader verifies is current (the writer re-fills the same
 /// byte, so any stale short-circuit would still have to come from the
 /// cache layer misbehaving, and the invalidation machinery must
-/// actually fire mid-script). Workers share one holder table, so a
+/// actually fire mid-script). Workers share one file table, so a
 /// write dispatched through one worker invalidates a grant issued
 /// through another.
 #[test]

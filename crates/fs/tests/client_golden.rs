@@ -4,7 +4,8 @@
 //!
 //! Each scenario runs one deployment to quiescence and folds into one
 //! digest, in order: the final clock, the event-queue counters, every
-//! host's `KernelStats`, every service's `FileServerStats`, every
+//! host's `KernelStats`, every service's `FileServerStats` and per-file
+//! heat, every
 //! client's full report, the cache counters and (where attached) the
 //! per-operation `(completed_at_ms, latency_ms)` series. The stats
 //! structs are folded through their `Debug` text, so a counter added to
@@ -178,6 +179,17 @@ impl Digest {
         }
     }
 
+    /// A service: its counters through their `Debug` text, then every
+    /// file's heat, field by field.
+    fn server(&mut self, team: &FileServerTeam) {
+        self.stats(&*team.stats.borrow());
+        for (file, heat) in team.files.borrow().heat_rows() {
+            for w in [file.0 as u64, heat.reads, heat.writes, heat.score.to_bits()] {
+                self.word(w);
+            }
+        }
+    }
+
     fn report(&mut self, r: &Folded) {
         for w in [
             r.completed,
@@ -314,7 +326,7 @@ fn single_route_with_cache() -> (Outcome, FileServerStats, CacheStats) {
     let cache_stats = cache.borrow().stats;
     let mut d = Digest::new();
     d.cluster(&cl);
-    d.stats(&stats);
+    d.server(&team);
     for c in &clients {
         d.report(c);
     }
@@ -438,8 +450,8 @@ fn resolving_shards_across_a_migration() -> ShardRun {
     let ledger = ledger.borrow().clone();
     let mut d = Digest::new();
     d.cluster(&cl);
-    for s in &servers {
-        d.stats(s);
+    for s in &shards {
+        d.server(s);
     }
     for c in &clients {
         d.report(c);
@@ -507,7 +519,7 @@ fn replicas_across_a_crash() -> (Outcome, Vec<(f64, f64)>, CacheStats) {
     let mut d = Digest::new();
     d.cluster(&cl);
     for team in &teams {
-        d.stats(&*team.stats.borrow());
+        d.server(team);
     }
     d.report(&client);
     d.series(&series);
@@ -547,7 +559,11 @@ const fn client(
 /// were re-recorded once, when `FileServerStats` lost its `disk` copy
 /// and `HeatEntry` its two epoch counters: they are what the commit
 /// before that folds once those fields are cut from the `Debug` text it
-/// hashes, and every other field here kept its recorded value.
+/// hashes, and every other field here kept its recorded value. They
+/// were re-recorded a second time when per-file heat left
+/// `FileServerStats` for the team's file table: the parent folded with
+/// its `heat` field cut from the `Debug` text and its heat rows folded
+/// field by field after it, as [`Digest::server`] folds them now.
 fn golden() -> [Outcome; 3] {
     [
         Outcome {
@@ -557,7 +573,7 @@ fn golden() -> [Outcome; 3] {
                 client(211, 1080.595149, 0, 0, 0),
                 client(25, 459.197543, 0, 0, 0),
             ],
-            digest: 0x6B09EB55813808FB,
+            digest: 0x86DBDB7E08FFF355,
         },
         Outcome {
             now_ns: 6_135_393_006,
@@ -567,13 +583,13 @@ fn golden() -> [Outcome; 3] {
                 client(81, 3552.680219, 0, 5, 1),
                 client(19, 327.073895, 0, 0, 0),
             ],
-            digest: 0xBC69AC02FB4D7060,
+            digest: 0xE1F0D998515A118D,
         },
         Outcome {
             now_ns: 5_700_807_649,
             events: 275,
             clients: vec![client(91, 2853.439605, 0, 0, 1)],
-            digest: 0x74B52B00CF865581,
+            digest: 0x554E3B7FC9F14921,
         },
     ]
 }

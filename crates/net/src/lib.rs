@@ -52,9 +52,7 @@ pub use internet::{
     MAX_GATEWAYS,
 };
 pub use link::{LinkParams, PointToPointLink};
-pub use medium::{
-    CollisionBug, Delivery, Ethernet, MediumStats, NetParams, NetworkKind, TxResult, TxWindow,
-};
+pub use medium::{CollisionBug, Delivery, Ethernet, MediumStats, NetParams, NetworkKind, TxWindow};
 pub use nic::Nic;
 pub use sink::{DeliverySink, StationRun};
 pub use transport::{GatewayStats, Topology, Transport};

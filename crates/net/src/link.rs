@@ -11,7 +11,7 @@ use v_sim::{SimDuration, SimTime, SplitMix64};
 
 use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
 use crate::frame::{Frame, MacAddr};
-use crate::medium::{Delivery, MediumStats, TxResult, TxWindow};
+use crate::medium::{Delivery, MediumStats, TxWindow};
 use crate::sink::DeliverySink;
 use crate::transport::Transport;
 
@@ -117,18 +117,6 @@ impl PointToPointLink {
             self.stats.reordered += 1;
         }
     }
-
-    /// Allocating convenience wrapper around the batched
-    /// [`Transport::transmit`], for tests and one-shot probes.
-    pub fn transmit(&mut self, ready: SimTime, frame: Frame) -> TxResult {
-        let mut deliveries = Vec::new();
-        let win = Transport::transmit(self, ready, frame, &mut deliveries);
-        TxResult {
-            tx_start: win.tx_start,
-            tx_end: win.tx_end,
-            deliveries,
-        }
-    }
 }
 
 impl Transport for PointToPointLink {
@@ -225,6 +213,12 @@ mod tests {
     use super::*;
     use crate::frame::EtherType;
 
+    /// One transmit through the trait, and what it delivered.
+    fn tx(t: &mut dyn Transport, ready: SimTime, frame: Frame) -> (TxWindow, Vec<Delivery>) {
+        let mut out = Vec::new();
+        (t.transmit(ready, frame, &mut out), out)
+    }
+
     fn frame(dst: MacAddr, src: MacAddr, len: usize) -> Frame {
         Frame::new(dst, src, EtherType::RAW_BENCH, vec![0x5A; len])
     }
@@ -239,31 +233,31 @@ mod tests {
     #[test]
     fn delivery_pays_serialization_plus_propagation() {
         let mut l = link(LinkParams::T1);
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 193));
+        let (r, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 193));
         // 193 bytes at 1.544 Mb/s = 1 ms on the wire, then 30 ms of
         // distance.
         assert_eq!(r.tx_end, SimTime::from_millis(1));
-        assert_eq!(r.deliveries.len(), 1);
-        assert_eq!(r.deliveries[0].at, SimTime::from_millis(31));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].at, SimTime::from_millis(31));
     }
 
     #[test]
     fn directions_serialize_independently() {
         let mut l = link(LinkParams::T1);
-        let a = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1000));
+        let (a, _) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1000));
         // The reverse direction is free even while 1→2 is busy.
-        let b = l.transmit(SimTime::ZERO, frame(MacAddr(1), MacAddr(2), 64));
+        let (b, _) = tx(&mut l, SimTime::ZERO, frame(MacAddr(1), MacAddr(2), 64));
         assert_eq!(b.tx_start, SimTime::ZERO);
         // A second frame in the same direction defers.
-        let c = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        let (c, _) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert_eq!(c.tx_start, a.tx_end);
     }
 
     #[test]
     fn loss_drops_frames() {
         let mut l = link(LinkParams::T1.with_loss(1.0));
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(r.deliveries.is_empty());
+        let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(out.is_empty());
         assert_eq!(l.stats().dropped, 1);
     }
 
@@ -273,8 +267,8 @@ mod tests {
         // An explicit empty plan clears even the params-derived loss,
         // exactly as it does on every other transport.
         l.set_faults(FaultPlan::NONE);
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
+        let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(out.len(), 1);
         assert_eq!(l.stats().dropped, 0);
     }
 
@@ -285,10 +279,10 @@ mod tests {
             corrupt: 1.0,
             ..FaultPlan::NONE
         });
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert!(r.deliveries[0].corrupted);
-        assert_ne!(r.deliveries[0].frame.payload[..], [0x5A; 64]);
+        let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(out.len(), 1);
+        assert!(out[0].corrupted);
+        assert_ne!(out[0].frame.payload[..], [0x5A; 64]);
         assert_eq!(l.stats().corrupted, 1);
     }
 
@@ -297,9 +291,9 @@ mod tests {
         let mut p = LinkParams::T1;
         p.duplicate = 1.0;
         let mut l = link(p);
-        let r = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 2);
-        assert!(r.deliveries[1].at > r.deliveries[0].at);
+        let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(out.len(), 2);
+        assert!(out[1].at > out[0].at);
         assert_eq!(l.stats().duplicated, 1);
     }
 
@@ -308,14 +302,11 @@ mod tests {
         let mut p = LinkParams::T1;
         p.reorder = 1.0;
         let mut l = link(p);
-        let a = l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        let (_, a_out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         p.reorder = 0.0;
         let mut clean = link(p);
-        let b = clean.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(
-            a.deliveries[0].at,
-            b.deliveries[0].at + LinkParams::T1.propagation
-        );
+        let (_, b_out) = tx(&mut clean, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(a_out[0].at, b_out[0].at + LinkParams::T1.propagation);
         assert_eq!(l.stats().reordered, 1);
     }
 
@@ -330,6 +321,6 @@ mod tests {
     #[should_panic(expected = "exceeds link MTU")]
     fn oversized_frame_panics() {
         let mut l = link(LinkParams::T1);
-        l.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
+        tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
     }
 }

@@ -96,22 +96,8 @@ pub struct Delivery {
     pub corrupted: bool,
 }
 
-/// Result of one transmit request.
-#[derive(Debug, Clone)]
-pub struct TxResult {
-    /// When the transmission actually started (after any CSMA deferral).
-    pub tx_start: SimTime,
-    /// When the medium became free again; the sending interface is also
-    /// busy until this instant (single-buffered transmitter).
-    pub tx_end: SimTime,
-    /// Frame arrivals this transmission produces (empty if every copy was
-    /// lost).
-    pub deliveries: Vec<Delivery>,
-}
-
-/// Transmit window of one transmission — the allocation-free part of a
-/// [`TxResult`]; the deliveries themselves go to the caller's
-/// [`DeliverySink`].
+/// Transmit window of one transmission; the deliveries themselves go
+/// to the caller's [`DeliverySink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxWindow {
     /// When the transmission actually started (after any CSMA deferral).
@@ -279,18 +265,6 @@ impl Ethernet {
     /// Medium statistics so far.
     pub fn stats(&self) -> MediumStats {
         self.stats
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`Ethernet::transmit_into`], for tests and one-shot probes.
-    pub fn transmit(&mut self, ready: SimTime, frame: Frame) -> TxResult {
-        let mut deliveries = Vec::new();
-        let win = self.transmit_into(ready, frame, &mut deliveries);
-        TxResult {
-            tx_start: win.tx_start,
-            tx_end: win.tx_end,
-            deliveries,
-        }
     }
 
     /// Transmits `frame`, whose copy into the sending interface completed
@@ -462,6 +436,12 @@ mod tests {
     use super::*;
     use crate::frame::EtherType;
 
+    /// One transmit, and what it delivered.
+    fn tx(e: &mut Ethernet, ready: SimTime, frame: Frame) -> (TxWindow, Vec<Delivery>) {
+        let mut out = Vec::new();
+        (e.transmit_into(ready, frame, &mut out), out)
+    }
+
     fn frame(dst: MacAddr, src: MacAddr, len: usize) -> Frame {
         Frame::new(dst, src, EtherType::RAW_BENCH, vec![0xAB; len])
     }
@@ -489,18 +469,22 @@ mod tests {
     #[test]
     fn unicast_delivers_to_destination_only() {
         let mut e = net3();
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert_eq!(r.deliveries[0].dst, MacAddr(2));
-        assert!(!r.deliveries[0].corrupted);
-        assert!(r.deliveries[0].at > r.tx_end);
+        let (r, out) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].dst, MacAddr(2));
+        assert!(!out[0].corrupted);
+        assert!(out[0].at > r.tx_end);
     }
 
     #[test]
     fn broadcast_reaches_everyone_but_sender() {
         let mut e = net3();
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr::BROADCAST, MacAddr(1), 64));
-        let mut dsts: Vec<u16> = r.deliveries.iter().map(|d| d.dst.0).collect();
+        let (_, out) = tx(
+            &mut e,
+            SimTime::ZERO,
+            frame(MacAddr::BROADCAST, MacAddr(1), 64),
+        );
+        let mut dsts: Vec<u16> = out.iter().map(|d| d.dst.0).collect();
         dsts.sort_unstable();
         assert_eq!(dsts, vec![2, 3]);
     }
@@ -508,8 +492,12 @@ mod tests {
     #[test]
     fn busy_medium_defers_second_transmission() {
         let mut e = net3();
-        let a = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-        let b = e.transmit(SimTime::from_micros(10), frame(MacAddr(1), MacAddr(3), 64));
+        let (a, _) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+        let (b, _) = tx(
+            &mut e,
+            SimTime::from_micros(10),
+            frame(MacAddr(1), MacAddr(3), 64),
+        );
         assert_eq!(b.tx_start, a.tx_end, "second frame must defer");
         assert_eq!(e.stats().deferrals, 1);
     }
@@ -517,9 +505,9 @@ mod tests {
     #[test]
     fn idle_medium_transmits_immediately() {
         let mut e = net3();
-        let a = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        let (a, _) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         let later = a.tx_end + SimDuration::from_millis(1);
-        let b = e.transmit(later, frame(MacAddr(1), MacAddr(2), 64));
+        let (b, _) = tx(&mut e, later, frame(MacAddr(1), MacAddr(2), 64));
         assert_eq!(b.tx_start, later);
         assert_eq!(e.stats().deferrals, 0);
     }
@@ -528,15 +516,15 @@ mod tests {
     #[should_panic(expected = "exceeds MTU")]
     fn oversized_frame_panics() {
         let mut e = net3();
-        e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
+        tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 5000));
     }
 
     #[test]
     fn loss_plan_drops_everything() {
         let mut e = net3();
         e.set_faults(FaultPlan::with_loss(1.0));
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(r.deliveries.is_empty());
+        let (_, out) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(out.is_empty());
         assert_eq!(e.stats().dropped, 1);
     }
 
@@ -547,10 +535,10 @@ mod tests {
             corrupt: 1.0,
             ..FaultPlan::NONE
         });
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 1);
-        assert!(r.deliveries[0].corrupted);
-        assert_ne!(r.deliveries[0].frame.payload[..], [0xAB; 64]);
+        let (_, out) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(out.len(), 1);
+        assert!(out[0].corrupted);
+        assert_ne!(out[0].frame.payload[..], [0xAB; 64]);
     }
 
     #[test]
@@ -560,9 +548,9 @@ mod tests {
             duplicate: 1.0,
             ..FaultPlan::NONE
         });
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(r.deliveries.len(), 2);
-        assert!(r.deliveries[1].at > r.deliveries[0].at);
+        let (_, out) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert_eq!(out.len(), 2);
+        assert!(out[1].at > out[0].at);
         assert_eq!(e.stats().duplicated, 1);
     }
 
@@ -572,9 +560,13 @@ mod tests {
         e.set_collision_bug(Some(CollisionBug { corrupt_prob: 1.0 }));
         // First frame occupies the medium; second defers and must be
         // corrupted by the bug.
-        e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
-        let r = e.transmit(SimTime::from_micros(5), frame(MacAddr(1), MacAddr(3), 64));
-        assert!(r.deliveries[0].corrupted);
+        tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+        let (_, out) = tx(
+            &mut e,
+            SimTime::from_micros(5),
+            frame(MacAddr(1), MacAddr(3), 64),
+        );
+        assert!(out[0].corrupted);
         assert_eq!(e.stats().bug_corruptions, 1);
     }
 
@@ -582,14 +574,14 @@ mod tests {
     fn collision_bug_spares_idle_transmissions() {
         let mut e = net3();
         e.set_collision_bug(Some(CollisionBug { corrupt_prob: 1.0 }));
-        let r = e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert!(!r.deliveries[0].corrupted);
+        let (_, out) = tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
+        assert!(!out[0].corrupted);
     }
 
     #[test]
     fn utilization_accounts_busy_time() {
         let mut e = net3();
-        e.transmit(SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
+        tx(&mut e, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 1024));
         let elapsed = SimDuration::from_millis(10);
         let u = e.stats().utilization(elapsed);
         assert!((u - 0.2786).abs() < 0.01, "u={u}");

@@ -133,7 +133,7 @@ pub fn measure_penalty(
 mod tests {
     use super::*;
     use v_kernel::{Cluster, ClusterConfig, CostModel, CpuSpeed};
-    use v_net::NetParams;
+    use v_net::{NetParams, Topology};
 
     #[test]
     fn measured_penalty_matches_analytic_model() {
@@ -143,7 +143,9 @@ mod tests {
             (CpuSpeed::Mc68000At10MHz, 512),
         ] {
             let cfg = ClusterConfig::three_mb().with_hosts(2, cpu);
-            let kind = cfg.network;
+            let Topology::SingleSegment(kind) = cfg.topology else {
+                unreachable!("the paper's cluster is one Ethernet segment");
+            };
             let mut cl = Cluster::new(cfg);
             let (ms, st) = measure_penalty(&mut cl, n, 200);
             assert_eq!(st.borrow().integrity_errors, 0);

@@ -199,7 +199,7 @@ fn old_owner_crash_after_flip_fails_over_to_new_owner() {
     let s1 = services[1].stats.borrow();
     assert_eq!(s1.migrated_in, 1, "{s1:?}");
     assert!(
-        s1.heat.of(moved).0 > 0,
+        services[1].files.borrow().heat(moved).reads > 0,
         "the new owner served the moved file: {s1:?}"
     );
     // Only the *migrated* file outlives its old owner; the one still

@@ -36,12 +36,12 @@
 
 use std::path::Path;
 
-/// Non-test lines `crates/fs/src` may hold: what the toggle audit
-/// reached (4,705; 4,796 before it, with four config fields nothing
-/// set, the disk's unused geometry builder, a copy of the disk counters
-/// in the server stats and per-epoch heat counters nothing read),
-/// rounded up to the next 50.
-const BUDGET: usize = 4_750;
+/// Non-test lines `crates/fs/src` may hold: what one file table
+/// reached (4,597; 4,691 before it, with a holder map, a four-map
+/// migration table, a heat ledger inside the stats and two in-flight
+/// write counts per file, and the server branching on the cache mode at
+/// six places), rounded up to the next 50.
+const BUDGET: usize = 4_600;
 
 /// Non-test lines the kernel's IPC engine may hold: what PR 23 reached
 /// (2,217; 2,410 before it, with four transfer tables and the
@@ -102,13 +102,16 @@ const CONFIG_STRUCTS: [(&str, &str); 12] = [
     ("crates/workloads/src/boot.rs", "BootStormConfig"),
 ];
 
-/// Fields [`CONFIG_STRUCTS`] may declare: what the toggle audit reached
-/// (60; 78 before it, when 17 values no table, ablation, workload,
-/// deployment or test ever set were fields rather than constants, and a
-/// host's logical id could be set but never was). Every field counts,
-/// `pub` or not: `DiskParams` is private, and its four are set through
-/// `DiskModel::fixed`, `with_jitter` and `with_arms`.
-const CONFIG_FIELD_BUDGET: usize = 60;
+/// Fields [`CONFIG_STRUCTS`] may declare: what one way to name the
+/// network reached (59; 60 before it, when `ClusterConfig` named the
+/// paper's Ethernet by a `network` kind that an optional topology
+/// silently overrode; 78 before the toggle audit, when 17 values no
+/// table, ablation, workload, deployment or test ever set were fields
+/// rather than constants, and a host's logical id could be set but
+/// never was). Every field counts, `pub` or not: `DiskParams` is
+/// private, and its four are set through `DiskModel::fixed`,
+/// `with_jitter` and `with_arms`.
+const CONFIG_FIELD_BUDGET: usize = 59;
 
 /// The modules a scripted client has ever lived in.
 const CLIENT_MODULES: [&str; 3] = ["client.rs", "shard.rs", "replica.rs"];
