@@ -221,9 +221,13 @@ fn a_16_kb_move_to_allocates_once_per_chunk() {
     // A 16 KB MoveTo is 32 chunks of 512 bytes and a 512-byte one is one
     // chunk; everything else a move costs (its acknowledgement, the
     // process's resume) they share, so the difference is 31 chunks a
-    // move, and the differences of two run lengths cancel set-up.
+    // move, and the differences of two run lengths cancel set-up. Both
+    // runs are past the warm-up of the grantor's inbound table, which
+    // keeps each completed deposit for `alien_keep` (2 s): 512-byte moves
+    // complete fast enough that it grows for the first few hundred, and
+    // two of its doublings fall between 50 and 150 of them.
     const CHUNK: u32 = 512;
-    let (moves, extra) = (50, 100);
+    let (moves, extra) = (400, 100);
     let run =
         |size| move_to_run_allocations(size, moves + extra) - move_to_run_allocations(size, moves);
     let n = run(32 * CHUNK) - run(CHUNK);

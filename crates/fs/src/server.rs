@@ -4,9 +4,9 @@
 //!
 //! * page **reads** are `Receive` → disk → `ReplyWithSegment` (two
 //!   packets on the wire, §3.4);
-//! * page **writes** arrive with the data appended to the request
-//!   (`ReceiveWithSegment`); any remainder beyond the appended prefix is
-//!   pulled with `MoveFrom`;
+//! * page **writes**, and the names of **opens** and **creates**, arrive
+//!   appended to the request (`ReceiveWithSegment`); any remainder beyond
+//!   the appended prefix is pulled with `MoveFrom`;
 //! * **large reads** (program loading) are pushed with `MoveTo`s of at
 //!   most one transfer unit — the paper's VAX server used 4 KB;
 //! * sequential reads trigger **read-ahead**: the next block is fetched
@@ -310,9 +310,8 @@ enum Phase {
     Idle,
     FsWork,
     DiskWait,
-    FetchRest {
-        have: u32,
-    },
+    /// Pulling what of a name or a page did not ride the request.
+    FetchRest,
     Pushing {
         pushed: u32,
     },
@@ -563,6 +562,23 @@ impl FileServer {
             self.reply_status(api, IoStatus::RetryAfter, 0, req.file);
             return;
         }
+        if req.op == IoOp::Write && matches!(self.phase, Phase::FsWork) {
+            // Open the write's in-flight window, once (not again when its
+            // pull brings it back here): until it commits (or its pull
+            // fails), no cached read and no drain.
+            self.row(req.file).writes_in_flight += 1;
+        }
+        // A name or a page rides the `Send` as far as it fits (in the
+        // Thoth ablation, not at all): pull the rest, then dispatch again.
+        let grant = cur.msg.segment().filter(|g| g.access.allows_read());
+        if let (IoOp::Open | IoOp::Create | IoOp::Write, Some(g)) = (req.op, grant) {
+            let len = g.len.min(BLOCK_SIZE as u32);
+            if seg_len < len {
+                self.phase = Phase::FetchRest;
+                api.move_from(cur.from, SRV_IN + seg_len, g.start + seg_len, len - seg_len);
+                return;
+            }
+        }
         match req.op {
             IoOp::Open => {
                 let name_bytes = api.mem_read(SRV_IN, seg_len as usize).expect("in buffer");
@@ -634,26 +650,7 @@ impl FileServer {
                 self.phase = Phase::DiskWait;
                 api.delay(done.since(api.now()));
             }
-            IoOp::Write => {
-                // Open the write's in-flight window: until it commits
-                // (or its pull fails), no cached read and no drain.
-                self.row(req.file).writes_in_flight += 1;
-                let count = req.count.min(BLOCK_SIZE as u32);
-                if seg_len < count {
-                    // The appended prefix didn't cover the block: pull
-                    // the rest from the client's granted segment.
-                    self.phase = Phase::FetchRest { have: seg_len };
-                    let grant_start = req.buffer; // client buffer address
-                    api.move_from(
-                        cur.from,
-                        SRV_IN + seg_len,
-                        grant_start + seg_len,
-                        count - seg_len,
-                    );
-                } else {
-                    self.begin_write_commit(api);
-                }
-            }
+            IoOp::Write => self.begin_write_commit(api),
             IoOp::ReadLarge => {
                 let done = self.disk_span(api.now(), req.file, req.block, req.count as usize);
                 self.phase = Phase::DiskWait;
@@ -915,20 +912,9 @@ impl Program for FileServer {
                 }
             }
             Outcome::Move(Ok(n)) => match self.phase {
-                Phase::FetchRest { have } => {
-                    let count = {
-                        let cur = self.current.as_ref().expect("in progress");
-                        cur.req.count.min(BLOCK_SIZE as u32)
-                    };
-                    let have = have + n;
-                    if have < count {
-                        self.phase = Phase::FetchRest { have };
-                        let cur = self.current.as_ref().expect("in progress");
-                        let (from, buffer) = (cur.from, cur.req.buffer);
-                        api.move_from(from, SRV_IN + have, buffer + have, count - have);
-                    } else {
-                        self.begin_write_commit(api);
-                    }
+                Phase::FetchRest => {
+                    self.current.as_mut().expect("in progress").seg_len += n;
+                    self.dispatch(api);
                 }
                 Phase::Pushing { pushed } => {
                     let (count, file) = {
@@ -947,11 +933,11 @@ impl Program for FileServer {
                 _ => self.rearm(api),
             },
             Outcome::Move(Err(_)) => {
-                if matches!(self.phase, Phase::FetchRest { .. }) {
+                let req = self.current.as_ref().expect("in progress").req;
+                if matches!(self.phase, Phase::FetchRest) && req.op == IoOp::Write {
                     // The write's data pull failed: it will never reach
                     // serve_write, so balance the in-flight marker here.
-                    let file = self.current.as_ref().expect("in progress").req.file;
-                    self.row(file).writes_in_flight -= 1;
+                    self.row(req.file).writes_in_flight -= 1;
                 }
                 self.reply_status(api, IoStatus::Error, 0, FileId(0));
             }
@@ -1120,6 +1106,59 @@ mod tests {
         (row.writes_in_flight, row.draining, row.holders.len())
     }
 
+    /// With appended segments off (the Thoth ablation), an `Open`'s or a
+    /// `Create`'s name does not ride its `Send`: the server pulls it with
+    /// `MoveFrom`, as it pulls a write's page, and dispatches the request
+    /// once it is in.
+    #[test]
+    fn names_are_pulled_like_pages_when_nothing_rides_the_send() {
+        let mut cfg = ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz);
+        cfg.protocol.appended_segments = false;
+        let mut cl = Cluster::new(cfg);
+        let mut store = BlockStore::new();
+        store.create_with("boot", &[0x7E; 4 * BLOCK_SIZE]).unwrap();
+        let team = spawn_file_server(&mut cl, HostId(0), FileServerConfig::default(), store);
+        let script = vec![
+            FsCall::Open("boot".into()),
+            FsCall::ReadExpect {
+                block: 2,
+                count: BLOCK_SIZE as u32,
+                expect: 0x7E,
+            },
+            FsCall::WriteFill {
+                block: 1,
+                count: BLOCK_SIZE as u32,
+                fill: 0x99,
+            },
+            FsCall::ReadExpect {
+                block: 1,
+                count: BLOCK_SIZE as u32,
+                expect: 0x99,
+            },
+            FsCall::Create("new".into(), 1024),
+            FsCall::QueryExpect(1024),
+        ];
+        let rep = Rc::new(RefCell::new(FsClientReport::default()));
+        cl.spawn(
+            HostId(1),
+            "client",
+            Box::new(FsClient::new(team.server, script, rep.clone())),
+        );
+        cl.run();
+        let r = rep.borrow().clone();
+        assert!(r.done, "{r:?}");
+        assert_eq!(
+            (r.completed, r.errors, r.integrity_errors),
+            (6, 0, 0),
+            "{r:?}"
+        );
+        assert_eq!(
+            cl.kernel_stats(HostId(1)).chunks_sent,
+            3,
+            "two names and a page were pulled"
+        );
+    }
+
     /// With appended segments off, a write's page does not ride its
     /// `Send`: the server pulls it with `MoveFrom` (the `FetchRest`
     /// phase) and the block reads back intact. The write is in flight
@@ -1143,10 +1182,9 @@ mod tests {
         let team = spawn_file_server(&mut cl, HostId(0), fs_cfg, store);
         cl.run();
 
-        // An `Open`'s name would not ride its `Send` either, and the
-        // server reads names only from what arrived with the request: the
-        // script starts on the id a client holds before any open, which
-        // is the first file's.
+        // The script starts on the id a client holds before any open,
+        // which is the first file's (opens in this mode are the test
+        // above's).
         assert_eq!(file, FileId(0));
         let script = vec![
             FsCall::WriteFill {

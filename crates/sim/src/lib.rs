@@ -6,14 +6,13 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time;
 //! * [`EventQueue`] — a time-ordered event queue with deterministic
 //!   tie-breaking (events scheduled at the same instant pop in scheduling
-//!   order), exposing engine throughput counters as [`SimStats`];
+//!   order), exposing engine throughput counters as [`SimStats`] (the
+//!   chaos harness writes its fault schedules on one too);
 //! * [`SplitMix64`] — a tiny, fast, seedable PRNG used for fault injection
 //!   and workload generation so every run is reproducible;
 //! * [`FixedMap`] — a `HashMap` under a fixed, seedless hasher, for maps
 //!   keyed by the simulation's own integers: the same order in every
-//!   process, and no SipHash on a hot path;
-//! * [`Timeline`] — a pre-written, replayable script of externally
-//!   injected events (the substrate of the chaos fault schedules).
+//!   process, and no SipHash on a hot path.
 //!
 //! The engine is intentionally single-threaded: the paper's evaluation
 //! depends on precise ordering of sub-millisecond events across simulated
@@ -23,10 +22,8 @@ pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod timeline;
 
 pub use hash::{FixedHasher, FixedMap};
 pub use queue::{EventQueue, SimStats};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};
-pub use timeline::Timeline;

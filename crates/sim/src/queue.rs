@@ -1,5 +1,5 @@
 //! Time-ordered event queue with deterministic tie-breaking: a few
-//! ascending runs beside a monotone radix heap.
+//! ascending runs beside a binary heap.
 //!
 //! A simulation clock never runs backwards — [`EventQueue::schedule`]
 //! refuses an instant before `now` — and most of what a kernel schedules
@@ -30,52 +30,22 @@
 //! therefore a count — the tails after `at` — and no run fits when that
 //! count is `RUNS`.
 //!
-//! **Heap invariant.** Only an event that *no* run fits is filed in the
-//! heap. The heap has a clock of its own, `base`, the instant of its last
-//! pop: never after `now`, and never after anything filed. An event due
-//! at `at` sits in the heap's *front* if `at == base`, and otherwise in
-//! bucket `k`, the position of the highest bit in which `at` and `base`
-//! differ (`k = ilog2(at ^ base)`, 64 buckets, a `u64` mask of the
-//! occupied ones). Because `at > base`, that bit is set in `at` and clear
-//! in `base`, so every event in bucket `k` is later than every event in a
-//! lower bucket, and the heap's earliest event is in the front or,
-//! failing that, in the lowest occupied bucket — no earlier than `base`
-//! with bit `k` set and the bits below it cleared. A run head at or
-//! before that is popped without looking into the bucket; otherwise one
-//! scan finds the bucket's minimum, which decides and is then the new
-//! `base`.
+//! **The heap.** Only an event that *no* run fits is filed in the heap, a
+//! [`BinaryHeap`] of `(at, sequence number, slot)` keys, least first. The
+//! sequence number counts the events filed there, and only those.
 //!
-//! **Why `base` may only move in `pop`.** The invariant is stated against
-//! `base`, so moving it means re-filing. A pop from the heap with the
-//! front empty takes the lowest occupied bucket `k`, moves `base` to its
-//! minimum and re-files its entries against the new `base`. They all
-//! agree with it on bit `k` and above, so each lands in the front or in
-//! a bucket below `k`; entries of higher buckets still first differ from
-//! `base` in their own bit and stay where they are. A pop from a run
-//! moves `now` and leaves `base` behind, which is safe — `base` is still
-//! before everything filed — and costs an event filed meanwhile at most a
-//! higher bucket than it needed, and a re-filing down when its turn comes.
-//! [`EventQueue::peek_time`] takes `&self`, cannot re-file, and pays the
-//! scan each time it is asked; [`EventQueue::pop_due`] is the way to pop
-//! up to a deadline.
-//!
-//! **FIFO among equal instants needs no sequence number.** *Within a run*
-//! an entry is behind everything appended before it. *Within the heap*
-//! equal times have equal bits, so they always share a bucket; `schedule`
-//! appends, a re-filing reads its bucket in order and appends, and the
-//! buckets it appends to are empty beforehand (they are below the lowest
-//! occupied one): events of one instant stay in the order they were
-//! scheduled, the front included, and the front is drained from its
-//! head. *Between a run and the heap:* an event was filed in the heap at
-//! `t` because every run's tail was after `t`, and a tail moves back only
-//! when its run drains, which takes the clock to that tail — past `t`,
-//! where nothing can be scheduled any more. So from then on no run
-//! accepts `t`: every run entry at `t` is older than every heap entry at
-//! `t`, and at equal instants the run pops first. *Between two runs:*
-//! while a run holds `t` its tail is `t` or later, and every run before
-//! it has a later tail still, so none of those accepts `t`. A run takes
-//! `t` only further along the array than every run that holds it: of
-//! equal heads the first is the oldest.
+//! **FIFO among equal instants.** *Within a run* an entry is behind
+//! everything appended before it. *Within the heap* the sequence number
+//! orders equal instants. *Between a run and the heap:* an event was
+//! filed in the heap at `t` because every run's tail was after `t`, and a
+//! tail moves back only when its run drains, which takes the clock to
+//! that tail — past `t`, where nothing can be scheduled any more. So from
+//! then on no run accepts `t`: every run entry at `t` is older than every
+//! heap entry at `t`, and at equal instants the run pops first. *Between
+//! two runs:* while a run holds `t` its tail is `t` or later, and every
+//! run before it has a later tail still, so none of those accepts `t`. A
+//! run takes `t` only further along the array than every run that holds
+//! it: of equal heads the first is the oldest.
 //!
 //! **Cost.** A run hit is a slab write, `RUNS` comparisons and an append;
 //! its pop is a ring read and `RUNS` comparisons. Counted on the
@@ -83,16 +53,14 @@
 //! 100 % on `exchange` and `page_rw` (timers, housekeeping and the one
 //! chain of near events are a run each), 99 % on `fs_lossy`, 98 % on
 //! `cache_share`, 48 % on `storm` and 16 % on `capacity`, whose sixteen
-//! interleaved chains ascend in no four streams. What misses is filed as
-//! before: one `lzcnt` and one append, re-filed only downwards, so at
-//! most once per bucket level — and now beside near events only: 1.2
-//! times per event filed on `capacity`, where it was 1.7 with the timers
-//! among them. Events are written once into a slab, whichever side queues
-//! them; rings and buckets move 16-byte `(at, slot)` keys. Slab, free
-//! list (threaded through the vacant slots), rings and buckets keep
-//! their capacity, so a steady state allocates nothing.
+//! interleaved chains ascend in no four streams. What misses is a sift
+//! up on `schedule` and a sift down on `pop`, over 24-byte keys. Events
+//! are written once into a slab, whichever side queues them. Slab, free
+//! list (threaded through the vacant slots), rings and heap keep their
+//! capacity, so a steady state allocates nothing.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -114,7 +82,7 @@ const NO_HEAD: u64 = u64::MAX;
 /// advances `now` to the popped event's timestamp. Scheduling an event in
 /// the past is a logic error and panics (in debug it pinpoints the broken
 /// cost-model arithmetic immediately).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     /// Each run ascends from its front. The runs in use come first, later
     /// tail before earlier.
@@ -127,20 +95,14 @@ pub struct EventQueue<E> {
     /// The first of the runs with the least head, and that head.
     first: usize,
     lead: u64,
-    /// The events in the heap; a vacant slot holds the next vacant one.
+    /// What no run fits, as `(at, sequence number, slot)`, least on top.
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// Sequence number of the next event filed in the heap.
+    filed: u64,
+    /// The events; a vacant slot holds the next vacant one.
     slab: Vec<Slot<E>>,
     /// First vacant slot, `NO_SLOT` when the slab is full.
     free: u32,
-    /// Slots of the heap's events due at exactly `base`, oldest first from
-    /// `head` (what is before `head` has been popped); cleared when drained.
-    front: Vec<u32>,
-    head: usize,
-    /// `later[k]`: events whose time first differs from `base` in bit `k`.
-    later: Vec<Vec<Key>>,
-    /// Bit `k` set: `later[k]` is not empty.
-    occupied: u64,
-    /// The heap's clock, the instant of its last pop: never after `now`.
-    base: u64,
     now: SimTime,
     scheduled: u64,
     popped: u64,
@@ -166,27 +128,13 @@ struct Key {
     slot: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Slot<E> {
     Full(E),
     Vacant { next: u32 },
 }
 
 const NO_SLOT: u32 = u32::MAX;
-
-/// Where the earliest pending event is.
-enum Next {
-    Nothing,
-    /// At the head of run `first`.
-    Run,
-    /// In the heap's front, due at `base`.
-    Front,
-    /// In the heap's lowest bucket, `k`, due at `min`.
-    Bucket {
-        k: usize,
-        min: u64,
-    },
-}
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue at time zero.
@@ -197,13 +145,10 @@ impl<E> EventQueue<E> {
             tails: [0; RUNS],
             first: 0,
             lead: NO_HEAD,
+            heap: BinaryHeap::new(),
+            filed: 0,
             slab: Vec::new(),
             free: NO_SLOT,
-            front: Vec::new(),
-            head: 0,
-            later: Vec::new(),
-            occupied: 0,
-            base: 0,
             now: SimTime::ZERO,
             scheduled: 0,
             popped: 0,
@@ -233,7 +178,9 @@ impl<E> EventQueue<E> {
         // behind them is the best fit: the latest tail not after `at`.
         let fit = self.tails.iter().filter(|&&tail| tail > at).count();
         if fit == RUNS {
-            return self.file(at, slot);
+            self.heap.push(Reverse((at, self.filed, slot)));
+            self.filed += 1;
+            return;
         }
         self.tails[fit] = at;
         let run = &mut self.runs[fit];
@@ -258,28 +205,16 @@ impl<E> EventQueue<E> {
     /// `None`, and the clock stays, if nothing is pending that early.
     #[inline]
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let deadline = deadline.as_nanos();
-        let slot = match self.next() {
-            Next::Nothing => return None,
-            Next::Run => {
-                if self.lead > deadline {
-                    return None;
-                }
-                self.pop_run()
-            }
-            Next::Front => {
-                if self.base > deadline {
-                    return None;
-                }
-                self.pop_front()
-            }
-            Next::Bucket { k, min } => {
-                if min > deadline {
-                    return None;
-                }
-                self.advance(k, min);
-                self.pop_front()
-            }
+        let (at, in_run) = self.next()?;
+        if at > deadline.as_nanos() {
+            return None;
+        }
+        let slot = if in_run {
+            self.pop_run()
+        } else {
+            let Reverse((at, _, slot)) = self.heap.pop().expect("the heap's top is due");
+            self.now = SimTime::from_nanos(at);
+            slot
         };
         self.popped += 1;
         Some((self.now, self.take(slot)))
@@ -287,13 +222,7 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let at = match self.next() {
-            Next::Nothing => return None,
-            Next::Run => self.lead,
-            Next::Front => self.base,
-            Next::Bucket { min, .. } => min,
-        };
-        Some(SimTime::from_nanos(at))
+        self.next().map(|(at, _)| SimTime::from_nanos(at))
     }
 
     /// Number of pending events.
@@ -325,41 +254,19 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Where the earliest pending event is.
+    /// When the earliest pending event is due, and whether it is the head
+    /// of run `first` (or else the heap's top).
     #[inline]
-    fn next(&self) -> Next {
-        // At equal instants a run entry is the older: see the module doc.
-        let run_leads = |at: u64| self.lead <= at;
+    fn next(&self) -> Option<(u64, bool)> {
         debug_assert_eq!(self.heads.iter().min(), Some(&self.lead));
         debug_assert_eq!(self.heads[self.first], self.lead);
-        if !self.front.is_empty() {
-            return if run_leads(self.base) {
-                Next::Run
-            } else {
-                Next::Front
-            };
-        }
-        if self.occupied == 0 {
+        match self.heap.peek() {
+            // At equal instants a run entry is the older: see the module
+            // doc. The heap holds no "never", so it beats an empty run.
+            Some(&Reverse((at, _, _))) if at < self.lead => Some((at, false)),
             // The runs in use come first.
-            return if self.runs[0].is_empty() {
-                Next::Nothing
-            } else {
-                Next::Run
-            };
-        }
-        // The heap's earliest event is in its lowest bucket, `k`, whose
-        // instants agree with `base` above bit `k` and have that bit set:
-        // a run head no later than the least of those needs no scan.
-        let k = self.occupied.trailing_zeros() as usize;
-        if run_leads(((self.base >> k) | 1) << k) {
-            return Next::Run;
-        }
-        let min = self.later[k].iter().map(|key| key.at).min();
-        let min = min.expect("occupied");
-        if run_leads(min) {
-            Next::Run
-        } else {
-            Next::Bucket { k, min }
+            _ if self.runs[0].is_empty() => None,
+            _ => Some((self.lead, true)),
         }
     }
 
@@ -386,55 +293,6 @@ impl<E> EventQueue<E> {
         debug_assert!(self.now.as_nanos() <= entry.at, "the clock ran backwards");
         self.now = SimTime::from_nanos(entry.at);
         entry.slot
-    }
-
-    /// Files an event no run fits.
-    fn file(&mut self, at: u64, slot: u32) {
-        debug_assert!(self.tails.iter().all(|&tail| tail > at), "a run fits");
-        match (at ^ self.base).checked_ilog2() {
-            None => self.front.push(slot),
-            Some(k) => {
-                let k = k as usize;
-                if k >= self.later.len() {
-                    self.later.resize_with(k + 1, Vec::new);
-                }
-                self.later[k].push(Key { at, slot });
-                self.occupied |= 1 << k;
-            }
-        }
-    }
-
-    /// Takes the oldest of the heap's events due at `base`.
-    fn pop_front(&mut self) -> u32 {
-        let slot = self.front[self.head];
-        self.head += 1;
-        if self.head == self.front.len() {
-            // Emptied here, not at the next pop: events that keep arriving
-            // at `base` one behind another must not grow the front forever.
-            self.front.clear();
-            self.head = 0;
-        }
-        self.now = SimTime::from_nanos(self.base);
-        slot
-    }
-
-    /// With the front drained: moves `base` to `min`, the earliest instant
-    /// of the lowest occupied bucket, `k`, and re-files that bucket against
-    /// it, which puts that instant's events in the front.
-    fn advance(&mut self, k: usize, min: u64) {
-        debug_assert!(self.base <= self.now.as_nanos() && self.now.as_nanos() <= min);
-        self.occupied &= !(1 << k);
-        let (lower, rest) = self.later.split_at_mut(k);
-        self.base = min;
-        for key in rest[0].drain(..) {
-            match (key.at ^ min).checked_ilog2() {
-                None => self.front.push(key.slot),
-                Some(j) => {
-                    lower[j as usize].push(key);
-                    self.occupied |= 1 << j;
-                }
-            }
-        }
     }
 
     fn store(&mut self, event: E) -> u32 {

@@ -1,31 +1,32 @@
 //! The event queue as a model check: random interleavings of `schedule`,
 //! `pop` and `pop_due`, every accessor read after every step, against a
 //! reference priority queue ordered by `(time, sequence number)`. The
-//! queue keeps ascending runs beside a radix heap and no sequence number:
-//! its FIFO order among equal instants is structural — within a run,
-//! within the heap, run before heap, earlier run before later — so the
-//! reference is what says it got that order right, and the strategies aim
-//! at the seams: parked classes that each ascend (more of them than there
-//! are runs, so some overflow into the heap), and instants that are
-//! pending already, wherever they are pending.
+//! queue keeps ascending runs beside a binary heap and numbers only what
+//! it files in the heap: its FIFO order among equal instants is
+//! structural within a run, run before heap and earlier run before later,
+//! so the reference is what says it got that order right, and the
+//! strategies aim at the seams: parked classes that each ascend (more of
+//! them than there are runs, so some overflow into the heap), and
+//! instants that are pending already, wherever they are pending.
 //!
 //! A failing case prints its short operation list (the vendored proptest
-//! does not shrink, so the lists are kept short instead); CI runs this in
-//! debug — the queue's `debug_assert!`s exist only there — and in release
-//! with `PROPTEST_CASES=5000` ahead of the benchmark's baseline check.
+//! does not shrink, so the lists are kept short instead, and one seeded
+//! case holds the queue at a boot storm's depth); CI runs this in debug —
+//! the queue's `debug_assert!`s exist only there — and in release with
+//! `PROPTEST_CASES=5000` ahead of the benchmark's baseline check.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use v_sim::{EventQueue, SimStats, SimTime};
+use v_sim::{EventQueue, SimStats, SimTime, SplitMix64};
 
 /// Where an operation schedules, relative to the clock when it runs.
 #[derive(Debug, Clone, Copy)]
 enum When {
-    /// At `now`: the front, possibly while it is draining.
+    /// At `now`, possibly while events due at `now` are popping.
     Now,
-    /// A few nanoseconds ahead: the lowest buckets.
+    /// A few nanoseconds ahead.
     Next(u64),
     /// 0.5-1 ms ahead, the kernel's usual step.
     Near(u64),
@@ -37,12 +38,12 @@ enum When {
     /// One of six more fixed distances, 3 ms to 90 s: with the two above,
     /// more ascending classes than the queue has runs.
     Parked(usize),
-    /// `2^bit` ahead: any bucket at all.
+    /// `2^bit` ahead: any distance at all.
     Far(u32),
     /// `SimTime::MAX`, the "never" of an idle timer.
     Never,
-    /// An instant some pending event already has — scheduled before its
-    /// bucket was last re-filed, or after.
+    /// An instant some pending event already has, in a run or in the
+    /// heap.
     Again(usize),
 }
 
@@ -248,7 +249,7 @@ proptest! {
     /// The exchange's shape: near events chained pop → schedule over a
     /// standing crowd of timers that fire stale — retransmit timers and,
     /// now and then between them, a housekeeping timer five times as far —
-    /// bursts at one instant landing around each re-filing.
+    /// bursts at one instant among them.
     #[test]
     fn near_events_over_parked_timers_match_the_reference(
         steps in prop::collection::vec((500_000u64..1_000_000, 0usize..4), 1..200),
@@ -312,7 +313,7 @@ fn scheduling_at_now_while_the_front_drains_keeps_fifo() {
         pair.schedule(10);
     }
     assert!(pair.pop());
-    // Two of the burst are still in the front; these queue behind them,
+    // Two of the burst are still pending; these queue behind them,
     // and each one popped schedules another at the same instant.
     for _ in 0..20 {
         pair.schedule(10);
@@ -327,8 +328,8 @@ fn scheduling_at_now_while_the_front_drains_keeps_fifo() {
 
 #[test]
 fn equal_instants_keep_their_order_across_every_refiling() {
-    // Scheduled into a high bucket, then — as pops move the clock and
-    // re-file that bucket level by level — into each lower one.
+    // Scheduled again each time a pop brings the clock a bit nearer to
+    // it, from a high bit of the distance to the lowest.
     let mut pair = Pair::new();
     let at = 0b1010_1010_1010;
     pair.schedule(at);
@@ -471,7 +472,7 @@ fn more_parked_classes_than_runs_overflow_and_come_back() {
 fn pop_due_stops_at_its_deadline_and_leaves_the_clock() {
     let mut pair = Pair::new();
     assert!(!pair.pop_due(u64::MAX));
-    // One in a run, one in the heap, one in the heap's front.
+    // Two in a run, and one in the heap.
     pair.schedule(1_000);
     pair.schedule(3_000);
     close_every_run(&mut pair, 10_000);
@@ -494,4 +495,59 @@ fn pop_due_stops_at_its_deadline_and_leaves_the_clock() {
         pair.check();
     }
     assert!(pair.queue.is_empty());
+}
+
+/// A schedule's `When` for [`a_storm_deep_queue_matches_the_reference`]:
+/// every class, ties weighted as in [`when`].
+fn storm_when(rng: &mut SplitMix64) -> When {
+    match rng.below(16) {
+        0 => When::Now,
+        1 => When::Next(rng.range_inclusive(1, 4)),
+        2 | 3 => When::Near(rng.range_inclusive(500_000, 999_999)),
+        4 => When::Timer,
+        5 => When::Housekeeping,
+        6..=8 => When::Parked(rng.below(PARKED_NS.len() as u64) as usize),
+        9 => When::Far(rng.below(64) as u32),
+        10 => When::Never,
+        _ => When::Again(rng.below(64) as usize),
+    }
+}
+
+/// The depth of the boot storm, where tens of thousands of events wait
+/// in the heap at once: the random cases above stay short (the vendored
+/// proptest does not shrink) and hold a few hundred. One seeded case
+/// schedules 120,000 events of every class — eight parked classes among
+/// them, more than there are runs — with a pop after every fourth
+/// schedule on average, so the queue deepens as the clock moves; then it
+/// pops to four deadlines with `pop_due` and pops the rest. Every
+/// accessor is checked after every step.
+#[test]
+fn a_storm_deep_queue_matches_the_reference() {
+    let mut rng = SplitMix64::new(1983);
+    let mut pair = Pair::new();
+    let mut deepest = 0;
+    while pair.scheduled < 120_000 {
+        let when = storm_when(&mut rng);
+        let count = rng.range_inclusive(1, 3) as usize;
+        pair.apply(Op::Schedule(when, count));
+        if rng.below(4) == 0 {
+            pair.apply(Op::Pop(1));
+        }
+        deepest = deepest.max(pair.model.len());
+    }
+    assert!(deepest >= 50_000, "only {deepest} events were ever pending");
+    for when in [
+        When::Near(750_000),
+        When::Timer,
+        When::Parked(3),
+        When::Parked(5),
+    ] {
+        let deadline = pair.instant(when);
+        while pair.pop_due(deadline) {
+            pair.check();
+        }
+        pair.check();
+    }
+    pair.drain();
+    assert_eq!(pair.queue.now(), SimTime::MAX);
 }

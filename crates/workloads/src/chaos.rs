@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation assumes every workstation stays up; the
 //! interesting questions about a diskless-workstation deployment start
-//! when one doesn't. A [`FaultSchedule`] is a small DSL over
-//! [`v_sim::Timeline`] composing *timed* fault events — host crash and
+//! when one doesn't. A [`FaultSchedule`] is a small DSL over a
+//! [`v_sim::EventQueue`] composing *timed* fault events — host crash and
 //! restart, gateway failure and repair, fault-plan swaps (loss bursts,
 //! full partitions) — that [`run_with_faults`] replays against a live
 //! cluster deterministically: the cluster runs to each scheduled
@@ -25,7 +25,7 @@
 
 use v_kernel::{Cluster, HostId};
 use v_net::FaultPlan;
-use v_sim::{SimTime, Timeline};
+use v_sim::{EventQueue, SimTime};
 
 /// One externally injected fault (or repair).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +52,7 @@ pub enum Fault {
 /// A replayable, time-ordered script of [`Fault`] events.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
-    timeline: Timeline<Fault>,
+    queue: EventQueue<Fault>,
 }
 
 impl FaultSchedule {
@@ -63,8 +63,12 @@ impl FaultSchedule {
 
     /// Adds an arbitrary fault at `at`. Events may be added in any
     /// order; they replay in time order, ties in insertion order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the last event popped.
     pub fn at(mut self, at: SimTime, fault: Fault) -> FaultSchedule {
-        self.timeline.push(at, fault);
+        self.queue.schedule(at, fault);
         self
     }
 
@@ -87,17 +91,17 @@ impl FaultSchedule {
 
     /// Number of events remaining.
     pub fn len(&self) -> usize {
-        self.timeline.len()
+        self.queue.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.timeline.is_empty()
+        self.queue.is_empty()
     }
 
     /// Removes and returns the earliest remaining event.
     pub fn pop(&mut self) -> Option<(SimTime, Fault)> {
-        self.timeline.pop()
+        self.queue.pop()
     }
 }
 
@@ -138,8 +142,37 @@ mod tests {
     use super::*;
     use v_kernel::{Api, ClusterConfig, CpuSpeed, Message, Outcome, Program};
 
+    fn ms(n: u64) -> SimTime {
+        SimTime::from_millis(n)
+    }
+
     fn two_hosts() -> Cluster {
         Cluster::new(ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz))
+    }
+
+    #[test]
+    fn pops_in_time_order_regardless_of_insertion_order() {
+        let mut sched = FaultSchedule::new()
+            .at(ms(30), Fault::FailGateway(3))
+            .at(ms(10), Fault::FailGateway(1))
+            .at(ms(20), Fault::FailGateway(2));
+        assert_eq!(sched.len(), 3);
+        assert_eq!(sched.pop(), Some((ms(10), Fault::FailGateway(1))));
+        assert_eq!(sched.pop(), Some((ms(20), Fault::FailGateway(2))));
+        assert_eq!(sched.pop(), Some((ms(30), Fault::FailGateway(3))));
+        assert_eq!(sched.pop(), None);
+        assert!(sched.is_empty());
+    }
+
+    #[test]
+    fn equal_instants_keep_insertion_order() {
+        let mut sched = FaultSchedule::new()
+            .at(ms(5), Fault::FailGateway(1))
+            .at(ms(5), Fault::FailGateway(2))
+            .at(ms(1), Fault::FailGateway(0))
+            .at(ms(5), Fault::FailGateway(3));
+        let order: Vec<Fault> = std::iter::from_fn(|| sched.pop()).map(|(_, f)| f).collect();
+        assert_eq!(order, (0..4).map(Fault::FailGateway).collect::<Vec<_>>());
     }
 
     #[test]
