@@ -17,12 +17,10 @@
 //!
 //! Wire format: `[kind u8, pad u8, seq u16, count u32]` + data for pages.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use v_kernel::raw::{RawCtx, RawHandler};
 use v_net::{Frame, MacAddr};
-use v_sim::{SimDuration, SimTime};
+use v_sim::SimDuration;
+use v_workloads::measure::{probe, Probe, RunReport};
 
 const K_OPEN: u8 = 1;
 const K_PAGE: u8 = 2;
@@ -135,33 +133,6 @@ impl RawHandler for StreamServer {
     }
 }
 
-/// Shared measurement state of a streaming read.
-#[derive(Debug, Default)]
-pub struct StreamState {
-    /// Pages consumed by the application.
-    pub consumed: u64,
-    /// Pages requested.
-    pub target: u64,
-    /// Start of the stream.
-    pub started: Option<SimTime>,
-    /// Last consumption.
-    pub finished: Option<SimTime>,
-    /// Bad pages.
-    pub integrity_errors: u64,
-}
-
-impl StreamState {
-    /// Elapsed milliseconds per consumed page.
-    pub fn per_page_ms(&self) -> f64 {
-        if self.consumed == 0 {
-            return 0.0;
-        }
-        let s = self.started.expect("started");
-        let f = self.finished.expect("finished");
-        f.since(s).as_millis_f64() / self.consumed as f64
-    }
-}
-
 /// Streaming client: buffers arriving pages, consumes them in order at
 /// application speed, acknowledges cumulatively.
 pub struct StreamClient {
@@ -177,8 +148,9 @@ pub struct StreamClient {
     pub think: SimDuration,
     /// Extra per-page buffer-to-user copy cost (per byte).
     pub copy_per_byte: SimDuration,
-    /// Shared state.
-    pub state: Rc<RefCell<StreamState>>,
+    /// Pages consumed by the application (`iterations`), from the
+    /// stream's open to the last consumption, and bad pages.
+    pub report: Probe<RunReport>,
     buffered: u16, // highest in-order page received
     next_consume: u16,
     consuming: bool,
@@ -193,7 +165,7 @@ impl StreamClient {
         window: u16,
         think: SimDuration,
         copy_per_byte: SimDuration,
-        state: Rc<RefCell<StreamState>>,
+        report: Probe<RunReport>,
     ) -> StreamClient {
         StreamClient {
             server,
@@ -202,7 +174,7 @@ impl StreamClient {
             window,
             think,
             copy_per_byte,
-            state,
+            report,
             buffered: 0,
             next_consume: 0,
             consuming: false,
@@ -229,9 +201,9 @@ impl StreamClient {
         self.consuming = false;
         self.next_consume += 1;
         {
-            let mut st = self.state.borrow_mut();
-            st.consumed += 1;
-            st.finished = Some(ctx.now());
+            let mut r = self.report.borrow_mut();
+            r.iterations += 1;
+            r.finished = Some(ctx.now());
         }
         // Cumulative ack opens the window.
         let mut ack = vec![0u8; HDR];
@@ -249,7 +221,7 @@ impl RawHandler for StreamClient {
         }
         let seq = get_u16(&frame.payload, 2);
         if frame.payload.len() != HDR + self.page_size {
-            self.state.borrow_mut().integrity_errors += 1;
+            self.report.borrow_mut().integrity_errors += 1;
         }
         if seq == self.buffered {
             self.buffered += 1;
@@ -262,7 +234,7 @@ impl RawHandler for StreamClient {
             TOK_CONSUME => self.finish_page(ctx),
             _ => {
                 // Kick-off: open the stream.
-                self.state.borrow_mut().started = Some(ctx.now());
+                self.report.borrow_mut().started = Some(ctx.now());
                 let mut open = vec![0u8; HDR];
                 open[0] = K_OPEN;
                 put_u16(&mut open, 2, self.total);
@@ -280,13 +252,10 @@ pub fn measure_streaming(
     pages: u16,
     disk_latency: SimDuration,
     think: SimDuration,
-) -> (f64, Rc<RefCell<StreamState>>) {
+) -> (f64, Probe<RunReport>) {
     use v_kernel::HostId;
     use v_net::EtherType;
-    let state = Rc::new(RefCell::new(StreamState {
-        target: pages as u64,
-        ..StreamState::default()
-    }));
+    let report = probe(RunReport::default());
     let server_mac = cluster.mac(HostId(1));
     // The extra copy uses the client CPU's memory-copy rate.
     let copy_per_byte =
@@ -306,13 +275,13 @@ pub fn measure_streaming(
             8,
             think,
             copy_per_byte,
-            state.clone(),
+            report.clone(),
         )),
     );
     cluster.poke_raw_handler(HostId(0), EtherType::STREAMING, 0, SimDuration::ZERO);
     cluster.run();
-    let ms = state.borrow().per_page_ms();
-    (ms, state)
+    let ms = report.borrow().per_op_ms();
+    (ms, report)
 }
 
 #[cfg(test)]
@@ -334,7 +303,7 @@ mod tests {
             SimDuration::ZERO,
         );
         assert_eq!(st.borrow().integrity_errors, 0);
-        assert_eq!(st.borrow().consumed, 200);
+        assert_eq!(st.borrow().iterations, 200);
         // Streaming hides everything but the disk (+ copy): close to 15.
         assert!((15.0..16.5).contains(&ms), "streaming = {ms:.2}");
     }

@@ -12,12 +12,10 @@
 //! * request: `[op u8, pad u8, page u16, count u32, tag u32]`
 //! * reply:   `[op|0x80 u8, status u8, page u16, count u32, tag u32, data…]`
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use v_kernel::raw::{RawCtx, RawHandler};
 use v_net::{Frame, MacAddr};
-use v_sim::{SimDuration, SimTime};
+use v_sim::SimDuration;
+use v_workloads::measure::{probe, Probe, RunReport};
 
 /// Read-page opcode.
 const OP_READ: u8 = 1;
@@ -104,33 +102,6 @@ impl RawHandler for WfsServer {
     fn on_timer(&mut self, _ctx: &mut dyn RawCtx, _token: u64) {}
 }
 
-/// Shared measurement state of a [`WfsClient`] run.
-#[derive(Debug, Default)]
-pub struct WfsState {
-    /// Completed operations.
-    pub done: u64,
-    /// Target operations.
-    pub target: u64,
-    /// Loop start.
-    pub started: Option<SimTime>,
-    /// Loop end.
-    pub finished: Option<SimTime>,
-    /// Short or corrupt replies.
-    pub integrity_errors: u64,
-}
-
-impl WfsState {
-    /// Elapsed milliseconds per completed operation.
-    pub fn per_op_ms(&self) -> f64 {
-        if self.done == 0 {
-            return 0.0;
-        }
-        let s = self.started.expect("started");
-        let f = self.finished.expect("finished");
-        f.since(s).as_millis_f64() / self.done as f64
-    }
-}
-
 /// Issues back-to-back page reads or writes against a [`WfsServer`].
 pub struct WfsClient {
     /// Server station.
@@ -139,8 +110,11 @@ pub struct WfsClient {
     pub reads: bool,
     /// Page size in bytes.
     pub page_size: usize,
-    /// Shared state.
-    pub state: Rc<RefCell<WfsState>>,
+    /// Operations requested.
+    pub target: u64,
+    /// Completed operations (`iterations`), the loop's start and end,
+    /// and short or corrupt replies.
+    pub report: Probe<RunReport>,
 }
 
 impl WfsClient {
@@ -164,28 +138,24 @@ impl WfsClient {
 
 impl RawHandler for WfsClient {
     fn on_frame(&mut self, ctx: &mut dyn RawCtx, frame: &Frame) {
+        let mut r = self.report.borrow_mut();
+        if frame.payload.len() < HDR
+            || frame.payload[0] & REPLY == 0
+            || (self.reads && frame.payload.len() != HDR + self.page_size)
         {
-            let mut st = self.state.borrow_mut();
-            if frame.payload.len() < HDR
-                || frame.payload[0] & REPLY == 0
-                || (self.reads && frame.payload.len() != HDR + self.page_size)
-            {
-                st.integrity_errors += 1;
-            }
-            st.done += 1;
-            st.finished = Some(ctx.now());
+            r.integrity_errors += 1;
         }
-        let (done, target) = {
-            let st = self.state.borrow();
-            (st.done, st.target)
-        };
-        if done < target {
+        r.iterations += 1;
+        r.finished = Some(ctx.now());
+        let done = r.iterations;
+        drop(r);
+        if done < self.target {
             self.request(ctx, done);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn RawCtx, _token: u64) {
-        self.state.borrow_mut().started = Some(ctx.now());
+        self.report.borrow_mut().started = Some(ctx.now());
         self.request(ctx, 0);
     }
 }
@@ -197,13 +167,10 @@ pub fn measure_wfs(
     reads: bool,
     page_size: usize,
     rounds: u64,
-) -> (f64, Rc<RefCell<WfsState>>) {
+) -> (f64, Probe<RunReport>) {
     use v_kernel::HostId;
     use v_net::EtherType;
-    let state = Rc::new(RefCell::new(WfsState {
-        target: rounds,
-        ..WfsState::default()
-    }));
+    let report = probe(RunReport::default());
     let server_mac = cluster.mac(HostId(1));
     cluster.register_raw_handler(
         HostId(1),
@@ -217,13 +184,14 @@ pub fn measure_wfs(
             server: server_mac,
             reads,
             page_size,
-            state: state.clone(),
+            target: rounds,
+            report: report.clone(),
         }),
     );
     cluster.poke_raw_handler(HostId(0), EtherType::WFS, 0, SimDuration::ZERO);
     cluster.run();
-    let ms = state.borrow().per_op_ms();
-    (ms, state)
+    let ms = report.borrow().per_op_ms();
+    (ms, report)
 }
 
 #[cfg(test)]
@@ -237,7 +205,7 @@ mod tests {
         let mut cl = Cluster::new(cfg);
         let (ms, st) = measure_wfs(&mut cl, true, 512, 200);
         assert_eq!(st.borrow().integrity_errors, 0);
-        assert_eq!(st.borrow().done, 200);
+        assert_eq!(st.borrow().iterations, 200);
         // Two-packet protocol with minimal processing: must sit between
         // the raw network penalty (~4.0 ms for 64+576 byte datagrams at
         // 10 MHz) and the V IPC page read (~5.6 ms).

@@ -1,7 +1,8 @@
 //! The read path, a layer at a time, through public items that have not
-//! changed shape since the client block cache landed — so that the same
-//! file builds on a parent commit and its change, and the two binaries
-//! can be alternated (see "Reads without staging" in
+//! changed shape since the client cache became a capacity with one
+//! constructor (`CacheConfig::blocks`; the scheme is the server's) — so
+//! that the same file builds on a parent commit and its change, and the
+//! two binaries can be alternated (see "Reads without staging" in
 //! `docs/BENCHMARKS.md`).
 //!
 //! Each sample times `Cluster::run` only, on a cluster set up afresh:
@@ -64,7 +65,7 @@ fn file_client(cached: bool, reads: usize) -> (Cluster, Report) {
     let report = Report::default();
     let client = FsClient::new(team.server, script, report.clone());
     let cache = match cached {
-        true => CacheConfig::write_invalidate(64),
+        true => CacheConfig::blocks(64),
         false => CacheConfig::off(),
     };
     spawn_caching_client(&mut cl, HostId(1), client, &cache);

@@ -195,7 +195,9 @@ pub fn protocol_ablations() -> Comparison {
     let run = |caching: bool| {
         let mut cfg = ClusterConfig::three_mb().with_hosts(2, speed);
         cfg.faults = loss;
-        cfg.protocol.reply_caching = caching;
+        if !caching {
+            cfg.protocol.alien_keep = SimDuration::ZERO;
+        }
         cfg.protocol.retransmit_timeout = SimDuration::from_millis(20);
         let mut cl = Cluster::new(cfg);
         let echo = cl.spawn(HostId(1), "echo", Box::new(EchoServer));
@@ -228,6 +230,6 @@ pub fn protocol_ablations() -> Comparison {
         "exchanges",
     );
     c.note("appended off: ProtocolConfig::appended_segments = false (Send carries no data)");
-    c.note("cache off: ProtocolConfig::reply_caching = false (alien freed at reply; keep = 0)");
+    c.note("cache off: ProtocolConfig::alien_keep = 0 (alien freed at reply)");
     c
 }

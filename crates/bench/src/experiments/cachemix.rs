@@ -119,23 +119,16 @@ struct SharedOutcome {
 /// A caching reader (working set 8 blocks, 64-block cache) racing a
 /// plain writer over one shared file, under `scheme`. The writer's
 /// fills repeat the volume's byte, so the reader verifies content
-/// throughout. Leases run on a 200 ms lease — long enough to cover the
-/// reader's revisit cycle (hits), short enough that the writer's waits
-/// resolve inside the run.
+/// throughout. The lease arm runs a 200 ms term — long enough to cover
+/// the reader's revisit cycle (hits), short enough that the writer's
+/// waits resolve inside the run.
 fn run_shared(scheme: CacheMode, reads: u64, writes: u64) -> SharedOutcome {
     let speed = CpuSpeed::Mc68000At10MHz;
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(3, speed));
-    let cfg = FileServerConfig {
-        lease: SimDuration::from_millis(200),
-        ..server_cfg(scheme)
-    };
-    let team = spawn_file_server(&mut cl, HostId(2), cfg, volume());
+    let team = spawn_file_server(&mut cl, HostId(2), server_cfg(scheme), volume());
     cl.run();
 
-    let cache_cfg = CacheConfig {
-        mode: scheme,
-        capacity_blocks: 64,
-    };
+    let cache_cfg = CacheConfig::blocks(64);
     let mut cached = None;
     let reports = run_clients(&mut cl, 2, |cl, i, slot| {
         if i == 0 {
@@ -158,25 +151,18 @@ fn run_shared(scheme: CacheMode, reads: u64, writes: u64) -> SharedOutcome {
 /// One write against `readers` warm caching readers under `scheme`:
 /// returns (writer ms per op, server stats). Write-invalidate must call
 /// back every holder before the write commits; leases wait out the last
-/// unexpired grant, however many holders exist. The lease arm warms
-/// under a 2 s lease and stops the clock at 800 ms ([`Cluster::run_for`])
+/// unexpired grant, however many holders exist. The lease arm runs an
+/// 8 s term and lets the warm phase drain before the write is spawned,
 /// so the write lands while every grant is still live — the regime the
 /// scheme is priced for.
 fn run_invalidation_storm(scheme: CacheMode, readers: usize) -> (f64, FileServerStats) {
     let speed = CpuSpeed::Mc68000At10MHz;
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(readers + 2, speed));
-    let cfg = FileServerConfig {
-        lease: SimDuration::from_millis(8000),
-        ..server_cfg(scheme)
-    };
-    let team = spawn_file_server(&mut cl, HostId(readers + 1), cfg, volume());
+    let team = spawn_file_server(&mut cl, HostId(readers + 1), server_cfg(scheme), volume());
     cl.run();
 
     // Warm every reader's cache (each registers as a holder).
-    let cache_cfg = CacheConfig {
-        mode: scheme,
-        capacity_blocks: 16,
-    };
+    let cache_cfg = CacheConfig::blocks(16);
     let script = read_script("vol", 4, 4, FILL);
     run_clients(&mut cl, readers, |cl, h, slot| {
         let reader = FsClient::new(team.server, script.clone(), slot);
@@ -255,6 +241,8 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
         "client block caching & consistency under mixed workloads, 10 MHz",
     );
 
+    let lease = |ms| CacheMode::Leases(SimDuration::from_millis(ms));
+
     // --- the uncached client ------------------------------------------
     let off = run_read_mix(CacheMode::Off, &CacheConfig::off(), 8, reads);
     c.push_ours("page read 512 B, cache off", off.per_op_ms, "ms");
@@ -262,19 +250,19 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
     // --- cache size × working set (write-invalidate) --------------------
     let fit = run_read_mix(
         CacheMode::WriteInvalidate,
-        &CacheConfig::write_invalidate(64),
+        &CacheConfig::blocks(64),
         8,
         reads,
     );
     let tight = run_read_mix(
         CacheMode::WriteInvalidate,
-        &CacheConfig::write_invalidate(4),
+        &CacheConfig::blocks(4),
         8,
         reads,
     );
     let thrash = run_read_mix(
         CacheMode::WriteInvalidate,
-        &CacheConfig::write_invalidate(16),
+        &CacheConfig::blocks(16),
         128,
         reads,
     );
@@ -313,7 +301,7 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
     );
 
     // --- leases on the same read-mostly mix -----------------------------
-    let lease_fit = run_read_mix(CacheMode::Leases, &CacheConfig::leases(64), 8, reads);
+    let lease_fit = run_read_mix(lease(500), &CacheConfig::blocks(64), 8, reads);
     c.push_ours(
         "ws=8 in 64-block cache (leases): per read",
         lease_fit.per_op_ms,
@@ -330,7 +318,7 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
     let light_writes = (reads / 64).max(1);
     for (scheme, tag) in [
         (CacheMode::WriteInvalidate, "write-invalidate"),
-        (CacheMode::Leases, "leases"),
+        (lease(200), "leases"),
     ] {
         let light = run_shared(scheme, reads, light_writes);
         let heavy = run_shared(scheme, reads, heavy_writes);
@@ -373,8 +361,8 @@ fn cachemix_impl(reads: u64, storms: bool) -> Comparison {
     // --- invalidation storm ---------------------------------------------
     let (wi_small_ms, _) = run_invalidation_storm(CacheMode::WriteInvalidate, 4);
     let (wi_big_ms, wi_big) = run_invalidation_storm(CacheMode::WriteInvalidate, 16);
-    let (lease_small_ms, _) = run_invalidation_storm(CacheMode::Leases, 4);
-    let (lease_big_ms, lease_big) = run_invalidation_storm(CacheMode::Leases, 16);
+    let (lease_small_ms, _) = run_invalidation_storm(lease(8000), 4);
+    let (lease_big_ms, lease_big) = run_invalidation_storm(lease(8000), 16);
     c.push_ours(
         "storm write vs 4 warm readers, write-invalidate",
         wi_small_ms,

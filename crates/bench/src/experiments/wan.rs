@@ -12,7 +12,7 @@
 //! honest.
 
 use v_kernel::{Cluster, ClusterConfig, CpuSpeed, HostId, KernelStats};
-use v_net::{LinkParams, MeshConfig};
+use v_net::{FaultPlan, LinkParams, MeshConfig};
 use v_workloads::echo::{EchoServer, Pinger};
 use v_workloads::measure::{probe, RunReport};
 use v_workloads::mover::{Grantor, MoveDir, Mover};
@@ -159,7 +159,11 @@ pub fn wan_with_rounds(rounds: u64) -> Comparison {
 
     // The same link with 5% loss: the kernel's retransmission machinery
     // pays for every lost packet with a timeout.
-    let lossy = ClusterConfig::wan(LinkParams::T1.with_loss(0.05)).with_hosts(2, speed);
+    let lossy = ClusterConfig {
+        faults: FaultPlan::with_loss(0.05),
+        ..ClusterConfig::wan(LinkParams::T1)
+    }
+    .with_hosts(2, speed);
     let (lossy_ms, lossy_cl) = run_exchange(Cluster::new(lossy), rounds);
     let ks: KernelStats = lossy_cl.kernel_stats(HostId(0));
     let ks1: KernelStats = lossy_cl.kernel_stats(HostId(1));

@@ -137,12 +137,7 @@ impl Cluster {
             panic!("invalid cluster configuration: {e}");
         }
         let mut net = cfg.topology.build(cfg.seed);
-        // Only install an explicit plan: the default empty plan must not
-        // clobber error rates a topology carries in its own parameters
-        // (a WAN link's configured loss).
-        if !cfg.faults.is_none() {
-            net.set_faults(cfg.faults);
-        }
+        net.set_faults(cfg.faults);
         net.set_collision_bug(cfg.collision_bug);
 
         let mut hosts = Vec::with_capacity(cfg.hosts.len());

@@ -53,7 +53,11 @@ pub struct ProtocolConfig {
     pub max_retries: u32,
     /// Alien descriptor pool size per kernel.
     pub alien_pool: usize,
-    /// How long replied aliens retain cached replies.
+    /// How long replied aliens retain cached replies, so that a
+    /// retransmission of a completed exchange is answered without
+    /// re-executing the receiver. Zero is the "alien keep = 0" ablation:
+    /// the descriptor is freed the moment the reply leaves, so a lost
+    /// reply costs a full re-delivery.
     pub alien_keep: SimDuration,
     /// Stall timeout for bulk transfers (no in-order progress → resume
     /// from the last acknowledged offset).
@@ -68,12 +72,6 @@ pub struct ProtocolConfig {
     /// rides in the Send packet. Disabling reproduces the unmodified
     /// (Thoth-style) kernel for ablation experiments.
     pub appended_segments: bool,
-    /// Reply caching: replied aliens retain the encoded reply packet for
-    /// `alien_keep` so retransmissions of a completed exchange are
-    /// answered without re-executing the receiver. Disabling (the
-    /// "alien keep = 0" ablation) frees descriptors immediately, so a
-    /// lost reply costs a full re-delivery.
-    pub reply_caching: bool,
     /// Zero-copy same-host transport. A `Send`/`Reply`/`MoveTo`/
     /// `MoveFrom` whose peer resolves to the local host never touches
     /// the wire, but the classic (Thoth-style) delivery still pays a
@@ -135,7 +133,6 @@ impl Default for ProtocolConfig {
             getpid_retries: 3,
             encapsulation: Encapsulation::Raw,
             appended_segments: true,
-            reply_caching: true,
             local_fastpath: false,
         }
     }
@@ -179,10 +176,8 @@ pub struct ClusterConfig {
     pub hosts: Vec<HostConfig>,
     /// Protocol parameters.
     pub protocol: ProtocolConfig,
-    /// Medium fault injection. The empty plan means "unset": it leaves
-    /// any error rates the topology carries in its own parameters (a WAN
-    /// link's configured loss) in effect — to run a clean control arm on
-    /// a lossy topology, build the topology without loss instead.
+    /// Medium fault injection: loss, duplication and corruption on every
+    /// medium of the topology, a WAN link included.
     pub faults: FaultPlan,
     /// The §5.4 collision-detection hardware bug.
     pub collision_bug: Option<CollisionBug>,
@@ -290,7 +285,7 @@ mod tests {
         assert!(p.alien_pool > 0);
         assert_eq!(p.encapsulation, Encapsulation::Raw);
         assert!(p.appended_segments, "paper's kernel appends segments");
-        assert!(p.reply_caching, "paper's kernel caches replies");
+        assert!(!p.alien_keep.is_zero(), "paper's kernel caches replies");
         assert!(
             !p.local_fastpath,
             "zero-copy local transport is opt-in; default matches the paper"

@@ -363,7 +363,13 @@ impl Ctx<'_> {
             };
             let bytes = self.gather(&pkt, replier, src_addr, len);
             let emitted = self.emit_bytes(end, Rc::clone(&bytes), to.host());
-            if self.proto.reply_caching {
+            if self.proto.alien_keep.is_zero() {
+                // "Alien keep = 0" ablation: the descriptor is freed the
+                // moment the reply leaves; a retransmitted Send of this
+                // exchange will be re-admitted and re-delivered instead
+                // of being answered from the cache.
+                self.host.aliens.remove(to);
+            } else {
                 if let Some(a) = self.host.aliens.get_mut(to) {
                     a.state = AlienState::Replied {
                         packet: bytes,
@@ -371,12 +377,6 @@ impl Ctx<'_> {
                     };
                 }
                 self.arm_housekeeping(emitted.cpu_done);
-            } else {
-                // "Alien keep = 0" ablation: the descriptor is freed the
-                // moment the reply leaves; a retransmitted Send of this
-                // exchange will be re-admitted and re-delivered instead
-                // of being answered from the cache.
-                self.host.aliens.remove(to);
             }
             let post = self.host.costs.alien_post;
             self.charge(emitted.cpu_done, post);

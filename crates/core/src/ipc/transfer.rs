@@ -38,8 +38,8 @@
 //! **The tombstone.** A completed deposit stays in the inbound table for
 //! `alien_keep`, so that a duplicate of the final chunk (its `Complete`
 //! was lost and the mover re-sent) is acknowledged again instead of being
-//! taken for a new transfer; the `reply_caching = false` ablation frees
-//! it at once. Housekeeping expires tombstones, and keeps itself armed
+//! taken for a new transfer; the `alien_keep = 0` ablation frees it at
+//! once. Housekeeping expires tombstones, and keeps itself armed
 //! while a deposit or a serve is in the tables.
 
 use v_sim::SimTime;
@@ -426,7 +426,7 @@ impl Ctx<'_> {
             let ack_cost = self.host.costs.ack_process;
             let end2 = self.charge(end, ack_cost);
             self.send_ack(end2, seq, dst, src, sent, status);
-            if complete && !self.proto.reply_caching {
+            if complete && self.proto.alien_keep.is_zero() {
                 // The transfer-side analog of the reply cache is the
                 // completed-transfer tombstone that re-acks duplicate
                 // final chunks; the ablation frees it immediately. A

@@ -268,12 +268,7 @@ fn cached_reread_allocations(hits: usize) -> u64 {
     script.extend((0..BLOCKS as usize + hits).map(read));
     let report = Rc::new(RefCell::new(FsClientReport::default()));
     let client = FsClient::new(team.server, script, report.clone());
-    let client = spawn_caching_client(
-        &mut cl,
-        HostId(1),
-        client,
-        &CacheConfig::write_invalidate(64),
-    );
+    let client = spawn_caching_client(&mut cl, HostId(1), client, &CacheConfig::blocks(64));
     let (n, ()) = counted_during(&ALLOCS, || cl.run());
     let report = report.borrow();
     assert!(report.done && report.errors + report.integrity_errors == 0);

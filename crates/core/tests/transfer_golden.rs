@@ -406,7 +406,7 @@ fn widened_grant(op: fn(u32, u32) -> Op) -> Ran {
 
 fn no_reply_cache(seed: u64) -> Ran {
     let mut cfg = lossy(seed);
-    cfg.protocol.reply_caching = false;
+    cfg.protocol.alien_keep = SimDuration::ZERO;
     pair(cfg, 2, &[PUSH, PULL], 2, |_| {})
 }
 

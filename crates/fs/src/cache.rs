@@ -19,10 +19,14 @@
 //!   [`IoOp::Invalidate`] callback (an ordinary V message — no kernel
 //!   or transport changes). A dead holder costs the writer one
 //!   failure-detection budget and is dropped, never wedging the write.
-//! * **`Leases`** — instead of callbacks the server grants each cached
-//!   read a time-bounded lease (reply `aux`, microseconds). A write
+//! * **`Leases(term)`** — instead of callbacks the server grants each
+//!   cached read a lease of `term` (reply `aux`, microseconds). A write
 //!   waits out the longest unexpired lease; crashed clients simply
 //!   expire.
+//!
+//! The client does not choose among them: a caching client
+//! ([`CacheConfig`] is only a capacity) sends `ReadCached` and honors
+//! whatever grant the server's scheme returns.
 //!
 //! Two races are closed explicitly. A read in flight across a write
 //! must not install stale data: the client snapshots the cache's
@@ -31,7 +35,7 @@
 //! in flight (the count in the server's [`FileTable`](crate::FileTable),
 //! which also refuses a `MigrateBegin`) never becomes a holder at all:
 //! the server answers it with a [`CACHE_DENY`] grant. The server's half
-//! of each scheme is one type here, the holder rules.
+//! of each scheme is three methods of [`CacheMode`] here.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,8 +61,10 @@ pub enum CacheMode {
     Off,
     /// Server tracks holders and calls them back before every write.
     WriteInvalidate,
-    /// Server grants expiring read leases and writes wait them out.
-    Leases,
+    /// Server grants each cached read a lease of this term; writes wait
+    /// out the longest unexpired one (plus [`LEASE_GUARD`]) instead of
+    /// calling holders back.
+    Leases(SimDuration),
 }
 
 /// Slack a lease-mode write waits beyond the last lease expiry: covers
@@ -86,26 +92,19 @@ pub(crate) enum BeforeWrite {
     WaitUntil(SimTime),
 }
 
-/// The server's half of a [`CacheMode`]: how one file's holder list is
-/// kept — who registers, what a served read is granted, and what a
-/// write must do first. The server's in-flight write count fences all
-/// three from outside (see the server's file table).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HolderRules {
-    pub(crate) mode: CacheMode,
-    /// Lease granted per cached read under [`CacheMode::Leases`].
-    pub(crate) lease: SimDuration,
-}
-
-impl HolderRules {
+/// The server's half of a scheme: how one file's holder list is kept —
+/// who registers, what a served read is granted, and what a write must
+/// do first. The server's in-flight write count fences all three from
+/// outside (see the server's file table).
+impl CacheMode {
     /// Registers `agent` as a holder at dispatch time, *before* the disk
     /// — so a write dispatched during the read's disk wait still finds
     /// it. Holders whose lease lapsed meanwhile are dropped.
-    pub(crate) fn register(&self, holders: &mut Vec<Holder>, agent: Pid, now: SimTime) {
-        let expires = match self.mode {
+    pub(crate) fn register(self, holders: &mut Vec<Holder>, agent: Pid, now: SimTime) {
+        let expires = match self {
             CacheMode::Off => return,
             CacheMode::WriteInvalidate => None,
-            CacheMode::Leases => Some(now + self.lease),
+            CacheMode::Leases(term) => Some(now + term),
         };
         holders.retain(|x| x.expires.map_or(true, |e| e > now) || x.agent == agent);
         match holders.iter_mut().find(|x| x.agent == agent) {
@@ -116,7 +115,7 @@ impl HolderRules {
 
     /// The cacheability grant for a served read: deny unless `agent` is
     /// (still) a registered holder.
-    pub(crate) fn grant(&self, holders: &[Holder], agent: Pid, now: SimTime) -> u32 {
+    pub(crate) fn grant(self, holders: &[Holder], agent: Pid, now: SimTime) -> u32 {
         match holders.iter().find(|x| x.agent == agent).map(|x| x.expires) {
             Some(None) => CACHE_UNTIL_INVALIDATED,
             Some(Some(exp)) if exp > now => {
@@ -131,7 +130,7 @@ impl HolderRules {
     /// purged itself at issue): write-invalidate calls the rest back,
     /// leases wait out the longest one still running.
     pub(crate) fn before_write(
-        &self,
+        self,
         holders: &mut Vec<Holder>,
         writer: Option<Pid>,
         now: SimTime,
@@ -139,12 +138,12 @@ impl HolderRules {
         let others = std::mem::take(holders)
             .into_iter()
             .filter(|x| Some(x.agent) != writer);
-        match self.mode {
+        match self {
             CacheMode::Off => BeforeWrite::Commit,
             CacheMode::WriteInvalidate => {
                 BeforeWrite::CallBack(others.map(|x| x.agent).rev().collect())
             }
-            CacheMode::Leases => {
+            CacheMode::Leases(_) => {
                 match others.filter_map(|x| x.expires).filter(|&e| e > now).max() {
                     Some(exp) => BeforeWrite::WaitUntil(exp + LEASE_GUARD),
                     None => BeforeWrite::Commit,
@@ -154,12 +153,14 @@ impl HolderRules {
     }
 }
 
-/// Client-side cache knobs.
-#[derive(Debug, Clone, Copy)]
+/// Client-side cache knobs. The consistency scheme is the server's
+/// ([`FileServerConfig::cache_mode`]).
+///
+/// [`FileServerConfig::cache_mode`]: crate::server::FileServerConfig::cache_mode
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CacheConfig {
-    /// Scheme; `Off` spawns a plain uncached client.
-    pub mode: CacheMode,
-    /// Cache capacity in blocks (LRU beyond this).
+    /// Cache capacity in blocks (LRU beyond this); `0` spawns a plain
+    /// uncached client.
     pub capacity_blocks: usize,
 }
 
@@ -172,32 +173,12 @@ impl CacheConfig {
 
     /// No cache at all.
     pub fn off() -> CacheConfig {
-        CacheConfig {
-            mode: CacheMode::Off,
-            capacity_blocks: 0,
-        }
+        CacheConfig::blocks(0)
     }
 
-    /// Write-invalidate cache of `capacity_blocks`.
-    pub fn write_invalidate(capacity_blocks: usize) -> CacheConfig {
-        CacheConfig {
-            mode: CacheMode::WriteInvalidate,
-            capacity_blocks,
-        }
-    }
-
-    /// Lease-based cache of `capacity_blocks`.
-    pub fn leases(capacity_blocks: usize) -> CacheConfig {
-        CacheConfig {
-            mode: CacheMode::Leases,
-            capacity_blocks,
-        }
-    }
-}
-
-impl Default for CacheConfig {
-    fn default() -> CacheConfig {
-        CacheConfig::off()
+    /// A cache of `capacity_blocks`.
+    pub fn blocks(capacity_blocks: usize) -> CacheConfig {
+        CacheConfig { capacity_blocks }
     }
 }
 
@@ -528,14 +509,14 @@ impl CacheLayer {
 pub struct CachingClient {
     /// The scripted client process.
     pub client: Pid,
-    /// The invalidation agent (None in `Off` mode).
+    /// The invalidation agent (None without a cache).
     pub agent: Option<Pid>,
-    /// The shared cache (None in `Off` mode).
+    /// The shared cache (None without a cache).
     pub cache: Option<Rc<RefCell<BlockCache>>>,
 }
 
 impl CachingClient {
-    /// Snapshot of the cache counters (zeroes in `Off` mode).
+    /// Snapshot of the cache counters (zeroes without a cache).
     pub fn stats(&self) -> CacheStats {
         self.cache
             .as_ref()
@@ -544,8 +525,8 @@ impl CachingClient {
     }
 }
 
-/// Spawns `client` — a built [`FsClient`] of any route — on `host`. In
-/// `Off` mode this spawns exactly the pre-cache client and nothing
+/// Spawns `client` — a built [`FsClient`] of any route — on `host`. With
+/// a zero capacity this spawns exactly the pre-cache client and nothing
 /// else; otherwise it first spawns a [`CacheAgent`] sharing a fresh
 /// [`BlockCache`] with the client.
 pub fn spawn_caching_client(
@@ -555,7 +536,7 @@ pub fn spawn_caching_client(
     cfg: &CacheConfig,
 ) -> CachingClient {
     let (mut agent, mut cache) = (None, None);
-    if cfg.mode != CacheMode::Off && cfg.capacity_blocks > 0 {
+    if cfg.capacity_blocks > 0 {
         let shared = Rc::new(RefCell::new(BlockCache::new(cfg.capacity_blocks)));
         let pid = cl.spawn(
             host,
@@ -629,28 +610,26 @@ mod tests {
         assert!(c.lookup(FileId(1), 0, 512, t(0)).is_none());
     }
 
-    /// With the cache off — by mode, or by a zero capacity — a caching
-    /// client is the plain client: one process, no agent, no cache.
+    /// With the cache off — a zero capacity — a caching client is the
+    /// plain client: one process, no agent, no cache.
     #[test]
     fn a_cache_that_is_off_spawns_the_plain_client_alone() {
         use crate::client::FsClientReport;
         use v_kernel::{ClusterConfig, CpuSpeed};
-        for cfg in [CacheConfig::off(), CacheConfig::write_invalidate(0)] {
-            let mut cl =
-                Cluster::new(ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz));
-            let server = crate::team::spawn_file_server(
-                &mut cl,
-                HostId(1),
-                Default::default(),
-                Default::default(),
-            )
-            .server;
-            let report = Rc::new(RefCell::new(FsClientReport::default()));
-            let client = FsClient::new(server, vec![FsCall::Open("f".into())], report);
-            let handle = spawn_caching_client(&mut cl, HostId(0), client, &cfg);
-            assert_eq!(cl.kernel_stats(HostId(0)).processes_spawned, 1, "{cfg:?}");
-            assert!(handle.agent.is_none(), "{cfg:?}");
-            assert!(handle.cache.is_none(), "{cfg:?}");
-        }
+        let mut cl =
+            Cluster::new(ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz));
+        let server = crate::team::spawn_file_server(
+            &mut cl,
+            HostId(1),
+            Default::default(),
+            Default::default(),
+        )
+        .server;
+        let report = Rc::new(RefCell::new(FsClientReport::default()));
+        let client = FsClient::new(server, vec![FsCall::Open("f".into())], report);
+        let handle = spawn_caching_client(&mut cl, HostId(0), client, &CacheConfig::off());
+        assert_eq!(cl.kernel_stats(HostId(0)).processes_spawned, 1);
+        assert!(handle.agent.is_none());
+        assert!(handle.cache.is_none());
     }
 }

@@ -49,8 +49,9 @@
 //! * [`cache`] — per-client block caching ([`BlockCache`] + the
 //!   invalidation [`CacheAgent`](cache::CacheAgent)) with a
 //!   write-invalidate or lease consistency protocol driven by the
-//!   server ([`CacheMode`]); `Off` is bit-identical to the pre-cache
-//!   client;
+//!   server ([`CacheMode`]; the client's [`CacheConfig`] is only a
+//!   capacity); a client without a cache is bit-identical to the
+//!   pre-cache client;
 //! * [`migrate`] — live file migration between shards: a four-exchange
 //!   drain → copy → commit protocol built from ordinary V exchanges,
 //!   with a destination-side [`MigrationAgent`](migrate::MigrationAgent)

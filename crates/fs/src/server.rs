@@ -27,7 +27,7 @@ use std::rc::Rc;
 use v_kernel::{naming, Api, Message, Outcome, Pid, Program, Scope};
 use v_sim::{SimDuration, SimTime};
 
-use crate::cache::{BeforeWrite, CacheMode, Holder, HolderRules};
+use crate::cache::{BeforeWrite, CacheMode, Holder};
 use crate::disk::DiskModel;
 use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY};
 use crate::shard::ShardOverlay;
@@ -70,16 +70,11 @@ pub struct FileServerConfig {
     /// service (see [`crate::replica`]) set this so the replicas can
     /// never diverge: every copy serves the same immutable image.
     pub read_only: bool,
-    /// Client-cache consistency scheme (see [`CacheMode`]). `Off` (the
-    /// default) never registers holders, never calls anyone back, and
-    /// answers `ReadCached` with a deny grant — the write path is
-    /// bit-identical to the pre-cache server.
+    /// Client-cache consistency scheme (see [`CacheMode`]), a lease's
+    /// term included. `Off` (the default) never registers holders, never
+    /// calls anyone back, and answers `ReadCached` with a deny grant —
+    /// the write path is bit-identical to the pre-cache server.
     pub cache_mode: CacheMode,
-    /// Lease granted per cached read in [`CacheMode::Leases`]; writes
-    /// wait out the longest unexpired lease (plus
-    /// [`LEASE_GUARD`](crate::cache::LEASE_GUARD))
-    /// instead of calling holders back.
-    pub lease: SimDuration,
 }
 
 impl Default for FileServerConfig {
@@ -93,7 +88,6 @@ impl Default for FileServerConfig {
             workers: 1,
             read_only: false,
             cache_mode: CacheMode::Off,
-            lease: SimDuration::from_millis(500),
         }
     }
 }
@@ -136,7 +130,7 @@ pub struct Heat {
 pub(crate) struct FileRow {
     file: FileId,
     heat: Heat,
-    /// Registered cache holders (kept by [`HolderRules`]).
+    /// Registered cache holders (kept by the server's [`CacheMode`]).
     pub(crate) holders: Vec<Holder>,
     /// Frozen for copy-out: writes are refused with
     /// [`IoStatus::RetryAfter`] (reads keep flowing — the frozen image
@@ -336,7 +330,6 @@ struct Current {
 /// The file-server program.
 pub struct FileServer {
     cfg: FileServerConfig,
-    rules: HolderRules,
     shared: SharedServerState,
     /// Team-worker mode: the receptionist to notify after each served
     /// request (None: standalone sequential server).
@@ -357,10 +350,6 @@ impl FileServer {
         notify: Option<Pid>,
     ) -> FileServer {
         FileServer {
-            rules: HolderRules {
-                mode: cfg.cache_mode,
-                lease: cfg.lease,
-            },
             cfg,
             shared,
             notify,
@@ -450,7 +439,7 @@ impl FileServer {
         };
         let mut row = self.row(req.file);
         if row.writes_in_flight == 0 {
-            self.rules.register(&mut row.holders, agent, now);
+            self.cfg.cache_mode.register(&mut row.holders, agent, now);
         }
     }
 
@@ -462,7 +451,7 @@ impl FileServer {
         };
         let row = self.row(req.file);
         match row.writes_in_flight {
-            0 => self.rules.grant(&row.holders, agent, now),
+            0 => self.cfg.cache_mode.grant(&row.holders, agent, now),
             _ => CACHE_DENY,
         }
     }
@@ -482,7 +471,8 @@ impl FileServer {
         let req = self.current.as_ref().expect("request in progress").req;
         let now = api.now();
         let writer = Pid::from_raw(req.aux);
-        let step = (self.rules).before_write(&mut self.row(req.file).holders, writer, now);
+        let mode = self.cfg.cache_mode;
+        let step = mode.before_write(&mut self.row(req.file).holders, writer, now);
         match step {
             BeforeWrite::Commit => self.write_disk(api),
             BeforeWrite::CallBack(agents) => {

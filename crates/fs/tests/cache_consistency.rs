@@ -93,7 +93,7 @@ fn write_racing_cached_reads_invalidates_instead_of_serving_stale() {
         &mut cl,
         HostId(0),
         FsClient::new(team.server, read_script(4, 40), rrep.clone()),
-        &CacheConfig::write_invalidate(16),
+        &CacheConfig::blocks(16),
     );
     let wrep = Rc::new(RefCell::new(FsClientReport::default()));
     cl.spawn(
@@ -147,7 +147,7 @@ fn crashed_holder_costs_one_detection_and_never_wedges_the_writer() {
         &mut cl,
         HostId(0),
         FsClient::new(team.server, read_script(4, 1), rrep.clone()),
-        &CacheConfig::write_invalidate(16),
+        &CacheConfig::blocks(16),
     );
     cl.run();
     assert!(rrep.borrow().done, "warm phase: {:?}", rrep.borrow());
@@ -184,10 +184,7 @@ fn crashed_holder_costs_one_detection_and_never_wedges_the_writer() {
 #[test]
 fn leases_let_writes_expire_past_a_crashed_holder() {
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(3, CpuSpeed::Mc68000At10MHz));
-    let cfg = FileServerConfig {
-        lease: SimDuration::from_millis(200),
-        ..server_cfg(CacheMode::Leases)
-    };
+    let cfg = server_cfg(CacheMode::Leases(SimDuration::from_millis(200)));
     let team = spawn_file_server(&mut cl, HostId(2), cfg, volume());
     cl.run();
 
@@ -196,7 +193,7 @@ fn leases_let_writes_expire_past_a_crashed_holder() {
         &mut cl,
         HostId(0),
         FsClient::new(team.server, read_script(4, 1), rrep.clone()),
-        &CacheConfig::leases(16),
+        &CacheConfig::blocks(16),
     );
     // Stop while the grants are still live, then kill the holder.
     cl.run_until(SimTime::from_millis(100));
@@ -264,7 +261,7 @@ fn warm_cache_serves_hits_across_a_replica_crash() {
         &mut cl,
         HostId(2),
         FsClient::replicated(replicas, script, rep.clone()),
-        &CacheConfig::write_invalidate(16),
+        &CacheConfig::blocks(16),
     );
     // Warm completes well before 100 ms; the hit grind runs for
     // hundreds of ms after it. Kill the primary mid-grind.

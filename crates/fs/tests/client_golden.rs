@@ -306,7 +306,7 @@ fn single_route_with_cache() -> (Outcome, FileServerStats, CacheStats) {
         team.server,
         script,
         &rrep,
-        &CacheConfig::write_invalidate(8),
+        &CacheConfig::blocks(8),
     );
     let mut wscript = vec![FsCall::Open("vol".into())];
     for i in 0..12u32 {
@@ -503,7 +503,7 @@ fn replicas_across_a_crash() -> (Outcome, Vec<(f64, f64)>, CacheStats) {
         HostId(3),
         teams.iter().map(|t| t.server).collect(),
         script,
-        &CacheConfig::write_invalidate(4),
+        &CacheConfig::blocks(4),
     );
     let mut t = cl.now();
     while run.completed() < ops / 3 {

@@ -9,7 +9,11 @@
 
 use std::rc::Rc;
 
-use v_sim::{SimDuration, SplitMix64};
+use v_sim::{SimDuration, SimTime, SplitMix64};
+
+use crate::frame::Frame;
+use crate::medium::{Delivery, MediumStats};
+use crate::sink::DeliverySink;
 
 /// Interval between a frame and its injected duplicate, shared by every
 /// transport so duplicate timing is uniform across media.
@@ -86,6 +90,53 @@ impl FaultPlan {
         } else {
             Fate::Deliver
         }
+    }
+
+    /// Hands one receiver's copies of `frame` (already addressed to it)
+    /// to `out` as this plan decides — the one fault step every medium
+    /// takes: the fate is drawn, each corrupted copy is [`scramble`]d in
+    /// turn, a duplicate follows the first copy [`REDELIVERY_GAP`] later,
+    /// and `stats` counts deliveries, drops, corruptions and duplicates.
+    /// `bug_corrupt` (the §5.4 collision bug hit the transmission)
+    /// corrupts every copy. Returns false if the copy was dropped.
+    #[inline]
+    pub(crate) fn deliver(
+        &self,
+        rng: &mut SplitMix64,
+        stats: &mut MediumStats,
+        out: &mut dyn DeliverySink,
+        at: SimTime,
+        frame: Frame,
+        bug_corrupt: bool,
+    ) -> bool {
+        let fate = self.draw(rng);
+        let mut copy = |at: SimTime, corrupted: bool, mut frame: Frame| {
+            if corrupted {
+                stats.corrupted += 1;
+                scramble(rng, &mut frame.payload);
+            }
+            stats.deliveries += 1;
+            out.deliver(Delivery {
+                at,
+                dst: frame.dst,
+                frame,
+                corrupted,
+            });
+        };
+        match fate {
+            Fate::Drop => {
+                stats.dropped += 1;
+                return false;
+            }
+            Fate::Deliver => copy(at, bug_corrupt, frame),
+            Fate::DeliverCorrupted => copy(at, true, frame),
+            Fate::DeliverTwice { corrupted } => {
+                stats.duplicated += 1;
+                copy(at, corrupted || bug_corrupt, frame.clone());
+                copy(at + REDELIVERY_GAP, bug_corrupt, frame);
+            }
+        }
+        true
     }
 }
 

@@ -2,31 +2,29 @@
 //!
 //! The paper's evaluation never leaves one shared Ethernet segment; this
 //! medium models the regime beyond it — a long-haul serial link with
-//! real propagation delay and per-frame loss, duplication and
-//! reordering. The link is full duplex (each direction serializes
-//! independently at the configured bandwidth) and connects exactly two
-//! stations, so there is no contention — only distance and errors.
+//! real propagation delay and per-frame reordering. Loss, duplication
+//! and corruption are the installed [`FaultPlan`], as on every medium.
+//! The link is full duplex (each direction serializes independently at
+//! the configured bandwidth) and connects exactly two stations, so
+//! there is no contention — only distance and errors.
 
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
-use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
+use crate::fault::FaultPlan;
 use crate::frame::{Frame, MacAddr};
-use crate::medium::{Delivery, MediumStats, TxWindow};
+use crate::medium::{MediumStats, TxWindow};
 use crate::sink::DeliverySink;
 use crate::transport::Transport;
 
-/// Physical and error parameters of a point-to-point link.
+/// Physical parameters of a point-to-point link, and the one error
+/// only a link can make: reordering. Loss, duplication and corruption
+/// are the link's [`FaultPlan`] (`ClusterConfig::faults`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Serialization rate, bits per second, per direction.
     pub bits_per_sec: u64,
     /// One-way propagation delay.
     pub propagation: SimDuration,
-    /// Probability a frame is lost in transit.
-    pub loss: f64,
-    /// Probability a frame is duplicated (the copy arrives one
-    /// redelivery interval later).
-    pub duplicate: f64,
     /// Probability a frame is held back one extra propagation time,
     /// landing behind a frame sent after it.
     pub reorder: f64,
@@ -39,17 +37,9 @@ impl LinkParams {
     pub const T1: LinkParams = LinkParams {
         bits_per_sec: 1_544_000,
         propagation: SimDuration::from_millis(30),
-        loss: 0.0,
-        duplicate: 0.0,
         reorder: 0.0,
         max_payload: 1100,
     };
-
-    /// Returns these parameters with the given loss probability.
-    pub fn with_loss(mut self, loss: f64) -> LinkParams {
-        self.loss = loss;
-        self
-    }
 
     /// Time for `bytes` to serialize onto the line.
     pub fn wire_time(&self, bytes: usize) -> SimDuration {
@@ -68,7 +58,6 @@ pub struct PointToPointLink {
     faults: FaultPlan,
     rng: SplitMix64,
     stats: MediumStats,
-    redelivery_gap: SimDuration,
 }
 
 impl PointToPointLink {
@@ -78,44 +67,15 @@ impl PointToPointLink {
             params,
             endpoints: Vec::new(),
             free: [SimTime::ZERO; 2],
-            faults: FaultPlan {
-                loss: params.loss,
-                duplicate: params.duplicate,
-                corrupt: 0.0,
-            },
+            faults: FaultPlan::NONE,
             rng: SplitMix64::new(seed),
             stats: MediumStats::default(),
-            redelivery_gap: REDELIVERY_GAP,
         }
     }
 
     /// The link's parameters.
     pub fn params(&self) -> &LinkParams {
         &self.params
-    }
-
-    fn delivery(&mut self, at: SimTime, dst: MacAddr, frame: &Frame, corrupted: bool) -> Delivery {
-        self.stats.deliveries += 1;
-        let mut frame = frame.clone();
-        frame.dst = dst;
-        if corrupted {
-            self.stats.corrupted += 1;
-            scramble(&mut self.rng, &mut frame.payload);
-        }
-        Delivery {
-            at,
-            dst,
-            frame,
-            corrupted,
-        }
-    }
-
-    /// Counts a reordering, but only for frames that actually arrive —
-    /// a dropped frame produced no delivery to reorder.
-    fn note_reordered(&mut self, reordered: bool) {
-        if reordered {
-            self.stats.reordered += 1;
-        }
     }
 }
 
@@ -132,7 +92,12 @@ impl Transport for PointToPointLink {
         self.endpoints.push(mac);
     }
 
-    fn transmit(&mut self, ready: SimTime, frame: Frame, out: &mut dyn DeliverySink) -> TxWindow {
+    fn transmit(
+        &mut self,
+        ready: SimTime,
+        mut frame: Frame,
+        out: &mut dyn DeliverySink,
+    ) -> TxWindow {
         assert!(
             frame.payload.len() <= self.params.max_payload,
             "frame payload {} exceeds link MTU {}",
@@ -161,29 +126,18 @@ impl Transport for PointToPointLink {
             None => false,
         };
         if deliverable {
-            let dst = peer.expect("checked");
+            frame.dst = peer.expect("checked");
             let mut arrival = tx_end + self.params.propagation;
+            // The reorder draw comes before the fate's.
             let reordered = self.rng.chance(self.params.reorder);
             if reordered {
                 arrival += self.params.propagation;
             }
-            match self.faults.draw(&mut self.rng) {
-                // A dropped frame produced no delivery to reorder.
-                Fate::Drop => self.stats.dropped += 1,
-                Fate::Deliver => {
-                    self.note_reordered(reordered);
-                    out.deliver(self.delivery(arrival, dst, &frame, false));
-                }
-                Fate::DeliverCorrupted => {
-                    self.note_reordered(reordered);
-                    out.deliver(self.delivery(arrival, dst, &frame, true));
-                }
-                Fate::DeliverTwice { corrupted } => {
-                    self.note_reordered(reordered);
-                    self.stats.duplicated += 1;
-                    out.deliver(self.delivery(arrival, dst, &frame, corrupted));
-                    out.deliver(self.delivery(arrival + self.redelivery_gap, dst, &frame, false));
-                }
+            let (rng, stats) = (&mut self.rng, &mut self.stats);
+            let delivered = self.faults.deliver(rng, stats, out, arrival, frame, false);
+            // A dropped frame produced no delivery to reorder.
+            if delivered && reordered {
+                self.stats.reordered += 1;
             }
         }
         TxWindow { tx_start, tx_end }
@@ -200,10 +154,6 @@ impl Transport for PointToPointLink {
     }
 
     fn set_faults(&mut self, plan: FaultPlan) {
-        // Replaces the plan wholesale, like every transport — including
-        // the baseline derived from the link's loss/duplication
-        // parameters (fold the line's rates into the plan if both are
-        // wanted).
         self.faults = plan;
     }
 }
@@ -212,6 +162,7 @@ impl Transport for PointToPointLink {
 mod tests {
     use super::*;
     use crate::frame::EtherType;
+    use crate::medium::Delivery;
 
     /// One transmit through the trait, and what it delivered.
     fn tx(t: &mut dyn Transport, ready: SimTime, frame: Frame) -> (TxWindow, Vec<Delivery>) {
@@ -255,21 +206,11 @@ mod tests {
 
     #[test]
     fn loss_drops_frames() {
-        let mut l = link(LinkParams::T1.with_loss(1.0));
+        let mut l = link(LinkParams::T1);
+        l.set_faults(FaultPlan::with_loss(1.0));
         let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert!(out.is_empty());
         assert_eq!(l.stats().dropped, 1);
-    }
-
-    #[test]
-    fn set_faults_replaces_the_baseline_plan_wholesale() {
-        let mut l = link(LinkParams::T1.with_loss(1.0));
-        // An explicit empty plan clears even the params-derived loss,
-        // exactly as it does on every other transport.
-        l.set_faults(FaultPlan::NONE);
-        let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
-        assert_eq!(out.len(), 1);
-        assert_eq!(l.stats().dropped, 0);
     }
 
     #[test]
@@ -288,9 +229,11 @@ mod tests {
 
     #[test]
     fn duplication_produces_a_second_copy() {
-        let mut p = LinkParams::T1;
-        p.duplicate = 1.0;
-        let mut l = link(p);
+        let mut l = link(LinkParams::T1);
+        l.set_faults(FaultPlan {
+            duplicate: 1.0,
+            ..FaultPlan::NONE
+        });
         let (_, out) = tx(&mut l, SimTime::ZERO, frame(MacAddr(2), MacAddr(1), 64));
         assert_eq!(out.len(), 2);
         assert!(out[1].at > out[0].at);

@@ -4,7 +4,7 @@ use std::rc::Rc;
 
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
-use crate::fault::{scramble, Fate, FaultPlan, REDELIVERY_GAP};
+use crate::fault::FaultPlan;
 use crate::frame::{Frame, MacAddr};
 use crate::sink::{DeliverySink, StationRun};
 
@@ -213,8 +213,6 @@ pub struct Ethernet {
     bug: Option<CollisionBug>,
     rng: SplitMix64,
     stats: MediumStats,
-    /// Interval between a frame and its injected duplicate.
-    redelivery_gap: SimDuration,
 }
 
 impl Ethernet {
@@ -229,7 +227,6 @@ impl Ethernet {
             bug: None,
             rng: SplitMix64::new(seed),
             stats: MediumStats::default(),
-            redelivery_gap: REDELIVERY_GAP,
         }
     }
 
@@ -370,8 +367,9 @@ impl Ethernet {
 
     /// Hands the delivery of `frame` to each of its receivers — every
     /// other station for a broadcast, the addressed one otherwise — one
-    /// at a time. The fault RNG is consulted per receiver in station
-    /// order: its fate, then [`scramble`] per corrupted copy.
+    /// at a time, through [`FaultPlan::deliver`]. The fault RNG is
+    /// consulted per receiver in station order: its fate, then a
+    /// scramble per corrupted copy.
     fn fan_out(
         &mut self,
         out: &mut dyn DeliverySink,
@@ -384,7 +382,6 @@ impl Ethernet {
             rng,
             stats,
             faults,
-            redelivery_gap,
             ..
         } = self;
         let broadcast = frame.dst.is_broadcast();
@@ -397,36 +394,13 @@ impl Ethernet {
             if broadcast && dst == frame.src {
                 continue;
             }
-            let fate = faults.draw(rng);
-            let mut deliver = |at: SimTime, corrupted: bool| {
-                let mut payload = frame.payload.clone();
-                if corrupted {
-                    stats.corrupted += 1;
-                    scramble(rng, &mut payload);
-                }
-                stats.deliveries += 1;
-                out.deliver(Delivery {
-                    at,
-                    dst,
-                    frame: Frame {
-                        dst,
-                        src: frame.src,
-                        ethertype: frame.ethertype,
-                        payload,
-                    },
-                    corrupted,
-                });
+            let copy = Frame {
+                dst,
+                src: frame.src,
+                ethertype: frame.ethertype,
+                payload: frame.payload.clone(),
             };
-            match fate {
-                Fate::Drop => stats.dropped += 1,
-                Fate::Deliver => deliver(arrival, bug_corrupt),
-                Fate::DeliverCorrupted => deliver(arrival, true),
-                Fate::DeliverTwice { corrupted } => {
-                    stats.duplicated += 1;
-                    deliver(arrival, corrupted || bug_corrupt);
-                    deliver(arrival + *redelivery_gap, bug_corrupt);
-                }
-            }
+            faults.deliver(rng, stats, out, arrival, copy, bug_corrupt);
         }
     }
 }

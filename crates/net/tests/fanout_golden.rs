@@ -13,13 +13,15 @@
 //! the next draws of each segment's fault RNG. The expected values were
 //! recorded from the commit before the fan-out was rewritten (PR 14,
 //! `9990922`); a reordered draw, a delivery out of place or a counter
-//! bumped once too often changes them.
+//! bumped once too often changes them. A point-to-point WAN link gets a
+//! script and a digest of its own (`run_link`), recorded before its
+//! fault path and the Ethernet's became one routine.
 
 use std::rc::Rc;
 
 use v_net::{
-    CollisionBug, Delivery, DeliverySink, EtherType, FaultPlan, Frame, MacAddr, MeshConfig,
-    NetworkKind, StationRun, Topology, Transport,
+    CollisionBug, Delivery, DeliverySink, EtherType, FaultPlan, Frame, LinkParams, MacAddr,
+    MeshConfig, NetworkKind, PointToPointLink, StationRun, Topology, Transport,
 };
 use v_sim::{SimDuration, SimTime, SplitMix64};
 
@@ -517,4 +519,85 @@ fn runs_expanded_are_the_deliveries_a_vec_receives() {
             assert_eq!(by_run.per_gateway_stats(), by_vec.per_gateway_stats());
         }
     }
+}
+
+/// The WAN link's deliveries and fault draws for a fixed script: a
+/// [`LinkParams::T1`] line that reorders, under a plan that loses,
+/// duplicates and corrupts, carrying frames both ways. Each delivery's
+/// instant, corruption flag and payload, then every [`MediumStats`]
+/// counter (`reordered` included), fold into one digest.
+fn run_link() -> (usize, [u64; 6], u64) {
+    let (a, b) = (MacAddr(1), MacAddr(2));
+    let mut t: Box<dyn Transport> = Box::new(PointToPointLink::new(
+        LinkParams {
+            reorder: 0.2,
+            ..LinkParams::T1
+        },
+        0x5EED,
+    ));
+    t.attach(a, 0);
+    t.attach(b, 0);
+    t.set_faults(FaultPlan {
+        loss: 0.1,
+        duplicate: 0.15,
+        corrupt: 0.1,
+    });
+    let mut script = SplitMix64::new(0x1EA5ED);
+    let mut digest = Digest(0xCBF2_9CE4_8422_2325);
+    let mut now = SimTime::ZERO;
+    let mut delivered = 0;
+    let mut out = Vec::new();
+    for step in 0..300u64 {
+        let (src, dst) = if script.below(2) == 0 { (a, b) } else { (b, a) };
+        let len = 1 + script.below(1000) as usize;
+        let sent: Rc<[u8]> = (0..len).map(|i| (i as u64 * 13 + step) as u8).collect();
+        now = SimTime::from_nanos(now.as_nanos() + script.below(8_000_000));
+        out.clear();
+        let win = t.transmit(
+            now,
+            Frame::new(dst, src, EtherType::INTERKERNEL, sent.clone()),
+            &mut out,
+        );
+        digest.word(win.tx_start.as_nanos());
+        digest.word(win.tx_end.as_nanos());
+        digest.deliveries(0, &out, &sent);
+        delivered += out.len();
+    }
+    let m = t.stats();
+    for w in [
+        m.frames_sent,
+        m.bytes_sent,
+        m.deliveries,
+        m.dropped,
+        m.corrupted,
+        m.duplicated,
+        m.reordered,
+        m.deferrals,
+        m.bug_corruptions,
+        m.busy.as_nanos(),
+    ] {
+        digest.word(w);
+    }
+    let medium = [
+        m.deliveries,
+        m.dropped,
+        m.corrupted,
+        m.duplicated,
+        m.reordered,
+        m.frames_sent,
+    ];
+    (delivered, medium, digest.0)
+}
+
+/// Recorded from the commit before the link's fault path was merged
+/// with the Ethernet's (`a0f319a`).
+#[test]
+fn the_wan_links_deliveries_and_fault_draws_match_the_recorded_parent() {
+    let (delivered, medium, digest) = run_link();
+    assert!(medium[1] > 0 && medium[2] > 0 && medium[3] > 0 && medium[4] > 0);
+    assert_eq!(
+        (delivered, medium, digest),
+        (316, [316, 30, 26, 46, 63, 300], 0x2D70765D2FFC4730),
+        "deliveries, [deliveries, dropped, corrupted, duplicated, reordered, frames_sent], digest"
+    );
 }

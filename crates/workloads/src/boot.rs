@@ -326,11 +326,7 @@ pub fn run_boot_storm(cfg: &BootStormConfig) -> BootStormReport {
     if cfg.reread_blocks > 0 && cfg.reread_passes > 0 {
         let full_blocks = (cfg.image_size / BLOCK_SIZE as u32).max(1);
         let span = cfg.reread_blocks.min(full_blocks);
-        let cache_cfg = if cfg.client_cache > 0 {
-            CacheConfig::write_invalidate(cfg.client_cache)
-        } else {
-            CacheConfig::off()
-        };
+        let cache_cfg = CacheConfig::blocks(cfg.client_cache);
         let rr_reports: Vec<Rc<RefCell<FsClientReport>>> = (0..cfg.clients)
             .map(|_| Rc::new(RefCell::new(FsClientReport::default())))
             .collect();

@@ -129,29 +129,6 @@ impl CpuSnapshot {
     }
 }
 
-/// A measured kernel operation in the format of the paper's tables:
-/// elapsed local/remote plus client/server processor time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OpRow {
-    /// Elapsed time per op executed locally (ms).
-    pub local_ms: f64,
-    /// Elapsed time per op executed remotely (ms).
-    pub remote_ms: f64,
-    /// Network penalty for the remote op's data (ms).
-    pub penalty_ms: f64,
-    /// Client host processor time per remote op (ms).
-    pub client_cpu_ms: f64,
-    /// Server host processor time per remote op (ms).
-    pub server_cpu_ms: f64,
-}
-
-impl OpRow {
-    /// Remote minus local elapsed time (the "Difference" column).
-    pub fn difference_ms(&self) -> f64 {
-        self.remote_ms - self.local_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,15 +155,5 @@ mod tests {
             ..RunReport::default()
         };
         assert_eq!(r.per_op_ms(), 0.0);
-    }
-
-    #[test]
-    fn difference_column() {
-        let row = OpRow {
-            local_ms: 1.0,
-            remote_ms: 3.2,
-            ..OpRow::default()
-        };
-        assert!((row.difference_ms() - 2.2).abs() < 1e-9);
     }
 }

@@ -11,39 +11,11 @@
 //! initiator sends an n-byte datagram, the reflector bounces it, `n`
 //! round trips are timed and halved.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use v_kernel::raw::{RawCtx, RawHandler};
 use v_net::{EtherType, Frame, MacAddr};
-use v_sim::{SimDuration, SimTime};
+use v_sim::SimDuration;
 
-/// Shared measurement state.
-#[derive(Debug, Default)]
-pub struct PenaltyState {
-    /// Round trips completed.
-    pub done: u64,
-    /// Round trips requested.
-    pub target: u64,
-    /// First transmission instant.
-    pub started: Option<SimTime>,
-    /// Last reception instant.
-    pub finished: Option<SimTime>,
-    /// Payload mismatches observed.
-    pub integrity_errors: u64,
-}
-
-impl PenaltyState {
-    /// One-way network penalty per the paper's definition (total / 2n).
-    pub fn penalty_ms(&self) -> f64 {
-        if self.done == 0 {
-            return 0.0;
-        }
-        let s = self.started.expect("started");
-        let f = self.finished.expect("finished");
-        f.since(s).as_millis_f64() / (2.0 * self.done as f64)
-    }
-}
+use crate::measure::{probe, Probe, RunReport};
 
 /// Initiating side of the ping-pong.
 pub struct PenaltyInitiator {
@@ -51,8 +23,11 @@ pub struct PenaltyInitiator {
     pub peer: MacAddr,
     /// Datagram size in bytes.
     pub size: usize,
-    /// Shared state.
-    pub state: Rc<RefCell<PenaltyState>>,
+    /// Round trips requested.
+    pub target: u64,
+    /// Round trips completed (`iterations`), from the first transmission
+    /// to the last reception, and payload mismatches.
+    pub report: Probe<RunReport>,
 }
 
 impl PenaltyInitiator {
@@ -67,23 +42,22 @@ impl PenaltyInitiator {
 
 impl RawHandler for PenaltyInitiator {
     fn on_frame(&mut self, ctx: &mut dyn RawCtx, frame: &Frame) {
-        let mut st = self.state.borrow_mut();
+        let mut r = self.report.borrow_mut();
         if frame.payload.len() != self.size {
-            st.integrity_errors += 1;
+            r.integrity_errors += 1;
         }
-        st.done += 1;
-        st.finished = Some(ctx.now());
-        let done = st.done;
-        let target = st.target;
-        drop(st);
-        if done < target {
+        r.iterations += 1;
+        r.finished = Some(ctx.now());
+        let done = r.iterations;
+        drop(r);
+        if done < self.target {
             ctx.send_frame(self.peer, self.payload(done));
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn RawCtx, _token: u64) {
         // Kick-off: record the start and launch the first datagram.
-        self.state.borrow_mut().started = Some(ctx.now());
+        self.report.borrow_mut().started = Some(ctx.now());
         ctx.send_frame(self.peer, self.payload(0));
     }
 }
@@ -101,17 +75,15 @@ impl RawHandler for PenaltyReflector {
 }
 
 /// Runs the Table 4-1 experiment for one datagram size on `cluster`
-/// hosts 0 and 1; returns the measured one-way penalty in ms.
+/// hosts 0 and 1; returns the measured one-way penalty in ms — per the
+/// paper's definition, total / 2n — and the round trips' report.
 pub fn measure_penalty(
     cluster: &mut v_kernel::Cluster,
     size: usize,
     rounds: u64,
-) -> (f64, Rc<RefCell<PenaltyState>>) {
+) -> (f64, Probe<RunReport>) {
     use v_kernel::HostId;
-    let state = Rc::new(RefCell::new(PenaltyState {
-        target: rounds,
-        ..PenaltyState::default()
-    }));
+    let report = probe(RunReport::default());
     let peer = cluster.mac(HostId(1));
     cluster.register_raw_handler(
         HostId(0),
@@ -119,14 +91,15 @@ pub fn measure_penalty(
         Box::new(PenaltyInitiator {
             peer,
             size,
-            state: state.clone(),
+            target: rounds,
+            report: report.clone(),
         }),
     );
     cluster.register_raw_handler(HostId(1), EtherType::RAW_BENCH, Box::new(PenaltyReflector));
     cluster.poke_raw_handler(HostId(0), EtherType::RAW_BENCH, 0, SimDuration::ZERO);
     cluster.run();
-    let ms = state.borrow().penalty_ms();
-    (ms, state)
+    let ms = report.borrow().per_op_ms() / 2.0;
+    (ms, report)
 }
 
 #[cfg(test)]

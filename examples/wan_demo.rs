@@ -67,8 +67,8 @@ fn main() {
     );
 
     // --- Over a lossy long-haul line -----------------------------------
-    let mut cfg =
-        ClusterConfig::wan(LinkParams::T1.with_loss(0.03)).with_hosts(2, CpuSpeed::Mc68000At8MHz);
+    let mut cfg = ClusterConfig::wan(LinkParams::T1).with_hosts(2, CpuSpeed::Mc68000At8MHz);
+    cfg.faults = FaultPlan::with_loss(0.03);
     cfg.protocol.retransmit_timeout = SimDuration::from_millis(80);
     let mut cluster = Cluster::new(cfg);
     let echo = cluster.spawn(HostId(1), "echo", Box::new(EchoServer));
