@@ -9,11 +9,13 @@
 //! of four increase in the remote message exchange time.)"
 //!
 //! This module builds that rejected architecture: a relay process on each
-//! workstation. A client sends to its *local* relay; the relay forwards
-//! over the network to the peer relay (itself a full kernel-level remote
-//! exchange); the peer relay delivers to the target with another local
-//! exchange, and replies flow back the same way. On top of the two extra
-//! local exchanges, each relay charges user-level packet handling
+//! workstation, aimed at its next hop. A client sends to its *local*
+//! relay; the relay forwards over the network to the far relay (itself a
+//! full kernel-level remote exchange); the far relay delivers to the
+//! target with another local exchange, and replies flow back the same
+//! way, untouched, so the client is the plain `Pinger` of the direct
+//! exchange and its echo check covers the relay path. On top of the two
+//! extra local exchanges, each relay charges user-level packet handling
 //! (buffer copies in and out of the server's address space, queue
 //! management) per hop — [`RELAY_HANDLING_8MHZ`], calibrated so the
 //! composite lands at the paper's observed ~4x. The structural hops are
@@ -22,8 +24,6 @@
 
 use v_kernel::{Api, CpuSpeed, Message, Outcome, Pid, Program};
 use v_sim::SimDuration;
-
-use v_workloads::measure::{Probe, RunReport};
 
 /// User-level packet handling cost per relay traversal at 8 MHz (both
 /// directions pass both relays, so four traversals per exchange).
@@ -39,15 +39,12 @@ pub fn relay_handling(speed: CpuSpeed) -> SimDuration {
     }
 }
 
-/// A user-level network server: forwards messages to a peer relay (or
-/// the final destination) and shuttles replies back.
-///
-/// Message convention: words 4..8 carry the final destination pid on the
-/// outbound path; the relay rewrites nothing on the way back.
+/// A user-level network server: forwards each message, unchanged, to its
+/// next hop and shuttles the reply back.
 pub struct Relay {
-    /// Next hop: `None` on the destination side (deliver to the target
-    /// pid embedded in the message), `Some(peer)` on the client side.
-    pub peer: Option<Pid>,
+    /// Next hop: the far relay on the client's side, the target on the
+    /// far side.
+    pub next: Pid,
     /// Per-traversal user-level handling cost.
     pub handling: SimDuration,
     client: Option<Pid>,
@@ -65,10 +62,10 @@ enum Phase {
 }
 
 impl Relay {
-    /// Creates a relay; `peer` as in [`Relay::peer`].
-    pub fn new(peer: Option<Pid>, handling: SimDuration) -> Relay {
+    /// Creates a relay; `next` as in [`Relay::next`].
+    pub fn new(next: Pid, handling: SimDuration) -> Relay {
         Relay {
-            peer,
+            next,
             handling,
             client: None,
             buffered: None,
@@ -91,11 +88,7 @@ impl Program for Relay {
             Outcome::Compute => match self.phase {
                 Phase::CopyIn => {
                     let msg = self.buffered.take().expect("request buffered");
-                    let next = match self.peer {
-                        Some(peer) => peer,
-                        None => Pid::from_raw(msg.get_u32(4)).expect("valid target pid"),
-                    };
-                    api.send(msg, next);
+                    api.send(msg, self.next);
                 }
                 Phase::CopyOut => {
                     let reply = self.buffered.take().expect("reply buffered");
@@ -121,88 +114,27 @@ impl Program for Relay {
     }
 }
 
-/// Client that performs `n` exchanges with `target` *via* its local
-/// relay.
-pub struct RelayedPinger {
-    /// Local relay process.
-    pub relay: Pid,
-    /// Final destination (embedded in the message for the far relay).
-    pub target: Pid,
-    /// Exchanges to perform.
-    pub n: u64,
-    /// Where results accumulate.
-    pub report: Probe<RunReport>,
-    done: u64,
-}
-
-impl RelayedPinger {
-    /// Creates a relayed pinger.
-    pub fn new(relay: Pid, target: Pid, n: u64, report: Probe<RunReport>) -> RelayedPinger {
-        RelayedPinger {
-            relay,
-            target,
-            n,
-            report,
-            done: 0,
-        }
-    }
-
-    fn send_next(&self, api: &mut Api<'_>) {
-        let mut m = Message::empty();
-        m.set_u32(4, self.target.raw());
-        api.send(m, self.relay);
-    }
-}
-
-impl Program for RelayedPinger {
-    fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
-        match outcome {
-            Outcome::Started => {
-                self.report.borrow_mut().started = Some(api.now());
-                self.send_next(api);
-            }
-            Outcome::Send(Ok(_)) => {
-                self.done += 1;
-                self.report.borrow_mut().iterations += 1;
-                if self.done < self.n {
-                    self.send_next(api);
-                } else {
-                    self.report.borrow_mut().finished = Some(api.now());
-                    api.exit();
-                }
-            }
-            _ => {
-                let mut r = self.report.borrow_mut();
-                r.failures += 1;
-                r.finished = Some(api.now());
-                drop(r);
-                api.exit();
-            }
-        }
-    }
-}
-
 /// Measures `n` relayed exchanges on a 2-host cluster; returns ms/op.
 pub fn measure_relayed_exchange(speed: CpuSpeed, n: u64) -> f64 {
     use v_kernel::{Cluster, ClusterConfig, HostId};
-    use v_workloads::echo::EchoServer;
-    use v_workloads::measure::probe;
+    use v_workloads::echo::{EchoServer, Pinger};
+    use v_workloads::measure::{probe, RunReport};
 
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed));
     let handling = relay_handling(speed);
     let target = cl.spawn(HostId(1), "echo", Box::new(EchoServer));
-    let far_relay = cl.spawn(HostId(1), "relay-b", Box::new(Relay::new(None, handling)));
+    let far_relay = cl.spawn(HostId(1), "relay-b", Box::new(Relay::new(target, handling)));
     let near_relay = cl.spawn(
         HostId(0),
         "relay-a",
-        Box::new(Relay::new(Some(far_relay), handling)),
+        Box::new(Relay::new(far_relay, handling)),
     );
     cl.run();
     let rep = probe(RunReport::default());
     cl.spawn(
         HostId(0),
         "relayed-ping",
-        Box::new(RelayedPinger::new(near_relay, target, n, rep.clone())),
+        Box::new(Pinger::new(near_relay, n, rep.clone())),
     );
     cl.run();
     let r = rep.borrow();

@@ -8,38 +8,35 @@
 //! buffering copies and protocol overhead. This module implements such a
 //! protocol so the claim is measured, not asserted.
 //!
-//! Shape: the client opens a stream (file of `n` pages, window `w`); the
-//! server streams data pages, each gated on a per-page disk latency and
-//! on window credit; the client acknowledges cumulatively as the
-//! application *consumes* pages. Each consumed page pays one extra
-//! buffer-to-user copy — the cost the paper attributes to streaming that
-//! the V path does not pay (its data lands in the user buffer directly).
+//! Shape: the client opens a stream (a file of `n` pages of [`PAGE`]
+//! bytes, a window of [`WINDOW`] pages); the server streams data pages,
+//! each gated on a per-page disk latency and on window credit; the client
+//! acknowledges cumulatively as the application *consumes* pages. Each
+//! consumed page pays one extra buffer-to-user copy — the cost the paper
+//! attributes to streaming that the V path does not pay (its data lands
+//! in the user buffer directly).
 //!
-//! Wire format: `[kind u8, pad u8, seq u16, count u32]` + data for pages.
+//! Wire format: `[kind u8, pad u8, seq u16, count u32]` + data for pages;
+//! an open carries the file's page count in `seq` and the window in
+//! `count`.
 
 use v_kernel::raw::{RawCtx, RawHandler};
-use v_net::{Frame, MacAddr};
+use v_net::{EtherType, Frame, MacAddr};
 use v_sim::SimDuration;
-use v_workloads::measure::{probe, Probe, RunReport};
+use v_workloads::measure::{run_raw_pair, Probe, RunReport};
+
+use crate::{get_u16, get_u32, put_u16, put_u32};
 
 const K_OPEN: u8 = 1;
 const K_PAGE: u8 = 2;
 const K_ACK: u8 = 3;
 
-fn put_u16(b: &mut [u8], off: usize, v: u16) {
-    b[off..off + 2].copy_from_slice(&v.to_le_bytes());
-}
-fn put_u32(b: &mut [u8], off: usize, v: u32) {
-    b[off..off + 4].copy_from_slice(&v.to_le_bytes());
-}
-fn get_u16(b: &[u8], off: usize) -> u16 {
-    u16::from_le_bytes([b[off], b[off + 1]])
-}
-fn get_u32(b: &[u8], off: usize) -> u32 {
-    u32::from_le_bytes([b[off], b[off + 1], b[off + 2], b[off + 3]])
-}
-
 const HDR: usize = 8;
+
+/// Page size in bytes.
+pub const PAGE: usize = 512;
+/// Window: the client's buffer pool, in pages.
+pub const WINDOW: u16 = 8;
 
 /// Timer token: a page became ready off the simulated disk.
 const TOK_DISK: u64 = 1;
@@ -49,8 +46,6 @@ const TOK_CONSUME: u64 = 2;
 /// Streaming file server: pushes pages as the disk yields them and the
 /// window allows.
 pub struct StreamServer {
-    /// Page size in bytes.
-    pub page_size: usize,
     /// Per-page disk latency.
     pub disk_latency: SimDuration,
     /// Fill pattern.
@@ -66,9 +61,8 @@ pub struct StreamServer {
 
 impl StreamServer {
     /// Creates a streaming server.
-    pub fn new(page_size: usize, disk_latency: SimDuration, pattern: u8) -> StreamServer {
+    pub fn new(disk_latency: SimDuration, pattern: u8) -> StreamServer {
         StreamServer {
-            page_size,
             disk_latency,
             pattern,
             client: None,
@@ -84,10 +78,10 @@ impl StreamServer {
     fn pump(&mut self, ctx: &mut dyn RawCtx) {
         // Push every page that is both disk-ready and within the window.
         while self.next_sent < self.next_ready && self.next_sent < self.acked + self.window {
-            let mut pkt = vec![0u8; HDR + self.page_size];
+            let mut pkt = vec![0u8; HDR + PAGE];
             pkt[0] = K_PAGE;
             put_u16(&mut pkt, 2, self.next_sent);
-            put_u32(&mut pkt, 4, self.page_size as u32);
+            put_u32(&mut pkt, 4, PAGE as u32);
             pkt[HDR..].fill(self.pattern);
             ctx.send_frame(self.client.expect("stream open"), pkt);
             self.next_sent += 1;
@@ -138,12 +132,8 @@ impl RawHandler for StreamServer {
 pub struct StreamClient {
     /// Server station.
     pub server: MacAddr,
-    /// Page size in bytes.
-    pub page_size: usize,
     /// Pages to read.
     pub total: u16,
-    /// Window (buffer pool size in pages).
-    pub window: u16,
     /// Application think time per page (zero = consume immediately).
     pub think: SimDuration,
     /// Extra per-page buffer-to-user copy cost (per byte).
@@ -160,18 +150,14 @@ impl StreamClient {
     /// Creates a streaming client.
     pub fn new(
         server: MacAddr,
-        page_size: usize,
         total: u16,
-        window: u16,
         think: SimDuration,
         copy_per_byte: SimDuration,
         report: Probe<RunReport>,
     ) -> StreamClient {
         StreamClient {
             server,
-            page_size,
             total,
-            window,
             think,
             copy_per_byte,
             report,
@@ -188,7 +174,7 @@ impl StreamClient {
         self.consuming = true;
         // The application "reads" the page: one buffer-to-user copy now,
         // then its think time.
-        let copy = SimDuration::from_nanos(self.copy_per_byte.as_nanos() * self.page_size as u64);
+        let copy = SimDuration::from_nanos(self.copy_per_byte.as_nanos() * PAGE as u64);
         ctx.charge(copy);
         if self.think.is_zero() {
             self.finish_page(ctx);
@@ -220,7 +206,7 @@ impl RawHandler for StreamClient {
             return;
         }
         let seq = get_u16(&frame.payload, 2);
-        if frame.payload.len() != HDR + self.page_size {
+        if frame.payload.len() != HDR + PAGE {
             self.report.borrow_mut().integrity_errors += 1;
         }
         if seq == self.buffered {
@@ -238,7 +224,7 @@ impl RawHandler for StreamClient {
                 let mut open = vec![0u8; HDR];
                 open[0] = K_OPEN;
                 put_u16(&mut open, 2, self.total);
-                put_u32(&mut open, 4, self.window as u32);
+                put_u32(&mut open, 4, WINDOW as u32);
                 ctx.send_frame(self.server, open);
             }
         }
@@ -253,35 +239,23 @@ pub fn measure_streaming(
     disk_latency: SimDuration,
     think: SimDuration,
 ) -> (f64, Probe<RunReport>) {
-    use v_kernel::HostId;
-    use v_net::EtherType;
-    let report = probe(RunReport::default());
-    let server_mac = cluster.mac(HostId(1));
     // The extra copy uses the client CPU's memory-copy rate.
     let copy_per_byte =
         v_kernel::CostModel::for_speed(v_kernel::CpuSpeed::Mc68000At10MHz).copy_mem_per_byte;
-    cluster.register_raw_handler(
-        HostId(1),
+    run_raw_pair(
+        cluster,
         EtherType::STREAMING,
-        Box::new(StreamServer::new(512, disk_latency, 0x7E)),
-    );
-    cluster.register_raw_handler(
-        HostId(0),
-        EtherType::STREAMING,
-        Box::new(StreamClient::new(
-            server_mac,
-            512,
-            pages,
-            8,
-            think,
-            copy_per_byte,
-            report.clone(),
-        )),
-    );
-    cluster.poke_raw_handler(HostId(0), EtherType::STREAMING, 0, SimDuration::ZERO);
-    cluster.run();
-    let ms = report.borrow().per_op_ms();
-    (ms, report)
+        Box::new(StreamServer::new(disk_latency, 0x7E)),
+        |server, report| {
+            Box::new(StreamClient::new(
+                server,
+                pages,
+                think,
+                copy_per_byte,
+                report,
+            ))
+        },
+    )
 }
 
 #[cfg(test)]

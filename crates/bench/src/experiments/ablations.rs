@@ -76,7 +76,7 @@ pub fn wfs_comparison() -> Comparison {
         true,
     );
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed));
-    let (wfs_ms, st) = v_baselines::wfs::measure_wfs(&mut cl, true, 512, N_PAGES);
+    let (wfs_ms, st) = v_baselines::wfs::measure_wfs(&mut cl, N_PAGES);
     assert_eq!(st.borrow().integrity_errors, 0);
 
     let model = v_kernel::CostModel::for_speed(speed);

@@ -17,7 +17,7 @@
 //! `--smoke` runs Table 4-1, the WAN table, the shard-placement table,
 //! the rebalancing table, the replica-failover table, the server-team
 //! pipelining table, a
-//! small boot-storm engine-throughput run and the cache-mix table with
+//! small boot-storm engine run and the cache-mix table with
 //! tiny round counts: a
 //! cheap end-to-end exercise of the experiment pipeline for CI, not a
 //! measurement. It cannot be combined with experiment ids, but accepts

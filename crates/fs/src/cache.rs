@@ -389,7 +389,7 @@ impl Program for CacheAgent {
                         value: 0,
                         aux: 0,
                         owner: 0,
-                        tag: 0,
+                        tag: IoRequest::tag_of(&msg),
                     },
                 };
                 let _ = api.reply(reply.encode(), from);

@@ -188,7 +188,8 @@ impl Program for MigrationAgent {
             Outcome::Started => self.rearm(api),
             Outcome::ReceiveSeg { from, msg, seg_len } => {
                 let Some(req) = IoRequest::decode(&msg) else {
-                    let req = IoRequest::new(IoOp::MigratePull, FileId(0), msg.get_u16(20));
+                    let tag = IoRequest::tag_of(&msg);
+                    let req = IoRequest::new(IoOp::MigratePull, FileId(0), tag);
                     self.current = Some((from, req, from));
                     self.reply_status(api, IoStatus::Error, 0);
                     return;

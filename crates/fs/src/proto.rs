@@ -197,8 +197,15 @@ impl IoRequest {
             count: m.get_u32(8),
             buffer: m.get_u32(12),
             aux: m.get_u32(16),
-            tag: m.get_u16(20),
+            tag: IoRequest::tag_of(m),
         })
+    }
+
+    /// The tag of a request message, read even when the rest does not
+    /// decode: what a receiver echoes in the error reply to a request it
+    /// cannot serve.
+    pub fn tag_of(m: &Message) -> u16 {
+        m.get_u16(20)
     }
 }
 

@@ -853,7 +853,7 @@ impl Program for FileServer {
                     // is not left blocked forever.
                     self.current = Some(Current {
                         from,
-                        req: IoRequest::new(IoOp::Query, FileId(0), msg.get_u16(20)),
+                        req: IoRequest::new(IoOp::Query, FileId(0), IoRequest::tag_of(&msg)),
                         seg_len: 0,
                         msg,
                     });

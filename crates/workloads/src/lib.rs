@@ -13,7 +13,8 @@
 //!   transfer units (Table 6-3, §8) and the 90/10 capacity mix of
 //!   diskless workstations (§7);
 //! * [`penalty`] — the interrupt-level raw-datagram ping-pong defining
-//!   the network penalty (Table 4-1);
+//!   the network penalty (Table 4-1), on the one raw closed loop the
+//!   WFS-style baseline also runs;
 //! * [`multipair`] — concurrent exchange pairs for the multi-process
 //!   traffic study (§5.4);
 //! * [`boot`] — the boot storm: N diskless hosts loading an image off
@@ -21,7 +22,8 @@
 //! * [`measure`] — probes and per-operation accounting in the style of
 //!   the paper's methodology (N-trial loops; processor time from
 //!   busy-time deltas, the exact quantity the original "busywork
-//!   process" estimated);
+//!   process" estimated) and the one procedure every raw-protocol
+//!   measurement runs;
 //! * [`chaos`] — replayable fault schedules (host crash/restart,
 //!   gateway failure, lossy periods and partitions) that scenarios and
 //!   benches inject deterministically mid-run.

@@ -10,7 +10,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use v_kernel::raw::RawHandler;
 use v_kernel::{Cluster, HostId};
+use v_net::{EtherType, MacAddr};
 use v_sim::{SimDuration, SimTime};
 
 /// Shared handle between the harness and a workload program.
@@ -127,6 +129,27 @@ impl CpuSnapshot {
         }
         self.delta(cluster).as_millis_f64() / ops as f64
     }
+}
+
+/// The one procedure of every raw-protocol measurement: `server` on
+/// host 1 and the client `client` builds (from host 1's station and a
+/// fresh report) on host 0, under `ethertype`; the client is poked at
+/// time zero and the cluster runs to quiescence. Returns ms/op and the
+/// report.
+pub fn run_raw_pair(
+    cluster: &mut Cluster,
+    ethertype: EtherType,
+    server: Box<dyn RawHandler>,
+    client: impl FnOnce(MacAddr, Probe<RunReport>) -> Box<dyn RawHandler>,
+) -> (f64, Probe<RunReport>) {
+    let report = probe(RunReport::default());
+    let peer = cluster.mac(HostId(1));
+    cluster.register_raw_handler(HostId(1), ethertype, server);
+    cluster.register_raw_handler(HostId(0), ethertype, client(peer, report.clone()));
+    cluster.poke_raw_handler(HostId(0), ethertype, 0, SimDuration::ZERO);
+    cluster.run();
+    let ms = report.borrow().per_op_ms();
+    (ms, report)
 }
 
 #[cfg(test)]

@@ -7,43 +7,37 @@
 //! the interrupt level so that no protocol or process switching overhead
 //! appears in the results."
 //!
-//! Implemented as a pair of raw handlers below the IPC layer: the
-//! initiator sends an n-byte datagram, the reflector bounces it, `n`
-//! round trips are timed and halved.
+//! Implemented as a pair of raw handlers below the IPC layer: a
+//! [`RawLoop`] — the one raw closed loop, which the WFS-style baseline
+//! also runs — sends an n-byte datagram, the [`PenaltyReflector`]
+//! bounces it, `n` round trips are timed and halved.
 
 use v_kernel::raw::{RawCtx, RawHandler};
 use v_net::{EtherType, Frame, MacAddr};
-use v_sim::SimDuration;
 
-use crate::measure::{probe, Probe, RunReport};
+use crate::measure::{run_raw_pair, Probe, RunReport};
 
-/// Initiating side of the ping-pong.
-pub struct PenaltyInitiator {
+/// A raw closed loop: sends `request` to `peer` on its kick-off timer and
+/// again on every reply until `target` replies are in.
+pub struct RawLoop {
     /// Peer station.
     pub peer: MacAddr,
-    /// Datagram size in bytes.
-    pub size: usize,
+    /// Sent each round; raw frames carry no checksum, so only its
+    /// length reaches the measurement.
+    pub request: Vec<u8>,
+    /// Length a reply must have; any other counts as an integrity error.
+    pub reply_len: usize,
     /// Round trips requested.
     pub target: u64,
     /// Round trips completed (`iterations`), from the first transmission
-    /// to the last reception, and payload mismatches.
+    /// to the last reception, and replies of the wrong length.
     pub report: Probe<RunReport>,
 }
 
-impl PenaltyInitiator {
-    fn payload(&self, round: u64) -> Vec<u8> {
-        let mut p = vec![(round & 0xFF) as u8; self.size];
-        if !p.is_empty() {
-            p[0] = 0xA5;
-        }
-        p
-    }
-}
-
-impl RawHandler for PenaltyInitiator {
+impl RawHandler for RawLoop {
     fn on_frame(&mut self, ctx: &mut dyn RawCtx, frame: &Frame) {
         let mut r = self.report.borrow_mut();
-        if frame.payload.len() != self.size {
+        if frame.payload.len() != self.reply_len {
             r.integrity_errors += 1;
         }
         r.iterations += 1;
@@ -51,14 +45,14 @@ impl RawHandler for PenaltyInitiator {
         let done = r.iterations;
         drop(r);
         if done < self.target {
-            ctx.send_frame(self.peer, self.payload(done));
+            ctx.send_frame(self.peer, self.request.clone());
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn RawCtx, _token: u64) {
         // Kick-off: record the start and launch the first datagram.
         self.report.borrow_mut().started = Some(ctx.now());
-        ctx.send_frame(self.peer, self.payload(0));
+        ctx.send_frame(self.peer, self.request.clone());
     }
 }
 
@@ -82,24 +76,21 @@ pub fn measure_penalty(
     size: usize,
     rounds: u64,
 ) -> (f64, Probe<RunReport>) {
-    use v_kernel::HostId;
-    let report = probe(RunReport::default());
-    let peer = cluster.mac(HostId(1));
-    cluster.register_raw_handler(
-        HostId(0),
+    let (ms, report) = run_raw_pair(
+        cluster,
         EtherType::RAW_BENCH,
-        Box::new(PenaltyInitiator {
-            peer,
-            size,
-            target: rounds,
-            report: report.clone(),
-        }),
+        Box::new(PenaltyReflector),
+        |peer, report| {
+            Box::new(RawLoop {
+                peer,
+                request: vec![0xA5; size],
+                reply_len: size,
+                target: rounds,
+                report,
+            })
+        },
     );
-    cluster.register_raw_handler(HostId(1), EtherType::RAW_BENCH, Box::new(PenaltyReflector));
-    cluster.poke_raw_handler(HostId(0), EtherType::RAW_BENCH, 0, SimDuration::ZERO);
-    cluster.run();
-    let ms = report.borrow().per_op_ms() / 2.0;
-    (ms, report)
+    (ms / 2.0, report)
 }
 
 #[cfg(test)]

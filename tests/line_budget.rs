@@ -1,11 +1,12 @@
 //! Line budgets for the file service (`crates/fs/src`), the kernel's
 //! IPC engine (`crates/core/src/ipc` and `host.rs`), the broadcast path
 //! from wire to kernel, the workloads (`crates/workloads/src`), the
-//! experiment harness (`crates/bench/src`) and the simulation engine
-//! (`crates/sim/src`), and a field budget for the configuration surface.
+//! paper's comparators (`crates/baselines/src`), the experiment harness
+//! (`crates/bench/src`) and the simulation engine (`crates/sim/src`),
+//! and a field budget for the configuration surface.
 //!
 //! ROADMAP aim 2 asks for the same numbers from fewer shapes, fewer
-//! toggles and fewer lines; a budget nobody checks is a wish. Nine
+//! toggles and fewer lines; a budget nobody checks is a wish. Ten
 //! properties, counted from the sources themselves:
 //!
 //! * the non-test code of `crates/fs/src/*.rs` — every line above a
@@ -18,6 +19,7 @@
 //! * likewise the six files a broadcast crosses from wire to kernel —
 //!   [`BROADCAST_PATH`] — within [`BROADCAST_PATH_BUDGET`];
 //! * likewise `crates/workloads/src` within [`WORKLOADS_BUDGET`];
+//! * likewise `crates/baselines/src` within [`BASELINES_BUDGET`];
 //! * likewise `crates/bench/src` and its `experiments/` within
 //!   [`HARNESS_BUDGET`];
 //! * likewise `crates/sim/src` within [`SIM_BUDGET`];
@@ -74,6 +76,15 @@ const BROADCAST_PATH_BUDGET: usize = 3_000;
 /// the data moved and what happened between requests), rounded up to
 /// the next 50.
 const WORKLOADS_BUDGET: usize = 1_700;
+
+/// Non-test lines `crates/baselines/src` may hold: what one loop per
+/// measurement shape reached (561; 719 before it, with a second copy of
+/// the echo loop for the relay path, a WFS client that was the Table 4-1
+/// initiator with other bytes, a WFS write path no table ran, the
+/// register/poke/run sequence written per comparator and the
+/// little-endian field helpers written twice), rounded up to the next
+/// 50.
+const BASELINES_BUDGET: usize = 600;
 
 /// Non-test lines `crates/bench/src` and `crates/bench/src/experiments`
 /// may hold: what one builder per deployment shape reached (3,515;
@@ -220,6 +231,21 @@ fn workloads_fit_their_line_budget() {
         total <= WORKLOADS_BUDGET,
         "crates/workloads/src holds {total} non-test lines, over its budget of \
          {WORKLOADS_BUDGET}: {counts:?}"
+    );
+}
+
+#[test]
+fn baselines_fit_their_line_budget() {
+    let sources = non_test_sources_in("crates/baselines/src");
+    let counts: Vec<(&str, usize)> = sources
+        .iter()
+        .map(|(name, code)| (name.as_str(), code.len()))
+        .collect();
+    let total: usize = counts.iter().map(|(_, n)| n).sum();
+    assert!(
+        total <= BASELINES_BUDGET,
+        "crates/baselines/src holds {total} non-test lines, over its budget of \
+         {BASELINES_BUDGET}: {counts:?}"
     );
 }
 

@@ -2,10 +2,9 @@
 # Shows that a change moved no simulated row. Builds REV (default
 # HEAD~1) in a git worktree under target/same-rows, runs the same
 # `v-bench` experiments (default `all`) there and in this tree, and
-# diffs every BENCH_<id>.json the two runs wrote. The engine table's
-# wall-clock rows (`N=…: wall-clock`, `N=…: engine throughput`) are
-# dropped first: they time the host, not the simulated system. Exits
-# nonzero on any other difference, or if either build or run fails.
+# diffs every BENCH_<id>.json the two runs wrote: every row is
+# simulated, so any difference is a moved row. Exits nonzero on a
+# difference, or if either build or run fails.
 #
 #   tools/same-rows.sh [REV [EXPERIMENT...]]
 #
@@ -38,7 +37,6 @@ run() {
 run "$tree" "$dir/target" "$dir/base" "$@"
 run "$root" "$root/target" "$dir/head" "$@"
 
-wall='.rows |= map(select(.metric | test("^N=[0-9]+: (wall-clock|engine throughput)$") | not))'
 status=0
 files=$( (cd "$dir/base" && ls BENCH_*.json; cd "$dir/head" && ls BENCH_*.json) | sort -u)
 for name in $files; do
@@ -48,17 +46,12 @@ for name in $files; do
         status=1
         continue
     fi
-    filter=.
-    [ "$name" = BENCH_engine.json ] && filter=$wall
-    if ! jq "$filter" "$base" >"$base.cmp" || ! jq "$filter" "$head" >"$head.cmp"; then
-        echo "$name: not JSON"
-        status=1
-    elif ! diff -u --label "$rev/$name" --label "this tree/$name" "$base.cmp" "$head.cmp"; then
+    if ! diff -u --label "$rev/$name" --label "this tree/$name" "$base" "$head"; then
         status=1
     fi
 done
 count=$(echo "$files" | wc -w)
 if [ "$status" -eq 0 ]; then
-    echo "same rows: $count tables identical to $rev ($sha) but the engine's wall-clock rows"
+    echo "same rows: $count tables identical to $rev ($sha)"
 fi
 exit "$status"
