@@ -22,8 +22,10 @@
 //! modeled exactly; only the per-hop copying constant is fitted, since
 //! the paper reports no breakdown of its prototype.
 
-use v_kernel::{Api, CpuSpeed, Message, Outcome, Pid, Program};
+use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Message, Outcome, Pid, Program};
 use v_sim::SimDuration;
+use v_workloads::echo::{EchoServer, Pinger};
+use v_workloads::measure::{probe, RunReport};
 
 /// User-level packet handling cost per relay traversal at 8 MHz (both
 /// directions pass both relays, so four traversals per exchange).
@@ -103,12 +105,10 @@ impl Program for Relay {
                 self.phase = Phase::CopyOut;
                 api.compute(self.handling);
             }
-            Outcome::Send(Err(_)) => {
-                if let Some(client) = self.client.take() {
-                    let _ = api.reply(Message::empty(), client);
-                }
-                api.receive();
-            }
+            // The hop failed: exit, so the kernel fails the blocked client's
+            // `Send` (a local sender) or Nacks it (a remote one) with the
+            // error a direct exchange would have seen, not a forged reply.
+            Outcome::Send(Err(_)) => api.exit(),
             _ => api.receive(),
         }
     }
@@ -116,13 +116,17 @@ impl Program for Relay {
 
 /// Measures `n` relayed exchanges on a 2-host cluster; returns ms/op.
 pub fn measure_relayed_exchange(speed: CpuSpeed, n: u64) -> f64 {
-    use v_kernel::{Cluster, ClusterConfig, HostId};
-    use v_workloads::echo::{EchoServer, Pinger};
-    use v_workloads::measure::{probe, RunReport};
-
     let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed));
-    let handling = relay_handling(speed);
     let target = cl.spawn(HostId(1), "echo", Box::new(EchoServer));
+    let r = run_relayed(&mut cl, speed, target, n);
+    assert!(r.clean(), "{r:?}");
+    r.per_op_ms()
+}
+
+/// Runs `n` echo exchanges from a `Pinger` on host 0 to `target` on
+/// host 1 through a relay on each host, and returns the pinger's report.
+fn run_relayed(cl: &mut Cluster, speed: CpuSpeed, target: Pid, n: u64) -> RunReport {
+    let handling = relay_handling(speed);
     let far_relay = cl.spawn(HostId(1), "relay-b", Box::new(Relay::new(target, handling)));
     let near_relay = cl.spawn(
         HostId(0),
@@ -137,9 +141,7 @@ pub fn measure_relayed_exchange(speed: CpuSpeed, n: u64) -> f64 {
         Box::new(Pinger::new(near_relay, n, rep.clone())),
     );
     cl.run();
-    let r = rep.borrow();
-    assert!(r.clean(), "{:?}", *r);
-    r.per_op_ms()
+    rep.take()
 }
 
 #[cfg(test)]
@@ -155,6 +157,29 @@ mod tests {
         assert!(
             (3.0..5.0).contains(&factor),
             "relay factor = {factor:.2} ({relayed:.2} ms)"
+        );
+    }
+
+    /// A process that exits as soon as it starts, leaving a dead pid.
+    struct Quit;
+
+    impl Program for Quit {
+        fn resume(&mut self, api: &mut Api<'_>, _: Outcome) {
+            api.exit();
+        }
+    }
+
+    #[test]
+    fn a_failed_hop_fails_the_clients_send() {
+        let speed = CpuSpeed::Mc68000At10MHz;
+        let mut cl = Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed));
+        let dead = cl.spawn(HostId(1), "quit", Box::new(Quit));
+        cl.run();
+        let r = run_relayed(&mut cl, speed, dead, 3);
+        assert_eq!(
+            (r.iterations, r.failures, r.integrity_errors),
+            (0, 1, 0),
+            "{r:?}"
         );
     }
 }

@@ -240,8 +240,8 @@ pub fn measure_streaming(
     think: SimDuration,
 ) -> (f64, Probe<RunReport>) {
     // The extra copy uses the client CPU's memory-copy rate.
-    let copy_per_byte =
-        v_kernel::CostModel::for_speed(v_kernel::CpuSpeed::Mc68000At10MHz).copy_mem_per_byte;
+    let client = cluster.config().hosts[0].cpu;
+    let copy_per_byte = v_kernel::CostModel::for_speed(client).copy_mem_per_byte;
     run_raw_pair(
         cluster,
         EtherType::STREAMING,
@@ -261,10 +261,39 @@ pub fn measure_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v_kernel::{Cluster, ClusterConfig, CpuSpeed};
+    use v_kernel::{Cluster, ClusterConfig, CostModel, CpuSpeed, HostId};
 
     fn cluster() -> Cluster {
         Cluster::new(ClusterConfig::three_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz))
+    }
+
+    #[test]
+    fn the_copy_is_charged_at_the_clients_grade() {
+        // The same 8 MHz stream twice, once with a client that copies for
+        // free: the client host's processor time differs by the copies.
+        let speed = CpuSpeed::Mc68000At8MHz;
+        let pair = || Cluster::new(ClusterConfig::three_mb().with_hosts(2, speed));
+        let (pages, disk) = (10, SimDuration::from_millis(15));
+        let mut charged = pair();
+        measure_streaming(&mut charged, pages, disk, SimDuration::ZERO);
+        let mut free = pair();
+        run_raw_pair(
+            &mut free,
+            EtherType::STREAMING,
+            Box::new(StreamServer::new(disk, 0x7E)),
+            |server, report| {
+                Box::new(StreamClient::new(
+                    server,
+                    pages,
+                    SimDuration::ZERO,
+                    SimDuration::ZERO,
+                    report,
+                ))
+            },
+        );
+        let copies = charged.cpu_busy(HostId(0)).as_nanos() - free.cpu_busy(HostId(0)).as_nanos();
+        let per_byte = CostModel::for_speed(speed).copy_mem_per_byte.as_nanos();
+        assert_eq!(copies / u64::from(pages), PAGE as u64 * per_byte);
     }
 
     #[test]

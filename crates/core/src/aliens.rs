@@ -243,16 +243,6 @@ impl AlienTable {
         self.pool.iter()
     }
 
-    /// Aliens addressed to a given local process (used at process exit),
-    /// in admission order.
-    pub fn addressed_to(&self, dst: Pid) -> Vec<Pid> {
-        self.pool
-            .iter()
-            .filter(|a| a.dst == dst)
-            .map(|a| a.src)
-            .collect()
-    }
-
     /// Aliens addressed to `dst` whose exchange will never be replied
     /// (still queued or delivered). `Replied` aliens are *not* listed:
     /// their cached reply must stay available to answer retransmissions
@@ -405,7 +395,7 @@ mod tests {
         let mut t = table(4);
         t.admit(pid(2, 1), 1, pid(1, 1), [0u8; 32], none());
         t.admit(pid(2, 2), 1, pid(1, 9), [0u8; 32], none());
-        let v = t.addressed_to(pid(1, 1));
+        let v = t.addressed_to_unreplied(pid(1, 1));
         assert_eq!(v, vec![pid(2, 1)]);
     }
 }

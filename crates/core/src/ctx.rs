@@ -136,13 +136,11 @@ impl Ctx<'_> {
         bytes: WireBytes,
         to_host: LogicalHost,
     ) -> Emitted {
-        let dst = match self.host.hostmap.resolve(to_host) {
-            Some(mac) => mac,
-            None => {
-                self.host.hostmap.note_broadcast_fallback();
-                v_net::MacAddr::BROADCAST
-            }
-        };
+        let dst = self
+            .host
+            .hostmap
+            .resolve(to_host)
+            .unwrap_or(v_net::MacAddr::BROADCAST);
         self.emit_to_mac(t, bytes, dst)
     }
 

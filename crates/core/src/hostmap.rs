@@ -32,11 +32,6 @@ pub enum AddressingMode {
 pub struct HostMap {
     mode: AddressingMode,
     table: Vec<u32>,
-    entries: usize,
-    /// Packets sent by broadcast because the destination was unknown.
-    pub broadcast_fallbacks: u64,
-    /// Correspondences learned from received packets.
-    pub learned: u64,
 }
 
 impl HostMap {
@@ -45,9 +40,6 @@ impl HostMap {
         HostMap {
             mode,
             table: Vec::new(),
-            entries: 0,
-            broadcast_fallbacks: 0,
-            learned: 0,
         }
     }
 
@@ -57,8 +49,7 @@ impl HostMap {
     }
 
     /// Resolves a logical host to a station address; `None` means the
-    /// caller must fall back to broadcast (and should count it via
-    /// [`HostMap::note_broadcast_fallback`]).
+    /// caller must fall back to broadcast.
     pub fn resolve(&self, host: LogicalHost) -> Option<MacAddr> {
         match self.mode {
             AddressingMode::Direct => Some(MacAddr(host.station())),
@@ -69,11 +60,6 @@ impl HostMap {
         }
     }
 
-    /// Records that a packet had to be broadcast for want of a mapping.
-    pub fn note_broadcast_fallback(&mut self) {
-        self.broadcast_fallbacks += 1;
-    }
-
     /// Learns a correspondence from a received packet's source fields.
     /// No-op in `Direct` mode (nothing to learn).
     pub fn learn(&mut self, host: LogicalHost, mac: MacAddr) {
@@ -82,22 +68,8 @@ impl HostMap {
             if self.table.len() <= i {
                 self.table.resize(i + 1, 0);
             }
-            let old = self.table[i];
-            let new = u32::from(mac.0) + 1;
-            // A fresh *or changed* correspondence counts as learned.
-            if old != new {
-                if old == 0 {
-                    self.entries += 1;
-                }
-                self.table[i] = new;
-                self.learned += 1;
-            }
+            self.table[i] = u32::from(mac.0) + 1;
         }
-    }
-
-    /// Number of learned entries (always 0 in `Direct` mode).
-    pub fn table_len(&self) -> usize {
-        self.entries
     }
 }
 
@@ -110,7 +82,6 @@ mod tests {
         let m = HostMap::new(AddressingMode::Direct);
         let h = LogicalHost::from_station(0x2A);
         assert_eq!(m.resolve(h), Some(MacAddr(0x2A)));
-        assert_eq!(m.table_len(), 0);
     }
 
     #[test]
@@ -120,22 +91,19 @@ mod tests {
         assert_eq!(m.resolve(h), None);
         m.learn(h, MacAddr(5));
         assert_eq!(m.resolve(h), Some(MacAddr(5)));
-        assert_eq!(m.learned, 1);
-        // Re-learning the same mapping is not counted twice.
+        // Re-learning the same mapping keeps it.
         m.learn(h, MacAddr(5));
-        assert_eq!(m.learned, 1);
-        // But an updated mapping is.
+        assert_eq!(m.resolve(h), Some(MacAddr(5)));
+        // An updated mapping replaces it; other hosts stay unknown.
         m.learn(h, MacAddr(6));
-        assert_eq!(m.learned, 2);
         assert_eq!(m.resolve(h), Some(MacAddr(6)));
+        assert_eq!(m.resolve(LogicalHost(0x8000)), None);
     }
 
     #[test]
     fn direct_mode_ignores_learning() {
         let mut m = HostMap::new(AddressingMode::Direct);
         m.learn(LogicalHost(0x0100), MacAddr(9));
-        assert_eq!(m.table_len(), 0);
-        assert_eq!(m.learned, 0);
         // Resolution still follows the convention, not the table.
         assert_eq!(m.resolve(LogicalHost(0x0100)), Some(MacAddr(1)));
     }

@@ -102,13 +102,6 @@ impl Message {
         self.set_u32(SEG_LEN_OFF, len);
     }
 
-    /// Removes any segment specification.
-    pub fn clear_segment(&mut self) {
-        self.0[0] &= !(FLAG_SEG_READ | FLAG_SEG_WRITE);
-        self.set_u32(SEG_START_OFF, 0);
-        self.set_u32(SEG_LEN_OFF, 0);
-    }
-
     /// Decodes the segment specification, if any.
     ///
     /// This is how *both* kernels learn what access a sender granted: the
@@ -161,9 +154,6 @@ mod tests {
 
         m.set_segment(0, 1, Access::ReadWrite);
         assert_eq!(m.segment().unwrap().access, Access::ReadWrite);
-
-        m.clear_segment();
-        assert_eq!(m.segment(), None);
     }
 
     #[test]

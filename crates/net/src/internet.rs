@@ -403,11 +403,6 @@ impl Internetwork {
     /// The `hops` value reporting "no live path".
     pub const UNREACHABLE: usize = u16::MAX as usize;
 
-    /// True while gateway `idx` is in service.
-    pub fn gateway_alive(&self, idx: usize) -> bool {
-        self.gateways.get(idx).is_some_and(|g| g.alive)
-    }
-
     /// Rebuilds the routing tables over the live gateways. The
     /// connectivity the constructor insists on may no longer hold: a
     /// partitioned pair of segments simply gets no next hop, so unicasts
@@ -969,7 +964,6 @@ mod tests {
         let mut n = line3();
         assert!(n.fail_gateway(0));
         assert!(!n.fail_gateway(0), "already down");
-        assert!(!n.gateway_alive(0));
         assert_eq!(n.hops(0, 2), Internetwork::UNREACHABLE);
         // Unicast into the partition dies silently.
         tx(&mut n, SimTime::ZERO, frame(MacAddr(3), MacAddr(1), 64));
@@ -999,7 +993,6 @@ mod tests {
         let fwd = polled(&mut n);
         assert_eq!(fwd.len(), 1);
         assert_eq!(fwd[0].dst, MacAddr(2));
-        assert!(!n.gateway_alive(0));
         assert_eq!(n.per_gateway_stats()[0].forwarded, 0);
     }
 
@@ -1025,7 +1018,6 @@ mod tests {
         let mut n = star();
         assert!(!n.fail_gateway(7));
         assert!(!n.restore_gateway(7));
-        assert!(!n.gateway_alive(7));
     }
 
     #[test]

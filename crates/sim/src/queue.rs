@@ -235,16 +235,6 @@ impl<E> EventQueue<E> {
         self.scheduled == self.popped
     }
 
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total number of events ever popped (diagnostic).
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
     /// Snapshot of the engine counters.
     pub fn stats(&self) -> SimStats {
         SimStats {
@@ -399,7 +389,7 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 5);
         assert_eq!(q.pop().unwrap().1, 10);
         assert!(q.is_empty());
-        assert_eq!(q.total_scheduled(), 3);
+        assert_eq!(q.stats().scheduled, 3);
     }
 
     #[test]
@@ -409,7 +399,6 @@ mod tests {
         q.schedule(SimTime::from_millis(1), ());
         q.schedule(SimTime::from_millis(2), ());
         q.pop();
-        assert_eq!(q.total_popped(), 1);
         assert_eq!(
             q.stats(),
             SimStats {

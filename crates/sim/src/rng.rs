@@ -70,15 +70,6 @@ impl SplitMix64 {
         assert!(lo <= hi, "invalid range");
         lo + self.below(hi - lo + 1)
     }
-
-    /// Fills `buf` with random bytes (used to corrupt packet payloads).
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            let n = chunk.len();
-            chunk.copy_from_slice(&v[..n]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,13 +154,5 @@ mod tests {
         let mut c1 = parent.fork(1);
         let mut c2 = parent.fork(2);
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_fills_odd_lengths() {
-        let mut r = SplitMix64::new(8);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }

@@ -101,15 +101,6 @@ impl SimDuration {
         }
     }
 
-    /// Creates a duration from fractional microseconds (clamped at zero).
-    pub fn from_micros_f64(us: f64) -> Self {
-        if us <= 0.0 {
-            SimDuration(0)
-        } else {
-            SimDuration((us * 1e3).round() as u64)
-        }
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -236,13 +227,11 @@ mod tests {
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_millis(2).as_millis_f64(), 2.0);
         assert_eq!(SimDuration::from_millis_f64(0.5).as_nanos(), 500_000);
-        assert_eq!(SimDuration::from_micros_f64(1.5).as_nanos(), 1_500);
     }
 
     #[test]
     fn negative_float_durations_clamp_to_zero() {
         assert_eq!(SimDuration::from_millis_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_micros_f64(-0.1), SimDuration::ZERO);
     }
 
     #[test]

@@ -191,8 +191,6 @@ impl Pair {
         assert_eq!(self.queue.now().as_nanos(), self.now);
         assert_eq!(self.queue.len(), self.model.len());
         assert_eq!(self.queue.is_empty(), self.model.is_empty());
-        assert_eq!(self.queue.total_scheduled(), self.scheduled);
-        assert_eq!(self.queue.total_popped(), self.popped);
         let stats = SimStats {
             scheduled: self.scheduled,
             popped: self.popped,

@@ -82,13 +82,6 @@ impl FaultSchedule {
         self.at(at, Fault::RestartHost(host))
     }
 
-    /// Sugar: a partition of the whole medium over `[from, until)` —
-    /// loss 1.0 installed at `from`, the empty plan restored at `until`.
-    pub fn partition_between(self, from: SimTime, until: SimTime) -> FaultSchedule {
-        self.at(from, Fault::SetFaults(FaultPlan::with_loss(1.0)))
-            .at(until, Fault::ClearFaults)
-    }
-
     /// Number of events remaining.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -299,7 +292,11 @@ mod tests {
         let mut cl = two_hosts();
         let server = cl.spawn(HostId(1), "echo", Box::new(Echo));
         cl.spawn(HostId(0), "once", Box::new(Once { to: server }));
-        let sched = FaultSchedule::new().partition_between(SimTime::ZERO, SimTime::from_millis(30));
+        // A partition of the whole medium over [0, 30 ms): loss 1.0, then
+        // the empty plan.
+        let sched = FaultSchedule::new()
+            .at(SimTime::ZERO, Fault::SetFaults(FaultPlan::with_loss(1.0)))
+            .at(SimTime::from_millis(30), Fault::ClearFaults);
         run_with_faults(&mut cl, sched);
         assert!(cl.kernel_stats(HostId(0)).retransmissions >= 1);
         assert_eq!(cl.kernel_stats(HostId(0)).host_down_failures, 0);

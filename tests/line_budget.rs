@@ -6,7 +6,7 @@
 //! and a field budget for the configuration surface.
 //!
 //! ROADMAP aim 2 asks for the same numbers from fewer shapes, fewer
-//! toggles and fewer lines; a budget nobody checks is a wish. Ten
+//! toggles and fewer lines; a budget nobody checks is a wish. Eleven
 //! properties, counted from the sources themselves:
 //!
 //! * the non-test code of `crates/fs/src/*.rs` — every line above a
@@ -35,7 +35,13 @@
 //!   pair: exactly two `impl Program for` in `page.rs`, and none of the
 //!   modules the read-ahead, load and capacity programs once lived in
 //!   ([`RETIRED_PAGE_MODULES`]). A measurement that needs the pair to
-//!   do something new adds a builder or an op, not a third program.
+//!   do something new adds a builder or an op, not a third program;
+//! * the host clock is one harness, `bench/` (`v-benchmark`): the
+//!   criterion benches and their vendored shim are gone
+//!   ([`RETIRED_HOST_CLOCKS`]), and no member of the workspace declares
+//!   a `[[bench]]` target, holds a `benches/` directory cargo would
+//!   find on its own, or depends on `criterion`. A layer that needs a
+//!   host-time number gets a micro row or a workload in `bench/`.
 
 use std::path::Path;
 
@@ -105,6 +111,12 @@ const SIM_BUDGET: usize = 800;
 /// The modules the Table 6-2, Table 6-3 and §7 programs lived in before
 /// they folded into `page.rs`.
 const RETIRED_PAGE_MODULES: [&str; 3] = ["seq.rs", "load.rs", "mixed.rs"];
+
+/// The directories of the third host-clock harness: benches under a
+/// vendored criterion shim that only CI's compile step read. Every
+/// layer they timed is a `bench/` micro row, a `bench/` workload or a
+/// `tools/profile` run (the mapping is in `docs/BENCHMARKS.md`).
+const RETIRED_HOST_CLOCKS: [&str; 2] = ["crates/bench/benches", "vendor/criterion"];
 
 /// The configuration structs, by the file that declares each.
 const CONFIG_STRUCTS: [(&str, &str); 12] = [
@@ -372,4 +384,58 @@ fn there_is_one_scripted_client() {
         1,
         "the scripted clients must be one state machine: {impls:?}"
     );
+}
+
+/// The manifest directories of the root workspace: the facade package
+/// at the root and every entry of its `members` list.
+fn workspace_members() -> Vec<String> {
+    let root = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml"))
+        .expect("readable root manifest");
+    let members: Vec<String> = root
+        .lines()
+        .skip_while(|line| !line.starts_with("members = ["))
+        .skip(1)
+        .take_while(|line| !line.starts_with(']'))
+        .map(|line| {
+            line.trim()
+                .trim_end_matches(',')
+                .trim_matches('"')
+                .to_string()
+        })
+        .collect();
+    assert!(!members.is_empty(), "the root manifest lists its members");
+    std::iter::once(".".to_string()).chain(members).collect()
+}
+
+#[test]
+fn the_host_clock_is_one_harness() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let retired: Vec<&str> = RETIRED_HOST_CLOCKS
+        .into_iter()
+        .filter(|dir| root.join(dir).exists())
+        .collect();
+    assert!(
+        retired.is_empty(),
+        "retired host clocks are back: {retired:?}"
+    );
+    let mut found = Vec::new();
+    for member in workspace_members() {
+        if root.join(&member).join("benches").is_dir() {
+            found.push(format!("{member}/benches"));
+        }
+        let manifest = std::fs::read_to_string(root.join(&member).join("Cargo.toml"))
+            .unwrap_or_else(|_| panic!("{member}/Cargo.toml is readable"));
+        for line in manifest.lines() {
+            let code = line.split('#').next().unwrap_or("").trim();
+            if code == "[[bench]]" || code.starts_with("criterion") || code.contains(".criterion]")
+            {
+                found.push(format!("{member}/Cargo.toml: {code}"));
+            }
+        }
+    }
+    let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("readable Cargo.lock");
+    if lock.lines().any(|line| line.contains("\"criterion\"")) {
+        found.push("Cargo.lock: criterion".to_string());
+    }
+    assert!(found.is_empty(), "a second host-clock harness: {found:?}");
 }
