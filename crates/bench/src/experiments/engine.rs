@@ -21,16 +21,9 @@ use v_workloads::boot::{run_boot_storm, BootStormConfig};
 
 use crate::report::Comparison;
 
-/// Boot-storm sizes of the full experiment.
-const SIZES: [usize; 3] = [64, 256, 1000];
-
-/// The full engine experiment (N ∈ {64, 256, 1000}).
-pub fn engine_throughput() -> Comparison {
-    engine_with_sizes(&SIZES)
-}
-
-/// The engine experiment at caller-chosen storm sizes (the smoke run
-/// uses one small N so CI stays fast).
+/// The engine experiment at caller-chosen storm sizes: N ∈ {64, 256,
+/// 1000} in the full run; the smoke run uses one small N so CI stays
+/// fast.
 pub fn engine_with_sizes(sizes: &[usize]) -> Comparison {
     let mut c = Comparison::new(
         "engine",
@@ -49,7 +42,7 @@ pub fn engine_with_sizes(sizes: &[usize]) -> Comparison {
             "boot storm must be error-free: {r:?}"
         );
         c.push_ours(format!("N={n}: clients booted"), r.loaded as f64, "hosts");
-        c.push_ours(format!("N={n}: shards"), r.shards as f64, "servers");
+        c.push_ours(format!("N={n}: shards"), cfg.shards() as f64, "servers");
         c.push_ours(format!("N={n}: simulated time"), r.sim_ms, "ms");
         c.push_ours(
             format!("N={n}: events dispatched"),

@@ -33,7 +33,7 @@ use v_sim::{SimDuration, SimTime};
 
 use crate::report::Comparison;
 
-use super::{read_script, Slot, FILL, N_PAGES};
+use super::{read_script, Slot, FILL};
 
 const REPLICAS: usize = 3;
 
@@ -104,13 +104,9 @@ fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// The failover availability table with the full round count.
-pub fn failover() -> Comparison {
-    failover_with_rounds(N_PAGES.min(300))
-}
-
-/// [`failover`] with a configurable read count; the CI smoke job runs a
-/// handful of reads to keep the pipeline check cheap.
+/// The failover availability table at `reads` reads: 300 in the full
+/// run; the CI smoke job runs a handful to keep the pipeline check
+/// cheap.
 pub fn failover_with_rounds(reads: u64) -> Comparison {
     assert!(reads >= 10, "need enough reads to straddle the crash");
     let mut c = Comparison::new(

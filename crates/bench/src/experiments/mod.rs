@@ -29,20 +29,20 @@ pub use ablations::{
 };
 pub use cachemix::{cachemix, cachemix_with_rounds};
 pub use datapath::{datapath, datapath_with_rounds};
-pub use engine::{engine_throughput, engine_with_sizes};
-pub use failover::{failover, failover_with_rounds};
+pub use engine::engine_with_sizes;
+pub use failover::failover_with_rounds;
 pub use fileserver::file_server_capacity;
 pub use multi::multi_process_traffic;
-pub use pipeline::{pipeline_contention, pipeline_with_rounds};
-pub use rebalance::{rebalance, rebalance_with_rounds};
-pub use shard::{shard_placement, shard_with_rounds};
-pub use table_4_1::{network_penalty, network_penalty_with_rounds};
+pub use pipeline::pipeline_with_rounds;
+pub use rebalance::rebalance_with_rounds;
+pub use shard::shard_with_rounds;
+pub use table_4_1::network_penalty_with_rounds;
 pub use table_5::kernel_performance;
 pub use table_6_1::page_access;
 pub use table_6_2::sequential_access;
 pub use table_6_3::program_loading;
 pub use ten_mb::ten_mb_ethernet;
-pub use wan::{wan_topologies, wan_with_rounds};
+pub use wan::wan_with_rounds;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -56,6 +56,83 @@ use crate::report::Comparison;
 
 /// Runs one experiment and returns its table.
 pub type Experiment = fn() -> Comparison;
+
+/// One experiment of `v-bench`.
+pub struct Entry {
+    /// What it is asked for and written as (`BENCH_<id>.json`) by.
+    pub id: &'static str,
+    /// The full run.
+    pub run: Experiment,
+    /// The tiny-round run `--smoke` makes of it, if it makes one: a cheap
+    /// end-to-end exercise of the pipeline, not a measurement.
+    pub smoke: Option<Experiment>,
+}
+
+const fn full(id: &'static str, run: Experiment) -> Entry {
+    Entry {
+        id,
+        run,
+        smoke: None,
+    }
+}
+
+const fn both(id: &'static str, run: Experiment, smoke: Experiment) -> Entry {
+    Entry {
+        id,
+        run,
+        smoke: Some(smoke),
+    }
+}
+
+/// Every experiment, in the order `all` runs them.
+pub const EXPERIMENTS: [Entry; 22] = [
+    both(
+        "4-1",
+        || network_penalty_with_rounds(300),
+        || network_penalty_with_rounds(5),
+    ),
+    full("5-1", || kernel_performance(CpuSpeed::Mc68000At8MHz)),
+    full("5-2", || kernel_performance(CpuSpeed::Mc68000At10MHz)),
+    full("5-4", multi_process_traffic),
+    full("6-1", page_access),
+    full("6-2", sequential_access),
+    full("6-3", program_loading),
+    full("7", file_server_capacity),
+    full("8", ten_mb_ethernet),
+    full("ip", ip_encapsulation),
+    full("relay", netserver_relay),
+    full("wfs", wfs_comparison),
+    full("streaming", streaming_comparison),
+    both("wan", || wan_with_rounds(200), || wan_with_rounds(60)),
+    both(
+        "shard",
+        || shard_with_rounds(N_PAGES),
+        || shard_with_rounds(40),
+    ),
+    both(
+        "rebalance",
+        || rebalance_with_rounds(160),
+        || rebalance_with_rounds(80),
+    ),
+    both(
+        "failover",
+        || failover_with_rounds(300),
+        || failover_with_rounds(40),
+    ),
+    both(
+        "pipeline",
+        || pipeline_with_rounds(60),
+        || pipeline_with_rounds(8),
+    ),
+    both("datapath", datapath, || datapath_with_rounds(8)),
+    both("cachemix", cachemix, || cachemix_with_rounds(40)),
+    full("ablate", protocol_ablations),
+    both(
+        "engine",
+        || engine_with_sizes(&[64, 256, 1000]),
+        || engine_with_sizes(&[48]),
+    ),
+];
 
 /// Iterations used for fast message-exchange loops.
 pub(crate) const N_EXCHANGES: u64 = 1000;

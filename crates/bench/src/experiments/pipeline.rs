@@ -30,7 +30,7 @@ use v_sim::SimDuration;
 
 use crate::report::Comparison;
 
-use super::{read_script, run_clients, FILL, N_PAGES};
+use super::{read_script, run_clients, FILL};
 
 /// Workers in the pipelined team.
 pub(crate) const WORKERS: usize = 4;
@@ -104,13 +104,8 @@ pub(crate) fn run_burst(workers: usize, arms: usize, clients: usize, reads: u64)
     }
 }
 
-/// The pipelining table with the full round count.
-pub fn pipeline_contention() -> Comparison {
-    pipeline_with_rounds(N_PAGES.min(60))
-}
-
-/// [`pipeline_contention`] with a configurable reads-per-client count;
-/// the CI smoke job runs a handful to keep the pipeline check cheap.
+/// The pipelining table at `reads` per client: 60 in the full run; the
+/// CI smoke job runs a handful to keep the pipeline check cheap.
 pub fn pipeline_with_rounds(reads: u64) -> Comparison {
     let mut c = Comparison::new(
         "Pipeline",

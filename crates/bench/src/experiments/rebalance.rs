@@ -41,7 +41,7 @@ use v_sim::{SimDuration, SimTime};
 
 use crate::report::Comparison;
 
-use super::{read_script, N_PAGES};
+use super::read_script;
 
 /// Shards (and hot files, and streaming clients).
 const SHARDS: usize = 4;
@@ -216,14 +216,9 @@ fn util_spread(util: &[f64]) -> f64 {
     max - min
 }
 
-/// The rebalancing table with the full round count.
-pub fn rebalance() -> Comparison {
-    rebalance_with_rounds(N_PAGES.min(160))
-}
-
-/// [`rebalance`] with a configurable per-client read count; the CI
-/// smoke job runs a short stream to keep the check cheap (still long
-/// enough for the policy to sample, move, and converge mid-run).
+/// The rebalancing table at `reads` per client: 160 in the full run;
+/// the CI smoke job runs a short stream to keep the check cheap (still
+/// long enough for the policy to sample, move, and converge mid-run).
 pub fn rebalance_with_rounds(reads: u64) -> Comparison {
     let mut c = Comparison::new(
         "Rebalance",

@@ -31,7 +31,7 @@ use v_workloads::page::PageMode;
 use crate::paper;
 use crate::report::Comparison;
 
-use super::{pair_3mb, read_script, run_clients, run_page_reads, FILL, N_PAGES};
+use super::{pair_3mb, read_script, run_clients, run_page_reads, FILL};
 
 /// Mean ms per 512-byte page read with the server `hops` gateways away
 /// on a 3-segment line mesh (client always on segment 0).
@@ -99,13 +99,9 @@ fn run_placement(speed: CpuSpeed, reads_per_client: u64, partitioned: bool) -> (
     (per_read, forwarded)
 }
 
-/// The shard-placement table with the full round count.
-pub fn shard_placement() -> Comparison {
-    shard_with_rounds(N_PAGES)
-}
-
-/// [`shard_placement`] with a configurable round count; the CI smoke
-/// job runs a handful of rounds to keep the pipeline check cheap.
+/// The shard-placement table at `rounds` per row: `N_PAGES` in the
+/// full run; the CI smoke job runs a handful to keep the pipeline check
+/// cheap.
 pub fn shard_with_rounds(rounds: u64) -> Comparison {
     let speed = CpuSpeed::Mc68000At10MHz;
     let mut c = Comparison::new(

@@ -9,15 +9,10 @@ use crate::report::Comparison;
 use super::pair_3mb;
 
 /// Measures the network penalty for the paper's datagram sizes on both
-/// processor grades, by interrupt-level raw-datagram ping-pong.
-pub fn network_penalty() -> Comparison {
-    network_penalty_with_rounds(300)
-}
-
-/// [`network_penalty`] with a configurable round count; the `--smoke` CI
-/// job runs it with a handful of rounds to exercise the pipeline cheaply
-/// (timings then carry sub-round noise, so only the full count is
-/// comparable to the paper).
+/// processor grades, by interrupt-level raw-datagram ping-pong, `rounds`
+/// exchanges per row. The full run is 300; the `--smoke` CI job runs a
+/// handful to exercise the pipeline cheaply (timings then carry
+/// sub-round noise, so only the full count is comparable to the paper).
 pub fn network_penalty_with_rounds(rounds: u64) -> Comparison {
     let mut c = Comparison::new(
         "Table 4-1",

@@ -102,13 +102,8 @@ fn run_bulk_move(speed: CpuSpeed, coalesce: bool, size: u32, rounds: u64) -> (f6
     (r.per_op_ms(), coalesced)
 }
 
-/// The WAN/internetwork table with the full round count.
-pub fn wan_topologies() -> Comparison {
-    wan_with_rounds(200)
-}
-
-/// [`wan_topologies`] with a configurable round count; the CI smoke job
-/// runs a handful of rounds to keep the pipeline check cheap.
+/// The WAN/internetwork table at `rounds` per row: 200 in the full run;
+/// the CI smoke job runs a handful to keep the pipeline check cheap.
 pub fn wan_with_rounds(rounds: u64) -> Comparison {
     let speed = CpuSpeed::Mc68000At8MHz;
     let mut c = Comparison::new(

@@ -14,53 +14,25 @@
 //! `--check PCT` exits nonzero if any produced table's worst deviation
 //! from the paper exceeds `PCT` percent — the CI regression gate.
 //!
-//! `--smoke` runs Table 4-1, the WAN table, the shard-placement table,
-//! the rebalancing table, the replica-failover table, the server-team
-//! pipelining table, a
-//! small boot-storm engine run and the cache-mix table with
-//! tiny round counts: a
-//! cheap end-to-end exercise of the experiment pipeline for CI, not a
-//! measurement. It cannot be combined with experiment ids, but accepts
-//! `--json` / `--check`.
+//! `--smoke` runs the tiny-round run of every experiment that has one
+//! (`Entry::smoke` in the experiment table: Table 4-1, the WAN,
+//! shard-placement, rebalancing, replica-failover, server-team
+//! pipelining, data-path and cache-mix tables and a small boot-storm
+//! engine run): a cheap end-to-end exercise of the experiment pipeline
+//! for CI, not a measurement. It cannot be combined with experiment ids,
+//! but accepts `--json` / `--check`.
 
 use std::path::PathBuf;
 
-use v_bench::experiments::{self as exp, Experiment};
+use v_bench::experiments::EXPERIMENTS;
 use v_bench::report::Comparison;
-use v_kernel::CpuSpeed;
-
-/// Every experiment by id, in the order `all` runs them.
-const EXPERIMENTS: [(&str, Experiment); 22] = [
-    ("4-1", exp::network_penalty),
-    ("5-1", || exp::kernel_performance(CpuSpeed::Mc68000At8MHz)),
-    ("5-2", || exp::kernel_performance(CpuSpeed::Mc68000At10MHz)),
-    ("5-4", exp::multi_process_traffic),
-    ("6-1", exp::page_access),
-    ("6-2", exp::sequential_access),
-    ("6-3", exp::program_loading),
-    ("7", exp::file_server_capacity),
-    ("8", exp::ten_mb_ethernet),
-    ("ip", exp::ip_encapsulation),
-    ("relay", exp::netserver_relay),
-    ("wfs", exp::wfs_comparison),
-    ("streaming", exp::streaming_comparison),
-    ("wan", exp::wan_topologies),
-    ("shard", exp::shard_placement),
-    ("rebalance", exp::rebalance),
-    ("failover", exp::failover),
-    ("pipeline", exp::pipeline_contention),
-    ("datapath", exp::datapath),
-    ("cachemix", exp::cachemix),
-    ("ablate", exp::protocol_ablations),
-    ("engine", exp::engine_throughput),
-];
 
 fn comparison_for(id: &str) -> Option<Comparison> {
-    let found = EXPERIMENTS.iter().find(|(name, _)| *name == id);
+    let found = EXPERIMENTS.iter().find(|e| e.id == id);
     if found.is_none() {
         eprintln!("unknown experiment: {id}");
     }
-    found.map(|(_, run)| run())
+    found.map(|e| (e.run)())
 }
 
 /// Parsed command line.
@@ -153,37 +125,21 @@ fn main() {
     };
 
     if opts.smoke {
-        let c = exp::network_penalty_with_rounds(5);
-        let mut ok = process(&c, "4-1", &opts);
-        let w = exp::wan_with_rounds(60);
-        ok &= process(&w, "wan", &opts);
-        let s = exp::shard_with_rounds(40);
-        ok &= process(&s, "shard", &opts);
-        let rb = exp::rebalance_with_rounds(80);
-        ok &= process(&rb, "rebalance", &opts);
-        let f = exp::failover_with_rounds(40);
-        ok &= process(&f, "failover", &opts);
-        let p = exp::pipeline_with_rounds(8);
-        ok &= process(&p, "pipeline", &opts);
-        let d = exp::datapath_with_rounds(8);
-        ok &= process(&d, "datapath", &opts);
-        let e = exp::engine_with_sizes(&[48]);
-        ok &= process(&e, "engine", &opts);
-        let cm = exp::cachemix_with_rounds(40);
-        ok &= process(&cm, "cachemix", &opts);
+        let mut ok = true;
+        for e in &EXPERIMENTS {
+            if let Some(smoke) = e.smoke {
+                ok &= process(&smoke(), e.id, &opts);
+            }
+        }
         if !ok {
             std::process::exit(2);
         }
-        println!(
-            "smoke OK: Table 4-1, WAN, shard, rebalance, failover, server-team \
-             pipelines, the data-path table, the boot-storm engine gate and the \
-             cache-mix table ran end to end (tiny rounds, not a measurement)"
-        );
+        println!("smoke OK: every smoke run ended clean (tiny rounds, not a measurement)");
         return;
     }
 
     let ids: Vec<&str> = if opts.ids.is_empty() || opts.ids.iter().any(|a| a == "all") {
-        EXPERIMENTS.iter().map(|(id, _)| *id).collect()
+        EXPERIMENTS.iter().map(|e| e.id).collect()
     } else {
         opts.ids.iter().map(|s| s.as_str()).collect()
     };

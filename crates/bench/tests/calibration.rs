@@ -29,7 +29,7 @@ fn pin(c: &Comparison, metric: &str, paper: f64, tol: f64) {
 
 #[test]
 fn table_4_1_network_penalty() {
-    let c = exp::network_penalty();
+    let c = exp::network_penalty_with_rounds(300);
     for (bytes, p8, p10) in v_bench::paper::TABLE_4_1 {
         pin(&c, &format!("{bytes} bytes, 8 MHz"), p8, 0.05);
         pin(&c, &format!("{bytes} bytes, 10 MHz"), p10, 0.06);

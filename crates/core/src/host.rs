@@ -1,5 +1,7 @@
 //! Per-host kernel state.
 
+use std::collections::BTreeSet;
+
 use v_net::{EtherType, Nic};
 use v_sim::SimTime;
 
@@ -14,7 +16,7 @@ use crate::naming::NameTable;
 use crate::pcb::Pcb;
 use crate::pid::{LogicalHost, Pid};
 use crate::raw::RawHandler;
-use crate::slab::{LinearMap, SortedSet, UidSlab};
+use crate::slab::{LinearMap, UidSlab};
 use crate::stats::KernelStats;
 
 /// Stall detection for the end of a stream a blocked process waits
@@ -231,7 +233,7 @@ pub struct Host {
     /// budget against them). Sends to a suspect use the reduced
     /// [`crate::ProtocolConfig::SUSPECT_RETRIES`] probe budget; any frame
     /// heard from the peer clears the suspicion.
-    pub suspects: SortedSet<LogicalHost>,
+    pub suspects: BTreeSet<LogicalHost>,
 }
 
 impl Host {

@@ -5,7 +5,7 @@
 //! costs a hash plus a probe sequence per message on tables whose keys
 //! are already small dense integers (local uids) or whose live
 //! population is tiny (a handful of in-flight transfers, ≤ a dozen
-//! aliens). The three containers here replace them:
+//! aliens). The two containers here replace them:
 //!
 //! * [`UidSlab`] — a slot-per-uid arena for tables keyed by the 16-bit
 //!   local uid (process table, outbound moves, inbound fetches): lookup
@@ -17,7 +17,6 @@
 //!   order), unlike `HashMap`'s per-instance random order — which is
 //!   what lets two runs of the same storm produce byte-identical
 //!   reports.
-//! * [`SortedSet`] — a sorted vector set for the crash-suspect list.
 //!
 //! The APIs deliberately mirror the `HashMap` calls they replaced
 //! (`get`/`get_mut`/`insert`/`remove`/`retain`/`values`), so the
@@ -223,67 +222,6 @@ impl<K: PartialEq + Copy, V> LinearMap<K, V> {
     }
 }
 
-/// A sorted-vector set (ordered iteration, binary-search membership).
-#[derive(Debug)]
-pub struct SortedSet<T> {
-    items: Vec<T>,
-}
-
-impl<T> Default for SortedSet<T> {
-    fn default() -> Self {
-        SortedSet { items: Vec::new() }
-    }
-}
-
-impl<T: Ord + Copy> SortedSet<T> {
-    /// True if `x` is a member.
-    pub fn contains(&self, x: &T) -> bool {
-        self.items.binary_search(x).is_ok()
-    }
-
-    /// Adds `x`; returns true if it was not already a member.
-    pub fn insert(&mut self, x: T) -> bool {
-        match self.items.binary_search(&x) {
-            Ok(_) => false,
-            Err(i) => {
-                self.items.insert(i, x);
-                true
-            }
-        }
-    }
-
-    /// Removes `x`; returns true if it was a member.
-    pub fn remove(&mut self, x: &T) -> bool {
-        match self.items.binary_search(x) {
-            Ok(i) => {
-                self.items.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Removes every member.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// Members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,21 +291,5 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert!(m.contains_key(&(2, 2)));
         assert_eq!(m.get(&(3, 3)), None);
-    }
-
-    #[test]
-    fn sorted_set_membership_and_order() {
-        let mut s: SortedSet<u32> = SortedSet::default();
-        assert!(s.insert(5));
-        assert!(s.insert(1));
-        assert!(!s.insert(5), "duplicate rejected");
-        assert!(s.contains(&1));
-        let members: Vec<u32> = s.iter().copied().collect();
-        assert_eq!(members, vec![1, 5]);
-        assert!(s.remove(&1));
-        assert!(!s.remove(&1));
-        assert_eq!(s.len(), 1);
-        s.clear();
-        assert!(s.is_empty());
     }
 }

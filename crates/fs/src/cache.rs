@@ -383,14 +383,7 @@ impl Program for CacheAgent {
                             tag: req.tag,
                         }
                     }
-                    _ => IoReply {
-                        status: IoStatus::Error,
-                        file: FileId(0),
-                        value: 0,
-                        aux: 0,
-                        owner: 0,
-                        tag: IoRequest::tag_of(&msg),
-                    },
+                    _ => IoReply::refusal(&msg),
                 };
                 let _ = api.reply(reply.encode(), from);
                 api.receive();

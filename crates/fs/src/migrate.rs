@@ -188,10 +188,8 @@ impl Program for MigrationAgent {
             Outcome::Started => self.rearm(api),
             Outcome::ReceiveSeg { from, msg, seg_len } => {
                 let Some(req) = IoRequest::decode(&msg) else {
-                    let tag = IoRequest::tag_of(&msg);
-                    let req = IoRequest::new(IoOp::MigratePull, FileId(0), tag);
-                    self.current = Some((from, req, from));
-                    self.reply_status(api, IoStatus::Error, 0);
+                    let _ = api.reply(IoReply::refusal(&msg).encode(), from);
+                    self.rearm(api);
                     return;
                 };
                 let src = Pid::from_raw(req.aux);

@@ -243,6 +243,20 @@ pub struct IoReply {
 }
 
 impl IoReply {
+    /// The reply to a request its receiver cannot serve (an opcode it
+    /// does not decode, or one it does not take): [`IoStatus::Error`],
+    /// echoing the request's tag so the sender can match it.
+    pub(crate) fn refusal(req: &Message) -> IoReply {
+        IoReply {
+            status: IoStatus::Error,
+            file: FileId(0),
+            value: 0,
+            aux: 0,
+            owner: 0,
+            tag: IoRequest::tag_of(req),
+        }
+    }
+
     /// Encodes into a message.
     pub fn encode(&self) -> Message {
         let mut m = Message::empty();

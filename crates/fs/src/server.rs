@@ -851,13 +851,13 @@ impl Program for FileServer {
                 let Some(req) = IoRequest::decode(&msg) else {
                     // Unknown request: answer with an error so the client
                     // is not left blocked forever.
-                    self.current = Some(Current {
-                        from,
-                        req: IoRequest::new(IoOp::Query, FileId(0), IoRequest::tag_of(&msg)),
-                        seg_len: 0,
-                        msg,
-                    });
-                    self.reply_status(api, IoStatus::Error, 0, FileId(0));
+                    self.shared.stats.borrow_mut().errors += 1;
+                    let reply = IoReply {
+                        owner: self.service_pid(api).raw(),
+                        ..IoReply::refusal(&msg)
+                    };
+                    let _ = api.reply(reply.encode(), from);
+                    self.rearm(api);
                     return;
                 };
                 self.current = Some(Current {
