@@ -7,8 +7,9 @@
 //! per packet whatever it carries and a broadcast fan-out once per
 //! arrival event, not once per cache, per receiver or per copy;
 //! and an address space is a page table until its process writes, so a
-//! spawn asks for bytes, not for 256 KB. Wall-clock and resident memory are
-//! too noisy to gate on in CI; these counts repeat exactly.
+//! spawn asks for bytes, not for 256 KB; and a scripted file client keeps
+//! its script compiled, 12 bytes a step. Wall-clock and resident memory
+//! are too noisy to gate on in CI; these counts repeat exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -31,23 +32,28 @@ thread_local! {
     /// Bytes this thread asked the allocator for (a `realloc` counts
     /// its growth).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated and not yet freed by this thread (wrapping: a
+    /// block freed here may have been allocated on another thread).
+    static LIVE: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the only addition is a thread-local
-// pair of counters with `const` initialisers and no destructor, which
-// neither allocate nor unwind.
+// the `GlobalAlloc` contract; the only addition is thread-local
+// counters with `const` initialisers and no destructor, which neither
+// allocate nor unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        LIVE.with(|n| n.set(n.get().wrapping_add(layout.size() as u64)));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|n| n.set(n.get().wrapping_sub(layout.size() as u64)));
         // SAFETY: `ptr` came from `System` through `alloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -55,6 +61,10 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
         BYTES.with(|n| n.set(n.get() + new_size.saturating_sub(layout.size()) as u64));
+        LIVE.with(|n| {
+            let grown = n.get().wrapping_add(new_size as u64);
+            n.set(grown.wrapping_sub(layout.size() as u64));
+        });
         // SAFETY: `ptr` came from `System`; the caller upholds the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,7 +80,7 @@ fn counted_during<T>(
 ) -> (u64, T) {
     let before = counter.with(Cell::get);
     let out = f();
-    (counter.with(Cell::get) - before, out)
+    (counter.with(Cell::get).wrapping_sub(before), out)
 }
 
 struct Echo;
@@ -285,6 +295,38 @@ fn a_thousand_warm_cache_hits_allocate_nothing() {
     // queue and the tables — five allocations — is behind both.)
     let n = cached_reread_allocations(1_100 + 1_000) - cached_reread_allocations(1_100);
     assert_eq!(n, 0, "allocations over 1,000 warm cache hits");
+}
+
+#[test]
+fn a_scripted_client_holds_twelve_bytes_a_step() {
+    // 10,000 block reads and 1,000 opens over two names, handed over as
+    // a clone the way a harness that keeps its scripts hands them over.
+    const READS: usize = 10_000;
+    const OPENS: usize = 1_000;
+    let names = ["readmostly", "shared"];
+    let mut script = Vec::with_capacity(READS + OPENS);
+    for i in 0..READS + OPENS {
+        script.push(match i % 11 {
+            0 => FsCall::Open(names[i / 11 % 2].to_string()),
+            _ => FsCall::ReadExpect {
+                block: i as u32 % 32,
+                count: BLOCK_SIZE as u32,
+                expect: 0xA5,
+            },
+        });
+    }
+    let server = Pid::from_raw(0x0001_0001).expect("a pid");
+    let report = Rc::new(RefCell::new(FsClientReport::default()));
+    let (live, client) = counted_during(&LIVE, || {
+        FsClient::new(server, script.clone(), report.clone())
+    });
+    let steps = (READS + OPENS) as u64;
+    println!("{live} live bytes held by a client of {steps} steps");
+    // The compiled steps, 12 bytes each, and the two names once: 132,112
+    // bytes. It was 360,000 while the client kept the script itself, 32
+    // bytes a call plus a `String` per open.
+    assert!(live <= 12 * steps + 256, "{live} live bytes");
+    drop(client);
 }
 
 #[test]

@@ -43,7 +43,7 @@ use std::rc::Rc;
 use v_kernel::{Api, Cluster, HostId, Outcome, Pid, Program};
 use v_sim::{FixedMap, SimDuration, SimTime};
 
-use crate::client::{FsCall, FsClient, DATA_BUF};
+use crate::client::{FsClient, Step, DATA_BUF};
 use crate::proto::{IoOp, IoReply, IoRequest, IoStatus, CACHE_DENY, CACHE_UNTIL_INVALIDATED};
 use crate::store::FileId;
 use crate::BLOCK_SIZE;
@@ -404,16 +404,9 @@ pub struct CacheLayer {
     issued_version: u64,
 }
 
-/// Reads a cacheable single-block call's `(block, count)`.
-fn cacheable_read(call: &FsCall) -> Option<(u32, u32)> {
-    match call {
-        FsCall::ReadExpect { block, count, .. } | FsCall::ReadAny { block, count }
-            if *count as usize <= BLOCK_SIZE =>
-        {
-            Some((*block, *count))
-        }
-        _ => None,
-    }
+/// Reads a cacheable single-block step's `(block, count)`.
+fn cacheable_read(step: Step) -> Option<(u32, u32)> {
+    (step.op == IoOp::Read && step.count as usize <= BLOCK_SIZE).then_some((step.block, step.count))
 }
 
 impl CacheLayer {
@@ -441,8 +434,8 @@ impl CacheLayer {
     /// cache to the client's [`DATA_BUF`], and its length returned. Nobody
     /// else writes a computing client's buffer, so depositing now rather
     /// than when the hit's CPU charge has run reads the same.
-    pub(crate) fn hit(&mut self, api: &mut Api<'_>, call: &FsCall, file: FileId) -> Option<u32> {
-        let (block, count) = cacheable_read(call)?;
+    pub(crate) fn hit(&mut self, api: &mut Api<'_>, step: Step, file: FileId) -> Option<u32> {
+        let (block, count) = cacheable_read(step)?;
         let (now, mut cache) = (api.now(), self.cache.borrow_mut());
         cache.hit(file, block, count as usize, now, |data| {
             api.mem_write(DATA_BUF, data).expect("fits");
@@ -453,12 +446,11 @@ impl CacheLayer {
     /// Bookkeeping at issue time: writes purge the file locally (the
     /// server invalidates everyone else); reads snapshot the file
     /// version for the in-flight coherence check.
-    pub(crate) fn on_issue(&mut self, call: &FsCall, file: FileId) {
-        match call {
-            FsCall::WriteFill { .. } => {
-                self.cache.borrow_mut().invalidate_file(file);
-            }
-            _ => self.issued_version = self.cache.borrow().version(file),
+    pub(crate) fn on_issue(&mut self, step: Step, file: FileId) {
+        if step.op == IoOp::Write {
+            self.cache.borrow_mut().invalidate_file(file);
+        } else {
+            self.issued_version = self.cache.borrow().version(file);
         }
     }
 
@@ -467,21 +459,18 @@ impl CacheLayer {
     pub(crate) fn install_reply(
         &mut self,
         api: &Api<'_>,
-        call: &FsCall,
+        step: Step,
         file: FileId,
         reply: &IoReply,
-        now: SimTime,
     ) {
-        if reply.status != IoStatus::Ok {
-            return;
-        }
-        let Some((block, count)) = cacheable_read(call) else {
+        let ok = reply.status == IoStatus::Ok;
+        let Some((block, count)) = cacheable_read(step).filter(|_| ok) else {
             return;
         };
         let expires = match reply.aux {
             CACHE_DENY => return,
             CACHE_UNTIL_INVALIDATED => None,
-            lease_us => Some(now + SimDuration::from_micros(lease_us as u64)),
+            lease_us => Some(api.now() + SimDuration::from_micros(lease_us as u64)),
         };
         let n = reply.value.min(count) as usize;
         if n == 0 {
@@ -553,6 +542,7 @@ pub fn spawn_caching_client(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::FsCall;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)

@@ -177,6 +177,70 @@ pub enum FsCall {
     },
 }
 
+/// One [`FsCall`] as the client replays it: 12 bytes, where a call is 32
+/// and an open's name a heap `String` besides. An open or create holds
+/// its name's index into the client's name table in `block`; a create's
+/// size and a query's expected length sit in `count`.
+#[derive(Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) op: IoOp,
+    /// A write's fill or the byte a read expects (`None`: checks nothing).
+    pub(crate) byte: Option<u8>,
+    pub(crate) block: u32,
+    pub(crate) count: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Step>() <= 12);
+
+impl Step {
+    /// The name an open or create sends, from the client's table.
+    fn name(self, names: &[String]) -> Option<&str> {
+        let named = matches!(self.op, IoOp::Open | IoOp::Create);
+        named.then(|| names[self.block as usize].as_str())
+    }
+}
+
+/// Compiles a script — the one place [`FsCall`] is matched — into steps
+/// and a table holding each name once (a script names a handful of
+/// files, so a scan finds it). The steps go to a fresh `Vec` of exact
+/// size, never in place into the script's 32-byte-a-call buffer.
+fn compile(script: Vec<FsCall>) -> (Vec<Step>, Vec<String>) {
+    let (mut steps, mut names) = (Vec::with_capacity(script.len()), Vec::<String>::new());
+    let mut intern = |name: String| {
+        let i = names.iter().position(|n| *n == name).unwrap_or(names.len());
+        if i == names.len() {
+            names.push(name);
+        }
+        i as u32
+    };
+    for call in script {
+        let (op, byte, block, count) = match call {
+            FsCall::Open(name) => (IoOp::Open, None, intern(name), 0),
+            FsCall::Create(name, size) => (IoOp::Create, None, intern(name), size),
+            FsCall::ReadExpect {
+                block,
+                count,
+                expect,
+            } => (IoOp::Read, Some(expect), block, count),
+            FsCall::ReadAny { block, count } => (IoOp::Read, None, block, count),
+            FsCall::WriteFill { block, count, fill } => (IoOp::Write, Some(fill), block, count),
+            FsCall::QueryExpect(len) => (IoOp::Query, None, 0, len),
+            FsCall::ReadLargeExpect {
+                block,
+                count,
+                expect,
+            } => (IoOp::ReadLarge, Some(expect), block, count),
+        };
+        steps.push(Step {
+            op,
+            byte,
+            block,
+            count,
+        });
+    }
+    (steps, names)
+}
+
 /// Outcome summary of an [`FsClient`] run, on any route.
 #[derive(Debug, Clone, Default)]
 pub struct FsClientReport {
@@ -237,89 +301,72 @@ const RETRY_BACKOFF_CAP_SHIFT: u32 = 5;
 /// migration, not back-pressure.
 const MAX_RETRIES_PER_STEP: u32 = 64;
 
-/// Builds and sends the request for one script call to `server`,
-/// staging the name/data buffers in the calling process's space.
-/// `file` is the client's current file id (ignored by open/create).
-/// `cache_agent` is the client's cache-agent pid when it caches: reads
-/// then go out as `ReadCached` and writes carry the agent so the server
-/// skips it during invalidation. `None` builds byte-for-byte the
-/// messages the pre-cache client sent.
+/// Builds and sends the request for one step to `server`, staging an
+/// open's or create's `name`, or the data buffer, in the calling
+/// process's space. `file` is the client's current file id. With a
+/// `cache_agent` (its pid) reads go out as `ReadCached` and writes carry
+/// it, so the server skips it during invalidation; `None` builds
+/// byte-for-byte the messages the pre-cache client sent.
 fn issue_call(
     api: &mut Api<'_>,
-    call: &FsCall,
+    step: Step,
+    name: Option<&str>,
     file: FileId,
     tag: u16,
     server: Pid,
     cache_agent: Option<u32>,
 ) {
-    let request = match call {
-        FsCall::Open(name) => {
-            api.mem_write(NAME_BUF, name.as_bytes()).expect("name fits");
-            stub::open(NAME_BUF, name.len() as u32, tag)
-        }
-        FsCall::Create(name, size) => {
-            api.mem_write(NAME_BUF, name.as_bytes()).expect("name fits");
-            stub::create(NAME_BUF, name.len() as u32, *size, tag)
-        }
-        FsCall::ReadExpect { block, count, .. } | FsCall::ReadAny { block, count } => {
-            api.mem_fill(DATA_BUF, *count as usize, 0x00).expect("fits");
+    let (block, count) = (step.block, step.count);
+    if let Some(name) = name {
+        api.mem_write(NAME_BUF, name.as_bytes()).expect("name fits");
+    }
+    let name_len = name.map_or(0, |n| n.len() as u32);
+    let request = match step.op {
+        IoOp::Open => stub::open(NAME_BUF, name_len, tag),
+        IoOp::Create => stub::create(NAME_BUF, name_len, count, tag),
+        IoOp::Read => {
+            api.mem_fill(DATA_BUF, count as usize, 0x00).expect("fits");
             match cache_agent {
-                Some(agent) => stub::read_cached(file, *block, *count, DATA_BUF, agent, tag),
-                None => stub::read(file, *block, *count, DATA_BUF, tag),
+                Some(agent) => stub::read_cached(file, block, count, DATA_BUF, agent, tag),
+                None => stub::read(file, block, count, DATA_BUF, tag),
             }
         }
-        FsCall::WriteFill { block, count, fill } => {
-            api.mem_fill(DATA_BUF, *count as usize, *fill)
-                .expect("fits");
-            let agent = cache_agent.unwrap_or(0);
-            stub::write(file, *block, *count, DATA_BUF, agent, tag)
+        IoOp::Write => {
+            let fill = step.byte.expect("a write has its fill");
+            api.mem_fill(DATA_BUF, count as usize, fill).expect("fits");
+            stub::write(file, block, count, DATA_BUF, cache_agent.unwrap_or(0), tag)
         }
-        FsCall::QueryExpect(_) => stub::query(file, tag),
-        FsCall::ReadLargeExpect { block, count, .. } => {
-            api.mem_fill(DATA_BUF, *count as usize, 0x00).expect("fits");
-            stub::read_large(file, *block, *count, DATA_BUF, tag)
+        IoOp::Query => stub::query(file, tag),
+        IoOp::ReadLarge => {
+            api.mem_fill(DATA_BUF, count as usize, 0x00).expect("fits");
+            stub::read_large(file, block, count, DATA_BUF, tag)
         }
+        op => unreachable!("a script never sends {op:?}"),
     };
     api.send(request, server);
 }
 
-/// Verifies a reply against the call that produced it, updating the
-/// report. Returns the file id when the call was an open/create that
-/// succeeded (so the client adopts it as the current file).
-fn check_reply(
-    api: &Api<'_>,
-    call: &FsCall,
-    reply: &IoReply,
-    rep: &mut FsClientReport,
-) -> Option<FileId> {
+/// Verifies a reply against the step that produced it, updating the
+/// report. Returns whether the step succeeded (an open or create then
+/// adopts the reply's file id as the current file).
+fn check_reply(api: &Api<'_>, step: Step, reply: &IoReply, rep: &mut FsClientReport) -> bool {
     if reply.status != IoStatus::Ok {
         rep.errors += 1;
-        return None;
+        return false;
     }
-    let mut opened = None;
-    match call {
-        FsCall::Open(_) | FsCall::Create(_, _) => opened = Some(reply.file),
-        FsCall::QueryExpect(expect) => {
-            if reply.value != *expect {
-                rep.integrity_errors += 1;
-            }
-        }
-        FsCall::ReadExpect { count, expect, .. }
-        | FsCall::ReadLargeExpect { count, expect, .. } => {
-            let intact = api.mem_is_filled(DATA_BUF, *count as usize, *expect);
-            if !intact.expect("fits") {
-                rep.integrity_errors += 1;
-            }
-        }
-        FsCall::WriteFill { count, .. } => {
-            if reply.value != (*count).min(BLOCK_SIZE as u32) {
-                rep.integrity_errors += 1;
-            }
-        }
-        FsCall::ReadAny { .. } => {}
+    let intact = match (step.op, step.byte) {
+        (IoOp::Query, _) => reply.value == step.count,
+        (IoOp::Write, _) => reply.value == step.count.min(BLOCK_SIZE as u32),
+        (IoOp::Read | IoOp::ReadLarge, Some(byte)) => api
+            .mem_is_filled(DATA_BUF, step.count as usize, byte)
+            .expect("fits"),
+        _ => true,
+    };
+    if !intact {
+        rep.integrity_errors += 1;
     }
     rep.completed += 1;
-    opened
+    true
 }
 
 /// Where the next request goes and what to do when that host is dead —
@@ -374,7 +421,7 @@ impl Route {
         }
     }
 
-    /// The server `call` goes to. On the sharded route a name goes to
+    /// The server a step goes to. On the sharded route a name goes to
     /// the overlay's owner, else its hash shard; a block operation to
     /// the cached owner, else the overlay (a committed migration the
     /// rebalancer recorded), else — when both are cold (an open failed,
@@ -382,16 +429,16 @@ impl Route {
     /// belongs to, so a bad script degrades to a server-side error,
     /// never a panic. Cached-owner-first keeps the non-migrating path
     /// bit-identical to the overlay-less client.
-    fn target(&mut self, call: &FsCall, file: FileId) -> Pid {
+    fn target(&mut self, name: Option<&str>, file: FileId) -> Pid {
         match self {
             Route::Single(server) => *server,
             Route::Replicas { pids, current } => pids[*current],
             Route::Shards(s) => {
-                let owner = match call {
-                    FsCall::Open(name) | FsCall::Create(name, _) => s
+                let owner = match name {
+                    Some(name) => s
                         .overlaid(|o| o.owner_of_name(name))
                         .unwrap_or_else(|| s.servers[s.map.shard_of_name(name)]),
-                    _ => (s.owner_of.get(&file.0).copied())
+                    None => (s.owner_of.get(&file.0).copied())
                         .or_else(|| s.overlaid(|o| o.owner_of_id(file)))
                         .unwrap_or_else(|| s.servers[s.map.shard_of_id(file)]),
                 };
@@ -401,33 +448,24 @@ impl Route {
         }
     }
 
-    /// Learns placement from a checked reply (`opened`: the id a
-    /// successful open/create returned; `file`: the current file).
-    /// Returns true when the reply was stamped by a different service
-    /// than the one targeted: the request chased a migrated file
+    /// Learns placement from a checked reply (`named`: the step was an
+    /// open or create, so the reply's file id is the one it opened;
+    /// `file`: the current file). Returns true when the reply was
+    /// stamped by a different service than the one targeted: the request chased a migrated file
     /// through a `Forward`, and the owner cache now points at the
     /// service that actually answered, so the next op skips the hop.
-    fn learn(
-        &mut self,
-        call: &FsCall,
-        file: FileId,
-        opened: Option<FileId>,
-        reply: &IoReply,
-    ) -> bool {
+    fn learn(&mut self, named: bool, file: FileId, reply: &IoReply) -> bool {
         let Route::Shards(s) = self else {
             return false;
         };
-        if let Some(opened) = opened {
+        if named && reply.status == IoStatus::Ok {
             s.owner_of
-                .insert(opened.0, s.target.expect("request in flight"));
+                .insert(reply.file.0, s.target.expect("request in flight"));
         }
         match Pid::from_raw(reply.owner) {
             Some(actual) if s.target.is_some_and(|t| t != actual) => {
-                let key = match call {
-                    FsCall::Open(_) | FsCall::Create(_, _) => reply.file.0,
-                    _ => file.0,
-                };
-                s.owner_of.insert(key, actual);
+                let key = if named { reply.file } else { file };
+                s.owner_of.insert(key.0, actual);
                 true
             }
             _ => false,
@@ -467,7 +505,9 @@ impl Route {
 /// [`FsClient::replicated`] a replica group.
 pub struct FsClient {
     route: Route,
-    script: Vec<FsCall>,
+    /// The script as compiled by [`compile`]; `FsCall` is only its input.
+    steps: Vec<Step>,
+    names: Vec<String>,
     /// Shared results.
     pub report: Rc<RefCell<FsClientReport>>,
     step: usize,
@@ -490,9 +530,11 @@ pub struct FsClient {
 
 impl FsClient {
     fn on(route: Route, script: Vec<FsCall>, report: Rc<RefCell<FsClientReport>>) -> FsClient {
+        let (steps, names) = compile(script);
         FsClient {
             route,
-            script,
+            steps,
+            names,
             report,
             step: 0,
             file: FileId(0),
@@ -607,7 +649,7 @@ impl FsClient {
     /// backoff or a failover): the step keeps its first issue time.
     fn issue(&mut self, api: &mut Api<'_>, fresh: bool) {
         let started = *self.started.get_or_insert(api.now());
-        let Some(call) = self.script.get(self.step) else {
+        let Some(&step) = self.steps.get(self.step) else {
             let mut rep = self.report.borrow_mut();
             rep.done = true;
             rep.elapsed_ms = api.now().since(started).as_millis_f64();
@@ -618,24 +660,25 @@ impl FsClient {
         if fresh {
             self.issued_at = api.now();
         }
-        let mut cache_agent = None;
+        let mut agent = None;
         if let Some(layer) = self.cache.as_mut() {
-            if let Some(len) = layer.hit(api, call, self.file) {
+            if let Some(len) = layer.hit(api, step, self.file) {
                 // A hit never touches the wire: no failover, no
                 // detection budget — served even while servers die.
                 self.pending_hit = Some(len);
                 api.compute(layer.hit_cpu());
                 return;
             }
-            layer.on_issue(call, self.file);
-            cache_agent = Some(layer.agent_aux());
+            layer.on_issue(step, self.file);
+            agent = Some(layer.agent_aux());
         }
-        let server = self.route.target(call, self.file);
-        issue_call(api, call, self.file, self.step as u16, server, cache_agent);
+        let name = step.name(&self.names);
+        let server = self.route.target(name, self.file);
+        issue_call(api, step, name, self.file, self.step as u16, server, agent);
     }
 
     fn check(&mut self, api: &mut Api<'_>, reply: IoReply) {
-        let call = &self.script[self.step];
+        let step = self.steps[self.step];
         let mut rep = self.report.borrow_mut();
         if let Some(series) = &self.op_series {
             let latency = api.now().since(self.issued_at).as_millis_f64();
@@ -643,16 +686,16 @@ impl FsClient {
                 .borrow_mut()
                 .push((api.now().as_millis_f64(), latency));
         }
-        let opened = check_reply(api, call, &reply, &mut rep);
-        if let Some(opened) = opened {
-            self.file = opened;
+        let named = step.name(&self.names).is_some();
+        if check_reply(api, step, &reply, &mut rep) && named {
+            self.file = reply.file;
         }
-        if self.route.learn(call, self.file, opened, &reply) {
+        if self.route.learn(named, self.file, &reply) {
             rep.stale_owner_forwards += 1;
         }
         drop(rep);
         if let Some(layer) = self.cache.as_mut() {
-            layer.install_reply(api, call, self.file, &reply, api.now());
+            layer.install_reply(api, step, self.file, &reply);
         }
     }
 
