@@ -8,14 +8,17 @@
 //! arrival event, not once per cache, per receiver or per copy;
 //! and an address space is a page table until its process writes, so a
 //! spawn asks for bytes, not for 256 KB; and a scripted file client keeps
-//! its script compiled, 12 bytes a step. Wall-clock and resident memory
-//! are too noisy to gate on in CI; these counts repeat exactly.
+//! its script compiled, 12 bytes a step; and the clones of a block store
+//! share their files' bytes until one of them writes. Wall-clock and
+//! resident memory are too noisy to gate on in CI; these counts repeat
+//! exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use v_fs::client::{FsCall, FsClient, FsClientReport};
+use v_fs::loader::install_image;
 use v_fs::{spawn_caching_client, spawn_file_server, BlockStore, CacheConfig, CacheMode};
 use v_fs::{DiskModel, FileServerConfig, BLOCK_SIZE};
 use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Message, Outcome, Pid, Program};
@@ -329,6 +332,48 @@ fn a_scripted_client_holds_twelve_bytes_a_step() {
     drop(client);
 }
 
+/// A root catalogue the way the boot storm builds one: `images` loadable
+/// images of 8 KB (a header block and the image, 8,704 bytes a file).
+fn root_catalogue(images: usize) -> BlockStore {
+    let mut store = BlockStore::new();
+    for i in 0..images {
+        install_image(&mut store, &format!("bootimage.{i}"), 8192, 0xB7);
+    }
+    store
+}
+
+#[test]
+fn a_replicated_roots_clone_copies_no_file_bytes() {
+    let master = root_catalogue(15);
+    let (bytes, replica) = counted_during(&BYTES, || master.clone());
+    println!("{bytes} bytes requested cloning a root of 15 8 KB images");
+    // The directory and the file table, 1,892 bytes; the files' bytes are
+    // shared. It was 132,692, 15 copies of 8,704 bytes and the tables,
+    // while a clone copied every file.
+    assert!(bytes < (BLOCK_SIZE + 8192) as u64, "{bytes} bytes");
+    assert_eq!(replica.file_count(), 15);
+}
+
+#[test]
+fn a_write_to_a_file_no_other_store_shares_allocates_nothing() {
+    let mut master = root_catalogue(1);
+    let id = master.open("bootimage.0").expect("installed");
+    let page = [0x3C; BLOCK_SIZE];
+    let (n, ()) = counted_during(&ALLOCS, || master.write_block(id, 3, &page).unwrap());
+    assert_eq!(n, 0, "allocations writing an unshared file");
+    // A clone's first write copies the file it shares, once; the copy is
+    // its own, so the next write allocates nothing again, and the master
+    // keeps its bytes.
+    let mut replica = master.clone();
+    let (first, ()) = counted_during(&ALLOCS, || replica.write_block(id, 4, &page).unwrap());
+    let (second, ()) = counted_during(&ALLOCS, || replica.write_block(id, 5, &page).unwrap());
+    println!("allocations of a clone's writes to a shared file: {first}, then {second}");
+    assert!(first > 0, "a shared file was written in place");
+    assert_eq!(second, 0, "allocations writing a file already copied");
+    assert_eq!(master.read_block(id, 4, 1).unwrap(), [0xB7]);
+    assert_eq!(replica.read_block(id, 4, 1).unwrap(), [0x3C]);
+}
+
 #[test]
 fn boot_storm_allocates_about_a_seventh_per_event() {
     let (n, report) = counted_during(&ALLOCS, || run_boot_storm(&BootStormConfig::new(256)));
@@ -338,11 +383,12 @@ fn boot_storm_allocates_about_a_seventh_per_event() {
         "{n} allocations over {} dispatched events: {per_event} per event",
         report.events_dispatched
     );
-    // The whole call, set-up included: 19,949 allocations over 139,534
-    // events (0.143), none of them per receiver — what is left is one
+    // The whole call, set-up included: 19,831 allocations over 139,534
+    // events (0.142), none of them per receiver — what is left is one
     // buffer per packet, one box per fan-out event, the pages the
     // processes write, and a few for each segment's charge log as it
-    // grows. It was 35,399 (0.254) while each image chunk was also read
+    // grows. It was 19,949 (0.143) while each shard's clone of the root
+    // copied every file, 35,399 (0.254) while each image chunk was also read
     // into a typed body's `Vec` and copied out of the packet into
     // another, 35,746 (0.256) while an
     // event that held the runs either side of a sender kept the second

@@ -5,17 +5,17 @@
 //! followed replicated the read-only portion of the root (boot images,
 //! system binaries — the bulk of a diskless workstation's traffic, per
 //! §6.3's program-loading analysis) across several machines, because
-//! read-only state is trivially replicable: no coherence protocol, just
-//! identical copies.
+//! read-only state is trivially replicable: no coherence protocol, and
+//! here one copy of the bytes that every replica shares.
 //!
 //! This module provides that arrangement over the ordinary V IPC:
 //!
-//! * [`spawn_replica_group`] — `N` file servers on distinct hosts, each
-//!   serving a *clone* of the same [`BlockStore`] with
-//!   [`FileServerConfig::read_only`] set, all registered under one
-//!   logical service id. Because the stores are clones, every replica
-//!   allocates identical file ids — an id obtained from one replica is
-//!   valid at every other, so failover never invalidates an open file.
+//! * [`spawn_replica_group`] — `N` file servers on distinct hosts under
+//!   one logical service id, each serving a clone of one [`BlockStore`]
+//!   with [`FileServerConfig::read_only`] set. The clones share the files'
+//!   bytes, which a read-only replica never copies, and hold identical
+//!   file ids — an id obtained from one replica is valid at every
+//!   other, so failover never invalidates an open file.
 //! * the replica route of [`FsClient`] ([`FsClient::replicated`]) — the
 //!   client directs every operation at its current replica and **fails
 //!   over** when the kernel reports the replica's host down
@@ -50,11 +50,11 @@ use crate::team::{spawn_file_server, FileServerTeam};
 /// kernel forgets everything on a crash; re-registration is the
 /// service's job).
 ///
-/// Every replica serves `store.clone()`: identical directories,
-/// identical file ids, identical data. Everything in `cfg` passes
-/// through ([`crate::team`]: `workers`, `disk_arms`) except
-/// [`FileServerConfig::read_only`], which is forced on — a replica that
-/// accepted writes would silently diverge from its peers.
+/// Every replica serves `store.clone()`: identical directories and file
+/// ids over one shared copy of the bytes (a clone copies a file only to
+/// write it). Everything in `cfg` passes through ([`crate::team`]:
+/// `workers`, `disk_arms`) except [`FileServerConfig::read_only`],
+/// forced on: a replica that accepted writes would diverge from its peers.
 pub fn spawn_replica_group(
     cl: &mut Cluster,
     hosts: &[HostId],

@@ -1,6 +1,7 @@
 //! The server's block store and flat directory.
 
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use crate::BLOCK_SIZE;
 
@@ -24,10 +25,19 @@ pub enum StoreError {
     Full,
 }
 
+/// A file's bytes are shared by every clone of its store until one of
+/// them writes the file ([`BlockStore::block_mut`] copies it then, once).
 #[derive(Debug, Clone)]
 struct File {
     name: String,
-    data: Vec<u8>,
+    data: Rc<Vec<u8>>,
+}
+
+impl File {
+    fn new(name: &str, data: Vec<u8>) -> File {
+        let (name, data) = (name.to_string(), Rc::new(data));
+        File { name, data }
+    }
 }
 
 /// An in-memory block store with a flat name directory — the file
@@ -124,6 +134,15 @@ impl BlockStore {
     /// Reports [`StoreError::Full`] when the native id range is
     /// exhausted — overrunning it would alias another shard's ids.
     pub fn create(&mut self, name: &str, size: usize) -> Result<FileId, StoreError> {
+        self.insert(name, || vec![0; size])
+    }
+
+    /// Creates a file with the given contents.
+    pub fn create_with(&mut self, name: &str, data: &[u8]) -> Result<FileId, StoreError> {
+        self.insert(name, || data.to_vec())
+    }
+
+    fn insert(&mut self, name: &str, data: impl FnOnce() -> Vec<u8>) -> Result<FileId, StoreError> {
         if self.by_name.contains_key(name) {
             return Err(StoreError::Exists);
         }
@@ -131,21 +150,8 @@ impl BlockStore {
             return Err(StoreError::Full);
         }
         let id = FileId(self.id_base + self.files.len() as u16);
-        self.files.push(Some(File {
-            name: name.to_string(),
-            data: vec![0; size],
-        }));
+        self.files.push(Some(File::new(name, data())));
         self.by_name.insert(name.to_string(), id);
-        Ok(id)
-    }
-
-    /// Creates a file with the given contents.
-    pub fn create_with(&mut self, name: &str, data: &[u8]) -> Result<FileId, StoreError> {
-        let id = self.create(name, data.len())?;
-        self.file_mut(id)
-            .expect("just created")
-            .data
-            .copy_from_slice(data);
         Ok(id)
     }
 
@@ -158,13 +164,7 @@ impl BlockStore {
         if self.by_name.contains_key(name) || self.file(id).is_ok() {
             return Err(StoreError::Exists);
         }
-        self.adopted.insert(
-            id.0,
-            File {
-                name: name.to_string(),
-                data: vec![0; size],
-            },
-        );
+        self.adopted.insert(id.0, File::new(name, vec![0; size]));
         self.by_name.insert(name.to_string(), id);
         Ok(())
     }
@@ -265,18 +265,18 @@ impl BlockStore {
     }
 
     /// The first `n` bytes of block `block` to write into, the file grown
-    /// to hold them if needed.
+    /// to hold them if needed and first copied if another store shares it.
     pub fn block_mut(&mut self, id: FileId, block: u32, n: usize) -> Result<&mut [u8], StoreError> {
         if n > BLOCK_SIZE {
             return Err(StoreError::BadBlock);
         }
-        let f = self.file_mut(id)?;
+        let data = Rc::make_mut(&mut self.file_mut(id)?.data);
         let start = block as usize * BLOCK_SIZE;
         let end = start + n;
-        if end > f.data.len() {
-            f.data.resize(end, 0);
+        if end > data.len() {
+            data.resize(end, 0);
         }
-        Ok(&mut f.data[start..end])
+        Ok(&mut data[start..end])
     }
 
     /// Writes `data` at block `block`, growing the file if needed.
