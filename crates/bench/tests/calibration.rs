@@ -1,7 +1,7 @@
 //! Calibration pins: every reproduced table entry must stay within
 //! tolerance of the paper's published value. These tolerances encode the
-//! fidelity actually achieved (documented in EXPERIMENTS.md); tightening
-//! the cost model should never loosen them.
+//! fidelity actually achieved (documented in `docs/BENCHMARKS.md`,
+//! "Fidelity"); tightening the cost model should never loosen them.
 
 use v_bench::experiments as exp;
 use v_bench::report::Comparison;
@@ -148,13 +148,14 @@ fn section_7_capacity() {
     let c = exp::file_server_capacity();
     pin(&c, "page request CPU (kernel + fs)", 7.0, 0.15);
     // The mix and ceiling inherit the known transfer server-CPU gap
-    // (see EXPERIMENTS.md); bounds are wide but still catch regressions.
+    // (see "Fidelity" in docs/BENCHMARKS.md); bounds are wide but still
+    // catch regressions.
     pin(&c, "90/10 mix average CPU", 36.0, 0.40);
     pin(&c, "requests/second (estimate)", 28.0, 0.60);
     // Simulated capacity: 10 workstations tolerable, 30 degrading hard.
     // Absolute latencies include head-of-line blocking behind 64 KB
     // loads, which the paper's CPU-budget estimate ignores entirely —
-    // a reproduction finding recorded in EXPERIMENTS.md.
+    // a reproduction finding recorded in "Fidelity", docs/BENCHMARKS.md.
     let page10 = metric_of(&c, "10 workstations: page response");
     assert!(page10 < 150.0, "10-ws page response {page10:.1} ms");
     let knee = metric_of(&c, "degradation knee (30 ws vs 10 ws response)");

@@ -6,53 +6,84 @@
 //! *really copied* between these spaces, so integration tests can verify
 //! end-to-end content integrity of the protocols, not just their timing.
 //!
-//! A space is a table of pages, each allocated and zeroed by the first
-//! write that lands on it; a page nothing has written is absent and
-//! reads as zeros. A process therefore costs what it touches: a boot
-//! storm's thousand 256 KB spaces are a thousand 512-byte tables and the
-//! few pages each workstation loads into.
+//! A space holds only what it wrote: its size and a sorted list of
+//! resident runs, each one allocation of consecutive 512-byte pages. A
+//! write makes the absent pages of its range resident, each gap one new
+//! run; a page nothing has written is absent and reads as zeros. A
+//! process therefore costs what it touches, and a new one nothing: a boot
+//! storm's thousand 256 KB spaces are the page each workstation's name
+//! and header share and the run its image is moved into.
 
 use std::fmt;
 use std::ops::Range;
 
 use crate::error::KernelError;
 
-/// Bytes per page: small enough that a process touching three places
-/// keeps three pages resident (64 KB pages put the N = 1000 boot storm's
-/// resident peak at 78 MB against 17.7), large enough that a default
-/// space's table is 64 entries.
-const PAGE_SIZE: usize = 4096;
+/// Bytes per page: the file system's block and the kernel's transfer
+/// chunk, so a header read or a `MoveTo` chunk brings in no byte it does
+/// not write (4 KB pages kept a 4 KB page resident for a loader's
+/// 17-byte name, a third of the boot storm's resident peak).
+const PAGE_SIZE: usize = 512;
 
-/// One resident page. Cache-line aligned: malloc aligns a plain 4 KB
+/// The most zeros one span of [`AddressSpace::spans`] lends for a gap.
+const ZERO_SPAN: usize = 4096;
+
+/// One resident page. Cache-line aligned: malloc aligns a plain byte
 /// array to 16 bytes, so every 64-byte block a page copy moves would
 /// straddle two lines (1.6 % of the copy-heavy `cache_share` workload).
+/// `repr(C)` puts the bytes at offset 0 and 512 is a multiple of 64, so
+/// a run's pages are one unpadded byte slice.
 #[derive(Clone)]
-#[repr(align(64))]
+#[repr(C, align(64))]
 struct Page([u8; PAGE_SIZE]);
+
+const _: () = assert!(std::mem::size_of::<Page>() == PAGE_SIZE);
+
+/// Consecutive resident pages, allocated together.
+#[derive(Clone)]
+struct Run {
+    /// Index of the first page.
+    first: usize,
+    pages: Box<[Page]>,
+}
+
+impl Run {
+    fn zeroed(first: usize, pages: usize) -> Run {
+        let pages = vec![Page([0; PAGE_SIZE]); pages].into_boxed_slice();
+        Run { first, pages }
+    }
+
+    /// One past the last page.
+    fn end(&self) -> usize {
+        self.first + self.pages.len()
+    }
+
+    /// The bytes `[start, end)` of the space the run holds.
+    fn bytes_range(&self) -> Range<usize> {
+        self.first * PAGE_SIZE..self.end() * PAGE_SIZE
+    }
+
+    fn bytes(&self) -> &[u8] {
+        let len = self.pages.len() * PAGE_SIZE;
+        // SAFETY: `Page` is `repr(C)` around `[u8; PAGE_SIZE]` and exactly
+        // `PAGE_SIZE` bytes (asserted above), so the pages are `len`
+        // initialised bytes with no padding, borrowed as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.pages.as_ptr().cast(), len) }
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8] {
+        let len = self.pages.len() * PAGE_SIZE;
+        // SAFETY: as in `bytes`, and the borrow of `self` is exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.pages.as_mut_ptr().cast(), len) }
+    }
+}
 
 /// A process address space.
 #[derive(Clone)]
 pub struct AddressSpace {
     size: usize,
-    /// One slot per page of `size` (the last possibly partial); `None`
-    /// until first written, and all zeros until then.
-    pages: Vec<Option<Box<Page>>>,
-}
-
-/// The spans `[lo, hi)` of each page that the byte range `r` covers, in
-/// address order, as `(page index, span within the page)`.
-fn page_spans(r: Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
-    let mut at = r.start;
-    std::iter::from_fn(move || {
-        (at < r.end).then(|| {
-            let page = at / PAGE_SIZE;
-            let base = page * PAGE_SIZE;
-            let hi = (r.end - base).min(PAGE_SIZE);
-            let span = at - base..hi;
-            at = base + hi;
-            (page, span)
-        })
-    })
+    /// Ascending and disjoint; a page in none of them is all zeros.
+    runs: Vec<Run>,
 }
 
 /// True if every byte of `bytes` equals `value`.
@@ -69,12 +100,12 @@ impl AddressSpace {
     /// Default size given to processes spawned without an explicit size.
     pub const DEFAULT_SIZE: usize = 256 * 1024;
 
-    /// Creates a zero-filled space of `size` bytes. No page is resident
-    /// yet.
+    /// Creates a zero-filled space of `size` bytes. Nothing is resident
+    /// and nothing is allocated.
     pub fn new(size: usize) -> AddressSpace {
         AddressSpace {
             size,
-            pages: vec![None; size.div_ceil(PAGE_SIZE)],
+            runs: Vec::new(),
         }
     }
 
@@ -92,16 +123,83 @@ impl AddressSpace {
         Ok(start..end)
     }
 
-    /// The resident page `idx`, allocated and zeroed if this is its
-    /// first write.
-    fn page_mut(&mut self, idx: usize) -> &mut [u8; PAGE_SIZE] {
-        &mut self.pages[idx]
-            .get_or_insert_with(|| Box::new(Page([0; PAGE_SIZE])))
-            .0
+    /// The index of the first run that ends past byte `at`.
+    fn run_at(&self, at: usize) -> usize {
+        let page = at / PAGE_SIZE;
+        self.runs.partition_point(|run| run.end() <= page)
+    }
+
+    /// Hands `f` the resident bytes of the byte range `r` in address
+    /// order, one slice per run the range meets, each with its offset
+    /// from `r.start`. With `bring_in`, each gap between the runs already
+    /// there first becomes one new run, so `f` sees every byte of `r`;
+    /// without, the gaps are passed over. An empty range touches nothing.
+    fn each_resident_mut(
+        &mut self,
+        r: Range<usize>,
+        bring_in: bool,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) {
+        if r.is_empty() {
+            return;
+        }
+        let last = r.end.div_ceil(PAGE_SIZE);
+        let (mut page, mut i) = (r.start / PAGE_SIZE, self.run_at(r.start));
+        while page < last {
+            match self.runs.get(i) {
+                Some(run) if run.first <= page => {}
+                next => {
+                    let gap_end = next.map_or(last, |run| run.first.min(last));
+                    if !bring_in {
+                        page = gap_end;
+                        continue;
+                    }
+                    self.runs.insert(i, Run::zeroed(page, gap_end - page));
+                }
+            }
+            let run = &mut self.runs[i];
+            let held = run.bytes_range();
+            let (lo, hi) = (r.start.max(held.start), r.end.min(held.end));
+            let bytes = &mut run.bytes_mut()[lo - held.start..hi - held.start];
+            f(lo - r.start, bytes);
+            (page, i) = (run.end(), i + 1);
+        }
+        debug_assert!(
+            self.runs.windows(2).all(|w| w[0].end() <= w[1].first),
+            "runs ascend and are disjoint"
+        );
+    }
+
+    /// The byte range `r` in address order as one piece per run it meets,
+    /// `Some` of the run's bytes, and per gap, `None` — a gap cut into
+    /// pieces of at most `gap_max` bytes. Each piece with its length.
+    fn pieces(
+        &self,
+        r: Range<usize>,
+        gap_max: usize,
+    ) -> impl Iterator<Item = (usize, Option<&[u8]>)> + '_ {
+        let (mut at, mut i) = (r.start, self.run_at(r.start));
+        std::iter::from_fn(move || {
+            (at < r.end).then(|| match self.runs.get(i) {
+                Some(run) if run.bytes_range().start <= at => {
+                    let held = run.bytes_range();
+                    let hi = r.end.min(held.end);
+                    let bytes = &run.bytes()[at - held.start..hi - held.start];
+                    (at, i) = (hi, i + 1);
+                    (bytes.len(), Some(bytes))
+                }
+                next => {
+                    let gap_end = next.map_or(r.end, |run| run.bytes_range().start.min(r.end));
+                    let len = (gap_end - at).min(gap_max);
+                    at += len;
+                    (len, None)
+                }
+            })
+        })
     }
 
     fn resident_pages(&self) -> usize {
-        self.pages.iter().filter(|p| p.is_some()).count()
+        self.runs.iter().map(|run| run.pages.len()).sum()
     }
 
     /// Checks that `[addr, addr+len)` lies inside the space, touching
@@ -110,23 +208,30 @@ impl AddressSpace {
         self.range(addr, len).map(|_| ())
     }
 
-    /// The bytes of `[addr, addr+len)` where they lie: one slice per page
-    /// the range covers, in address order, a page nothing has written
-    /// lending zeros. `read`, `read_into` and `copy_from` are written
-    /// over it; a caller whose bytes go somewhere else copies from it.
+    /// Makes `[addr, addr+len)` resident, one run for each stretch of it
+    /// nothing has written, so that the writes that follow allocate
+    /// nothing; a range outside the space is left alone. No byte changes.
+    pub fn reserve(&mut self, addr: u32, len: usize) {
+        if let Ok(r) = self.range(addr, len) {
+            self.each_resident_mut(r, true, |_, _| {});
+        }
+    }
+
+    /// The bytes of `[addr, addr+len)` where they lie, in address order:
+    /// one slice per resident run the range meets, and zeros lent for
+    /// what nothing has written, at most 4 KB a slice. `read`,
+    /// `read_into` and `copy_from` are written over it; a caller whose
+    /// bytes go somewhere else copies from it.
     pub fn spans(
         &self,
         addr: u32,
         len: usize,
     ) -> Result<impl Iterator<Item = &[u8]> + '_, KernelError> {
-        static ZEROS: Page = Page([0; PAGE_SIZE]);
+        static ZEROS: [u8; ZERO_SPAN] = [0; ZERO_SPAN];
         let r = self.range(addr, len)?;
-        Ok(
-            page_spans(r).map(move |(idx, span)| match &self.pages[idx] {
-                Some(page) => &page.0[span],
-                None => &ZEROS.0[span],
-            }),
-        )
+        Ok(self
+            .pieces(r, ZERO_SPAN)
+            .map(|(len, bytes)| bytes.unwrap_or_else(|| &ZEROS[..len])))
     }
 
     /// Reads `len` bytes starting at `addr`.
@@ -161,6 +266,8 @@ impl AddressSpace {
     ) -> Result<(), KernelError> {
         let spans = src.spans(src_addr, len)?;
         let mut at = self.range(addr, len)?.start;
+        // One run for each gap of the destination, not one per span.
+        self.reserve(addr, len);
         for span in spans {
             self.write(at as u32, span)?;
             at += span.len();
@@ -171,34 +278,26 @@ impl AddressSpace {
     /// Copies `data` into the space starting at `addr`.
     pub fn write(&mut self, addr: u32, data: &[u8]) -> Result<(), KernelError> {
         let r = self.range(addr, data.len())?;
-        let mut rest = data;
-        for (idx, span) in page_spans(r) {
-            let (chunk, after) = rest.split_at(span.len());
-            self.page_mut(idx)[span].copy_from_slice(chunk);
-            rest = after;
-        }
+        self.each_resident_mut(r, true, |off, bytes| {
+            bytes.copy_from_slice(&data[off..off + bytes.len()]);
+        });
         Ok(())
     }
 
     /// Fills `[addr, addr+len)` with `value` (handy for test patterns).
     pub fn fill(&mut self, addr: u32, len: usize, value: u8) -> Result<(), KernelError> {
         let r = self.range(addr, len)?;
-        for (idx, span) in page_spans(r) {
-            // Zeros onto a page nothing has written change nothing.
-            if value != 0 || self.pages[idx].is_some() {
-                self.page_mut(idx)[span].fill(value);
-            }
-        }
+        // Zeros onto pages nothing has written change nothing.
+        self.each_resident_mut(r, value != 0, |_, bytes| bytes.fill(value));
         Ok(())
     }
 
     /// True if every byte of `[addr, addr+len)` equals `value`.
     pub fn is_filled(&self, addr: u32, len: usize, value: u8) -> Result<bool, KernelError> {
         let r = self.range(addr, len)?;
-        Ok(page_spans(r).all(|(idx, span)| match &self.pages[idx] {
-            Some(page) => all_equal(&page.0[span], value),
-            None => value == 0,
-        }))
+        Ok(self
+            .pieces(r, usize::MAX)
+            .all(|(_, bytes)| bytes.map_or(value == 0, |b| all_equal(b, value))))
     }
 }
 
@@ -207,6 +306,7 @@ impl fmt::Debug for AddressSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AddressSpace")
             .field("size", &self.size)
+            .field("runs", &self.runs.len())
             .field("resident_pages", &self.resident_pages())
             .finish()
     }
@@ -255,7 +355,7 @@ mod tests {
     #[test]
     fn a_page_is_resident_from_its_first_write_and_not_before() {
         let mut a = AddressSpace::new(AddressSpace::DEFAULT_SIZE);
-        assert_eq!(a.pages.len(), AddressSpace::DEFAULT_SIZE / PAGE_SIZE);
+        assert_eq!(a.runs.capacity(), 0);
         // Reading, checking, and zeros onto zeros touch nothing.
         assert_eq!(a.read(0, a.size()).unwrap(), vec![0; a.size()]);
         assert_eq!(a.check(0, a.size()), Ok(()));
@@ -264,17 +364,18 @@ mod tests {
         a.fill(0, a.size(), 0).unwrap();
         assert_eq!(a.resident_pages(), 0);
         // A write straddling a boundary brings in the two pages it
-        // lands on and no other.
+        // lands on and no other, as one run.
         a.write(PAGE_SIZE as u32 - 1, &[1, 2]).unwrap();
-        assert_eq!(a.resident_pages(), 2);
-        assert!(a.pages[0].is_some() && a.pages[1].is_some());
+        assert_eq!((a.runs.len(), a.resident_pages()), (1, 2));
+        assert_eq!(a.runs[0].first, 0);
         assert_eq!(a.read(PAGE_SIZE as u32 - 2, 4).unwrap(), &[0, 1, 2, 0]);
         a.fill(5 * PAGE_SIZE as u32, 1, 0xEE).unwrap();
-        assert_eq!(a.resident_pages(), 3);
+        assert_eq!((a.runs.len(), a.resident_pages()), (2, 3));
         // A rejected range brings in nothing.
         let end = a.size() as u32;
         assert_eq!(a.write(end - 1, &[1, 2]), Err(KernelError::BadAddress));
         assert_eq!(a.fill(end - 1, 2, 1), Err(KernelError::BadAddress));
+        a.reserve(end - 1, 2);
         assert_eq!(a.resident_pages(), 3);
     }
 

@@ -333,6 +333,9 @@ impl Ctx<'_> {
         let s = s.expect("the caller's stream");
         let pcb = self.host.procs.get_mut(&s.local.local());
         let space = &mut pcb.expect("purged with its process").space;
+        if s.expected == 0 {
+            space.reserve(addr, s.total as usize); // one run, not one a chunk
+        }
         space.write(addr, data)?;
         self.host.stats.chunks_received += 1;
         s.expected += data.len() as u32;

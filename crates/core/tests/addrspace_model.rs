@@ -1,25 +1,31 @@
-//! The address space as a model check: random `write` / `fill` / `read` /
-//! `is_filled` / `check` against a flat `Vec<u8>` — which is what an
-//! [`AddressSpace`] was before it became a table of first-touch pages —
-//! with identical bytes and identical [`KernelError`]s at every step.
+//! The address space as a model check: random `write` / `fill` /
+//! `reserve` / `read` / `is_filled` / `check` against a flat `Vec<u8>` —
+//! which is what an [`AddressSpace`] was before it held only what it
+//! wrote — with identical bytes and identical [`KernelError`]s at every
+//! step, and beside a list of the runs of pages it should hold: each gap
+//! a write, a nonzero fill or a reserve meets becomes one run, and the
+//! space's `Debug` (its runs and resident pages) must say so.
 //!
-//! The ranges are aimed at where a page table can go wrong: inside one
-//! page, ending exactly on a boundary, straddling two pages and many,
-//! zero length, the last byte of the space, one past it, `addr + len`
-//! overflowing, spaces that are not a page multiple, and zeros filled
-//! into or looked for in pages nothing has written.
+//! The ranges are aimed at where runs can go wrong: inside one page,
+//! ending exactly on a boundary, straddling two pages and many, zero
+//! length, the last byte of the space, one past it, `addr + len`
+//! overflowing, spaces that are not a page multiple, gaps longer than
+//! the zeros one span lends, and zeros filled into or looked for in pages
+//! nothing has written.
 //!
 //! A failing case prints its short operation list (the vendored proptest
 //! does not shrink, so the lists are kept short instead); CI runs this in
+//! debug (where the space asserts its runs ascend and are disjoint) and
 //! release with `PROPTEST_CASES=5000` ahead of the benchmark's baseline
 //! check.
 
 use proptest::prelude::*;
 use v_kernel::{AddressSpace, KernelError};
 
-/// The page size the ranges are aimed at. Private to the space; were it
-/// to change, every check here would still hold, only less pointedly.
-const PAGE: usize = 4096;
+/// The page size, and the most zeros one span lends for a gap: private
+/// to the space, and pinned here by the span shapes and the runs.
+const PAGE: usize = 512;
+const ZERO_SPAN: usize = 4096;
 
 /// A byte range, described by where it sits relative to the pages.
 #[derive(Debug, Clone, Copy)]
@@ -86,7 +92,7 @@ impl Span {
 }
 
 fn span() -> impl Strategy<Value = Span> {
-    let page = || 0usize..6;
+    let page = || 0usize..12;
     prop_oneof![
         (page(), 0..PAGE, 1usize..300).prop_map(|(page, off, len)| Span::Inside { page, off, len }),
         (page(), 1usize..300).prop_map(|(page, len)| Span::EndsOnBoundary { page, len }),
@@ -95,7 +101,7 @@ fn span() -> impl Strategy<Value = Span> {
             before,
             after
         }),
-        (page(), 0..PAGE, 0usize..4, 0..PAGE).prop_map(|(page, off, pages, tail)| Span::Many {
+        (page(), 0..PAGE, 0usize..10, 0..PAGE).prop_map(|(page, off, pages, tail)| Span::Many {
             page,
             off,
             pages,
@@ -126,6 +132,7 @@ enum Op {
     Read(Span),
     IsFilled(Span, u8),
     Check(Span),
+    Reserve(Span),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -135,11 +142,12 @@ fn op() -> impl Strategy<Value = Op> {
         span().prop_map(Op::Read),
         (span(), value()).prop_map(|(s, v)| Op::IsFilled(s, v)),
         span().prop_map(Op::Check),
+        span().prop_map(Op::Reserve),
     ]
 }
 
 /// Whole pages, a byte either side of whole pages, smaller than a page,
-/// and nothing at all.
+/// nothing at all, and more than one span of zeros.
 fn size() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(0usize),
@@ -149,6 +157,7 @@ fn size() -> impl Strategy<Value = usize> {
         Just(3 * PAGE - 1),
         Just(4 * PAGE),
         PAGE..7 * PAGE,
+        2 * ZERO_SPAN - 1..20 * PAGE,
     ]
 }
 
@@ -166,10 +175,12 @@ impl Flat {
     }
 }
 
-/// The space under test beside its reference.
+/// The space under test beside its reference: the bytes, and the runs
+/// of pages `[first, end)` the space should hold, in address order.
 struct Pair {
     space: AddressSpace,
     flat: Flat,
+    runs: Vec<(usize, usize)>,
 }
 
 impl Pair {
@@ -177,7 +188,74 @@ impl Pair {
         Pair {
             space: AddressSpace::new(size),
             flat: Flat(vec![0; size]),
+            runs: Vec::new(),
         }
+    }
+
+    /// Brings in the pages of the byte range `r`: each maximal stretch of
+    /// them no run holds becomes a run of its own.
+    fn make_resident(&mut self, r: std::ops::Range<usize>) {
+        if r.is_empty() {
+            return;
+        }
+        let held = |runs: &[(usize, usize)], page| runs.iter().any(|&(f, e)| f <= page && page < e);
+        let mut gap: Option<(usize, usize)> = None;
+        let mut new = Vec::new();
+        for page in r.start / PAGE..r.end.div_ceil(PAGE) {
+            match (held(&self.runs, page), &mut gap) {
+                (false, Some((_, end))) => *end = page + 1,
+                (false, None) => gap = Some((page, page + 1)),
+                (true, _) => new.extend(gap.take()),
+            }
+        }
+        new.extend(gap);
+        self.runs.extend(new);
+        self.runs.sort_unstable();
+    }
+
+    fn resident_pages(&self) -> usize {
+        self.runs.iter().map(|(f, e)| e - f).sum()
+    }
+
+    /// The lengths `spans` should yield for `r`: the part of each run the
+    /// range meets whole, and each gap in pieces of at most `ZERO_SPAN`.
+    fn span_lens(&self, r: std::ops::Range<usize>) -> Vec<usize> {
+        let mut lens = Vec::new();
+        let mut at = r.start;
+        while at < r.end {
+            let run = self.runs.iter().find(|&&(_, e)| e * PAGE > at);
+            let hi = match run {
+                Some(&(f, e)) if f * PAGE <= at => r.end.min(e * PAGE),
+                Some(&(f, _)) => r.end.min(f * PAGE).min(at + ZERO_SPAN),
+                None => r.end.min(at + ZERO_SPAN),
+            };
+            lens.push(hi - at);
+            at = hi;
+        }
+        lens
+    }
+
+    /// The resident pages the space itself reports.
+    fn held_by_space(&self) -> usize {
+        let debug = format!("{:?}", self.space);
+        let count = debug.rsplit("resident_pages: ").next().expect("in Debug");
+        count.trim_end_matches(" }").parse().expect("a count")
+    }
+
+    /// The space's runs and resident pages are the model's.
+    fn check_shape(&self, after: &dyn std::fmt::Debug) {
+        let want = format!(
+            "AddressSpace {{ size: {}, runs: {}, resident_pages: {} }}",
+            self.flat.0.len(),
+            self.runs.len(),
+            self.resident_pages()
+        );
+        assert_eq!(
+            format!("{:?}", self.space),
+            want,
+            "after {after:?}: {:?}",
+            self.runs
+        );
     }
 
     fn apply(&mut self, op: Op) {
@@ -192,16 +270,19 @@ impl Pair {
                     .map(|i| first.wrapping_add(i as u8))
                     .collect();
                 let want = self.flat.range(addr, data.len()).map(|r| {
-                    self.flat.0[r].copy_from_slice(&data);
+                    self.flat.0[r.clone()].copy_from_slice(&data);
+                    self.make_resident(r);
                 });
                 assert_eq!(self.space.write(addr, &data), want, "{op:?}");
             }
             Op::Fill(span, value) => {
                 let (addr, len) = span.place(size);
-                let want = self
-                    .flat
-                    .range(addr, len)
-                    .map(|r| self.flat.0[r].fill(value));
+                let want = self.flat.range(addr, len).map(|r| {
+                    self.flat.0[r.clone()].fill(value);
+                    if value != 0 {
+                        self.make_resident(r);
+                    }
+                });
                 assert_eq!(self.space.fill(addr, len, value), want, "{op:?}");
             }
             Op::Read(span) => {
@@ -222,7 +303,20 @@ impl Pair {
                 let want = self.flat.range(addr, len).map(|_| ());
                 assert_eq!(self.space.check(addr, len), want, "{op:?}");
             }
+            Op::Reserve(span) => {
+                // No byte changes (and there is no error to return), and
+                // nothing the space held leaves it.
+                let (addr, len) = span.place(size);
+                let before = self.held_by_space();
+                if let Ok(r) = self.flat.range(addr, len) {
+                    self.make_resident(r);
+                }
+                self.space.reserve(addr, len);
+                assert!(self.held_by_space() >= before, "{op:?}");
+                self.check_all();
+            }
         }
+        self.check_shape(&op);
     }
 
     /// Every byte agrees, read back whole and a page at a time.
@@ -264,6 +358,7 @@ proptest! {
         let mut copy = Pair {
             space: original.space.clone(),
             flat: Flat(original.flat.0.clone()),
+            runs: original.runs.clone(),
         };
         for &op in &after {
             copy.apply(op);
@@ -318,6 +413,7 @@ fn the_edges_of_the_space_are_where_they_were() {
             Op::Read(span),
             Op::IsFilled(span, 0x5C),
             Op::Check(span),
+            Op::Reserve(span),
         ] {
             pair.apply(op);
         }
@@ -334,25 +430,19 @@ fn the_edges_of_the_space_are_where_they_were() {
 /// The readers that lend or deposit bytes instead of returning a `Vec` —
 /// `spans`, `read_into`, `copy_from` — against the same flat array.
 impl Pair {
-    /// `spans` yields `read`'s bytes, a page's worth at a time.
+    /// `spans` yields `read`'s bytes, one slice per run the range meets
+    /// and gaps in pieces of at most `ZERO_SPAN`.
     fn check_spans(&self, span: Span) {
         let (addr, len) = span.place(self.flat.0.len());
-        let want = self.flat.range(addr, len).map(|r| self.flat.0[r].to_vec());
+        let range = self.flat.range(addr, len);
+        let want = range
+            .clone()
+            .map(|r| (self.span_lens(r.clone()), self.flat.0[r].to_vec()));
         let got = self.space.spans(addr, len).map(|spans| {
             let spans: Vec<&[u8]> = spans.collect();
-            let mut at = addr as usize;
-            for s in &spans {
-                assert!(!s.is_empty(), "{span:?}");
-                assert_eq!(
-                    at / PAGE,
-                    (at + s.len() - 1) / PAGE,
-                    "{span:?} crosses a page"
-                );
-                at += s.len();
-            }
-            spans.concat()
+            (spans.iter().map(|s| s.len()).collect(), spans.concat())
         });
-        assert_eq!(got, want, "{span:?}");
+        assert_eq!(got, want, "{span:?} over runs {:?}", self.runs);
     }
 
     /// `read_into` fills exactly the slice it is given, or nothing.
@@ -379,11 +469,13 @@ impl Pair {
         let (addr, _) = to.place(self.flat.0.len());
         let want = src.flat.range(src_addr, len).and_then(|from| {
             let to = self.flat.range(addr, len)?;
-            self.flat.0[to].copy_from_slice(&src.flat.0[from]);
+            self.flat.0[to.clone()].copy_from_slice(&src.flat.0[from]);
+            self.make_resident(to);
             Ok(())
         });
         let got = self.space.copy_from(addr, &src.space, src_addr, len);
         assert_eq!(got, want, "{from:?} to {to:?}");
+        self.check_shape(&(from, to));
     }
 }
 
@@ -415,41 +507,77 @@ proptest! {
 
 #[test]
 fn span_shapes_inside_straddling_absent_and_past_the_end() {
-    let mut pair = Pair::new(3 * PAGE);
+    let size = 24 * PAGE;
+    let mut pair = Pair::new(size);
     let inside = Span::Inside {
-        page: 0,
-        off: 0x400,
-        len: 512,
+        page: 2,
+        off: 0x40,
+        len: 256,
     };
     let straddles = Span::Straddles {
-        page: 0,
+        page: 5,
         before: 100,
         after: 412,
     };
     pair.apply(Op::Write(inside, 1));
     pair.apply(Op::Write(straddles, 2));
     let lens = |pair: &Pair, span: Span| -> Vec<usize> {
-        let (addr, len) = span.place(3 * PAGE);
+        let (addr, len) = span.place(size);
         let spans = pair.space.spans(addr, len).expect("in bounds");
         spans.map(<[u8]>::len).collect()
     };
-    // One slice inside a page, two across a boundary, and a page nothing
-    // has written lends zeros without becoming resident.
-    assert_eq!(lens(&pair, inside), [512]);
-    assert_eq!(lens(&pair, straddles), [100, 412]);
-    assert_eq!(lens(&pair, Span::Whole), [PAGE, PAGE, PAGE]);
+    // One slice for what one run holds, a page boundary inside it or not,
+    // and zeros for the gaps, at most `ZERO_SPAN` a slice.
+    assert_eq!(lens(&pair, inside), [256]);
+    assert_eq!(lens(&pair, straddles), [512]);
+    let tail = size - 7 * PAGE;
+    assert_eq!(
+        lens(&pair, Span::Whole),
+        [
+            2 * PAGE,
+            PAGE,
+            2 * PAGE,
+            2 * PAGE,
+            ZERO_SPAN,
+            ZERO_SPAN,
+            tail - 2 * ZERO_SPAN
+        ]
+    );
+    // A write over both gaps either side of a run brings in each as a run
+    // of its own, and the run between stays one slice.
+    let around = Span::Many {
+        page: 4,
+        off: 0,
+        pages: 3,
+        tail: 0,
+    };
+    pair.apply(Op::Write(around, 3));
+    assert_eq!(lens(&pair, around), [PAGE, 2 * PAGE, PAGE]);
+    assert_eq!(pair.runs, [(2, 3), (4, 5), (5, 7), (7, 8)]);
+    // A reserve is one run, and a page nothing has written lends zeros
+    // without becoming resident.
+    let reserved = Span::Many {
+        page: 10,
+        off: 0,
+        pages: 7,
+        tail: 0,
+    };
+    pair.apply(Op::Reserve(reserved));
+    assert_eq!(lens(&pair, reserved), [8 * PAGE]);
     let absent = Span::Inside {
-        page: 2,
+        page: 20,
         off: 7,
         len: 64,
     };
-    let (addr, len) = absent.place(3 * PAGE);
+    let (addr, len) = absent.place(size);
     let mut spans = pair.space.spans(addr, len).expect("in bounds");
     assert_eq!(spans.next(), Some(&[0u8; 64][..]));
-    assert!(format!("{:?}", pair.space).contains("resident_pages: 2"));
+    assert!(format!("{:?}", pair.space).contains("runs: 5, resident_pages: 13"));
     for span in [
         inside,
         straddles,
+        around,
+        reserved,
         absent,
         Span::Whole,
         Span::Empty { back: 0 },

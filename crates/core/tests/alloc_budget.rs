@@ -6,8 +6,8 @@
 //! it and read out of it in place, so a remote exchange allocates once
 //! per packet whatever it carries and a broadcast fan-out once per
 //! arrival event, not once per cache, per receiver or per copy;
-//! and an address space is a page table until its process writes, so a
-//! spawn asks for bytes, not for 256 KB; and a scripted file client keeps
+//! and an address space holds only the runs of 512-byte pages its process
+//! wrote, so a spawn asks for no bytes of it; and a scripted file client keeps
 //! its script compiled, 12 bytes a step; and the clones of a block store
 //! share their files' bytes until one of them writes. Wall-clock and
 //! resident memory are too noisy to gate on in CI; these counts repeat
@@ -21,7 +21,8 @@ use v_fs::client::{FsCall, FsClient, FsClientReport};
 use v_fs::loader::install_image;
 use v_fs::{spawn_caching_client, spawn_file_server, BlockStore, CacheConfig, CacheMode};
 use v_fs::{DiskModel, FileServerConfig, BLOCK_SIZE};
-use v_kernel::{Api, Cluster, ClusterConfig, CpuSpeed, HostId, Message, Outcome, Pid, Program};
+use v_kernel::{AddressSpace, Api, Cluster, ClusterConfig, CpuSpeed, HostId};
+use v_kernel::{Message, Outcome, Pid, Program};
 use v_sim::SimDuration;
 use v_workloads::boot::{run_boot_storm, BootStormConfig};
 use v_workloads::measure::{probe, RunReport};
@@ -383,11 +384,14 @@ fn boot_storm_allocates_about_a_seventh_per_event() {
         "{n} allocations over {} dispatched events: {per_event} per event",
         report.events_dispatched
     );
-    // The whole call, set-up included: 19,831 allocations over 139,534
-    // events (0.142), none of them per receiver — what is left is one
-    // buffer per packet, one box per fan-out event, the pages the
-    // processes write, and a few for each segment's charge log as it
-    // grows. It was 19,949 (0.143) while each shard's clone of the root
+    // The whole call, set-up included: 19,575 allocations over 139,534
+    // events (0.140), none of them per receiver — what is left is one
+    // buffer per packet, one box per fan-out event, the runs of pages the
+    // processes write (a loader's name and header share one page, and its
+    // image is one run however many chunks it arrives in), and a few for
+    // each segment's charge log as it grows. It was 19,831 (0.142) while
+    // a space was a page table and each loader copied its image's name
+    // to write it, 19,949 (0.143) while each shard's clone of the root
     // copied every file, 35,399 (0.254) while each image chunk was also read
     // into a typed body's `Vec` and copied out of the packet into
     // another, 35,746 (0.256) while an
@@ -404,7 +408,7 @@ fn boot_storm_allocates_about_a_seventh_per_event() {
 }
 
 #[test]
-fn a_spawn_requests_under_a_kilobyte_however_warm_the_heap() {
+fn a_spawn_requests_under_half_a_kilobyte_however_warm_the_heap() {
     // On a few hosts, so that the growth of each host's process table is
     // amortised and what is counted is what a process costs.
     const PROCESSES: usize = 1_000;
@@ -424,14 +428,36 @@ fn a_spawn_requests_under_a_kilobyte_however_warm_the_heap() {
         "{first} bytes requested spawning {PROCESSES} default-size processes: {} each",
         first / PROCESSES as u64
     );
-    // A 256 KB space is a 64-entry page table (512 bytes) beside the
-    // process's other tables; it was 262,144 zeroed bytes, which the
-    // allocator hands over untouched only until the first cluster is
-    // dropped.
-    assert!(first < 1024 * PROCESSES as u64, "{first} bytes");
+    // A 256 KB space is an empty list of runs until its process writes,
+    // so what is left is the process's other tables: 266 bytes. It was
+    // 778 while the space was a 64-entry page table, and 262,144 zeroed
+    // bytes before that, which the allocator hands over untouched only
+    // until the first cluster is dropped.
+    assert!(first < 512 * PROCESSES as u64, "{first} bytes");
     let second = spawn_round();
     assert!(
         second <= first,
         "{second} bytes after a drop, {first} fresh"
     );
+}
+
+#[test]
+fn a_loaders_name_and_header_hold_one_page() {
+    // A program loader's first two uses of its space (§6.3): the image's
+    // name written out for the open, then the 512-byte header read back
+    // into the same buffer.
+    let name = b"bootimage.0.img.x";
+    let (live, space) = counted_during(&LIVE, || {
+        let mut space = AddressSpace::new(AddressSpace::DEFAULT_SIZE);
+        space.write(0x200, name).expect("in the space");
+        space
+            .write(0x200, &[0x5E; BLOCK_SIZE])
+            .expect("in the space");
+        space
+    });
+    println!("{live} live bytes held by a space with a name and a header");
+    // One 512-byte page and the list of runs (96 bytes). It was 4,608,
+    // a 4 KB page and a 64-entry page table, while pages were 4 KB.
+    assert!(live <= 1024, "{live} live bytes");
+    assert_eq!(space.read(0x200, 2).expect("in the space"), [0x5E; 2]);
 }

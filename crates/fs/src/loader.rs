@@ -43,8 +43,8 @@ pub struct LoadReport {
     pub errors: u64,
 }
 
-const NAME_BUF: u32 = 0x0100;
-const HDR_BUF: u32 = 0x0800;
+/// The name goes out of it, the header comes back into it: one 512-byte page.
+const NAME_BUF: u32 = 0x0200;
 /// Where the image lands — "the newly created program space".
 pub const IMAGE_BASE: u32 = 0x10000;
 
@@ -95,7 +95,7 @@ impl Program for ProgramLoader {
         match outcome {
             Outcome::Started => {
                 self.started = Some(api.now());
-                api.mem_write(NAME_BUF, self.name.clone().as_bytes())
+                api.mem_write(NAME_BUF, self.name.as_bytes())
                     .expect("name fits");
                 api.send(stub::open(NAME_BUF, self.name.len() as u32, 1), self.server);
             }
@@ -111,12 +111,12 @@ impl Program for ProgramLoader {
                         self.phase = Phase::Header;
                         // First read: the program header.
                         api.send(
-                            stub::read(self.file, 0, BLOCK_SIZE as u32, HDR_BUF, 2),
+                            stub::read(self.file, 0, BLOCK_SIZE as u32, NAME_BUF, 2),
                             self.server,
                         );
                     }
                     Phase::Header => {
-                        let hdr = api.mem_read(HDR_BUF, 8).expect("header in memory");
+                        let hdr = api.mem_read(NAME_BUF, 8).expect("header in memory");
                         let size = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
                         let fill = hdr[4];
                         self.phase = Phase::Image { size, fill };

@@ -201,11 +201,8 @@ impl Program for MigrationAgent {
                 let name_bytes = api.mem_read(AGENT_IN, seg_len as usize).expect("in buffer");
                 let name = String::from_utf8_lossy(&name_bytes).into_owned();
                 self.current = Some((from, req, src.expect("checked")));
-                let adopted =
-                    self.shared
-                        .store
-                        .borrow_mut()
-                        .adopt(req.file, &name, req.count as usize);
+                let size = req.count as usize;
+                let adopted = self.shared.store.borrow_mut().adopt(req.file, &name, size);
                 match adopted {
                     Err(StoreError::Exists) => self.reply_status(api, IoStatus::Exists, 0),
                     Err(_) => self.reply_status(api, IoStatus::Error, 0),

@@ -422,7 +422,7 @@ impl FileServer {
             StoreError::NotFound => IoStatus::NotFound,
             StoreError::Exists => IoStatus::Exists,
             StoreError::BadBlock => IoStatus::BadBlock,
-            StoreError::Full => IoStatus::Error,
+            StoreError::Full | StoreError::Unissued => IoStatus::Error,
         }
     }
 

@@ -23,6 +23,9 @@ pub enum StoreError {
     /// than silent wraparound — the caller decides whether to refuse
     /// the create or re-shard.
     Full,
+    /// An adopted id in this store's native range that the store has
+    /// not handed out yet: a later create would hand it out again.
+    Unissued,
 }
 
 /// A file's bytes are shared by every clone of its store until one of
@@ -159,8 +162,12 @@ impl BlockStore {
     /// receiving half of live migration. The file keeps its original id
     /// (clients' open handles stay valid across the move) and starts as
     /// `size` zeroed bytes for the copy stream to fill with ordinary
-    /// [`BlockStore::write_block`]s.
+    /// [`BlockStore::write_block`]s. A native id only a tombstone holds
+    /// can come home; one not yet handed out is [`StoreError::Unissued`].
     pub fn adopt(&mut self, id: FileId, name: &str, size: usize) -> Result<(), StoreError> {
+        if self.native_index(id).is_some_and(|i| i >= self.files.len()) {
+            return Err(StoreError::Unissued);
+        }
         if self.by_name.contains_key(name) || self.file(id).is_ok() {
             return Err(StoreError::Exists);
         }
@@ -215,21 +222,17 @@ impl BlockStore {
     }
 
     fn file(&self, id: FileId) -> Result<&File, StoreError> {
-        if let Some(i) = self.native_index(id) {
-            if let Some(Some(f)) = self.files.get(i) {
-                return Ok(f);
-            }
+        match self.native_index(id).and_then(|i| self.files.get(i)) {
+            Some(Some(f)) => Ok(f),
+            _ => self.adopted.get(&id.0).ok_or(StoreError::NotFound),
         }
-        self.adopted.get(&id.0).ok_or(StoreError::NotFound)
     }
 
     fn file_mut(&mut self, id: FileId) -> Result<&mut File, StoreError> {
-        if let Some(i) = self.native_index(id) {
-            if matches!(self.files.get(i), Some(Some(_))) {
-                return Ok(self.files[i].as_mut().expect("just matched"));
-            }
+        match self.native_index(id).and_then(|i| self.files.get_mut(i)) {
+            Some(Some(f)) => Ok(f),
+            _ => self.adopted.get_mut(&id.0).ok_or(StoreError::NotFound),
         }
-        self.adopted.get_mut(&id.0).ok_or(StoreError::NotFound)
     }
 
     /// True if `block` exists in file `id` — the cheap existence probe

@@ -181,6 +181,13 @@ impl Model {
     }
 
     fn adopt(&mut self, id: FileId, name: &str, size: usize) -> Result<(), StoreError> {
+        // A native id not handed out yet would be handed out again by a
+        // later create (a foreign shard never allocated it, and a file
+        // migrating home finds its slot tombstoned).
+        let native = id.0.checked_sub(BASE).map(usize::from);
+        if native.is_some_and(|i| i >= self.next && i < CAPACITY) {
+            return Err(StoreError::Unissued);
+        }
         if self.named(name) || self.find(id).is_ok() {
             return Err(StoreError::Exists);
         }
@@ -279,16 +286,7 @@ impl Family {
             }
             Op::Adopt { at, id, name, size } => {
                 let (store, model) = &mut self.stores[pick(at)];
-                let id = id_at(id);
-                // A native id the store has not handed out yet is not an
-                // adoptee migration can bring (a foreign shard never
-                // allocated it, and a file migrating home finds its slot
-                // tombstoned): `adopt` does not guard it, so it is left out.
-                let native = id.0.checked_sub(BASE).map(usize::from);
-                if native.is_some_and(|i| i >= model.next && i < CAPACITY) {
-                    return;
-                }
-                let name = NAMES[name];
+                let (id, name) = (id_at(id), NAMES[name]);
                 assert_eq!(store.adopt(id, name, size), model.adopt(id, name, size));
             }
             Op::Clone { at } => {
@@ -391,4 +389,23 @@ fn a_write_after_a_clone_reaches_only_the_writer() {
     let first = |s: &BlockStore| s.read_block(id, 1, 1).unwrap()[0];
     let seen: Vec<u8> = family.stores.iter().map(|(s, _)| first(s)).collect();
     assert_eq!(seen, [7, 9, 7]);
+}
+
+#[test]
+fn an_id_the_store_has_not_handed_out_is_not_adopted() {
+    let mut store = BlockStore::with_id_range(BASE, CAPACITY);
+    let boot = store.create("boot", BLOCK_SIZE).expect("a fresh store");
+    let next = FileId(BASE + 1);
+    assert_eq!(store.adopt(next, "lib", 0), Err(StoreError::Unissued));
+    let last = FileId(BASE + CAPACITY as u16 - 1);
+    assert_eq!(store.adopt(last, "lib", 0), Err(StoreError::Unissued));
+    // So the next create's id names its own file and nothing else.
+    assert_eq!(store.create("etc", 0), Ok(next));
+    assert_eq!(store.name(next), Ok("etc"));
+    assert_eq!(store.file_count(), 2);
+    // A tombstoned native id comes home, and a foreign one is adopted.
+    store.remove(boot).expect("created");
+    assert_eq!(store.adopt(boot, "boot", BLOCK_SIZE), Ok(()));
+    assert_eq!(store.adopt(FileId(FOREIGN[0]), "tmp", 0), Ok(()));
+    assert_eq!(store.file_count(), 3);
 }
