@@ -143,50 +143,13 @@ pub fn streaming_comparison() -> Comparison {
     c
 }
 
-/// Protocol ablations: the §3.4 appended-segment optimization and the
-/// alien reply cache, each switched off via its [`v_kernel::ProtocolConfig`]
-/// toggle to quantify what the mechanism buys.
+/// Protocol ablation: the alien reply cache, switched off via
+/// [`v_kernel::ProtocolConfig::alien_keep`] to quantify what it buys.
+/// (The §3.4 appended-segment optimization is Table 6-1's Thoth-mode
+/// write pair and its "segment mechanism savings per write" row.)
 pub fn protocol_ablations() -> Comparison {
     let speed = CpuSpeed::Mc68000At10MHz;
-    let mut c = Comparison::new(
-        "Ablations",
-        "appended segments and reply caching switched off, 10 MHz",
-    );
-
-    // Appended segments: a 512-byte page write is one two-packet
-    // exchange with them, Send + MoveFrom + Reply without (the
-    // unmodified Thoth-style kernel).
-    let with_seg = super::table_6_1::measure_page(
-        speed,
-        v_workloads::page::PageOp::Write,
-        v_workloads::page::PageMode::Segment,
-        true,
-    );
-    // Thoth mode runs with `appended_segments = false` — the same
-    // measurement Table 6-1 reports, reused here as the ablation's
-    // other arm.
-    let without_seg = super::table_6_1::measure_page(
-        speed,
-        v_workloads::page::PageOp::Write,
-        v_workloads::page::PageMode::Thoth,
-        true,
-    );
-    c.push_ours(
-        "page write, appended segments on",
-        with_seg.elapsed_ms,
-        "ms",
-    );
-    c.push_ours(
-        "page write, appended segments off",
-        without_seg.elapsed_ms,
-        "ms",
-    );
-    c.push(
-        "appended-segment savings",
-        paper::SEGMENT_SAVINGS,
-        without_seg.elapsed_ms - with_seg.elapsed_ms,
-        "ms",
-    );
+    let mut c = Comparison::new("Ablations", "reply caching switched off, 10 MHz");
 
     // Reply caching: under loss, a cached reply answers a retransmitted
     // Send directly; without it (alien keep = 0) the exchange is
@@ -229,7 +192,6 @@ pub fn protocol_ablations() -> Comparison {
             .saturating_sub(cached_ks.aliens_allocated) as f64,
         "exchanges",
     );
-    c.note("appended off: ProtocolConfig::appended_segments = false (Send carries no data)");
     c.note("cache off: ProtocolConfig::alien_keep = 0 (alien freed at reply)");
     c
 }

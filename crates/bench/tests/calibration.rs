@@ -51,9 +51,12 @@ fn table_5_1_kernel_performance_8mhz() {
     pin(&c, "MoveFrom 1024B remote", 9.03, 0.10);
     pin(&c, "MoveTo 1024B penalty", 8.15, 0.03);
     // CPU attribution for transfers deviates further (the paper does not
-    // document its measurement loop); keep a wide honest bound.
+    // document its measurement loop); keep a wide honest bound: each
+    // transfer CPU row at its deviation rounded up to the next 5 points.
     pin(&c, "MoveTo 1024B client CPU", 3.59, 0.25);
     pin(&c, "MoveTo 1024B server CPU", 5.87, 0.45);
+    pin(&c, "MoveFrom 1024B client CPU", 3.76, 0.15);
+    pin(&c, "MoveFrom 1024B server CPU", 5.69, 0.45);
 }
 
 #[test]
@@ -67,6 +70,12 @@ fn table_5_2_kernel_performance_10mhz() {
     pin(&c, "MoveTo 1024B local", 0.95, 0.05);
     pin(&c, "MoveTo 1024B remote", 8.00, 0.10);
     pin(&c, "MoveFrom 1024B remote", 8.00, 0.10);
+    // Transfer CPU attribution, held as at 8 MHz (see "Fidelity" in
+    // docs/BENCHMARKS.md for the server-CPU gap).
+    pin(&c, "MoveTo 1024B client CPU", 3.17, 0.15);
+    pin(&c, "MoveTo 1024B server CPU", 4.95, 0.50);
+    pin(&c, "MoveFrom 1024B client CPU", 3.32, 0.10);
+    pin(&c, "MoveFrom 1024B server CPU", 4.78, 0.50);
 }
 
 #[test]
@@ -78,6 +87,10 @@ fn table_6_1_page_access() {
     pin(&c, "page read client CPU", 2.50, 0.20);
     pin(&c, "page read server CPU", 3.28, 0.25);
     pin(&c, "Thoth-mode page write (MoveFrom)", 8.10, 0.10);
+    assert!(
+        metric_of(&c, "segment mechanism savings per write") > 0.0,
+        "appended segments must save a transfer round"
+    );
 }
 
 #[test]
@@ -380,11 +393,6 @@ fn pipelining_beats_sequential_under_fan_in() {
 #[test]
 fn protocol_ablations_quantify_their_mechanisms() {
     let c = exp::protocol_ablations();
-    assert!(
-        metric_of(&c, "page write, appended segments off")
-            > metric_of(&c, "page write, appended segments on"),
-        "appended segments must save a transfer round"
-    );
     assert!(metric_of(&c, "cached replies retransmitted") > 0.0);
     assert!(metric_of(&c, "re-deliveries without the cache") > 0.0);
 }

@@ -3,103 +3,30 @@
 //! A [`Cluster`] owns every simulated workstation, the shared Ethernet and
 //! the event queue, and drives the whole system to quiescence. It is the
 //! top-level object experiments construct; see the crate examples and the
-//! `v-bench` experiments for usage.
+//! `v-bench` experiments for usage. How a frame reaches its hosts is
+//! `fanout.rs`; what a program calls during a resume is [`Api`].
 
-use v_net::sink::receivers;
-use v_net::{EtherType, Frame, MacAddr, Nic, Transport};
+use v_net::{EtherType, MacAddr, Nic, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
-use v_wire::{Packet, PacketBody};
 
+use crate::addrspace::AddressSpace;
 use crate::aliens::AlienTable;
+use crate::api::Api;
 use crate::config::ClusterConfig;
 use crate::costs::CostModel;
-use crate::cpu::{ChargeLog, Cpu, CpuSpeed};
+use crate::cpu::{Cpu, CpuSpeed};
 use crate::ctx::Ctx;
 use crate::error::KernelError;
-use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
+use crate::event::{Event, FanOut, HostId, TimerKind};
+use crate::fanout::Segment;
 use crate::host::{Host, Lane};
 use crate::hostmap::HostMap;
-use crate::ipc::dispatch::{decode_frame, rx_cost, Decoded};
-use crate::message::Message;
-use crate::naming::{NameTable, Scope};
+use crate::naming::NameTable;
 use crate::pcb::{Pcb, ProcState};
 use crate::pid::{LogicalHost, Pid};
 use crate::program::{Outcome, Program};
 use crate::raw::RawHandler;
 use crate::stats::KernelStats;
-
-/// A blocking kernel call collected from a program resume.
-#[derive(Debug)]
-pub(crate) enum Pending {
-    Send {
-        msg: Message,
-        to: Pid,
-    },
-    Receive,
-    ReceiveSeg {
-        buf: u32,
-        size: u32,
-    },
-    MoveTo {
-        dst: Pid,
-        dest: u32,
-        src: u32,
-        count: u32,
-    },
-    MoveFrom {
-        src_pid: Pid,
-        dest: u32,
-        src: u32,
-        count: u32,
-    },
-    GetPid {
-        logical_id: u32,
-        scope: Scope,
-    },
-    Delay(SimDuration),
-    Compute(SimDuration),
-}
-
-/// What the cluster keeps of one network segment for the name queries
-/// it hears. A query reaches every host of the segment but its sender;
-/// it is charged to the deferred lanes as one entry of `log`, and handed
-/// only to the `exceptions`.
-#[derive(Debug, Default)]
-pub(crate) struct Segment {
-    /// Receive charges its deferred lanes owe.
-    log: ChargeLog,
-    /// Its hosts whose lanes are not deferred, in station order — and
-    /// any that have become deferred since the last query logged here,
-    /// which that query drops.
-    exceptions: Vec<u32>,
-}
-
-impl Segment {
-    /// Charges a deferred lane what it owes the log.
-    #[inline]
-    fn catch_up(&self, lane: &mut Lane) {
-        if lane.deferred() && (lane.cursor as usize) < self.log.len() {
-            self.log.catch_up(&mut lane.cpu, &mut lane.cursor);
-        }
-    }
-
-    /// Sets `host`'s lane's `quiet` and `up` flags, moving it into or out
-    /// of the deferred state: a lane that leaves is caught up and joins
-    /// the exceptions, a lane that enters owes nothing logged before.
-    pub(crate) fn redefer(&mut self, lane: &mut Lane, host: HostId, quiet: bool, up: bool) {
-        let was = lane.deferred();
-        (lane.quiet, lane.up) = (quiet, up);
-        if was && !lane.deferred() {
-            self.log.catch_up(&mut lane.cpu, &mut lane.cursor);
-            let h = host.0 as u32;
-            if let Err(at) = self.exceptions.binary_search(&h) {
-                self.exceptions.insert(at, h);
-            }
-        } else if !was && lane.deferred() {
-            lane.cursor = self.log.len() as u32;
-        }
-    }
-}
 
 /// The simulated distributed system.
 pub struct Cluster {
@@ -114,15 +41,15 @@ pub struct Cluster {
     /// Per network segment: its charge log and exceptions.
     pub(crate) segments: Vec<Segment>,
     /// The cost model of each processor grade, `grade as usize` indexed.
-    grade_costs: [CostModel; CpuSpeed::GRADES],
+    pub(crate) grade_costs: [CostModel; CpuSpeed::GRADES],
     /// Entries logged on any segment so far, counted round: a lane that
     /// has seen this many owes nothing new, which is what anything that
     /// reads or charges a processor asks first.
-    logged: u32,
+    pub(crate) logged: u32,
     /// Logical events dispatched: one per resume/frame/timer/chunk. An
     /// arrival event counts once per receiver it reaches, so the number
     /// is comparable across delivery-batching changes.
-    events_dispatched: u64,
+    pub(crate) events_dispatched: u64,
 }
 
 impl Cluster {
@@ -142,40 +69,24 @@ impl Cluster {
 
         let mut hosts = Vec::with_capacity(cfg.hosts.len());
         let mut lanes = Vec::with_capacity(cfg.hosts.len());
-        let mut segments: Vec<Segment> = (0..cfg.num_segments())
-            .map(|_| Segment::default())
-            .collect();
+        let mut segments: Vec<Segment> = Vec::new();
+        segments.resize_with(cfg.num_segments(), Segment::default);
         for (i, hc) in cfg.hosts.iter().enumerate() {
-            let mac = HostId(i).station_mac();
-            net.attach(mac, hc.segment);
-            hosts.push(Host {
-                id: HostId(i),
-                logical: LogicalHost::from_station(mac.0),
-                costs: CostModel::for_speed(hc.cpu),
-                nic: Nic::new(mac),
-                procs: Default::default(),
-                next_uid: 1,
-                aliens: AlienTable::new(cfg.protocol.alien_pool),
-                names: NameTable::new(),
-                hostmap: HostMap::new(cfg.addressing),
-                outbound: Default::default(),
-                inbound: Default::default(),
-                raw: Default::default(),
-                stats: KernelStats::default(),
-                suspects: Default::default(),
-            });
+            let host = new_host(&cfg, HostId(i));
+            net.attach(host.nic.mac(), hc.segment);
             let lane = Lane {
                 cpu: Cpu::new(hc.cpu),
                 cursor: 0,
                 seen: 0,
                 seg: hc.segment as u32,
                 up: true,
-                quiet: hosts[i].quiet(),
+                quiet: host.quiet(),
                 housekeeping_armed: false,
             };
             if !lane.deferred() {
                 segments[hc.segment].exceptions.push(i as u32);
             }
+            hosts.push(host);
             lanes.push(lane);
         }
         Cluster {
@@ -296,7 +207,7 @@ impl Cluster {
         ethertype: EtherType,
         handler: Box<dyn RawHandler>,
     ) {
-        self.hosts[host.0].register_raw(ethertype, handler);
+        self.hosts[host.0].raw.insert(ethertype.0, handler);
     }
 
     /// A host's station address.
@@ -319,7 +230,7 @@ impl Cluster {
             at,
             Event::Timer {
                 host,
-                kind: crate::event::TimerKind::Raw {
+                kind: TimerKind::Raw {
                     ethertype: ethertype.0,
                     token,
                 },
@@ -333,29 +244,23 @@ impl Cluster {
     }
 
     /// Crashes a host: every process, alien descriptor, in-flight
-    /// transfer, name registration and learned address on it is lost,
-    /// and the interface stops hearing frames. Peer kernels notice only
+    /// transfer, name registration, suspicion, raw handler and learned
+    /// address on it is lost — the host is rebuilt as it booted, keeping
+    /// only its `stats`, its uid counter and its interface — and the
+    /// interface stops hearing frames. Peer kernels notice only
     /// through the protocol: their retransmission budgets run out and
     /// their `Send`s fail with [`KernelError::HostDown`]. A no-op if the
     /// host is already down.
     pub fn crash_host(&mut self, host: HostId) {
-        let addressing = self.cfg.addressing;
-        let pool = self.cfg.protocol.alien_pool;
-        let h = &mut self.hosts[host.0];
         let lane = &mut self.lanes[host.0];
         if !lane.up {
             return;
         }
+        let old = std::mem::replace(&mut self.hosts[host.0], new_host(&self.cfg, host));
+        let h = &mut self.hosts[host.0];
+        (h.stats, h.next_uid, h.nic) = (old.stats, old.next_uid, old.nic);
         h.stats.crashes += 1;
-        h.stats.processes_exited += h.procs.len() as u64;
-        h.procs.clear();
-        h.aliens = AlienTable::new(pool);
-        h.names = NameTable::new();
-        h.hostmap = HostMap::new(addressing);
-        h.suspects.clear();
-        h.outbound.clear();
-        h.inbound.clear();
-        h.raw.clear();
+        h.stats.processes_exited += old.procs.len() as u64;
         let seg = &mut self.segments[lane.seg as usize];
         seg.redefer(lane, host, h.quiet(), false);
         // Timers and events still queued against this host become no-ops
@@ -402,42 +307,35 @@ impl Cluster {
 
     /// Spawns a process on `host` with the default address-space size.
     pub fn spawn(&mut self, host: HostId, name: &str, program: Box<dyn Program>) -> Pid {
-        self.spawn_with_space(
-            host,
-            name,
-            program,
-            crate::addrspace::AddressSpace::DEFAULT_SIZE,
-        )
+        assert!(
+            self.lanes[host.0].up,
+            "cannot spawn {name:?} on crashed host {host:?}"
+        );
+        self.create_process(host, self.now(), name, program).0
     }
 
-    /// Spawns a process with an explicit address-space size.
-    pub fn spawn_with_space(
+    /// Creates a process on `host`, charges its creation from `at` and
+    /// schedules its first resume where the charge ends: the new pid,
+    /// and that instant.
+    pub(crate) fn create_process(
         &mut self,
         host: HostId,
+        at: SimTime,
         name: &str,
         program: Box<dyn Program>,
-        space: usize,
-    ) -> Pid {
-        let now = self.now();
+    ) -> (Pid, SimTime) {
+        self.catch_up_lane(host);
         let h = &mut self.hosts[host.0];
-        let lane = &mut self.lanes[host.0];
-        assert!(lane.up, "cannot spawn {name:?} on crashed host {host:?}");
-        self.segments[lane.seg as usize].catch_up(lane);
         let uid = h.alloc_uid();
         let pid = Pid::new(h.logical, uid);
-        let pcb = Pcb::new(pid, program, space, name.to_string());
+        let pcb = Pcb::new(pid, program, AddressSpace::DEFAULT_SIZE, name.to_string());
         h.procs.insert(uid, pcb);
         h.stats.processes_spawned += 1;
-        let span = lane.cpu.charge(now, h.costs.spawn);
-        self.queue.schedule(
-            span.end,
-            Event::Resume {
-                host,
-                pid,
-                outcome: Outcome::Started,
-            },
-        );
-        pid
+        let end = self.lanes[host.0].cpu.charge(at, h.costs.spawn).end;
+        let outcome = Outcome::Started;
+        self.queue
+            .schedule(end, Event::Resume { host, pid, outcome });
+        (pid, end)
     }
 
     /// Runs until the event queue is exhausted (the system is quiescent:
@@ -488,205 +386,38 @@ impl Cluster {
             },
             ev => {
                 self.events_dispatched += 1;
-                // A crashed host is deaf and inert: stale timers/resumes
-                // are no-ops (their state was torn down with the
-                // kernel). Housekeeping is the one timer still allowed
-                // through — it finds empty tables and disarms itself, so
-                // the armed flag cannot wedge across a crash/restart
-                // cycle.
-                let target = match &ev {
-                    Event::Resume { host, .. } | Event::ChunkReady { host, .. } => Some(*host),
-                    Event::Timer { host, kind } if !matches!(kind, TimerKind::Housekeeping) => {
-                        Some(*host)
-                    }
-                    _ => None,
-                };
-                if let Some(h) = target {
-                    if !self.lanes[h.0].up {
-                        return;
-                    }
-                }
                 match ev {
+                    // Housekeeping runs on a crashed host too: it finds
+                    // empty tables and disarms itself, so the armed flag
+                    // cannot wedge across a crash/restart cycle.
+                    Event::Timer {
+                        host,
+                        kind: TimerKind::Housekeeping,
+                    } => self.ctx(host).housekeeping(t),
+                    // A crashed host is deaf and inert: any other timer or
+                    // resume is stale, its state torn down with the kernel.
+                    Event::Resume { host, .. }
+                    | Event::ChunkReady { host, .. }
+                    | Event::Timer { host, .. }
+                        if !self.lanes[host.0].up => {}
                     Event::Resume { host, pid, outcome } => {
                         self.handle_resume(t, host, pid, outcome)
                     }
-                    Event::Timer { host, kind } => self.handle_timer(t, host, kind),
                     Event::ChunkReady { host, key } => self.ctx(host).handle_chunk_ready(t, key),
+                    Event::Timer { host, kind } => self.handle_timer(t, host, kind),
                     Event::Arrival { .. } => unreachable!("handled above"),
                 }
             }
         }
     }
 
-    /// Dispatches one frame to every station it reaches.
-    ///
-    /// A frame of one station's own (a unicast, or a copy a fault plan
-    /// gave a fate of its own) is that host's to decode and keep. A run
-    /// is decoded once for all its receivers. A name query's run is
-    /// logged ([`Cluster::log_query`]). Every receiver of anything else
-    /// goes through `handle_frame`, in station order. (Kept out of
-    /// `dispatch`: inlined, it costs the unicast path.)
-    #[inline(never)]
-    fn dispatch_fan_out(&mut self, t: SimTime, mut frame: Frame, reach: Reach) {
-        let Reach::Run { stations, len } = reach else {
-            return self.dispatch_one(t, &frame);
-        };
-        let stations = &stations[..len];
-        // The packet borrows its data from a copy of the frame (a handle
-        // on the same buffer), so that the frame itself can be addressed
-        // to each receiver in turn.
-        let shared = frame.clone();
-        let decoded = (frame.ethertype == EtherType::INTERKERNEL)
-            .then(|| decode_frame(&self.cfg.protocol, &shared));
-        let name_query = matches!(
-            &decoded,
-            Some(Ok((
-                Packet {
-                    body: PacketBody::GetPidReq(_),
-                    ..
-                },
-                _
-            )))
-        );
-        if name_query {
-            return self.log_query(t, frame, &decoded, stations);
-        }
-        for station in receivers(stations, frame.src) {
-            let Some(host) = self.host_at(station) else {
-                continue;
-            };
-            if self.hears(host) {
-                frame.dst = station;
-                self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
-            }
-        }
-    }
-
-    /// A name query's run, which reaches every host of a segment but the
-    /// sender: counted once per receiver, charged to the segment's
-    /// deferred lanes as one entry of its log — the sender's, if it is
-    /// one of them, skips it; a full log is folded first — and handed to
-    /// the segment's exceptions, in station order: by [`Host::quiet`]
-    /// nothing but the charge comes of it anywhere else. Debug builds
-    /// check both halves of that, lane by lane: the run covers every
-    /// host of the segment in order (the sender's station too, which its
-    /// readers skip), and every lane's `quiet` bit is current.
-    fn log_query(
-        &mut self,
-        t: SimTime,
-        mut frame: Frame,
-        decoded: &Option<Decoded<'_>>,
-        stations: &[MacAddr],
-    ) {
-        let first = self.host_at(stations[0]).expect("a run reaches hosts");
-        let seg = self.lanes[first.0].seg as usize;
-        let sender = self
-            .host_at(frame.src)
-            .filter(|h| self.lanes[h.0].seg as usize == seg);
-        self.events_dispatched += (stations.len() - sender.is_some() as usize) as u64;
-        if cfg!(debug_assertions) {
-            let mut run = stations.iter();
-            for (h, lane) in self.lanes.iter().enumerate() {
-                if lane.seg as usize != seg {
-                    continue;
-                }
-                assert!(
-                    lane.quiet == self.hosts[h].quiet(),
-                    "host{h}: a change to what Host::quiet reads must call Lane::requiet"
-                );
-                assert_eq!(
-                    run.next(),
-                    Some(&HostId(h).station_mac()),
-                    "a name query's run covers every host of its segment, in order"
-                );
-            }
-            assert_eq!(run.next(), None, "a run covers the hosts of one segment");
-        }
-        if self.logged == u32::MAX {
-            // Counted round, a lane's `seen` could come back into step
-            // with entries it owes: every lane catches up, and the count
-            // starts over.
-            for lane in &mut self.lanes {
-                self.segments[lane.seg as usize].catch_up(lane);
-                lane.seen = 0;
-            }
-            self.logged = 0;
-        }
-        let log = &mut self.segments[seg].log;
-        if log.is_full() {
-            let owing = (self.lanes.iter_mut()).filter(|l| l.seg as usize == seg && l.deferred());
-            log.fold(owing.map(|l| (&mut l.cpu, &mut l.cursor)));
-        }
-        let len = frame.payload.len();
-        let cost =
-            CpuSpeed::ALL.map(|g| rx_cost(&self.grade_costs[g as usize], &self.cfg.protocol, len));
-        let sender_lane = sender
-            .map(|h| &mut self.lanes[h.0])
-            .filter(|l| l.deferred())
-            .map(|l| (&mut l.cpu, &mut l.cursor));
-        log.push(t, cost, sender_lane);
-        self.logged += 1;
-        let mut exceptions = std::mem::take(&mut self.segments[seg].exceptions);
-        exceptions.retain(|&h| {
-            let host = HostId(h as usize);
-            if self.lanes[host.0].deferred() {
-                return false;
-            }
-            if Some(host) != sender && self.live(host) {
-                frame.dst = host.station_mac();
-                self.ctx(host).handle_frame(t, &frame, decoded.as_ref());
-            }
-            true
-        });
-        debug_assert!(self.segments[seg].exceptions.is_empty());
-        self.segments[seg].exceptions = exceptions;
-    }
-
-    /// Dispatches a frame of one station's own to the host `frame.dst`
-    /// addresses. Nobody hears a frame no interface matches.
-    #[inline]
-    fn dispatch_one(&mut self, t: SimTime, frame: &Frame) {
-        if let Some(host) = self.host_at(frame.dst) {
-            if self.hears(host) {
-                self.ctx(host).handle_frame(t, frame, None);
-            }
-        }
-    }
-
-    /// The host whose interface answers to station address `mac`, if the
-    /// cluster has one.
-    fn host_at(&self, mac: MacAddr) -> Option<HostId> {
-        HostId::from_station_mac(mac).filter(|h| h.0 < self.hosts.len())
-    }
-
-    /// Counts one frame arrival at `host` as a logical event and applies
-    /// the crashed-host check.
-    fn hears(&mut self, host: HostId) -> bool {
-        self.events_dispatched += 1;
-        self.live(host)
-    }
-
-    /// The crashed-host check of a frame arrival: false, and counted, if
-    /// the bits died at a dead interface.
-    fn live(&mut self, host: HostId) -> bool {
-        let up = self.lanes[host.0].up;
-        if !up {
-            self.hosts[host.0].stats.frames_dropped_down += 1;
-        }
-        up
-    }
-
     /// Builds the split-borrow context for one host, its lane caught up.
     #[inline]
     pub(crate) fn ctx(&mut self, host: HostId) -> Ctx<'_> {
-        let lane = &mut self.lanes[host.0];
-        if lane.seen != self.logged {
-            lane.seen = self.logged;
-            self.segments[lane.seg as usize].catch_up(lane);
-        }
+        self.catch_up_lane(host);
         Ctx {
             host: &mut self.hosts[host.0],
-            lane,
+            lane: &mut self.lanes[host.0],
             segments: &mut self.segments,
             net: self.net.as_mut(),
             queue: &mut self.queue,
@@ -696,29 +427,18 @@ impl Cluster {
     }
 
     fn handle_timer(&mut self, t: SimTime, host: HostId, kind: TimerKind) {
+        let k = &mut self.ctx(host);
         match kind {
-            TimerKind::Retransmit { pid, seq } => self.ctx(host).retransmit_timer(t, pid, seq),
+            TimerKind::Retransmit { pid, seq } => k.retransmit_timer(t, pid, seq),
             TimerKind::TransferStall { pid, seq, marker } => {
-                self.ctx(host).transfer_stall_timer(t, pid, seq, marker)
+                k.transfer_stall_timer(t, pid, seq, marker)
             }
-            TimerKind::GetPid { pid, logical_id } => {
-                self.ctx(host).getpid_timer(t, pid, logical_id)
+            TimerKind::GetPid { pid, logical_id } => k.getpid_timer(t, pid, logical_id),
+            TimerKind::Housekeeping => unreachable!("dispatched directly"),
+            TimerKind::Raw { ethertype, token } => {
+                k.run_raw(t, ethertype, |h, raw| h.on_timer(raw, token))
             }
-            TimerKind::Housekeeping => self.ctx(host).housekeeping(t),
-            TimerKind::Raw { ethertype, token } => self.raw_timer(t, host, ethertype, token),
         }
-    }
-
-    fn raw_timer(&mut self, t: SimTime, host: HostId, ethertype: u16, token: u64) {
-        let Some(mut handler) = self.hosts[host.0].raw.remove(&ethertype) else {
-            return;
-        };
-        {
-            let mut ctx = self.ctx(host);
-            let mut raw = crate::ipc::dispatch::RawCtxImpl::new(&mut ctx, t, EtherType(ethertype));
-            handler.on_timer(&mut raw, token);
-        }
-        self.hosts[host.0].raw.insert(ethertype, handler);
     }
 
     fn handle_resume(&mut self, t: SimTime, host: HostId, pid: Pid, outcome: Outcome) {
@@ -730,11 +450,7 @@ impl Cluster {
         };
         pcb.state = ProcState::Ready;
         // The program may charge its processor through the `Api`.
-        let lane = &mut self.lanes[host.0];
-        if lane.seen != self.logged {
-            lane.seen = self.logged;
-            self.segments[lane.seg as usize].catch_up(lane);
-        }
+        self.catch_up_lane(host);
 
         let mut api = Api {
             cl: self,
@@ -745,12 +461,7 @@ impl Cluster {
             exited: false,
         };
         program.resume(&mut api, outcome);
-        let Api {
-            pending,
-            exited,
-            now: after,
-            ..
-        } = api;
+        let (after, pending, exited) = (api.now, api.pending, api.exited);
 
         if exited {
             drop(program);
@@ -769,47 +480,58 @@ impl Cluster {
 
     /// Terminates a process and cleans up everything referring to it.
     pub(crate) fn exit_process(&mut self, t: SimTime, host: HostId, pid: Pid) {
-        let h = &mut self.hosts[host.0];
-        if h.procs.remove(&pid.local()).is_none() {
+        let k = &mut self.ctx(host);
+        if k.host.procs.remove(&pid.local()).is_none() {
             return;
         }
-        h.stats.processes_exited += 1;
-        h.names.purge_pid(pid);
-        let lane = &mut self.lanes[host.0];
-        lane.requiet(h, &mut self.segments);
-        h.drop_streams_of(pid);
+        k.host.stats.processes_exited += 1;
+        k.host.names.purge_pid(pid);
+        k.lane.requiet(k.host, k.segments);
+        k.host.drop_streams_of(pid);
 
         // Fail local senders blocked on the departed process.
-        let mut to_fail = Vec::new();
-        for pcb in h.procs.values() {
-            if let ProcState::AwaitingReplyLocal { to, .. } = &pcb.state {
-                if *to == pid {
-                    to_fail.push(pcb.pid);
-                }
-            }
-        }
+        let to_fail: Vec<Pid> = (k.host.procs.values())
+            .filter(|p| matches!(p.state, ProcState::AwaitingReplyLocal { to, .. } if to == pid))
+            .map(|p| p.pid)
+            .collect();
         for sender in to_fail {
-            let pcb = self.hosts[host.0].proc_mut(sender).expect("scanned above");
-            pcb.state = ProcState::Ready;
-            self.queue.schedule(
+            k.host.proc_mut(sender).expect("scanned above").state = ProcState::Ready;
+            k.resume_at(
                 t,
-                Event::Resume {
-                    host,
-                    pid: sender,
-                    outcome: Outcome::Send(Err(KernelError::NonexistentProcess)),
-                },
+                sender,
+                Outcome::Send(Err(KernelError::NonexistentProcess)),
             );
         }
 
         // Nack remote senders whose exchanges can no longer complete.
         // Replied aliens stay: their cached replies must keep answering
         // retransmissions of exchanges that *did* complete.
-        let aliens = self.hosts[host.0].aliens.addressed_to_unreplied(pid);
-        for src in aliens {
-            let alien = self.hosts[host.0].aliens.remove(src).expect("listed");
-            let mut ctx = self.ctx(host);
-            ctx.send_nack(t, alien.src, alien.seq, pid);
+        for src in k.host.aliens.addressed_to_unreplied(pid) {
+            let alien = k.host.aliens.remove(src).expect("listed");
+            k.send_nack(t, alien.src, alien.seq, pid);
         }
+    }
+}
+
+/// Host `id` of `cfg` as it boots, and as a crash leaves it: every
+/// kernel table empty.
+fn new_host(cfg: &ClusterConfig, id: HostId) -> Host {
+    let mac = id.station_mac();
+    Host {
+        id,
+        logical: LogicalHost::from_station(mac.0),
+        costs: CostModel::for_speed(cfg.hosts[id.0].cpu),
+        nic: Nic::new(mac),
+        procs: Default::default(),
+        next_uid: 1,
+        aliens: AlienTable::new(cfg.protocol.alien_pool),
+        names: NameTable::new(),
+        hostmap: HostMap::new(cfg.addressing),
+        outbound: Default::default(),
+        inbound: Default::default(),
+        raw: Default::default(),
+        stats: KernelStats::default(),
+        suspects: Default::default(),
     }
 }
 
@@ -823,256 +545,14 @@ impl std::fmt::Debug for Cluster {
     }
 }
 
-/// The kernel interface handed to a [`Program`] during a resume.
-///
-/// Non-blocking operations (`reply`, `set_pid`, memory access, `spawn`,
-/// `get_time`) execute immediately, charging processor time. Blocking
-/// operations (`send`, `receive`, `move_to`, ...) may be issued **at most
-/// once per resume**; the kernel runs them after the resume returns and
-/// delivers the result via the next [`Outcome`].
-pub struct Api<'a> {
-    cl: &'a mut Cluster,
-    host: HostId,
-    pid: Pid,
-    /// Time cursor: end of the charges incurred so far in this resume.
-    now: SimTime,
-    pending: Option<Pending>,
-    exited: bool,
-}
-
-impl<'a> Api<'a> {
-    fn set_pending(&mut self, p: Pending) {
-        assert!(
-            self.pending.is_none(),
-            "process {} issued a second blocking kernel call in one resume",
-            self.pid
-        );
-        self.pending = Some(p);
-    }
-
-    /// The calling process's pid.
-    pub fn self_pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// The logical host this process runs on.
-    pub fn local_host(&self) -> LogicalHost {
-        self.cl.hosts[self.host.0].logical
-    }
-
-    /// Exact simulation time — a measurement-harness convenience with no
-    /// 1983 counterpart and no processor charge. Programs that should
-    /// measure the way the paper did use [`Api::get_time`].
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// `GetTime`: the kernel's software-maintained time, accurate to the
-    /// paper's ±10 ms clock granularity. Charges the minimal kernel-call
-    /// overhead.
-    pub fn get_time(&mut self) -> SimTime {
-        let cost = self.cl.hosts[self.host.0].costs.syscall_min;
-        self.now = self.cl.lanes[self.host.0].cpu.charge(self.now, cost).end;
-        SimTime::from_millis(self.now.as_nanos() / 10_000_000 * 10)
-    }
-
-    /// `Send(message, pid)`: blocks until the receiver replies.
-    pub fn send(&mut self, msg: Message, to: Pid) {
-        self.set_pending(Pending::Send { msg, to });
-    }
-
-    /// `Receive(message)`: blocks until a message arrives.
-    pub fn receive(&mut self) {
-        self.set_pending(Pending::Receive);
-    }
-
-    /// `ReceiveWithSegment`: like `receive`, but also accepts up to
-    /// `size` bytes of the sender's read-granted segment into the buffer
-    /// at `buf` in this process's space.
-    pub fn receive_with_segment(&mut self, buf: u32, size: u32) {
-        self.set_pending(Pending::ReceiveSeg { buf, size });
-    }
-
-    /// `MoveTo`: copies `count` bytes from `src` in this process's space
-    /// to `dest` in `dst`'s space. `dst` must be awaiting reply from this
-    /// process and must have granted write access covering the range.
-    pub fn move_to(&mut self, dst: Pid, dest: u32, src: u32, count: u32) {
-        self.set_pending(Pending::MoveTo {
-            dst,
-            dest,
-            src,
-            count,
-        });
-    }
-
-    /// `MoveFrom`: copies `count` bytes from `src` in `src_pid`'s space to
-    /// `dest` in this process's space. `src_pid` must be awaiting reply
-    /// from this process and must have granted read access.
-    pub fn move_from(&mut self, src_pid: Pid, dest: u32, src: u32, count: u32) {
-        self.set_pending(Pending::MoveFrom {
-            src_pid,
-            dest,
-            src,
-            count,
-        });
-    }
-
-    /// `GetPid(logicalid, scope)`: resolves a logical id, broadcasting to
-    /// other kernels when the scope requires it.
-    pub fn get_pid(&mut self, logical_id: u32, scope: Scope) {
-        self.set_pending(Pending::GetPid { logical_id, scope });
-    }
-
-    /// Sleeps without consuming processor time (I/O waits, disk latency).
-    pub fn delay(&mut self, d: SimDuration) {
-        self.set_pending(Pending::Delay(d));
-    }
-
-    /// Consumes `d` of processor time (application computation).
-    pub fn compute(&mut self, d: SimDuration) {
-        self.set_pending(Pending::Compute(d));
-    }
-
-    /// Terminates this process.
-    pub fn exit(&mut self) {
-        self.exited = true;
-    }
-
-    /// `Reply(message, pid)`: sends the reply to a process awaiting reply
-    /// from this one. Non-blocking.
-    pub fn reply(&mut self, msg: Message, to: Pid) -> Result<(), KernelError> {
-        let me = self.pid;
-        let t = self.now;
-        let mut ctx = self.cl.ctx(self.host);
-        let end = ctx.do_reply(t, me, msg, to, None)?;
-        self.now = end;
-        Ok(())
-    }
-
-    /// `ReplyWithSegment`: reply plus a short segment written to
-    /// `dest_ptr` in the replied-to process's space (which must have
-    /// granted write access there). `src_addr`/`len` name the data in
-    /// *this* process's space. Non-blocking.
-    pub fn reply_with_segment(
-        &mut self,
-        msg: Message,
-        to: Pid,
-        dest_ptr: u32,
-        src_addr: u32,
-        len: u32,
-    ) -> Result<(), KernelError> {
-        let me = self.pid;
-        let t = self.now;
-        let mut ctx = self.cl.ctx(self.host);
-        let end = ctx.do_reply(t, me, msg, to, Some((dest_ptr, src_addr, len)))?;
-        self.now = end;
-        Ok(())
-    }
-
-    /// `Forward(message, from, to)`: hands a message received from
-    /// `from` to another server process `to`, as though `from` had sent
-    /// it there directly — `to` becomes the process the client awaits a
-    /// reply from, and its `Reply`/`MoveTo`/`MoveFrom` reach the client
-    /// unchanged, locally and across hosts. The forwarder must have
-    /// received (and not yet replied to) the exchange. Non-blocking:
-    /// the receptionist of a server team forwards and immediately
-    /// receives the next request.
-    pub fn forward(&mut self, msg: Message, from: Pid, to: Pid) -> Result<(), KernelError> {
-        let me = self.pid;
-        let t = self.now;
-        let mut ctx = self.cl.ctx(self.host);
-        let end = ctx.do_forward(t, me, msg, from, to)?;
-        self.now = end;
-        Ok(())
-    }
-
-    /// `SetPid(logicalid, pid, scope)`: registers a logical id.
-    pub fn set_pid(&mut self, logical_id: u32, pid: Pid, scope: Scope) {
-        let h = &mut self.cl.hosts[self.host.0];
-        let lane = &mut self.cl.lanes[self.host.0];
-        self.now = lane.cpu.charge(self.now, h.costs.name_op).end;
-        h.names.set(logical_id, pid, scope);
-        lane.requiet(h, &mut self.cl.segments);
-    }
-
-    /// Reads this process's own memory (no kernel charge: programs touch
-    /// their own space directly).
-    pub fn mem_read(&self, addr: u32, len: usize) -> Result<Vec<u8>, KernelError> {
-        let pcb = self.cl.hosts[self.host.0]
-            .proc(self.pid)
-            .expect("own process exists");
-        pcb.space.read(addr, len)
-    }
-
-    /// Reads this process's own memory into `out`, whole: for bytes whose
-    /// next home already exists (a store's block), so that no `Vec` has
-    /// to carry them there.
-    pub fn mem_read_into(&self, addr: u32, out: &mut [u8]) -> Result<(), KernelError> {
-        let pcb = self.cl.hosts[self.host.0]
-            .proc(self.pid)
-            .expect("own process exists");
-        pcb.space.read_into(addr, out)
-    }
-
-    /// Writes this process's own memory.
-    pub fn mem_write(&mut self, addr: u32, data: &[u8]) -> Result<(), KernelError> {
-        let pcb = self.cl.hosts[self.host.0]
-            .proc_mut(self.pid)
-            .expect("own process exists");
-        pcb.space.write(addr, data)
-    }
-
-    /// Fills a range of this process's memory.
-    pub fn mem_fill(&mut self, addr: u32, len: usize, value: u8) -> Result<(), KernelError> {
-        let pcb = self.cl.hosts[self.host.0]
-            .proc_mut(self.pid)
-            .expect("own process exists");
-        pcb.space.fill(addr, len, value)
-    }
-
-    /// True if every byte of a range of this process's memory equals
-    /// `value`: the check behind a test pattern, made in place.
-    pub fn mem_is_filled(&self, addr: u32, len: usize, value: u8) -> Result<bool, KernelError> {
-        let pcb = self.cl.hosts[self.host.0]
-            .proc(self.pid)
-            .expect("own process exists");
-        pcb.space.is_filled(addr, len, value)
-    }
-
-    /// Creates a process on this host (the kernel's process-creation
-    /// service; used by the exec server of §7).
-    pub fn spawn(&mut self, name: &str, program: Box<dyn Program>) -> Pid {
-        // Charge creation cost at the cursor, then spawn through the
-        // cluster so accounting stays in one place.
-        let cost = self.cl.hosts[self.host.0].costs.spawn;
-        self.now = self.cl.lanes[self.host.0].cpu.charge(self.now, cost).end;
-        let host = self.host;
-        let uid = self.cl.hosts[host.0].alloc_uid();
-        let logical = self.cl.hosts[host.0].logical;
-        let pid = Pid::new(logical, uid);
-        let pcb = Pcb::new(
-            pid,
-            program,
-            crate::addrspace::AddressSpace::DEFAULT_SIZE,
-            name.to_string(),
-        );
-        self.cl.hosts[host.0].procs.insert(uid, pcb);
-        self.cl.hosts[host.0].stats.processes_spawned += 1;
-        self.cl.queue.schedule(
-            self.now,
-            Event::Resume {
-                host,
-                pid,
-                outcome: Outcome::Started,
-            },
-        );
-        pid
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::StreamKey;
+    use crate::host::{InRole, InStream, OutRole, OutStream};
+    use crate::message::Message;
+    use crate::naming::Scope;
+    use crate::raw::RawCtx;
 
     /// Registers a name, then answers whatever it receives.
     struct Named;
@@ -1126,5 +606,72 @@ mod tests {
     #[test]
     fn the_count_of_logged_entries_comes_round_without_a_trace() {
         assert_eq!(busy_after_queries(u32::MAX - 3), busy_after_queries(0));
+    }
+
+    /// Sends one message, then exits.
+    struct Caller {
+        to: Pid,
+    }
+
+    impl Program for Caller {
+        fn resume(&mut self, api: &mut Api<'_>, outcome: Outcome) {
+            if let Outcome::Started = outcome {
+                api.send(Message::empty(), self.to);
+            }
+        }
+    }
+
+    /// A raw protocol that does nothing.
+    struct Mute;
+
+    impl RawHandler for Mute {
+        fn on_frame(&mut self, _: &mut dyn RawCtx, _: &v_net::Frame) {}
+        fn on_timer(&mut self, _: &mut dyn RawCtx, _: u64) {}
+    }
+
+    #[test]
+    fn a_crash_leaves_the_host_as_it_booted_but_for_its_stats_and_uid_counter() {
+        let cfg = ClusterConfig::ten_mb().with_hosts(2, CpuSpeed::Mc68000At10MHz);
+        let mut cl = Cluster::new(cfg);
+        let (a, b) = (HostId(0), HostId(1));
+        let named = cl.spawn(a, "named", Box::new(Named));
+        let caller = cl.spawn(b, "caller", Box::new(Caller { to: named }));
+        // Long enough for the exchange, short of the cached reply's expiry.
+        cl.run_for(SimDuration::from_millis(100));
+        cl.register_raw_handler(a, EtherType(0x0bad), Box::new(Mute));
+        let peer = cl.logical_host(b);
+        let h = &mut cl.hosts[a.0];
+        h.suspects.insert(peer);
+        let key = StreamKey::new(caller, 1);
+        let out = OutStream::new(OutRole::Push, named, caller, 0, 1024);
+        h.outbound.insert(key, out);
+        let fetch = InStream::new(InRole::Fetch, named, caller, 1024, SimTime::ZERO);
+        h.inbound.insert(key, fetch);
+        assert_eq!(h.procs.len(), 1, "the name's holder runs");
+        assert_eq!(h.aliens.len(), 1, "the caller's reply is cached");
+        assert_eq!(h.names.lookup_local(7), Some(named));
+        assert!(
+            h.hostmap.resolve(peer).is_some(),
+            "the caller's station is learned"
+        );
+        let (mut stats, next_uid) = (h.stats, h.next_uid);
+
+        cl.crash_host(a);
+        cl.restart_host(a);
+        let h = &cl.hosts[a.0];
+        assert!(h.procs.is_empty());
+        assert!(h.aliens.is_empty());
+        assert_eq!(h.names.lookup_local(7), None);
+        assert!(!h.names.answers_remote_queries());
+        assert_eq!(h.hostmap.resolve(peer), None);
+        assert!(h.suspects.is_empty());
+        assert!(h.outbound.is_empty());
+        assert!(h.inbound.is_empty());
+        assert!(h.raw.is_empty());
+        (stats.crashes, stats.restarts) = (stats.crashes + 1, stats.restarts + 1);
+        stats.processes_exited += 1;
+        assert_eq!(format!("{:?}", h.stats), format!("{stats:?}"));
+        assert_eq!(h.next_uid, next_uid);
+        assert_eq!(cl.spawn(a, "again", Box::new(Named)).local(), next_uid);
     }
 }

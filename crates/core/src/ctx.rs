@@ -18,9 +18,9 @@ use v_net::sink::receivers;
 use v_net::{Delivery, DeliverySink, EtherType, Frame, StationRun, Transport};
 use v_sim::{EventQueue, SimDuration, SimTime};
 
-use crate::cluster::Segment;
 use crate::config::ProtocolConfig;
 use crate::event::{Event, FanOut, HostId, Reach, TimerKind};
+use crate::fanout::Segment;
 use crate::host::{Host, Lane};
 use crate::pid::{LogicalHost, Pid};
 use crate::program::Outcome;

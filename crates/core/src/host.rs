@@ -2,15 +2,15 @@
 
 use std::collections::BTreeSet;
 
-use v_net::{EtherType, Nic};
+use v_net::Nic;
 use v_sim::SimTime;
 
 use crate::aliens::AlienTable;
-use crate::cluster::Segment;
 use crate::costs::CostModel;
 use crate::cpu::Cpu;
 use crate::error::KernelError;
 use crate::event::{HostId, StreamKey};
+use crate::fanout::Segment;
 use crate::hostmap::{AddressingMode, HostMap};
 use crate::naming::NameTable;
 use crate::pcb::Pcb;
@@ -296,11 +296,6 @@ impl Host {
         self.hostmap.mode() == AddressingMode::Direct
             && self.suspects.is_empty()
             && !self.names.answers_remote_queries()
-    }
-
-    /// Registers a raw protocol handler for an ethertype.
-    pub fn register_raw(&mut self, ethertype: EtherType, handler: Box<dyn RawHandler>) {
-        self.raw.insert(ethertype.0, handler);
     }
 }
 

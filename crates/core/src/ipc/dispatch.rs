@@ -13,7 +13,7 @@ use v_net::{EtherType, Frame};
 use v_sim::{SimDuration, SimTime};
 
 use crate::aliens::Appended;
-use crate::cluster::Pending;
+use crate::api::Pending;
 use crate::config::ProtocolConfig;
 use crate::costs::CostModel;
 use crate::ctx::Ctx;
@@ -22,6 +22,7 @@ use crate::ipc::transfer::Dir;
 use crate::pcb::ProcState;
 use crate::pid::Pid;
 use crate::program::Outcome;
+use crate::raw::{RawCtx, RawHandler};
 use v_wire::{decode_ref, Packet, PacketBody, WireBytes, WireError};
 
 /// A frame's packet, and the data it carries lent from the frame.
@@ -208,38 +209,39 @@ impl Ctx<'_> {
     // ------------------------------------------------------------------
 
     fn dispatch_raw(&mut self, t: SimTime, frame: &Frame) {
-        let cost = self.host.costs.frame_rx_cost(frame.payload.len());
-        let end = self.charge(t, cost);
-        let ety = frame.ethertype.0;
-        let Some(mut handler) = self.host.raw.remove(&ety) else {
-            return; // no handler registered; frame dropped
+        let end = self.charge(t, self.host.costs.frame_rx_cost(frame.payload.len()));
+        self.run_raw(end, frame.ethertype.0, |h, raw| h.on_frame(raw, frame));
+    }
+
+    /// Hands the handler registered for `ethertype` to `call` at `t`,
+    /// if there is one (a frame for none is dropped).
+    pub(crate) fn run_raw(
+        &mut self,
+        t: SimTime,
+        ethertype: u16,
+        call: impl FnOnce(&mut dyn RawHandler, &mut dyn RawCtx),
+    ) {
+        let Some(mut handler) = self.host.raw.remove(&ethertype) else {
+            return;
         };
-        {
-            let mut raw = RawCtxImpl::new(self, end, EtherType(ety));
-            handler.on_frame(&mut raw, frame);
-        }
-        self.host.raw.insert(ety, handler);
+        let mut raw = RawCtxImpl {
+            ctx: self,
+            now: t,
+            ethertype: EtherType(ethertype),
+        };
+        call(handler.as_mut(), &mut raw);
+        self.host.raw.insert(ethertype, handler);
     }
 }
 
-/// [`crate::raw::RawCtx`] implementation over a kernel context.
-pub(crate) struct RawCtxImpl<'c, 'a> {
+/// [`RawCtx`] implementation over a kernel context.
+struct RawCtxImpl<'c, 'a> {
     ctx: &'c mut Ctx<'a>,
     now: SimTime,
     ethertype: EtherType,
 }
 
-impl<'c, 'a> RawCtxImpl<'c, 'a> {
-    pub(crate) fn new(ctx: &'c mut Ctx<'a>, now: SimTime, ethertype: EtherType) -> Self {
-        RawCtxImpl {
-            ctx,
-            now,
-            ethertype,
-        }
-    }
-}
-
-impl crate::raw::RawCtx for RawCtxImpl<'_, '_> {
+impl RawCtx for RawCtxImpl<'_, '_> {
     fn now(&self) -> SimTime {
         self.now
     }

@@ -76,6 +76,7 @@
 
 pub mod addrspace;
 pub mod aliens;
+mod api;
 pub mod cluster;
 pub mod config;
 pub mod costs;
@@ -83,6 +84,7 @@ pub mod cpu;
 mod ctx;
 pub mod error;
 pub mod event;
+mod fanout;
 pub mod hostmap;
 mod ipc;
 pub mod message;
@@ -98,7 +100,8 @@ pub mod stats;
 mod host;
 
 pub use addrspace::AddressSpace;
-pub use cluster::{Api, Cluster};
+pub use api::Api;
+pub use cluster::Cluster;
 pub use config::{ClusterConfig, Encapsulation, HostConfig, ProtocolConfig};
 pub use costs::CostModel;
 pub use cpu::{Cpu, CpuSpeed};

@@ -11,14 +11,14 @@
 //! reply arrives) are exactly preserved.
 //!
 //! Programs never see simulation internals: everything flows through the
-//! [`crate::cluster::Api`] handle, which charges the calibrated
+//! [`Api`] handle, which charges the calibrated
 //! processor costs for each operation.
 
 use crate::error::KernelError;
 use crate::message::Message;
 use crate::pid::Pid;
 
-pub use crate::cluster::Api;
+pub use crate::api::Api;
 
 /// Completion of a blocking kernel operation, handed to
 /// [`Program::resume`].
@@ -62,7 +62,7 @@ pub enum Outcome {
 /// `resume` is called once with [`Outcome::Started`] when the process is
 /// created, then once per completed blocking operation. If a resume
 /// issues no blocking operation and does not call
-/// [`Api::exit`](crate::cluster::Api::exit), the process is considered
+/// [`Api::exit`], the process is considered
 /// finished and exits.
 pub trait Program {
     /// Continues execution with the outcome of the last blocking call.

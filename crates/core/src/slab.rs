@@ -106,12 +106,6 @@ impl<T> UidSlab<T> {
         self.len == 0
     }
 
-    /// Drops every value (slot storage is retained for reuse).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.len = 0;
-    }
-
     /// Live values in key order (deterministic).
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.slots.iter().filter_map(|s| s.as_ref())
@@ -201,11 +195,6 @@ impl<K: PartialEq + Copy, V> LinearMap<K, V> {
         self.entries.is_empty()
     }
 
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Values in insertion order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.entries.iter().map(|(_, v)| v)
@@ -240,7 +229,7 @@ mod tests {
         assert_eq!(s.remove(&3), Some("replaced"));
         assert_eq!(s.remove(&3), None);
         assert_eq!(s.len(), 1);
-        s.clear();
+        assert_eq!(s.remove(&200), Some("big"));
         assert!(s.is_empty());
         assert_eq!(s.get(&200), None);
     }

@@ -1,28 +1,34 @@
-//! Line budgets for the file service (`crates/fs/src`), the kernel's
-//! IPC engine (`crates/core/src/ipc` and `host.rs`), the broadcast path
-//! from wire to kernel, the workloads (`crates/workloads/src`), the
-//! paper's comparators (`crates/baselines/src`), the experiment harness
-//! (`crates/bench/src`) and the simulation engine (`crates/sim/src`),
-//! and a field budget for the configuration surface.
+//! Line budgets for the file service (`crates/fs/src`), the kernel
+//! (`crates/core/src`) and its IPC engine (`crates/core/src/ipc` and
+//! `host.rs`), the broadcast path from wire to kernel, the workloads
+//! (`crates/workloads/src`), the paper's comparators
+//! (`crates/baselines/src`), the experiment harness (`crates/bench/src`),
+//! the simulation engine (`crates/sim/src`), the network
+//! (`crates/net/src`) and the wire format (`crates/wire/src`), and a
+//! field budget for the configuration surface.
 //!
 //! ROADMAP aim 2 asks for the same numbers from fewer shapes, fewer
-//! toggles and fewer lines; a budget nobody checks is a wish. Eleven
+//! toggles and fewer lines; a budget nobody checks is a wish. Fourteen
 //! properties, counted from the sources themselves:
 //!
 //! * the non-test code of `crates/fs/src/*.rs` — every line above a
 //!   file's first `#[cfg(test)]` — stays within [`BUDGET`]. Raising the
 //!   budget is allowed, but it is a reviewed edit of this file that says
 //!   what the new lines bought, not drift;
+//! * likewise the whole kernel — `crates/core/src` and its `ipc/` —
+//!   within [`KERNEL_BUDGET`];
 //! * likewise the kernel's IPC engine — `crates/core/src/ipc/*.rs` and
 //!   the per-host tables it works on, `crates/core/src/host.rs` — within
 //!   [`KERNEL_IPC_BUDGET`];
-//! * likewise the six files a broadcast crosses from wire to kernel —
+//! * likewise the seven files a broadcast crosses from wire to kernel —
 //!   [`BROADCAST_PATH`] — within [`BROADCAST_PATH_BUDGET`];
 //! * likewise `crates/workloads/src` within [`WORKLOADS_BUDGET`];
 //! * likewise `crates/baselines/src` within [`BASELINES_BUDGET`];
 //! * likewise `crates/bench/src` and its `experiments/` within
 //!   [`HARNESS_BUDGET`];
 //! * likewise `crates/sim/src` within [`SIM_BUDGET`];
+//! * likewise `crates/net/src` within [`NET_BUDGET`];
+//! * likewise `crates/wire/src` within [`WIRE_BUDGET`];
 //! * the fields of the configuration structs — [`CONFIG_STRUCTS`] —
 //!   stay within [`CONFIG_FIELD_BUDGET`]: a knob is something an
 //!   experiment, a deployment or a test turns, and a value nothing
@@ -52,6 +58,15 @@ use std::path::Path;
 /// six places), rounded up to the next 50.
 const BUDGET: usize = 4_600;
 
+/// Non-test lines the kernel, `crates/core/src` with its `ipc/`, may
+/// hold: what a `cluster.rs` split at its seams reached (6,438; 6,473
+/// before it, when `cluster.rs` held the fan-out and the program-facing
+/// `Api` too, built a host in one place and cleared it table by table
+/// in another, created a process in two places and caught a lane up in
+/// three), rounded up to the next 10, which is still below where it
+/// started. ROADMAP item 7 aims it at 5,000; lower it at each step.
+const KERNEL_BUDGET: usize = 6_440;
+
 /// Non-test lines the kernel's IPC engine may hold: what PR 23 reached
 /// (2,217; 2,410 before it, with four transfer tables and the
 /// blocked-peer rule written eight times), rounded up to the next 50.
@@ -59,22 +74,24 @@ const KERNEL_IPC_BUDGET: usize = 2_250;
 
 /// The files a broadcast crosses from wire to kernel: the segment, the
 /// mesh and the run they emit, then the kernel's sink, its arrival
-/// event and its dispatch.
-const BROADCAST_PATH: [&str; 6] = [
+/// event, its event loop and its fan-out to hosts.
+const BROADCAST_PATH: [&str; 7] = [
     "crates/net/src/medium.rs",
     "crates/net/src/internet.rs",
     "crates/net/src/sink.rs",
     "crates/core/src/ctx.rs",
     "crates/core/src/event.rs",
     "crates/core/src/cluster.rs",
+    "crates/core/src/fanout.rs",
 ];
 
-/// Non-test lines [`BROADCAST_PATH`] may hold: what one run per segment
-/// transmit reached (2,963; 3,052 before it, with two runs per origin
-/// segment, the kernel gluing them back together and a receiver count
-/// checking the glued run covered the segment), rounded up to the next
-/// 50.
-const BROADCAST_PATH_BUDGET: usize = 3_000;
+/// Non-test lines [`BROADCAST_PATH`] may hold: what a `cluster.rs` that
+/// no longer carries the program-facing `Api` reached (2,566; 2,860
+/// before it, and 2,963 before one run per segment transmit, with two
+/// runs per origin segment, the kernel gluing them back together and a
+/// receiver count checking the glued run covered the segment), rounded
+/// up to the next 50.
+const BROADCAST_PATH_BUDGET: usize = 2_600;
 
 /// Non-test lines `crates/workloads/src` may hold: what a boot storm
 /// that deploys only the storm reached (1,520; 1,647 before it, when the
@@ -96,12 +113,14 @@ const WORKLOADS_BUDGET: usize = 1_550;
 const BASELINES_BUDGET: usize = 600;
 
 /// Non-test lines `crates/bench/src` and `crates/bench/src/experiments`
-/// may hold: what one builder per deployment shape reached (3,515;
-/// 3,821 before it, with the 8-client burst, the Table 6-1 page pair and
-/// the scripted-client script and loop written out per experiment, and
-/// four arms that re-ran the deployment they were subtracted from),
-/// rounded up to the next 50.
-const HARNESS_BUDGET: usize = 3_550;
+/// may hold: what an Ablations table without Table 6-1's Thoth-mode
+/// write pair reached (3,489; 3,527 before it, when `ablate` re-ran that
+/// pair and scored the segment savings a second time, and 3,821 before
+/// one builder per deployment shape, with the 8-client burst, the Table
+/// 6-1 page pair and the scripted-client script and loop written out per
+/// experiment, and four arms that re-ran the deployment they were
+/// subtracted from), rounded up to the next 50.
+const HARNESS_BUDGET: usize = 3_500;
 
 /// Non-test lines `crates/sim/src` may hold: what one binary heap for
 /// the events no ascending run fits reached (754; 987 before it, with a
@@ -110,6 +129,16 @@ const HARNESS_BUDGET: usize = 3_550;
 /// second time-ordered structure, `Timeline`, for the one fault
 /// schedule), rounded up to the next 50.
 const SIM_BUDGET: usize = 800;
+
+/// Non-test lines `crates/net/src` may hold: what the three media, the
+/// fault plan, the delivery sink and the interface reached when the
+/// crate was first budgeted (1,987), rounded up to the next 50.
+const NET_BUDGET: usize = 2_000;
+
+/// Non-test lines `crates/wire/src` may hold: what one codec core under
+/// the owned and borrowed packet APIs reached when the crate was first
+/// budgeted (842), rounded up to the next 50.
+const WIRE_BUDGET: usize = 850;
 
 /// The modules the Table 6-2, Table 6-3 and §7 programs lived in before
 /// they folded into `page.rs`.
@@ -189,19 +218,33 @@ fn non_test_lines(path: &Path) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn file_service_fits_its_line_budget() {
-    let sources = non_test_sources();
-    assert!(sources.len() >= 10, "found only {} sources", sources.len());
+/// Asserts that `sources` hold at most `budget` non-test lines, naming
+/// each file's count when they do not.
+fn assert_within(what: &str, sources: &[(String, Vec<String>)], budget: usize) {
     let counts: Vec<(&str, usize)> = sources
         .iter()
         .map(|(name, code)| (name.as_str(), code.len()))
         .collect();
     let total: usize = counts.iter().map(|(_, n)| n).sum();
     assert!(
-        total <= BUDGET,
-        "crates/fs/src holds {total} non-test lines, over its budget of {BUDGET}: {counts:?}"
+        total <= budget,
+        "{what} holds {total} non-test lines, over its budget of {budget}: {counts:?}"
     );
+}
+
+#[test]
+fn file_service_fits_its_line_budget() {
+    let sources = non_test_sources();
+    assert!(sources.len() >= 10, "found only {} sources", sources.len());
+    assert_within("crates/fs/src", &sources, BUDGET);
+}
+
+#[test]
+fn kernel_fits_its_line_budget() {
+    let mut sources = non_test_sources_in("crates/core/src");
+    sources.extend(non_test_sources_in("crates/core/src/ipc"));
+    assert!(sources.len() >= 25, "found only {} sources", sources.len());
+    assert_within("crates/core/src", &sources, KERNEL_BUDGET);
 }
 
 #[test]
@@ -210,92 +253,54 @@ fn kernel_ipc_fits_its_line_budget() {
     let host = non_test_sources_in("crates/core/src");
     sources.extend(host.into_iter().filter(|(name, _)| name == "host.rs"));
     assert_eq!(sources.len(), 8, "seven ipc modules and host.rs");
-    let counts: Vec<(&str, usize)> = sources
-        .iter()
-        .map(|(name, code)| (name.as_str(), code.len()))
-        .collect();
-    let total: usize = counts.iter().map(|(_, n)| n).sum();
-    assert!(
-        total <= KERNEL_IPC_BUDGET,
-        "the kernel's IPC engine holds {total} non-test lines, over its budget of \
-         {KERNEL_IPC_BUDGET}: {counts:?}"
-    );
+    assert_within("the kernel's IPC engine", &sources, KERNEL_IPC_BUDGET);
 }
 
 #[test]
 fn broadcast_path_fits_its_line_budget() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let counts: Vec<(&str, usize)> = BROADCAST_PATH
+    let sources: Vec<(String, Vec<String>)> = BROADCAST_PATH
         .iter()
-        .map(|&file| (file, non_test_lines(&root.join(file)).len()))
+        .map(|&file| (file.to_string(), non_test_lines(&root.join(file))))
         .collect();
-    let total: usize = counts.iter().map(|(_, n)| n).sum();
-    assert!(
-        total <= BROADCAST_PATH_BUDGET,
-        "the broadcast path holds {total} non-test lines, over its budget of \
-         {BROADCAST_PATH_BUDGET}: {counts:?}"
-    );
+    assert_within("the broadcast path", &sources, BROADCAST_PATH_BUDGET);
 }
 
 #[test]
 fn workloads_fit_their_line_budget() {
     let sources = non_test_sources_in("crates/workloads/src");
-    let counts: Vec<(&str, usize)> = sources
-        .iter()
-        .map(|(name, code)| (name.as_str(), code.len()))
-        .collect();
-    let total: usize = counts.iter().map(|(_, n)| n).sum();
-    assert!(
-        total <= WORKLOADS_BUDGET,
-        "crates/workloads/src holds {total} non-test lines, over its budget of \
-         {WORKLOADS_BUDGET}: {counts:?}"
-    );
+    assert_within("crates/workloads/src", &sources, WORKLOADS_BUDGET);
 }
 
 #[test]
 fn baselines_fit_their_line_budget() {
     let sources = non_test_sources_in("crates/baselines/src");
-    let counts: Vec<(&str, usize)> = sources
-        .iter()
-        .map(|(name, code)| (name.as_str(), code.len()))
-        .collect();
-    let total: usize = counts.iter().map(|(_, n)| n).sum();
-    assert!(
-        total <= BASELINES_BUDGET,
-        "crates/baselines/src holds {total} non-test lines, over its budget of \
-         {BASELINES_BUDGET}: {counts:?}"
-    );
+    assert_within("crates/baselines/src", &sources, BASELINES_BUDGET);
 }
 
 #[test]
 fn harness_fits_its_line_budget() {
     let mut sources = non_test_sources_in("crates/bench/src");
     sources.extend(non_test_sources_in("crates/bench/src/experiments"));
-    let counts: Vec<(&str, usize)> = sources
-        .iter()
-        .map(|(name, code)| (name.as_str(), code.len()))
-        .collect();
-    let total: usize = counts.iter().map(|(_, n)| n).sum();
-    assert!(
-        total <= HARNESS_BUDGET,
-        "crates/bench/src holds {total} non-test lines, over its budget of \
-         {HARNESS_BUDGET}: {counts:?}"
-    );
+    assert_within("crates/bench/src", &sources, HARNESS_BUDGET);
 }
 
 #[test]
 fn simulation_engine_fits_its_line_budget() {
     let sources = non_test_sources_in("crates/sim/src");
-    let counts: Vec<(&str, usize)> = sources
-        .iter()
-        .map(|(name, code)| (name.as_str(), code.len()))
-        .collect();
-    let total: usize = counts.iter().map(|(_, n)| n).sum();
-    assert!(
-        total <= SIM_BUDGET,
-        "crates/sim/src holds {total} non-test lines, over its budget of \
-         {SIM_BUDGET}: {counts:?}"
-    );
+    assert_within("crates/sim/src", &sources, SIM_BUDGET);
+}
+
+#[test]
+fn network_fits_its_line_budget() {
+    let sources = non_test_sources_in("crates/net/src");
+    assert_within("crates/net/src", &sources, NET_BUDGET);
+}
+
+#[test]
+fn wire_format_fits_its_line_budget() {
+    let sources = non_test_sources_in("crates/wire/src");
+    assert_within("crates/wire/src", &sources, WIRE_BUDGET);
 }
 
 #[test]
